@@ -19,30 +19,21 @@
     A flow is declared large when the lower confidence bound of its
     inverse-probability-scaled rate estimate clears
     [elephant_pkt_rate].  The reply carries at most k records —
-    constant-size, independent of flow count.
-
-    [Hybrid rate] samples like [Sampled], but confirms each candidate
-    with one targeted exact flow-stats request before migrating —
-    sampling's channel economy with exact-rate confirmation. *)
+    constant-size, independent of flow count. *)
 type detection =
   | Exact_polling
   | Sampled of float
-  | Hybrid of float
 
 (** When the dataplane verifier runs.
 
     [Off] never verifies (the default — runs are bit-identical to a
-    build without the verifier).  [Phases] snapshots the whole network
-    and checks every invariant at each experiment phase boundary and at
-    run end — cheap per check but violations surface late.
-    [Continuous] additionally verifies incrementally on every rule,
-    group or port change at the install chokepoint: only the header-space
-    equivalence classes a delta can affect are re-walked, so each update
-    costs microseconds and violations carry the virtual time at which
-    they first appeared. *)
+    build without the verifier).  [Continuous] verifies incrementally
+    on every rule, group or port change at the install chokepoint: only
+    the header-space equivalence classes a delta can affect are
+    re-walked, so each update costs microseconds and violations carry
+    the virtual time at which they first appeared. *)
 type verify =
   | Off
-  | Phases
   | Continuous
 
 (** How the elastic autoscaler decides.

@@ -12,24 +12,19 @@
     packet sampling at the vswitch datapath and constant-size top-k
     telemetry reports; a flow is declared large when the lower
     confidence bound of its scaled rate estimate clears
-    [elephant_pkt_rate].  [Hybrid rate] samples like [Sampled] but
-    confirms each candidate with one targeted exact stats request
-    before migrating. *)
+    [elephant_pkt_rate]. *)
 type detection =
   | Exact_polling
   | Sampled of float
-  | Hybrid of float
 
 (** When the dataplane verifier runs.  [Off] (the default) never
     verifies and keeps runs bit-identical to an unverified build;
-    [Phases] runs every invariant over a whole-network snapshot at
-    experiment phase boundaries and run end; [Continuous] additionally
-    re-verifies incrementally on every rule/group/port change at the
-    install chokepoint, re-walking only the header-space equivalence
-    classes the delta can affect. *)
+    [Continuous] re-verifies incrementally on every rule/group/port
+    change at the install chokepoint, re-walking only the header-space
+    equivalence classes the delta can affect, and resyncs against a
+    whole-network snapshot at each post-recovery boundary and run end. *)
 type verify =
   | Off
-  | Phases
   | Continuous
 
 (** How the elastic autoscaler decides.  [Reactive] (the default) is

@@ -29,10 +29,10 @@ type managed = {
   mutable groups_installed : int list; (* select-group ids already added at the switch *)
 }
 
-(** Phase boundaries at which debug-mode verification hooks fire
-    (see {!Scotch_verify.Hooks}): after overlay redirection is
+(** Phase boundaries the app announces: after overlay redirection is
     installed, after a withdrawal completes, after an elephant
-    migration completes, and after a vswitch failure is repaired. *)
+    migration completes, and after a vswitch failure is repaired (where
+    {!Scotch_verify.Hooks} resyncs the continuous verifier). *)
 type phase = [ `Post_redirect | `Post_withdrawal | `Post_migration | `Post_recovery ]
 
 let pp_phase fmt (p : phase) =
@@ -394,7 +394,7 @@ let telemetry_seed = 0x7E1E
 let refresh_sampling_duty t =
   match t.config.Config.detection with
   | Config.Exact_polling -> ()
-  | Config.Sampled _ | Config.Hybrid _ ->
+  | Config.Sampled _ ->
     let active =
       List.map (fun v -> Switch.dpid v.Overlay.vsw) (Overlay.active_vswitches t.overlay)
     in
@@ -413,7 +413,7 @@ let refresh_sampling_duty t =
 let attach_sampler t dev =
   match t.config.Config.detection with
   | Config.Exact_polling -> ()
-  | Config.Sampled rate | Config.Hybrid rate ->
+  | Config.Sampled rate ->
     let dpid = Switch.dpid dev in
     let s =
       Scotch_telemetry.Sampler.create ~topk:t.config.Config.telemetry_topk
@@ -998,41 +998,6 @@ let poll_vswitch_stats t vdpid =
             stats
         | _ -> ())
 
-(* Hybrid confirmation: one targeted exact stats request for a sampled
-   candidate.  The switch filters on the flow's exact match, so the
-   reply carries at most one record — the channel stays constant-size
-   while migration decisions use an exact rate. *)
-let confirm_candidate t ~vdpid sw (e : Flow_info_db.entry) =
-  e.Flow_info_db.migrating <- true; (* hold the flow while confirming *)
-  let req =
-    { Of_msg.Stats.table_id = 0xFF; match_ = Of_match.exact_flow e.Flow_info_db.key }
-  in
-  account t ~sampled:true ~units:1 (Of_msg.Flow_stats_request req);
-  C.request t.ctrl sw (Of_msg.Flow_stats_request req)
-    (function
-      | Of_msg.Flow_stats_reply stats -> (
-        account t ~sampled:true ~units:(1 + List.length stats)
-          (Of_msg.Flow_stats_reply stats);
-        match
-          List.find_opt
-            (fun (st : Of_msg.Stats.flow_stat) -> st.Of_msg.Stats.cookie = Config.cookie_vflow)
-            stats
-        with
-        | None -> e.Flow_info_db.migrating <- false
-        | Some st ->
-          let base =
-            if e.Flow_info_db.last_poll_at > 0.0 then e.Flow_info_db.last_poll_at
-            else e.Flow_info_db.created
-          in
-          let rate =
-            Flow_info_db.observe_count t.db e ~packets:st.Of_msg.Stats.packet_count
-              ~now:(now t) ~interval:(now t -. base)
-          in
-          if t.config.Config.migration_enabled && rate > t.config.Config.elephant_pkt_rate
-          then launch_migration t ~vdpid e
-          else e.Flow_info_db.migrating <- false)
-      | _ -> e.Flow_info_db.migrating <- false)
-
 (* Sampled detection (§5.3 via the telemetry subsystem): drain each
    duty vswitch's sampler window and rank the carried top-k records by
    the lower confidence bound of their inverse-probability-scaled rate
@@ -1056,33 +1021,27 @@ let poll_vswitch_telemetry t vdpid =
                 | None -> ()
                 | Some e -> (
                   match e.Flow_info_db.kind with
-                  | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid -> (
+                  | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
                     let c = r.Of_msg.Telemetry.sampled in
                     let lower = Scotch_telemetry.Estimator.rate_lower ~rate ~window c in
-                    let candidate =
+                    (* fold the scaled size estimate into the ledger so
+                       withdrawal pinning still sees flow sizes *)
+                    let est =
+                      e.Flow_info_db.last_packet_count
+                      + int_of_float (Float.round (Scotch_telemetry.Estimator.scaled ~rate c))
+                    in
+                    let (_ : float) =
+                      Flow_info_db.observe_count t.db e ~packets:est ~now:(now t)
+                        ~interval:window
+                    in
+                    if
                       t.config.Config.migration_enabled
                       && lower > t.config.Config.elephant_pkt_rate
                       && not e.Flow_info_db.migrating
-                    in
-                    match t.config.Config.detection with
-                    | Config.Exact_polling -> ()
-                    | Config.Sampled _ ->
-                      (* fold the scaled size estimate into the ledger so
-                         withdrawal pinning still sees flow sizes *)
-                      let est =
-                        e.Flow_info_db.last_packet_count
-                        + int_of_float
-                            (Float.round (Scotch_telemetry.Estimator.scaled ~rate c))
-                      in
-                      let (_ : float) =
-                        Flow_info_db.observe_count t.db e ~packets:est ~now:(now t)
-                          ~interval:window
-                      in
-                      if candidate then begin
-                        e.Flow_info_db.migrating <- true;
-                        launch_migration t ~vdpid e
-                      end
-                    | Config.Hybrid _ -> if candidate then confirm_candidate t ~vdpid sw e)
+                    then begin
+                      e.Flow_info_db.migrating <- true;
+                      launch_migration t ~vdpid e
+                    end
                   | _ -> ()))
               tr.Of_msg.Telemetry.records
         | _ -> ())
@@ -1355,7 +1314,7 @@ let start t =
               if v.Overlay.alive then
                 match cfg.Config.detection with
                 | Config.Exact_polling -> poll_vswitch_stats t (Switch.dpid v.Overlay.vsw)
-                | Config.Sampled _ | Config.Hybrid _ ->
+                | Config.Sampled _ ->
                   let vdpid = Switch.dpid v.Overlay.vsw in
                   if Scotch_telemetry.Assignment.duty_tunnels t.duty vdpid <> [] then
                     poll_vswitch_telemetry t vdpid))
@@ -1491,8 +1450,8 @@ let set_on_elephant t f = t.on_elephant <- f
     [(message units, wire bytes)]. *)
 let exact_channel t = (t.ch_exact_msgs, t.ch_exact_bytes)
 
-(** Channel cost of the sampled detection path (telemetry polls plus
-    Hybrid confirmations), as [(message units, wire bytes)]. *)
+(** Channel cost of the sampled detection path (telemetry polls), as
+    [(message units, wire bytes)]. *)
 let sampled_channel t = (t.ch_sampled_msgs, t.ch_sampled_bytes)
 
 (** The sampler attached to a vswitch, when running under a sampled

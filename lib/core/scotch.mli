@@ -12,10 +12,10 @@ open Scotch_switch
 module C = Scotch_controller.Controller
 module Reliable = Scotch_reliable.Reliable
 
-(** Phase boundaries at which debug-mode verification hooks fire
-    (see {!Scotch_verify.Hooks}): after overlay redirection is
+(** Phase boundaries the app announces: after overlay redirection is
     installed, after a withdrawal completes, after an elephant
-    migration completes, and after a vswitch failure is repaired. *)
+    migration completes, and after a vswitch failure is repaired (where
+    {!Scotch_verify.Hooks} resyncs the continuous verifier). *)
 type phase = [ `Post_redirect | `Post_withdrawal | `Post_migration | `Post_recovery ]
 
 val pp_phase : Format.formatter -> phase -> unit
@@ -156,8 +156,8 @@ val set_on_elephant : t -> (Scotch_packet.Flow_key.t -> unit) -> unit
     plus one per carried record. *)
 val exact_channel : t -> int * int
 
-(** Channel cost of the sampled detection path (telemetry polls plus
-    Hybrid confirmations), same units. *)
+(** Channel cost of the sampled detection path (telemetry polls), same
+    units. *)
 val sampled_channel : t -> int * int
 
 (** The sampler attached to a vswitch, when running under a sampled
@@ -180,7 +180,7 @@ val assignment_of : t -> int -> (int * int) list
 val vswitch_dpids : t -> int list
 
 (** Register a callback to run at every phase boundary (used by
-    {!Scotch_verify.Hooks} in debug mode). *)
+    {!Scotch_verify.Hooks} under continuous verification). *)
 val on_phase : t -> (phase -> unit) -> unit
 
 (** Fire the registered phase hooks.  Exported so the fault injector —

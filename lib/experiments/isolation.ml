@@ -27,7 +27,7 @@
     victim delivery stays above {!delivery_floor}, every shed flow is
     the attacker's own, and at least one drained-but-forwarding member
     was observed.  Same seed => bit-identical ledger and obs-trace
-    digests (what [test/isolation_smoke.ml] checks). *)
+    digests (what the isolation smoke in [test/smoke.ml] checks). *)
 
 open Scotch_switch
 open Scotch_workload
@@ -65,8 +65,8 @@ let client_rate = 10.0
 let flood_rate = 400.0 (* the attacker burst, flows/s *)
 let degrade_peak = 40.0
 
-(* The CI gates (.github/workflows/ci.yml reads these via the bench's
-   BENCH_faults.json isolation block). *)
+(* The isolation gates, asserted by the isolation smoke in
+   test/smoke.ml. *)
 let p99_delta_bound = 0.05
 let delivery_floor = 0.99
 

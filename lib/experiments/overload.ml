@@ -22,7 +22,7 @@
     Reported: per-bin flow success for elastic vs static variants, the
     active-pool-size timeline and the admitted-flow p99 decision
     latency.  Same seed ⇒ bit-identical ledger and obs-trace digests
-    (what [test/overload_smoke.ml] checks). *)
+    (what the overload smoke in [test/smoke.ml] checks). *)
 
 open Scotch_switch
 open Scotch_topo

@@ -74,7 +74,7 @@ type outcome = {
       (* this run restated as a chaos schedule, so the oracle suite
          prices its fault exposure exactly as it would a searched trial *)
   verify : Scotch_verify.Hooks.t option;
-      (* debug-mode invariant checks (post-recovery + run-end), when enabled *)
+      (* continuous verification (post-recovery + run-end checks), when on *)
   net : Testbed.scotch_net;
       (* the network itself, so tests can snapshot/verify after the run *)
 }

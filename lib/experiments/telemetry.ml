@@ -42,7 +42,6 @@ type outcome = {
 let label_of = function
   | Config.Exact_polling -> "exact"
   | Config.Sampled r -> Printf.sprintf "sampled@%g" r
-  | Config.Hybrid r -> Printf.sprintf "hybrid@%g" r
 
 let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
   let config = { Config.default with Config.detection; verify } in
@@ -94,14 +93,13 @@ let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
       detected (0, 0.0)
   in
   let app = net.Testbed.app in
-  let msgs, bytes =
+  let rate, (msgs, bytes) =
     match detection with
-    | Config.Exact_polling -> Scotch.exact_channel app
-    | Config.Sampled _ | Config.Hybrid _ -> Scotch.sampled_channel app
+    | Config.Exact_polling -> (0.0, Scotch.exact_channel app)
+    | Config.Sampled r -> (r, Scotch.sampled_channel app)
   in
   { o_label = label_of detection;
-    o_rate = (match detection with Config.Exact_polling -> 0.0
-             | Config.Sampled r | Config.Hybrid r -> r);
+    o_rate = rate;
     o_truth = Flow_key.Hashtbl.length truth;
     o_detected = n_detected;
     o_true_pos = true_pos;
@@ -123,7 +121,7 @@ let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
       | None -> 0) }
 
 (** Exact baseline and the headline 1/100 sampled run on the same seed
-    — what the smoke gate and the bench probe consume.  [verify]
+    — what the telemetry smoke gates on.  [verify]
     (default off) runs both under the dataplane verifier; the outcome's
     check/error counts gate on it. *)
 let summary ?(seed = 42) ?(scale = 1.0) ?(verify = Config.Off) () =

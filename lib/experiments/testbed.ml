@@ -196,7 +196,7 @@ let scotch_net ?(seed = 42) ?(profile = Profile.pica8) ?(vswitch_profile = Profi
       (fun v -> ignore (Scotch_core.Scotch.register_vswitch app v ~channel_latency:control_latency))
       vswitches;
     Scotch_core.Scotch.start app;
-    (* debug-mode verification: a no-op unless Hooks.enable was called *)
+    (* a no-op unless the config asks for Continuous verification *)
     verify := Scotch_verify.Hooks.install ~engine ~topo app
   end
   else begin

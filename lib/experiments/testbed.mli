@@ -61,9 +61,8 @@ type scotch_net = {
   servers : Host.t array;     (** ports 1..k on the server switch *)
   server : Host.t;            (** [servers.(0)] *)
   verify : Scotch_verify.Hooks.t option;
-      (** debug-mode invariant-checker hooks; [Some] only when
-          {!Scotch_verify.Hooks.enable} (or [SCOTCH_VERIFY=1]) is in
-          effect and the Scotch app is running *)
+      (** invariant-checker hooks; [Some] only when the config's
+          [verify] is [Continuous] and the Scotch app is running *)
   reliable : Scotch_reliable.Reliable.t option;
       (** the reliable control-channel layer (intent store,
           barrier-acked transactions, anti-entropy reconciler); [Some]

@@ -192,7 +192,7 @@ let clear t (f : Fault.t) (r : Ledger.record) =
     (* revived before the heartbeat ever noticed: stop waiting *)
     Hashtbl.remove t.awaiting f.Fault.target;
     (* the repair happened behind the app's back: announce the phase
-       boundary so debug-mode verification can lint the rebuilt state *)
+       boundary so continuous verification can lint the rebuilt state *)
     Scotch.notify_phase t.e.app `Post_recovery
   | Fault.Ofa_slowdown _ -> Ofa.set_slowdown (Switch.ofa (device t f.Fault.target)) 1.0
   | Fault.Ofa_stall -> () (* the stall deadline passes by itself *)

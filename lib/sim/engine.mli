@@ -43,8 +43,8 @@ val step : t -> bool
 val run : ?until:float -> t -> unit
 
 (** [on_run_end t f] registers [f] to run (in registration order) every
-    time {!run} returns — the quiesced-network moment debug-mode
-    verification lints at. *)
+    time {!run} returns — the quiesced-network moment continuous
+    verification resyncs at. *)
 val on_run_end : t -> (unit -> unit) -> unit
 
 (** [every t ~period ?start ?until f] runs [f] every [period] seconds

@@ -1,6 +1,6 @@
-(** Verification hooks: the invariant checker wired to the Scotch app's
-    phase boundaries, the engine's run-end and — in [Continuous] mode —
-    the dataplane's install chokepoints. *)
+(** Verification hooks: the incremental invariant checker wired to the
+    dataplane's install chokepoints, the Scotch app's post-recovery
+    boundaries and the engine's run-end. *)
 
 open Scotch_core
 open Scotch_switch
@@ -16,20 +16,10 @@ type report = {
 type t = {
   mutable reports : report list; (* newest first *)
   mutable checks : int;
-  mutable incr : Incremental.t option; (* present only in Continuous mode *)
+  incr : Incremental.t;
   mutable applies : int;        (* updates pushed through [incr] *)
   mutable installs_issued : int; (* batches seen at the send chokepoint *)
 }
-
-let enabled =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SCOTCH_VERIFY") with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
-
-let enable () = enabled := true
-let disable () = enabled := false
-let is_enabled () = !enabled
 
 (** Control-channel sends are asynchronous, so device state lags
     controller intent by a few channel latencies — and a recovery can
@@ -55,116 +45,91 @@ let capture_groups sw =
   List.sort (fun (a : Snapshot.group) b -> compare a.Snapshot.group_id b.Snapshot.group_id)
     !groups
 
-let install ?(phases = [ `Post_recovery ]) ?(run_end = true) ~engine ~topo scotch =
-  (* The knob decides the mode; the legacy env/enable switch keeps its
-     meaning as "at least phase checks". *)
-  let mode =
-    match (Scotch.config scotch).Config.verify with
-    | Config.Off -> if !enabled then Config.Phases else Config.Off
-    | (Config.Phases | Config.Continuous) as m -> m
-  in
-  if mode = Config.Off then None
-  else begin
-    let st = { reports = []; checks = 0; incr = None; applies = 0; installs_issued = 0 } in
+let install ~engine ~topo scotch =
+  match (Scotch.config scotch).Config.verify with
+  | Config.Off -> None
+  | Config.Continuous ->
     let now () = Scotch_sim.Engine.now engine in
     let update_h =
       Scotch_obs.Obs.histogram ~help:"Incremental per-update verification latency (wall s)"
         ~lo:0.0 ~hi:0.005 ~bins:50 "scotch_verify_update_latency_seconds"
     in
+    let incr =
+      let n = now () in
+      Incremental.create ~now:n (Snapshot.capture ~scotch ~now:n topo)
+    in
+    let st = { reports = []; checks = 0; incr; applies = 0; installs_issued = 0 } in
     let apply_u u =
-      match st.incr with
-      | None -> ()
-      | Some incr ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Incremental.apply incr ~now:(now ()) u);
-        if Scotch_obs.Obs.is_enabled () then
-          Scotch_obs.Registry.observe update_h (Unix.gettimeofday () -. t0);
-        st.applies <- st.applies + 1;
-        if st.applies mod equiv_every = 0 then ignore (Incremental.check_equivalence incr)
+      let t0 = Unix.gettimeofday () in
+      ignore (Incremental.apply incr ~now:(now ()) u);
+      if Scotch_obs.Obs.is_enabled () then
+        Scotch_obs.Registry.observe update_h (Unix.gettimeofday () -. t0);
+      st.applies <- st.applies + 1;
+      if st.applies mod equiv_every = 0 then ignore (Incremental.check_equivalence incr)
     in
     let tap_switch sw =
       let dpid = Switch.dpid sw in
       Switch.set_on_update sw
         (Some
-           (fun ev ->
-             match st.incr with
-             | None -> ()
-             | Some incr -> (
-               match ev with
-               | Switch.Table_changed { table_id; added; removed } ->
-                 apply_u (Incremental.Table_delta { dpid; table_id; added; removed })
-               | Switch.Groups_changed ->
-                 apply_u (Incremental.Groups { dpid; groups = capture_groups sw })
-               | Switch.Liveness_changed failed -> (
-                 (* ports are unchanged by a liveness flip; reuse the
-                    tracked node's port list *)
-                 match Snapshot.node (Incremental.model incr) dpid with
-                 | Some n ->
-                   apply_u (Incremental.Ports { dpid; ports = n.Snapshot.ports; failed })
-                 | None -> ()))))
+           (function
+             | Switch.Table_changed { table_id; added; removed } ->
+               apply_u (Incremental.Table_delta { dpid; table_id; added; removed })
+             | Switch.Groups_changed ->
+               apply_u (Incremental.Groups { dpid; groups = capture_groups sw })
+             | Switch.Liveness_changed failed -> (
+               (* ports are unchanged by a liveness flip; reuse the
+                  tracked node's port list *)
+               match Snapshot.node (Incremental.model incr) dpid with
+               | Some n -> apply_u (Incremental.Ports { dpid; ports = n.Snapshot.ports; failed })
+               | None -> ())))
     in
     let tap_all () = Topology.iter_switches topo tap_switch in
     let check label =
       let n = now () in
       let snap = Snapshot.capture ~scotch ~now:n topo in
       st.checks <- st.checks + 1;
-      let diagnostics =
-        match st.incr with
-        | None -> Checker.check snap
-        | Some incr ->
-          (* audit the incremental tracking against a full rescan of its
-             own model, then fold in anything no tap covers (link flaps,
-             lazy rule expiry, switches that joined since install) *)
-          ignore (Incremental.check_equivalence incr);
-          Incremental.refresh incr ~now:n snap;
-          tap_all ();
-          Incremental.diagnostics incr
-      in
-      st.reports <- { phase = label; at = n; diagnostics } :: st.reports
-    in
-    if mode = Config.Continuous then begin
-      let n = now () in
-      st.incr <- Some (Incremental.create ~now:n (Snapshot.capture ~scotch ~now:n topo));
+      (* audit the incremental tracking against a full rescan of its own
+         model, then fold in anything no tap covers (link flaps, lazy
+         rule expiry, switches that joined since install) *)
+      ignore (Incremental.check_equivalence incr);
+      Incremental.refresh incr ~now:n snap;
       tap_all ();
-      (match Scotch.reliable scotch with
-      | Some r ->
-        Reliable.set_on_install r
-          (Some
-             (fun _dpid ->
-               apply_u (Incremental.Intents (Some (Snapshot.capture_intents ~now:(now ()) r)))))
-      | None -> ());
-      Scotch.on_install scotch (fun _sw _payloads ->
-          st.installs_issued <- st.installs_issued + 1);
-      (* re-express the verifier ledger on the metrics registry *)
-      let module O = Scotch_obs.Obs in
-      let s () = Option.map Incremental.stats st.incr in
-      let stat f = match s () with Some v -> f v | None -> 0 in
-      O.counter_fn ~help:"Incremental verifier updates applied" "scotch_verify_updates_total"
-        (fun () -> stat (fun v -> v.Incremental.updates));
-      O.counter_fn ~help:"Equivalence classes re-walked" "scotch_verify_classes_touched_total"
-        (fun () -> stat (fun v -> v.Incremental.classes_touched));
-      O.counter_fn ~help:"Distinct violations first seen" "scotch_verify_violations_total"
-        (fun () -> stat (fun v -> v.Incremental.violations_seen));
-      O.counter_fn ~help:"Full-rescan equivalence audits" "scotch_verify_equiv_checks_total"
-        (fun () -> stat (fun v -> v.Incremental.equiv_checks));
-      O.counter_fn ~help:"Equivalence audits that disagreed"
-        "scotch_verify_equiv_mismatches_total"
-        (fun () -> stat (fun v -> v.Incremental.equiv_mismatches));
-      O.counter_fn ~help:"Install batches seen at the send chokepoint"
-        "scotch_verify_installs_issued_total" (fun () -> st.installs_issued);
-      O.gauge_fn ~help:"Tracked header-space equivalence classes"
-        "scotch_verify_class_count"
-        (fun () -> float_of_int (match st.incr with Some i -> Incremental.class_count i | None -> 0))
-    end;
+      st.reports <- { phase = label; at = n; diagnostics = Incremental.diagnostics incr } :: st.reports
+    in
+    tap_all ();
+    (match Scotch.reliable scotch with
+    | Some r ->
+      Reliable.set_on_install r
+        (Some
+           (fun _dpid ->
+             apply_u (Incremental.Intents (Some (Snapshot.capture_intents ~now:(now ()) r)))))
+    | None -> ());
+    Scotch.on_install scotch (fun _sw _payloads ->
+        st.installs_issued <- st.installs_issued + 1);
+    (* re-express the verifier ledger on the metrics registry *)
+    let module O = Scotch_obs.Obs in
+    let stat f () = f (Incremental.stats incr) in
+    O.counter_fn ~help:"Incremental verifier updates applied" "scotch_verify_updates_total"
+      (stat (fun v -> v.Incremental.updates));
+    O.counter_fn ~help:"Equivalence classes re-walked" "scotch_verify_classes_touched_total"
+      (stat (fun v -> v.Incremental.classes_touched));
+    O.counter_fn ~help:"Distinct violations first seen" "scotch_verify_violations_total"
+      (stat (fun v -> v.Incremental.violations_seen));
+    O.counter_fn ~help:"Full-rescan equivalence audits" "scotch_verify_equiv_checks_total"
+      (stat (fun v -> v.Incremental.equiv_checks));
+    O.counter_fn ~help:"Equivalence audits that disagreed" "scotch_verify_equiv_mismatches_total"
+      (stat (fun v -> v.Incremental.equiv_mismatches));
+    O.counter_fn ~help:"Install batches seen at the send chokepoint"
+      "scotch_verify_installs_issued_total" (fun () -> st.installs_issued);
+    O.gauge_fn ~help:"Tracked header-space equivalence classes" "scotch_verify_class_count"
+      (fun () -> float_of_int (Incremental.class_count incr));
     Scotch.on_phase scotch (fun p ->
-        if List.mem p phases then begin
+        if p = `Post_recovery then begin
           let label = Format.asprintf "%a" Scotch.pp_phase p in
-          ignore
-            (Scotch_sim.Engine.schedule engine ~delay:settle_delay (fun () -> check label))
+          ignore (Scotch_sim.Engine.schedule engine ~delay:settle_delay (fun () -> check label))
         end);
-    if run_end then Scotch_sim.Engine.on_run_end engine (fun () -> check "run-end");
+    Scotch_sim.Engine.on_run_end engine (fun () -> check "run-end");
     Some st
-  end
 
 let reports t = List.rev t.reports
 
@@ -175,6 +140,6 @@ let error_count t =
 
 let reports_of_phase t phase = List.filter (fun r -> r.phase = phase) (reports t)
 
-let incremental t = t.incr
+let incremental t = Some t.incr
 
 let installs_issued t = t.installs_issued

@@ -1,17 +1,14 @@
-(** Verification hooks: run the invariant checker at the phase
-    boundaries the Scotch app and fault injector announce
-    (post-redirect, post-withdrawal, post-migration, post-recovery),
-    whenever an {!Scotch_sim.Engine.run} call returns, and — under
-    [Config.Continuous] — incrementally on every flow-mod, group-mod
-    and liveness flip at the install chokepoints.
+(** Verification hooks: under [Config.Continuous], verify incrementally
+    on every flow-mod, group-mod and liveness flip at the install
+    chokepoints, and resync against a whole-network snapshot at each
+    post-recovery boundary the fault injector announces and whenever an
+    {!Scotch_sim.Engine.run} call returns.
 
-    The mode comes from the app's {!Scotch_core.Config.verify} knob;
-    the legacy {!enable} switch / [SCOTCH_VERIFY] environment variable
-    still means "at least phase checks".  With [Config.Off] and the
-    switch clear (the default), {!install} is a no-op and production
-    runs pay nothing.  Findings are collected, not raised: read
-    {!reports} / {!error_count} after the run; continuous-mode
-    diagnostics carry the virtual time each violation first appeared
+    The mode comes from the app's {!Scotch_core.Config.verify} knob.
+    With [Config.Off] (the default), {!install} is a no-op and
+    production runs pay nothing.  Findings are collected, not raised:
+    read {!reports} / {!error_count} after the run; diagnostics carry
+    the virtual time each violation first appeared
     ({!Diagnostic.first_at}). *)
 
 type report = {
@@ -21,14 +18,6 @@ type report = {
 }
 
 type t
-
-(** Turn phase-boundary verification on/off for subsequently installed
-    hooks, regardless of the config knob.  [SCOTCH_VERIFY=1] in the
-    environment enables it at startup. *)
-val enable : unit -> unit
-
-val disable : unit -> unit
-val is_enabled : unit -> bool
 
 (** Seconds between a phase notification and its check: control-channel
     sends are asynchronous, so device state lags controller intent by a
@@ -42,19 +31,17 @@ val settle_delay : float
     the tracked model. *)
 val equiv_every : int
 
-(** [install ?phases ?run_end ~engine ~topo scotch] subscribes the
-    checker to the app's phase boundaries (default: [`Post_recovery]
-    only — redirects and migrations legitimately overlap in-flight
-    installs) and, when [run_end] (default [true]), to every
-    {!Scotch_sim.Engine.run} return.  Under [Config.Continuous] it also
-    builds an {!Incremental} verifier, taps every switch's dataplane
-    updates and the reliable layer's installs, re-verifies the affected
-    header-space classes on each delta, audits against a full rescan
-    every {!equiv_every} updates and resyncs at each phase check.
-    Returns [None] when verification is disabled. *)
+(** [install ~engine ~topo scotch] builds an {!Incremental} verifier,
+    taps every switch's dataplane updates and the reliable layer's
+    installs, re-verifies the affected header-space classes on each
+    delta and audits against a full rescan every {!equiv_every}
+    updates.  It also resyncs (and records a report) {!settle_delay}
+    after each [`Post_recovery] boundary — redirects and migrations
+    legitimately overlap in-flight installs — and at every
+    {!Scotch_sim.Engine.run} return.  Returns [None] under
+    [Config.Off]. *)
 val install :
-  ?phases:Scotch_core.Scotch.phase list -> ?run_end:bool -> engine:Scotch_sim.Engine.t ->
-  topo:Scotch_topo.Topology.t -> Scotch_core.Scotch.t -> t option
+  engine:Scotch_sim.Engine.t -> topo:Scotch_topo.Topology.t -> Scotch_core.Scotch.t -> t option
 
 (** Completed checks, oldest first. *)
 val reports : t -> report list
@@ -68,10 +55,9 @@ val error_count : t -> int
 (** Reports for one phase label. *)
 val reports_of_phase : t -> string -> report list
 
-(** The continuous-mode incremental verifier, when running under
-    [Config.Continuous] (latency/class statistics live on it). *)
+(** The incremental verifier (latency/class statistics live on it);
+    always [Some] for installed hooks. *)
 val incremental : t -> Incremental.t option
 
-(** Install batches seen at the controller's send chokepoint
-    (continuous mode only; [0] otherwise). *)
+(** Install batches seen at the controller's send chokepoint. *)
 val installs_issued : t -> int

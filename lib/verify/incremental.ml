@@ -45,8 +45,8 @@
     All per-class and per-rule oracles are the same [Inv_*] functions
     the snapshot {!Checker} composes, so the two paths cannot drift;
     the {!check_equivalence} audit verifies [diagnostics t] equals a
-    fresh [Checker.check (model t)] and is exported to the bench/CI
-    gate.  Every cached finding set mirrors its contents into a
+    fresh [Checker.check (model t)]; the resilience smoke requires
+    zero mismatches.  Every cached finding set mirrors its contents into a
     refcounted diagnostic {e ledger}; the current diagnostic list is
     the ledger's key set, so an apply costs O(its own diag delta) even
     during violation-heavy windows — never an O(model) re-gather.

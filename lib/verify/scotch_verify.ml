@@ -14,9 +14,9 @@
       | diags -> List.iter (Format.printf "%a@." Scotch_verify.Diagnostic.pp) diags
     ]}
 
-    {!Hooks} wires the same checker to the app's phase boundaries and
-    the engine's run-end in debug mode, so every experiment doubles as
-    a verification run. *)
+    {!Hooks} runs the incremental form of the same checker under
+    [Config.verify = Continuous], so every experiment doubles as a
+    verification run. *)
 
 module Diagnostic = Diagnostic
 module Snapshot = Snapshot
