@@ -21,7 +21,8 @@
    - telemetry: exact polling vs 1/100 packet sampling;
    - isolation: the multi-tenant blast-radius contract;
    - model: the analytic OFA model vs the discrete-event OFA, and the
-     predictive autoscaler vs reactive. *)
+     predictive autoscaler vs reactive;
+   - fig12: the §5.3 large-flow migration figure. *)
 
 open Scotch_experiments
 module Config = Scotch_core.Config
@@ -36,6 +37,8 @@ module R = Scotch_reliable.Reliable
 
 let seed = 42
 let current = ref "smoke"
+
+let md5 s = Digest.to_hex (Digest.string s)
 
 let fail fmt =
   Printf.ksprintf
@@ -196,15 +199,18 @@ let chaos () =
   let repro_path = Filename.temp_file "scotch-chaos-canary" ".txt" in
   let c = Chaos.run_canary ~seed ~repro_path () in
   if c.Search.violated_schedules = 0 then fail "canary did not violate any oracle";
-  (match c.Search.shrunk with
-  | None -> fail "canary violation was not shrunk"
-  | Some s ->
-    let original = List.length s.Search.original.Scotch_chaos.Schedule.faults in
-    let minimal = List.length s.Search.minimal.Scotch_chaos.Schedule.faults in
-    if minimal > 3 then fail "canary shrunk to %d faults (want <= 3)" minimal;
-    if s.Search.minimal_violations = [] then fail "minimal canary schedule no longer fails";
-    Printf.printf "canary: shrunk %d -> %d fault(s) in %d candidate run(s)\n" original minimal
-      s.Search.shrink_tests);
+  let minimal =
+    match c.Search.shrunk with
+    | None -> fail "canary violation was not shrunk"
+    | Some s ->
+      let original = List.length s.Search.original.Scotch_chaos.Schedule.faults in
+      let minimal = List.length s.Search.minimal.Scotch_chaos.Schedule.faults in
+      if minimal > 3 then fail "canary shrunk to %d faults (want <= 3)" minimal;
+      if s.Search.minimal_violations = [] then fail "minimal canary schedule no longer fails";
+      Printf.printf "canary: shrunk %d -> %d fault(s) in %d candidate run(s)\n" original
+        minimal s.Search.shrink_tests;
+      s.Search.minimal
+  in
   (match Chaos.replay_file repro_path with
   | Error e -> fail "repro unreadable: %s" e
   | Ok (r, violations) ->
@@ -213,7 +219,11 @@ let chaos () =
     Printf.printf "canary repro replayed: %s reproduced\n"
       (String.concat ", " (List.map Oracle.oracle_name r.Scotch_chaos.Repro.violated)));
   Sys.remove repro_path;
-  []
+  [ ( Printf.sprintf "schedules=%d search+canary" schedules,
+      md5
+        (Printf.sprintf "explored=%d faults=%d determinism=%d\n%s" o.Search.explored
+           o.Search.faults_injected o.Search.determinism_checks
+           (Scotch_chaos.Schedule.print minimal)) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* obs: a non-empty, schema-valid Prometheus snapshot (every sample
@@ -435,7 +445,16 @@ let telemetry () =
     [ exact; sampled ];
   let _, sampled2 = Telemetry.summary ~seed ~scale ~verify:Config.Continuous () in
   if sampled2 <> sampled then fail "same-seed sampled runs diverged";
-  []
+  (* floats as %h hex literals: exact, and the same on every platform *)
+  let record (o : Telemetry.outcome) =
+    Printf.sprintf "%s %h %d %d %d %h %h %h %d %d %d %d %d\n" o.Telemetry.o_label
+      o.Telemetry.o_rate o.Telemetry.o_truth o.Telemetry.o_detected o.Telemetry.o_true_pos
+      o.Telemetry.o_precision o.Telemetry.o_recall o.Telemetry.o_ttd o.Telemetry.o_msgs
+      o.Telemetry.o_bytes o.Telemetry.o_migrations o.Telemetry.o_verify_checks
+      o.Telemetry.o_verify_errors
+  in
+  [ (Printf.sprintf "scale=%g verify=continuous outcomes" scale,
+     md5 (record exact ^ record sampled)) ]
 
 (* ------------------------------------------------------------------ *)
 (* isolation: every shed flow is the attacker's own, the victim's p99
@@ -560,11 +579,29 @@ let model () =
     (reactive ^ " trace", react.OV.trace_digest) ]
 
 (* ------------------------------------------------------------------ *)
+(* fig12: with migration on, the elephants' final delay falls below
+   the migration-off run's.
+   The rendered table is the digest: it pins the large-flow migration
+   queue, which no other smoke's digest reaches. *)
+
+let fig12 () =
+  let scale = 0.25 in
+  let fig = Fig12.run ~seed ~scale () in
+  let table = Scotch_util.Table_printer.render (Report.to_table fig) in
+  print_string fig.Report.title;
+  print_newline ();
+  print_string table;
+  let last label = Report.last_y (Report.series_exn fig label) in
+  let on = last "migration on" and off = last "migration off" in
+  if on >= off then fail "migration did not lower elephant delay (%.3f ms vs %.3f ms)" on off;
+  [ (Printf.sprintf "scale=%g table" scale, md5 table) ]
+
+(* ------------------------------------------------------------------ *)
 
 let smokes =
   [ ("resilience", resilience); ("reconcile", reconcile); ("chaos", chaos); ("obs", obs);
     ("overload", overload); ("telemetry", telemetry); ("isolation", isolation);
-    ("model", model) ]
+    ("model", model); ("fig12", fig12) ]
 
 let () =
   let usage () =
