@@ -10,22 +10,23 @@
     Items are thunks supplied by the Scotch application; this module
     owns ordering, thresholds and pacing only.
 
-    Tenancy (blast-radius isolation): submissions may carry a tenant
-    id.  Per-tenant {e budgets} cap how many queued slots a tenant may
-    hold — past its budget a tenant sheds only its own newcomers —
-    {e isolation} keeps the shelter policies from ever evicting across
-    a tenant boundary, and {e shares} reserve the ingress serve ticks
-    per tenant (non-work-conserving across tenants, so a quiet
-    tenant's decision latency is independent of everyone else's
-    backlog).  All default off, leaving single-tenant behaviour
-    bit-identical. *)
+    Tenancy (blast-radius isolation): the tenant set is fixed at
+    {!create}, and an untenanted scheduler is one default tenant
+    ({!Tenant.default}).  Submissions carry a tenant id.  Per-tenant
+    {e budgets} cap how many queued slots a tenant may hold — past its
+    budget a tenant sheds only its own newcomers — the shelter
+    policies never evict across a tenant boundary, and {e shares}
+    reserve the serve ticks per tenant (non-work-conserving across
+    tenants, so a quiet tenant's decision latency is independent of
+    everyone else's backlog). *)
 
 (** What happens to an ingress submission past the dropping threshold:
     refuse the newcomer ([Drop_new], the paper's behaviour and the
     default), evict the oldest item of the same port's queue
-    ([Drop_oldest]), or evict the oldest item of the {e longest}
-    ingress queue so a quiet port's newcomer never pays for a noisy
-    port's backlog ([Priority_preserving]). *)
+    ([Drop_oldest]), or evict the oldest item of the submitter's
+    {e longest} ingress queue so a quiet port's newcomer never pays
+    for a noisy port's backlog ([Priority_preserving]).  Evictions
+    stay inside the submitter's tenant. *)
 type shed_policy = Drop_new | Drop_oldest | Priority_preserving
 
 type counters = {
@@ -43,12 +44,23 @@ type counters = {
 
 type t
 
-(** [differentiate = false] collapses to a single FIFO (all ports map
-    to group 0).  [deadline] (seconds, [0.] = disabled) sheds queued
-    ingress items at serve time once their decision would arrive more
-    than [deadline] after enqueue. *)
+(** [differentiate = false] collapses to a single FIFO per tenant (all
+    ports map to group 0).  [deadline] (seconds, [0.] = disabled)
+    sheds queued ingress items at serve time once their decision would
+    arrive more than [deadline] after enqueue.
+
+    [tenants] (default [[Tenant.default]]) reserves the whole service
+    — admitted installs, migrations and ingress alike — per tenant:
+    serve ticks walk a fixed frame with [share] consecutive slots per
+    tenant in list order, each tick serves only the slot tenant's work
+    (in the paper's priority order), and an idle tenant's slot serves
+    nobody else — capacity is conserved ([share_i] of every
+    [sum shares] ticks each) and the partition is non-work-conserving
+    across the tenant boundary by design.  Each tenant's
+    [sched_budget] caps the ingress slots it may hold at once.  Raises
+    [Invalid_argument] where {!Tenant.check_specs} does. *)
 val create :
-  ?shed_policy:shed_policy -> ?deadline:float ->
+  ?shed_policy:shed_policy -> ?deadline:float -> ?tenants:Tenant.spec list ->
   Scotch_sim.Engine.t -> rate:float -> overlay_threshold:int -> drop_threshold:int ->
   differentiate:bool -> t
 
@@ -57,7 +69,7 @@ val counters : t -> counters
 (** Apply the Fig. 7 thresholds: [`Queued] (runs when served),
     [`Overlay] (route the flow over the Scotch overlay now) or
     [`Drop] (shared threshold, the tenant's own budget, or no
-    same-tenant eviction victim under isolation).  [shed] fires if the
+    same-tenant eviction victim).  [shed] fires if the
     item is later evicted or expires without being served (never after
     [run]).  [tenant] defaults to {!Tenant.default_id}. *)
 val submit_ingress :
@@ -65,28 +77,6 @@ val submit_ingress :
   [ `Queued | `Overlay | `Drop ]
 
 (** {2 Tenancy} *)
-
-(** Cap how many ingress slots [tenant] may hold at once ([None]
-    removes the cap).  Setting any budget also turns isolation on. *)
-val set_tenant_budget : t -> tenant:int -> int option -> unit
-
-(** Tenant-scoped eviction: with isolation on, [Drop_oldest] and
-    [Priority_preserving] never shed another tenant's queued item to
-    admit a newcomer — if no same-tenant victim exists, the newcomer
-    is refused instead. *)
-val set_tenant_isolation : t -> bool -> unit
-
-(** Reserve the whole service per tenant — admitted installs,
-    migrations and ingress alike: serve ticks walk a fixed frame with
-    [share] consecutive slots per tenant in list order, each tick
-    serves only the slot tenant's work (in the paper's priority
-    order), and an idle tenant's slot serves nobody else — capacity is
-    conserved ([share_i] of every [sum shares] ticks each) and the
-    partition is non-work-conserving across the tenant boundary by
-    design.  [[]] (the default) restores the shared scheduler.
-    Already-queued items migrate (FIFO per tenant).  Raises
-    [Invalid_argument] on a share below 1. *)
-val set_tenant_shares : t -> (int * int) list -> unit
 
 (** Ingress submissions attributed to [tenant] so far. *)
 val tenant_submitted : t -> tenant:int -> int
@@ -98,10 +88,9 @@ val tenant_queued : t -> tenant:int -> int
     threshold refusals, evictions of its items and expiries. *)
 val tenant_shed : t -> tenant:int -> int
 
-(** Enqueue a rule install for an admitted (physical-path) flow.  With
-    shares set the install lands in [tenant]'s reserved queue;
-    otherwise the queue is a single shared FIFO and [tenant] is
-    immaterial.  [tenant] defaults to {!Tenant.default_id}. *)
+(** Enqueue a rule install for an admitted (physical-path) flow in
+    [tenant]'s reserved queue.  [tenant] defaults to
+    {!Tenant.default_id}. *)
 val submit_admitted : t -> ?tenant:int -> (unit -> unit) -> unit
 
 (** Enqueue a large-flow migration request (same tenant routing as
@@ -113,13 +102,10 @@ val start : t -> unit
 
 val stop : t -> unit
 
-(** Pending rule installs in the admitted queue — the §5.3 signal that
-    a switch's control plane cannot absorb more physical-path setups. *)
-val admitted_backlog : t -> int
-
-(** Pending rule installs attributable to [tenant] alone — with shares
-    on, the overload signal scoped to the capacity that tenant
-    actually contends for. *)
+(** Pending rule installs in [tenant]'s admitted queue — the §5.3
+    signal that a switch's control plane cannot absorb more
+    physical-path setups, scoped to the capacity that tenant actually
+    contends for. *)
 val admitted_backlog_of_tenant : t -> tenant:int -> int
 
 (** Total ingress backlog across ports. *)

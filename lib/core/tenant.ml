@@ -2,8 +2,8 @@
    isolation.  A tenant is a slice of the SDN fabric's control budget:
    it owns a weighted share of the overlay select groups, an admission
    budget on every Fig. 7 scheduler and OFA pin queue, and its own
-   view in the elastic autoscaler.  The single-tenant default (no
-   tenancy configured) never allocates any of this. *)
+   view in the elastic autoscaler.  A run with no tenancy configured is
+   one default tenant: share 1, no budgets. *)
 
 type id = int
 
@@ -17,18 +17,26 @@ type spec = {
   pin_budget : int option;
 }
 
+let default =
+  { id = default_id; name = "default"; share = 1; sched_budget = None; pin_budget = None }
+
+let check_spec s =
+  if s.share < 1 then invalid_arg "Tenant: share must be >= 1";
+  let budget what = function
+    | Some b when b < 1 -> invalid_arg ("Tenant: " ^ what ^ " must be >= 1")
+    | _ -> ()
+  in
+  budget "sched_budget" s.sched_budget;
+  budget "pin_budget" s.pin_budget
+
 let make ?sched_budget ?pin_budget ?(share = 1) ~id name =
-  if share < 1 then invalid_arg "Tenant.make: share must be >= 1";
-  (match sched_budget with
-  | Some b when b < 1 -> invalid_arg "Tenant.make: sched_budget must be >= 1"
-  | _ -> ());
-  (match pin_budget with
-  | Some b when b < 1 -> invalid_arg "Tenant.make: pin_budget must be >= 1"
-  | _ -> ());
-  { id; name; share; sched_budget; pin_budget }
+  let s = { id; name; share; sched_budget; pin_budget } in
+  check_spec s;
+  s
 
 let check_specs specs =
   if specs = [] then invalid_arg "Tenant.check_specs: empty tenant list";
+  List.iter check_spec specs;
   let ids = List.map (fun s -> s.id) specs in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Tenant.check_specs: duplicate tenant ids"

@@ -6,8 +6,7 @@
     its own demand view in the elastic autoscaler — so one tenant's
     spoofed-SYN flood sheds only its own flows and cannot lock out
     anyone else's control path.  With no tenancy configured (the
-    default) none of this machinery is allocated and behaviour is
-    bit-identical to the single-tenant build. *)
+    default) a run is one default tenant ({!default}). *)
 
 type id = int
 
@@ -26,11 +25,16 @@ type spec = {
           the shared queue capacity applies *)
 }
 
+(** The one tenant an untenanted run consists of: {!default_id},
+    share 1, no budgets. *)
+val default : spec
+
 (** Raises [Invalid_argument] on a non-positive share or budget. *)
 val make :
   ?sched_budget:int -> ?pin_budget:int -> ?share:int -> id:id -> string -> spec
 
-(** Raises [Invalid_argument] on an empty list or duplicate ids. *)
+(** Raises [Invalid_argument] on an empty list, duplicate ids, or a
+    spec with a non-positive share or budget. *)
 val check_specs : spec list -> unit
 
 (** [apportion ~slots ~shares] splits [slots] select-group buckets over

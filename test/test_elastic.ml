@@ -150,12 +150,12 @@ let prop_frame_shares_conserve =
     (QCheck.make QCheck.Gen.(list_size (int_range 2 4) (int_range 1 4)))
     (fun weights ->
       let e = Scotch_sim.Engine.create () in
+      let shares = List.mapi (fun i w -> (i, w)) weights in
+      let tenants = List.map (fun (i, w) -> Tenant.make ~share:w ~id:i (string_of_int i)) shares in
       let s =
-        Sched.create e ~rate:100.0 ~overlay_threshold:10_000 ~drop_threshold:20_000
+        Sched.create e ~tenants ~rate:100.0 ~overlay_threshold:10_000 ~drop_threshold:20_000
           ~differentiate:true
       in
-      let shares = List.mapi (fun i w -> (i, w)) weights in
-      Sched.set_tenant_shares s shares;
       let n = List.length shares in
       let served = Array.make n 0 in
       List.iter
