@@ -124,8 +124,8 @@ type t = {
           bit-identical to the unverified build *)
   tenancy : tenancy option;
       (** per-tenant budgets, select-group shares and blast-radius
-          isolation — see {!tenancy}; [None] (the default) keeps the
-          single-tenant behaviour bit-identical to the seed *)
+          isolation — see {!tenancy}; [None] (the default) runs as one
+          default tenant ({!Tenant.default}: share 1, no budgets) *)
   scaling : scaling;
       (** autoscaler decision mode — see {!scaling}; [Reactive] (the
           default) keeps the watermark-driven PR-5 loop bit-identical *)
