@@ -22,7 +22,8 @@ type detection =
     [Continuous] re-verifies incrementally on every rule/group/port
     change at the install chokepoint, re-walking only the header-space
     equivalence classes the delta can affect, and resyncs against a
-    whole-network snapshot at each post-recovery boundary and run end. *)
+    whole-network snapshot after each vswitch repair (the post-recovery
+    resync) and at run end. *)
 type verify =
   | Off
   | Continuous

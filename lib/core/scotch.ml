@@ -29,20 +29,6 @@ type managed = {
   mutable groups_installed : int list; (* select-group ids already added at the switch *)
 }
 
-(** Phase boundaries the app announces: after overlay redirection is
-    installed, after a withdrawal completes, after an elephant
-    migration completes, and after a vswitch failure is repaired (where
-    {!Scotch_verify.Hooks} resyncs the continuous verifier). *)
-type phase = [ `Post_redirect | `Post_withdrawal | `Post_migration | `Post_recovery ]
-
-let pp_phase fmt (p : phase) =
-  Format.pp_print_string fmt
-    (match p with
-    | `Post_redirect -> "post-redirect"
-    | `Post_withdrawal -> "post-withdrawal"
-    | `Post_migration -> "post-migration"
-    | `Post_recovery -> "post-recovery")
-
 type counters = {
   mutable flows_seen : int;
   mutable flows_overlay : int;       (* routed over the overlay *)
@@ -75,7 +61,9 @@ type t = {
   mutable stats_polling : bool;
       (* fault injection: a stats-polling outage suspends elephant
          detection (the §5.3 loop) without touching anything else *)
-  mutable phase_hooks : (phase -> unit) list;
+  mutable recovery_hooks : (unit -> unit) list;
+      (* fired after every vswitch repair (§5.6), where
+         {!Scotch_verify.Hooks} resyncs the continuous verifier *)
   mutable install_hooks : (C.sw -> Of_msg.payload list -> unit) list;
       (* fired at the send chokepoint, before dispatch — the verifier's
          view of every install leaving the controller, on both the
@@ -123,7 +111,7 @@ let create ?reliable ctrl overlay policy config =
           flows_unroutable = 0; elephants_detected = 0; migrations_completed = 0;
           activations = 0; withdrawals = 0; vswitch_failures = 0; quarantines = 0;
           readmissions = 0; promotions = 0; demotions = 0 };
-      stats_polling = true; phase_hooks = []; install_hooks = []; reliable;
+      stats_polling = true; recovery_hooks = []; install_hooks = []; reliable;
       rebalances_c =
         O.counter ~help:"Select-group rebalances after pool changes"
           "scotch_core_group_rebalances_total";
@@ -316,23 +304,22 @@ let tunnel_out tid =
 
 let managed_of t dpid = Hashtbl.find_opt t.managed dpid
 
-(** [on_phase t f] registers [f] to run at every phase boundary —
+(** [on_recovery t f] registers [f] to run after every vswitch repair —
     used by the verification hooks; cheap no-op when nothing is
     registered. *)
-let on_phase t f = t.phase_hooks <- f :: t.phase_hooks
+let on_recovery t f = t.recovery_hooks <- f :: t.recovery_hooks
 
-(** [notify_phase t p] fires the registered phase hooks.  Exported so
-    the fault injector (which repairs vswitches behind this module's
-    back) can announce [`Post_recovery]. *)
-let notify_phase t p = List.iter (fun f -> f p) t.phase_hooks
+(** [notify_recovery t] fires the registered recovery hooks.  Exported
+    so the fault injector (which repairs vswitches behind this module's
+    back) can announce the repair. *)
+let notify_recovery t = List.iter (fun f -> f ()) t.recovery_hooks
 
 (** {1 The send path}
 
-    Every Flow/Group-mod leaves through one of these chokepoints.  With
-    no reliable layer they collapse to the legacy direct sends (same
-    messages, same order — unimpaired runs stay bit-identical); with
-    one, intents are recorded and the batch ships as a barrier-acked
-    transaction. *)
+    Every Flow/Group-mod leaves through {!send_batch}.  With no reliable
+    layer it collapses to the legacy direct sends (same messages, same
+    order — unimpaired runs stay bit-identical); with one, intents are
+    recorded and the batch ships as a barrier-acked transaction. *)
 
 let reliable t = t.reliable
 
@@ -347,29 +334,23 @@ let notify_install t sw payloads =
   | [] -> ()
   | hooks -> List.iter (fun f -> f sw payloads) hooks
 
-let send_fm t (sw : C.sw) fm =
-  notify_install t sw [ Of_msg.Flow_mod fm ];
-  match t.reliable with
-  | None -> C.send t.ctrl sw (Of_msg.Flow_mod fm)
-  | Some r ->
-    Reliable.register_switch r sw;
-    Reliable.flow_mod r sw fm
-
-let send_gm t (sw : C.sw) gm =
-  notify_install t sw [ Of_msg.Group_mod gm ];
-  match t.reliable with
-  | None -> C.send t.ctrl sw (Of_msg.Group_mod gm)
-  | Some r ->
-    Reliable.register_switch r sw;
-    Reliable.group_mod r sw gm
+(* A direct recursion rather than [List.iter (C.send ctrl sw)], whose
+   partial application would allocate a closure on every install. *)
+let rec send_each ctrl sw = function
+  | [] -> ()
+  | p :: rest ->
+    C.send ctrl sw p;
+    send_each ctrl sw rest
 
 let send_batch t (sw : C.sw) payloads =
   notify_install t sw payloads;
   match t.reliable with
-  | None -> List.iter (C.send t.ctrl sw) payloads
+  | None -> send_each t.ctrl sw payloads
   | Some r ->
     Reliable.register_switch r sw;
     Reliable.transaction r sw payloads
+
+let send_fm t sw fm = send_batch t sw [ Of_msg.Flow_mod fm ]
 
 let install t sw ?(table_id = 0) ?(priority = 1) ?(idle_timeout = 0.0) ?(hard_timeout = 0.0)
     ?(cookie = Of_types.cookie_none) ~match_ ~instructions () =
@@ -573,7 +554,8 @@ let group_mods_for t m =
       group_mod_of m ~gid:(group_of_tenant t tenant) ~buckets:(buckets_of_assignment slice))
     (tenant_slices t m.assigned)
 
-let install_group t m = List.iter (fun gm -> send_gm t m.msw gm) (group_mods_for t m)
+let install_group t m =
+  List.iter (fun gm -> send_batch t m.msw [ Of_msg.Group_mod gm ]) (group_mods_for t m)
 
 (* Instructions that send a flow from ingress [port] onto the overlay.
    Untenanted, table 1's single rule balances everything into the
@@ -628,8 +610,7 @@ let activate t m =
     in
     send_batch t m.msw
       (List.map (fun g -> Of_msg.Group_mod g) gms
-      @ List.map (fun fm -> Of_msg.Flow_mod fm) (table1 @ redirects));
-    notify_phase t `Post_redirect
+      @ List.map (fun fm -> Of_msg.Flow_mod fm) (table1 @ redirects))
   end
 
 (** {1 Withdrawal (§5.5)} *)
@@ -654,8 +635,7 @@ let withdraw t m =
         uninstall t m.msw ~table_id:0 ~priority:redirect_priority
           ~match_:(Of_match.with_in_port port Of_match.wildcard)
           ())
-      (Switch.normal_ports m.msw.C.device);
-    notify_phase t `Post_withdrawal
+      (Switch.normal_ports m.msw.C.device)
   in
   if pins = [] then remove_redirects ()
   else
@@ -856,8 +836,7 @@ let do_migration ?(detected_at = 0.0) t (e : Flow_info_db.entry) =
         t.counters.migrations_completed <- t.counters.migrations_completed + 1;
         if Scotch_obs.Obs.is_enabled () then
           Scotch_obs.Obs.span ~name:"scotch.migration" ~cat:"core" ~ts:detected_at
-            ~dur:(now t -. detected_at) ~tid:e.Flow_info_db.first_hop ~args:[];
-        notify_phase t `Post_migration)
+            ~dur:(now t -. detected_at) ~tid:e.Flow_info_db.first_hop ~args:[])
 
 (** Elephant detection: poll per-flow packet counts at the vswitches and
     compare against the configured rate threshold. *)
@@ -1179,7 +1158,7 @@ let revive_vswitch t dpid =
   if Hashtbl.mem t.vswitch_handles dpid then begin
     Overlay.mark_recovered t.overlay dpid;
     rebalance_groups t;
-    notify_phase t `Post_recovery
+    notify_recovery t
   end
 
 let handle_switch_dead t (sw : C.sw) = fail_vswitch t sw.C.dpid

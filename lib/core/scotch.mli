@@ -12,14 +12,6 @@ open Scotch_switch
 module C = Scotch_controller.Controller
 module Reliable = Scotch_reliable.Reliable
 
-(** Phase boundaries the app announces: after overlay redirection is
-    installed, after a withdrawal completes, after an elephant
-    migration completes, and after a vswitch failure is repaired (where
-    {!Scotch_verify.Hooks} resyncs the continuous verifier). *)
-type phase = [ `Post_redirect | `Post_withdrawal | `Post_migration | `Post_recovery ]
-
-val pp_phase : Format.formatter -> phase -> unit
-
 type counters = {
   mutable flows_seen : int;
   mutable flows_overlay : int;       (** routed over the overlay *)
@@ -111,8 +103,8 @@ val demote_vswitch : t -> int -> unit
 val fail_vswitch : t -> int -> unit
 
 (** Data-path breaker closed again: return a previously failed member
-    to the forwarding pool (the §5.6 recovery path) and announce
-    [`Post_recovery]. *)
+    to the forwarding pool (the §5.6 recovery path) and fire the
+    recovery hooks ({!notify_recovery}). *)
 val revive_vswitch : t -> int -> unit
 
 (** Pool-manager handoff: [bench_standbys t true] holds backups in
@@ -179,14 +171,15 @@ val assignment_of : t -> int -> (int * int) list
     (observability). *)
 val vswitch_dpids : t -> int list
 
-(** Register a callback to run at every phase boundary (used by
-    {!Scotch_verify.Hooks} under continuous verification). *)
-val on_phase : t -> (phase -> unit) -> unit
+(** Register a callback to run after every vswitch repair (§5.6), where
+    the dataplane was rebuilt behind the app's back — used by
+    {!Scotch_verify.Hooks} to resync the continuous verifier. *)
+val on_recovery : t -> (unit -> unit) -> unit
 
-(** Fire the registered phase hooks.  Exported so the fault injector —
-    which repairs vswitches behind this module's back — can announce
-    [`Post_recovery]. *)
-val notify_phase : t -> phase -> unit
+(** Fire the registered recovery hooks.  Exported so the fault
+    injector, which repairs vswitches behind this module's back, can
+    announce the repair. *)
+val notify_recovery : t -> unit
 
 (** Register a callback to run at the send chokepoint with every
     outgoing Flow/Group-mod batch, before dispatch — the verifier's

@@ -114,7 +114,12 @@ let check_config c =
   List.iter
     (fun (_, share) ->
       if share < 1 then invalid_arg "Elastic: tenant shares must be >= 1")
-    c.tenant_shares
+    c.tenant_shares;
+  let ids = List.map fst c.tenant_shares in
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    invalid_arg "Elastic: duplicate tenant id in tenant_shares";
+  Breaker.check_config c.breaker;
+  Breaker.check_config c.data_breaker
 
 type action = { time : float; dir : [ `Up | `Down ]; dpid : int }
 
@@ -165,7 +170,6 @@ let now t = Scotch_sim.Engine.now (engine t)
     capacity. *)
 let create ?(config = default_config) ?provision app =
   check_config config;
-  Breaker.check_config config.breaker;
   let t =
     { config; app; ctrl = Scotch.ctrl app;
       mode = (Scotch.config app).Config.scaling; provision;

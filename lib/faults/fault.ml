@@ -30,7 +30,7 @@
       pause, failover hiccup) — arrivals are deferred, not lost.
 
     Faults are plain data so plans can be built by hand, generated from
-    a seeded PRNG ({!Plan.vswitch_churn}) or compared across runs. *)
+    a seeded PRNG ({!Scotch_chaos.Gen}) or compared across runs. *)
 
 type kind =
   | Vswitch_crash

@@ -6,8 +6,7 @@
     rebalancing) is supposed to absorb, and the control-path
     pathologies of §3 stretched into outright faults.  Faults are plain
     data so plans can be built by hand, generated from a seeded PRNG
-    ({!Plan.vswitch_churn}, {!Scotch_chaos.Gen}) or compared across
-    runs.
+    ({!Scotch_chaos.Gen}) or compared across runs.
 
     Use the smart constructors: they validate times, durations and
     kind parameters ([invalid_arg] on nonsense), which is what lets

@@ -191,9 +191,9 @@ let clear t (f : Fault.t) (r : Ledger.record) =
     Overlay.mark_recovered (Scotch.overlay t.e.app) f.Fault.target;
     (* revived before the heartbeat ever noticed: stop waiting *)
     Hashtbl.remove t.awaiting f.Fault.target;
-    (* the repair happened behind the app's back: announce the phase
-       boundary so continuous verification can lint the rebuilt state *)
-    Scotch.notify_phase t.e.app `Post_recovery
+    (* the repair happened behind the app's back: announce it so
+       continuous verification can lint the rebuilt state *)
+    Scotch.notify_recovery t.e.app
   | Fault.Ofa_slowdown _ -> Ofa.set_slowdown (Switch.ofa (device t f.Fault.target)) 1.0
   | Fault.Ofa_stall -> () (* the stall deadline passes by itself *)
   | Fault.Channel_delay _ ->

@@ -1,13 +1,10 @@
 (** Fault plans: a schedule of {!Fault.t} values with stable ids.
 
-    Plans come from two places — explicit lists (targeted what-if
-    scenarios: "kill vswitch 101 at t=12") and seeded churn generators
-    built on {!Scotch_util.Rng.split} (background failure weather: mean
-    time between failures, mean time to repair).  Both compose with
-    {!merge}, and the same seed always yields the same plan, so a run's
-    recovery ledger is reproducible bit-for-bit. *)
-
-open Scotch_util
+    A plan is an explicit list (targeted what-if scenarios: "kill
+    vswitch 101 at t=12"); seeded background fault weather is
+    {!Scotch_chaos.Gen}'s job.  Plans compose with {!merge}, and ids
+    follow injection order, so a run's recovery ledger is reproducible
+    bit-for-bit. *)
 
 type t = { faults : (int * Fault.t) list } (* (id, fault), sorted by Fault.compare *)
 
@@ -25,8 +22,6 @@ let faults t = t.faults
 
 let length t = List.length t.faults
 
-let is_empty t = t.faults = []
-
 (** Latest fault-clearing time in the plan ([neg_infinity] when empty);
     lets callers size the simulation horizon. *)
 let last_activity t =
@@ -35,100 +30,6 @@ let last_activity t =
       let e = Fault.ends_at f in
       Stdlib.max acc (if e = infinity then f.Fault.at else e))
     neg_infinity t.faults
-
-(** {1 Seeded churn generators}
-
-    Each takes its own {!Rng.t} (derive one with [Rng.split]) so adding
-    a churn stream does not perturb the workload's randomness. *)
-
-(** [vswitch_churn ~rng ~targets ~start ~until ~mtbf ~mttr] generates
-    crash/recover churn over the vswitch pool: crashes arrive as a
-    Poisson process with mean inter-arrival [mtbf], each picks a uniform
-    target from [targets] and heals after an Exp([mttr]) repair time
-    (floored at a tenth of [mttr] so zero-length outages cannot occur). *)
-let vswitch_churn ~rng ~targets ~start ~until ~mtbf ~mttr =
-  if Array.length targets = 0 then invalid_arg "Plan.vswitch_churn: no targets";
-  if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Plan.vswitch_churn: mtbf/mttr must be positive";
-  let rec go t acc =
-    let t = t +. Rng.exponential rng ~rate:(1.0 /. mtbf) in
-    if t >= until then List.rev acc
-    else begin
-      let target = Rng.choice rng targets in
-      let duration = Stdlib.max (0.1 *. mttr) (Rng.exponential rng ~rate:(1.0 /. mttr)) in
-      go t (Fault.vswitch_crash ~at:t ~duration target :: acc)
-    end
-  in
-  go start []
-
-(** [ofa_gremlins ~rng ~targets ~start ~until ~mtbf ~mttr] generates
-    control-path weather on physical switches: each event is either an
-    OFA slowdown (uniform 2–10x), an OFA stall, or a control-channel
-    latency spike (uniform 5–50 ms one way), with Exp([mttr]) duration. *)
-let ofa_gremlins ~rng ~targets ~start ~until ~mtbf ~mttr =
-  if Array.length targets = 0 then invalid_arg "Plan.ofa_gremlins: no targets";
-  if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Plan.ofa_gremlins: mtbf/mttr must be positive";
-  let rec go t acc =
-    let t = t +. Rng.exponential rng ~rate:(1.0 /. mtbf) in
-    if t >= until then List.rev acc
-    else begin
-      let target = Rng.choice rng targets in
-      let duration = Stdlib.max (0.1 *. mttr) (Rng.exponential rng ~rate:(1.0 /. mttr)) in
-      let fault =
-        match Rng.int rng 3 with
-        | 0 -> Fault.ofa_slowdown ~at:t ~duration ~factor:(2.0 +. Rng.float rng 8.0) target
-        | 1 -> Fault.ofa_stall ~at:t ~duration target
-        | _ -> Fault.channel_delay ~at:t ~duration ~extra:(0.005 +. Rng.float rng 0.045) target
-      in
-      go t (fault :: acc)
-    end
-  in
-  go start []
-
-(** [gray_failures ~rng ~targets ~start ~until ~mtbf ~mttr] generates
-    the weather a circuit breaker exists for: mostly gradual vswitch
-    degradations (service-time inflation ramping to a uniform 3–10x
-    peak over an Exp([mttr]) window) with the occasional short
-    controller pause (uniform 0.05–0.25 s GC stall).  No crashes — the
-    heartbeat never fires; every fault here is invisible to binary
-    liveness. *)
-let gray_failures ~rng ~targets ~start ~until ~mtbf ~mttr =
-  if Array.length targets = 0 then invalid_arg "Plan.gray_failures: no targets";
-  if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Plan.gray_failures: mtbf/mttr must be positive";
-  let rec go t acc =
-    let t = t +. Rng.exponential rng ~rate:(1.0 /. mtbf) in
-    if t >= until then List.rev acc
-    else begin
-      let target = Rng.choice rng targets in
-      let duration = Stdlib.max (0.1 *. mttr) (Rng.exponential rng ~rate:(1.0 /. mttr)) in
-      let fault =
-        match Rng.int rng 4 with
-        | 0 -> Fault.controller_pause ~at:t ~duration:(0.05 +. Rng.float rng 0.2)
-        | _ -> Fault.vswitch_degrade ~at:t ~duration ~peak:(3.0 +. Rng.float rng 7.0) target
-      in
-      go t (fault :: acc)
-    end
-  in
-  go start []
-
-(** [tenant_floods ~rng ~tenant ~rate ~start ~until ~mtbf ~mttr]
-    generates repeated spoofed-SYN flood bursts attributed to [tenant]:
-    bursts arrive as a Poisson process with mean inter-arrival [mtbf],
-    each lasting Exp([mttr]) (floored at a tenth of [mttr]) at a
-    jittered rate between 0.5x and 1.5x of [rate] flows/s.  Reusable
-    as background attack weather by the resilience/overload runs. *)
-let tenant_floods ~rng ~tenant ~rate ~start ~until ~mtbf ~mttr =
-  if rate <= 0.0 then invalid_arg "Plan.tenant_floods: rate must be positive";
-  if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Plan.tenant_floods: mtbf/mttr must be positive";
-  let rec go t acc =
-    let t = t +. Rng.exponential rng ~rate:(1.0 /. mtbf) in
-    if t >= until then List.rev acc
-    else begin
-      let duration = Stdlib.max (0.1 *. mttr) (Rng.exponential rng ~rate:(1.0 /. mttr)) in
-      let burst_rate = rate *. (0.5 +. Rng.float rng 1.0) in
-      go t (Fault.tenant_flood ~at:t ~duration ~rate:burst_rate tenant :: acc)
-    end
-  in
-  go start []
 
 let pp fmt t =
   Format.fprintf fmt "plan[%d faults]" (length t);

@@ -1,11 +1,10 @@
 (** Fault plans: a schedule of {!Fault.t} values with stable ids.
 
-    Plans come from two places — explicit lists (targeted what-if
-    scenarios: "kill vswitch 101 at t=12") and seeded churn generators
-    built on {!Scotch_util.Rng.split} (background failure weather:
-    mean time between failures, mean time to repair).  Both compose
-    with {!merge}, and the same seed always yields the same plan, so a
-    run's recovery ledger is reproducible bit-for-bit. *)
+    A plan is an explicit list (targeted what-if scenarios: "kill
+    vswitch 101 at t=12"); seeded background fault weather is
+    {!Scotch_chaos.Gen}'s job.  Plans compose with {!merge}, and ids
+    follow injection order, so a run's recovery ledger is reproducible
+    bit-for-bit. *)
 
 type t
 
@@ -22,47 +21,10 @@ val merge : t -> t -> t
 val faults : t -> (int * Fault.t) list
 
 val length : t -> int
-val is_empty : t -> bool
 
 (** Latest fault-clearing time in the plan ([neg_infinity] when empty;
     permanent faults count their injection time); lets callers size
     the simulation horizon. *)
 val last_activity : t -> float
-
-(** {1 Seeded churn generators}
-
-    Each takes its own {!Scotch_util.Rng.t} (derive one with
-    [Rng.split]) so adding a churn stream does not perturb the
-    workload's randomness. *)
-
-(** Crash/recover churn over the vswitch pool: crashes arrive as a
-    Poisson process with mean inter-arrival [mtbf], each picks a
-    uniform target from [targets] and heals after an Exp([mttr])
-    repair time (floored at a tenth of [mttr]). *)
-val vswitch_churn :
-  rng:Scotch_util.Rng.t -> targets:int array -> start:float -> until:float ->
-  mtbf:float -> mttr:float -> Fault.t list
-
-(** Control-path weather on physical switches: OFA slowdowns (uniform
-    2–10x), OFA stalls, or control-channel latency spikes (uniform
-    5–50 ms one way), with Exp([mttr]) durations. *)
-val ofa_gremlins :
-  rng:Scotch_util.Rng.t -> targets:int array -> start:float -> until:float ->
-  mtbf:float -> mttr:float -> Fault.t list
-
-(** The weather a circuit breaker exists for: mostly gradual vswitch
-    degradations (ramping to a uniform 3–10x peak) with the occasional
-    short controller pause — every fault invisible to binary
-    liveness. *)
-val gray_failures :
-  rng:Scotch_util.Rng.t -> targets:int array -> start:float -> until:float ->
-  mtbf:float -> mttr:float -> Fault.t list
-
-(** Repeated spoofed-SYN flood bursts attributed to [tenant]: Poisson
-    arrivals (mean [mtbf]), Exp([mttr]) durations, jittered rate
-    between 0.5x and 1.5x of [rate] flows/s. *)
-val tenant_floods :
-  rng:Scotch_util.Rng.t -> tenant:int -> rate:float -> start:float -> until:float ->
-  mtbf:float -> mttr:float -> Fault.t list
 
 val pp : Format.formatter -> t -> unit

@@ -68,14 +68,10 @@ let instant ~name ~cat ~ts ~tid ~args =
 
 type hot_site = { mutable tick : int }
 
-let hot_sample = ref 8
-
-let set_hot_sample n =
-  if n < 1 then invalid_arg "Obs.set_hot_sample: factor must be >= 1";
-  hot_sample := n
+let hot_sample = 8
 
 let hot_site () = { tick = 0 }
 
 let hot_keep site =
   site.tick <- site.tick + 1;
-  !hot_sample <= 1 || site.tick mod !hot_sample = 1
+  site.tick mod hot_sample = 1

@@ -45,7 +45,7 @@ val instant :
     dominate observability cost.  Allocate one {!hot_site} per call
     site and gate the event on {!hot_keep}: the first event at the
     site is always kept (so every site still appears in the trace) and
-    thereafter one in [hot_sample] is.  Deterministic — no RNG. *)
+    thereafter one in eight is.  Deterministic — no RNG. *)
 
 type hot_site
 
@@ -54,7 +54,3 @@ val hot_site : unit -> hot_site
 (** [hot_keep site] ticks the site and says whether this event should
     be recorded. *)
 val hot_keep : hot_site -> bool
-
-(** Global decimation factor for hot sites (default 8; [1] keeps
-    everything).  Raises on factors < 1. *)
-val set_hot_sample : int -> unit

@@ -306,9 +306,6 @@ let transaction t (sw : C.sw) payloads =
     [None] (the default) costs one [match] per transaction. *)
 let set_on_install t f = t.on_install <- f
 
-let flow_mod t sw fm = transaction t sw [ Of_msg.Flow_mod fm ]
-let group_mod t sw gm = transaction t sw [ Of_msg.Group_mod gm ]
-
 (** {1 Full resync (switch recovery)} *)
 
 (** Mark a switch for a full-table resync at the next reconciler tick —

@@ -83,9 +83,6 @@ val divergence_windows : t -> float list
     barrier-acked transaction.  Payloads must be Flow_mod/Group_mod. *)
 val transaction : t -> C.sw -> Of_msg.payload list -> unit
 
-val flow_mod : t -> C.sw -> Of_msg.Flow_mod.t -> unit
-val group_mod : t -> C.sw -> Of_msg.Group_mod.t -> unit
-
 (** Attach (or detach, with [None]) an install observer, fired with the
     dpid after a transaction's intents are recorded — the incremental
     verifier's cue that the switch's intent store changed.  [None] (the

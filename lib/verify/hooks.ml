@@ -1,6 +1,6 @@
 (** Verification hooks: the incremental invariant checker wired to the
     dataplane's install chokepoints, the Scotch app's post-recovery
-    boundaries and the engine's run-end. *)
+    resync and the engine's run-end. *)
 
 open Scotch_core
 open Scotch_switch
@@ -123,11 +123,10 @@ let install ~engine ~topo scotch =
       "scotch_verify_installs_issued_total" (fun () -> st.installs_issued);
     O.gauge_fn ~help:"Tracked header-space equivalence classes" "scotch_verify_class_count"
       (fun () -> float_of_int (Incremental.class_count incr));
-    Scotch.on_phase scotch (fun p ->
-        if p = `Post_recovery then begin
-          let label = Format.asprintf "%a" Scotch.pp_phase p in
-          ignore (Scotch_sim.Engine.schedule engine ~delay:settle_delay (fun () -> check label))
-        end);
+    Scotch.on_recovery scotch (fun () ->
+        ignore
+          (Scotch_sim.Engine.schedule engine ~delay:settle_delay (fun () ->
+               check "post-recovery")));
     Scotch_sim.Engine.on_run_end engine (fun () -> check "run-end");
     Some st
 

@@ -1,7 +1,8 @@
 (** Verification hooks: under [Config.Continuous], verify incrementally
     on every flow-mod, group-mod and liveness flip at the install
-    chokepoints, and resync against a whole-network snapshot at each
-    post-recovery boundary the fault injector announces and whenever an
+    chokepoints, and resync against a whole-network snapshot after each
+    vswitch repair the app or the fault injector announces
+    ({!Scotch_core.Scotch.on_recovery}) and whenever an
     {!Scotch_sim.Engine.run} call returns.
 
     The mode comes from the app's {!Scotch_core.Config.verify} knob.
@@ -12,14 +13,14 @@
     ({!Diagnostic.first_at}). *)
 
 type report = {
-  phase : string; (** which boundary fired ("post-recovery", "run-end", …) *)
+  phase : string; (** which check fired: "post-recovery" or "run-end" *)
   at : float;     (** simulation time of the check *)
   diagnostics : Diagnostic.t list;
 }
 
 type t
 
-(** Seconds between a phase notification and its check: control-channel
+(** Seconds between a recovery notification and its check: control-channel
     sends are asynchronous, so device state lags controller intent by a
     few channel latencies — and a recovery can race a concurrent
     failure's detection window.  Half a second of simulated time lets
@@ -35,9 +36,8 @@ val equiv_every : int
     taps every switch's dataplane updates and the reliable layer's
     installs, re-verifies the affected header-space classes on each
     delta and audits against a full rescan every {!equiv_every}
-    updates.  It also resyncs (and records a report) {!settle_delay}
-    after each [`Post_recovery] boundary — redirects and migrations
-    legitimately overlap in-flight installs — and at every
+    updates.  It also resyncs (and records a "post-recovery" report)
+    {!settle_delay} after each vswitch repair, and at every
     {!Scotch_sim.Engine.run} return.  Returns [None] under
     [Config.Off]. *)
 val install :
@@ -52,7 +52,7 @@ val checks_run : t -> int
 (** Total [Error]-severity diagnostics across all reports. *)
 val error_count : t -> int
 
-(** Reports for one phase label. *)
+(** Reports for one label ("post-recovery" or "run-end"). *)
 val reports_of_phase : t -> string -> report list
 
 (** The incremental verifier (latency/class statistics live on it);

@@ -2,8 +2,9 @@
 
     Maintains a pure {!Snapshot.t} model of the network plus cached
     per-invariant results, and on each delta (flow-mod, group-mod,
-    port/failure event, overlay or intent refresh) recomputes only what
-    the delta can affect:
+    port/failure event or intent refresh) recomputes only what the
+    delta can affect; wholesale changes (node joins, hosts, overlay
+    membership) are folded in by {!refresh}:
 
     {ul
     {- {b Loop}: header space is partitioned into the same flow-key
@@ -18,7 +19,7 @@
        stored); a rule delta grades just the delta rules.  Whole-node
        rebuilds happen only when the rule environment shifts: a table
        flipping empty<->nonempty (goto targets), a group delta
-       (membership), and port/failure/overlay events (peer liveness).}
+       (membership), and port/failure events (peer liveness).}
     {- {b Shadow}: cached per (node, table) as the same exact-key
        buckets the snapshot pass uses, with each finding tagged by its
        (higher, lower) rule pair; an added rule is paired only against
@@ -26,10 +27,10 @@
        its structures and any finding it participates in.}
     {- {b Group sanity}: cached per node; recomputed on that node's
        group deltas and on liveness-affecting events.}
-    {- {b Coverage}: recomputed on port, overlay and membership
-       changes, and on table-0 deltas only when the delta contains a
-       miss-shaped (priority-0 wildcard) rule — per-flow rule churn
-       cannot change miss coverage.}
+    {- {b Coverage}: recomputed on port changes, and on table-0
+       deltas only when the delta contains a miss-shaped (priority-0
+       wildcard) rule — per-flow rule churn cannot change miss
+       coverage.}
     {- {b Divergence}: cached per reliable-managed switch; recomputed
        on that switch's deltas, on the intent nodes an intent refresh
        actually changed, and when an in-grace device rule ages past the
@@ -62,8 +63,6 @@ module S = Snapshot
 module DMap = Map.Make (D)
 
 type update =
-  | Table of { dpid : int; table_id : int; rules : Flow_table.rule list }
-      (** the table's full post-delta live rule list (diffed here) *)
   | Table_delta of {
       dpid : int;
       table_id : int;
@@ -74,13 +73,7 @@ type update =
           tap's shape; O(delta) regardless of table size *)
   | Groups of { dpid : int; groups : S.group list }
   | Ports of { dpid : int; ports : S.port list; failed : bool }
-  | Node of S.node  (** switch joined or wholesale refresh *)
-  | Remove_node of int
-  | Hosts of S.host list
-  | Overlay of S.overlay_state option
   | Intents of S.intent_state option
-  | Managed of { managed : int list; vswitch_dpids : int list }
-  | Tick  (** pure virtual-time advance (grace aging) *)
 
 type class_cache = {
   mutable entry : (int * int) list;
@@ -89,7 +82,7 @@ type class_cache = {
 }
 
 (* Rule-slot identity within a table: {!Flow_table} replaces on equal
-   (priority, match), which is also how {!diff_rules} keys. *)
+   (priority, match). *)
 type slot = int * Of_match.t
 
 (** Shadow state of one (node, table): the snapshot pass's exact-key
@@ -608,38 +601,6 @@ let settle t ~now =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Diffing full rule lists (the [Table] update shape) *)
-
-(* Semantic rule identity for diffing: counters are mutable telemetry,
-   not forwarding behavior. *)
-let rule_sig (r : Flow_table.rule) =
-  ( r.Flow_table.instructions,
-    r.Flow_table.idle_timeout,
-    r.Flow_table.hard_timeout,
-    r.Flow_table.cookie,
-    r.Flow_table.installed_at )
-
-(** Diff two rule lists of one table; returns the rules present on only
-    one side (changed rules appear on both sides of the diff). *)
-let diff_rules old_rules new_rules =
-  let tbl = Hashtbl.create (List.length old_rules * 2 + 1) in
-  List.iter
-    (fun (r : Flow_table.rule) ->
-      Hashtbl.replace tbl (r.Flow_table.priority, r.Flow_table.match_) r)
-    old_rules;
-  let added = ref [] in
-  List.iter
-    (fun (r : Flow_table.rule) ->
-      let k = (r.Flow_table.priority, r.Flow_table.match_) in
-      match Hashtbl.find_opt tbl k with
-      | Some o when rule_sig o = rule_sig r -> Hashtbl.remove tbl k
-      | Some _ -> added := r :: !added (* changed: old stays in [tbl] → lands in removed *)
-      | None -> added := r :: !added)
-    new_rules;
-  let removed = Hashtbl.fold (fun _ r acc -> r :: acc) tbl [] in
-  (!added, removed)
-
-(* ------------------------------------------------------------------ *)
 
 let record_latency t dt =
   t.lat.(t.lat_total mod lat_cap) <- dt;
@@ -653,8 +614,7 @@ let refresh_hosts_index t =
   t.host_by_ip <- h
 
 (** Drop every cache and rebuild from the current model — the big
-    hammer for rare structural events (membership, hosts, node
-    joins). *)
+    hammer behind {!create} and {!refresh}. *)
 let reseed_all t dirty =
   (* the model is authoritative here: callers either replaced it
      wholesale or flushed every store first *)
@@ -694,7 +654,7 @@ let reseed_all t dirty =
   ledger_add t t.coverage;
   recompute_all_divergence t
 
-(* The shared Table guts: fold one table's rule delta into the store,
+(* Fold one table's rule delta into the store,
    the walk index, the class universe and every per-invariant cache —
    O(delta) except where an environment shift (an empty<->nonempty
    flip, a miss-rule change) forces a scoped rebuild.  The model's rule
@@ -786,15 +746,6 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
 
 let apply_update t dirty u =
   match u with
-  | Tick -> ()
-  | Table { dpid; table_id; rules } -> (
-    match S.node t.model dpid with
-    | None -> ()
-    | Some _ ->
-      let store = store_of t dpid table_id in
-      let old_rules = Hashtbl.fold (fun _ r acc -> r :: acc) store [] in
-      let added, removed = diff_rules old_rules rules in
-      table_delta t dirty ~dpid ~table_id ~added ~removed)
   | Table_delta { dpid; table_id; added; removed } ->
     table_delta t dirty ~dpid ~table_id ~added ~removed
   | Groups { dpid; groups } -> (
@@ -840,23 +791,6 @@ let apply_update t dirty u =
       recompute_all_local t;
       recompute_coverage t;
       recompute_divergence t dpid)
-  | Node _ | Remove_node _ | Hosts _ | Managed _ ->
-    flush_all t; (* the reseed below reads every node's rules *)
-    (match u with
-    | Node n -> set_node t n
-    | Remove_node dpid ->
-      t.model <-
-        { t.model with
-          S.nodes = List.filter (fun (o : S.node) -> o.S.dpid <> dpid) t.model.S.nodes }
-    | Hosts hosts -> t.model <- { t.model with S.hosts = hosts }
-    | Managed { managed; vswitch_dpids } ->
-      t.model <- { t.model with S.managed = managed; S.vswitch_dpids = vswitch_dpids }
-    | _ -> ());
-    reseed_all t dirty
-  | Overlay overlay ->
-    t.model <- { t.model with S.overlay = overlay };
-    recompute_all_local t;
-    recompute_coverage t
   | Intents intents -> (
     let old = t.model.S.intents in
     t.model <- { t.model with S.intents = intents };
@@ -934,9 +868,9 @@ let create ?(now = 0.0) snap =
   settle t ~now;
   t
 
-(** Full resync against a freshly captured snapshot — used at phase
-    boundaries to fold in events no tap covers (link flaps, lazy rule
-    expiry). *)
+(** Full resync against a freshly captured snapshot — the post-recovery
+    resync and run-end check use it to fold in events no tap covers
+    (link flaps, lazy rule expiry, joins, overlay membership). *)
 let refresh t ~now snap =
   t.model <- { snap with S.now = now };
   let dirty = Hashtbl.create 256 in

@@ -225,6 +225,10 @@ let test_elastic_config_validation () =
   bad { E.default_config with E.high_water = 0.2 } (* <= low_water *);
   bad { E.default_config with E.min_pool = 5; max_pool = 4 };
   bad { E.default_config with E.probe_period = 0.0 };
+  bad { E.default_config with E.breaker = { cfg with B.ewma_alpha = 0.0 } };
+  bad { E.default_config with E.data_breaker = { cfg with B.ewma_alpha = 0.0 } };
+  bad { E.default_config with E.data_breaker = { cfg with B.readmit_probes = 0 } };
+  bad { E.default_config with E.tenant_shares = [ (1, 2); (2, 1); (1, 3) ] };
   ignore (E.create app)
 
 let () =

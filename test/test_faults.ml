@@ -41,21 +41,6 @@ let test_plan_merge_renumbers () =
   Alcotest.(check (list int)) "renumbered" [ 0; 1 ] (List.map fst (Plan.faults m));
   Alcotest.(check int) "earlier fault first" 101 ((snd (List.hd (Plan.faults m))).Fault.target)
 
-let test_churn_deterministic () =
-  let gen seed =
-    Plan.vswitch_churn
-      ~rng:(Scotch_util.Rng.create seed)
-      ~targets:[| 100; 101; 102 |] ~start:0.0 ~until:100.0 ~mtbf:10.0 ~mttr:5.0
-  in
-  Alcotest.(check bool) "same seed, same churn" true (gen 7 = gen 7);
-  Alcotest.(check bool) "different seed, different churn" true (gen 7 <> gen 8);
-  Alcotest.(check bool) "non-trivial plan" true (List.length (gen 7) > 2);
-  List.iter
-    (fun (f : Fault.t) ->
-      Alcotest.(check bool) "within window" true (f.Fault.at >= 0.0 && f.Fault.at < 100.0);
-      Alcotest.(check bool) "positive outage" true (f.Fault.duration > 0.0))
-    (gen 7)
-
 (* ------------------------------------------------------------------ *)
 (* §5.6 recovery path, end to end *)
 
@@ -140,6 +125,33 @@ let test_recovered_vswitch_rejoins_as_backup () =
         Alcotest.(check bool) "alive again" true v.Scotch_core.Overlay.alive;
         Alcotest.(check bool) "rejoined as backup" true v.Scotch_core.Overlay.is_backup
       end)
+
+(* The data-path breaker's revive path: [Scotch.revive_vswitch] fires
+   the recovery hook, so the continuous verifier resyncs exactly once,
+   [Hooks.settle_delay] later, while an overlay activation adds no
+   report of its own. *)
+let test_revive_resyncs_verifier () =
+  let module Sc = Scotch_core.Scotch in
+  let module Hooks = Scotch_verify.Hooks in
+  let config =
+    { Scotch_core.Config.default with Scotch_core.Config.verify = Scotch_core.Config.Continuous }
+  in
+  let net = Testbed.scotch_net ~seed:42 ~config ~num_vswitches:4 ~num_backups:2 () in
+  let app = net.Testbed.app in
+  let v = Option.get net.Testbed.verify in
+  let post_recovery () = List.length (Hooks.reports_of_phase v "post-recovery") in
+  let victim = Testbed.vswitch_dpid 0 in
+  Source.start (Testbed.attack_source net ~rate:1500.0 ());
+  Testbed.run_until net ~until:4.0;
+  Alcotest.(check bool) "overlay activated" true (Sc.is_active app Testbed.edge_dpid);
+  Alcotest.(check int) "activation adds no report" 0 (post_recovery ());
+  Sc.fail_vswitch app victim;
+  Testbed.run_until net ~until:5.0;
+  Alcotest.(check int) "failure adds no report" 0 (post_recovery ());
+  Sc.revive_vswitch app victim;
+  Testbed.run_until net ~until:(5.0 +. (2.0 *. Hooks.settle_delay));
+  Alcotest.(check int) "one post-recovery report" 1 (post_recovery ());
+  Alcotest.(check int) "no invariant errors" 0 (Hooks.error_count v)
 
 (* ------------------------------------------------------------------ *)
 (* Control-channel weather: seeded channel-drop and OFA-stall plans *)
@@ -274,14 +286,15 @@ let () =
     [ ( "plan",
         [ Alcotest.test_case "constructor validation" `Quick test_fault_constructors_validate;
           Alcotest.test_case "sorting and ids" `Quick test_plan_sorting_and_ids;
-          Alcotest.test_case "merge renumbers" `Quick test_plan_merge_renumbers;
-          Alcotest.test_case "churn determinism" `Quick test_churn_deterministic ] );
+          Alcotest.test_case "merge renumbers" `Quick test_plan_merge_renumbers ] );
       ( "recovery",
         [ Alcotest.test_case "heartbeat detection latency" `Quick test_detection_latency;
           Alcotest.test_case "backup promotion" `Quick test_backup_promotion;
           Alcotest.test_case "select-group rebalance" `Quick test_group_rebalance_after_kill;
           Alcotest.test_case "revived vswitch rejoins as backup" `Quick
-            test_recovered_vswitch_rejoins_as_backup ] );
+            test_recovered_vswitch_rejoins_as_backup;
+          Alcotest.test_case "data-breaker revive resyncs verifier" `Quick
+            test_revive_resyncs_verifier ] );
       ( "weather",
         [ Alcotest.test_case "channel-drop plan" `Quick test_channel_drop_plan;
           Alcotest.test_case "ofa-stall plan" `Quick test_ofa_stall_plan;

@@ -250,16 +250,13 @@ let gen_base_snap ~switches =
   in
   snap ~hosts ~managed:(List.init switches (fun i -> i + 1)) nodes
 
-(* A churn step, encoded as data so qcheck can shrink sequences.
-   [delta] picks the update encoding: the full post-change rule list
-   ([Incr.Table], diffed inside the verifier) or the rule delta itself
-   ([Incr.Table_delta], the switch tap's production shape). *)
+(* A churn step, encoded as data so qcheck can shrink sequences.  Rule
+   steps become [Incr.Table_delta], the switch tap's shape; an add over
+   a live (priority, match) slot is a replace, as in {!Flow_table}. *)
 type churn =
-  | Add_rule of {
-      dpid : int; table : int; prio : int; src : int; dst : int; out : int; delta : bool;
-    }
+  | Add_rule of { dpid : int; table : int; prio : int; src : int; dst : int; out : int }
   | Add_wild of { dpid : int; prio : int; proto : int; out : int }
-  | Del_rule of { dpid : int; table : int; idx : int; delta : bool }
+  | Del_rule of { dpid : int; table : int; idx : int }
   | Set_group of { dpid : int; gid : int; out : int; weight : int }
   | Drop_groups of { dpid : int }
   | Flip_failed of { dpid : int }
@@ -271,13 +268,13 @@ let churn_gen ~switches =
   oneof
     [ (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30
        and* s = int_range 0 (switches - 1) and* dst = int_range 0 (switches - 1)
-       and* out = int_range 1 4 and* delta = bool in
-       return (Add_rule { dpid = d; table = tbl; prio = p; src = s; dst; out; delta }));
+       and* out = int_range 1 4 in
+       return (Add_rule { dpid = d; table = tbl; prio = p; src = s; dst; out }));
       (let* d = dpid and* p = int_range 1 30 and* proto = oneofl [ 6; 17 ]
        and* out = int_range 1 4 in
        return (Add_wild { dpid = d; prio = p; proto; out }));
-      (let* d = dpid and* tbl = int_range 0 1 and* idx = int_range 0 5 and* delta = bool in
-       return (Del_rule { dpid = d; table = tbl; idx; delta }));
+      (let* d = dpid and* tbl = int_range 0 1 and* idx = int_range 0 5 in
+       return (Del_rule { dpid = d; table = tbl; idx }));
       (let* d = dpid and* gid = int_range 1 3 and* out = int_range 1 4
        and* w = int_range 0 2 in
        return (Set_group { dpid = d; gid; out; weight = w }));
@@ -291,64 +288,32 @@ let churn_gen ~switches =
 (* Apply one churn step to the pure model, returning the matching
    incremental update. *)
 let step_of_churn model = function
-  | Add_rule { dpid; table; prio; src; dst; out; delta } ->
+  | Add_rule { dpid; table; prio; src; dst; out } ->
     Option.map
-      (fun (n : S.node) ->
+      (fun (_ : S.node) ->
         let r =
           rule ~priority:prio
             ~match_:(exact_match ~src:(gen_ip src) ~dst:(gen_ip dst))
             ~instructions:(output out) ()
         in
-        if delta then Incr.Table_delta { dpid; table_id = table; added = [ r ]; removed = [] }
-        else begin
-          let old = Option.value (List.assoc_opt table n.S.rules) ~default:[] in
-          (* Flow_table ADD semantics: equal (match, priority) replaces *)
-          let old =
-            List.filter
-              (fun (o : Flow_table.rule) ->
-                not (o.Flow_table.priority = prio && o.Flow_table.match_ = r.Flow_table.match_))
-              old
-          in
-          let rules =
-            List.stable_sort
-              (fun (a : Flow_table.rule) b -> compare b.Flow_table.priority a.Flow_table.priority)
-              (r :: old)
-          in
-          Incr.Table { dpid; table_id = table; rules }
-        end)
+        Incr.Table_delta { dpid; table_id = table; added = [ r ]; removed = [] })
       (S.node model dpid)
   | Add_wild { dpid; prio; proto; out } ->
     Option.map
-      (fun (n : S.node) ->
+      (fun (_ : S.node) ->
         let r =
           rule ~priority:prio
             ~match_:(Of_match.with_ip_proto proto Of_match.wildcard)
             ~instructions:(output out) ()
         in
-        let old = Option.value (List.assoc_opt 0 n.S.rules) ~default:[] in
-        let old =
-          List.filter
-            (fun (o : Flow_table.rule) ->
-              not (o.Flow_table.priority = prio && o.Flow_table.match_ = r.Flow_table.match_))
-            old
-        in
-        let rules =
-          List.stable_sort
-            (fun (a : Flow_table.rule) b -> compare b.Flow_table.priority a.Flow_table.priority)
-            (r :: old)
-        in
-        Incr.Table { dpid; table_id = 0; rules })
+        Incr.Table_delta { dpid; table_id = 0; added = [ r ]; removed = [] })
       (S.node model dpid)
-  | Del_rule { dpid; table; idx; delta } ->
+  | Del_rule { dpid; table; idx } ->
     Option.map
       (fun (n : S.node) ->
         let old = Option.value (List.assoc_opt table n.S.rules) ~default:[] in
-        if delta then
-          let removed = if old = [] then [] else [ List.nth old (idx mod List.length old) ] in
-          Incr.Table_delta { dpid; table_id = table; added = []; removed }
-        else
-          let rules = List.filteri (fun i _ -> i <> idx mod max 1 (List.length old)) old in
-          Incr.Table { dpid; table_id = table; rules = (if old = [] then [] else rules) })
+        let removed = if old = [] then [] else [ List.nth old (idx mod List.length old) ] in
+        Incr.Table_delta { dpid; table_id = table; added = []; removed })
       (S.node model dpid)
   | Set_group { dpid; gid; out; weight } ->
     Option.map
