@@ -153,6 +153,20 @@ let bench_of_wire () =
   Bechamel.Test.make ~name:"OpenFlow wire encode+decode (flow_mod)"
     (Bechamel.Staged.stage (fun () -> ignore (Of_wire.decode (Of_wire.encode msg))))
 
+(* The detection loop's per-poll cost: charging a large exact-stats
+   reply by [size] versus rendering it. *)
+let bench_of_wire_stats_reply () =
+  let stat i =
+    { Of_msg.Stats.table_id = 0; priority = 10;
+      match_ = Of_match.exact_flow (Packet.flow_key (mk_packet i));
+      packet_count = i; byte_count = 1500 * i; duration = 1.0; cookie = 0L }
+  in
+  let msg = Of_msg.make ~xid:1 (Of_msg.Flow_stats_reply (List.init 1024 stat)) in
+  [ Bechamel.Test.make ~name:"OpenFlow size (1024-record stats reply)"
+      (Bechamel.Staged.stage (fun () -> ignore (Of_wire.size msg)));
+    Bechamel.Test.make ~name:"OpenFlow encode (1024-record stats reply)"
+      (Bechamel.Staged.stage (fun () -> ignore (Of_wire.encode msg))) ]
+
 let bench_flow_key_hash () =
   let keys = Array.init 256 (fun i -> Packet.flow_key (mk_packet i)) in
   let i = ref 0 in
@@ -179,9 +193,10 @@ let run_micro () =
   let open Bechamel in
   let benchmarks =
     Test.make_grouped ~name:"scotch"
-      [ bench_flow_table_lookup (); bench_flow_table_insert (); bench_group_select ();
-        bench_event_heap (); bench_packet_codec (); bench_of_wire (); bench_flow_key_hash ();
-        bench_rng (); bench_simulation_throughput () ]
+      ([ bench_flow_table_lookup (); bench_flow_table_insert (); bench_group_select ();
+         bench_event_heap (); bench_packet_codec (); bench_of_wire () ]
+      @ bench_of_wire_stats_reply ()
+      @ [ bench_flow_key_hash (); bench_rng (); bench_simulation_throughput () ])
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -411,7 +411,7 @@ let attach_sampler t dev =
    one per reply plus one per carried record, and the encoded wire size
    of each message — the §5.3 cost the sampled policy is built to cut. *)
 let account t ~sampled ~units payload =
-  let bytes = Bytes.length (Of_wire.encode (Of_msg.make ~xid:0 payload)) in
+  let bytes = Of_wire.size (Of_msg.make ~xid:0 payload) in
   if sampled then begin
     t.ch_sampled_msgs <- t.ch_sampled_msgs + units;
     t.ch_sampled_bytes <- t.ch_sampled_bytes + bytes

@@ -5,8 +5,9 @@
     as OXM-style TLVs and actions as TLVs.  Where our model diverges
     from the spec (e.g. composite [Push_mpls label], float timeouts in
     milliseconds, packet payloads via {!Scotch_packet.Codec}), the
-    encoding is self-consistent: the property guaranteed (and tested) is
-    [decode (encode m) = m]. *)
+    encoding is self-consistent: the properties guaranteed (and tested)
+    are [Bytes.length (encode m) = size m], and [decode (encode m) = m]
+    while [size m] fits the u16 length field. *)
 
 open Of_types
 
@@ -19,8 +20,6 @@ let version = 0x04
 (** {1 Writer} *)
 
 module W = struct
-
-  let create () = Buffer.create 64
   let u8 b v = Buffer.add_uint8 b (v land 0xFF)
   let u16 b v = Buffer.add_uint16_be b (v land 0xFFFF)
   let u32 b v = Buffer.add_int32_be b (Int32.of_int (v land 0xFFFFFFFF))
@@ -447,47 +446,102 @@ let type_code (p : Of_msg.payload) =
   | Barrier_request -> t_barrier_request
   | Barrier_reply -> t_barrier_reply
 
+(** {1 Sizes}: the byte count of each writer above, by arithmetic.
+    [size] must agree with [encode]; [encode] asserts that it does. *)
+
+let field_size = function None -> 0 | Some _ -> 6
+let masked_size = function None -> 0 | Some _ -> 10
+
+let match_size (m : Of_match.t) =
+  1 + field_size m.in_port + field_size m.eth_type + masked_size m.ip_src
+  + masked_size m.ip_dst + field_size m.ip_proto + field_size m.l4_src + field_size m.l4_dst
+  + field_size m.mpls_label + field_size m.gre_key + field_size m.tunnel_id
+
+let action_size : Of_action.t -> int = function
+  | Output _ | Group _ | Push_mpls _ | Push_gre _ -> 5
+  | Set_eth_dst _ | Set_eth_src _ -> 9
+  | Pop_mpls | Pop_gre | Dec_ttl | Drop -> 1
+
+let actions_size acts = List.fold_left (fun n a -> n + action_size a) 2 acts
+
+let instructions_size instrs =
+  List.fold_left
+    (fun n -> function
+      | Of_action.Apply_actions acts -> n + 1 + actions_size acts
+      | Of_action.Goto_table _ -> n + 2)
+    2 instrs
+
+let buckets_size buckets =
+  List.fold_left
+    (fun n (bk : Of_msg.Group_mod.bucket) -> n + 2 + actions_size bk.actions)
+    2 buckets
+
+let packet_size p = 8 + Scotch_packet.Codec.serialized_size p
+let flow_stat_size (fs : Of_msg.Stats.flow_stat) = 31 + match_size fs.match_
+let telemetry_report_size (tr : Of_msg.Telemetry.report) = 26 + (17 * List.length tr.records)
+
+let body_size (p : Of_msg.payload) =
+  match p with
+  | Hello | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> 0
+  | Error s -> 4 + String.length s
+  | Flow_mod fm -> 20 + match_size fm.match_ + instructions_size fm.instructions
+  | Group_mod gm -> 6 + buckets_size gm.buckets
+  | Packet_in pi ->
+    (match pi.tunnel_id with None -> 11 | Some _ -> 15) + packet_size pi.packet
+  | Packet_out po -> 4 + actions_size po.actions + packet_size po.packet
+  | Flow_stats_request fsr -> 3 + match_size fsr.match_
+  | Flow_stats_reply stats -> List.fold_left (fun n fs -> n + flow_stat_size fs) 4 stats
+  | Table_stats_request | Group_stats_request | Telemetry_request -> 2
+  | Table_stats_reply { active_entries } -> 4 + (4 * List.length active_entries)
+  | Group_stats_reply descs ->
+    List.fold_left
+      (fun n (gd : Of_msg.Stats.group_desc) -> n + 5 + buckets_size gd.buckets)
+      4 descs
+  | Telemetry_reply tr -> 2 + telemetry_report_size tr
+
+let size (msg : Of_msg.t) = 8 + body_size msg.payload
+
 (** [encode msg] renders a framed message: header (version, type,
-    length, xid) then body. *)
+    length, xid) then body, into one buffer of exactly [size msg]
+    bytes. *)
 let encode (msg : Of_msg.t) =
-  let body = W.create () in
+  let n = size msg in
+  let b = Buffer.create n in
+  W.u8 b version;
+  W.u8 b (type_code msg.payload);
+  W.u16 b n;
+  W.u32 b msg.xid;
   (match msg.payload with
   | Hello | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> ()
-  | Error s -> W.bytes body (Bytes.of_string s)
-  | Flow_mod fm -> encode_flow_mod body fm
-  | Group_mod gm -> encode_group_mod body gm
-  | Packet_in pi -> encode_packet_in body pi
-  | Packet_out po -> encode_packet_out body po
+  | Error s -> W.bytes b (Bytes.of_string s)
+  | Flow_mod fm -> encode_flow_mod b fm
+  | Group_mod gm -> encode_group_mod b gm
+  | Packet_in pi -> encode_packet_in b pi
+  | Packet_out po -> encode_packet_out b po
   | Flow_stats_request fsr ->
-    W.u16 body mp_flow;
-    W.u8 body fsr.table_id;
-    encode_match body fsr.match_
+    W.u16 b mp_flow;
+    W.u8 b fsr.table_id;
+    encode_match b fsr.match_
   | Flow_stats_reply stats ->
-    W.u16 body mp_flow;
-    W.u16 body (List.length stats);
-    List.iter (encode_flow_stat body) stats
-  | Table_stats_request -> W.u16 body mp_table
+    W.u16 b mp_flow;
+    W.u16 b (List.length stats);
+    List.iter (encode_flow_stat b) stats
+  | Table_stats_request -> W.u16 b mp_table
   | Table_stats_reply { active_entries } ->
-    W.u16 body mp_table;
-    W.u16 body (List.length active_entries);
-    List.iter (W.u32 body) active_entries
-  | Group_stats_request -> W.u16 body mp_group_desc
+    W.u16 b mp_table;
+    W.u16 b (List.length active_entries);
+    List.iter (W.u32 b) active_entries
+  | Group_stats_request -> W.u16 b mp_group_desc
   | Group_stats_reply descs ->
-    W.u16 body mp_group_desc;
-    W.u16 body (List.length descs);
-    List.iter (encode_group_desc body) descs
-  | Telemetry_request -> W.u16 body mp_telemetry
+    W.u16 b mp_group_desc;
+    W.u16 b (List.length descs);
+    List.iter (encode_group_desc b) descs
+  | Telemetry_request -> W.u16 b mp_telemetry
   | Telemetry_reply tr ->
-    W.u16 body mp_telemetry;
-    encode_telemetry_report body tr);
-  let body = Buffer.to_bytes body in
-  let framed = W.create () in
-  W.u8 framed version;
-  W.u8 framed (type_code msg.payload);
-  W.u16 framed (8 + Bytes.length body);
-  W.u32 framed msg.xid;
-  Buffer.add_bytes framed body;
-  Buffer.to_bytes framed
+    W.u16 b mp_telemetry;
+    encode_telemetry_report b tr);
+  assert (Buffer.length b = n);
+  Buffer.to_bytes b
 
 (** [decode data] parses one framed message.  Raises {!Parse_error} on
     malformed input. *)

@@ -116,21 +116,27 @@ let ethertype_for_next ~encaps =
     Ethernet.ethertype_ipv4
   | [] -> Ethernet.ethertype_ipv4
 
+(* Wire bytes of an encapsulation stack: each header, plus the
+   synthetic outer IPv4 delivery header under every GRE. *)
+let encap_bytes encaps =
+  List.fold_left
+    (fun acc e ->
+      acc + Encap.header_bytes e + (match e with Encap.Gre _ -> Ipv4.header_bytes | _ -> 0))
+    0 encaps
+
+let inner_ip_bytes (p : Packet.t) = Ipv4.header_bytes + L4.header_bytes p.l4 + p.payload_len
+
+(** [serialized_size p] is [Bytes.length (serialize p)], by arithmetic. *)
+let serialized_size (p : Packet.t) =
+  Ethernet.header_bytes + encap_bytes p.encaps + inner_ip_bytes p
+
 (** [serialize p] renders [p] as wire bytes.  GRE encapsulation adds a
     synthetic outer IPv4 delivery header (tunnel endpoints are not
     modeled as addresses, so we use 0.0.0.0), MPLS labels stack directly
     under Ethernet, VLAN tags rewrite the Ethernet type chain. *)
 let serialize (p : Packet.t) =
-  let inner_l4_len = L4.header_bytes p.l4 + p.payload_len in
-  let inner_ip_len = Ipv4.header_bytes + inner_l4_len in
-  (* Compute total size: ethernet + encap headers (+20 for each GRE outer IP) *)
-  let encap_extra =
-    List.fold_left
-      (fun acc e ->
-        acc + Encap.header_bytes e + (match e with Encap.Gre _ -> Ipv4.header_bytes | _ -> 0))
-      0 p.encaps
-  in
-  let total = Ethernet.header_bytes + encap_extra + inner_ip_len in
+  let inner_ip_len = inner_ip_bytes p in
+  let total = serialized_size p in
   let b = Bytes.make total '\000' in
   let first_ethertype =
     match p.encaps with
@@ -148,23 +154,15 @@ let serialize (p : Packet.t) =
         | L4.Udp u -> write_udp b off u ~payload_len:p.payload_len
         | L4.Other _ -> off
       in
-      (* payload bytes remain zero *)
-      ignore off
+      (* payload bytes remain zero; the headers fill the rest exactly *)
+      assert (off + p.payload_len = total)
     | Encap.Mpls { label } :: rest ->
       let bos = match rest with Encap.Mpls _ :: _ -> false | _ -> true in
       let off = write_mpls b off ~label ~bos in
       write_encaps off rest
     | Encap.Gre { key } :: rest ->
       (* outer delivery IP header carrying GRE *)
-      let gre_payload =
-        8
-        + List.fold_left
-            (fun acc e ->
-              acc + Encap.header_bytes e
-              + (match e with Encap.Gre _ -> Ipv4.header_bytes | _ -> 0))
-            0 rest
-        + inner_ip_len
-      in
+      let gre_payload = 8 + encap_bytes rest + inner_ip_len in
       let outer =
         Ipv4.make ~src:(Ipv4_addr.of_int 0) ~dst:(Ipv4_addr.of_int 0) ~proto:Ipv4.proto_gre ()
       in

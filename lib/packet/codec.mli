@@ -18,6 +18,11 @@ val internet_checksum : Bytes.t -> off:int -> len:int -> int
     Ethernet; VLAN tags rewrite the Ethernet type chain. *)
 val serialize : Packet.t -> Bytes.t
 
+(** [serialized_size p = Bytes.length (serialize p)], computed without
+    rendering.  Unlike {!Packet.size} it counts the outer IPv4 header
+    each GRE encapsulation adds on the wire. *)
+val serialized_size : Packet.t -> int
+
 (** Reconstruct a packet from wire bytes, assigning fresh simulation
     metadata.  Raises {!Parse_error} on malformed input. *)
 val parse : ?flow_id:int -> ?created:float -> Bytes.t -> Packet.t

@@ -109,7 +109,9 @@ let test_instruction_helpers () =
 (* Wire codec *)
 
 let roundtrip msg =
-  let msg' = Of_wire.decode (Of_wire.encode msg) in
+  let b = Of_wire.encode msg in
+  Alcotest.(check int) "size" (Bytes.length b) (Of_wire.size msg);
+  let msg' = Of_wire.decode b in
   Alcotest.(check int) "xid" msg.Of_msg.xid msg'.Of_msg.xid;
   msg'
 
@@ -188,6 +190,68 @@ let test_wire_stats () =
   | Of_msg.Table_stats_reply { active_entries } ->
     Alcotest.(check (list int)) "entries" [ 3; 0 ] active_entries
   | _ -> Alcotest.fail "wrong payload"
+
+let exact_stat i =
+  let key = Packet.flow_key (mk_packet ~src_port:(i land 0xFFFF) ()) in
+  { Of_msg.Stats.table_id = 0; priority = 10; match_ = Of_match.exact_flow key;
+    packet_count = i; byte_count = 1500 * i; duration = 1.0; cookie = Int64.of_int i }
+
+(* The multipart requests and replies the other wire tests skip.
+   Telemetry floats travel as IEEE-754 bits, so values whose binary
+   expansion fills all 52 mantissa bits must come back exact. *)
+let test_wire_multipart () =
+  let desc =
+    { Of_msg.Stats.group_id = 9; group_type = Of_msg.Group_mod.Select;
+      buckets =
+        [ Of_msg.Group_mod.bucket ~weight:2 [ Of_action.Push_mpls 5; Of_action.Group 3 ];
+          Of_msg.Group_mod.bucket [ Of_action.Set_eth_dst (Mac.of_host_id 4) ] ] }
+  in
+  let report =
+    { Of_msg.Telemetry.rate = 1.0 /. 3.0; window = Float.pi;
+      seen = 0xFFFFFFFF; sampled = 17;
+      records =
+        [ { Of_msg.Telemetry.key = Packet.flow_key (mk_packet ()); sampled = 11 };
+          { key = Packet.flow_key (mk_packet ~src_port:65535 ~dst_port:0 ()); sampled = 6 } ] }
+  in
+  List.iteri
+    (fun xid payload ->
+      let msg' = roundtrip (Of_msg.make ~xid payload) in
+      Alcotest.(check bool) (Of_msg.kind_name msg') true (msg'.Of_msg.payload = payload))
+    [ Of_msg.Flow_stats_request
+        { table_id = 0xFF; match_ = Of_match.with_in_port 3 Of_match.wildcard };
+      Of_msg.Group_stats_request;
+      Of_msg.Group_stats_reply [ desc; { desc with group_id = 10; buckets = [] } ];
+      Of_msg.Telemetry_request;
+      Of_msg.Telemetry_reply report;
+      Of_msg.Telemetry_reply Of_msg.Telemetry.empty ];
+  match (roundtrip (Of_msg.make ~xid:0 (Of_msg.Telemetry_reply report))).Of_msg.payload with
+  | Of_msg.Telemetry_reply r ->
+    Alcotest.(check int64) "rate bits" (Int64.bits_of_float report.rate)
+      (Int64.bits_of_float r.Of_msg.Telemetry.rate);
+    Alcotest.(check int64) "window bits" (Int64.bits_of_float report.window)
+      (Int64.bits_of_float r.Of_msg.Telemetry.window)
+  | _ -> Alcotest.fail "wrong payload"
+
+(* The u16 header length bounds a round trip at 64 KiB: the largest
+   exact-stats reply that fits decodes, a 2000-record one (size counts
+   it in full) is rejected rather than misread. *)
+let test_wire_64k_limit () =
+  let reply n = Of_msg.make ~xid:1 (Of_msg.Flow_stats_reply (List.init n exact_stat)) in
+  let record = Of_wire.size (reply 1) - Of_wire.size (reply 0) in
+  Alcotest.(check int) "exact-flow record bytes" 70 record;
+  let fits = (0xFFFF - Of_wire.size (reply 0)) / record in
+  (match (roundtrip (reply fits)).Of_msg.payload with
+  | Of_msg.Flow_stats_reply stats -> Alcotest.(check int) "largest reply" fits (List.length stats)
+  | _ -> Alcotest.fail "wrong payload");
+  let big = reply 2000 in
+  let b = Of_wire.encode big in
+  Alcotest.(check int) "size counts the unsplit reply" (Of_wire.size big) (Bytes.length b);
+  Alcotest.(check bool) "past 64 KiB" true (Bytes.length b > 0xFFFF);
+  Alcotest.(check bool) "oversized reply rejected" true
+    (try
+       ignore (Of_wire.decode b);
+       false
+     with Of_wire.Parse_error _ -> true)
 
 let test_wire_bad_version () =
   let b = Of_wire.encode (Of_msg.make ~xid:1 Of_msg.Hello) in
@@ -268,6 +332,115 @@ let prop_actions_wire_roundtrip =
       | Of_msg.Packet_out po' -> po'.Of_msg.Packet_out.actions = actions
       | _ -> false)
 
+(* qcheck: every message shape, for [size] against [encode] *)
+let packet_gen =
+  let open QCheck.Gen in
+  let encap =
+    oneof
+      [ map Headers.Encap.mpls (int_bound 0xFFFFF);
+        map (fun k -> Headers.Encap.gre (Int32.of_int k)) (int_bound 0xFFFF);
+        map Headers.Encap.vlan (int_bound 0xFFF) ]
+  in
+  let base =
+    oneof
+      [ map2 (fun src_port dst_port -> mk_packet ~src_port ~dst_port ()) (int_bound 65535)
+          (int_bound 65535);
+        map
+          (fun payload_len ->
+            Packet.udp_data ~payload_len ~flow_id:2 ~created:0.0 ~src_mac:(Mac.of_host_id 3)
+              ~dst_mac:(Mac.of_host_id 4) ~ip_src:(Ipv4_addr.make 10 0 0 3)
+              ~ip_dst:(Ipv4_addr.make 10 0 0 4) ~src_port:53 ~dst_port:5353 ())
+          (int_bound 1400) ]
+  in
+  map2
+    (fun p encaps -> List.fold_left (fun p e -> Packet.push_encap e p) p encaps)
+    base (list_size (int_bound 2) encap)
+
+let payload_gen =
+  let open QCheck.Gen in
+  let actions = list_size (int_bound 4) action_gen in
+  let ms = map (fun n -> float_of_int n /. 1000.0) (int_bound 1_000_000) in
+  let small_list g = list_size (int_bound 5) g in
+  let instruction =
+    oneof
+      [ map (fun a -> Of_action.Apply_actions a) actions;
+        map (fun t -> Of_action.Goto_table t) (int_bound 3) ]
+  in
+  let bucket = map2 (fun weight a -> Of_msg.Group_mod.bucket ~weight a) (int_bound 100) actions in
+  let group_type = oneofl Of_msg.Group_mod.[ All; Select; Indirect; Fast_failover ] in
+  let flow_stat =
+    let+ table_id = int_bound 3
+    and+ priority = int_bound 0xFFFF
+    and+ match_ = match_gen
+    and+ packet_count = int_bound 1_000_000
+    and+ duration = ms in
+    { Of_msg.Stats.table_id; priority; match_; packet_count; byte_count = 64 * packet_count;
+      duration; cookie = Int64.of_int priority }
+  in
+  let telemetry_record =
+    let+ p = packet_gen and+ sampled = int_bound 1000 in
+    { Of_msg.Telemetry.key = Packet.flow_key p; sampled }
+  in
+  oneof
+    [ oneofl
+        Of_msg.
+          [ Hello; Echo_request; Echo_reply; Barrier_request; Barrier_reply;
+            Table_stats_request; Group_stats_request; Telemetry_request ];
+      map (fun s -> Of_msg.Error s) (string_size (int_bound 40));
+      (let+ command = oneofl Of_msg.Flow_mod.[ Add; Modify; Delete ]
+       and+ priority = int_bound 0xFFFF
+       and+ match_ = match_gen
+       and+ instructions = small_list instruction
+       and+ idle_timeout = ms
+       and+ hard_timeout = ms in
+       Of_msg.Flow_mod
+         { Of_msg.Flow_mod.command; table_id = 0; priority; match_; instructions; idle_timeout;
+           hard_timeout; cookie = 0L });
+      (let+ command = oneofl Of_msg.Group_mod.[ Add; Modify; Delete ]
+       and+ group_type = group_type
+       and+ group_id = int_bound 1000
+       and+ buckets = small_list bucket in
+       Of_msg.Group_mod { Of_msg.Group_mod.command; group_type; group_id; buckets });
+      (let+ tunnel_id = opt (int_bound 1000)
+       and+ in_port = int_bound 100
+       and+ p = packet_gen in
+       Of_msg.Packet_in
+         (Of_msg.Packet_in.make ?tunnel_id ~reason:Of_types.Packet_in_reason.No_match ~in_port p));
+      map2
+        (fun actions p -> Of_msg.Packet_out (Of_msg.Packet_out.make ~in_port:1 ~actions p))
+        actions packet_gen;
+      map2
+        (fun table_id match_ -> Of_msg.Flow_stats_request { table_id; match_ })
+        (int_bound 0xFF) match_gen;
+      map (fun stats -> Of_msg.Flow_stats_reply stats) (small_list flow_stat);
+      map
+        (fun active_entries -> Of_msg.Table_stats_reply { active_entries })
+        (small_list (int_bound 100_000));
+      map
+        (fun descs -> Of_msg.Group_stats_reply descs)
+        (small_list
+           (let+ group_id = int_bound 1000
+            and+ group_type = group_type
+            and+ buckets = small_list bucket in
+            { Of_msg.Stats.group_id; group_type; buckets }));
+      (let+ rate = float_bound_inclusive 1.0
+       and+ window = float_bound_inclusive 10.0
+       and+ seen = int_bound 1_000_000
+       and+ sampled = int_bound 1000
+       and+ records = small_list telemetry_record in
+       Of_msg.Telemetry_reply { Of_msg.Telemetry.rate; window; seen; sampled; records }) ]
+
+let prop_size_matches_encode =
+  QCheck.Test.make ~name:"size = encoded length, every payload" ~count:1000
+    (QCheck.make ~print:Of_msg.kind_name
+       QCheck.Gen.(map2 (fun xid p -> Of_msg.make ~xid p) (int_bound 0xFFFF) payload_gen))
+    (fun m -> Of_wire.size m = Bytes.length (Of_wire.encode m))
+
+let prop_serialized_size =
+  QCheck.Test.make ~name:"serialized_size = serialized length" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Packet.pp) packet_gen)
+    (fun p -> Codec.serialized_size p = Bytes.length (Codec.serialize p))
+
 (* fuzz: corrupting any byte of a valid message must either decode to
    SOME message or raise Parse_error — never crash or loop *)
 let prop_decode_total =
@@ -313,8 +486,12 @@ let () =
           Alcotest.test_case "group_mod" `Quick test_wire_group_mod;
           Alcotest.test_case "packet in/out" `Quick test_wire_packet_in_out;
           Alcotest.test_case "stats" `Quick test_wire_stats;
+          Alcotest.test_case "multipart" `Quick test_wire_multipart;
+          Alcotest.test_case "64 KiB limit" `Quick test_wire_64k_limit;
           Alcotest.test_case "bad version" `Quick test_wire_bad_version;
           Alcotest.test_case "bad length" `Quick test_wire_bad_length;
           QCheck_alcotest.to_alcotest prop_match_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_actions_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_size_matches_encode;
+          QCheck_alcotest.to_alcotest prop_serialized_size;
           QCheck_alcotest.to_alcotest prop_decode_total ] ) ]
