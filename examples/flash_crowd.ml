@@ -27,17 +27,11 @@ let () =
     Testbed.scotch_net ~num_clients:params.Tracegen.num_sources
       ~num_servers:params.Tracegen.num_destinations ()
   in
-  let rng = Scotch_util.Rng.create 99 in
-  let trace = Tracegen.generate rng params in
+  let replay = Testbed.replay_trace net ~seed:42 params in
+  let trace = replay.Testbed.trace in
   Printf.printf "trace: %d flows, %d packets, flash x%.0f during [%.0f, %.0f] s\n\n"
     (List.length trace) (Tracegen.total_packets trace) params.Tracegen.flash_multiplier
     params.Tracegen.flash_start params.Tracegen.flash_end;
-  let sources =
-    Array.init params.Tracegen.num_sources (fun i -> Testbed.client_source net ~i ~rate:1.0 ())
-  in
-  let _launched =
-    Tracegen.replay net.Testbed.engine trace ~sources ~destinations:net.Testbed.servers
-  in
   (* sample the overlay state every second *)
   let (_ : unit -> unit) =
     Scotch_sim.Engine.every net.Testbed.engine ~period:1.0 (fun () ->

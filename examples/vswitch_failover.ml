@@ -34,14 +34,7 @@ let () =
   let plan = Plan.of_list [ Fault.vswitch_crash ~at:15.0 ~duration:12.0 victim ] in
   Format.printf "fault plan: %a@.@." Plan.pp plan;
   let ledger = Injector.run (Injector.env ~ctrl:net.Testbed.ctrl ~app:net.Testbed.app ()) plan in
-  let rng = Scotch_util.Rng.create 99 in
-  let trace = Tracegen.generate rng params in
-  let sources =
-    Array.init params.Tracegen.num_sources (fun i -> Testbed.client_source net ~i ~rate:1.0 ())
-  in
-  let _launched =
-    Tracegen.replay net.Testbed.engine trace ~sources ~destinations:net.Testbed.servers
-  in
+  let replay = Testbed.replay_trace net ~seed:42 params in
   (* narrate the overlay's health every second *)
   let overlay = net.Testbed.overlay in
   let (_ : unit -> unit) =
@@ -71,4 +64,4 @@ let () =
   let total_delivered =
     Array.fold_left (fun acc s -> acc + Scotch_topo.Host.flows_seen s) 0 net.Testbed.servers
   in
-  Printf.printf "flows delivered: %d / %d\n" total_delivered (List.length trace)
+  Printf.printf "flows delivered: %d / %d\n" total_delivered (List.length replay.Testbed.trace)

@@ -96,44 +96,19 @@ let run_schedule (s : Ch.Schedule.t) : Ch.Oracle.observation =
   (* the attacker source exists in every run so same-cfg schedules
      allocate identical rng streams; only a Tenant_flood fault starts
      it *)
-  let atk = Testbed.attack_source net ~tenant:Isolation.attacker ~rate:1.0 () in
-  let flood ~tenant:_ ~rate ~active =
-    if active then begin
-      Source.set_rate atk rate;
-      Source.start atk
-    end
-    else Source.stop atk
-  in
+  let _atk, flood = Testbed.flood_source net ~tenant:Isolation.attacker in
   let plan = Ch.Schedule.plan s in
   let ledger =
     Injector.run (Injector.env ~flood ~ctrl:net.Testbed.ctrl ~app:net.Testbed.app ()) plan
   in
-  let rng = Scotch_util.Rng.create (seed + 17) in
-  let trace = Tracegen.generate rng params in
   let tenant = if cfg.Ch.Schedule.tenancy then Some Isolation.victim else None in
-  let sources =
-    Array.init params.Tracegen.num_sources (fun i ->
-        Testbed.client_source net ~i ~rate:1.0 ?tenant ())
-  in
-  let launched =
-    Tracegen.replay net.Testbed.engine trace ~sources ~destinations:net.Testbed.servers
-  in
+  let replay = Testbed.replay_trace net ~seed ?tenant params in
   let horizon =
     Stdlib.max (params.Tracegen.duration +. 4.0) (Plan.last_activity plan +. settle)
   in
   Testbed.run_until net ~until:horizon;
-  let launched_n = ref 0 and delivered = ref 0 in
-  List.iteri
-    (fun i (ev : Tracegen.flow_event) ->
-      match launched.(i) with
-      | None -> ()
-      | Some l -> (
-        incr launched_n;
-        let dst = net.Testbed.servers.(ev.Tracegen.dst) in
-        match Scotch_topo.Host.flow_record dst l.Flow_gen.flow_id with
-        | Some _ -> incr delivered
-        | None -> ()))
-    trace;
+  let flows = Testbed.harvest net replay in
+  let launched = List.length flows and delivered = List.length (List.filter snd flows) in
   Resilience.record_convergence net ledger;
   let report =
     V.check
@@ -142,8 +117,8 @@ let run_schedule (s : Ch.Schedule.t) : Ch.Oracle.observation =
          net.Testbed.topo)
   in
   let obs =
-    { Ch.Oracle.launched = !launched_n;
-      delivered = !delivered;
+    { Ch.Oracle.launched;
+      delivered;
       verify_errors = List.length (V.Diagnostic.errors report);
       verify_reports = List.length report;
       reconcile = Resilience.reconcile_obs net;
@@ -152,7 +127,7 @@ let run_schedule (s : Ch.Schedule.t) : Ch.Oracle.observation =
         (if cfg.Ch.Schedule.tenancy then
            Some (Isolation.tenant_shed_total net ~tenant:Isolation.victim)
          else None);
-      digest = Resilience.digest_of net ledger ~launched:!launched_n ~delivered:!delivered }
+      digest = Resilience.digest_of net ledger ~launched ~delivered }
   in
   (* teardown last: [Elastic.stop] un-benches the standbys, a group
      rebalance the stopped clock can never ack — observing after it

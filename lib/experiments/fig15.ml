@@ -29,38 +29,9 @@ let run_variant ?(seed = 42) ~scotch_enabled ~params () =
     Testbed.scotch_net ~seed ~num_clients:params.Tracegen.num_sources
       ~num_servers:params.Tracegen.num_destinations ~scotch_enabled ()
   in
-  let rng = Scotch_util.Rng.create (seed + 17) in
-  let trace = Tracegen.generate rng params in
-  let sources =
-    Array.init params.Tracegen.num_sources (fun i -> Testbed.client_source net ~i ~rate:1.0 ())
-  in
-  let launched = Tracegen.replay net.Testbed.engine trace ~sources ~destinations:net.Testbed.servers in
+  let replay = Testbed.replay_trace net ~seed params in
   Testbed.run_until net ~until:(params.Tracegen.duration +. 2.0);
-  (* per-bin success fraction *)
-  let nbins = int_of_float (params.Tracegen.duration /. bin_width) + 1 in
-  let total = Array.make nbins 0 and ok = Array.make nbins 0 in
-  List.iteri
-    (fun i (ev : Tracegen.flow_event) ->
-      match launched.(i) with
-      | None -> ()
-      | Some l ->
-        let bin = int_of_float (ev.Tracegen.at /. bin_width) in
-        if bin < nbins then begin
-          total.(bin) <- total.(bin) + 1;
-          let dst = net.Testbed.servers.(ev.Tracegen.dst) in
-          match Scotch_topo.Host.flow_record dst l.Flow_gen.flow_id with
-          | Some _ -> ok.(bin) <- ok.(bin) + 1
-          | None -> ()
-        end)
-    trace;
-  let points = ref [] in
-  for bin = nbins - 1 downto 0 do
-    if total.(bin) > 0 then
-      points :=
-        (float_of_int bin *. bin_width, float_of_int ok.(bin) /. float_of_int total.(bin))
-        :: !points
-  done;
-  !points
+  Testbed.success_bins ~bin_width ~until:params.Tracegen.duration (Testbed.harvest net replay)
 
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let params = trace_params ~scale in

@@ -1,6 +1,6 @@
 (** Sampled flow telemetry vs exact stats polling (§5.3).
 
-    The fig12 workload (control-path attack driving everything onto the
+    {!Fig12.scenario} (control-path attack driving everything onto the
     overlay, CBR elephants launched among the mice) run once per
     detection policy on the same seed.  Ground truth is the set of
     launched elephant keys; the {!Scotch.set_on_elephant} hook records
@@ -14,11 +14,6 @@
 open Scotch_workload
 open Scotch_core
 open Scotch_packet
-
-let attack_rate = 1500.0
-let elephant_count = 4
-let elephant_pkt_rate = 2000.0
-let elephant_start = 4.0
 
 (** The headline sampling rate (1/100) the smoke gate checks. *)
 let default_rate = 0.01
@@ -43,41 +38,15 @@ let label_of = function
   | Config.Exact_polling -> "exact"
   | Config.Sampled r -> Printf.sprintf "sampled@%g" r
 
-let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
-  let config = { Config.default with Config.detection; verify } in
-  let net = Testbed.scotch_net ~seed ~config () in
-  (* the spoofed flood shares the client's ingress port, so the
-     elephants are diverted onto the overlay like everything else on
-     that port *)
-  let attack =
-    let rng = Scotch_util.Rng.split (Scotch_sim.Engine.rng net.Testbed.engine) in
-    Source.create net.Testbed.engine ~rng ~host:net.Testbed.clients.(0)
-      ~dst:net.Testbed.server ~rate:attack_rate ~spoof_sources:true ()
-  in
-  let mice =
-    Testbed.client_source net ~i:0 ~rate:50.0
-      ~spec_of:(Sizes.fixed ~packets:5 ~payload:500 ~interval:0.01)
+let run_mode ?seed ?(verify = Config.Off) ~detection ~duration () =
+  let truth = Flow_key.Hashtbl.create 8 in
+  let net =
+    Fig12.scenario ?seed
+      ~config:{ Config.default with Config.detection; verify }
+      ~duration
+      ~on_launch:(fun l -> Flow_key.Hashtbl.replace truth l.Flow_gen.key ())
       ()
   in
-  Source.start attack;
-  Source.start mice;
-  let elephant_src =
-    Testbed.client_source net ~i:0 ~rate:1.0 ()
-    (* rate unused; flows launched explicitly *)
-  in
-  let truth = Flow_key.Hashtbl.create 8 in
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:elephant_start (fun () ->
-         for _ = 1 to elephant_count do
-           let l =
-             Source.launch_flow elephant_src
-               ~spec:
-                 { Flow_gen.packets = int_of_float (elephant_pkt_rate *. duration);
-                   payload = 1000;
-                   interval = 1.0 /. elephant_pkt_rate }
-           in
-           Flow_key.Hashtbl.replace truth l.Flow_gen.key ()
-         done));
   (* distinct detections with their first detection time *)
   let detected = Flow_key.Hashtbl.create 16 in
   Scotch.set_on_elephant net.Testbed.app (fun key ->
@@ -88,7 +57,7 @@ let run_mode ?(seed = 42) ?(verify = Config.Off) ~detection ~duration () =
   let true_pos, ttd_sum =
     Flow_key.Hashtbl.fold
       (fun key at (tp, sum) ->
-        if Flow_key.Hashtbl.mem truth key then (tp + 1, sum +. (at -. elephant_start))
+        if Flow_key.Hashtbl.mem truth key then (tp + 1, sum +. (at -. Fig12.elephant_start))
         else (tp, sum))
       detected (0, 0.0)
   in
