@@ -134,8 +134,6 @@ val decision_latency_quantile : t -> float -> float option
     gate). *)
 val set_stats_polling : t -> bool -> unit
 
-val stats_polling : t -> bool
-
 (** {1 Sampled telemetry (§5.3 alternative detection)} *)
 
 (** Install a hook fired at every elephant detection with the flow's
@@ -152,20 +150,8 @@ val exact_channel : t -> int * int
     units. *)
 val sampled_channel : t -> int * int
 
-(** The sampler attached to a vswitch, when running under a sampled
-    detection policy (tests/observability). *)
-val sampler_of : t -> int -> Scotch_telemetry.Sampler.t option
-
-(** The Floware-style monitoring-duty ledger (tests/observability). *)
-val sampling_duty : t -> Scotch_telemetry.Assignment.t
-
 (** Dpids of all managed physical switches, sorted (observability). *)
 val managed_dpids : t -> int list
-
-(** Current select-group assignment of a managed switch, as
-    [(vswitch dpid, uplink tunnel id)] pairs; [[]] when unknown or
-    never activated (observability). *)
-val assignment_of : t -> int -> (int * int) list
 
 (** Dpids of all registered overlay vswitches, sorted
     (observability). *)

@@ -21,7 +21,7 @@ let test_config_cookies_distinct () =
 
 let test_config_r_below_lossfree () =
   (* R must not exceed the Pica8's loss-free insertion rate (200/s) *)
-  Alcotest.(check bool) "R <= 200" true (Config.default.Config.rule_rate <= 200.0)
+  Alcotest.(check bool) "R <= 200" true (Config.rule_rate <= 200.0)
 
 (* ------------------------------------------------------------------ *)
 (* Flow_info_db *)

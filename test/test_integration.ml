@@ -327,7 +327,7 @@ let test_determinism () =
 
 let test_dedicated_port_capped_by_r () =
   let r = Ablation.run_dedicated_point ~offered:2000.0 ~duration:4.0 () in
-  let rr = Config.default.Config.rule_rate in
+  let rr = Config.rule_rate in
   Alcotest.(check bool) "dedicated port caps near R" true (r > 0.6 *. rr && r < 1.5 *. rr)
 
 let () =
