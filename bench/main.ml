@@ -1,72 +1,19 @@
 (* The benchmark harness.
 
-   Three modes:
+   Two modes:
 
-   1. The PAPER REPRODUCTION: one harness per table/figure of the
-      evaluation (Figs. 3, 4, 9, 10 and the reconstructed 11-15, plus
-      the design ablations), each printing the same rows/series the
-      paper reports.  `dune exec bench/main.exe` runs everything;
-      `dune exec bench/main.exe -- fig3 fig9` runs a subset;
-      `--scale 0.5` shrinks simulated durations.
-
-   2. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
+   1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
       structures the simulator's credibility rests on — flow-table
       lookup/insert, select-group hashing, event-heap churn, the packet
-      and OpenFlow wire codecs.  Run with `-- micro`; the full run
-      ends with them too.
+      and OpenFlow wire codecs.  Run with `-- micro`; prints to stdout.
 
-   3. TIMING GATES: the wall-clock budgets a seeded smoke cannot hold,
+   2. TIMING GATES: the wall-clock budgets a seeded smoke cannot hold,
       as pass/fail verdicts in BENCH_core.json.  Run with `-- smoke`.
 
-   The first two print to stdout only; bench/perf is the
-   machine-readable benchmark. *)
+   Paper figures come from `scotch_sim all` (or one of its figure
+   subcommands); bench/perf is the machine-readable benchmark. *)
 
 open Scotch_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Paper figures *)
-
-let figures :
-    (string * (seed:int -> scale:float -> Report.figure)) list =
-  [ ("fig3", fun ~seed ~scale -> Fig3.run ~seed ~scale ());
-    ("fig4", fun ~seed ~scale -> Fig4.run ~seed ~scale ());
-    ("fig9", fun ~seed ~scale -> Fig9.run ~seed ~scale ());
-    ("fig10", fun ~seed ~scale -> Fig10.run ~seed ~scale ());
-    ("fig11", fun ~seed ~scale -> Fig11.run ~seed ~scale ());
-    ("fig12", fun ~seed ~scale -> Fig12.run ~seed ~scale ());
-    ("fig13", fun ~seed ~scale -> Fig13.run ~seed ~scale ());
-    ("fig14", fun ~seed ~scale -> Fig14.run ~seed ~scale ());
-    ("fig15", fun ~seed ~scale -> Fig15.run ~seed ~scale ());
-    ("resilience", fun ~seed ~scale -> Resilience.run ~seed ~scale ());
-    ("telemetry", fun ~seed ~scale -> Telemetry.run ~seed ~scale ());
-    ("isolation", fun ~seed ~scale -> Isolation.run ~seed ~scale ());
-    ("exp-fabric", fun ~seed ~scale -> Exp_fabric.run ~seed ~scale ());
-    ("ablation-lb", fun ~seed ~scale -> Ablation.run_lb ~seed ~scale ());
-    ("ablation-dedicated-port", fun ~seed ~scale -> Ablation.run_dedicated_port ~seed ~scale ());
-    ("ablation-withdrawal", fun ~seed ~scale -> Ablation.run_withdrawal ~seed ~scale ()) ]
-
-let run_figures names ~seed ~scale =
-  let todo =
-    if names = [] then figures
-    else
-      List.filter_map
-        (fun n ->
-          match List.assoc_opt n figures with
-          | Some f -> Some (n, f)
-          | None ->
-            Printf.eprintf "unknown figure %s (try: %s)\n" n
-              (String.concat " " (List.map fst figures));
-            None)
-        names
-  in
-  List.iter
-    (fun (name, f) ->
-      let t0 = Unix.gettimeofday () in
-      let fig = f ~seed ~scale in
-      let dt = Unix.gettimeofday () -. t0 in
-      Report.print fig;
-      Printf.printf "   [%s regenerated in %.1f s wall clock]\n\n%!" name dt)
-    todo
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks *)
@@ -332,56 +279,29 @@ let run_smoke ~seed =
 let usage_error fmt =
   Printf.ksprintf
     (fun s ->
-      Printf.eprintf "bench: %s\nusage: main.exe [--scale S] [--seed N] [smoke|micro|FIGURE...]\n" s;
+      Printf.eprintf "bench: %s\nusage: main.exe [--seed N] (micro|smoke)\n" s;
       exit 2)
     fmt
 
+type mode = Micro | Smoke
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let scale = ref 1.0 and seed = ref 42 in
-  let micro = ref false and smoke = ref false and names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when Float.is_finite s && s > 0.0 -> scale := s
-      | _ -> usage_error "--scale must be a finite positive number, got %S" v);
-      parse rest
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some s -> seed := s
-      | None -> usage_error "--seed must be an integer, got %S" v);
-      parse rest
-    | [ ("--scale" | "--seed") as flag ] -> usage_error "%s needs a value" flag
-    | "micro" :: rest ->
-      micro := true;
-      parse rest
-    | "smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | name :: rest ->
-      if String.length name >= 2 && String.sub name 0 2 = "--" then
-        usage_error "unknown option %s" name;
-      names := name :: !names;
-      parse rest
+  let rec parse seed mode = function
+    | [] -> (seed, mode)
+    | "--seed" :: v :: rest -> (
+      match int_of_string_opt v with
+      | Some s -> parse s mode rest
+      | None -> usage_error "--seed must be an integer, got %S" v)
+    | [ "--seed" ] -> usage_error "--seed needs a value"
+    | "micro" :: rest when mode = None -> parse seed (Some Micro) rest
+    | "smoke" :: rest when mode = None -> parse seed (Some Smoke) rest
+    | arg :: _ -> usage_error "unexpected argument %s" arg
   in
-  parse args;
-  if !smoke then begin
+  match parse 42 None (List.tl (Array.to_list Sys.argv)) with
+  | _, None -> usage_error "missing mode"
+  | _, Some Micro ->
+    print_endline "== micro-benchmarks (Bechamel) ==";
+    run_micro ()
+  | seed, Some Smoke ->
     print_endline "== bench smoke: timing gates ==";
-    run_smoke ~seed:!seed
-  end
-  else if !micro then begin
-    print_endline "== micro-benchmarks (Bechamel) ==";
-    run_micro ()
-  end
-  else begin
-    Printf.printf
-      "Scotch (CoNEXT 2014) — full reproduction bench: every figure of the evaluation\n";
-    Printf.printf
-      "(scale %.2f, seed %d; pass figure names to select, `micro` for Bechamel, `smoke` for \
-       the timing gates)\n\n"
-      !scale !seed;
-    run_figures (List.rev !names) ~seed:!seed ~scale:!scale;
-    print_endline "== micro-benchmarks (Bechamel) ==";
-    run_micro ()
-  end
+    run_smoke ~seed
