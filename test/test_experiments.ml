@@ -43,6 +43,21 @@ let test_report_table () =
 (* ------------------------------------------------------------------ *)
 (* Testbeds *)
 
+let test_success_bins () =
+  let bins = Testbed.success_bins ~bin_width:2.0 ~until:7.0 in
+  (* bin [0,2) holds 2 of 3 delivered, [2,4) is empty, [4,6) and [6,7)
+     one launch each; the launches at 7 and 9 fall in no bin *)
+  let flows =
+    [ (5.0, true); (0.5, true); (7.0, true); (1.9, false); (9.0, true); (6.5, false);
+      (0.0, true) ]
+  in
+  Alcotest.(check (list (pair (float 1e-12) (float 1e-12))))
+    "per-bin fractions, bin order, empty bin skipped"
+    [ (0.0, 2.0 /. 3.0); (4.0, 1.0); (6.0, 0.0) ]
+    (bins flows);
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "launches at or after until" [] (bins [ (7.0, true); (8.5, false) ])
+
 let test_single_testbed_wiring () =
   let tb =
     Testbed.single ~profile:Scotch_switch.Profile.open_vswitch ~client_rate:50.0
@@ -194,7 +209,8 @@ let () =
         [ Alcotest.test_case "lookups" `Quick test_report_lookups;
           Alcotest.test_case "table layout" `Quick test_report_table ] );
       ( "testbeds",
-        [ Alcotest.test_case "single wiring" `Quick test_single_testbed_wiring;
+        [ Alcotest.test_case "success bins" `Quick test_success_bins;
+          Alcotest.test_case "single wiring" `Quick test_single_testbed_wiring;
           Alcotest.test_case "scotch_net wiring" `Quick test_scotch_net_wiring;
           Alcotest.test_case "quiet network is clean" `Quick test_scotch_net_quiet_is_clean;
           Alcotest.test_case "fabric wiring" `Quick test_fabric_wiring;
