@@ -72,7 +72,6 @@ type t = {
   pending : (int, pending_req) Hashtbl.t; (* by xid *)
   mutable next_xid : int;
   counters : counters;
-  pin_window : float;
   mutable paused_until : float;
       (* fault injection: a GC-stall-style freeze — incoming messages
          are deferred (in arrival order) until this absolute time *)
@@ -80,9 +79,12 @@ type t = {
       (* request→reply round-trip (virtual seconds); obs-gated *)
 }
 
-(** [create engine topo] builds a controller with a [pin_window]-second
+(** Sliding window of the per-switch Packet-In rate monitor, s. *)
+let pin_window = 1.0
+
+(** [create engine topo] builds a controller with a {!pin_window}-second
     sliding window for per-switch Packet-In rate monitoring. *)
-let create ?(pin_window = 1.0) engine topo =
+let create engine topo =
   let t =
     { engine; topo; chan_rng = Scotch_util.Rng.create 0xC7A4;
       switches = Hashtbl.create 16; apps = []; pending = Hashtbl.create 64;
@@ -90,7 +92,7 @@ let create ?(pin_window = 1.0) engine topo =
       counters =
         { packet_ins = 0; flow_mods = 0; unhandled_packet_ins = 0; expired_requests = 0;
           deferred_msgs = 0 };
-      pin_window; paused_until = 0.0;
+      paused_until = 0.0;
       rtt_h =
         Scotch_obs.Obs.histogram ~help:"xid request-to-reply round trip (virtual seconds)"
           ~lo:0.0 ~hi:0.2 ~bins:50 "scotch_controller_rtt_seconds" }
@@ -230,7 +232,7 @@ let connect t device ~latency =
     { dpid; device;
       send_raw =
         (fun msg -> transmit sw (fun () -> Ofa.deliver_message (Switch.ofa device) msg));
-      pin_meter = Stats.Rate_meter.create ~window:t.pin_window;
+      pin_meter = Stats.Rate_meter.create ~window:pin_window;
       alive = true; last_echo_reply = 0.0; flow_mods_sent = 0; packet_outs_sent = 0;
       chan_extra_latency = 0.0; chan_drop_p = 0.0; chan_dropped = 0;
       chan_dup_p = 0.0; chan_reorder_p = 0.0; chan_duped = 0; chan_reordered = 0 }

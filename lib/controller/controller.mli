@@ -60,9 +60,9 @@ type counters = {
 
 type t
 
-(** [create engine topo] builds a controller with a [pin_window]-second
-    sliding window for per-switch Packet-In rate monitoring. *)
-val create : ?pin_window:float -> Scotch_sim.Engine.t -> Scotch_topo.Topology.t -> t
+(** [create engine topo] builds a controller with a 1 s sliding window
+    for per-switch Packet-In rate monitoring. *)
+val create : Scotch_sim.Engine.t -> Scotch_topo.Topology.t -> t
 
 val engine : t -> Scotch_sim.Engine.t
 val topo : t -> Scotch_topo.Topology.t

@@ -10,22 +10,20 @@
 open Scotch_openflow
 open Scotch_packet
 
-type config = {
-  idle_timeout : float; (* per-flow rule idle timeout (10 s in §6.1) *)
-  rule_priority : int;
-}
+(** Per-flow rule idle timeout, s (10 s in §6.1). *)
+let idle_timeout = 10.0
 
-let default_config = { idle_timeout = 10.0; rule_priority = 10 }
+(** Priority of the per-flow rules. *)
+let rule_priority = 10
 
 type t = {
   ctrl : Controller.t;
-  config : config;
   mutable flows_admitted : int;
   mutable flows_unroutable : int;
 }
 
-let create ?(config = default_config) ctrl =
-  { ctrl; config; flows_admitted = 0; flows_unroutable = 0 }
+let create ctrl =
+  { ctrl; flows_admitted = 0; flows_unroutable = 0 }
 
 (** Install the per-flow rules for [key] along [path]; each element is
     [(dpid, out_port)].  Rules go in destination-first so the last rule
@@ -37,8 +35,8 @@ let install_path t ~key ~path =
       match Controller.switch t.ctrl dpid with
       | None -> ()
       | Some sw ->
-        Controller.install t.ctrl sw ~priority:t.config.rule_priority
-          ~idle_timeout:t.config.idle_timeout ~match_:(Of_match.exact_flow key)
+        Controller.install t.ctrl sw ~priority:rule_priority ~idle_timeout
+          ~match_:(Of_match.exact_flow key)
           ~instructions:(Of_action.output (Of_types.Port_no.Physical out_port))
           ())
     (List.rev path)

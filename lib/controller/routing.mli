@@ -1,19 +1,13 @@
 (** Baseline reactive routing application: the plain OpenFlow workflow
     of §3.1 — on Packet-In, compute a shortest path, install an
-    exact-match rule at every switch on it (destination-first) and
-    Packet-Out the first packet.  No protection against control-path
-    overload; this is what Figs. 3 and 4 measure. *)
-
-type config = {
-  idle_timeout : float; (** per-flow rule idle timeout (10 s in §6.1) *)
-  rule_priority : int;
-}
-
-val default_config : config
+    exact-match rule at every switch on it (destination-first, priority
+    10, idle timeout 10 s as in §6.1) and Packet-Out the first packet.
+    No protection against control-path overload; this is what Figs. 3
+    and 4 measure. *)
 
 type t
 
-val create : ?config:config -> Controller.t -> t
+val create : Controller.t -> t
 
 (** The Packet-In handler ([false] for tunneled Packet-Ins, which
     belong to the Scotch app). *)

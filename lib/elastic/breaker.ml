@@ -16,27 +16,20 @@
     [eject_below]) so a member oscillating around one threshold cannot
     flap the pool — classic Schmitt-trigger hysteresis. *)
 
-type config = {
-  ewma_alpha : float;     (** weight of the newest sample (0,1] *)
-  rtt_budget : float;     (** probe round-trip considered fully healthy, s *)
-  eject_below : float;    (** open the breaker when the score sinks below this *)
-  readmit_above : float;  (** score required (with the streak) to close again *)
-  half_open_after : float; (** quarantine time before probing resumes, s *)
-  readmit_probes : int;   (** consecutive healthy probes required to close *)
-}
+(** Weight of the newest sample in the EWMA health score. *)
+let ewma_alpha = 0.3
 
-let default_config =
-  { ewma_alpha = 0.3; rtt_budget = 0.02; eject_below = 0.3; readmit_above = 0.7;
-    half_open_after = 2.0; readmit_probes = 3 }
+(** Open the breaker when the score sinks below this. *)
+let eject_below = 0.3
 
-let check_config c =
-  if c.ewma_alpha <= 0.0 || c.ewma_alpha > 1.0 then
-    invalid_arg "Breaker: ewma_alpha must be in (0,1]";
-  if c.rtt_budget <= 0.0 then invalid_arg "Breaker: rtt_budget must be positive";
-  if c.eject_below < 0.0 || c.readmit_above > 1.0 || c.eject_below >= c.readmit_above then
-    invalid_arg "Breaker: need 0 <= eject_below < readmit_above <= 1";
-  if c.half_open_after < 0.0 then invalid_arg "Breaker: half_open_after must be >= 0";
-  if c.readmit_probes < 1 then invalid_arg "Breaker: readmit_probes must be >= 1"
+(** Score required (with the streak) to close again. *)
+let readmit_above = 0.7
+
+(** Quarantine time before probing resumes, s. *)
+let half_open_after = 2.0
+
+(** Consecutive healthy probes required to close. *)
+let readmit_probes = 3
 
 type state = Closed | Open | Half_open
 
@@ -45,16 +38,16 @@ type probe = Reply of float (** round-trip time, s *) | Timeout
 type event = Ejected | Readmitted
 
 type t = {
-  config : config;
+  rtt_budget : float;           (* probe round-trip considered fully healthy, s *)
   mutable state : state;
   mutable score : float;        (* EWMA health, starts optimistic at 1 *)
   mutable opened_at : float;    (* when the breaker last opened *)
   mutable healthy_streak : int; (* consecutive healthy probes in half-open *)
 }
 
-let create ?(config = default_config) () =
-  check_config config;
-  { config; state = Closed; score = 1.0; opened_at = 0.0; healthy_streak = 0 }
+let create ?(rtt_budget = 0.02) () =
+  if rtt_budget <= 0.0 then invalid_arg "Breaker: rtt_budget must be positive";
+  { rtt_budget; state = Closed; score = 1.0; opened_at = 0.0; healthy_streak = 0 }
 
 let state t = t.state
 
@@ -65,19 +58,18 @@ let score t = t.score
 let sample_of t = function
   | Timeout -> 0.0
   | Reply rtt ->
-    let b = t.config.rtt_budget in
+    let b = t.rtt_budget in
     Float.max 0.0 (Float.min 1.0 ((2.0 *. b -. rtt) /. b))
 
 (** [observe t ~now probe] folds one probe outcome in and returns the
     membership change it triggers, if any. *)
 let observe t ~now probe =
   let s = sample_of t probe in
-  let a = t.config.ewma_alpha in
-  t.score <- (a *. s) +. ((1.0 -. a) *. t.score);
+  t.score <- (ewma_alpha *. s) +. ((1.0 -. ewma_alpha) *. t.score);
   let healthy = s >= 0.5 in
   match t.state with
   | Closed ->
-    if t.score < t.config.eject_below then begin
+    if t.score < eject_below then begin
       t.state <- Open;
       t.opened_at <- now;
       t.healthy_streak <- 0;
@@ -85,7 +77,7 @@ let observe t ~now probe =
     end
     else None
   | Open ->
-    if now -. t.opened_at >= t.config.half_open_after then begin
+    if now -. t.opened_at >= half_open_after then begin
       t.state <- Half_open;
       t.healthy_streak <- (if healthy then 1 else 0);
       None
@@ -94,8 +86,7 @@ let observe t ~now probe =
   | Half_open ->
     if healthy then begin
       t.healthy_streak <- t.healthy_streak + 1;
-      if t.healthy_streak >= t.config.readmit_probes && t.score >= t.config.readmit_above
-      then begin
+      if t.healthy_streak >= readmit_probes && t.score >= readmit_above then begin
         t.state <- Closed;
         t.healthy_streak <- 0;
         Some Readmitted
@@ -109,27 +100,3 @@ let observe t ~now probe =
       t.healthy_streak <- 0;
       None
     end
-
-(** {1 Per-function split (§5.6 refinement)}
-
-    One breaker per member function: [Control] scores the control path
-    (Echo RTT — can this member absorb flow-setup duty?) and [Data]
-    scores the data path (delivery probes — does it still forward?).
-    The axes are fully independent state machines, so a member that is
-    control-degraded but still forwarding is drained from flow-setup
-    duty without being ejected from forwarding, and vice versa. *)
-
-type axis = Control | Data
-
-type split = { control : t; data : t }
-
-let create_split ?control ?data () =
-  { control = create ?config:control (); data = create ?config:data () }
-
-let axis_breaker split = function Control -> split.control | Data -> split.data
-
-let observe_split split axis ~now probe = observe (axis_breaker split axis) ~now probe
-
-let axis_state split axis = state (axis_breaker split axis)
-
-let axis_score split axis = score (axis_breaker split axis)

@@ -3,26 +3,27 @@
     (and readmitted to) the load-balancing pool.
 
     Closed → Open when the EWMA health score sinks below
-    [eject_below]; Open → Half_open after [half_open_after] seconds of
-    quarantine; Half_open → Closed after [readmit_probes] consecutive
-    healthy probes with the score back above [readmit_above] (any
-    unhealthy probe snaps back to Open).  [readmit_above] >
-    [eject_below] — Schmitt-trigger hysteresis, so a member hovering
-    at one threshold cannot flap the pool. *)
+    {!eject_below}; Open → Half_open after {!half_open_after} seconds
+    of quarantine; Half_open → Closed after {!readmit_probes}
+    consecutive healthy probes with the score back above
+    {!readmit_above} (any unhealthy probe snaps back to Open).
+    [readmit_above] > [eject_below] — Schmitt-trigger hysteresis, so a
+    member hovering at one threshold cannot flap the pool. *)
 
-type config = {
-  ewma_alpha : float;      (** weight of the newest sample (0,1] *)
-  rtt_budget : float;      (** probe round-trip considered fully healthy, s *)
-  eject_below : float;     (** open the breaker below this score *)
-  readmit_above : float;   (** score required (with the streak) to close *)
-  half_open_after : float; (** quarantine time before probing resumes, s *)
-  readmit_probes : int;    (** consecutive healthy probes required to close *)
-}
+(** Weight of the newest sample in the EWMA health score (0.3). *)
+val ewma_alpha : float
 
-val default_config : config
+(** Open the breaker when the score sinks below this (0.3). *)
+val eject_below : float
 
-(** Raises [Invalid_argument] on inconsistent configs. *)
-val check_config : config -> unit
+(** Score required, with the streak, to close again (0.7). *)
+val readmit_above : float
+
+(** Quarantine time before probing resumes, s (2.0). *)
+val half_open_after : float
+
+(** Consecutive healthy probes required to close (3). *)
+val readmit_probes : int
 
 type state = Closed | Open | Half_open
 
@@ -32,9 +33,10 @@ type event = Ejected | Readmitted
 
 type t
 
-(** Raises on inconsistent configs (e.g. [eject_below >=
-    readmit_above]). *)
-val create : ?config:config -> unit -> t
+(** [create ?rtt_budget ()] — [rtt_budget] (default 0.02 s) is the
+    probe round trip considered fully healthy.  Raises
+    [Invalid_argument] unless it is positive. *)
+val create : ?rtt_budget:float -> unit -> t
 
 val state : t -> state
 
@@ -44,27 +46,3 @@ val score : t -> float
 (** Fold one probe outcome in ([now] is virtual time); returns the
     pool-membership change it triggers, if any. *)
 val observe : t -> now:float -> probe -> event option
-
-(** {1 Per-function split}
-
-    Control-path health (Echo RTT: can the member absorb flow-setup
-    duty?) and data-path health (delivery probes: does it still
-    forward?) scored by independent breakers, so a member degraded on
-    one axis keeps serving the other. *)
-
-type axis = Control | Data
-
-type split = { control : t; data : t }
-
-(** [create_split ?control ?data ()] builds two independent breakers;
-    each config defaults to {!default_config}. *)
-val create_split : ?control:config -> ?data:config -> unit -> split
-
-val axis_breaker : split -> axis -> t
-
-(** Fold a probe into one axis only; the other axis is untouched. *)
-val observe_split : split -> axis -> now:float -> probe -> event option
-
-val axis_state : split -> axis -> state
-
-val axis_score : split -> axis -> float

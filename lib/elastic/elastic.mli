@@ -1,24 +1,24 @@
 (** The elastic control loop: health-probes the vswitch pool through
     per-member circuit {!Breaker}s and autoscales pool capacity.
 
-    Probing: every [probe_period] each alive vswitch gets an Echo
-    request with a [probe_timeout] deadline; round trips (or timeouts)
-    feed the member's breaker, whose transitions quarantine/readmit it
-    in the Scotch pool.  The heartbeat still owns hard liveness; the
+    Probing: every 0.25 s each alive vswitch gets an Echo request with
+    a 0.3 s deadline; round trips (or timeouts) feed the member's
+    control-path breaker, whose transitions quarantine/readmit it in
+    the Scotch pool.  The heartbeat still owns hard liveness; the
     breaker covers gray failures — members that answer, but slowly.
 
     Autoscaling: utilization = total overlay Packet-In demand over
-    active capacity.  Sustained utilization above [high_water] (or any
-    fresh admission-layer shedding) scales up — promoting the
+    active capacity.  Utilization above 0.8 for 3 ticks (or any fresh
+    admission-layer shedding) scales up — promoting the
     lowest-dpid standby or calling [provision]; sustained idleness
     below [low_water] demotes the highest-dpid active member to
-    draining standby.  Hysteresis bands, sustain counts and a cooldown
-    make the loop deterministic and oscillation-free.
+    draining standby.  Hysteresis bands, sustain counts and a 2 s
+    cooldown make the loop deterministic and oscillation-free.
 
     Under [Config.scaling = Predictive] the tick also differences each
     member's OFA arrival counter into a Holt (level + trend) rate
     estimate and runs {!Scotch_model.Ofa_model}'s fluid forecast over
-    [horizon]: when a member's pin queue is forecast to hit capacity
+    a 2 s horizon: when a member's pin queue is forecast to hit capacity
     within the horizon — or forecast demand exceeds pool capacity
     outright — scale-up happens immediately, bypassing sustain and
     cooldown (one action per tick), growing the pool {e before} the
@@ -29,11 +29,9 @@ module C = Scotch_controller.Controller
 module Scotch = Scotch_core.Scotch
 
 type config = {
-  probe_period : float;      (** control-loop tick, s *)
-  probe_timeout : float;     (** Echo probe deadline (a miss = Timeout), s *)
-  breaker : Breaker.config;  (** per-member control-path breaker parameters *)
-  data_breaker : Breaker.config;
-      (** per-member data-path (forwarding) breaker parameters *)
+  rtt_budget : float;
+      (** Echo round trip the per-member control-path breaker counts as
+          fully healthy, s *)
   data_probe : (int -> Breaker.probe) option;
       (** synchronous per-tick delivery probe of a member's data path
           (argument: member dpid); [None] (default) disables the data
@@ -47,16 +45,8 @@ type config = {
           entitlement, so one tenant's flash crowd cannot starve
           another's pool headroom. *)
   vswitch_capacity : float;  (** new-flow/s one pool member absorbs *)
-  horizon : float;
-      (** predictive look-ahead, s (only read under [Predictive]) *)
-  arrival_alpha : float;
-      (** Holt level-smoothing factor in (0, 1], trend smooths at half
-          of it (only read under [Predictive]) *)
-  high_water : float;        (** utilization above this counts toward scale-up *)
   low_water : float;         (** utilization below this counts toward scale-down *)
-  sustain_up : int;          (** consecutive overloaded ticks before scaling up *)
   sustain_down : int;        (** consecutive idle ticks before scaling down *)
-  cooldown : float;          (** minimum time between autoscaler actions, s *)
   min_pool : int;            (** never demote below this many active members *)
   max_pool : int;            (** never grow beyond this many active members *)
 }
@@ -102,21 +92,9 @@ val utilization : t -> float
     [Config.scaling] at {!create} time). *)
 val mode : t -> Scotch_core.Config.scaling
 
-(** Model-forecast pool utilization at the horizon, from the last
-    predictive tick (always 0 under [Reactive]). *)
-val forecast_utilization : t -> float
-
-(** Model-forecast pin-queue length of a member at the horizon, from
-    the last predictive tick ([None] for members never seen, and
-    always under [Reactive]). *)
-val predicted_queue : t -> int -> float option
-
 (** EWMA control-path health score of a probed member. *)
 val health_score : t -> int -> float option
 
 val breaker_state : t -> int -> Breaker.state option
-
-(** EWMA data-path (forwarding) health score of a probed member. *)
-val data_health_score : t -> int -> float option
 
 val data_breaker_state : t -> int -> Breaker.state option

@@ -43,7 +43,6 @@ let settle = 8.0
 let elastic_config =
   { Elastic.default_config with
     Elastic.vswitch_capacity = Profile.max_flow_setup_rate Profile.scotch_vswitch;
-    probe_timeout = 0.3;
     min_pool = num_active;
     max_pool = num_active }
 

@@ -32,7 +32,6 @@ module C = Scotch_controller.Controller
 module Scotch = Scotch_core.Scotch
 module Overlay = Scotch_core.Overlay
 module Elastic = Scotch_elastic.Elastic
-module Breaker = Scotch_elastic.Breaker
 module O = Scotch_obs.Obs
 
 let bin_width = 2.0
@@ -92,27 +91,13 @@ let degrade_plan ~(params : Tracegen.params) ~peak =
         ~duration:(0.6 *. window) ~peak (Testbed.vswitch_dpid 0) ]
 
 let elastic_config =
-  { Elastic.vswitch_capacity;
-    probe_period = 0.25;
+  { Elastic.default_config with
+    Elastic.vswitch_capacity;
     (* controller messages have strict priority in the OFA, so an Echo
        only waits out the in-flight job: ~10 ms for a healthy member
        (even saturated), ~200 ms mean at 40x degradation.  Budget 50 ms
-       (unhealthy above 75 ms), timeout 300 ms. *)
-    probe_timeout = 0.3;
-    breaker = { Breaker.default_config with Breaker.rtt_budget = 0.05 };
-    data_breaker = Breaker.default_config;
-    data_probe = None;
-    tenant_shares = [];
-    (* predictive mode only: look ahead one cooldown's worth — far
-       enough to see the step crowd saturating the pool, short enough
-       that the trend extrapolation stays honest *)
-    horizon = 2.0;
-    arrival_alpha = 0.5;
-    high_water = 0.8;
-    low_water = 0.3;
-    sustain_up = 3;
-    sustain_down = 8;
-    cooldown = 2.0;
+       (unhealthy above 75 ms); the probe timeout is 300 ms. *)
+    rtt_budget = 0.05;
     min_pool = num_active;
     max_pool }
 

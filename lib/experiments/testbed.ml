@@ -187,13 +187,10 @@ let scotch_net ?(seed = 42) ?(profile = Profile.pica8) ?(vswitch_profile = Profi
   let reliable =
     if reconcile && scotch_enabled then
       Some
-        (Scotch_reliable.Reliable.create
-           ~config:
-             (Scotch_reliable.Reliable.default_config ~seed
-                ~owned_cookies:
-                  [ Scotch_core.Config.cookie_miss; Scotch_core.Config.cookie_green;
-                    Scotch_core.Config.cookie_red; Scotch_core.Config.cookie_vflow ]
-                ())
+        (Scotch_reliable.Reliable.create ~seed
+           ~owned_cookies:
+             [ Scotch_core.Config.cookie_miss; Scotch_core.Config.cookie_green;
+               Scotch_core.Config.cookie_red; Scotch_core.Config.cookie_vflow ]
            ctrl)
     else None
   in

@@ -12,13 +12,10 @@ type t = {
   mutable primed : bool;
 }
 
-let create ?beta ~alpha () =
-  let beta = match beta with Some b -> b | None -> alpha /. 2.0 in
+let create ~alpha =
   if not (Float.is_finite alpha) || alpha <= 0.0 || alpha > 1.0 then
     invalid_arg "Arrival: alpha must be in (0, 1]";
-  if not (Float.is_finite beta) || beta <= 0.0 || beta > 1.0 then
-    invalid_arg "Arrival: beta must be in (0, 1]";
-  { alpha; beta; level = 0.0; trend = 0.0; last = neg_infinity; primed = false }
+  { alpha; beta = alpha /. 2.0; level = 0.0; trend = 0.0; last = neg_infinity; primed = false }
 
 let observe t ~now ~rate =
   if not (Float.is_finite rate) || rate < 0.0 then

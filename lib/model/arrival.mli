@@ -10,10 +10,9 @@
 
 type t
 
-(** [create ~alpha ()] — [alpha] smooths the level, [beta] (default
-    [alpha /. 2.]) the trend; both must lie in (0, 1].  Raises
-    otherwise. *)
-val create : ?beta:float -> alpha:float -> unit -> t
+(** [create ~alpha] — [alpha] smooths the level and [alpha /. 2.] the
+    trend; [alpha] must lie in (0, 1].  Raises otherwise. *)
+val create : alpha:float -> t
 
 (** [observe t ~now ~rate] feeds one rate sample taken at [now]
     (seconds; must not move backwards between calls — raises on a

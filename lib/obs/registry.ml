@@ -141,7 +141,6 @@ let add c n = c.c <- c.c + n
 let counter_value c = c.c
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let flush hm =
   for i = 0 to hm.npending - 1 do

@@ -62,7 +62,6 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Observations are batched: the hot path is a single array store, and
     binning runs once per 64 observations or lazily at the first read

@@ -55,8 +55,3 @@ let pp fmt = function
   | Set_eth_src m -> Format.fprintf fmt "set_eth_src(%a)" Scotch_packet.Mac.pp m
   | Dec_ttl -> Format.pp_print_string fmt "dec_ttl"
   | Drop -> Format.pp_print_string fmt "drop"
-
-let pp_instruction fmt = function
-  | Apply_actions acts ->
-    Format.fprintf fmt "apply[%s]" (String.concat ";" (List.map (Format.asprintf "%a" pp) acts))
-  | Goto_table t -> Format.fprintf fmt "goto(%d)" t

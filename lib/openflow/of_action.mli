@@ -42,4 +42,3 @@ val to_controller : instructions
 
 val drop : instructions
 val pp : Format.formatter -> t -> unit
-val pp_instruction : Format.formatter -> instruction -> unit

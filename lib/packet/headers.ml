@@ -17,7 +17,6 @@ module Ethernet = struct
   let ethertype_ipv4 = 0x0800
   let ethertype_mpls = 0x8847
   let ethertype_vlan = 0x8100
-  let ethertype_arp = 0x0806
 
   let header_bytes = 14
 
@@ -42,7 +41,6 @@ module Ipv4 = struct
   let proto_tcp = 6
   let proto_udp = 17
   let proto_gre = 47
-  let proto_icmp = 1
 
   let header_bytes = 20
 

@@ -12,7 +12,6 @@ module Ethernet : sig
   val ethertype_ipv4 : int
   val ethertype_mpls : int
   val ethertype_vlan : int
-  val ethertype_arp : int
   val header_bytes : int
   val make : src:Mac.t -> dst:Mac.t -> ethertype:int -> t
   val pp : Format.formatter -> t -> unit
@@ -31,7 +30,6 @@ module Ipv4 : sig
   val proto_tcp : int
   val proto_udp : int
   val proto_gre : int
-  val proto_icmp : int
   val header_bytes : int
 
   val make :

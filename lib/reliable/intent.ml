@@ -103,9 +103,6 @@ let groups t =
   Hashtbl.fold (fun _ g acc -> g :: acc) t.groups []
   |> List.sort (fun a b -> compare a.group_id b.group_id)
 
-let rule_count t = Hashtbl.length t.rules
-let group_count t = Hashtbl.length t.groups
-
 (** Rebuild the Flow_mod that realizes one intent rule. *)
 let flow_mod_of_rule (r : rule) =
   Of_msg.Flow_mod.add ~table_id:r.table_id ~priority:r.priority

@@ -50,8 +50,6 @@ val rules : t -> rule list
 
 val durable_rules : t -> rule list
 val groups : t -> group list
-val rule_count : t -> int
-val group_count : t -> int
 
 (** Rebuild the Flow_mod realizing one intent rule. *)
 val flow_mod_of_rule : rule -> Of_msg.Flow_mod.t

@@ -9,22 +9,15 @@ module C = Scotch_controller.Controller
 
 type health = Healthy | Degraded
 
-val health_name : health -> string
+(** Attempts beyond which the switch degrades (3). *)
+val retry_budget : int
 
-type config = {
-  window : int;              (** max outstanding transactions per switch *)
-  barrier_deadline : float;  (** seconds to wait for the barrier ack *)
-  retry_budget : int;        (** attempts beyond which the switch degrades *)
-  backoff : Backoff.t;
-  reconcile_interval : float;
-  reconcile_start : float;   (** phase offset of the reconciler timer *)
-  stats_deadline : float;    (** seconds to wait for stats replies *)
-  repair_grace : float;      (** ignore rules/intents younger than this *)
-  owned_cookies : Of_types.cookie list;
-      (** cookies whose orphaned device rules the reconciler may delete *)
-}
+(** Period of the reconciler timer, s (0.5). *)
+val reconcile_interval : float
 
-val default_config : ?seed:int -> ?owned_cookies:Of_types.cookie list -> unit -> config
+(** Rules and intents younger than this, s, are left alone: their
+    install may still be in flight (0.75). *)
+val repair_grace : float
 
 type stats = {
   mutable txns_sent : int;
@@ -56,8 +49,16 @@ type record = {
 
 type t
 
-val create : ?config:config -> C.t -> t
-val config : t -> config
+(** [create ~seed ~owned_cookies ctrl] — [seed] drives the retry
+    backoff's jitter; [owned_cookies] are the cookies whose orphaned
+    device rules the reconciler may delete.  Transactions are windowed
+    4 per switch with a 0.25 s barrier deadline, retried under
+    exponential backoff (50 ms base, doubling, 1 s cap, ±25 % jitter);
+    the reconciler ticks every {!reconcile_interval} from t = 0.25 s
+    and waits 0.5 s for stats replies. *)
+val create : seed:int -> owned_cookies:Of_types.cookie list -> C.t -> t
+
+val owned_cookies : t -> Of_types.cookie list
 val stats : t -> stats
 val controller : t -> C.t
 

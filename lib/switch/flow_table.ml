@@ -245,27 +245,9 @@ let insert_failures t = t.insert_failures
 
 let iter_rules t f = List.iter (fun b -> Hashtbl.iter (fun _ r -> f r) b.by_match) t.buckets
 
-(* The deterministic tie-break below orders same-priority rules by
-   their printed match; matches are immutable, so the string is
-   computed once per distinct match rather than inside the comparator
-   (where it dominates on reactive tables whose rules all share one
-   priority — continuous verification reads the table on every
-   install).  Bounded by an occasional reset so a long-lived process
-   cannot accumulate strings for every flow it ever saw. *)
-let pp_memo : (Of_match.t, string) Hashtbl.t = Hashtbl.create 1024
-
-let printed_match m =
-  match Hashtbl.find_opt pp_memo m with
-  | Some s -> s
-  | None ->
-    if Hashtbl.length pp_memo > 100_000 then Hashtbl.reset pp_memo;
-    let s = Format.asprintf "%a" Of_match.pp m in
-    Hashtbl.add pp_memo m s;
-    s
-
 (** Live rules at [now], highest priority first (ties broken by
-    specificity then by printed match, so the order is deterministic
-    whatever the hashing) — the flow-table half of a
+    specificity then by structural match order, so the order is
+    deterministic whatever the hashing) — the flow-table half of a
     {!Scotch_verify.Snapshot}. *)
 let live_rules t ~now =
   let acc = ref [] in
@@ -273,15 +255,13 @@ let live_rules t ~now =
     (fun b ->
       Hashtbl.iter
         (fun _ r ->
-          if not (is_expired ~now r) then
-            acc := (Of_match.specificity r.match_, printed_match r.match_, r) :: !acc)
+          if not (is_expired ~now r) then acc := (Of_match.specificity r.match_, r) :: !acc)
         b.by_match)
     t.buckets;
-  List.map
-    (fun (_, _, r) -> r)
+  List.map snd
     (List.sort
-       (fun (sa, ka, (a : rule)) (sb, kb, (b : rule)) ->
+       (fun (sa, (a : rule)) (sb, (b : rule)) ->
          match compare b.priority a.priority with
-         | 0 -> ( match compare sb sa with 0 -> compare ka kb | c -> c)
+         | 0 -> ( match compare sb sa with 0 -> compare a.match_ b.match_ | c -> c)
          | c -> c)
        !acc)

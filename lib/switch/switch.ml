@@ -338,10 +338,12 @@ let handler_of t : Ofa.handler =
         if stall > 0.0 then
           t.dp_blocked_until <- Stdlib.max t.dp_blocked_until (now t) +. stall) }
 
-(** [create engine ~dpid ~name ~profile ~num_tables ()] builds a switch
-    with [num_tables] flow tables (Scotch's two-table miss pipeline
-    needs at least 2). *)
-let create engine ~dpid ~name ~profile ?(num_tables = 2) () =
+(** Flow tables per switch: Scotch's two-table miss pipeline. *)
+let num_tables = 2
+
+(** [create engine ~dpid ~name ~profile ()] builds a switch with
+    {!num_tables} flow tables. *)
+let create engine ~dpid ~name ~profile () =
   let tables =
     Array.init num_tables (fun i ->
         Flow_table.create ~capacity:profile.Profile.flow_table_capacity ~table_id:i ())
@@ -471,7 +473,3 @@ let install_direct t ~table_id ~priority ~match_ ~instructions ?(idle_timeout = 
     ~idle_timeout ~hard_timeout ~cookie
 
 let pp fmt t = Format.fprintf fmt "switch{%s dpid=%d %a}" t.name t.dpid Profile.pp t.profile
-
-(** Time until which the forwarding pipeline is stalled by TCAM writes
-    (observability; equals [now] or earlier when not stalled). *)
-let blocked_until t = t.dp_blocked_until

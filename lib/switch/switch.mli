@@ -40,12 +40,11 @@ type counters = {
 
 type t
 
-(** [create engine ~dpid ~name ~profile ~num_tables ()] builds a switch
-    with [num_tables] flow tables (Scotch's two-table miss pipeline
-    needs at least 2, the default). *)
+(** [create engine ~dpid ~name ~profile ()] builds a switch with two
+    flow tables: Scotch's two-table miss pipeline. *)
 val create :
   Scotch_sim.Engine.t -> dpid:Of_types.datapath_id -> name:string -> profile:Profile.t ->
-  ?num_tables:int -> unit -> t
+  unit -> t
 
 (** The switch's control agent. *)
 val ofa : t -> Ofa.t
@@ -111,7 +110,3 @@ val install_direct :
   ?cookie:Of_types.cookie -> unit -> (unit, [ `Table_full ]) result
 
 val pp : Format.formatter -> t -> unit
-
-(** Time until which the forwarding pipeline is stalled by TCAM writes
-    (observability; equals [now] or earlier when not stalled). *)
-val blocked_until : t -> float

@@ -40,7 +40,6 @@ module Running = struct
   let count t = t.n
   let mean t = if t.n = 0 then nan else t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
 end
@@ -92,8 +91,6 @@ module Samples = struct
     end
 
   let median t = percentile t 0.5
-
-  let to_array t = Array.sub t.data 0 t.size
 end
 
 (** {1 Windowed rate meter}

@@ -27,7 +27,6 @@ module Running : sig
   (** Sample variance (n-1 denominator); 0 for fewer than two points. *)
   val variance : t -> float
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
 end
@@ -47,7 +46,6 @@ module Samples : sig
   val percentile : t -> float -> float
 
   val median : t -> float
-  val to_array : t -> float array
 end
 
 (** Counts events within a sliding window; the controller's congestion

@@ -18,8 +18,8 @@ type t = {
           so diagnostic identity is independent of when it was found. *)
 }
 
-let make ?dpid ?table_id ?rule ?witness ?first_at ~severity ~invariant message =
-  { severity; invariant; dpid; table_id; rule; witness; message; first_at }
+let make ?dpid ?table_id ?rule ?witness ~severity ~invariant message =
+  { severity; invariant; dpid; table_id; rule; witness; message; first_at = None }
 
 let with_first_at at d = { d with first_at = Some at }
 

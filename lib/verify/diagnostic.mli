@@ -44,8 +44,8 @@ type t = {
 }
 
 val make :
-  ?dpid:int -> ?table_id:int -> ?rule:string -> ?witness:string -> ?first_at:float ->
-  severity:severity -> invariant:invariant -> string -> t
+  ?dpid:int -> ?table_id:int -> ?rule:string -> ?witness:string -> severity:severity ->
+  invariant:invariant -> string -> t
 
 (** Stamp the first-seen virtual time. *)
 val with_first_at : float -> t -> t

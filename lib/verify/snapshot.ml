@@ -194,7 +194,6 @@ let capture_overlay ov =
 let capture_intents ~now r =
   let module R = Scotch_reliable.Reliable in
   let module I = Scotch_reliable.Intent in
-  let cfg = R.config r in
   let per_switch =
     List.filter_map
       (fun dpid ->
@@ -217,7 +216,7 @@ let capture_intents ~now r =
           (R.intent_of r dpid))
       (R.dpids r)
   in
-  { grace = cfg.R.repair_grace; owned = cfg.R.owned_cookies; per_switch }
+  { grace = R.repair_grace; owned = R.owned_cookies r; per_switch }
 
 let capture ?scotch ~now topo =
   let endpoints = endpoint_map topo in

@@ -27,13 +27,3 @@ let pareto ?(alpha = 1.2) ?(min_packets = 2) ?(max_packets = 100_000) ?(payload 
     |> Stdlib.min max_packets
   in
   { Flow_gen.packets = size; payload; interval = 1.0 /. pkt_rate }
-
-(** A mice/elephants mixture: with probability [elephant_fraction] the
-    flow is a long high-rate elephant, otherwise a short mouse. *)
-let mice_and_elephants ?(elephant_fraction = 0.02) ?(mouse_packets = 5)
-    ?(elephant_packets = 20_000) ?(payload = 1000) ?(mouse_rate = 100.0)
-    ?(elephant_rate = 2000.0) () : Rng.t -> Flow_gen.flow_spec =
- fun rng ->
-  if Rng.bernoulli rng elephant_fraction then
-    { Flow_gen.packets = elephant_packets; payload; interval = 1.0 /. elephant_rate }
-  else { Flow_gen.packets = mouse_packets; payload; interval = 1.0 /. mouse_rate }

@@ -1,7 +1,6 @@
 (** Flow-size distributions.  "The majority of link capacity is
     consumed by a small fraction of large flows" [1 in the paper]: the
-    Pareto and mice/elephants samplers reproduce that shape and drive
-    the large-flow migration experiments. *)
+    Pareto sampler reproduces that shape. *)
 
 open Scotch_util
 
@@ -17,9 +16,3 @@ val fixed : packets:int -> payload:int -> interval:float -> Rng.t -> Flow_gen.fl
 val pareto :
   ?alpha:float -> ?min_packets:int -> ?max_packets:int -> ?payload:int -> pkt_rate:float ->
   unit -> Rng.t -> Flow_gen.flow_spec
-
-(** With probability [elephant_fraction] a long high-rate elephant,
-    otherwise a short mouse. *)
-val mice_and_elephants :
-  ?elephant_fraction:float -> ?mouse_packets:int -> ?elephant_packets:int -> ?payload:int ->
-  ?mouse_rate:float -> ?elephant_rate:float -> unit -> Rng.t -> Flow_gen.flow_spec

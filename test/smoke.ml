@@ -145,11 +145,10 @@ let reconcile () =
     | None -> fail "reliable layer was not built"
   in
   let engine = net.Testbed.engine in
-  let interval = (R.config r).R.reconcile_interval in
   let rounds = ref 0 in
   while (not (R.converged r)) && !rounds < 16 do
     incr rounds;
-    Testbed.run_until net ~until:(Scotch_sim.Engine.now engine +. interval)
+    Testbed.run_until net ~until:(Scotch_sim.Engine.now engine +. R.reconcile_interval)
   done;
   if not (R.converged r) then fail "reconciler never converged (16 extra rounds)";
   Printf.printf "converged after %d extra round(s)\n" !rounds;

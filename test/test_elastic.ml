@@ -8,31 +8,26 @@
 module B = Scotch_elastic.Breaker
 module E = Scotch_elastic.Elastic
 
-let cfg = B.default_config
-(* default: alpha 0.3, rtt_budget 0.02, eject < 0.3, readmit >= 0.7,
+(* [B.create ()]'s default round-trip budget; the other parameters
+   are constants: alpha 0.3, eject < 0.3, readmit >= 0.7,
    half_open_after 2.0, 3 healthy probes *)
+let rtt_budget = 0.02
 
 let state = Alcotest.testable (Fmt.of_to_string (function
     | B.Closed -> "closed" | B.Open -> "open" | B.Half_open -> "half-open"))
     ( = )
 
 let test_config_validation () =
-  let bad c = Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
-      try ignore (B.create ~config:c ()) with Invalid_argument _ -> raise (Invalid_argument ""))
-  in
-  bad { cfg with B.ewma_alpha = 0.0 };
-  bad { cfg with B.ewma_alpha = 1.5 };
-  bad { cfg with B.rtt_budget = 0.0 };
-  bad { cfg with B.eject_below = 0.8 } (* >= readmit_above *);
-  bad { cfg with B.readmit_above = 1.2 };
-  bad { cfg with B.readmit_probes = 0 };
+  Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
+      try ignore (B.create ~rtt_budget:0.0 ()) with Invalid_argument _ ->
+        raise (Invalid_argument ""));
   ignore (B.create ())
 
 let test_healthy_stays_closed () =
   let b = B.create () in
   for i = 1 to 100 do
     (* replies well inside budget: perfect health *)
-    match B.observe b ~now:(float_of_int i) (B.Reply (cfg.B.rtt_budget /. 2.0)) with
+    match B.observe b ~now:(float_of_int i) (B.Reply (rtt_budget /. 2.0)) with
     | None -> ()
     | Some _ -> Alcotest.fail "healthy member changed membership"
   done;
@@ -47,12 +42,12 @@ let test_sample_mapping () =
     ignore (B.observe b ~now:0.0 probe);
     B.score b
   in
-  Alcotest.(check (float 1e-9)) "timeout sample = 0" (1.0 -. cfg.B.ewma_alpha)
+  Alcotest.(check (float 1e-9)) "timeout sample = 0" (1.0 -. B.ewma_alpha)
     (after B.Timeout);
-  Alcotest.(check (float 1e-9)) "2x budget = timeout" (1.0 -. cfg.B.ewma_alpha)
-    (after (B.Reply (2.0 *. cfg.B.rtt_budget)));
+  Alcotest.(check (float 1e-9)) "2x budget = timeout" (1.0 -. B.ewma_alpha)
+    (after (B.Reply (2.0 *. rtt_budget)));
   Alcotest.(check (float 1e-9)) "within budget = perfect" 1.0
-    (after (B.Reply cfg.B.rtt_budget))
+    (after (B.Reply rtt_budget))
 
 (* Timeouts decay the score geometrically: 0.7^n with the default
    alpha.  0.7^4 = 0.2401 < 0.3 = first ejection on the 4th. *)
@@ -75,7 +70,7 @@ let test_timeouts_eject () =
   Alcotest.(check int) "ejected on the 4th timeout" 3 (eject b ~at:0.0);
   Alcotest.check state "open" B.Open (B.state b);
   Alcotest.(check bool) "score below eject threshold" true
-    (B.score b < cfg.B.eject_below)
+    (B.score b < B.eject_below)
 
 let test_quarantine_then_half_open () =
   let b = B.create () in
@@ -84,7 +79,7 @@ let test_quarantine_then_half_open () =
   ignore (B.observe b ~now:1.0 (B.Reply 0.0));
   Alcotest.check state "still quarantined" B.Open (B.state b);
   (* first probe past half_open_after moves to trial *)
-  ignore (B.observe b ~now:(0.1 +. cfg.B.half_open_after) (B.Reply 0.0));
+  ignore (B.observe b ~now:(0.1 +. B.half_open_after) (B.Reply 0.0));
   Alcotest.check state "half-open" B.Half_open (B.state b)
 
 let test_relapse_restarts_quarantine () =
@@ -95,7 +90,7 @@ let test_relapse_restarts_quarantine () =
   (* one bad probe in trial: back to quarantine with a fresh clock *)
   ignore (B.observe b ~now:3.5 B.Timeout);
   Alcotest.check state "relapsed" B.Open (B.state b);
-  ignore (B.observe b ~now:(3.5 +. cfg.B.half_open_after -. 0.1) (B.Reply 0.0));
+  ignore (B.observe b ~now:(3.5 +. B.half_open_after -. 0.1) (B.Reply 0.0));
   Alcotest.check state "wait restarted, still open" B.Open (B.state b)
 
 let test_sustained_health_readmits () =
@@ -112,7 +107,7 @@ let test_sustained_health_readmits () =
   | _ -> Alcotest.fail "3rd consecutive healthy probe must readmit");
   Alcotest.check state "closed again" B.Closed (B.state b);
   Alcotest.(check bool) "hysteresis: readmit score above eject band" true
-    (B.score b >= cfg.B.readmit_above)
+    (B.score b >= B.readmit_above)
 
 (* ------------------------------------------------------------------ *)
 (* Tenancy: the share arithmetic the autoscaler's per-tenant views and
@@ -200,19 +195,19 @@ let prop_breaker_hysteresis =
           now := !now +. (float_of_int dt /. 10.0);
           let probe =
             if p = 0 then B.Timeout
-            else B.Reply (float_of_int p *. cfg.B.rtt_budget /. 5.0)
+            else B.Reply (float_of_int p *. rtt_budget /. 5.0)
           in
           (match B.observe b ~now:!now probe with
           | Some B.Ejected ->
-            ok := !ok && !last <> Some B.Ejected && B.score b < cfg.B.eject_below;
+            ok := !ok && !last <> Some B.Ejected && B.score b < B.eject_below;
             last := Some B.Ejected
           | Some B.Readmitted ->
-            ok := !ok && !last = Some B.Ejected && B.score b >= cfg.B.readmit_above;
+            ok := !ok && !last = Some B.Ejected && B.score b >= B.readmit_above;
             last := Some B.Readmitted
           | None -> ());
           min_score := Float.min !min_score (B.score b))
         steps;
-      if !min_score >= cfg.B.eject_below then !ok && !last = None else !ok)
+      if !min_score >= B.eject_below then !ok && !last = None else !ok)
 
 let test_elastic_config_validation () =
   let net = Scotch_experiments.Testbed.scotch_net () in
@@ -222,12 +217,12 @@ let test_elastic_config_validation () =
         try ignore (E.create ~config:c app) with Invalid_argument _ ->
           raise (Invalid_argument ""))
   in
-  bad { E.default_config with E.high_water = 0.2 } (* <= low_water *);
+  bad { E.default_config with E.low_water = 0.8 } (* not below high_water 0.8 *);
   bad { E.default_config with E.min_pool = 5; max_pool = 4 };
-  bad { E.default_config with E.probe_period = 0.0 };
-  bad { E.default_config with E.breaker = { cfg with B.ewma_alpha = 0.0 } };
-  bad { E.default_config with E.data_breaker = { cfg with B.ewma_alpha = 0.0 } };
-  bad { E.default_config with E.data_breaker = { cfg with B.readmit_probes = 0 } };
+  bad { E.default_config with E.rtt_budget = 0.0 };
+  bad { E.default_config with E.vswitch_capacity = 0.0 };
+  bad { E.default_config with E.sustain_down = 0 };
+  bad { E.default_config with E.tenant_shares = [ (1, 0) ] };
   bad { E.default_config with E.tenant_shares = [ (1, 2); (2, 1); (1, 3) ] };
   ignore (E.create app)
 

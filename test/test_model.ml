@@ -36,10 +36,9 @@ let test_arrival_validation () =
     Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
         try ignore (f ()) with Invalid_argument _ -> raise (Invalid_argument ""))
   in
-  bad (fun () -> A.create ~alpha:0.0 ());
-  bad (fun () -> A.create ~alpha:1.5 ());
-  bad (fun () -> A.create ~beta:0.0 ~alpha:0.5 ());
-  let t = A.create ~alpha:0.5 () in
+  bad (fun () -> A.create ~alpha:0.0);
+  bad (fun () -> A.create ~alpha:1.5);
+  let t = A.create ~alpha:0.5 in
   bad (fun () -> A.observe t ~now:0.0 ~rate:(-1.0));
   A.observe t ~now:0.0 ~rate:10.0;
   bad (fun () -> A.observe t ~now:0.0 ~rate:10.0) (* non-increasing time *);
@@ -175,7 +174,7 @@ let prop_fluid_forecast =
 let prop_arrival_constant =
   QCheck.Test.make ~name:"estimator reproduces a constant rate" ~count:200
     (QCheck.make QCheck.Gen.(pair (int_range 0 1000) (int_range 1 10))) (fun (r, n) ->
-      let t = A.create ~alpha:0.5 () in
+      let t = A.create ~alpha:0.5 in
       let rate = float_of_int r in
       for i = 0 to (10 * n) - 1 do
         A.observe t ~now:(0.25 *. float_of_int i) ~rate
@@ -185,7 +184,7 @@ let prop_arrival_constant =
       && Float.abs (A.forecast t ~horizon:2.0 -. rate) < 1e-5)
 
 let test_arrival_ramp () =
-  let t = A.create ~alpha:0.5 () in
+  let t = A.create ~alpha:0.5 in
   (* rate grows 40 fl/s per second, sampled every 0.25 s *)
   for i = 0 to 399 do
     let now = 0.25 *. float_of_int i in
@@ -197,7 +196,7 @@ let test_arrival_ramp () =
     (100.0 +. (40.0 *. (now +. 2.0)))
     (A.forecast t ~horizon:2.0);
   (* a collapsing rate forecasts to zero, never negative *)
-  let d = A.create ~alpha:0.5 () in
+  let d = A.create ~alpha:0.5 in
   for i = 0 to 40 do
     A.observe d ~now:(0.25 *. float_of_int i) ~rate:(Float.max 0.0 (100.0 -. (10.0 *. float_of_int i)))
   done;

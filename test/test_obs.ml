@@ -1,6 +1,6 @@
 (* Unit tests for Scotch_obs: lib/util edge cases the registry depends
-   on (empty/saturated histogram quantiles, single-point time series),
-   registry registration/exposition semantics, the ring-buffer tracer,
+   on (empty/saturated histogram quantiles), registry
+   registration/exposition semantics, the ring-buffer tracer,
    and end-to-end determinism — two same-seed testbed runs must produce
    a byte-identical Prometheus snapshot and trace digest. *)
 
@@ -11,7 +11,7 @@ let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
 (* ------------------------------------------------------------------ *)
-(* Histogram / Timeseries edge cases *)
+(* Histogram edge cases *)
 
 let test_histogram_empty_quantile () =
   let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:10 in
@@ -43,16 +43,6 @@ let test_histogram_all_overflow () =
   match Histogram.quantile_opt h 0.99 with
   | None -> Alcotest.fail "expected Some"
   | Some q -> check_float "saturates at hi" 1.0 q
-
-let test_timeseries_single_point () =
-  let ts = Timeseries.create "one" in
-  Timeseries.add ts ~time:2.5 ~value:9.0;
-  Alcotest.(check int) "length" 1 (Timeseries.length ts);
-  check_float "last" 9.0 (Timeseries.last ts);
-  check_float "mean_from before the point" 9.0 (Timeseries.mean_from ts ~from:0.0);
-  Alcotest.(check bool) "mean_from past the point is nan" true
-    (Float.is_nan (Timeseries.mean_from ts ~from:3.0));
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "get" (2.5, 9.0) (Timeseries.get ts 0)
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -182,8 +172,7 @@ let () =
     [ ( "util-edges",
         [ Alcotest.test_case "histogram empty quantile" `Quick test_histogram_empty_quantile;
           Alcotest.test_case "histogram all underflow" `Quick test_histogram_all_underflow;
-          Alcotest.test_case "histogram all overflow" `Quick test_histogram_all_overflow;
-          Alcotest.test_case "timeseries single point" `Quick test_timeseries_single_point ] );
+          Alcotest.test_case "histogram all overflow" `Quick test_histogram_all_overflow ] );
       ( "registry",
         [ Alcotest.test_case "counters accumulate" `Quick test_registry_counters;
           Alcotest.test_case "kind mismatch raises" `Quick test_registry_kind_mismatch;

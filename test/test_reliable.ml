@@ -123,7 +123,7 @@ let test_churn_no_resurrection () =
   Topology.add_switch topo vsw;
   let ctrl = C.create e topo in
   let h = C.connect ctrl vsw ~latency:0.001 in
-  let r = R.create ~config:(R.default_config ~owned_cookies:[ owned_cookie ] ()) ctrl in
+  let r = R.create ~seed:0 ~owned_cookies:[ owned_cookie ] ctrl in
   R.register_switch r h;
   R.start r;
   let match_of i = Of_match.exact_flow (Scotch_packet.Packet.flow_key (mk_packet i)) in
@@ -177,7 +177,7 @@ let settle net r =
   let rec go rounds =
     if (not (R.converged r)) && rounds > 0 then begin
       Testbed.run_until net
-        ~until:(Scotch_sim.Engine.now net.Testbed.engine +. (R.config r).R.reconcile_interval);
+        ~until:(Scotch_sim.Engine.now net.Testbed.engine +. R.reconcile_interval);
       go (rounds - 1)
     end
   in
@@ -234,7 +234,7 @@ let test_unimpaired_run_is_quiet () =
   Alcotest.(check int) "no parked transactions" 0 s.R.txns_parked;
   Alcotest.(check int) "no degradations" 0 s.R.degraded_transitions;
   Alcotest.(check bool) "retries within one budget" true
-    (s.R.retries <= (R.config r).R.retry_budget);
+    (s.R.retries <= R.retry_budget);
   Alcotest.(check bool) "transactions flowed" true (s.R.txns_sent > 0);
   Alcotest.(check int) "every transaction acked" s.R.txns_sent s.R.txns_acked;
   Alcotest.(check bool) "converged" true (R.converged r);

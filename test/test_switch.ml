@@ -240,6 +240,47 @@ let prop_ft_reference =
           | _ -> false)
         [ 0; 1; 2; 3; 4; 5 ])
 
+(* qcheck: [live_rules] order depends only on the rule set, not on the
+   order the rules went in — same-priority, same-specificity ties
+   included (three one-field match kinds over a few values make them
+   common). *)
+let prop_ft_live_rules_order =
+  let rule_gen =
+    QCheck.Gen.(
+      map
+        (fun (prio, kind, v) ->
+          let m =
+            match kind with
+            | 0 -> Of_match.with_l4_src (1000 + v) Of_match.wildcard
+            | 1 -> Of_match.with_l4_dst (2000 + v) Of_match.wildcard
+            | 2 -> Of_match.with_ip_proto v Of_match.wildcard
+            | _ -> Of_match.exact_flow (Packet.flow_key (mk_packet ~src_port:(1000 + v) ()))
+          in
+          (prio, m))
+        (triple (int_bound 2) (int_bound 3) (int_bound 4)))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 30) rule_gen >>= fun rules ->
+      let rules = List.sort_uniq compare rules in
+      pair (shuffle_l rules) (shuffle_l rules))
+  in
+  QCheck.Test.make ~name:"live_rules order is independent of insertion order" ~count:200
+    (QCheck.make gen) (fun (order_a, order_b) ->
+      let live order =
+        let table = Flow_table.create ~table_id:0 () in
+        List.iter
+          (fun (prio, m) ->
+            ignore
+              (Flow_table.insert table ~now:0.0 ~priority:prio ~match_:m
+                 ~instructions:(out_port 1) ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L))
+          order;
+        List.map
+          (fun (r : Flow_table.rule) -> (r.Flow_table.priority, r.Flow_table.match_))
+          (Flow_table.live_rules table ~now:0.0)
+      in
+      live order_a = live order_b)
+
 (* ------------------------------------------------------------------ *)
 (* Group_table *)
 
@@ -924,7 +965,8 @@ let () =
           Alcotest.test_case "delete by cookie" `Quick test_ft_delete_by_cookie;
           Alcotest.test_case "stats" `Quick test_ft_stats;
           Alcotest.test_case "peek leaves counters" `Quick test_ft_peek_no_counters;
-          QCheck_alcotest.to_alcotest prop_ft_reference ] );
+          QCheck_alcotest.to_alcotest prop_ft_reference;
+          QCheck_alcotest.to_alcotest prop_ft_live_rules_order ] );
       ( "group_table",
         [ Alcotest.test_case "add/modify/delete" `Quick test_gt_add_modify_delete;
           Alcotest.test_case "rejects bad buckets" `Quick test_gt_rejects_bad_buckets;

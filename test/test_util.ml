@@ -1,5 +1,5 @@
 (* Unit and property tests for Scotch_util: PRNG, heap, statistics,
-   histogram, time series, token bucket, table printer. *)
+   histogram, token bucket, table printer. *)
 
 open Scotch_util
 
@@ -243,27 +243,6 @@ let test_histogram_quantile () =
   | Some q -> Alcotest.(check bool) "median near 50" true (abs_float (q -. 50.0) < 2.0)
 
 (* ------------------------------------------------------------------ *)
-(* Timeseries *)
-
-let test_timeseries () =
-  let ts = Timeseries.create "demo" in
-  Timeseries.add ts ~time:0.0 ~value:1.0;
-  Timeseries.add ts ~time:1.0 ~value:2.0;
-  Timeseries.add ts ~time:2.0 ~value:6.0;
-  Alcotest.(check int) "length" 3 (Timeseries.length ts);
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "get" (1.0, 2.0) (Timeseries.get ts 1);
-  check_float ~eps:1e-9 "last" 6.0 (Timeseries.last ts);
-  check_float ~eps:1e-9 "mean_from" 4.0 (Timeseries.mean_from ts ~from:1.0);
-  Alcotest.(check int) "to_list" 3 (List.length (Timeseries.to_list ts));
-  let csv = Timeseries.to_csv [ ts ] in
-  Alcotest.(check bool) "csv has header" true
-    (String.length csv > 0 && String.sub csv 0 6 = "# demo")
-
-let test_timeseries_empty_last () =
-  let ts = Timeseries.create "empty" in
-  check_float ~eps:1e-9 "default" 7.0 (Timeseries.last ~default:7.0 ts)
-
-(* ------------------------------------------------------------------ *)
 (* Token bucket *)
 
 let test_token_bucket_rate () =
@@ -345,9 +324,6 @@ let () =
         [ Alcotest.test_case "counts" `Quick test_histogram_counts;
           Alcotest.test_case "cdf monotone" `Quick test_histogram_cdf_monotone;
           Alcotest.test_case "quantile" `Quick test_histogram_quantile ] );
-      ( "timeseries",
-        [ Alcotest.test_case "basics" `Quick test_timeseries;
-          Alcotest.test_case "empty last" `Quick test_timeseries_empty_last ] );
       ( "token_bucket",
         [ Alcotest.test_case "burst and refill" `Quick test_token_bucket_rate;
           Alcotest.test_case "take_n" `Quick test_token_bucket_take_n;

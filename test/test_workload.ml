@@ -134,18 +134,6 @@ let test_sizes_pareto () =
       (s.Flow_gen.packets >= 2 && s.Flow_gen.packets <= 100)
   done
 
-let test_sizes_mice_elephants () =
-  let sample = Sizes.mice_and_elephants ~elephant_fraction:0.1 () in
-  let rng = Rng.create 12 in
-  let elephants = ref 0 in
-  let n = 5000 in
-  for _ = 1 to n do
-    let s = sample rng in
-    if s.Flow_gen.packets > 1000 then incr elephants
-  done;
-  let frac = float_of_int !elephants /. float_of_int n in
-  Alcotest.(check bool) "elephant fraction ~0.1" true (abs_float (frac -. 0.1) < 0.02)
-
 (* ------------------------------------------------------------------ *)
 (* Tracegen *)
 
@@ -239,8 +227,7 @@ let () =
           Alcotest.test_case "completion fraction" `Quick test_completion_fraction ] );
       ( "sizes",
         [ Alcotest.test_case "probe" `Quick test_sizes_probe;
-          Alcotest.test_case "pareto bounds" `Quick test_sizes_pareto;
-          Alcotest.test_case "mice/elephants mix" `Quick test_sizes_mice_elephants ] );
+          Alcotest.test_case "pareto bounds" `Quick test_sizes_pareto ] );
       ( "tracegen",
         [ Alcotest.test_case "sorted and bounded" `Quick test_trace_sorted_and_bounded;
           Alcotest.test_case "flash ratio" `Quick test_trace_flash_ratio;
