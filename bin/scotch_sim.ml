@@ -157,11 +157,12 @@ let emit_csv (fig : Report.figure) =
         s.Report.points)
     fig.Report.series
 
+let print_figure ~csv fig =
+  Report.print fig;
+  if csv then emit_csv fig
+
 let run_one spec seed scale csv metrics trace =
-  with_obs ~metrics ~trace (fun () ->
-      let fig = spec.run ~seed ~scale in
-      Report.print fig;
-      if csv then emit_csv fig)
+  with_obs ~metrics ~trace (fun () -> print_figure ~csv (spec.run ~seed ~scale))
 
 let cmd_of_spec spec =
   let term =
@@ -171,12 +172,12 @@ let cmd_of_spec spec =
 
 (* resilience gets its own command (not a bare spec) for the reliable
    control-channel knobs. *)
+let resilience_doc =
+  "Failure recovery: vswitch kills mid flash crowd, heartbeat failover (S5.6).  With \
+   --reconcile, installs go through the reliable layer (intent store, barrier-acked \
+   transactions, anti-entropy reconciler) and the ledger gains convergence metrics."
+
 let resilience_cmd =
-  let doc =
-    "Failure recovery: vswitch kills mid flash crowd, heartbeat failover (S5.6).  With \
-     --reconcile, installs go through the reliable layer (intent store, barrier-acked \
-     transactions, anti-entropy reconciler) and the ledger gains convergence metrics."
-  in
   let reconcile_arg =
     let doc =
       "Route installs through the reliable control-channel layer and run the reconciler."
@@ -192,11 +193,9 @@ let resilience_cmd =
   in
   let run seed scale csv reconcile drop_p metrics trace =
     with_obs ~metrics ~trace (fun () ->
-        let fig = Resilience.run ~seed ~scale ~reconcile ~drop_p () in
-        Report.print fig;
-        if csv then emit_csv fig)
+        print_figure ~csv (Resilience.run ~seed ~scale ~reconcile ~drop_p ()))
   in
-  Cmd.v (Cmd.info "resilience" ~doc)
+  Cmd.v (Cmd.info "resilience" ~doc:resilience_doc)
     Term.(
       const run $ seed_arg $ scale_arg $ csv_arg $ reconcile_arg $ drop_arg $ metrics_arg
       $ trace_arg)
@@ -205,22 +204,16 @@ let all_cmd =
   let doc = "Run every experiment in sequence (the full paper reproduction)." in
   let run seed scale csv metrics trace =
     with_obs ~metrics ~trace (fun () ->
-        List.iter
-          (fun spec ->
-            let fig = spec.run ~seed ~scale in
-            Report.print fig;
-            if csv then emit_csv fig)
-          specs;
-        let fig = Resilience.run ~seed ~scale () in
-        Report.print fig;
-        if csv then emit_csv fig)
+        List.iter (fun spec -> print_figure ~csv (spec.run ~seed ~scale)) specs;
+        print_figure ~csv (Resilience.run ~seed ~scale ()))
   in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(const run $ seed_arg $ scale_arg $ csv_arg $ metrics_arg $ trace_arg)
 
 (* A purpose-built observability demo: short flash crowd with recording
    forced on, then a human-readable dump of every non-zero metric and
-   the tracer's stats.  --metrics/--trace export the same data. *)
+   the tracer's stats.  --metrics/--trace export the same data through
+   [with_obs]. *)
 let obs_cmd =
   let doc =
     "Observability demo: run a short flash crowd against the Scotch testbed with metrics and \
@@ -237,7 +230,7 @@ let obs_cmd =
   in
   let run seed duration rate metrics trace =
     let module O = Scotch_obs.Obs in
-    O.reset ();
+    with_obs ~metrics ~trace @@ fun () ->
     O.enable ();
     let net = Testbed.scotch_net ~seed () in
     let client = Testbed.client_source net ~i:0 ~rate:20.0 () in
@@ -268,17 +261,7 @@ let obs_cmd =
     Printf.printf "\n%d non-zero series (%d registered); trace: %d events (%d offered, %d \
                    evicted) digest=%s\n"
       (List.length live) (Scotch_obs.Registry.size reg) (Scotch_obs.Trace.length tr)
-      (Scotch_obs.Trace.emitted tr) (Scotch_obs.Trace.dropped tr) (Scotch_obs.Trace.digest tr);
-    (match metrics with
-    | None -> ()
-    | Some path ->
-      write_file path (Scotch_obs.Registry.to_prometheus reg);
-      Printf.printf "metrics -> %s\n" path);
-    match trace with
-    | None -> ()
-    | Some path ->
-      write_file path (Scotch_obs.Trace.to_chrome_json tr);
-      Printf.printf "trace -> %s\n" path
+      (Scotch_obs.Trace.emitted tr) (Scotch_obs.Trace.dropped tr) (Scotch_obs.Trace.digest tr)
   in
   Cmd.v (Cmd.info "obs" ~doc)
     Term.(const run $ seed_arg $ duration_arg $ rate_arg $ metrics_arg $ trace_arg)
@@ -376,12 +359,12 @@ let verify_net_cmd =
 (* model-check gets its own command (not a bare spec) for the
    tolerance gate: it exits 1 when model and simulation disagree, so it
    doubles as a CI check. *)
+let model_check_doc =
+  "Analytic OFA queueing model vs simulation: sweep offered load over a standalone OFA pool \
+   and compare predicted vs simulated pin-queue depth, Packet-In latency and blocking.  Exits \
+   1 when any sub-saturation relative error exceeds --tolerance, 2 on usage errors."
+
 let model_check_cmd =
-  let doc =
-    "Analytic OFA queueing model vs simulation: sweep offered load over a standalone OFA pool \
-     and compare predicted vs simulated pin-queue depth, Packet-In latency and blocking.  \
-     Exits 1 when any sub-saturation relative error exceeds --tolerance, 2 on usage errors."
-  in
   let tolerance_arg =
     let doc =
       "Acceptance band: fail (exit 1) when the relative error of queue depth or latency at any \
@@ -392,9 +375,7 @@ let model_check_cmd =
   let run seed scale csv tolerance metrics trace =
     with_obs ~metrics ~trace (fun () ->
         let o = Model_check.summary ~seed ~scale () in
-        let fig = Model_check.figure_of o in
-        Report.print fig;
-        if csv then emit_csv fig;
+        print_figure ~csv (Model_check.figure_of o);
         Printf.printf
           "model-check: below saturation queue err=%.1f%% sojourn err=%.1f%%; blocking (abs) \
            err=%.2f%%; digest=%s\n"
@@ -409,7 +390,7 @@ let model_check_cmd =
           exit 1
         end)
   in
-  Cmd.v (Cmd.info "model-check" ~doc)
+  Cmd.v (Cmd.info "model-check" ~doc:model_check_doc)
     Term.(
       const run $ seed_arg $ scale_arg $ csv_arg $ tolerance_arg $ metrics_arg $ trace_arg)
 
@@ -557,12 +538,10 @@ let chaos_cmd =
 let list_cmd =
   let doc = "List experiments with the paper artifact each regenerates." in
   let run () =
-    List.iter (fun spec -> Printf.printf "%-24s %s\n" spec.name spec.doc) specs;
-    Printf.printf "%-24s %s\n" "resilience"
-      "Failure recovery: vswitch kills mid flash crowd (S5.6); --reconcile for the reliable \
-       layer";
-    Printf.printf "%-24s %s\n" "model-check"
-      "Analytic OFA queueing model vs simulation; exits 1 past --tolerance"
+    List.iter
+      (fun (name, doc) -> Printf.printf "%-24s %s\n" name doc)
+      (List.map (fun spec -> (spec.name, spec.doc)) specs
+      @ [ ("resilience", resilience_doc); ("model-check", model_check_doc) ])
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 

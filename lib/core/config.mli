@@ -110,10 +110,6 @@ type t = {
   ingress_deadline : float;
       (** seconds after which a queued Packet-In decision is stale and
           shed at serve time; [0.] disables expiry *)
-  flow_group : (first_hop:int -> ingress_port:int -> Scotch_packet.Flow_key.t -> int) option;
-      (** Optional flow-grouping override for the fair scheduler (§5.2,
-          e.g. one group per customer); [None] = one group per ingress
-          port of the first-hop switch (the paper's example). *)
   verify : verify;
       (** dataplane verification mode — see {!verify} *)
   tenancy : tenancy option;

@@ -1,12 +1,8 @@
-(** The Scotch controller application (§4–§5): overlay activation and
-    withdrawal, load-balanced redirection, ingress-port differentiation,
-    overlay routing, large-flow migration, middlebox policy consistency
-    and vswitch failure handling.
-
-    One instance manages a set of {e physical} switches (each gets a
-    Fig. 7 scheduler and a congestion monitor) and uses a pool of
-    {e overlay} vswitches.  Registered as a {!Scotch_controller.Controller}
-    application, it consumes every Packet-In relevant to Scotch. *)
+(* The Scotch controller application (§4–§5): the new-flow pipeline,
+   overlay activation and withdrawal, large-flow migration and the
+   vswitch pool operations.  Large-flow detection lives in [Detection],
+   tenant attribution and slicing in [Tenancy].  Exported values are
+   documented in scotch.mli. *)
 
 open Scotch_openflow
 open Scotch_switch
@@ -15,7 +11,6 @@ open Scotch_util
 module C = Scotch_controller.Controller
 module Reliable = Scotch_reliable.Reliable
 
-let group_id = 1
 let redirect_priority = 1
 let flow_priority = 10
 
@@ -51,16 +46,12 @@ type t = {
   overlay : Overlay.t;
   policy : Policy.t;
   config : Config.t;
-  tenants : Tenant.spec list;
-      (* the configured tenants, or [[Tenant.default]] when untenanted;
-         list index i owns select group [group_id + i] *)
+  tenancy : Tenancy.t;
+  detection : Detection.t;
   db : Flow_info_db.t;
   managed : (int, managed) Hashtbl.t;
   vswitch_handles : (int, C.sw) Hashtbl.t;
   counters : counters;
-  mutable stats_polling : bool;
-      (* fault injection: a stats-polling outage suspends elephant
-         detection (the §5.3 loop) without touching anything else *)
   mutable recovery_hooks : (unit -> unit) list;
       (* fired after every vswitch repair (§5.6), where
          {!Scotch_verify.Hooks} resyncs the continuous verifier *)
@@ -77,41 +68,27 @@ type t = {
   pool_adds_c : Scotch_obs.Registry.counter;
   decision_h : Scotch_obs.Registry.histogram;
       (* flow admit → routing decision complete (virtual s); obs-gated *)
-  samplers : (int, Scotch_telemetry.Sampler.t) Hashtbl.t;
-      (* per-vswitch packet samplers, present only under a sampled
-         detection policy — Exact_polling never creates one *)
-  duty : Scotch_telemetry.Assignment.t;
-      (* Floware-style ledger of which uplinks each pool member samples *)
-  mutable on_elephant : Flow_key.t -> unit;
-      (* detection hook (experiments record ground-truth hits); the
-         default no-op keeps Exact_polling runs bit-identical *)
-  mutable ch_exact_msgs : int;
-      (* control-channel ledger of the detection loop: message units
-         (one per request, one per reply plus one per carried record)
-         and encoded wire bytes, split by detection mode *)
-  mutable ch_exact_bytes : int;
-  mutable ch_sampled_msgs : int;
-  mutable ch_sampled_bytes : int;
-  decision_tenant_h : (int, Scotch_obs.Registry.histogram) Hashtbl.t;
-      (* per-tenant admit → decision histograms; populated only when
-         tenants are configured *)
 }
 
 let create ?reliable ctrl overlay policy config =
   let module O = Scotch_obs.Obs in
-  let tenants =
-    match config.Config.tenancy with None -> [ Tenant.default ] | Some tn -> tn.Config.tenants
+  let managed = Hashtbl.create 16 and vswitch_handles = Hashtbl.create 16 in
+  let tenancy =
+    Tenancy.create config
+      ~sum_scheds:(fun f -> Hashtbl.fold (fun _ m acc -> acc + f m.sched) managed 0)
+      ~sum_pool_ofas:(fun f ->
+        Hashtbl.fold (fun _ (sw : C.sw) acc -> acc + f (Switch.ofa sw.C.device)) vswitch_handles 0)
   in
-  Tenant.check_specs tenants;
+  let db = Flow_info_db.create () in
   let t =
-    { ctrl; overlay; policy; config; tenants; db = Flow_info_db.create ();
-      managed = Hashtbl.create 16; vswitch_handles = Hashtbl.create 16;
+    { ctrl; overlay; policy; config; tenancy; detection = Detection.create ctrl overlay db config;
+      db; managed; vswitch_handles;
       counters =
         { flows_seen = 0; flows_overlay = 0; flows_physical = 0; flows_dropped = 0;
           flows_unroutable = 0; elephants_detected = 0; migrations_completed = 0;
           activations = 0; withdrawals = 0; vswitch_failures = 0; quarantines = 0;
           readmissions = 0; promotions = 0; demotions = 0 };
-      stats_polling = true; recovery_hooks = []; install_hooks = []; reliable;
+      recovery_hooks = []; install_hooks = []; reliable;
       rebalances_c =
         O.counter ~help:"Select-group rebalances after pool changes"
           "scotch_core_group_rebalances_total";
@@ -120,11 +97,7 @@ let create ?reliable ctrl overlay policy config =
           "scotch_core_pool_additions_total";
       decision_h =
         O.histogram ~help:"Flow admit to routing decision (virtual seconds)" ~lo:0.0 ~hi:0.5
-          ~bins:50 "scotch_core_decision_latency_seconds";
-      samplers = Hashtbl.create 16; duty = Scotch_telemetry.Assignment.create ();
-      on_elephant = (fun _ -> ());
-      ch_exact_msgs = 0; ch_exact_bytes = 0; ch_sampled_msgs = 0; ch_sampled_bytes = 0;
-      decision_tenant_h = Hashtbl.create 4 }
+          ~bins:50 "scotch_core_decision_latency_seconds" }
   in
   (* re-express the Scotch ledger on the registry (polled at snapshot) *)
   let c = t.counters in
@@ -156,47 +129,6 @@ let create ?reliable ctrl overlay policy config =
     "scotch_core_vswitch_promotions_total" (fun () -> c.promotions);
   O.counter_fn ~help:"Active vswitches demoted to draining standby"
     "scotch_core_vswitch_demotions_total" (fun () -> c.demotions);
-  O.counter_fn ~help:"Elephant-detection channel cost (message units)"
-    ~labels:[ ("mode", "exact") ] "scotch_core_stats_channel_msgs_total"
-    (fun () -> t.ch_exact_msgs);
-  O.counter_fn ~help:"Elephant-detection channel cost (message units)"
-    ~labels:[ ("mode", "sampled") ] "scotch_core_stats_channel_msgs_total"
-    (fun () -> t.ch_sampled_msgs);
-  O.counter_fn ~help:"Elephant-detection channel cost (wire bytes)"
-    ~labels:[ ("mode", "exact") ] "scotch_core_stats_channel_bytes_total"
-    (fun () -> t.ch_exact_bytes);
-  O.counter_fn ~help:"Elephant-detection channel cost (wire bytes)"
-    ~labels:[ ("mode", "sampled") ] "scotch_core_stats_channel_bytes_total"
-    (fun () -> t.ch_sampled_bytes);
-  (* Per-tenant views of admissions, sheds, pin load and decision
-     latency.  Registered only for configured tenants: untenanted runs
-     export exactly the metric set they always did. *)
-  if config.Config.tenancy <> None then
-    List.iter
-      (fun (s : Tenant.spec) ->
-        let labels = [ ("tenant", s.Tenant.name) ] in
-        let tenant = s.Tenant.id in
-        Hashtbl.replace t.decision_tenant_h tenant
-          (O.histogram ~help:"Flow admit to routing decision (virtual seconds)" ~labels ~lo:0.0
-             ~hi:0.5 ~bins:50 "scotch_core_tenant_decision_latency_seconds");
-        O.counter_fn ~help:"New-flow requests submitted per tenant" ~labels
-          "scotch_core_tenant_admissions_total" (fun () ->
-            Hashtbl.fold (fun _ m acc -> acc + Sched.tenant_submitted m.sched ~tenant) t.managed 0);
-        O.counter_fn
-          ~help:"Flows shed per tenant (budget refusals, capacity drops, evictions, expiries)"
-          ~labels "scotch_core_tenant_sheds_total" (fun () ->
-            Hashtbl.fold (fun _ m acc -> acc + Sched.tenant_shed m.sched ~tenant) t.managed 0
-            + Hashtbl.fold
-                (fun _ (sw : C.sw) acc ->
-                  acc + Ofa.pin_tenant_shed (Switch.ofa sw.C.device) ~tenant)
-                t.vswitch_handles 0);
-        O.counter_fn ~help:"Packet-In jobs attributed per tenant at the overlay pool" ~labels
-          "scotch_core_tenant_pins_total" (fun () ->
-            Hashtbl.fold
-              (fun _ (sw : C.sw) acc ->
-                acc + Ofa.pin_tenant_submitted (Switch.ofa sw.C.device) ~tenant)
-              t.vswitch_handles 0))
-      tenants;
   t
 
 let counters t = t.counters
@@ -208,68 +140,8 @@ let ctrl t = t.ctrl
 let engine t = C.engine t.ctrl
 let now t = Scotch_sim.Engine.now (engine t)
 
-(** {1 Tenancy (blast-radius isolation)}
-
-    An untenanted run is the one tenant [Tenant.default] at index 0:
-    it owns [group_id] and the whole assignment, so the messages below
-    are those of the single-tenant design.  Only the forks that change
-    what is emitted ask whether tenants are configured. *)
-
-let tenant_name t tenant =
-  let rec go = function
-    | [] -> string_of_int tenant
-    | (s : Tenant.spec) :: rest -> if s.Tenant.id = tenant then s.Tenant.name else go rest
-  in
-  go t.tenants
-
-(* The tenant at index [i] of the list owns select group
-   [group_id + i]; an unknown tenant falls back to the first group. *)
-let group_of_tenant t tenant =
-  let rec go i = function
-    | [] -> group_id
-    | (s : Tenant.spec) :: rest -> if s.Tenant.id = tenant then group_id + i else go (i + 1) rest
-  in
-  go 0 t.tenants
-
-let tenant_of_flow t ~first_hop ~ingress_port =
-  match t.config.Config.tenancy with
-  | None -> Tenant.default_id
-  | Some tn -> tn.Config.tenant_of ~first_hop ~ingress_port
-
-(* Disjoint contiguous slices of the (rotated) assignment, apportioned
-   by share with largest remainder; a tenant whose slice would be empty
-   (pool smaller than the tenant count) shares the whole assignment
-   rather than losing overlay service. *)
-let tenant_slices t assigned =
-  let shares = List.map (fun (s : Tenant.spec) -> (s.Tenant.id, s.Tenant.share)) t.tenants in
-  let counts = Tenant.apportion ~slots:(List.length assigned) ~shares in
-  let rec split n xs =
-    if n = 0 then ([], xs)
-    else
-      match xs with
-      | [] -> ([], [])
-      | x :: tl ->
-        let a, b = split (n - 1) tl in
-        (x :: a, b)
-  in
-  let rec go acc remaining = function
-    | [] -> List.rev acc
-    | (id, n) :: more ->
-      let sl, rest = split n remaining in
-      let sl = if sl = [] then assigned else sl in
-      go ((id, sl) :: acc) rest more
-  in
-  go [] assigned counts
-
-let slice_of_tenant t assigned tenant =
-  match List.assoc_opt tenant (tenant_slices t assigned) with
-  | Some slice -> slice
-  | None -> assigned
-
 (* Routing-decision span: flow admit ([e.created]) to the moment the
-   flow's fate is settled; one per decision outcome.  With tenants
-   configured the span carries a tenant arg and also lands in the
-   tenant's own histogram — untenanted spans are unchanged. *)
+   flow's fate is settled; one per decision outcome. *)
 let decision_span t (e : Flow_info_db.entry) outcome =
   if Scotch_obs.Obs.is_enabled () then begin
     let dur = now t -. e.Flow_info_db.created in
@@ -279,15 +151,7 @@ let decision_span t (e : Flow_info_db.entry) outcome =
     let pool =
       ("pool", string_of_int (List.length (Overlay.active_vswitches t.overlay)))
     in
-    let args =
-      match t.config.Config.tenancy with
-      | None -> [ ("outcome", outcome); pool ]
-      | Some _ ->
-        (match Hashtbl.find_opt t.decision_tenant_h e.Flow_info_db.tenant with
-        | Some h -> Scotch_obs.Registry.observe h dur
-        | None -> ());
-        [ ("outcome", outcome); ("tenant", tenant_name t e.Flow_info_db.tenant); pool ]
-    in
+    let args = Tenancy.decision_args t.tenancy ~tenant:e.Flow_info_db.tenant ~dur outcome pool in
     Scotch_obs.Obs.span ~name:"scotch.decision" ~cat:"core" ~ts:e.Flow_info_db.created ~dur
       ~tid:e.Flow_info_db.first_hop ~args
   end
@@ -304,14 +168,8 @@ let tunnel_out tid =
 
 let managed_of t dpid = Hashtbl.find_opt t.managed dpid
 
-(** [on_recovery t f] registers [f] to run after every vswitch repair —
-    used by the verification hooks; cheap no-op when nothing is
-    registered. *)
 let on_recovery t f = t.recovery_hooks <- f :: t.recovery_hooks
 
-(** [notify_recovery t] fires the registered recovery hooks.  Exported
-    so the fault injector (which repairs vswitches behind this module's
-    back) can announce the repair. *)
 let notify_recovery t = List.iter (fun f -> f ()) t.recovery_hooks
 
 (** {1 The send path}
@@ -323,10 +181,6 @@ let notify_recovery t = List.iter (fun f -> f ()) t.recovery_hooks
 
 let reliable t = t.reliable
 
-(** [on_install t f] registers [f] to run at the send chokepoint with
-    every outgoing Flow/Group-mod batch, before dispatch — the
-    verifier's view of installs on both send paths.  Cheap no-op when
-    nothing is registered. *)
 let on_install t f = t.install_hooks <- f :: t.install_hooks
 
 let notify_install t sw payloads =
@@ -363,144 +217,47 @@ let uninstall t sw ?(table_id = 0) ?priority ~match_ () =
     { (Of_msg.Flow_mod.delete ~table_id ~match_ ()) with
       Of_msg.Flow_mod.priority = Option.value priority ~default:0 }
 
-(** {1 Sampled telemetry (§5.3 alternative detection)} *)
-
-(* Sampler coin streams are seeded from this constant and the vswitch
-   dpid, so same-seed runs replay identical sample sets. *)
-let telemetry_seed = 0x7E1E
-
-(* Recompute the Floware duty ledger and push it into the samplers:
-   each active pool member samples exactly the uplink tunnels that
-   terminate at it, so every overlay packet is sampled once pool-wide
-   and duty shares track the select-group spread.  No-op under
-   Exact_polling. *)
-let refresh_sampling_duty t =
-  match t.config.Config.detection with
-  | Config.Exact_polling -> ()
-  | Config.Sampled _ ->
-    let active =
-      List.map (fun v -> Switch.dpid v.Overlay.vsw) (Overlay.active_vswitches t.overlay)
-    in
-    Scotch_telemetry.Assignment.refresh t.duty ~uplinks:(Overlay.all_uplinks t.overlay) ~active;
-    Hashtbl.iter
-      (fun vdpid s ->
-        match Scotch_telemetry.Assignment.duty_tunnels t.duty vdpid with
-        | [] -> Scotch_telemetry.Sampler.set_enabled s false
-        | tids ->
-          Scotch_telemetry.Sampler.set_enabled s true;
-          Scotch_telemetry.Sampler.set_duty_uplinks s tids)
-      t.samplers
-
-(* Under a sampled policy, give the vswitch a datapath sampler; it
-   starts disabled and earns duty at the next ledger refresh. *)
-let attach_sampler t dev =
-  match t.config.Config.detection with
-  | Config.Exact_polling -> ()
-  | Config.Sampled rate ->
-    let dpid = Switch.dpid dev in
-    let s =
-      Scotch_telemetry.Sampler.create ~topk:Config.telemetry_topk
-        ~seed:telemetry_seed ~dpid ~rate ()
-    in
-    Scotch_telemetry.Sampler.set_enabled s false;
-    Switch.set_sampler dev (Some s);
-    Hashtbl.replace t.samplers dpid s;
-    refresh_sampling_duty t
-
-(* Control-channel ledger of the detection loop: one unit per request,
-   one per reply plus one per carried record, and the encoded wire size
-   of each message — the §5.3 cost the sampled policy is built to cut. *)
-let account t ~sampled ~units payload =
-  let bytes = Of_wire.size (Of_msg.make ~xid:0 payload) in
-  if sampled then begin
-    t.ch_sampled_msgs <- t.ch_sampled_msgs + units;
-    t.ch_sampled_bytes <- t.ch_sampled_bytes + bytes
-  end
-  else begin
-    t.ch_exact_msgs <- t.ch_exact_msgs + units;
-    t.ch_exact_bytes <- t.ch_exact_bytes + bytes
-  end
-
 (** {1 Registration} *)
 
-(* Each tenant's admission budget on an OFA pin queue. *)
-let set_pin_budgets t ofa =
-  List.iter
-    (fun (s : Tenant.spec) ->
-      Option.iter
-        (fun b -> Ofa.set_pin_budget ofa ~tenant:s.Tenant.id (Some b))
-        s.Tenant.pin_budget)
-    t.tenants
+(* Every attachment: connect [dev], run [setup] on its handle, give
+   its OFA the tenant pin budgets and install its table-miss rule. *)
+let connect t dev ~channel_latency setup =
+  let sw = C.connect t.ctrl dev ~latency:channel_latency in
+  let r = setup sw in
+  Tenancy.set_pin_budgets t.tenancy (Switch.ofa dev);
+  install t sw ~table_id:0 ~priority:0 ~cookie:Config.cookie_miss ~match_:Of_match.wildcard
+    ~instructions:Of_action.to_controller ();
+  r
 
-(** [register_vswitch t dev ~channel_latency] connects an overlay
-    vswitch to the controller and installs its table-miss rule (full
-    packets to the controller, §4.2). *)
 let register_vswitch t dev ~channel_latency =
-  let sw = C.connect t.ctrl dev ~latency:channel_latency in
-  Hashtbl.replace t.vswitch_handles (Switch.dpid dev) sw;
-  attach_sampler t dev;
-  let ofa = Switch.ofa dev in
-  (match t.config.Config.tenancy with
-  | None -> ()
-  | Some tn ->
-    (* Pin jobs at a pool member arrive over uplink tunnels; recover
-       the origin switch from the tunnel and the ingress port from the
-       outer MPLS tag pushed by the redirect, then attribute exactly as
-       at the edge.  Mesh-repair arrivals (no known origin) stay on the
-       default tenant. *)
-    Ofa.set_pin_tenant_classifier ofa
-      (Some
-         (fun (j : Ofa.pin_job) ->
-           match j.Ofa.tunnel_id with
-           | Some tid -> (
-             match Overlay.origin_of_tunnel t.overlay tid with
-             | Some origin ->
-               tn.Config.tenant_of ~first_hop:origin
-                 ~ingress_port:
-                   (Option.value (Packet.outer_mpls_label j.Ofa.packet) ~default:0)
-             | None -> Tenant.default_id)
-           | None -> Tenant.default_id)));
-  set_pin_budgets t ofa;
-  install t sw ~table_id:0 ~priority:0 ~cookie:Config.cookie_miss ~match_:Of_match.wildcard
-    ~instructions:Of_action.to_controller ();
-  sw
+  connect t dev ~channel_latency (fun sw ->
+      Hashtbl.replace t.vswitch_handles (Switch.dpid dev) sw;
+      Detection.attach_sampler t.detection dev;
+      Tenancy.classify_pool t.tenancy (Switch.ofa dev) t.overlay;
+      sw)
 
-(** [manage_switch t dev ~channel_latency] puts a physical switch under
-    Scotch management: controller connection, table-miss rule, Fig. 7
-    scheduler (started), congestion monitor state. *)
 let manage_switch t dev ~channel_latency =
-  let sw = C.connect t.ctrl dev ~latency:channel_latency in
-  let cfg = t.config in
-  let sched =
-    Sched.create (engine t) ~shed_policy:cfg.Config.shed_policy
-      ~deadline:cfg.Config.ingress_deadline ~tenants:t.tenants ~rate:Config.rule_rate
-      ~overlay_threshold:cfg.Config.overlay_threshold ~drop_threshold:Config.drop_threshold
-      ~differentiate:cfg.Config.ingress_differentiation
-  in
-  Sched.start sched;
-  let ofa = Switch.ofa dev in
-  (match cfg.Config.tenancy with
-  | None -> ()
-  | Some tn ->
-    (* Direct Packet-Ins at the physical edge are attributed by their
-       in_port — spoofed sources cannot escape their tenant. *)
-    let dpid = Switch.dpid dev in
-    Ofa.set_pin_tenant_classifier ofa
-      (Some
-         (fun (j : Ofa.pin_job) ->
-           tn.Config.tenant_of ~first_hop:dpid ~ingress_port:j.Ofa.in_port)));
-  set_pin_budgets t ofa;
-  let m =
-    { msw = sw; sched; attributed = Stats.Rate_meter.create ~window:1.0; active = false;
-      activated_at = 0.0; assigned = []; groups_installed = [] }
-  in
-  Hashtbl.replace t.managed (Switch.dpid dev) m;
-  install t sw ~table_id:0 ~priority:0 ~cookie:Config.cookie_miss ~match_:Of_match.wildcard
-    ~instructions:Of_action.to_controller ();
-  m
+  connect t dev ~channel_latency (fun sw ->
+      let cfg = t.config in
+      let sched =
+        Sched.create (engine t) ~shed_policy:cfg.Config.shed_policy
+          ~deadline:cfg.Config.ingress_deadline ~tenants:(Tenancy.tenants t.tenancy)
+          ~rate:Config.rule_rate ~overlay_threshold:cfg.Config.overlay_threshold
+          ~drop_threshold:Config.drop_threshold ~differentiate:cfg.Config.ingress_differentiation
+      in
+      Sched.start sched;
+      Tenancy.classify_edge t.tenancy (Switch.ofa dev) ~dpid:(Switch.dpid dev);
+      let m =
+        { msw = sw; sched; attributed = Stats.Rate_meter.create ~window:1.0; active = false;
+          activated_at = 0.0; assigned = []; groups_installed = [] }
+      in
+      Hashtbl.replace t.managed (Switch.dpid dev) m;
+      m)
+
+let vswitch_handle_of t vdpid = Hashtbl.find_opt t.vswitch_handles vdpid
 
 let handle_of t dpid =
-  match Hashtbl.find_opt t.vswitch_handles dpid with
+  match vswitch_handle_of t dpid with
   | Some sw -> Some sw
   | None -> (
     match managed_of t dpid with Some m -> Some m.msw | None -> C.switch t.ctrl dpid)
@@ -550,24 +307,11 @@ let group_mod_of m ~gid ~buckets =
    mirrored by {!predicted_entry}. *)
 let group_mods_for t m =
   List.filter_map
-    (fun (tenant, slice) ->
-      group_mod_of m ~gid:(group_of_tenant t tenant) ~buckets:(buckets_of_assignment slice))
-    (tenant_slices t m.assigned)
+    (fun (gid, slice) -> group_mod_of m ~gid ~buckets:(buckets_of_assignment slice))
+    (Tenancy.group_slices t.tenancy m.assigned)
 
 let install_group t m =
   List.iter (fun gm -> send_batch t m.msw [ Of_msg.Group_mod gm ]) (group_mods_for t m)
-
-(* Instructions that send a flow from ingress [port] onto the overlay.
-   Untenanted, table 1's single rule balances everything into the
-   shared group.  With tenants configured that shared balancer cannot
-   discriminate tenants, so the rule jumps straight into [tenant]'s
-   own select group instead. *)
-let overlay_instructions t ~port ~tenant =
-  match t.config.Config.tenancy with
-  | None -> [ Of_action.Apply_actions [ Of_action.Push_mpls port ]; Of_action.Goto_table 1 ]
-  | Some _ ->
-    [ Of_action.Apply_actions
-        [ Of_action.Push_mpls port; Of_action.Group (group_of_tenant t tenant) ] ]
 
 (** [activate t m] turns on overlay redirection at a congested switch:
     the two-table pipeline of §5.2 — table 0 tags the ingress port with
@@ -588,14 +332,6 @@ let activate t m =
        single barrier-acked transaction, otherwise it degenerates to the
        same message sequence as before *)
     let gms = group_mods_for t m in
-    let table1 =
-      if t.config.Config.tenancy <> None then []
-      else
-        [ Of_msg.Flow_mod.add ~table_id:1 ~priority:0 ~cookie:Config.cookie_green
-            ~match_:Of_match.wildcard
-            ~instructions:[ Of_action.Apply_actions [ Of_action.Group group_id ] ]
-            () ]
-    in
     let redirects =
       List.map
         (fun port ->
@@ -603,14 +339,14 @@ let activate t m =
             ~cookie:Config.cookie_green
             ~match_:(Of_match.with_in_port port Of_match.wildcard)
             ~instructions:
-              (overlay_instructions t ~port
-                 ~tenant:(tenant_of_flow t ~first_hop:dpid ~ingress_port:port))
+              (Tenancy.overlay_instructions t.tenancy ~port
+                 ~tenant:(Tenancy.tenant_of_flow t.tenancy ~first_hop:dpid ~ingress_port:port))
             ())
         (Switch.normal_ports m.msw.C.device)
     in
     send_batch t m.msw
       (List.map (fun g -> Of_msg.Group_mod g) gms
-      @ List.map (fun fm -> Of_msg.Flow_mod fm) (table1 @ redirects))
+      @ List.map (fun fm -> Of_msg.Flow_mod fm) (Tenancy.balancer t.tenancy @ redirects))
   end
 
 (** {1 Withdrawal (§5.5)} *)
@@ -646,7 +382,7 @@ let withdraw t m =
               ~cookie:Config.cookie_green ~idle_timeout:Config.pin_rule_idle
               ~match_:(Of_match.exact_flow e.Flow_info_db.key)
               ~instructions:
-                (overlay_instructions t ~port:e.Flow_info_db.ingress_port
+                (Tenancy.overlay_instructions t.tenancy ~port:e.Flow_info_db.ingress_port
                    ~tenant:e.Flow_info_db.tenant)
               ();
             decr remaining;
@@ -654,8 +390,6 @@ let withdraw t m =
       pins
 
 (** {1 Overlay routing (§4.1–4.2)} *)
-
-let vswitch_handle t vdpid = Hashtbl.find_opt t.vswitch_handles vdpid
 
 (** Entry vswitch the switch's select group will hash this flow to —
     used when the first packet arrived directly (pre-activation) so the
@@ -667,7 +401,7 @@ let predicted_entry t m (e : Flow_info_db.entry) =
   match assigned with
   | [] -> None
   | _ ->
-    let pool = slice_of_tenant t assigned e.Flow_info_db.tenant in
+    let pool = Tenancy.slice_of_tenant t.tenancy assigned e.Flow_info_db.tenant in
     let n = List.length pool in
     let vdpid, _ = List.nth pool (Flow_key.hash e.Flow_info_db.key mod n) in
     Some vdpid
@@ -703,13 +437,13 @@ let route_overlay t (e : Flow_info_db.entry) pkt ~entry =
     let entry_actions =
       Option.map (fun tid -> [ Of_action.Pop_mpls; tunnel_out tid ]) entry_tunnel
     in
-    match (entry_actions, vswitch_handle t entry) with
+    match (entry_actions, vswitch_handle_of t entry) with
     | None, _ | _, None -> unroutable t e
     | Some actions, Some entry_sw ->
       install_vflow t entry_sw key actions;
       (if cover <> entry then
          match (Overlay.delivery_tunnel t.overlay ~vswitch_dpid:cover dst_ip,
-                vswitch_handle t cover) with
+                vswitch_handle_of t cover) with
          | Some tid, Some cover_sw -> install_vflow t cover_sw key [ tunnel_out tid ]
          | _ -> ());
       C.packet_out t.ctrl entry_sw ~actions pkt;
@@ -834,19 +568,6 @@ let do_migration ?(detected_at = 0.0) t (e : Flow_info_db.entry) =
           Scotch_obs.Obs.span ~name:"scotch.migration" ~cat:"core" ~ts:detected_at
             ~dur:(now t -. detected_at) ~tid:e.Flow_info_db.first_hop ~args:[])
 
-(** Elephant detection: poll per-flow packet counts at the vswitches and
-    compare against the configured rate threshold. *)
-let flow_key_of_match (m : Of_match.t) =
-  match (m.Of_match.ip_src, m.Of_match.ip_dst, m.Of_match.ip_proto) with
-  | Some src, Some dst, Some proto ->
-    Some
-      (Flow_key.make
-         ~ip_src:(Ipv4_addr.of_int src.Of_match.value)
-         ~ip_dst:(Ipv4_addr.of_int dst.Of_match.value)
-         ~proto
-         ?l4_src:m.Of_match.l4_src ?l4_dst:m.Of_match.l4_dst ())
-  | _ -> None
-
 (* Common tail of every detection path: count, trace, fire the
    ground-truth hook, and queue the migration through the first hop's
    large-flow queue.  The caller has already set [e.migrating]. *)
@@ -860,7 +581,7 @@ let launch_migration t ~vdpid (e : Flow_info_db.entry) =
     end
     else 0.0
   in
-  t.on_elephant e.Flow_info_db.key;
+  Detection.elephant t.detection e.Flow_info_db.key;
   match managed_of t e.Flow_info_db.first_hop with
   | Some m ->
     Sched.submit_large m.sched ~tenant:e.Flow_info_db.tenant (fun () ->
@@ -877,79 +598,6 @@ let migrate_if_large t ~vdpid (e : Flow_info_db.entry) rate =
     e.Flow_info_db.migrating <- true;
     launch_migration t ~vdpid e
   end
-
-let poll_vswitch_stats t vdpid =
-  match vswitch_handle t vdpid with
-  | None -> ()
-  | Some sw ->
-    let req = { Of_msg.Stats.table_id = 0xFF; match_ = Of_match.wildcard } in
-    account t ~sampled:false ~units:1 (Of_msg.Flow_stats_request req);
-    C.request t.ctrl sw (Of_msg.Flow_stats_request req)
-      (function
-        | Of_msg.Flow_stats_reply stats ->
-          account t ~sampled:false ~units:(1 + List.length stats)
-            (Of_msg.Flow_stats_reply stats);
-          List.iter
-            (fun (st : Of_msg.Stats.flow_stat) ->
-              if st.Of_msg.Stats.cookie = Config.cookie_vflow then
-                match flow_key_of_match st.Of_msg.Stats.match_ with
-                | None -> ()
-                | Some key -> (
-                  match Flow_info_db.find t.db key with
-                  | Some e -> (
-                    match e.Flow_info_db.kind with
-                    | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
-                      let rate =
-                        Flow_info_db.observe_count t.db e
-                          ~packets:st.Of_msg.Stats.packet_count ~now:(now t)
-                          ~interval:t.config.Config.stats_poll_interval
-                      in
-                      migrate_if_large t ~vdpid e rate
-                    | _ -> ())
-                  | None -> ()))
-            stats
-        | _ -> ())
-
-(* Sampled detection (§5.3 via the telemetry subsystem): drain each
-   duty vswitch's sampler window and rank the carried top-k records by
-   the lower confidence bound of their inverse-probability-scaled rate
-   estimate.  Constant-size replies replace the per-vflow stats dump. *)
-let poll_vswitch_telemetry t vdpid =
-  match vswitch_handle t vdpid with
-  | None -> ()
-  | Some sw ->
-    account t ~sampled:true ~units:1 Of_msg.Telemetry_request;
-    C.request t.ctrl sw Of_msg.Telemetry_request
-      (function
-        | Of_msg.Telemetry_reply tr ->
-          account t ~sampled:true ~units:(1 + List.length tr.Of_msg.Telemetry.records)
-            (Of_msg.Telemetry_reply tr);
-          let rate = tr.Of_msg.Telemetry.rate in
-          let window = tr.Of_msg.Telemetry.window in
-          if rate > 0.0 && window > 0.0 then
-            List.iter
-              (fun (r : Of_msg.Telemetry.record) ->
-                match Flow_info_db.find t.db r.Of_msg.Telemetry.key with
-                | None -> ()
-                | Some e -> (
-                  match e.Flow_info_db.kind with
-                  | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
-                    let c = r.Of_msg.Telemetry.sampled in
-                    let lower = Scotch_telemetry.Estimator.rate_lower ~rate ~window c in
-                    (* fold the scaled size estimate into the ledger so
-                       withdrawal pinning still sees flow sizes *)
-                    let est =
-                      e.Flow_info_db.last_packet_count
-                      + int_of_float (Float.round (Scotch_telemetry.Estimator.scaled ~rate c))
-                    in
-                    let (_ : float) =
-                      Flow_info_db.observe_count t.db e ~packets:est ~now:(now t)
-                        ~interval:window
-                    in
-                    migrate_if_large t ~vdpid e lower
-                  | _ -> ()))
-              tr.Of_msg.Telemetry.records
-        | _ -> ())
 
 (** Control-plane load check for a candidate physical path (§5.3: the
     controller "checks the message rate of all switches on the path to
@@ -976,15 +624,6 @@ let path_overloaded t ~first_hop ~dst_ip ~tenant =
 (** {1 Packet-In handling} *)
 
 let serve_new_flow t m (e : Flow_info_db.entry) pkt ~entry_vswitch =
-  (* fair-sharing group: per ingress port by default, or the operator's
-     classifier (e.g. per customer, §5.2) *)
-  let group =
-    match t.config.Config.flow_group with
-    | None -> e.Flow_info_db.ingress_port
-    | Some f ->
-      f ~first_hop:e.Flow_info_db.first_hop ~ingress_port:e.Flow_info_db.ingress_port
-        e.Flow_info_db.key
-  in
   let route_via_overlay () =
     let entry =
       match entry_vswitch with
@@ -1007,7 +646,8 @@ let serve_new_flow t m (e : Flow_info_db.entry) pkt ~entry_vswitch =
     | Flow_info_db.Overlay _ | Flow_info_db.Physical | Flow_info_db.Dropped -> ()
   in
   let submit =
-    Sched.submit_ingress m.sched ~port:group ~tenant:e.Flow_info_db.tenant ~shed (fun () ->
+    Sched.submit_ingress m.sched ~port:e.Flow_info_db.ingress_port ~tenant:e.Flow_info_db.tenant
+      ~shed (fun () ->
         match e.Flow_info_db.kind with
         | Flow_info_db.Pending ->
           (* §5.3's path-load check applies to any physical setup: when a
@@ -1099,7 +739,7 @@ let handle_packet_in t (sw : C.sw) (pi : Of_msg.Packet_in.t) =
           serve_new_flow t m e pkt ~entry_vswitch)
       | None ->
         t.counters.flows_seen <- t.counters.flows_seen + 1;
-        let tenant = tenant_of_flow t ~first_hop:origin_dpid ~ingress_port in
+        let tenant = Tenancy.tenant_of_flow t.tenancy ~first_hop:origin_dpid ~ingress_port in
         let e =
           Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port ~now:(now t)
             ()
@@ -1124,25 +764,26 @@ let rebalance_groups t =
       end)
     t.managed;
   (* monitoring duty follows select-group membership *)
-  refresh_sampling_duty t
+  Detection.refresh_duty t.detection
 
-(** [fail_vswitch t dpid] removes a pool member from forwarding duty as
-    if its heartbeat had died: mark it dead in the overlay and replace
-    it in every select group (the backup treats affected flows as new
-    flows).  Entry point for the elastic layer's data-path breaker. *)
-let fail_vswitch t dpid =
-  if Hashtbl.mem t.vswitch_handles dpid then begin
-    t.counters.vswitch_failures <- t.counters.vswitch_failures + 1;
+(* A pool-membership change shared by the breaker, autoscaler and
+   failure entry points: flip the overlay state, count, trace,
+   rebalance. *)
+let pool_change t vdpid ~counter ~event ~change =
+  if Hashtbl.mem t.vswitch_handles vdpid then begin
+    change ();
+    counter ();
     if Scotch_obs.Obs.is_enabled () then
-      Scotch_obs.Obs.instant ~name:"scotch.vswitch_dead" ~cat:"core" ~ts:(now t) ~tid:dpid
-        ~args:[];
-    ignore (Overlay.mark_dead t.overlay dpid);
+      Scotch_obs.Obs.instant ~name:event ~cat:"core" ~ts:(now t) ~tid:vdpid ~args:[];
     rebalance_groups t
   end
 
-(** [revive_vswitch t dpid] returns a previously failed member to the
-    forwarding pool (the §5.6 recovery path) — the data-path breaker's
-    half-open probe succeeded. *)
+let fail_vswitch t dpid =
+  pool_change t dpid
+    ~counter:(fun () -> t.counters.vswitch_failures <- t.counters.vswitch_failures + 1)
+    ~event:"scotch.vswitch_dead"
+    ~change:(fun () -> ignore (Overlay.mark_dead t.overlay dpid))
+
 let revive_vswitch t dpid =
   if Hashtbl.mem t.vswitch_handles dpid then begin
     Overlay.mark_recovered t.overlay dpid;
@@ -1154,8 +795,6 @@ let handle_switch_dead t (sw : C.sw) = fail_vswitch t sw.C.dpid
 
 (** {1 Policy green rules} *)
 
-(** Install the shared green rules of every registered policy segment.
-    Call after all segments are added and switches connected. *)
 let setup_policy_rules t =
   List.iter
     (fun seg ->
@@ -1178,29 +817,13 @@ let monitor_tick t =
       then withdraw t m)
     t.managed
 
-(** [start t] launches the periodic machinery: the congestion monitor
-    (§4.2), vswitch stats polling for elephant detection (§5.3) and the
-    heartbeat (§5.6). *)
 let start t =
-  let cfg = t.config in
-  refresh_sampling_duty t;
+  Detection.refresh_duty t.detection;
   let (_ : unit -> unit) =
     Scotch_sim.Engine.every (engine t) ~period:Config.monitor_interval (fun () ->
         monitor_tick t)
   in
-  let (_ : unit -> unit) =
-    Scotch_sim.Engine.every (engine t) ~period:cfg.Config.stats_poll_interval (fun () ->
-        if t.stats_polling then
-          (* a Stats_outage fault gates both detection styles here *)
-          Overlay.iter_vswitches t.overlay (fun v ->
-              if v.Overlay.alive then
-                match cfg.Config.detection with
-                | Config.Exact_polling -> poll_vswitch_stats t (Switch.dpid v.Overlay.vsw)
-                | Config.Sampled _ ->
-                  let vdpid = Switch.dpid v.Overlay.vsw in
-                  if Scotch_telemetry.Assignment.duty_tunnels t.duty vdpid <> [] then
-                    poll_vswitch_telemetry t vdpid))
-  in
+  Detection.start t.detection ~vswitch:(vswitch_handle_of t) ~on_rate:(migrate_if_large t);
   C.start_heartbeat t.ctrl ~period:Config.heartbeat_period
     ~timeout:Config.heartbeat_timeout;
   Option.iter Reliable.start t.reliable
@@ -1215,8 +838,6 @@ let handle_switch_alive t (sw : C.sw) =
       Reliable.request_resync r sw.C.dpid)
     t.reliable
 
-(** The controller application record; register it {e before} any
-    fallback routing app. *)
 let app t =
   C.app
     ~packet_in:(fun sw pi -> handle_packet_in t sw pi)
@@ -1229,12 +850,6 @@ let app t =
     "We may also need to add new vswitches to increase the Scotch overlay
     capacity or replace the departed vswitches." *)
 
-(** [add_vswitch_live t dev ~channel_latency ~as_backup] joins a new
-    vswitch to a {e running} overlay: meshes it with the existing pool,
-    builds uplink tunnels from every managed physical switch, registers
-    it with the controller, installs its table-miss rule and — unless it
-    joins as a backup — rebalances every active switch's select group to
-    start using it. *)
 let add_vswitch_live t dev ~channel_latency ~as_backup =
   Scotch_obs.Registry.incr t.pool_adds_c;
   if Scotch_obs.Obs.is_enabled () then
@@ -1249,96 +864,50 @@ let add_vswitch_live t dev ~channel_latency ~as_backup =
   if not as_backup then rebalance_groups t;
   sw
 
-(* A pool-membership change shared by the breaker/autoscaler entry
-   points below: flip the overlay flag, count, trace, rebalance. *)
-let pool_change t vdpid ~counter ~event ~change =
-  if Hashtbl.mem t.vswitch_handles vdpid then begin
-    change ();
-    counter ();
-    if Scotch_obs.Obs.is_enabled () then
-      Scotch_obs.Obs.instant ~name:event ~cat:"core" ~ts:(now t) ~tid:vdpid ~args:[];
-    rebalance_groups t
-  end
-
-(** Circuit breaker open: eject a sick vswitch from every select group
-    without declaring it dead — existing flows keep draining through
-    it, it just gets no new ones. *)
 let quarantine_vswitch t vdpid =
   pool_change t vdpid
     ~counter:(fun () -> t.counters.quarantines <- t.counters.quarantines + 1)
     ~event:"scotch.vswitch_quarantine"
     ~change:(fun () -> Overlay.set_quarantined t.overlay vdpid true)
 
-(** Circuit breaker closed again: readmit a recovered vswitch to the
-    select groups. *)
 let readmit_vswitch t vdpid =
   pool_change t vdpid
     ~counter:(fun () -> t.counters.readmissions <- t.counters.readmissions + 1)
     ~event:"scotch.vswitch_readmit"
     ~change:(fun () -> Overlay.set_quarantined t.overlay vdpid false)
 
-(** Autoscaler scale-up: move a standby (backup) vswitch to active
-    duty. *)
 let promote_vswitch t vdpid =
   pool_change t vdpid
     ~counter:(fun () -> t.counters.promotions <- t.counters.promotions + 1)
     ~event:"scotch.vswitch_promote"
     ~change:(fun () -> Overlay.set_backup t.overlay vdpid false)
 
-(** Autoscaler scale-down: demote an active vswitch to draining
-    standby — no new flows, per-flow rules idle out, and it remains
-    available for future promotion or failover. *)
 let demote_vswitch t vdpid =
   pool_change t vdpid
     ~counter:(fun () -> t.counters.demotions <- t.counters.demotions + 1)
     ~event:"scotch.vswitch_demote"
     ~change:(fun () -> Overlay.set_backup t.overlay vdpid true)
 
-(** Pool-manager handoff: with an autoscaler in charge, standby
-    vswitches idle on the bench instead of sharing select-group load —
-    promotion is what puts them in rotation.  Rebalances every active
-    group to the new membership. *)
 let bench_standbys t on =
   Overlay.set_bench_backups t.overlay on;
   rebalance_groups t
 
-(** The controller handle of a registered vswitch (pool management). *)
-let vswitch_handle_of t vdpid = vswitch_handle t vdpid
-
-(** Convenience: is the overlay currently active for switch [dpid]? *)
 let is_active t dpid = match managed_of t dpid with Some m -> m.active | None -> false
 
-(** The scheduler of a managed switch (tests/observability). *)
 let sched_of t dpid = Option.map (fun m -> m.sched) (managed_of t dpid)
 
 let decision_latency_quantile t q = Scotch_obs.Registry.quantile_opt t.decision_h q
 
-(** Fault injection: suspend/resume the vswitch stats-polling loop (a
-    controller-side monitoring outage; §5.3 elephant detection stops —
-    under a sampled policy, telemetry polling stops through the same
-    gate). *)
-let set_stats_polling t enabled = t.stats_polling <- enabled
+let set_stats_polling t enabled = Detection.set_polling t.detection enabled
 
-(** {1 Telemetry observability} *)
+let set_on_elephant t f = Detection.set_on_elephant t.detection f
 
-(** [set_on_elephant t f] installs a hook fired at every elephant
-    detection, with the flow's key — experiments use it to measure
-    precision/recall and time-to-detect against ground truth. *)
-let set_on_elephant t f = t.on_elephant <- f
+let exact_channel t = Detection.exact_channel t.detection
 
-(** Channel cost of the exact detection path so far, as
-    [(message units, wire bytes)]. *)
-let exact_channel t = (t.ch_exact_msgs, t.ch_exact_bytes)
+let sampled_channel t = Detection.sampled_channel t.detection
 
-(** Channel cost of the sampled detection path (telemetry polls), as
-    [(message units, wire bytes)]. *)
-let sampled_channel t = (t.ch_sampled_msgs, t.ch_sampled_bytes)
-
-(** Dpids of all managed physical switches, sorted (observability). *)
 let managed_dpids t =
   Hashtbl.fold (fun dpid _ acc -> dpid :: acc) t.managed [] |> List.sort compare
 
-(** Dpids of all registered overlay vswitches, sorted
-    (observability). *)
 let vswitch_dpids t =
   Hashtbl.fold (fun dpid _ acc -> dpid :: acc) t.vswitch_handles [] |> List.sort compare

@@ -6,7 +6,12 @@
     One instance manages a set of {e physical} switches (each gets a
     Fig. 7 scheduler and a congestion monitor) and uses a pool of
     overlay vswitches.  Register {!app} with the controller {e before}
-    any fallback routing app, then call {!start}. *)
+    any fallback routing app, then call {!start}.
+
+    Two concerns live in their own modules, one instance each per
+    Scotch instance: {!Detection} finds large flows (exact stats polling
+    or sampled telemetry, §5.3) and {!Tenancy} attributes flows to
+    tenants and slices the select groups among them. *)
 
 open Scotch_switch
 module C = Scotch_controller.Controller
@@ -134,20 +139,15 @@ val decision_latency_quantile : t -> float -> float option
     gate). *)
 val set_stats_polling : t -> bool -> unit
 
-(** {1 Sampled telemetry (§5.3 alternative detection)} *)
-
 (** Install a hook fired at every elephant detection with the flow's
     key — experiments use it to measure precision/recall and
     time-to-detect against ground truth.  The default is a no-op. *)
 val set_on_elephant : t -> (Scotch_packet.Flow_key.t -> unit) -> unit
 
-(** Channel cost of the exact detection path so far, as
-    [(message units, wire bytes)]: one unit per request, one per reply
-    plus one per carried record. *)
+(** {!Detection.exact_channel} and {!Detection.sampled_channel}: the
+    detection loop's control-channel cost as [(message units, wire
+    bytes)]. *)
 val exact_channel : t -> int * int
-
-(** Channel cost of the sampled detection path (telemetry polls), same
-    units. *)
 val sampled_channel : t -> int * int
 
 (** Dpids of all managed physical switches, sorted (observability). *)

@@ -345,6 +345,122 @@ let test_overlay_backup_promotion () =
   Alcotest.(check int) "three alive" 3 (Overlay.alive_count ov)
 
 (* ------------------------------------------------------------------ *)
+(* Tenancy *)
+
+let tenancy_of config = Tenancy.create config ~sum_scheds:(fun _ -> 0) ~sum_pool_ofas:(fun _ -> 0)
+
+let tenanted specs =
+  tenancy_of
+    { Config.default with
+      Config.tenancy =
+        Some { Config.tenants = specs; tenant_of = (fun ~first_hop:_ ~ingress_port:_ -> 1) } }
+
+let test_tenancy_slices () =
+  let specs =
+    [ Tenant.make ~id:1 ~share:3 "a"; Tenant.make ~id:2 "b"; Tenant.make ~id:3 ~share:2 "c" ]
+  in
+  let tn = tenanted specs in
+  let assigned = List.init 7 (fun i -> 100 + i) in
+  let slices = Tenancy.group_slices tn assigned in
+  Alcotest.(check (list int)) "one select group per tenant, from group 1" [ 1; 2; 3 ]
+    (List.map fst slices);
+  Alcotest.(check (list int)) "contiguous and disjoint: the slices tile the assignment" assigned
+    (List.concat_map snd slices);
+  let shares = List.map (fun (s : Tenant.spec) -> (s.Tenant.id, s.Tenant.share)) specs in
+  let counts = Tenant.apportion ~slots:7 ~shares in
+  Alcotest.(check (list int)) "largest-remainder sizes" [ 4; 1; 2 ] (List.map snd counts);
+  Alcotest.(check (list int)) "slice sizes follow the apportionment" (List.map snd counts)
+    (List.map (fun (_, sl) -> List.length sl) slices);
+  Alcotest.(check (list int)) "a tenant's slice" [ 104 ] (Tenancy.slice_of_tenant tn assigned 2);
+  (* one slot for three tenants: the two left without one share it all *)
+  let small = [ 100 ] in
+  List.iter
+    (fun (gid, sl) -> Alcotest.(check (list int)) (Printf.sprintf "group %d slice" gid) small sl)
+    (Tenancy.group_slices tn small);
+  Alcotest.(check (list int)) "empty slice falls back to the whole assignment" small
+    (Tenancy.slice_of_tenant tn small 3);
+  Alcotest.(check int) "no shared table-1 balancer" 0 (List.length (Tenancy.balancer tn))
+
+let test_tenancy_untenanted () =
+  let tn = tenancy_of Config.default in
+  let assigned = [ 100; 101; 102 ] in
+  Alcotest.(check (list (pair int (list int)))) "one slice in group 1" [ (1, assigned) ]
+    (Tenancy.group_slices tn assigned);
+  Alcotest.(check (list int)) "default tenant hashes over everything" assigned
+    (Tenancy.slice_of_tenant tn assigned Tenant.default_id);
+  Alcotest.(check int) "attributed to the default tenant" Tenant.default_id
+    (Tenancy.tenant_of_flow tn ~first_hop:1 ~ingress_port:7);
+  Alcotest.(check int) "one shared table-1 balancer" 1 (List.length (Tenancy.balancer tn))
+
+(* ------------------------------------------------------------------ *)
+(* Detection *)
+
+(* One pool member (dpid 100) and one physical switch (dpid 1) with no
+   uplink yet. *)
+let detection_rig detection =
+  let e, topo, ov, vsws = overlay_rig ~n:1 in
+  let ctrl = Scotch_controller.Controller.create e topo in
+  let phys =
+    Scotch_switch.Switch.create e ~dpid:1 ~name:"p" ~profile:Scotch_switch.Profile.pica8 ()
+  in
+  Scotch_topo.Topology.add_switch topo phys;
+  let d =
+    Detection.create ctrl ov (Flow_info_db.create ()) { Config.default with Config.detection }
+  in
+  (e, ctrl, ov, phys, vsws.(0), d)
+
+let test_detection_exact_ledger () =
+  let e, ctrl, _, _, vsw, d = detection_rig Config.Exact_polling in
+  Detection.attach_sampler d vsw;
+  Alcotest.(check bool) "no sampler under exact polling" true
+    (Scotch_switch.Switch.sampler vsw = None);
+  let sw = Scotch_controller.Controller.connect ctrl vsw ~latency:0.001 in
+  let vflow i =
+    match
+      Scotch_switch.Switch.install_direct vsw ~table_id:0 ~priority:10
+        ~match_:(Scotch_openflow.Of_match.exact_flow (key i)) ~instructions:[]
+        ~cookie:Config.cookie_vflow ()
+    with
+    | Ok () -> ()
+    | Error `Table_full -> Alcotest.fail "table full"
+  in
+  vflow 1;
+  vflow 2;
+  Detection.start d ~vswitch:(fun dpid -> if dpid = 100 then Some sw else None)
+    ~on_rate:(fun ~vdpid:_ _ _ -> ());
+  (* one poll at t = 1 s, answered well before the next *)
+  Scotch_sim.Engine.run ~until:1.5 e;
+  let open Scotch_openflow in
+  let size p = Of_wire.size (Of_msg.make ~xid:0 p) in
+  let stat i =
+    { Of_msg.Stats.table_id = 0; priority = 10; match_ = Of_match.exact_flow (key i);
+      packet_count = 0; byte_count = 0; duration = 0.0; cookie = Config.cookie_vflow }
+  in
+  let request =
+    Of_msg.Flow_stats_request { Of_msg.Stats.table_id = 0xFF; match_ = Of_match.wildcard }
+  in
+  let reply = Of_msg.Flow_stats_reply [ stat 1; stat 2 ] in
+  Alcotest.(check (pair int int)) "request 1 unit, reply 1 + 2 records"
+    (1 + (1 + 2), size request + size reply)
+    (Detection.exact_channel d);
+  Alcotest.(check (pair int int)) "nothing on the sampled ledger" (0, 0)
+    (Detection.sampled_channel d)
+
+let test_detection_sampler_duty () =
+  let _, _, ov, phys, vsw, d = detection_rig (Config.Sampled 0.5) in
+  let enabled () =
+    match Scotch_switch.Switch.sampler vsw with
+    | Some s -> Scotch_telemetry.Sampler.enabled s
+    | None -> Alcotest.fail "no sampler attached"
+  in
+  Detection.attach_sampler d vsw;
+  Alcotest.(check bool) "attached disabled" false (enabled ());
+  Overlay.connect_switch ov phys ~to_vswitches:[ 100 ];
+  Alcotest.(check bool) "an uplink alone gives no duty" false (enabled ());
+  Detection.refresh_duty d;
+  Alcotest.(check bool) "duty at the refresh" true (enabled ())
+
+(* ------------------------------------------------------------------ *)
 (* Scotch app invariants (via the experiment testbed) *)
 
 let test_select_assignment_agrees_with_group () =
@@ -469,6 +585,12 @@ let () =
           Alcotest.test_case "uplinks and origin map" `Quick test_overlay_uplinks_and_origin;
           Alcotest.test_case "cover failover" `Quick test_overlay_cover_and_failover;
           Alcotest.test_case "backup promotion" `Quick test_overlay_backup_promotion ] );
+      ( "tenancy",
+        [ Alcotest.test_case "select-group slices" `Quick test_tenancy_slices;
+          Alcotest.test_case "untenanted" `Quick test_tenancy_untenanted ] );
+      ( "detection",
+        [ Alcotest.test_case "exact-polling ledger" `Quick test_detection_exact_ledger;
+          Alcotest.test_case "sampler duty" `Quick test_detection_sampler_duty ] );
       ( "scotch_app",
         [ Alcotest.test_case "overlay entry spread" `Quick test_select_assignment_agrees_with_group;
           Alcotest.test_case "activation threshold" `Quick test_activation_threshold;

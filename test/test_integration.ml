@@ -237,51 +237,6 @@ let test_live_vswitch_addition () =
     true
     (rate_after > 1.5 *. rate_before)
 
-let test_customer_flow_grouping () =
-  (* §5.2: fair sharing by operator-defined groups instead of ingress
-     port — here both attacker and client share one port, but the
-     classifier separates them by source prefix *)
-  let attacker_prefix = Scotch_packet.Ipv4_addr.to_int (Scotch_packet.Ipv4_addr.make 172 16 0 0) in
-  let config =
-    { Config.default with
-      Config.flow_group =
-        Some
-          (fun ~first_hop:_ ~ingress_port:_ key ->
-            if
-              Scotch_packet.Ipv4_addr.matches
-                ~addr:key.Scotch_packet.Flow_key.ip_src ~value:attacker_prefix
-                ~mask:(Scotch_packet.Ipv4_addr.prefix_mask 12)
-            then 1
-            else 0) }
-  in
-  let net = Testbed.scotch_net ~config () in
-  let client = Testbed.client_source net ~i:0 ~rate:20.0 () in
-  (* spoofed flood from the SAME ingress port as the client *)
-  let flood =
-    let rng = Scotch_util.Rng.split (Scotch_sim.Engine.rng net.Testbed.engine) in
-    Source.create net.Testbed.engine ~rng ~host:net.Testbed.clients.(0)
-      ~dst:net.Testbed.server ~rate:2000.0 ~spoof_sources:true ()
-  in
-  Source.start client;
-  Source.start flood;
-  Testbed.run_until net ~until:10.0;
-  (* the classifier protects the client's share of R even on a shared port *)
-  let db = Scotch.db net.Testbed.app in
-  let total = ref 0 and physical = ref 0 in
-  List.iter
-    (fun (l : Flow_gen.launched) ->
-      if l.Flow_gen.started >= 2.0 && l.Flow_gen.started <= 9.0 then begin
-        incr total;
-        match Flow_info_db.find db l.Flow_gen.key with
-        | Some e when e.Flow_info_db.kind = Flow_info_db.Physical -> incr physical
-        | _ -> ()
-      end)
-    (Source.launched client);
-  let share = float_of_int !physical /. float_of_int (max 1 !total) in
-  Alcotest.(check bool)
-    (Printf.sprintf "client physical share %.2f > 0.5 despite shared port" share)
-    true (share > 0.5)
-
 let test_repeated_activation_cycles () =
   (* two attack waves: the overlay must activate and withdraw twice *)
   let net = Testbed.scotch_net () in
@@ -361,6 +316,5 @@ let () =
         [ Alcotest.test_case "destination-side protection (§1)" `Slow
             test_fabric_destination_protection ] );
       ( "elasticity",
-        [ Alcotest.test_case "live vswitch addition (§5.6)" `Slow test_live_vswitch_addition;
-          Alcotest.test_case "customer flow grouping (§5.2)" `Slow test_customer_flow_grouping ] )
+        [ Alcotest.test_case "live vswitch addition (§5.6)" `Slow test_live_vswitch_addition ] )
     ]

@@ -153,11 +153,6 @@ let test_packet_gre_key () =
   let p = Packet.push_encap (Encap.gre 77l) (mk_packet ()) in
   Alcotest.(check bool) "gre key" true (Packet.outer_gre_key p = Some 77l)
 
-let test_packet_unique_ids () =
-  let a = mk_packet () and b = mk_packet () in
-  Alcotest.(check bool) "distinct packet ids" true
-    (a.Packet.meta.packet_id <> b.Packet.meta.packet_id)
-
 let test_mpls_label_range () =
   Alcotest.(check bool) "label out of range" true
     (try
@@ -277,7 +272,6 @@ let () =
           Alcotest.test_case "encap stack" `Quick test_packet_encap_stack;
           Alcotest.test_case "flow key ignores encaps" `Quick test_packet_flow_key_ignores_encaps;
           Alcotest.test_case "gre key" `Quick test_packet_gre_key;
-          Alcotest.test_case "unique packet ids" `Quick test_packet_unique_ids;
           Alcotest.test_case "mpls label range" `Quick test_mpls_label_range ] );
       ( "codec",
         [ Alcotest.test_case "plain roundtrip" `Quick test_codec_plain_roundtrip;
