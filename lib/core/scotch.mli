@@ -157,6 +157,12 @@ val managed_dpids : t -> int list
     (observability). *)
 val vswitch_dpids : t -> int list
 
+(** [admission_sum t ~sched ~ofa] sums [sched] over every managed
+    switch's Fig. 7 scheduler plus [ofa] over every registered pool
+    member's agent, provisioned members included — the admission
+    layer's whole view of the net. *)
+val admission_sum : t -> sched:(Sched.t -> int) -> ofa:(Ofa.t -> int) -> int
+
 (** Register a callback to run after every vswitch repair (§5.6), where
     the dataplane was rebuilt behind the app's back — used by
     {!Scotch_verify.Hooks} to resync the continuous verifier. *)

@@ -257,16 +257,6 @@ let served_rate (net : scotch_net) ~warmup ~until =
   run_until net ~until;
   float_of_int (seen () - before) /. (until -. warmup)
 
-(** Admission-layer sheds: [sched] per managed switch plus [ofa] per vswitch. *)
-let shed_sum (net : scotch_net) ~sched ~ofa =
-  let module Sc = Scotch_core.Scotch in
-  let ingress =
-    List.fold_left
-      (fun acc dpid -> match Sc.sched_of net.app dpid with Some s -> acc + sched s | None -> acc)
-      0 (Sc.managed_dpids net.app)
-  in
-  Array.fold_left (fun acc v -> acc + ofa (Switch.ofa v)) ingress net.vswitches
-
 (** {1 Trace replay and its harvest} *)
 
 type replay = {

@@ -109,12 +109,6 @@ val run_until : scotch_net -> until:float -> unit
     second. *)
 val served_rate : scotch_net -> warmup:float -> until:float -> float
 
-(** Admission-layer sheds across the net: [sched] summed over every
-    managed switch's ingress scheduler plus [ofa] over every vswitch's
-    agent. *)
-val shed_sum :
-  scotch_net -> sched:(Scotch_core.Sched.t -> int) -> ofa:(Ofa.t -> int) -> int
-
 (** {1 Trace replay and its harvest} *)
 
 type replay = {

@@ -107,6 +107,34 @@ let test_scotch_net_quiet_is_clean () =
   (* every vswitch still alive (heartbeats answered) *)
   Alcotest.(check int) "all alive" 4 (Scotch_core.Overlay.alive_count net.Testbed.overlay)
 
+(* Overload's shed count covers the whole registered pool: a member
+   added through [make_provision] (dpid 150+, outside
+   [net.vswitches]) that drops a pin job shows up in [total_shed]. *)
+let test_overload_shed_counts_provisioned () =
+  let net =
+    Testbed.scotch_net ~vswitch_profile:Overload.weak_vswitch ~config:Overload.scotch_config
+      ~num_vswitches:Overload.num_active ~num_backups:Overload.num_backups ()
+  in
+  match Overload.make_provision net () with
+  | None -> Alcotest.fail "provisioning budget exhausted"
+  | Some sw ->
+    let dev = sw.Scotch_controller.Controller.device in
+    Alcotest.(check bool) "outside net.vswitches" true
+      (not (Array.exists (fun v -> v == dev) net.Testbed.vswitches));
+    let before = Overload.total_shed net in
+    let ofa = Scotch_switch.Switch.ofa dev in
+    (* a dead agent drops every Packet-In job it is offered *)
+    Scotch_switch.Ofa.set_dead ofa true;
+    Scotch_switch.Ofa.submit_packet_in ofa
+      { Scotch_switch.Ofa.in_port = 1; tunnel_id = None;
+        reason = Scotch_openflow.Of_types.Packet_in_reason.No_match;
+        packet =
+          Scotch_packet.Packet.tcp_syn ~flow_id:1 ~created:0.0
+            ~src_mac:(Scotch_packet.Mac.of_host_id 1) ~dst_mac:(Scotch_packet.Mac.of_host_id 2)
+            ~ip_src:(Scotch_packet.Ipv4_addr.make 10 0 0 1)
+            ~ip_dst:(Scotch_packet.Ipv4_addr.make 10 0 0 2) ~src_port:1 ~dst_port:80 () };
+    Alcotest.(check int) "pin drop counted" (before + 1) (Overload.total_shed net)
+
 let test_fabric_wiring () =
   let fb = Testbed.fabric ~num_racks:3 ~hosts_per_rack:2 ~num_spines:2 ~vswitches_per_rack:2 () in
   Alcotest.(check int) "tors" 3 (Array.length fb.Testbed.f_tors);
@@ -213,6 +241,8 @@ let () =
           Alcotest.test_case "single wiring" `Quick test_single_testbed_wiring;
           Alcotest.test_case "scotch_net wiring" `Quick test_scotch_net_wiring;
           Alcotest.test_case "quiet network is clean" `Quick test_scotch_net_quiet_is_clean;
+          Alcotest.test_case "overload shed counts provisioned members" `Quick
+            test_overload_shed_counts_provisioned;
           Alcotest.test_case "fabric wiring" `Quick test_fabric_wiring;
           Alcotest.test_case "fabric cross-rack delivery" `Quick test_fabric_cross_rack_delivery ] );
       ( "figures",
