@@ -5,16 +5,12 @@
     hop it is — the per-switch select groups already partition the flow
     space over the pool, so duty shares follow the load-balancer's own
     proportions.  This module is the controller-side ledger of that
-    partition: which uplink tunnels are each member's duty, what
-    fraction of the monitored flow space each member owns, and a pure
-    mirror of the data plane's bucket choice ({!owner}) so the
-    controller can predict a flow's monitor without asking the switch.
+    partition: which uplink tunnels are each member's duty and what
+    fraction of the monitored flow space each member owns.
 
     Refreshed on every pool change (failure, quarantine, promotion,
     demotion, join), bumping {!generation}; members outside the active
     pool hold no duty and their samplers are disabled. *)
-
-open Scotch_packet
 
 type t = {
   mutable duties : (int, int list) Hashtbl.t; (* vswitch dpid -> duty tunnel ids *)
@@ -70,13 +66,3 @@ let share t vdpid = Option.value (Hashtbl.find_opt t.shares vdpid) ~default:0.0
 let members t = t.members
 let generation t = t.generation
 
-(** Pure mirror of the data plane's select-bucket choice: the pool
-    member that monitors [key] among a switch's [assigned] uplinks —
-    must stay in lockstep with [Group_table.select_bucket]. *)
-let owner ~assigned key =
-  match assigned with
-  | [] -> None
-  | _ ->
-    let n = List.length assigned in
-    let vdpid, (_ : int) = List.nth assigned (Flow_key.hash key mod n) in
-    Some vdpid

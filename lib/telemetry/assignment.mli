@@ -1,9 +1,6 @@
 (** Floware-style monitoring-duty ledger: which uplink tunnels each
-    active pool member samples, the duty share each owns, and a pure
-    mirror of the data plane's bucket choice.  Refresh on every pool
-    change. *)
-
-open Scotch_packet
+    active pool member samples and the duty share each owns.  Refresh
+    on every pool change. *)
 
 type t
 
@@ -26,7 +23,3 @@ val members : t -> int list
 
 val generation : t -> int
 
-(** The pool member that monitors [key] among a switch's [assigned]
-    [(vswitch dpid, tunnel id)] uplinks — the data plane's select-bucket
-    choice, mirrored. *)
-val owner : assigned:(int * int) list -> Flow_key.t -> int option

@@ -26,14 +26,13 @@ type t = {
   mutable uplink : Scotch_sim.Link.t option;
   flows : (int, flow_record) Hashtbl.t; (* by packet flow_id *)
   mutable received_packets : int;
-  mutable received_bytes : int;
   mutable on_receive : Packet.t -> unit;
   delays : Scotch_util.Stats.Samples.t; (* one-way packet delays *)
 }
 
 let create engine ~id ~name =
   { engine; id; name; mac = Mac.of_host_id id; ip = Ipv4_addr.of_host_id id; uplink = None;
-    flows = Hashtbl.create 64; received_packets = 0; received_bytes = 0;
+    flows = Hashtbl.create 64; received_packets = 0;
     on_receive = (fun _ -> ()); delays = Scotch_util.Stats.Samples.create () }
 
 let set_uplink t link = t.uplink <- Some link
@@ -54,7 +53,6 @@ let deliver t pkt =
   let pkt = strip pkt in
   let now = Scotch_sim.Engine.now t.engine in
   t.received_packets <- t.received_packets + 1;
-  t.received_bytes <- t.received_bytes + Packet.size pkt;
   Scotch_util.Stats.Samples.add t.delays (now -. pkt.Packet.meta.created);
   let fid = pkt.Packet.meta.flow_id in
   (match Hashtbl.find_opt t.flows fid with
@@ -74,7 +72,6 @@ let name t = t.name
 let mac t = t.mac
 let ip t = t.ip
 let received_packets t = t.received_packets
-let received_bytes t = t.received_bytes
 
 (** Number of distinct flows from which at least one packet arrived. *)
 let flows_seen t = Hashtbl.length t.flows

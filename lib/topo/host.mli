@@ -39,7 +39,6 @@ val name : t -> string
 val mac : t -> Mac.t
 val ip : t -> Ipv4_addr.t
 val received_packets : t -> int
-val received_bytes : t -> int
 
 (** Number of distinct flows with at least one delivered packet. *)
 val flows_seen : t -> int

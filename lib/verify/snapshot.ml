@@ -99,13 +99,6 @@ let find_port n pid = List.find_opt (fun p -> p.port_id = pid) n.ports
 
 let controlled t = List.sort_uniq compare (t.managed @ t.vswitch_dpids)
 
-let pp_endpoint fmt = function
-  | To_switch { peer; peer_in_port } ->
-    Format.fprintf fmt "switch %d (in-port %d)" peer peer_in_port
-  | To_host h -> Format.fprintf fmt "host %d" h
-  | Opaque -> Format.pp_print_string fmt "opaque"
-  | Disconnected -> Format.pp_print_string fmt "disconnected"
-
 let hashtbl_sorted h =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare
 

@@ -125,5 +125,3 @@ val capture : ?scotch:Scotch_core.Scotch.t -> now:float -> Scotch_topo.Topology.
     verifier's per-install intent resync ({!capture} does this as part
     of a full capture). *)
 val capture_intents : now:float -> Scotch_reliable.Reliable.t -> intent_state
-
-val pp_endpoint : Format.formatter -> endpoint -> unit

@@ -29,17 +29,6 @@ type params = {
   size_of : Rng.t -> Flow_gen.flow_spec;
 }
 
-let default_params =
-  { duration = 120.0;
-    base_rate = 100.0;
-    flash_start = 60.0;
-    flash_end = 90.0;
-    flash_multiplier = 40.0;
-    hotspot_fraction = 0.7;
-    num_sources = 8;
-    num_destinations = 4;
-    size_of = Sizes.pareto ~pkt_rate:200.0 () }
-
 let rate_at p t =
   if t >= p.flash_start && t < p.flash_end then p.base_rate *. p.flash_multiplier
   else p.base_rate

@@ -24,8 +24,6 @@ type params = {
   size_of : Rng.t -> Flow_gen.flow_spec;
 }
 
-val default_params : params
-
 (** Arrival rate in effect at time [t]. *)
 val rate_at : params -> float -> float
 
