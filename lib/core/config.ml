@@ -44,7 +44,7 @@ type t = {
   detection : detection;
   path_load_threshold : float;
   vswitches_per_switch : int;
-  shed_policy : Sched.shed_policy;
+  shed_policy : Scotch_util.Admission.policy;
   ingress_deadline : float;
   verify : verify;
   tenancy : tenancy option;
@@ -61,7 +61,7 @@ let default =
     detection = Exact_polling;
     path_load_threshold = 100.0;
     vswitches_per_switch = 4;
-    shed_policy = Sched.Drop_new;
+    shed_policy = Scotch_util.Admission.Drop_new;
     ingress_deadline = 0.0;
     verify = Off;
     tenancy = None;

@@ -104,7 +104,7 @@ type t = {
           physical path before migrating a flow onto it *)
   vswitches_per_switch : int;
       (** how many vswitches each congested switch load-balances over *)
-  shed_policy : Sched.shed_policy;
+  shed_policy : Scotch_util.Admission.policy;
       (** what to do with ingress submissions past the dropping
           threshold — [Drop_new] is the paper's behaviour *)
   ingress_deadline : float;

@@ -23,7 +23,9 @@
 
     Tenancy: the tenant set is fixed at {!create}; an untenanted
     scheduler is one default tenant ({!Tenant.default}).  Each
-    submission carries a tenant id.  A tenant with an admission
+    submission carries a tenant id.  Budgets, per-tenant tallies,
+    same-tenant eviction and deadline expiry are
+    {!Scotch_util.Admission}'s shared rules: a tenant with an admission
     {e budget} is refused (its own newcomer shed) once it holds that
     many queued slots, regardless of how empty the shared thresholds
     are.  The whole service — admitted installs, migrations and
@@ -37,7 +39,7 @@
     policies ([Drop_oldest]/[Priority_preserving]) never evict across
     a tenant boundary. *)
 
-type shed_policy = Drop_new | Drop_oldest | Priority_preserving
+module Admission = Scotch_util.Admission
 
 type counters = {
   mutable served_admitted : int;
@@ -50,7 +52,8 @@ type counters = {
   mutable budget_dropped : int;   (* submissions refused by the submitter's own tenant budget *)
 }
 
-type item = { enqueued_at : float; tenant : int; run : unit -> unit; shed : unit -> unit }
+(* an ingress item's payload: run when served, shed otherwise *)
+type ingress = { run : unit -> unit; shed : unit -> unit }
 
 type t = {
   engine : Scotch_sim.Engine.t;
@@ -58,43 +61,38 @@ type t = {
   overlay_threshold : int;
   drop_threshold : int;
   differentiate : bool;
-  shed_policy : shed_policy;
+  shed_policy : Admission.policy;
   deadline : float; (* 0. = disabled *)
   admitted : (int, (unit -> unit) Queue.t) Hashtbl.t; (* per tenant *)
   large : (int, (unit -> unit) Queue.t) Hashtbl.t;
   (* ingress queues keyed by (port, tenant): tenant-pure lanes kill
      cross-tenant head-of-line blocking inside a port's FIFO *)
-  ingress : (int * int, item Queue.t) Hashtbl.t;
+  ingress : (int * int, ingress Admission.item Queue.t) Hashtbl.t;
   mutable rr_order : (int * int) list; (* (port, tenant), round-robin cursor at head *)
   mutable stop : (unit -> unit) option;
   frame : int array; (* reserved serve-tick frame, tenant per slot; never empty *)
   mutable frame_pos : int;
-  tenant_budgets : (int, int) Hashtbl.t;
-  tenant_queued : (int, int) Hashtbl.t;
-  tenant_submitted : (int, int) Hashtbl.t;
-  tenant_shed_tbl : (int, int) Hashtbl.t;
+  admission : Admission.t;
+  expire : ingress Admission.item -> unit;
   counters : counters;
 }
 
-let bump tbl tenant n =
-  let cur = match Hashtbl.find_opt tbl tenant with Some c -> c | None -> 0 in
-  Hashtbl.replace tbl tenant (cur + n)
-
-let tbl_count tbl tenant =
-  match Hashtbl.find_opt tbl tenant with Some c -> c | None -> 0
-
 let untenanted = [ Tenant.default ]
 
-let create ?(shed_policy = Drop_new) ?(deadline = 0.0) ?(tenants = untenanted) engine ~rate
-    ~overlay_threshold ~drop_threshold ~differentiate =
+let create ?(shed_policy = Admission.Drop_new) ?(deadline = 0.0) ?(tenants = untenanted) engine
+    ~rate ~overlay_threshold ~drop_threshold ~differentiate =
   if rate <= 0.0 then invalid_arg "Sched.create: rate must be positive";
   if deadline < 0.0 then invalid_arg "Sched.create: deadline must be >= 0";
   Tenant.check_specs tenants;
-  let tenant_budgets = Hashtbl.create 4 in
+  let admission = Admission.create () in
   List.iter
     (fun (s : Tenant.spec) ->
-      Option.iter (Hashtbl.replace tenant_budgets s.Tenant.id) s.Tenant.sched_budget)
+      Option.iter (Admission.set_budget admission ~tenant:s.Tenant.id) s.Tenant.sched_budget)
     tenants;
+  let counters =
+    { served_admitted = 0; served_large = 0; served_ingress = 0; diverted_overlay = 0;
+      dropped = 0; evicted = 0; expired = 0; budget_dropped = 0 }
+  in
   { engine; rate; overlay_threshold; drop_threshold; differentiate; shed_policy; deadline;
     admitted = Hashtbl.create 4; large = Hashtbl.create 4; ingress = Hashtbl.create 8;
     rr_order = []; stop = None;
@@ -102,11 +100,12 @@ let create ?(shed_policy = Drop_new) ?(deadline = 0.0) ?(tenants = untenanted) e
     frame =
       Array.concat
         (List.map (fun (s : Tenant.spec) -> Array.make s.Tenant.share s.Tenant.id) tenants);
-    frame_pos = 0; tenant_budgets; tenant_queued = Hashtbl.create 4;
-    tenant_submitted = Hashtbl.create 4; tenant_shed_tbl = Hashtbl.create 4;
-    counters =
-      { served_admitted = 0; served_large = 0; served_ingress = 0; diverted_overlay = 0;
-        dropped = 0; evicted = 0; expired = 0; budget_dropped = 0 } }
+    frame_pos = 0; admission;
+    expire =
+      (fun item ->
+        counters.expired <- counters.expired + 1;
+        item.Admission.payload.shed ());
+    counters }
 
 let tenant_q tbl tenant =
   match Hashtbl.find_opt tbl tenant with
@@ -116,14 +115,7 @@ let tenant_q tbl tenant =
     Hashtbl.replace tbl tenant q;
     q
 
-let tenant_submitted t ~tenant = tbl_count t.tenant_submitted tenant
-
-let tenant_queued t ~tenant = tbl_count t.tenant_queued tenant
-
-(** Everything shed that is attributable to [tenant]: budget refusals,
-    threshold refusals, evictions of its queued items and serve-time
-    expiries. *)
-let tenant_shed t ~tenant = tbl_count t.tenant_shed_tbl tenant
+let admission t = t.admission
 
 let counters t = t.counters
 
@@ -158,14 +150,23 @@ let longest_ingress_of_tenant t ~tenant =
         | _ -> Some (key, q, len))
     t.ingress None
 
-let evict_head t q =
-  match Queue.take_opt q with
-  | None -> ()
+(* Shed the oldest item [tenant] holds in lane [q] (the lane head:
+   lanes are tenant-pure). *)
+let evict t q ~tenant =
+  match Admission.evict_oldest t.admission q ~tenant with
   | Some victim ->
     t.counters.evicted <- t.counters.evicted + 1;
-    bump t.tenant_queued victim.tenant (-1);
-    bump t.tenant_shed_tbl victim.tenant 1;
-    victim.shed ()
+    victim.Admission.payload.shed ()
+  | None -> ()
+
+let enqueue t q ~tenant run shed =
+  Admission.push t.admission q ~at:(Scotch_sim.Engine.now t.engine) ~tenant { run; shed };
+  `Queued
+
+let refuse t ~tenant =
+  t.counters.dropped <- t.counters.dropped + 1;
+  Admission.refuse t.admission ~tenant;
+  `Drop
 
 (** [submit_ingress t ~port ?tenant ?shed run] applies the Fig. 7
     thresholds: [`Queued] (item will run when served), [`Overlay]
@@ -177,54 +178,34 @@ let evict_head t q =
     its own tenant (its [shed] callback runs) and still returns
     [`Queued]. *)
 let submit_ingress t ~port ?(tenant = Tenant.default_id) ?(shed = fun () -> ()) run =
-  bump t.tenant_submitted tenant 1;
-  let over_budget =
-    match Hashtbl.find_opt t.tenant_budgets tenant with
-    | Some b -> tbl_count t.tenant_queued tenant >= b
-    | None -> false
-  in
-  if over_budget then begin
+  if not (Admission.offer t.admission ~tenant) then begin
     (* the tenant's admission budget bit: shed its own newcomer without
        touching the shared thresholds or anyone else's queue slots *)
     t.counters.budget_dropped <- t.counters.budget_dropped + 1;
-    bump t.tenant_shed_tbl tenant 1;
+    Admission.refuse t.admission ~tenant;
     `Drop
   end
   else begin
     let q = ingress_queue t ~port ~tenant in
     let len = Queue.length q in
-    let push () =
-      Queue.push { enqueued_at = Scotch_sim.Engine.now t.engine; tenant; run; shed } q;
-      bump t.tenant_queued tenant 1
-    in
-    let refuse () =
-      t.counters.dropped <- t.counters.dropped + 1;
-      bump t.tenant_shed_tbl tenant 1;
-      `Drop
-    in
     if len >= t.drop_threshold then begin
       match t.shed_policy with
-      | Drop_new -> refuse ()
-      | Drop_oldest ->
-        evict_head t q;
-        push ();
-        `Queued
-      | Priority_preserving -> (
+      | Admission.Drop_new -> refuse t ~tenant
+      | Admission.Drop_oldest ->
+        evict t q ~tenant;
+        enqueue t q ~tenant run shed
+      | Admission.Priority_preserving -> (
         match longest_ingress_of_tenant t ~tenant with
         | Some (_, vq, _) ->
-          evict_head t vq;
-          push ();
-          `Queued
-        | None -> refuse ())
+          evict t vq ~tenant;
+          enqueue t q ~tenant run shed
+        | None -> refuse t ~tenant)
     end
     else if len >= t.overlay_threshold then begin
       t.counters.diverted_overlay <- t.counters.diverted_overlay + 1;
       `Overlay
     end
-    else begin
-      push ();
-      `Queued
-    end
+    else enqueue t q ~tenant run shed
   end
 
 (** Enqueue a rule install for an admitted (physical-path) flow in
@@ -236,23 +217,6 @@ let submit_admitted t ?(tenant = Tenant.default_id) item =
     {!submit_admitted}). *)
 let submit_large t ?(tenant = Tenant.default_id) item =
   Queue.push item (tenant_q t.large tenant)
-
-(* Pop the next fresh item from [q], expiring stale heads.  Deadline
-   checks happen at serve time only: expiry never reorders the queue,
-   it just skips work whose decision would arrive too late to matter. *)
-let rec take_fresh t q =
-  match Queue.take_opt q with
-  | None -> None
-  | Some item ->
-    bump t.tenant_queued item.tenant (-1);
-    if t.deadline > 0.0 && Scotch_sim.Engine.now t.engine -. item.enqueued_at > t.deadline
-    then begin
-      t.counters.expired <- t.counters.expired + 1;
-      bump t.tenant_shed_tbl item.tenant 1;
-      item.shed ();
-      take_fresh t q
-    end
-    else Some item
 
 (* Round-robin restricted to [tenant]'s own lanes, skipping empty
    ones.  Foreign lanes are skipped outright (without disturbing their
@@ -271,7 +235,10 @@ let next_ingress_of_tenant t ~tenant =
           match Hashtbl.find_opt t.ingress key with
           | Some q when not (Queue.is_empty q) -> (
             t.rr_order <- order';
-            match take_fresh t q with
+            match
+              Admission.take t.admission q ~now:(Scotch_sim.Engine.now t.engine)
+                ~deadline:t.deadline ~expire:t.expire
+            with
             | Some item -> Some item
             | None -> go (n - 1) order')
           | _ -> go (n - 1) order')
@@ -298,7 +265,7 @@ let serve_one t =
       match next_ingress_of_tenant t ~tenant with
       | Some item ->
         t.counters.served_ingress <- t.counters.served_ingress + 1;
-        item.run ()
+        item.Admission.payload.run ()
       | None -> ()))
 
 (** [start t] begins serving at rate R.  Idempotent. *)

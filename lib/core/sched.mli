@@ -12,22 +12,15 @@
 
     Tenancy (blast-radius isolation): the tenant set is fixed at
     {!create}, and an untenanted scheduler is one default tenant
-    ({!Tenant.default}).  Submissions carry a tenant id.  Per-tenant
-    {e budgets} cap how many queued slots a tenant may hold — past its
-    budget a tenant sheds only its own newcomers — the shelter
-    policies never evict across a tenant boundary, and {e shares}
-    reserve the serve ticks per tenant (non-work-conserving across
-    tenants, so a quiet tenant's decision latency is independent of
-    everyone else's backlog). *)
-
-(** What happens to an ingress submission past the dropping threshold:
-    refuse the newcomer ([Drop_new], the paper's behaviour and the
-    default), evict the oldest item of the same port's queue
-    ([Drop_oldest]), or evict the oldest item of the submitter's
-    {e longest} ingress queue so a quiet port's newcomer never pays
-    for a noisy port's backlog ([Priority_preserving]).  Evictions
-    stay inside the submitter's tenant. *)
-type shed_policy = Drop_new | Drop_oldest | Priority_preserving
+    ({!Tenant.default}).  Submissions carry a tenant id.  Admission is
+    {!Scotch_util.Admission}'s, shared with the OFA's Packet-In queue:
+    per-tenant {e budgets} cap how many queued slots a tenant may hold
+    — past its budget a tenant sheds only its own newcomers — and the
+    shelter policies never evict across a tenant boundary.  This
+    module keeps the lanes, the thresholds, the longest-lane choice
+    and its counters.  {e Shares} reserve the serve ticks per tenant
+    (non-work-conserving across tenants, so a quiet tenant's decision
+    latency is independent of everyone else's backlog). *)
 
 type counters = {
   mutable served_admitted : int;
@@ -44,7 +37,14 @@ type counters = {
 
 type t
 
-(** [differentiate = false] collapses to a single FIFO per tenant (all
+(** [shed_policy] says what an ingress submission past the dropping
+    threshold does: refuse the newcomer ([Drop_new], the paper's
+    behaviour and the default), evict the oldest item of the same
+    port's lane ([Drop_oldest]), or evict the oldest item of the
+    submitter's {e longest} lane so a quiet port's newcomer never pays
+    for a noisy port's backlog ([Priority_preserving]).
+
+    [differentiate = false] collapses to a single FIFO per tenant (all
     ports map to group 0).  [deadline] (seconds, [0.] = disabled)
     sheds queued ingress items at serve time once their decision would
     arrive more than [deadline] after enqueue.
@@ -60,7 +60,7 @@ type t
     [sched_budget] caps the ingress slots it may hold at once.  Raises
     [Invalid_argument] where {!Tenant.check_specs} does. *)
 val create :
-  ?shed_policy:shed_policy -> ?deadline:float -> ?tenants:Tenant.spec list ->
+  ?shed_policy:Scotch_util.Admission.policy -> ?deadline:float -> ?tenants:Tenant.spec list ->
   Scotch_sim.Engine.t -> rate:float -> overlay_threshold:int -> drop_threshold:int ->
   differentiate:bool -> t
 
@@ -76,17 +76,10 @@ val submit_ingress :
   t -> port:int -> ?tenant:int -> ?shed:(unit -> unit) -> (unit -> unit) ->
   [ `Queued | `Overlay | `Drop ]
 
-(** {2 Tenancy} *)
-
-(** Ingress submissions attributed to [tenant] so far. *)
-val tenant_submitted : t -> tenant:int -> int
-
-(** Queue slots [tenant] holds right now. *)
-val tenant_queued : t -> tenant:int -> int
-
-(** Everything shed attributable to [tenant]: budget refusals,
-    threshold refusals, evictions of its items and expiries. *)
-val tenant_shed : t -> tenant:int -> int
+(** The ingress lanes' per-tenant budgets and submitted / queued /
+    shed tallies (shed: budget refusals, threshold refusals, evictions
+    and expiries). *)
+val admission : t -> Scotch_util.Admission.t
 
 (** Enqueue a rule install for an admitted (physical-path) flow in
     [tenant]'s reserved queue.  [tenant] defaults to

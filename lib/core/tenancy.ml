@@ -6,6 +6,7 @@
 open Scotch_openflow
 open Scotch_switch
 module Registry = Scotch_obs.Registry
+module Admission = Scotch_util.Admission
 
 let group_id = 1
 
@@ -19,7 +20,7 @@ type t = {
          tenants are configured *)
 }
 
-let create (config : Config.t) ~sum_scheds ~sum_pool_ofas =
+let create (config : Config.t) ~admission_sum =
   let module O = Scotch_obs.Obs in
   let tenants =
     match config.Config.tenancy with None -> [ Tenant.default ] | Some tn -> tn.Config.tenants
@@ -37,17 +38,19 @@ let create (config : Config.t) ~sum_scheds ~sum_pool_ofas =
         Hashtbl.replace t.decision_h tenant
           (O.histogram ~help:"Flow admit to routing decision (virtual seconds)" ~labels ~lo:0.0
              ~hi:0.5 ~bins:50 "scotch_core_tenant_decision_latency_seconds");
+        let sched tally s = tally (Sched.admission s) ~tenant
+        and ofa tally o = tally (Ofa.admission o) ~tenant
+        and none _ = 0 in
         O.counter_fn ~help:"New-flow requests submitted per tenant" ~labels
           "scotch_core_tenant_admissions_total" (fun () ->
-            sum_scheds (fun s -> Sched.tenant_submitted s ~tenant));
+            admission_sum ~sched:(sched Admission.submitted) ~ofa:none);
         O.counter_fn
           ~help:"Flows shed per tenant (budget refusals, capacity drops, evictions, expiries)"
           ~labels "scotch_core_tenant_sheds_total" (fun () ->
-            sum_scheds (fun s -> Sched.tenant_shed s ~tenant)
-            + sum_pool_ofas (fun ofa -> Ofa.pin_tenant_shed ofa ~tenant));
+            admission_sum ~sched:(sched Admission.shed) ~ofa:(ofa Admission.shed));
         O.counter_fn ~help:"Packet-In jobs attributed per tenant at the overlay pool" ~labels
           "scotch_core_tenant_pins_total" (fun () ->
-            sum_pool_ofas (fun ofa -> Ofa.pin_tenant_submitted ofa ~tenant)))
+            admission_sum ~sched:none ~ofa:(ofa Admission.submitted)))
       tenants;
   t
 
@@ -137,7 +140,7 @@ let set_pin_budgets t ofa =
   List.iter
     (fun (s : Tenant.spec) ->
       Option.iter
-        (fun b -> Ofa.set_pin_budget ofa ~tenant:s.Tenant.id (Some b))
+        (Admission.set_budget (Ofa.admission ofa) ~tenant:s.Tenant.id)
         s.Tenant.pin_budget)
     t.tenants
 
@@ -147,10 +150,8 @@ let classify_edge t ofa ~dpid =
   match t.tenancy with
   | None -> ()
   | Some tn ->
-    Ofa.set_pin_tenant_classifier ofa
-      (Some
-         (fun (j : Ofa.pin_job) ->
-           tn.Config.tenant_of ~first_hop:dpid ~ingress_port:j.Ofa.in_port))
+    Ofa.set_pin_tenant_classifier ofa (fun (j : Ofa.pin_job) ->
+        tn.Config.tenant_of ~first_hop:dpid ~ingress_port:j.Ofa.in_port)
 
 (* Pin jobs at a pool member arrive over uplink tunnels; recover the
    origin switch from the tunnel and the ingress port from the outer
@@ -161,15 +162,13 @@ let classify_pool t ofa overlay =
   match t.tenancy with
   | None -> ()
   | Some tn ->
-    Ofa.set_pin_tenant_classifier ofa
-      (Some
-         (fun (j : Ofa.pin_job) ->
-           match j.Ofa.tunnel_id with
-           | Some tid -> (
-             match Overlay.origin_of_tunnel overlay tid with
-             | Some origin ->
-               tn.Config.tenant_of ~first_hop:origin
-                 ~ingress_port:
-                   (Option.value (Scotch_packet.Packet.outer_mpls_label j.Ofa.packet) ~default:0)
-             | None -> Tenant.default_id)
-           | None -> Tenant.default_id))
+    Ofa.set_pin_tenant_classifier ofa (fun (j : Ofa.pin_job) ->
+        match j.Ofa.tunnel_id with
+        | Some tid -> (
+          match Overlay.origin_of_tunnel overlay tid with
+          | Some origin ->
+            tn.Config.tenant_of ~first_hop:origin
+              ~ingress_port:
+                (Option.value (Scotch_packet.Packet.outer_mpls_label j.Ofa.packet) ~default:0)
+          | None -> Tenant.default_id)
+        | None -> Tenant.default_id)

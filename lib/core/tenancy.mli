@@ -14,10 +14,11 @@ type t
 
 (** Raises [Invalid_argument] on a malformed tenant set
     ({!Tenant.check_specs}).  With tenants configured, registers the
-    per-tenant metrics; [sum_scheds f] and [sum_pool_ofas f] sum [f]
-    over the managed switches' schedulers and the pool members' OFAs. *)
+    per-tenant metrics, read through [admission_sum]
+    ({!Scotch.admission_sum}'s fold over the managed switches'
+    schedulers and the pool members' OFAs). *)
 val create :
-  Config.t -> sum_scheds:((Sched.t -> int) -> int) -> sum_pool_ofas:((Ofa.t -> int) -> int) -> t
+  Config.t -> admission_sum:(sched:(Sched.t -> int) -> ofa:(Ofa.t -> int) -> int) -> t
 
 (** The configured tenants, or [[Tenant.default]]. *)
 val tenants : t -> Tenant.spec list

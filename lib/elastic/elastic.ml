@@ -49,6 +49,7 @@ module Scotch = Scotch_core.Scotch
 module Config = Scotch_core.Config
 module Overlay = Scotch_core.Overlay
 module Sched = Scotch_core.Sched
+module Admission = Scotch_util.Admission
 module Ofa_model = Scotch_model.Ofa_model
 module Arrival = Scotch_model.Arrival
 
@@ -295,61 +296,6 @@ let probe_pool t =
       | Some _ | None -> ())
     (Scotch.vswitch_dpids t.app)
 
-(* Admission-layer shedding since the previous tick: scheduler
-   refusals/evictions/expiries on every managed switch plus Packet-In
-   losses at the vswitches' OFAs.  Any fresh shedding means demand
-   already exceeds what the pool absorbs, whatever the meters say. *)
-let shed_now t =
-  let sched_shed =
-    List.fold_left
-      (fun acc dpid ->
-        match Scotch.sched_of t.app dpid with
-        | Some s -> acc + Sched.shed_total s
-        | None -> acc)
-      0
-      (Scotch.managed_dpids t.app)
-  in
-  List.fold_left
-    (fun acc dpid ->
-      match Scotch.vswitch_handle_of t.app dpid with
-      | Some sw ->
-        let c = Ofa.counters (Switch.ofa sw.C.device) in
-        acc + c.Ofa.pin_dropped + c.Ofa.pin_expired
-      | None -> acc)
-    sched_shed
-    (Scotch.vswitch_dpids t.app)
-
-(* Per-tenant totals for the tenant-aware autoscaler view: Packet-In
-   jobs attributed to [tenant] across the pool, and everything shed on
-   its behalf (scheduler budgets/evictions/expiries at the managed
-   switches plus pin-queue losses at the vswitch OFAs). *)
-let tenant_pin_total t tenant =
-  List.fold_left
-    (fun acc dpid ->
-      match Scotch.vswitch_handle_of t.app dpid with
-      | Some sw -> acc + Ofa.pin_tenant_submitted (Switch.ofa sw.C.device) ~tenant
-      | None -> acc)
-    0
-    (Scotch.vswitch_dpids t.app)
-
-let tenant_shed_total t tenant =
-  let sched_shed =
-    List.fold_left
-      (fun acc dpid ->
-        match Scotch.sched_of t.app dpid with
-        | Some s -> acc + Sched.tenant_shed s ~tenant
-        | None -> acc)
-      0
-      (Scotch.managed_dpids t.app)
-  in
-  List.fold_left
-    (fun acc dpid ->
-      match Scotch.vswitch_handle_of t.app dpid with
-      | Some sw -> acc + Ofa.pin_tenant_shed (Switch.ofa sw.C.device) ~tenant
-      | None -> acc)
-    sched_shed
-    (Scotch.vswitch_dpids t.app)
-
 (* Standby candidate for promotion: lowest-dpid alive, non-quarantined
    backup. *)
 let standby_candidate t =
@@ -505,7 +451,10 @@ let autoscale_tick t =
         if n = 0 then if demand > 0.0 then infinity else 0.0
         else demand /. (float_of_int n *. t.config.vswitch_capacity)
       in
-      let shed = shed_now t in
+      (* admission-layer shedding across the managed switches and the
+         pool: any fresh shedding means demand already exceeds what the
+         pool absorbs, whatever the meters say *)
+      let shed = Scotch.admission_sum t.app ~sched:Sched.shed_total ~ofa:Ofa.shed_total in
       let fresh_shed = shed - t.last_shed in
       t.last_shed <- shed;
       (util, fresh_shed)
@@ -524,13 +473,20 @@ let autoscale_tick t =
             let entitlement =
               cap *. float_of_int (Stdlib.max 1 share) /. float_of_int total_share
             in
-            let pins = tenant_pin_total t tenant in
+            let pins =
+              Scotch.admission_sum t.app ~sched:(fun _ -> 0) ~ofa:(fun o ->
+                  Admission.submitted (Ofa.admission o) ~tenant)
+            in
             let last_pins =
               Option.value (Hashtbl.find_opt t.last_tenant_pins tenant) ~default:0
             in
             Hashtbl.replace t.last_tenant_pins tenant pins;
             let rate = float_of_int (pins - last_pins) /. probe_period in
-            let shed = tenant_shed_total t tenant in
+            let shed =
+              Scotch.admission_sum t.app
+                ~sched:(fun s -> Admission.shed (Sched.admission s) ~tenant)
+                ~ofa:(fun o -> Admission.shed (Ofa.admission o) ~tenant)
+            in
             let last_shed =
               Option.value (Hashtbl.find_opt t.last_tenant_shed tenant) ~default:0
             in

@@ -13,6 +13,7 @@
 
 open Scotch_openflow
 open Scotch_packet
+module Admission = Scotch_util.Admission
 
 type pin_job = {
   in_port : int;
@@ -50,13 +51,6 @@ type counters = {
   mutable msgs_handled : int;
 }
 
-(** What happens to a new-flow packet arriving at a full Packet-In
-    queue: refuse it ([Pin_drop_new], the default — §3.2's tail drop)
-    or evict the oldest queued job in its favour ([Pin_drop_oldest] —
-    under sustained overload a recent miss is far more likely to still
-    have a live flow behind it than one queued long ago). *)
-type pin_policy = Pin_drop_new | Pin_drop_oldest
-
 type t = {
   engine : Scotch_sim.Engine.t;
   profile : Profile.t;
@@ -67,16 +61,13 @@ type t = {
       (* ±5 % service-time jitter: exact identical service times in a
          deterministic simulator phase-lock unrelated devices and create
          correlation cascades no real agent exhibits *)
-  pin_queue : (float * pin_job) Queue.t; (* (enqueue time, job) *)
+  pin_queue : pin_job Admission.item Queue.t;
   cmsg_queue : Of_msg.t Queue.t;
-  mutable pin_policy : pin_policy;
+  admission : Admission.t;
+  mutable pin_policy : Admission.policy;
   mutable pin_deadline : float; (* 0. = disabled *)
-  mutable pin_tenant_of : (pin_job -> int) option;
-      (* tenant attribution of a pin job; None = untenanted (default) *)
-  pin_budgets : (int, int) Hashtbl.t;   (* tenant -> max queued pin jobs *)
-  pin_queued_t : (int, int) Hashtbl.t;  (* tenant -> slots held right now *)
-  pin_submitted_t : (int, int) Hashtbl.t;
-  pin_shed_t : (int, int) Hashtbl.t;
+  mutable pin_tenant_of : pin_job -> int; (* applied once, at submission *)
+  expire_pin : pin_job Admission.item -> unit;
   mutable busy : bool;
   mutable to_controller : Of_msg.t -> unit;
   handler : handler;
@@ -126,18 +117,17 @@ let register_metrics t =
     "scotch_ofa_queue_depth" (fun () -> float_of_int (Queue.length t.pin_queue))
 
 let create ?(housekeeping_phase = 0.0) ?(jitter_seed = 0) ?(dpid = 0) engine ~profile ~handler =
+  let counters =
+    { pin_submitted = 0; pin_sent = 0; pin_dropped = 0; pin_expired = 0; pin_budget_dropped = 0;
+      flow_mods_handled = 0; flow_mods_dropped = 0; msgs_handled = 0 }
+  in
   let t =
     { engine; profile; housekeeping_phase; rng = Scotch_util.Rng.create (jitter_seed lxor 0x0FA);
       pin_queue = Queue.create (); cmsg_queue = Queue.create ();
-      pin_policy = Pin_drop_new; pin_deadline = 0.0;
-      pin_tenant_of = None; pin_budgets = Hashtbl.create 4;
-      pin_queued_t = Hashtbl.create 4; pin_submitted_t = Hashtbl.create 4;
-      pin_shed_t = Hashtbl.create 4;
-      busy = false; to_controller = (fun _ -> ()); handler;
-      counters =
-        { pin_submitted = 0; pin_sent = 0; pin_dropped = 0; pin_expired = 0;
-          pin_budget_dropped = 0;
-          flow_mods_handled = 0; flow_mods_dropped = 0; msgs_handled = 0 };
+      admission = Admission.create (); pin_policy = Admission.Drop_new; pin_deadline = 0.0;
+      pin_tenant_of = (fun _ -> 0);
+      expire_pin = (fun _ -> counters.pin_expired <- counters.pin_expired + 1);
+      busy = false; to_controller = (fun _ -> ()); handler; counters;
       next_xid = 1; dead = false; slowdown = 1.0; stalled_until = 0.0; dpid;
       service_h =
         Scotch_obs.Obs.histogram ~help:"OFA job service time (virtual seconds)"
@@ -244,86 +234,15 @@ let stalled_until t = t.stalled_until
 (** Admission knobs for the Packet-In queue. *)
 let set_pin_policy t p = t.pin_policy <- p
 
-let pin_policy t = t.pin_policy
-
 let set_pin_deadline t d =
   if d < 0.0 then invalid_arg "Ofa.set_pin_deadline: deadline must be >= 0";
   t.pin_deadline <- d
 
-let pin_deadline t = t.pin_deadline
-
-(** {2 Tenancy: per-tenant pin-queue budgets} *)
-
-let bump tbl tenant n =
-  let cur = match Hashtbl.find_opt tbl tenant with Some c -> c | None -> 0 in
-  Hashtbl.replace tbl tenant (cur + n)
-
-let tbl_count tbl tenant =
-  match Hashtbl.find_opt tbl tenant with Some c -> c | None -> 0
-
-(** Attribute pin jobs to tenants ([None] restores the untenanted
-    default).  The classifier must be pure — it may be re-applied to a
-    job already in the queue. *)
 let set_pin_tenant_classifier t f = t.pin_tenant_of <- f
 
-(** Cap how many pin-queue slots [tenant] may hold at once ([None]
-    removes the cap).  Only effective with a classifier installed. *)
-let set_pin_budget t ~tenant budget =
-  match budget with
-  | Some b when b < 1 -> invalid_arg "Ofa.set_pin_budget: budget must be >= 1"
-  | Some b -> Hashtbl.replace t.pin_budgets tenant b
-  | None -> Hashtbl.remove t.pin_budgets tenant
+let admission t = t.admission
 
-let pin_tenant t job = match t.pin_tenant_of with None -> None | Some f -> Some (f job)
-
-let pin_tenant_submitted t ~tenant = tbl_count t.pin_submitted_t tenant
-
-let pin_tenant_queued t ~tenant = tbl_count t.pin_queued_t tenant
-
-(** Pin jobs shed attributable to [tenant]: budget refusals, capacity
-    drops and deadline expiries of its queued jobs. *)
-let pin_tenant_shed t ~tenant = tbl_count t.pin_shed_t tenant
-
-(* Evict the oldest queued pin job belonging to [tenant] (isolation:
-   a newcomer may only displace its own tenant's work).  Returns false
-   when the tenant holds no queued job. *)
-let evict_oldest_pin_of t tenant =
-  match t.pin_tenant_of with
-  | None -> false
-  | Some classify ->
-    let tmp = Queue.create () in
-    let found = ref false in
-    while not (Queue.is_empty t.pin_queue) do
-      let ((_, j) as entry) = Queue.pop t.pin_queue in
-      if (not !found) && classify j = tenant then begin
-        found := true;
-        t.counters.pin_dropped <- t.counters.pin_dropped + 1;
-        bump t.pin_queued_t tenant (-1);
-        bump t.pin_shed_t tenant 1
-      end
-      else Queue.push entry tmp
-    done;
-    Queue.transfer tmp t.pin_queue;
-    !found
-
-(* Pop the next pin job still worth emitting: stale entries (queued
-   longer than [pin_deadline] ago) are shed without burning a service
-   slot — the controller would only see them after the flow's packets
-   had already been lost or rerouted. *)
-let rec take_fresh_pin t =
-  match Queue.take_opt t.pin_queue with
-  | None -> None
-  | Some (at, j) ->
-    let tenant = pin_tenant t j in
-    (match tenant with Some tn -> bump t.pin_queued_t tn (-1) | None -> ());
-    if t.pin_deadline > 0.0
-       && Scotch_sim.Engine.now t.engine -. at > t.pin_deadline
-    then begin
-      t.counters.pin_expired <- t.counters.pin_expired + 1;
-      (match tenant with Some tn -> bump t.pin_shed_t tn 1 | None -> ());
-      take_fresh_pin t
-    end
-    else Some j
+let shed_total t = t.counters.pin_dropped + t.counters.pin_expired
 
 let rec serve t =
   if t.dead then t.busy <- false
@@ -333,8 +252,14 @@ let rec serve t =
     match Queue.take_opt t.cmsg_queue with
     | Some m -> Some (Message_job m)
     | None -> (
-      match take_fresh_pin t with
-      | Some j -> Some (Packet_in_job j)
+      (* stale pin jobs are shed without burning a service slot: the
+         controller would only see them after the flow's packets had
+         already been lost or rerouted *)
+      match
+        Admission.take t.admission t.pin_queue ~now:(Scotch_sim.Engine.now t.engine)
+          ~deadline:t.pin_deadline ~expire:t.expire_pin
+      with
+      | Some item -> Some (Packet_in_job item.Admission.payload)
       | None -> None)
   in
   match job with
@@ -374,67 +299,44 @@ let rec serve t =
 
 let kick t = if not t.busy then serve t
 
+let enqueue_pin t ~tenant job =
+  Admission.push t.admission t.pin_queue ~at:(Scotch_sim.Engine.now t.engine) ~tenant job;
+  kick t
+
 (** [submit_packet_in t job] queues a new-flow packet for Packet-In
     generation; drops it (counted) when the queue is full — this is the
-    control-path loss at the heart of §3.2.  With a tenant classifier
-    installed, a tenant past its pin budget sheds only its own job, and
-    [Pin_drop_oldest] never evicts another tenant's queued work. *)
+    control-path loss at the heart of §3.2.  A tenant past its pin
+    budget sheds only its own job, and drop-oldest never evicts another
+    tenant's queued work. *)
 let submit_packet_in t (job : pin_job) =
+  let c = t.counters in
   (* the arrival-process counter the predictive autoscaler's λ̂
      estimator differences: offered load, before any admission verdict *)
-  t.counters.pin_submitted <- t.counters.pin_submitted + 1;
-  let tenant = pin_tenant t job in
-  (match tenant with Some tn -> bump t.pin_submitted_t tn 1 | None -> ());
-  let shed_tenant () =
-    match tenant with Some tn -> bump t.pin_shed_t tn 1 | None -> ()
-  in
-  let push () =
-    Queue.push (Scotch_sim.Engine.now t.engine, job) t.pin_queue;
-    (match tenant with Some tn -> bump t.pin_queued_t tn 1 | None -> ());
-    kick t
-  in
+  c.pin_submitted <- c.pin_submitted + 1;
+  let tenant = t.pin_tenant_of job in
+  let within_budget = Admission.offer t.admission ~tenant in
   if t.dead then begin
-    t.counters.pin_dropped <- t.counters.pin_dropped + 1;
-    shed_tenant ()
+    c.pin_dropped <- c.pin_dropped + 1;
+    Admission.refuse t.admission ~tenant
   end
+  else if not within_budget then begin
+    (* the tenant's own pin budget bit: refuse its newcomer without
+       touching the shared queue — kept out of [pin_dropped] so the
+       autoscaler never reads budget enforcement as pool overload *)
+    c.pin_budget_dropped <- c.pin_budget_dropped + 1;
+    Admission.refuse t.admission ~tenant
+  end
+  else if Queue.length t.pin_queue < t.profile.Profile.pin_queue_capacity then
+    enqueue_pin t ~tenant job
   else begin
-    let over_budget =
-      match tenant with
-      | Some tn -> (
-        match Hashtbl.find_opt t.pin_budgets tn with
-        | Some b -> tbl_count t.pin_queued_t tn >= b
-        | None -> false)
-      | None -> false
-    in
-    if over_budget then begin
-      (* the tenant's own pin budget bit: refuse its newcomer without
-         touching the shared queue — kept out of [pin_dropped] so the
-         autoscaler never reads budget enforcement as pool overload *)
-      t.counters.pin_budget_dropped <- t.counters.pin_budget_dropped + 1;
-      shed_tenant ()
-    end
-    else if Queue.length t.pin_queue >= t.profile.Profile.pin_queue_capacity then begin
-      match t.pin_policy with
-      | Pin_drop_new ->
-        t.counters.pin_dropped <- t.counters.pin_dropped + 1;
-        shed_tenant ()
-      | Pin_drop_oldest -> (
-        match tenant with
-        | None ->
-          (* the victim is counted as dropped; the newcomer takes its slot *)
-          (match Queue.take_opt t.pin_queue with
-          | Some _ -> t.counters.pin_dropped <- t.counters.pin_dropped + 1
-          | None -> ());
-          push ()
-        | Some tn ->
-          (* isolation: only displace the newcomer's own tenant *)
-          if evict_oldest_pin_of t tn then push ()
-          else begin
-            t.counters.pin_dropped <- t.counters.pin_dropped + 1;
-            shed_tenant ()
-          end)
-    end
-    else push ()
+    (* full: either the newcomer or its tenant's oldest job is lost *)
+    c.pin_dropped <- c.pin_dropped + 1;
+    match t.pin_policy with
+    | Admission.Drop_new -> Admission.refuse t.admission ~tenant
+    | Admission.Drop_oldest | Admission.Priority_preserving -> (
+      match Admission.evict_oldest t.admission t.pin_queue ~tenant with
+      | Some _ -> enqueue_pin t ~tenant job
+      | None -> Admission.refuse t.admission ~tenant)
   end
 
 (** [deliver_message t msg] is the controller→switch direction.  A full

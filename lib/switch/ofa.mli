@@ -6,7 +6,12 @@
     housekeeping stall during which queues overflow.  Service times and
     capacities come from {!Profile}; ±5 % service jitter and a
     per-device housekeeping phase prevent cross-device phase locking
-    (see DESIGN.md §3). *)
+    (see DESIGN.md §3).
+
+    The Packet-In queue admits through {!Scotch_util.Admission}: tenant
+    budgets and tallies, same-tenant eviction and deadline expiry are
+    the shared rules, while the capacity check and the [pin_*]
+    counters stay here.  An untenanted agent is one tenant (id 0). *)
 
 open Scotch_openflow
 open Scotch_packet
@@ -48,11 +53,6 @@ type counters = {
   mutable msgs_handled : int;
 }
 
-(** What happens to a new-flow packet arriving at a full Packet-In
-    queue: refuse it ([Pin_drop_new], the default — §3.2's tail drop)
-    or evict the oldest queued job in its favour ([Pin_drop_oldest]). *)
-type pin_policy = Pin_drop_new | Pin_drop_oldest
-
 type t
 
 (** [dpid] labels this agent's metrics and trace rows (0 = unowned). *)
@@ -88,41 +88,26 @@ val stall : t -> until:float -> unit
 
 val stalled_until : t -> float
 
-(** Admission policy for the Packet-In queue (default
-    [Pin_drop_new]). *)
-val set_pin_policy : t -> pin_policy -> unit
-
-val pin_policy : t -> pin_policy
+(** What a new-flow packet arriving at a full Packet-In queue does
+    (default [Drop_new], §3.2's tail drop).  [Drop_oldest] and
+    [Priority_preserving] both evict the submitter's own tenant's
+    oldest queued job in its favour: under sustained overload a recent
+    miss is far more likely to still have a live flow behind it. *)
+val set_pin_policy : t -> Scotch_util.Admission.policy -> unit
 
 (** Shed queued pin jobs older than this (seconds) at serve time
     instead of emitting a Packet-In nobody can act on; [0.] (default)
     disables expiry.  Raises on negative values. *)
 val set_pin_deadline : t -> float -> unit
 
-val pin_deadline : t -> float
+(** Attribute pin jobs to tenants (default: every job is tenant 0).
+    Applied once per job, at submission. *)
+val set_pin_tenant_classifier : t -> (pin_job -> int) -> unit
 
-(** {2 Tenancy: per-tenant pin-queue budgets (blast-radius isolation)} *)
-
-(** Attribute pin jobs to tenants ([None] restores the untenanted
-    default).  Must be pure — it may be re-applied to queued jobs. *)
-val set_pin_tenant_classifier : t -> (pin_job -> int) option -> unit
-
-(** Cap how many pin-queue slots [tenant] may hold at once ([None]
-    removes the cap; raises on budgets below 1).  Only effective with
-    a classifier installed.  Past its budget a tenant sheds only its
-    own jobs, and [Pin_drop_oldest] never evicts across a tenant
-    boundary. *)
-val set_pin_budget : t -> tenant:int -> int option -> unit
-
-(** Pin jobs submitted attributable to [tenant] so far. *)
-val pin_tenant_submitted : t -> tenant:int -> int
-
-(** Pin-queue slots [tenant] holds right now. *)
-val pin_tenant_queued : t -> tenant:int -> int
-
-(** Pin jobs shed attributable to [tenant]: budget refusals, capacity
-    drops and deadline expiries. *)
-val pin_tenant_shed : t -> tenant:int -> int
+(** The Packet-In queue's per-tenant budgets and submitted / queued /
+    shed tallies.  Past its budget a tenant sheds only its own jobs,
+    and eviction never crosses a tenant boundary. *)
+val admission : t -> Scotch_util.Admission.t
 
 (** Queue a new-flow packet for Packet-In generation; dropped (counted)
     when the queue is full — the control-path loss of §3.2. *)
@@ -135,3 +120,8 @@ val deliver_message : t -> Of_msg.t -> unit
 
 (** (controller-message, Packet-In) queue depths, for observability. *)
 val queue_depths : t -> int * int
+
+(** Pin jobs shed by the shared queue: [pin_dropped + pin_expired].
+    Excludes [pin_budget_dropped] — a tenant hitting its own budget is
+    isolation working, not pool overload. *)
+val shed_total : t -> int

@@ -159,7 +159,7 @@ let queued = function `Queued -> true | `Overlay | `Drop -> false
 let test_sched_drop_oldest () =
   let e = Scotch_sim.Engine.create () in
   let s =
-    Sched.create ~shed_policy:Sched.Drop_oldest e ~rate:10.0 ~overlay_threshold:10
+    Sched.create ~shed_policy:Scotch_util.Admission.Drop_oldest e ~rate:10.0 ~overlay_threshold:10
       ~drop_threshold:2 ~differentiate:true
   in
   let shed = ref [] and ran = ref [] in
@@ -182,8 +182,8 @@ let test_sched_drop_oldest () =
 let test_sched_priority_preserving () =
   let e = Scotch_sim.Engine.create () in
   let s =
-    Sched.create ~shed_policy:Sched.Priority_preserving e ~rate:10.0 ~overlay_threshold:10
-      ~drop_threshold:2 ~differentiate:true
+    Sched.create ~shed_policy:Scotch_util.Admission.Priority_preserving e ~rate:10.0
+      ~overlay_threshold:10 ~drop_threshold:2 ~differentiate:true
   in
   let shed = ref [] in
   let submit port i =
@@ -240,7 +240,8 @@ let test_sched_budget_refusal () =
   Alcotest.(check bool) "over budget" true
     (Sched.submit_ingress s ~port:2 ~tenant:7 ignore = `Drop);
   Alcotest.(check int) "budget_dropped" 1 (Sched.counters s).Sched.budget_dropped;
-  Alcotest.(check int) "charged to the tenant" 1 (Sched.tenant_shed s ~tenant:7);
+  Alcotest.(check int) "charged to the tenant" 1
+    (Scotch_util.Admission.shed (Sched.admission s) ~tenant:7);
   Alcotest.(check int) "not in shed_total" 0 (Sched.shed_total s)
 
 (* qcheck: round-robin fairness — with k equally-backlogged ports, each
@@ -347,7 +348,7 @@ let test_overlay_backup_promotion () =
 (* ------------------------------------------------------------------ *)
 (* Tenancy *)
 
-let tenancy_of config = Tenancy.create config ~sum_scheds:(fun _ -> 0) ~sum_pool_ofas:(fun _ -> 0)
+let tenancy_of config = Tenancy.create config ~admission_sum:(fun ~sched:_ ~ofa:_ -> 0)
 
 let tenanted specs =
   tenancy_of

@@ -1,5 +1,5 @@
 (* Unit and property tests for Scotch_util: PRNG, heap, statistics,
-   histogram, token bucket, table printer. *)
+   histogram, token bucket, admission, table printer. *)
 
 open Scotch_util
 
@@ -293,6 +293,70 @@ let test_table_printer () =
   Alcotest.check_raises "arity mismatch" (Invalid_argument "Table_printer.add_row: arity mismatch")
     (fun () -> Table_printer.add_row t [ "only-one" ])
 
+(* ------------------------------------------------------------------ *)
+(* Admission *)
+
+let payloads q = Queue.fold (fun acc i -> i.Admission.payload :: acc) [] q |> List.rev
+
+(* Budgets bound queued slots per tenant; refusals, evictions and
+   expiries all land in the offender's own shed tally. *)
+let test_admission_budget () =
+  let a = Admission.create () in
+  let q = Queue.create () in
+  Admission.set_budget a ~tenant:1 1;
+  Alcotest.(check bool) "within budget" true (Admission.offer a ~tenant:1);
+  Admission.push a q ~at:0.0 ~tenant:1 "a";
+  Alcotest.(check bool) "over budget" false (Admission.offer a ~tenant:1);
+  Admission.refuse a ~tenant:1;
+  Alcotest.(check bool) "no budget for tenant 2" true (Admission.offer a ~tenant:2);
+  Alcotest.(check (list int)) "tenant 1 submitted/queued/shed" [ 2; 1; 1 ]
+    [ Admission.submitted a ~tenant:1; Admission.queued a ~tenant:1; Admission.shed a ~tenant:1 ];
+  Alcotest.(check int) "tenant 2 untouched" 0 (Admission.shed a ~tenant:2);
+  Alcotest.check_raises "budget below 1"
+    (Invalid_argument "Admission.set_budget: budget must be >= 1") (fun () ->
+      Admission.set_budget a ~tenant:3 0)
+
+(* Eviction never crosses a tenant boundary and keeps everyone else's
+   order. *)
+let test_admission_evict_oldest () =
+  let a = Admission.create () in
+  let q = Queue.create () in
+  List.iter (fun (tenant, p) -> Admission.push a q ~at:0.0 ~tenant p)
+    [ (1, "a"); (2, "b"); (1, "c"); (2, "d") ];
+  (match Admission.evict_oldest a q ~tenant:2 with
+  | Some v -> Alcotest.(check string) "tenant 2's oldest" "b" v.Admission.payload
+  | None -> Alcotest.fail "no victim");
+  Alcotest.(check (list string)) "order kept" [ "a"; "c"; "d" ] (payloads q);
+  (match Admission.evict_oldest a q ~tenant:1 with
+  | Some v -> Alcotest.(check string) "head is the tenant's" "a" v.Admission.payload
+  | None -> Alcotest.fail "no victim");
+  Alcotest.(check bool) "no victim of tenant 3" true (Admission.evict_oldest a q ~tenant:3 = None);
+  Alcotest.(check (list int)) "charged to the owners" [ 1; 1; 0 ]
+    [ Admission.shed a ~tenant:1; Admission.shed a ~tenant:2; Admission.shed a ~tenant:3 ];
+  Alcotest.(check (list int)) "slots released" [ 1; 1 ]
+    [ Admission.queued a ~tenant:1; Admission.queued a ~tenant:2 ]
+
+(* [take] expires stale heads (each passed to [expire] and charged to
+   its tenant) and returns the first fresh item. *)
+let test_admission_take () =
+  let a = Admission.create () in
+  let q = Queue.create () in
+  List.iter (fun (at, tenant, p) -> Admission.push a q ~at ~tenant p)
+    [ (0.0, 1, "old1"); (0.1, 2, "old2"); (0.9, 1, "fresh"); (0.0, 1, "behind") ];
+  let expired = ref [] in
+  let expire i = expired := i.Admission.payload :: !expired in
+  (match Admission.take a q ~now:1.0 ~deadline:0.5 ~expire with
+  | Some i -> Alcotest.(check string) "first fresh item" "fresh" i.Admission.payload
+  | None -> Alcotest.fail "nothing taken");
+  Alcotest.(check (list string)) "stale heads expired" [ "old1"; "old2" ] (List.rev !expired);
+  Alcotest.(check (list int)) "sheds" [ 1; 1 ]
+    [ Admission.shed a ~tenant:1; Admission.shed a ~tenant:2 ];
+  Alcotest.(check int) "tenant 1 still holds one slot" 1 (Admission.queued a ~tenant:1);
+  (match Admission.take a q ~now:10.0 ~deadline:0.0 ~expire with
+  | Some i -> Alcotest.(check string) "deadline 0 never expires" "behind" i.Admission.payload
+  | None -> Alcotest.fail "nothing taken");
+  Alcotest.(check bool) "empty" true (Admission.take a q ~now:10.0 ~deadline:0.0 ~expire = None)
+
 let () =
   Alcotest.run "scotch_util"
     [ ( "rng",
@@ -328,5 +392,9 @@ let () =
         [ Alcotest.test_case "burst and refill" `Quick test_token_bucket_rate;
           Alcotest.test_case "take_n" `Quick test_token_bucket_take_n;
           Alcotest.test_case "sustained rate" `Quick test_token_bucket_sustained_rate ] );
+      ( "admission",
+        [ Alcotest.test_case "budget" `Quick test_admission_budget;
+          Alcotest.test_case "evict oldest" `Quick test_admission_evict_oldest;
+          Alcotest.test_case "take" `Quick test_admission_take ] );
       ("table_printer", [ Alcotest.test_case "render and arity" `Quick test_table_printer ])
     ]
