@@ -4,12 +4,16 @@ type severity = Error | Warning
 
 type invariant = Loop | Blackhole | Shadow | Group_sanity | Coverage | Divergence
 
+type subject =
+  | Rule of { priority : int; match_ : Scotch_openflow.Of_match.t }
+  | Group of int
+
 type t = {
   severity : severity;
   invariant : invariant;
   dpid : int option;
   table_id : int option;
-  rule : string option;
+  rule : subject option;
   witness : string option;
   message : string;
   first_at : float option;
@@ -43,6 +47,11 @@ let invariant_rank = function
   | Divergence -> 4
   | Shadow -> 5
 
+let pp_subject fmt = function
+  | Rule { priority; match_ } ->
+    Format.fprintf fmt "prio %d %a" priority Scotch_openflow.Of_match.pp match_
+  | Group g -> Format.fprintf fmt "group %d" g
+
 let compare a b =
   let c = Stdlib.compare (severity_rank a.severity) (severity_rank b.severity) in
   if c <> 0 then c
@@ -66,7 +75,7 @@ let pp fmt d =
   (match d.dpid with Some dpid -> Format.fprintf fmt " at dpid %d" dpid | None -> ());
   (match d.table_id with Some tid -> Format.fprintf fmt " table %d" tid | None -> ());
   Format.fprintf fmt ": %s" d.message;
-  (match d.rule with Some r -> Format.fprintf fmt " (rule %s)" r | None -> ());
+  (match d.rule with Some r -> Format.fprintf fmt " (rule %a)" pp_subject r | None -> ());
   (match d.witness with Some w -> Format.fprintf fmt " [witness: %s]" w | None -> ());
   match d.first_at with Some at -> Format.fprintf fmt " [first at t=%.3f]" at | None -> ()
 

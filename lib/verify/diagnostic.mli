@@ -29,12 +29,18 @@ type severity = Error | Warning
        device buckets differ from intent.}} *)
 type invariant = Loop | Blackhole | Shadow | Group_sanity | Coverage | Divergence
 
+(** What a finding is about: a rule, by its table slot, or a group.
+    Kept as data and rendered only by {!pp}, so clean checks print nothing. *)
+type subject =
+  | Rule of { priority : int; match_ : Scotch_openflow.Of_match.t }
+  | Group of int
+
 type t = {
   severity : severity;
   invariant : invariant;
   dpid : int option;      (** switch the finding is anchored at *)
   table_id : int option;
-  rule : string option;   (** printed form of the offending rule/group *)
+  rule : subject option;  (** the offending rule or group *)
   witness : string option; (** flow key or walk trace demonstrating it *)
   message : string;
   first_at : float option;
@@ -44,7 +50,7 @@ type t = {
 }
 
 val make :
-  ?dpid:int -> ?table_id:int -> ?rule:string -> ?witness:string -> severity:severity ->
+  ?dpid:int -> ?table_id:int -> ?rule:subject -> ?witness:string -> severity:severity ->
   invariant:invariant -> string -> t
 
 (** Stamp the first-seen virtual time. *)
@@ -56,12 +62,18 @@ val invariant_name : invariant -> string
 (** Total order (severity first, errors before warnings, then location)
     used to sort and de-duplicate reports.  [first_at] is ignored, so a
     violation found incrementally at t=3.2 equals the same violation
-    found by a snapshot rescan. *)
+    found by a snapshot rescan.  The last tie-breaks are the structural
+    subject, never its rendered text, then the witness. *)
 val compare : t -> t -> int
 
 (** Sort and drop exact duplicates. *)
 val normalize : t list -> t list
 
 val errors : t list -> t list
+
+(** [prio P match{...}] or [group G]; every present match field is
+    printed with its full mask, so distinct subjects print distinctly. *)
+val pp_subject : Format.formatter -> subject -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

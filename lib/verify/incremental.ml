@@ -9,7 +9,7 @@
     {ul
     {- {b Loop}: header space is partitioned into the same flow-key
        equivalence classes the snapshot checker seeds
-       ({!Inv_loop.assign}); a {!Match_trie} maps a changed rule's
+       ({!Inv_loop.seeds}); a {!Match_trie} maps a changed rule's
        match to the classes it can touch, and each cached class records
        the dpids its last walk visited, so group/port/failure events on
        a switch re-walk exactly the classes whose paths cross it.  The
@@ -100,6 +100,14 @@ type local_cache = {
   lc_shadow : (int, shadow_tbl) Hashtbl.t; (* table_id -> state *)
 }
 
+(* A table's authoritative rules and the list last materialized from
+   them, in [slot_order], which lags [slots] only in [touched] slots. *)
+type store = {
+  slots : (slot, Flow_table.rule) Hashtbl.t;
+  mutable sorted : Flow_table.rule list option; (* None until first built *)
+  mutable touched : slot list; (* written since [sorted]; may repeat *)
+}
+
 let lat_cap = 8192
 
 type t = {
@@ -117,7 +125,7 @@ type t = {
   mutable n_orphan_active : int;
   classes : class_cache Flow_key.Hashtbl.t; (* exactly the active sets *)
   indexes : (int * int, Inv_loop.tbl_index) Hashtbl.t;
-  stores : (int * int, (slot, Flow_table.rule) Hashtbl.t) Hashtbl.t;
+  stores : (int * int, store) Hashtbl.t;
       (* (dpid, table) -> authoritative slot-keyed rule store; the
          model's rule {e lists} may lag it (see [stale]) *)
   stale : (int * int, unit) Hashtbl.t;
@@ -308,10 +316,8 @@ let set_node t (n : S.node) =
    index builder's contract), ties by structural match compare.  Cheap
    on purpose — this order is internal to the verifier; snapshot
    capture keeps its own canonical order. *)
-let store_order (a : Flow_table.rule) (b : Flow_table.rule) =
-  match compare b.Flow_table.priority a.Flow_table.priority with
-  | 0 -> compare a.Flow_table.match_ b.Flow_table.match_
-  | c -> c
+let slot_order ((pa, ma) : slot) ((pb, mb) : slot) =
+  match compare pb pa with 0 -> compare ma mb | c -> c
 
 (* The store is seeded from the model, so it must be created before its
    table's model list first goes stale. *)
@@ -320,18 +326,40 @@ let store_of t dpid table_id =
   match Hashtbl.find_opt t.stores k with
   | Some s -> s
   | None ->
-    let s = Hashtbl.create 64 in
+    let s = { slots = Hashtbl.create 64; sorted = None; touched = [] } in
     (match S.node t.model dpid with
     | Some n ->
       List.iter
-        (fun r -> Hashtbl.replace s (slot_of r) r)
+        (fun r -> Hashtbl.replace s.slots (slot_of r) r)
         (Option.value (List.assoc_opt table_id n.S.rules) ~default:[])
     | None -> ());
     Hashtbl.replace t.stores k s;
     s
 
+(* O(touched log touched) plus the list prefix up to the last touched slot *)
 let materialize_store s =
-  List.sort store_order (Hashtbl.fold (fun _ r acc -> r :: acc) s [])
+  let current slot acc =
+    match Hashtbl.find_opt s.slots slot with Some r -> r :: acc | None -> acc
+  in
+  let rec merge acc l ts =
+    match (l, ts) with
+    | _, [] -> List.rev_append acc l
+    | [], slot :: ts -> merge (current slot acc) [] ts
+    | r :: l', slot :: ts' ->
+      let c = slot_order (slot_of r) slot in
+      if c < 0 then merge (r :: acc) l' ts
+      else merge (current slot acc) (if c = 0 then l' else l) ts'
+  in
+  let rules =
+    match s.sorted with
+    | None ->
+      List.sort (fun a b -> slot_order (slot_of a) (slot_of b))
+        (Hashtbl.fold (fun _ r acc -> r :: acc) s.slots [])
+    | Some l -> merge [] l (List.sort_uniq slot_order s.touched)
+  in
+  s.sorted <- Some rules;
+  s.touched <- [];
+  rules
 
 let flush_table t ((dpid, table_id) as k) =
   if Hashtbl.mem t.stale k then begin
@@ -577,9 +605,9 @@ let classes_touching t dirty dpid =
 (* Reconcile the ledger churn since the last settle: stamp findings
    whose refcount went 0->n as new first sightings, drop stamps for
    findings that cleared (so a reappearance is a new sighting), and
-   rebuild [current] from the ledger's keys — already deduped and in
-   [D.compare] order, exactly what [D.normalize] produced from the old
-   full gather. *)
+   rebuild [current] from the stamps, whose keys are now exactly the
+   ledger's — already deduped and in [D.compare] order, exactly what
+   [D.normalize] produced from the old full gather. *)
 let settle t ~now =
   if not (DMap.is_empty t.changed) then begin
     DMap.iter
@@ -594,10 +622,7 @@ let settle t ~now =
       t.changed;
     t.changed <- DMap.empty;
     t.current <-
-      List.rev
-        (DMap.fold
-           (fun d _ acc -> D.with_first_at (DMap.find d t.first_seen) d :: acc)
-           t.ledger [])
+      List.rev (DMap.fold (fun d at acc -> D.with_first_at at d :: acc) t.first_seen [])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -665,19 +690,20 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
   | None -> ()
   | Some _ ->
     let store = store_of t dpid table_id in
-    let was_empty = Hashtbl.length store = 0 in
+    let was_empty = Hashtbl.length store.slots = 0 in
     (* Normalize against the store: removing an absent slot (say, a
        sweep reaping a rule a refresh already dropped) is a no-op, and
        adding over a live slot is a replace — retract the stored rule,
        then grade the new one. *)
-    let removed = List.filter_map (fun r -> Hashtbl.find_opt store (slot_of r)) removed in
-    List.iter (fun r -> Hashtbl.remove store (slot_of r)) removed;
-    let replaced = List.filter_map (fun r -> Hashtbl.find_opt store (slot_of r)) added in
-    List.iter (fun r -> Hashtbl.remove store (slot_of r)) replaced;
-    List.iter (fun r -> Hashtbl.replace store (slot_of r) r) added;
+    let removed = List.filter_map (fun r -> Hashtbl.find_opt store.slots (slot_of r)) removed in
+    List.iter (fun r -> Hashtbl.remove store.slots (slot_of r)) removed;
+    let replaced = List.filter_map (fun r -> Hashtbl.find_opt store.slots (slot_of r)) added in
+    List.iter (fun r -> Hashtbl.remove store.slots (slot_of r)) replaced;
+    List.iter (fun r -> Hashtbl.replace store.slots (slot_of r) r) added;
     let removed = replaced @ removed in
     if added <> [] || removed <> [] then begin
-      let now_empty = Hashtbl.length store = 0 in
+      List.iter (fun r -> store.touched <- slot_of r :: store.touched) (added @ removed);
+      let now_empty = Hashtbl.length store.slots = 0 in
       Hashtbl.replace t.stale (dpid, table_id) ();
       (* keep the shared walk index in lockstep with the store; a stale
          table must always have one, else a walk would rebuild it from

@@ -11,7 +11,8 @@ module S = Snapshot
 let name = "blackhole"
 
 let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
-  let mk = D.make ~dpid:n.S.dpid ~table_id ~rule:(Inv_common.pp_rule r) in
+  let subject = Inv_common.subject r in
+  let mk = D.make ~dpid:n.S.dpid ~table_id ~rule:subject in
   let actions = Of_action.actions_of_instructions r.Flow_table.instructions in
   let goto = Of_action.goto_of_instructions r.Flow_table.instructions in
   let empty =
@@ -25,7 +26,7 @@ let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
       (function
         | Of_action.Output (Of_types.Port_no.Physical p) ->
           Inv_common.check_output snap n ~invariant:D.Blackhole ~dead_severity:D.Warning
-            ~table_id ~rule:(Inv_common.pp_rule r) p
+            ~table_id ~rule:subject p
         | Of_action.Group gid ->
           if List.exists (fun (g : S.group) -> g.S.group_id = gid) n.S.groups then []
           else

@@ -1,4 +1,4 @@
-(** Helpers shared by the per-invariant analyzers: rule printing,
+(** Helpers shared by the per-invariant analyzers: rule subjects,
     exact-5-tuple extraction, liveness as the checker defines it, and
     the output-port grading every local invariant leans on. *)
 
@@ -8,8 +8,8 @@ open Scotch_switch
 module D = Diagnostic
 module S = Snapshot
 
-let pp_rule (r : Flow_table.rule) =
-  Format.asprintf "prio %d %a" r.Flow_table.priority Of_match.pp r.Flow_table.match_
+let subject (r : Flow_table.rule) =
+  D.Rule { priority = r.Flow_table.priority; match_ = r.Flow_table.match_ }
 
 (** The exact 5-tuple a match pins down, when it pins one down. *)
 let flow_key_of_match (m : Of_match.t) =

@@ -41,8 +41,7 @@ let node snap (st : S.intent_state) (inode : S.intent_node) =
           else
             Some
               (mk ~table_id:ir.S.ir_table
-                 ~rule:(Format.asprintf "prio %d %a" ir.S.ir_priority
-                          Scotch_openflow.Of_match.pp ir.S.ir_match)
+                 ~rule:(D.Rule { priority = ir.S.ir_priority; match_ = ir.S.ir_match })
                  "durable intent rule is missing from the device"))
         inode.S.int_rules
     in
@@ -60,7 +59,7 @@ let node snap (st : S.intent_state) (inode : S.intent_node) =
           then None
           else
             Some
-              (mk ~table_id:tid ~rule:(Inv_common.pp_rule r)
+              (mk ~table_id:tid ~rule:(Inv_common.subject r)
                  "device rule with a reconciler-owned cookie has no intent (orphan)"))
         live
     in

@@ -32,7 +32,7 @@ let node snap (n : S.node) =
                 (function
                   | Of_action.Output (Of_types.Port_no.Physical p) ->
                     Inv_common.check_output snap n ~invariant:D.Group_sanity
-                      ~dead_severity:D.Error ~rule:label p
+                      ~dead_severity:D.Error ~rule:(D.Group g.S.group_id) p
                   | _ -> [])
                 b.Of_msg.Group_mod.actions)
             g.S.buckets

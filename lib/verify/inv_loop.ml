@@ -42,10 +42,6 @@ let packet_of_key (key : Flow_key.t) =
          ~proto:key.Flow_key.proto ())
     ~l4 ()
 
-let stack_sig pkt =
-  String.concat "|"
-    (List.map (fun e -> Format.asprintf "%a" Headers.Encap.pp e) pkt.Packet.encaps)
-
 (** Per-table match index: exact-5-tuple rules probed by the packet's
     own key, the rest scanned — mirroring {!Flow_table}'s layout so
     thousands of reactive per-flow rules cost O(1) per lookup. *)
@@ -67,18 +63,18 @@ let is_exact_shape (m : Of_match.t) =
   | None -> false
 
 let index_table rules =
-  let exact = Flow_key.Hashtbl.create 64 in
+  (* sized for its final load: no rehash on the way up *)
+  let exact = Flow_key.Hashtbl.create (max 16 (List.length rules / 2)) in
   let scan = ref [] in
   (* [rules] is descending priority; keep that order in both halves *)
   List.iter
     (fun (r : Flow_table.rule) ->
       if is_exact_shape r.Flow_table.match_ then begin
         match Inv_common.flow_key_of_match r.Flow_table.match_ with
-        | Some key ->
-          Flow_key.Hashtbl.replace exact key
-            (match Flow_key.Hashtbl.find_opt exact key with
-            | Some l -> l @ [ r ]
-            | None -> [ r ])
+        | Some key -> (
+          match Flow_key.Hashtbl.find_opt exact key with
+          | Some l -> Flow_key.Hashtbl.replace exact key (l @ [ r ])
+          | None -> Flow_key.Hashtbl.add exact key [ r ])
         | None -> scan := r :: !scan
       end
       else scan := r :: !scan)
@@ -236,7 +232,8 @@ let walk env ~key start_dpid ~in_port pkt =
               | _ -> (Some tid, pkt))
             | _ -> (None, pkt)
           in
-          let state = (dpid, in_port, stack_sig pkt) in
+          (* equal encap stacks are exactly the ones that print alike *)
+          let state = (dpid, in_port, pkt.Packet.encaps) in
           if List.mem state path then
             report ~dpid path
               (Printf.sprintf "forwarding loop: (dpid %d, in-port %d) revisited" dpid in_port)
@@ -373,50 +370,54 @@ let edge_ports snap =
       else [])
     snap.S.nodes
 
-(** Assign injection points to a key universe: each key whose source IP
-    belongs to a host is injected at that host's attachment port; keys
-    matching no host (spoofed attack flows) are injected at every edge
-    port, since their true ingress is unknowable.  Caps applied in
-    {!Flow_key.Set} element order keep the budget bounded and the
-    selection deterministic. *)
-let assign snap keys =
-  let host_by_ip ip = List.find_opt (fun (h : S.host) -> h.S.host_ip = ip) snap.S.hosts in
-  let edges = edge_ports snap in
-  let known, orphan =
-    List.partition
-      (fun key -> host_by_ip (Ipv4_addr.to_int key.Flow_key.ip_src) <> None)
-      (Flow_key.Set.elements keys)
+(** Injection seeds: every exact 5-tuple a rule pins plus a key per host
+    pair.  A key from a host's IP enters at that host's port; others
+    (spoofed flows) at every edge port, their true ingress unknowable.
+    Each kind is capped to its smallest keys in {!Flow_key.Set} order.
+    Indexes every table into [env] on the way. *)
+let seeds env =
+  let snap = env.snap in
+  let host_by_ip = Hashtbl.create 64 in
+  List.iter (fun (h : S.host) -> Hashtbl.replace host_by_ip h.S.host_ip h) (List.rev snap.S.hosts);
+  let known = ref Flow_key.Set.empty and orphan = ref Flow_key.Set.empty in
+  let n_known = ref 0 and n_orphan = ref 0 in
+  (* a key above a full selection's maximum costs one comparison *)
+  let offer key =
+    let set, n, cap =
+      if Hashtbl.mem host_by_ip key.Flow_key.ip_src then (known, n_known, max_seed_keys)
+      else (orphan, n_orphan, max_orphan_keys)
+    in
+    if !n < cap || Flow_key.compare key (Flow_key.Set.max_elt !set) < 0 then begin
+      let s = Flow_key.Set.add key !set in
+      if s == !set then ()
+      else if !n < cap then (set := s; incr n)
+      else set := Flow_key.Set.remove (Flow_key.Set.max_elt s) s
+    end
   in
-  let take n l = List.filteri (fun i _ -> i < n) l in
-  let known = take max_seed_keys known and orphan = take max_orphan_keys orphan in
-  List.filter_map
-    (fun key ->
-      match host_by_ip (Ipv4_addr.to_int key.Flow_key.ip_src) with
-      | Some h -> Some (key, [ (h.S.attach_dpid, h.S.attach_port) ])
-      | None -> None)
-    known
-  @ List.map (fun key -> (key, edges)) orphan
-
-(** Injection seeds: the flow-key equivalence classes worth walking. *)
-let seeds snap =
-  let keys = ref Flow_key.Set.empty in
+  List.iter offer (host_pair_keys snap);
   List.iter
     (fun (n : S.node) ->
       List.iter
-        (fun (_, rules) ->
+        (fun (table_id, rules) ->
+          let idx = index_table rules in
+          Hashtbl.replace env.indexes (n.S.dpid, table_id) idx;
+          Flow_key.Hashtbl.iter (fun key _ -> offer key) idx.exact;
           List.iter
             (fun (r : Flow_table.rule) ->
-              match Inv_common.flow_key_of_match r.Flow_table.match_ with
-              | Some key -> keys := Flow_key.Set.add key !keys
-              | None -> ())
-            rules)
+              Option.iter offer (Inv_common.flow_key_of_match r.Flow_table.match_))
+            idx.scan)
         n.S.rules)
     snap.S.nodes;
-  List.iter (fun key -> keys := Flow_key.Set.add key !keys) (host_pair_keys snap);
-  assign snap !keys
+  let edges = edge_ports snap in
+  List.map
+    (fun key ->
+      let h = Hashtbl.find host_by_ip key.Flow_key.ip_src in
+      (key, [ (h.S.attach_dpid, h.S.attach_port) ]))
+    (Flow_key.Set.elements !known)
+  @ List.map (fun key -> (key, edges)) (Flow_key.Set.elements !orphan)
 
 let snapshot snap =
   let env = make_env snap in
   List.concat_map
     (fun (key, points) -> fst (walk_class env ~key points))
-    (seeds snap)
+    (seeds env)

@@ -10,10 +10,10 @@ module S = Snapshot
 let name = "shadow"
 
 let shadow_diag (n : S.node) ~table_id hi lo =
-  D.make ~dpid:n.S.dpid ~table_id ~rule:(Inv_common.pp_rule lo) ~severity:D.Warning
+  D.make ~dpid:n.S.dpid ~table_id ~rule:(Inv_common.subject lo) ~severity:D.Warning
     ~invariant:D.Shadow
-    (Printf.sprintf "rule is unreachable: fully covered by higher-priority rule %s"
-       (Inv_common.pp_rule hi))
+    (Format.asprintf "rule is unreachable: fully covered by higher-priority rule %a"
+       D.pp_subject (Inv_common.subject hi))
 
 (** Shadow detection in one table.  To stay near-linear on tables full
     of exact per-flow rules, rules pinning an exact 5-tuple are bucketed
