@@ -140,5 +140,3 @@ let error_count t =
 let reports_of_phase t phase = List.filter (fun r -> r.phase = phase) (reports t)
 
 let incremental t = Some t.incr
-
-let installs_issued t = t.installs_issued

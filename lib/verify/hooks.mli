@@ -27,19 +27,13 @@ type t
     the dataplane settle. *)
 val settle_delay : float
 
-(** Continuous-mode audit cadence: every this many incremental updates,
-    the maintained diagnostic set is compared against a full rescan of
-    the tracked model. *)
-val equiv_every : int
-
 (** [install ~engine ~topo scotch] builds an {!Incremental} verifier,
     taps every switch's dataplane updates and the reliable layer's
     installs, re-verifies the affected header-space classes on each
-    delta and audits against a full rescan every {!equiv_every}
-    updates.  It also resyncs (and records a "post-recovery" report)
-    {!settle_delay} after each vswitch repair, and at every
-    {!Scotch_sim.Engine.run} return.  Returns [None] under
-    [Config.Off]. *)
+    delta and audits against a full rescan every 1024 updates.  It
+    also resyncs (and records a "post-recovery" report) {!settle_delay}
+    after each vswitch repair, and at every {!Scotch_sim.Engine.run}
+    return.  Returns [None] under [Config.Off]. *)
 val install :
   engine:Scotch_sim.Engine.t -> topo:Scotch_topo.Topology.t -> Scotch_core.Scotch.t -> t option
 
@@ -58,6 +52,3 @@ val reports_of_phase : t -> string -> report list
 (** The incremental verifier (latency/class statistics live on it);
     always [Some] for installed hooks. *)
 val incremental : t -> Incremental.t option
-
-(** Install batches seen at the controller's send chokepoint. *)
-val installs_issued : t -> int
