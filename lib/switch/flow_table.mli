@@ -23,6 +23,11 @@ type rule = {
 
 type t
 
+(** A match is exact-flow-shaped when it pins the IPv4 5-tuple (both
+    addresses /32, protocol and both ports) and nothing else, so lookup
+    finds its rule by probing with the packet's own 5-tuple. *)
+val is_exact_shape : Of_match.t -> bool
+
 (** One applied table mutation, as seen by an {!set_on_change}
     observer.  A replace fires [Rule_removed old] then [Rule_added new];
     sweeps fire [Rule_removed] per reaped rule.  Lazy expiry is not a

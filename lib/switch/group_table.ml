@@ -57,11 +57,12 @@ let apply t (gm : Of_msg.Group_mod.t) =
 
 let find t gid = Hashtbl.find_opt t.groups gid
 
-(** [select_bucket g ~flow_hash] picks the bucket for a flow.  Select
-    groups hash the flow onto the weighted bucket list; [All] returns
-    every bucket; [Indirect] and [Fast_failover] use the first. *)
-let select_bucket g ~flow_hash : Of_msg.Group_mod.bucket list =
-  match (g.group_type, g.buckets) with
+(** [select group_type buckets ~flow_hash] picks the buckets a flow
+    executes.  Select groups hash the flow onto the weighted bucket
+    list; [All] returns every bucket; [Indirect] and [Fast_failover]
+    use the first. *)
+let select group_type buckets ~flow_hash : Of_msg.Group_mod.bucket list =
+  match (group_type, buckets) with
   | _, [] -> []
   | Of_msg.Group_mod.All, buckets -> buckets
   | (Of_msg.Group_mod.Indirect | Of_msg.Group_mod.Fast_failover), b :: _ -> [ b ]
@@ -75,6 +76,8 @@ let select_bucket g ~flow_hash : Of_msg.Group_mod.bucket list =
         if target < acc then [ b ] else go acc rest
     in
     go 0 buckets
+
+let select_bucket g ~flow_hash = select g.group_type g.buckets ~flow_hash
 
 let size t = Hashtbl.length t.groups
 

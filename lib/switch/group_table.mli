@@ -25,9 +25,15 @@ val apply :
 
 val find : t -> Of_types.group_id -> group option
 
-(** Buckets to execute for a flow: [Select] hashes onto the weighted
-    bucket list, [All] returns every bucket, [Indirect]/[Fast_failover]
-    the first. *)
+(** Buckets to execute for a flow of hash [flow_hash] in a group of
+    this type and bucket list: [Select] hashes onto the weighted bucket
+    list, [All] returns every bucket, [Indirect]/[Fast_failover] the
+    first.  The verifier's symbolic walk calls it on captured groups. *)
+val select :
+  Of_msg.Group_mod.group_type -> Of_msg.Group_mod.bucket list -> flow_hash:int ->
+  Of_msg.Group_mod.bucket list
+
+(** [select_bucket g ~flow_hash] is {!select} over [g]'s type and buckets. *)
 val select_bucket : group -> flow_hash:int -> Of_msg.Group_mod.bucket list
 
 val size : t -> int

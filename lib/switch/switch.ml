@@ -222,13 +222,9 @@ let receive t ~in_port pkt =
   else begin
     let tunnel_id, pkt =
       match find_port t in_port with
-      | Some { kind = Tunnel tid; _ } -> (
+      | Some { kind = Tunnel tid; _ } ->
         (* strip the outer tunnel header and surface it as metadata *)
-        match Packet.pop_encap pkt with
-        | Some (Headers.Encap.Mpls { label }, pkt') when label = tid -> (Some tid, pkt')
-        | Some (Headers.Encap.Gre { key }, pkt') when Int32.to_int key = tid ->
-          (Some tid, pkt')
-        | _ -> (Some tid, pkt))
+        (Some tid, Packet.decap_tunnel ~tunnel_id:tid pkt)
       | _ -> (None, pkt)
     in
     (match t.sampler with

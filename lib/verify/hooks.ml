@@ -34,17 +34,6 @@ let settle_delay = 0.5
     rule-churn-heavy workloads. *)
 let equiv_every = 1024
 
-let capture_groups sw =
-  let groups = ref [] in
-  Group_table.iter (Switch.group_table sw) (fun g ->
-      groups :=
-        { Snapshot.group_id = g.Group_table.group_id;
-          group_type = g.Group_table.group_type;
-          buckets = g.Group_table.buckets }
-        :: !groups);
-  List.sort (fun (a : Snapshot.group) b -> compare a.Snapshot.group_id b.Snapshot.group_id)
-    !groups
-
 let install ~engine ~topo scotch =
   match (Scotch.config scotch).Config.verify with
   | Config.Off -> None
@@ -75,7 +64,7 @@ let install ~engine ~topo scotch =
              | Switch.Table_changed { table_id; added; removed } ->
                apply_u (Incremental.Table_delta { dpid; table_id; added; removed })
              | Switch.Groups_changed ->
-               apply_u (Incremental.Groups { dpid; groups = capture_groups sw })
+               apply_u (Incremental.Groups { dpid; groups = Snapshot.capture_groups sw })
              | Switch.Liveness_changed failed -> (
                (* ports are unchanged by a liveness flip; reuse the
                   tracked node's port list *)

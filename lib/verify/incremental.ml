@@ -9,22 +9,24 @@
     {ul
     {- {b Loop}: header space is partitioned into the same flow-key
        equivalence classes the snapshot checker seeds
-       ({!Inv_loop.seeds}); a {!Match_trie} maps a changed rule's
-       match to the classes it can touch, and each cached class records
-       the dpids its last walk visited, so group/port/failure events on
-       a switch re-walk exactly the classes whose paths cross it.  The
-       shared per-table walk indexes are mutated in place on exact-rule
-       deltas ({!Inv_loop.index_delta}).}
+       ({!Inv_loop.seeds}), chosen by the same capped insert
+       ({!Inv_loop.Capped.offer}) over the same host index; a key the
+       insert evicts waits in overflow until a withdrawal promotes it.
+       A {!Match_trie} maps a changed rule's match to the classes it can
+       touch, and each cached class records the dpids its last walk
+       visited, so group/port/failure events on a switch re-walk
+       exactly the classes whose paths cross it.  The shared per-table
+       walk indexes are mutated in place on exact-rule deltas
+       ({!Inv_loop.index_delta}).}
     {- {b Blackhole}: cached {e per rule} (only violating rules are
        stored); a rule delta grades just the delta rules.  Whole-node
        rebuilds happen only when the rule environment shifts: a table
        flipping empty<->nonempty (goto targets), a group delta
        (membership), and port/failure events (peer liveness).}
-    {- {b Shadow}: cached per (node, table) as the same exact-key
-       buckets the snapshot pass uses, with each finding tagged by its
-       (higher, lower) rule pair; an added rule is paired only against
-       its own bucket plus the non-exact rules, a removed rule drops
-       its structures and any finding it participates in.}
+    {- {b Shadow}: one {!Inv_shadow.t} per (node, table), the state
+       the snapshot pass folds {!Inv_shadow.add} into; a rule delta
+       calls {!Inv_shadow.add} and {!Inv_shadow.remove}, which return
+       the findings they create and retract.}
     {- {b Group sanity}: cached per node; recomputed on that node's
        group deltas and on liveness-affecting events.}
     {- {b Coverage}: recomputed on port changes, and on table-0
@@ -81,23 +83,22 @@ type class_cache = {
   mutable ctouched : int list; (* sorted dpids the walk visited *)
 }
 
-(* Rule-slot identity within a table: {!Flow_table} replaces on equal
-   (priority, match). *)
-type slot = int * Of_match.t
+type slot = Inv_common.slot
 
-(** Shadow state of one (node, table): the snapshot pass's exact-key
-    buckets plus findings tagged with the (hi, lo) rule pair that
-    produced them, so removals can retract exactly their findings. *)
-type shadow_tbl = {
-  sh_buckets : Flow_table.rule list Flow_key.Hashtbl.t;
-  mutable sh_nonexact : Flow_table.rule list;
-  mutable sh_diags : (slot * slot * D.t) list;
-}
+let slot_of = Inv_common.slot_of
 
 type local_cache = {
   mutable lc_grp : D.t list; (* group sanity, whole node *)
   lc_bh : (int * slot, D.t list) Hashtbl.t; (* violating rules only *)
-  lc_shadow : (int, shadow_tbl) Hashtbl.t; (* table_id -> state *)
+  lc_shadow : (int, Inv_shadow.t) Hashtbl.t; (* table_id -> state *)
+}
+
+(* One kind of class key, known-source or orphan: the rescan's capped
+   selection, whose members are the active classes, plus the keys it
+   pushed out, parked until a withdrawal promotes the smallest. *)
+type universe = {
+  active : Inv_loop.Capped.t;
+  mutable overflow : Flow_key.Set.t;
 }
 
 (* A table's authoritative rules and the list last materialized from
@@ -115,14 +116,10 @@ type t = {
   mutable trie : Match_trie.t;
   refs : int ref Flow_key.Hashtbl.t; (* rule-derived refcounts; host-pair keys hold one *)
   mutable host_keys : Flow_key.Set.t;
-  mutable host_by_ip : (int, S.host) Hashtbl.t;
+  mutable hosts : (int, S.host) Hashtbl.t; (* {!Inv_loop.host_index} *)
   mutable edges : (int * int) list; (* orphan injection points *)
-  mutable known_active : Flow_key.Set.t;
-  mutable known_overflow : Flow_key.Set.t;
-  mutable orphan_active : Flow_key.Set.t;
-  mutable orphan_overflow : Flow_key.Set.t;
-  mutable n_known_active : int; (* cardinals, maintained: Set.cardinal is O(n) *)
-  mutable n_orphan_active : int;
+  mutable known : universe;
+  mutable orphan : universe;
   classes : class_cache Flow_key.Hashtbl.t; (* exactly the active sets *)
   indexes : (int * int, Inv_loop.tbl_index) Hashtbl.t;
   stores : (int * int, store) Hashtbl.t;
@@ -196,21 +193,15 @@ let ledger_remove t ds =
 (* ------------------------------------------------------------------ *)
 (* Class universe maintenance *)
 
-let is_known t (key : Flow_key.t) =
-  Hashtbl.mem t.host_by_ip (Ipv4_addr.to_int key.Flow_key.ip_src)
+let universe cap = { active = Inv_loop.Capped.create cap; overflow = Flow_key.Set.empty }
 
-let entry_of t key =
-  match Hashtbl.find_opt t.host_by_ip (Ipv4_addr.to_int key.Flow_key.ip_src) with
-  | Some h -> [ (h.S.attach_dpid, h.S.attach_port) ]
-  | None -> t.edges
+let universe_of t key = if Inv_loop.is_known t.hosts key then t.known else t.orphan
 
-(* Activation keeps the exact capped selection the snapshot checker
-   makes: the first [max_seed_keys] known / [max_orphan_keys] orphan
-   keys in {!Flow_key.Set} order.  [dirty] collects classes needing a
-   (re-)walk this apply. *)
+(* [dirty] collects classes needing a (re-)walk this apply. *)
 let activate t dirty key =
   Match_trie.add t.trie key;
-  Flow_key.Hashtbl.replace t.classes key { entry = entry_of t key; cdiags = []; ctouched = [] };
+  Flow_key.Hashtbl.replace t.classes key
+    { entry = Inv_loop.entry_points t.hosts ~edges:t.edges key; cdiags = []; ctouched = [] };
   Hashtbl.replace dirty key ()
 
 let deactivate t dirty key =
@@ -221,68 +212,30 @@ let deactivate t dirty key =
   Flow_key.Hashtbl.remove t.classes key;
   Hashtbl.remove dirty key
 
+(* Activation keeps the exact selection the rescan's {!Inv_loop.seeds}
+   makes, through the same {!Inv_loop.Capped.offer}. *)
 let enter_universe t dirty key =
-  if is_known t key then begin
-    if t.n_known_active < Inv_loop.max_seed_keys then begin
-      t.known_active <- Flow_key.Set.add key t.known_active;
-      t.n_known_active <- t.n_known_active + 1;
-      activate t dirty key
-    end
-    else begin
-      let mx = Flow_key.Set.max_elt t.known_active in
-      if Flow_key.compare key mx < 0 then begin
-        t.known_active <- Flow_key.Set.add key (Flow_key.Set.remove mx t.known_active);
-        t.known_overflow <- Flow_key.Set.add mx t.known_overflow;
-        deactivate t dirty mx;
-        activate t dirty key
-      end
-      else t.known_overflow <- Flow_key.Set.add key t.known_overflow
-    end
-  end
-  else if t.n_orphan_active < Inv_loop.max_orphan_keys then begin
-    t.orphan_active <- Flow_key.Set.add key t.orphan_active;
-    t.n_orphan_active <- t.n_orphan_active + 1;
+  let u = universe_of t key in
+  match Inv_loop.Capped.offer u.active key with
+  | Inv_loop.Capped.Kept -> activate t dirty key
+  | Inv_loop.Capped.Rejected -> u.overflow <- Flow_key.Set.add key u.overflow
+  | Inv_loop.Capped.Evicted mx ->
+    u.overflow <- Flow_key.Set.add mx u.overflow;
+    deactivate t dirty mx;
     activate t dirty key
-  end
-  else begin
-    let mx = Flow_key.Set.max_elt t.orphan_active in
-    if Flow_key.compare key mx < 0 then begin
-      t.orphan_active <- Flow_key.Set.add key (Flow_key.Set.remove mx t.orphan_active);
-      t.orphan_overflow <- Flow_key.Set.add mx t.orphan_overflow;
-      deactivate t dirty mx;
-      activate t dirty key
-    end
-    else t.orphan_overflow <- Flow_key.Set.add key t.orphan_overflow
-  end
 
 let leave_universe t dirty key =
-  if Flow_key.Set.mem key t.known_active then begin
-    t.known_active <- Flow_key.Set.remove key t.known_active;
-    t.n_known_active <- t.n_known_active - 1;
+  let u = universe_of t key in
+  if Inv_loop.Capped.withdraw u.active key then begin
     deactivate t dirty key;
-    match Flow_key.Set.min_elt_opt t.known_overflow with
+    match Flow_key.Set.min_elt_opt u.overflow with
     | Some k ->
-      t.known_overflow <- Flow_key.Set.remove k t.known_overflow;
-      t.known_active <- Flow_key.Set.add k t.known_active;
-      t.n_known_active <- t.n_known_active + 1;
+      u.overflow <- Flow_key.Set.remove k u.overflow;
+      ignore (Inv_loop.Capped.offer u.active k);
       activate t dirty k
     | None -> ()
   end
-  else if Flow_key.Set.mem key t.known_overflow then
-    t.known_overflow <- Flow_key.Set.remove key t.known_overflow
-  else if Flow_key.Set.mem key t.orphan_active then begin
-    t.orphan_active <- Flow_key.Set.remove key t.orphan_active;
-    t.n_orphan_active <- t.n_orphan_active - 1;
-    deactivate t dirty key;
-    match Flow_key.Set.min_elt_opt t.orphan_overflow with
-    | Some k ->
-      t.orphan_overflow <- Flow_key.Set.remove k t.orphan_overflow;
-      t.orphan_active <- Flow_key.Set.add k t.orphan_active;
-      t.n_orphan_active <- t.n_orphan_active + 1;
-      activate t dirty k
-    | None -> ()
-  end
-  else t.orphan_overflow <- Flow_key.Set.remove key t.orphan_overflow
+  else u.overflow <- Flow_key.Set.remove key u.overflow
 
 let ref_key t dirty key =
   match Flow_key.Hashtbl.find_opt t.refs key with
@@ -303,8 +256,6 @@ let unref_key t dirty key =
 
 (* ------------------------------------------------------------------ *)
 (* Model editing and the per-table rule stores *)
-
-let slot_of (r : Flow_table.rule) = (r.Flow_table.priority, r.Flow_table.match_)
 
 let set_node t (n : S.node) =
   let rest = List.filter (fun (o : S.node) -> o.S.dpid <> n.S.dpid) t.model.S.nodes in
@@ -415,76 +366,20 @@ let rebuild_blackhole t lc (n : S.node) =
       (fun (table_id, rules) -> List.iter (fun r -> bh_rule t lc n ~table_id r) rules)
       n.S.rules
 
-(* --- shadow: exact-key buckets with pair-tagged findings --- *)
+(* --- shadow: one {!Inv_shadow.t} per table --- *)
 
-let shadow_pair (n : S.node) ~table_id (hi : Flow_table.rule) (lo : Flow_table.rule) =
-  if
-    hi.Flow_table.priority > lo.Flow_table.priority
-    && Inv_common.covers hi.Flow_table.match_ lo.Flow_table.match_
-  then Some (slot_of hi, slot_of lo, Inv_shadow.shadow_diag n ~table_id hi lo)
-  else None
-
-(* Pair the incoming rule against exactly the rules the snapshot pass
-   would: its own exact-key bucket (both directions) plus the non-exact
-   rules as higher-priority candidates — or, for a non-exact rule, the
-   whole table.  Cross-bucket exact pairs are (deliberately) not
-   considered, mirroring {!Inv_shadow.table}. *)
-let shadow_add t st n ~table_id (r : Flow_table.rule) =
-  let pair hi lo =
-    match shadow_pair n ~table_id hi lo with
-    | Some ((_, _, d) as tagged) ->
-      st.sh_diags <- tagged :: st.sh_diags;
-      ledger_add t [ d ]
-    | None -> ()
-  in
-  match Inv_common.flow_key_of_match r.Flow_table.match_ with
-  | Some key ->
-    let bucket = Option.value (Flow_key.Hashtbl.find_opt st.sh_buckets key) ~default:[] in
-    List.iter
-      (fun m ->
-        pair r m;
-        pair m r)
-      bucket;
-    List.iter (fun ne -> pair ne r) st.sh_nonexact;
-    Flow_key.Hashtbl.replace st.sh_buckets key (r :: bucket)
-  | None ->
-    Flow_key.Hashtbl.iter (fun _ l -> List.iter (fun lo -> pair r lo) l) st.sh_buckets;
-    List.iter
-      (fun x ->
-        pair r x;
-        pair x r)
-      st.sh_nonexact;
-    pair r r;
-    st.sh_nonexact <- r :: st.sh_nonexact
-
-let shadow_remove t st (r : Flow_table.rule) =
-  let id = slot_of r in
-  let keep (h, l, _) = h <> id && l <> id in
-  let dropped, kept = List.partition (fun p -> not (keep p)) st.sh_diags in
-  if dropped <> [] then begin
-    st.sh_diags <- kept;
-    ledger_remove t (List.map (fun (_, _, d) -> d) dropped)
-  end;
-  match Inv_common.flow_key_of_match r.Flow_table.match_ with
-  | Some key -> (
-    match Flow_key.Hashtbl.find_opt st.sh_buckets key with
-    | None -> ()
-    | Some l -> (
-      match List.filter (fun x -> slot_of x <> id) l with
-      | [] -> Flow_key.Hashtbl.remove st.sh_buckets key
-      | l' -> Flow_key.Hashtbl.replace st.sh_buckets key l'))
-  | None -> st.sh_nonexact <- List.filter (fun x -> slot_of x <> id) st.sh_nonexact
-
-let fresh_shadow () =
-  { sh_buckets = Flow_key.Hashtbl.create 16; sh_nonexact = []; sh_diags = [] }
-
-let shadow_tbl_of lc table_id =
+let shadow_of lc table_id =
   match Hashtbl.find_opt lc.lc_shadow table_id with
   | Some st -> st
   | None ->
-    let st = fresh_shadow () in
+    let st = Inv_shadow.create () in
     Hashtbl.replace lc.lc_shadow table_id st;
     st
+
+let shadow_delta t lc (n : S.node) ~table_id ~added ~removed =
+  let st = shadow_of lc table_id in
+  List.iter (fun r -> ledger_remove t (Inv_shadow.remove st r)) removed;
+  List.iter (fun r -> ledger_add t (Inv_shadow.add st n ~table_id r)) added
 
 (* --- whole-node (re)builds --- *)
 
@@ -495,12 +390,11 @@ let build_local t (n : S.node) =
     ledger_add t lc.lc_grp;
     List.iter
       (fun (table_id, rules) ->
-        let st = fresh_shadow () in
-        Hashtbl.replace lc.lc_shadow table_id st;
+        let st = shadow_of lc table_id in
         List.iter
           (fun r ->
             bh_rule t lc n ~table_id r;
-            shadow_add t st n ~table_id r)
+            ledger_add t (Inv_shadow.add st n ~table_id r))
           rules)
       n.S.rules
   end;
@@ -509,9 +403,7 @@ let build_local t (n : S.node) =
 let retract_local t lc =
   ledger_remove t lc.lc_grp;
   Hashtbl.iter (fun _ ds -> ledger_remove t ds) lc.lc_bh;
-  Hashtbl.iter
-    (fun _ st -> List.iter (fun (_, _, d) -> ledger_remove t [ d ]) st.sh_diags)
-    lc.lc_shadow
+  Hashtbl.iter (fun _ st -> ledger_remove t (Inv_shadow.findings st)) lc.lc_shadow
 
 let recompute_all_local t =
   flush_all t;
@@ -633,11 +525,6 @@ let record_latency t dt =
 
 let refresh_edges t = t.edges <- Inv_loop.edge_ports t.model
 
-let refresh_hosts_index t =
-  let h = Hashtbl.create 64 in
-  List.iter (fun (host : S.host) -> Hashtbl.replace h host.S.host_ip host) t.model.S.hosts;
-  t.host_by_ip <- h
-
 (** Drop every cache and rebuild from the current model — the big
     hammer behind {!create} and {!refresh}. *)
 let reseed_all t dirty =
@@ -650,14 +537,10 @@ let reseed_all t dirty =
   Flow_key.Hashtbl.reset t.classes;
   Flow_key.Hashtbl.reset t.refs;
   t.trie <- Match_trie.create ();
-  t.known_active <- Flow_key.Set.empty;
-  t.known_overflow <- Flow_key.Set.empty;
-  t.orphan_active <- Flow_key.Set.empty;
-  t.orphan_overflow <- Flow_key.Set.empty;
-  t.n_known_active <- 0;
-  t.n_orphan_active <- 0;
+  t.known <- universe Inv_loop.max_seed_keys;
+  t.orphan <- universe Inv_loop.max_orphan_keys;
   Hashtbl.reset dirty;
-  refresh_hosts_index t;
+  t.hosts <- Inv_loop.host_index t.model;
   refresh_edges t;
   t.host_keys <- Flow_key.Set.of_list (Inv_loop.host_pair_keys t.model);
   Flow_key.Set.iter (fun k -> ref_key t dirty k) t.host_keys;
@@ -754,16 +637,12 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
               | None -> ()
               | Some n2 ->
                 rebuild_blackhole t lc n2;
-                let st = shadow_tbl_of lc table_id in
-                List.iter (fun r -> shadow_remove t st r) removed;
-                List.iter (fun r -> shadow_add t st n2 ~table_id r) added
+                shadow_delta t lc n2 ~table_id ~added ~removed
             end
             else begin
               List.iter (fun r -> bh_remove t lc ~table_id r) removed;
               List.iter (fun r -> bh_rule t lc n' ~table_id r) added;
-              let st = shadow_tbl_of lc table_id in
-              List.iter (fun r -> shadow_remove t st r) removed;
-              List.iter (fun r -> shadow_add t st n' ~table_id r) added
+              shadow_delta t lc n' ~table_id ~added ~removed
             end));
       if table_id = 0 && List.exists miss_shaped (added @ removed) then
         recompute_coverage t;
@@ -808,7 +687,7 @@ let apply_update t dirty u =
         t.edges <- edges;
         Flow_key.Hashtbl.iter
           (fun key c ->
-            if not (is_known t key) then begin
+            if not (Inv_loop.is_known t.hosts key) then begin
               c.entry <- edges;
               Hashtbl.replace dirty key ()
             end)
@@ -859,14 +738,10 @@ let create ?(now = 0.0) snap =
       trie = Match_trie.create ();
       refs = Flow_key.Hashtbl.create 256;
       host_keys = Flow_key.Set.empty;
-      host_by_ip = Hashtbl.create 64;
+      hosts = Hashtbl.create 64;
       edges = [];
-      known_active = Flow_key.Set.empty;
-      known_overflow = Flow_key.Set.empty;
-      orphan_active = Flow_key.Set.empty;
-      orphan_overflow = Flow_key.Set.empty;
-      n_known_active = 0;
-      n_orphan_active = 0;
+      known = universe Inv_loop.max_seed_keys;
+      orphan = universe Inv_loop.max_orphan_keys;
       classes = Flow_key.Hashtbl.create 256;
       indexes = Hashtbl.create 64;
       stores = Hashtbl.create 64;

@@ -8,6 +8,12 @@ open Scotch_switch
 module D = Diagnostic
 module S = Snapshot
 
+(* Rule-slot identity within a table: {!Flow_table} replaces on equal
+   (priority, match). *)
+type slot = int * Of_match.t
+
+let slot_of (r : Flow_table.rule) = (r.Flow_table.priority, r.Flow_table.match_)
+
 let subject (r : Flow_table.rule) =
   D.Rule { priority = r.Flow_table.priority; match_ = r.Flow_table.match_ }
 

@@ -5,11 +5,15 @@
     one forged packet per class is walked through the snapshot's
     pipeline (tables, groups, tunnels with encap/decap) from every
     reachable injection point, and must never revisit a (switch,
-    in-port, encap-stack) state.
+    in-port, encap-stack) state.  Each pipeline step is the datapath's
+    own code: {!Of_match.matches}, {!Flow_table.is_exact_shape},
+    {!Group_table.select} and {!Packet.decap_tunnel}.
 
     The walk is exposed per class ({!walk_class}) so the incremental
     verifier can re-walk only the classes a delta touches, with the
-    set of dpids each walk visited as its dependency footprint. *)
+    set of dpids each walk visited as its dependency footprint, and the
+    class universe's parts ({!Capped}, {!host_index}, {!entry_points})
+    so its selection of classes is the one {!seeds} makes. *)
 
 open Scotch_openflow
 open Scotch_packet
@@ -21,8 +25,8 @@ let name = "loop"
 
 let max_hops = 64
 
-(** Forge a minimal packet realizing a flow key, so the walk can reuse
-    {!Of_match.matches} and the group hash verbatim. *)
+(** Forge a minimal packet realizing a flow key, so the walk can run
+    the datapath's own match and group hash on it. *)
 let packet_of_key (key : Flow_key.t) =
   let l4 =
     if key.Flow_key.proto = Headers.Ipv4.proto_tcp then
@@ -43,24 +47,13 @@ let packet_of_key (key : Flow_key.t) =
     ~l4 ()
 
 (** Per-table match index: exact-5-tuple rules probed by the packet's
-    own key, the rest scanned — mirroring {!Flow_table}'s layout so
-    thousands of reactive per-flow rules cost O(1) per lookup. *)
+    own key, the rest scanned — split by {!Flow_table.is_exact_shape},
+    as {!Flow_table} splits its own buckets, so thousands of reactive
+    per-flow rules cost O(1) per lookup. *)
 type tbl_index = {
   exact : Flow_table.rule list Flow_key.Hashtbl.t; (* descending priority *)
   scan : Flow_table.rule list;                     (* descending priority *)
 }
-
-let is_exact_shape (m : Of_match.t) =
-  m.Of_match.in_port = None && m.Of_match.eth_type = None && m.Of_match.mpls_label = None
-  && m.Of_match.gre_key = None && m.Of_match.tunnel_id = None
-  && m.Of_match.ip_proto <> None && m.Of_match.l4_src <> None && m.Of_match.l4_dst <> None
-  && (match m.Of_match.ip_src with
-     | Some { Of_match.mask; _ } -> mask = Ipv4_addr.mask32
-     | None -> false)
-  &&
-  match m.Of_match.ip_dst with
-  | Some { Of_match.mask; _ } -> mask = Ipv4_addr.mask32
-  | None -> false
 
 let index_table rules =
   (* sized for its final load: no rehash on the way up *)
@@ -69,7 +62,7 @@ let index_table rules =
   (* [rules] is descending priority; keep that order in both halves *)
   List.iter
     (fun (r : Flow_table.rule) ->
-      if is_exact_shape r.Flow_table.match_ then begin
+      if Flow_table.is_exact_shape r.Flow_table.match_ then begin
         match Inv_common.flow_key_of_match r.Flow_table.match_ with
         | Some key -> (
           match Flow_key.Hashtbl.find_opt exact key with
@@ -90,7 +83,7 @@ let index_table rules =
     the full table list knows. *)
 let index_delta idx ~added ~removed =
   let exact_key (r : Flow_table.rule) =
-    if is_exact_shape r.Flow_table.match_ then
+    if Flow_table.is_exact_shape r.Flow_table.match_ then
       Inv_common.flow_key_of_match r.Flow_table.match_
     else None
   in
@@ -172,25 +165,6 @@ let index_of env (n : S.node) table_id =
     Hashtbl.replace env.indexes (n.S.dpid, table_id) idx;
     idx
 
-(** Group-bucket choice, mirroring {!Group_table.select_bucket}. *)
-let select_bucket (g : S.group) ~flow_hash =
-  match (g.S.group_type, g.S.buckets) with
-  | _, [] -> []
-  | Of_msg.Group_mod.All, buckets -> buckets
-  | (Of_msg.Group_mod.Indirect | Of_msg.Group_mod.Fast_failover), b :: _ -> [ b ]
-  | Of_msg.Group_mod.Select, buckets ->
-    let total =
-      List.fold_left (fun acc (b : Of_msg.Group_mod.bucket) -> acc + max 1 b.Of_msg.Group_mod.weight) 0 buckets
-    in
-    let target = flow_hash mod total in
-    let rec go acc = function
-      | [] -> [ List.hd buckets ]
-      | (b : Of_msg.Group_mod.bucket) :: rest ->
-        let acc = acc + max 1 b.Of_msg.Group_mod.weight in
-        if target < acc then [ b ] else go acc rest
-    in
-    go 0 buckets
-
 let witness_of key path =
   Printf.sprintf "%s via %s" (Flow_key.to_string key)
     (String.concat " -> "
@@ -224,12 +198,7 @@ let walk env ~key start_dpid ~in_port pkt =
              surface the tunnel id, as the datapath does *)
           let tunnel_id, pkt =
             match S.find_port n in_port with
-            | Some { S.tunnel = Some tid; _ } -> (
-              match Packet.pop_encap pkt with
-              | Some (Headers.Encap.Mpls { label }, pkt') when label = tid -> (Some tid, pkt')
-              | Some (Headers.Encap.Gre { key = k }, pkt') when Int32.to_int k = tid ->
-                (Some tid, pkt')
-              | _ -> (Some tid, pkt))
+            | Some { S.tunnel = Some tid; _ } -> (Some tid, Packet.decap_tunnel ~tunnel_id:tid pkt)
             | _ -> (None, pkt)
           in
           (* equal encap stacks are exactly the ones that print alike *)
@@ -299,7 +268,7 @@ let walk env ~key start_dpid ~in_port pkt =
             List.iter
               (fun (b : Of_msg.Group_mod.bucket) ->
                 ignore (apply path n ~ctx pkt b.Of_msg.Group_mod.actions))
-              (select_bucket g ~flow_hash);
+              (Group_table.select g.S.group_type g.S.buckets ~flow_hash);
             continue pkt)
         | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
         | Of_action.Pop_mpls -> (
@@ -338,6 +307,76 @@ let max_seed_keys = 4096
 
 let max_orphan_keys = 128
 
+(** A capped key selection: the [cap] smallest keys offered, in
+    {!Flow_key.Set} order.  The rescan's {!seeds} offers every key and
+    drops what falls out; the incremental verifier offers keys as rules
+    pin them, parks what falls out and re-offers it when an active key
+    is withdrawn. *)
+module Capped = struct
+  type t = {
+    cap : int;
+    mutable keys : Flow_key.Set.t;
+    mutable size : int; (* maintained: Set.cardinal is O(n) *)
+  }
+
+  let create cap = { cap; keys = Flow_key.Set.empty; size = 0 }
+
+  (** What an {!offer} pushed out of the selection. *)
+  type outcome =
+    | Kept  (** the key is in (it may have been already); nothing left *)
+    | Rejected  (** the selection is full of smaller keys: the key is out *)
+    | Evicted of Flow_key.t  (** the key is in; this former maximum is out *)
+
+  (* a key above a full selection's maximum costs one comparison *)
+  let offer c key =
+    if c.size >= c.cap && Flow_key.compare key (Flow_key.Set.max_elt c.keys) > 0 then Rejected
+    else begin
+      let s = Flow_key.Set.add key c.keys in
+      if s == c.keys then Kept
+      else if c.size < c.cap then begin
+        c.keys <- s;
+        c.size <- c.size + 1;
+        Kept
+      end
+      else begin
+        let mx = Flow_key.Set.max_elt s in
+        c.keys <- Flow_key.Set.remove mx s;
+        Evicted mx
+      end
+    end
+
+  (** [withdraw c key] removes [key]; [true] when it was selected. *)
+  let withdraw c key =
+    let s = Flow_key.Set.remove key c.keys in
+    if s == c.keys then false
+    else begin
+      c.keys <- s;
+      c.size <- c.size - 1;
+      true
+    end
+end
+
+(** Hosts by IP.  The first host in [snap.hosts] order wins an IP that
+    only a forged snapshot can give two hosts. *)
+let host_index snap =
+  let h = Hashtbl.create 64 in
+  List.iter
+    (fun (host : S.host) ->
+      if not (Hashtbl.mem h host.S.host_ip) then Hashtbl.add h host.S.host_ip host)
+    snap.S.hosts;
+  h
+
+(** A key is known when its source IP is a host's. *)
+let is_known hosts (key : Flow_key.t) = Hashtbl.mem hosts (Ipv4_addr.to_int key.Flow_key.ip_src)
+
+(** Where a class's packet enters: a known key at its source host's
+    port, any other (a spoofed flow) at every edge port, its true
+    ingress unknowable. *)
+let entry_points hosts ~edges (key : Flow_key.t) =
+  match Hashtbl.find_opt hosts (Ipv4_addr.to_int key.Flow_key.ip_src) with
+  | Some h -> [ (h.S.attach_dpid, h.S.attach_port) ]
+  | None -> edges
+
 (** Synthetic per-(src, dst)-host-pair keys covering paths no reactive
     rule pins yet. *)
 let host_pair_keys snap =
@@ -371,29 +410,14 @@ let edge_ports snap =
     snap.S.nodes
 
 (** Injection seeds: every exact 5-tuple a rule pins plus a key per host
-    pair.  A key from a host's IP enters at that host's port; others
-    (spoofed flows) at every edge port, their true ingress unknowable.
-    Each kind is capped to its smallest keys in {!Flow_key.Set} order.
-    Indexes every table into [env] on the way. *)
+    pair, each entering at its {!entry_points}.  Each kind is capped to
+    its smallest keys ({!Capped}).  Indexes every table into [env] on
+    the way. *)
 let seeds env =
   let snap = env.snap in
-  let host_by_ip = Hashtbl.create 64 in
-  List.iter (fun (h : S.host) -> Hashtbl.replace host_by_ip h.S.host_ip h) (List.rev snap.S.hosts);
-  let known = ref Flow_key.Set.empty and orphan = ref Flow_key.Set.empty in
-  let n_known = ref 0 and n_orphan = ref 0 in
-  (* a key above a full selection's maximum costs one comparison *)
-  let offer key =
-    let set, n, cap =
-      if Hashtbl.mem host_by_ip key.Flow_key.ip_src then (known, n_known, max_seed_keys)
-      else (orphan, n_orphan, max_orphan_keys)
-    in
-    if !n < cap || Flow_key.compare key (Flow_key.Set.max_elt !set) < 0 then begin
-      let s = Flow_key.Set.add key !set in
-      if s == !set then ()
-      else if !n < cap then (set := s; incr n)
-      else set := Flow_key.Set.remove (Flow_key.Set.max_elt s) s
-    end
-  in
+  let hosts = host_index snap in
+  let known = Capped.create max_seed_keys and orphan = Capped.create max_orphan_keys in
+  let offer key = ignore (Capped.offer (if is_known hosts key then known else orphan) key) in
   List.iter offer (host_pair_keys snap);
   List.iter
     (fun (n : S.node) ->
@@ -409,12 +433,9 @@ let seeds env =
         n.S.rules)
     snap.S.nodes;
   let edges = edge_ports snap in
-  List.map
-    (fun key ->
-      let h = Hashtbl.find host_by_ip key.Flow_key.ip_src in
-      (key, [ (h.S.attach_dpid, h.S.attach_port) ]))
-    (Flow_key.Set.elements !known)
-  @ List.map (fun key -> (key, edges)) (Flow_key.Set.elements !orphan)
+  let seed key = (key, entry_points hosts ~edges key) in
+  List.map seed (Flow_key.Set.elements known.Capped.keys)
+  @ List.map seed (Flow_key.Set.elements orphan.Capped.keys)
 
 let snapshot snap =
   let env = make_env snap in

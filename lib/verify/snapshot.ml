@@ -132,6 +132,16 @@ let endpoint_map topo =
       | None -> ());
   map
 
+let capture_groups sw =
+  let groups = ref [] in
+  Group_table.iter (Switch.group_table sw) (fun g ->
+      groups :=
+        { group_id = g.Group_table.group_id;
+          group_type = g.Group_table.group_type;
+          buckets = g.Group_table.buckets }
+        :: !groups);
+  List.sort (fun a b -> compare a.group_id b.group_id) !groups
+
 let capture_node endpoints ~now sw =
   let dpid = Switch.dpid sw in
   let ports =
@@ -148,13 +158,6 @@ let capture_node endpoints ~now sw =
         { port_id = pid; tunnel; link_up; endpoint })
       (Switch.ports_snapshot sw)
   in
-  let groups = ref [] in
-  Group_table.iter (Switch.group_table sw) (fun g ->
-      groups :=
-        { group_id = g.Group_table.group_id;
-          group_type = g.Group_table.group_type;
-          buckets = g.Group_table.buckets }
-        :: !groups);
   let tables = Switch.tables sw in
   { dpid;
     node_name = Switch.name sw;
@@ -163,7 +166,7 @@ let capture_node endpoints ~now sw =
     rules =
       Array.to_list tables
       |> List.map (fun tbl -> (Flow_table.table_id tbl, Flow_table.live_rules tbl ~now));
-    groups = List.sort (fun a b -> compare a.group_id b.group_id) !groups;
+    groups = capture_groups sw;
     ports }
 
 let capture_overlay ov =

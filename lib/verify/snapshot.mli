@@ -121,6 +121,10 @@ val controlled : t -> int list
     managed/vswitch dpid sets. *)
 val capture : ?scotch:Scotch_core.Scotch.t -> now:float -> Scotch_topo.Topology.t -> t
 
+(** Freeze one switch's group table, sorted by group id: the group half
+    of {!capture}, and the incremental verifier's per-group-mod resync. *)
+val capture_groups : Scotch_switch.Switch.t -> group list
+
 (** Freeze just the reliable layer's intent stores — the incremental
     verifier's per-install intent resync ({!capture} does this as part
     of a full capture). *)
