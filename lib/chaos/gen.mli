@@ -21,10 +21,6 @@ type spec = {
   workload : Schedule.workload;
 }
 
-(** Golden-ratio mixing of (seed, index) into one splitmix seed — also
-    the generated schedule's own [seed]. *)
-val trial_seed : seed:int -> index:int -> int
-
 (** [generate spec ~seed ~index] — the [index]-th trial of [seed].
     Raises [Invalid_argument] on an empty target spec or a bad fault
     count range. *)

@@ -40,11 +40,6 @@ type violation = { oracle : oracle; detail : string }
 val oracle_name : oracle -> string
 val oracle_of_name : string -> oracle option
 
-(** Simulation seconds a crash keeps costing flows after its injection
-    (heartbeat detection + group rebalance) — counted into
-    {!exposure}. *)
-val crash_recovery_window : float
-
 (** Severity-weighted fraction of the workload window the schedule
     spends under failure; the unit of {!Schedule.tolerance}'s
     [exposure_loss]. *)

@@ -46,7 +46,6 @@ val plan : t -> Scotch_faults.Plan.t
 
 val equal : t -> t -> bool
 
-val default_tolerance : tolerance
 val default_workload : workload
 val default_cfg : cfg
 

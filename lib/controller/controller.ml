@@ -286,8 +286,6 @@ let set_channel_chaos (sw : sw) ~dup_p ~reorder_p =
     already in effect. *)
 let pause t ~until = t.paused_until <- Stdlib.max t.paused_until until
 
-let paused_until t = t.paused_until
-
 (** {1 Sending} *)
 
 let send t (sw : sw) payload =

@@ -139,8 +139,6 @@ val set_channel_chaos : sw -> dup_p:float -> reorder_p:float -> unit
     already in effect. *)
 val pause : t -> until:float -> unit
 
-val paused_until : t -> float
-
 (** Send Echo requests every [period] seconds to every switch; one that
     has not replied within [timeout] is marked dead and every app's
     [switch_dead] hook fires once (§5.6 heartbeat). *)

@@ -36,8 +36,6 @@ type single = {
   attacker_src : Source.t;
 }
 
-val client_port : int
-val attacker_port : int
 val server_port : int
 
 (** Build the Fig. 2 testbed; sources are created but not started. *)
@@ -162,8 +160,6 @@ type fabric = {
 }
 
 val tor_dpid : int -> int
-val spine_dpid : int -> int
-val fabric_host_id : rack:int -> slot:int -> int
 
 (** Build the fabric: ToRs and spines (all Scotch-managed), hosts per
     rack, [vswitches_per_rack] overlay vswitches per rack with

@@ -15,7 +15,6 @@ module Port_no : sig
     | Local
     | Any
 
-  val max_physical : int
   val to_int : t -> int
 
   (** Raises [Invalid_argument] on reserved-range values with no

@@ -10,9 +10,6 @@
 
 exception Parse_error of string
 
-(** RFC 1071 Internet checksum over [len] bytes at [off]. *)
-val internet_checksum : Bytes.t -> off:int -> len:int -> int
-
 (** Render a packet as wire bytes.  GRE encapsulations add a synthetic
     outer IPv4 delivery header; MPLS labels stack directly under
     Ethernet; VLAN tags rewrite the Ethernet type chain. *)

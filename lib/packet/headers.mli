@@ -53,7 +53,6 @@ module Tcp : sig
   }
 
   val header_bytes : int
-  val no_flags : flags
   val syn_flags : flags
 
   val make :

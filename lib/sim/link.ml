@@ -87,7 +87,6 @@ let is_up t = t.up
 let name t = t.name
 let delivered t = t.stats.delivered
 let dropped t = t.stats.dropped
-let dropped_down t = t.stats.dropped_down
 let bytes_delivered t = t.stats.bytes
 let queue_length t = Queue.length t.queue
 let latency t = t.latency

@@ -35,8 +35,6 @@ val name : t -> string
 val delivered : t -> int
 val dropped : t -> int
 
-(** Packets lost while the link was down (link-flap faults). *)
-val dropped_down : t -> int
 val bytes_delivered : t -> int
 val queue_length : t -> int
 val latency : t -> float

@@ -1,9 +1,6 @@
 (** Inverse-probability flow-size estimation over sampled counts, with
     normal-approximation confidence bounds. *)
 
-(** One-sided 95% normal quantile (1.645), the default [z]. *)
-val z95 : float
-
 (** Unbiased (Horvitz–Thompson) estimate [c / rate] of the true packet
     count behind [c] samples.  Raises unless [rate] is in (0,1]. *)
 val scaled : rate:float -> int -> float

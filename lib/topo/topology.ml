@@ -16,10 +16,6 @@ type link_params = {
   queue_capacity : int;
 }
 
-(** Tunnel encapsulation protocol (§4.1: "GRE, MPLS, MAC-in-MAC, etc.").
-    Purely a wire-format choice; MPLS is the evaluation default. *)
-type tunnel_encap = Switch.tunnel_encap = Mpls_tunnel | Gre_tunnel
-
 (** 10 GbE, 50 µs, 1000-packet buffers: a data-center data link. *)
 let default_link = { bandwidth_bps = 10e9; latency = 50e-6; queue_capacity = 1000 }
 
@@ -113,7 +109,7 @@ let tunnel_port_of_id tid = 10_000 + tid
     mesh, §4.1).  Returns [(tid_ab, tid_ba)], the tunnel ids for each
     direction; the tunnel port at each source is
     [tunnel_port_of_id tid]. *)
-let add_tunnel_switches t ?(params = default_tunnel) ?(encap = Mpls_tunnel) a b =
+let add_tunnel_switches t ?(params = default_tunnel) a b =
   let tid_ab = t.next_tunnel_id in
   let tid_ba = t.next_tunnel_id + 1 in
   t.next_tunnel_id <- t.next_tunnel_id + 2;
@@ -122,10 +118,10 @@ let add_tunnel_switches t ?(params = default_tunnel) ?(encap = Mpls_tunnel) a b 
   let pb_in = tunnel_port_of_id tid_ab and pa_in = tunnel_port_of_id tid_ba in
   let ab = mk_link t ~params ~prefix:"tun" ~sink:(fun pkt -> Switch.receive b ~in_port:pb_in pkt) () in
   let ba = mk_link t ~params ~prefix:"tun" ~sink:(fun pkt -> Switch.receive a ~in_port:pa_in pkt) () in
-  Switch.add_port a ~port_id:pa ~kind:(Tunnel tid_ab) ~encap ab;
-  Switch.add_input_port b ~port_id:pb_in ~kind:(Tunnel tid_ab) ~encap ();
-  Switch.add_port b ~port_id:pb ~kind:(Tunnel tid_ba) ~encap ba;
-  Switch.add_input_port a ~port_id:pa_in ~kind:(Tunnel tid_ba) ~encap ();
+  Switch.add_port a ~port_id:pa ~kind:(Tunnel tid_ab) ab;
+  Switch.add_input_port b ~port_id:pb_in ~kind:(Tunnel tid_ab) ();
+  Switch.add_port b ~port_id:pb ~kind:(Tunnel tid_ba) ba;
+  Switch.add_input_port a ~port_id:pa_in ~kind:(Tunnel tid_ba) ();
   Hashtbl.replace t.tunnels tid_ab
     { tunnel_id = tid_ab; src_dpid = Switch.dpid a; dst = `Switch (Switch.dpid b); src_port = pa };
   Hashtbl.replace t.tunnels tid_ba
@@ -135,12 +131,12 @@ let add_tunnel_switches t ?(params = default_tunnel) ?(encap = Mpls_tunnel) a b 
 (** [add_tunnel_to_host t ?params sw h] creates a delivery tunnel from a
     Scotch vswitch to a host (the host-vswitch leg of the overlay).
     Returns the tunnel id. *)
-let add_tunnel_to_host t ?(params = default_tunnel) ?(encap = Mpls_tunnel) sw h =
+let add_tunnel_to_host t ?(params = default_tunnel) sw h =
   let tid = t.next_tunnel_id in
   t.next_tunnel_id <- t.next_tunnel_id + 1;
   let p = tunnel_port_of_id tid in
   let link = mk_link t ~params ~prefix:"tun" ~sink:(fun pkt -> Host.deliver h pkt) () in
-  Switch.add_port sw ~port_id:p ~kind:(Tunnel tid) ~encap link;
+  Switch.add_port sw ~port_id:p ~kind:(Tunnel tid) link;
   Hashtbl.replace t.tunnels tid
     { tunnel_id = tid; src_dpid = Switch.dpid sw; dst = `Host (Host.id h); src_port = p };
   tid

@@ -15,17 +15,6 @@ type link_params = {
   queue_capacity : int;
 }
 
-(** 10 GbE, 50 µs, 1000-packet buffers: a data-center data link. *)
-val default_link : link_params
-
-(** A tunnel rides a multi-hop underlay path, hence higher latency. *)
-val default_tunnel : link_params
-
-(** Tunnel encapsulation protocol (§4.1: "GRE, MPLS, MAC-in-MAC,
-    etc."); purely a wire-format choice, MPLS being the evaluation
-    default. *)
-type tunnel_encap = Switch.tunnel_encap = Mpls_tunnel | Gre_tunnel
-
 type tunnel = {
   tunnel_id : int;
   src_dpid : Of_types.datapath_id;
@@ -59,14 +48,16 @@ val attach_host : t -> ?params:link_params -> Host.t -> Switch.t -> port:int -> 
 val tunnel_port_of_id : int -> int
 
 (** Duplex tunnel between two switches (physical ↔ vswitch uplinks, or
-    the vswitch mesh, §4.1).  Returns the per-direction tunnel ids. *)
+    the vswitch mesh, §4.1).  Returns the per-direction tunnel ids.
+    Tunnels here are MPLS, {!Scotch_switch.Switch.add_port}'s default
+    encapsulation (§4.1 allows "GRE, MPLS, MAC-in-MAC, etc."). *)
 val add_tunnel_switches :
-  t -> ?params:link_params -> ?encap:tunnel_encap -> Switch.t -> Switch.t -> int * int
+  t -> ?params:link_params -> Switch.t -> Switch.t -> int * int
 
 (** Delivery tunnel from a vswitch to a host (the host-vswitch leg of
     the overlay).  Returns the tunnel id. *)
 val add_tunnel_to_host :
-  t -> ?params:link_params -> ?encap:tunnel_encap -> Switch.t -> Host.t -> int
+  t -> ?params:link_params -> Switch.t -> Host.t -> int
 
 val tunnel : t -> int -> tunnel option
 

@@ -24,9 +24,6 @@ val int : t -> int -> int
 (** [float t x] is uniform on [0, x). *)
 val float : t -> float -> float
 
-(** Uniform on (0,1), safe as an argument to [log]. *)
-val uniform_pos : t -> float
-
 (** [exponential t ~rate] draws from Exp(rate); mean [1/rate]. *)
 val exponential : t -> rate:float -> float
 

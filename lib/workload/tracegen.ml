@@ -29,6 +29,7 @@ type params = {
   size_of : Rng.t -> Flow_gen.flow_spec;
 }
 
+(* Arrival rate in effect at time [t]. *)
 let rate_at p t =
   if t >= p.flash_start && t < p.flash_end then p.base_rate *. p.flash_multiplier
   else p.base_rate

@@ -24,9 +24,6 @@ type params = {
   size_of : Rng.t -> Flow_gen.flow_spec;
 }
 
-(** Arrival rate in effect at time [t]. *)
-val rate_at : params -> float -> float
-
 (** Generate the trace as a time-sorted event list (thinning a
     non-homogeneous Poisson process). *)
 val generate : Rng.t -> params -> flow_event list
