@@ -70,7 +70,7 @@ let bench_group_select () =
   Bechamel.Test.make ~name:"select-group bucket choice (8 buckets)"
     (Bechamel.Staged.stage (fun () ->
          incr i;
-         ignore (Group_table.select_bucket g ~flow_hash:(Flow_key.hash (Packet.flow_key (mk_packet !i))))))
+         ignore (Group_table.select g ~flow_hash:(Flow_key.hash (Packet.flow_key (mk_packet !i))))))
 
 let bench_event_heap () =
   Bechamel.Test.make ~name:"event heap push+pop x100"

@@ -124,7 +124,9 @@ let flow_key_of_match (m : Of_match.t) =
 (* Exact detection: poll per-flow packet counts at the vswitch and
    report each of its overlay flows' measured rate. *)
 let poll_vswitch_stats t sw ~on_rate vdpid =
-  let req = { Of_msg.Stats.table_id = 0xFF; match_ = Of_match.wildcard } in
+  let req =
+    { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard }
+  in
   account t ~sampled:false ~units:1 (Of_msg.Flow_stats_request req);
   C.request t.ctrl sw (Of_msg.Flow_stats_request req)
     (function

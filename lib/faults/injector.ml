@@ -127,12 +127,12 @@ let group_references_dead t ~phys ~dead =
   let ports = dead_ports_of t ~phys ~dead in
   if ports = [] then false
   else begin
-    let dirty = ref false in
-    Group_table.iter (Switch.group_table (device t phys)) (fun g ->
-        List.iter
-          (fun b -> if List.exists (fun p -> List.mem p ports) (bucket_outputs b) then dirty := true)
-          g.Group_table.buckets);
-    !dirty
+    List.exists
+      (fun (g : Group_table.group) ->
+        List.exists
+          (fun b -> List.exists (fun p -> List.mem p ports) (bucket_outputs b))
+          g.Group_table.buckets)
+      (Group_table.groups (Switch.group_table (device t phys)))
   end
 
 let rebalance_done t ~dead =

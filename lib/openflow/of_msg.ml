@@ -77,8 +77,8 @@ module Packet_in = struct
     packet : Scotch_packet.Packet.t;
   }
 
-  let make ?(buffer_id = no_buffer) ?(table_id = 0) ?tunnel_id ~reason ~in_port packet =
-    { buffer_id; reason; table_id; in_port; tunnel_id; packet }
+  let make ?(table_id = 0) ?tunnel_id ~reason ~in_port packet =
+    { buffer_id = no_buffer; reason; table_id; in_port; tunnel_id; packet }
 end
 
 module Packet_out = struct
@@ -97,9 +97,11 @@ end
 
 module Stats = struct
   type flow_stats_request = {
-    table_id : table_id;  (* 0xFF = all tables *)
+    table_id : table_id;  (* [all_tables] reads every table *)
     match_ : Of_match.t;
   }
+
+  let all_tables = 0xFF
 
   type flow_stat = {
     table_id : table_id;

@@ -63,7 +63,7 @@ module Packet_in : sig
   }
 
   val make :
-    ?buffer_id:int -> ?table_id:table_id -> ?tunnel_id:int -> reason:Packet_in_reason.t ->
+    ?table_id:table_id -> ?tunnel_id:int -> reason:Packet_in_reason.t ->
     in_port:int -> Scotch_packet.Packet.t -> t
 end
 
@@ -81,9 +81,12 @@ end
     (§5.3). *)
 module Stats : sig
   type flow_stats_request = {
-    table_id : table_id; (** 0xFF = all tables *)
+    table_id : table_id; (** {!all_tables} reads every table *)
     match_ : Of_match.t;
   }
+
+  (** The table id that selects every table (OFPTT_ALL). *)
+  val all_tables : table_id
 
   type flow_stat = {
     table_id : table_id;

@@ -56,7 +56,7 @@ module Tcp : sig
   val syn_flags : flags
 
   val make :
-    ?seq:int -> ?ack_no:int -> ?flags:flags -> ?window:int -> src_port:int -> dst_port:int ->
+    ?seq:int -> ?flags:flags -> ?window:int -> src_port:int -> dst_port:int ->
     unit -> t
 
   val flags_to_int : flags -> int

@@ -469,7 +469,8 @@ let poll t ss =
   (* a lost reply just skips this round; the next tick re-polls *)
   let give_up () = ss.stats_inflight <- false in
   C.request ~deadline:stats_deadline ~on_timeout:give_up t.ctrl ss.handle
-    (Of_msg.Flow_stats_request { Of_msg.Stats.table_id = 0xFF; match_ = Of_match.wildcard })
+    (Of_msg.Flow_stats_request
+       { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard })
     (function
       | Of_msg.Flow_stats_reply fs -> flows := Some fs; finish ()
       | _ -> give_up ());

@@ -8,10 +8,10 @@
 
 open Scotch_openflow
 
-type group = {
+type group = Of_msg.Stats.group_desc = {
   group_id : Of_types.group_id;
   group_type : Of_msg.Group_mod.group_type;
-  mutable buckets : Of_msg.Group_mod.bucket list;
+  buckets : Of_msg.Group_mod.bucket list;
 }
 
 type t = { groups : (Of_types.group_id, group) Hashtbl.t }
@@ -49,7 +49,7 @@ let apply t (gm : Of_msg.Group_mod.t) =
       match validate_buckets gm with
       | Error _ as e -> e
       | Ok () ->
-        g.buckets <- gm.buckets;
+        Hashtbl.replace t.groups gm.group_id { g with buckets = gm.buckets };
         Ok ()))
   | Delete ->
     Hashtbl.remove t.groups gm.group_id;
@@ -57,12 +57,11 @@ let apply t (gm : Of_msg.Group_mod.t) =
 
 let find t gid = Hashtbl.find_opt t.groups gid
 
-(** [select group_type buckets ~flow_hash] picks the buckets a flow
-    executes.  Select groups hash the flow onto the weighted bucket
-    list; [All] returns every bucket; [Indirect] and [Fast_failover]
-    use the first. *)
-let select group_type buckets ~flow_hash : Of_msg.Group_mod.bucket list =
-  match (group_type, buckets) with
+(** [select g ~flow_hash] picks the buckets a flow executes.  Select
+    groups hash the flow onto the weighted bucket list; [All] returns
+    every bucket; [Indirect] and [Fast_failover] use the first. *)
+let select g ~flow_hash : Of_msg.Group_mod.bucket list =
+  match (g.group_type, g.buckets) with
   | _, [] -> []
   | Of_msg.Group_mod.All, buckets -> buckets
   | (Of_msg.Group_mod.Indirect | Of_msg.Group_mod.Fast_failover), b :: _ -> [ b ]
@@ -77,8 +76,8 @@ let select group_type buckets ~flow_hash : Of_msg.Group_mod.bucket list =
     in
     go 0 buckets
 
-let select_bucket g ~flow_hash = select g.group_type g.buckets ~flow_hash
-
 let size t = Hashtbl.length t.groups
 
-let iter t f = Hashtbl.iter (fun _ g -> f g) t.groups
+let groups t =
+  Hashtbl.fold (fun _ g acc -> g :: acc) t.groups []
+  |> List.sort (fun a b -> compare a.group_id b.group_id)

@@ -5,10 +5,12 @@
 
 open Scotch_openflow
 
-type group = {
+(** A group entry, as a group-stats reply describes it.  Immutable: a
+    [Modify] replaces the entry, so a snapshot can share it. *)
+type group = Of_msg.Stats.group_desc = {
   group_id : Of_types.group_id;
   group_type : Of_msg.Group_mod.group_type;
-  mutable buckets : Of_msg.Group_mod.bucket list;
+  buckets : Of_msg.Group_mod.bucket list;
 }
 
 type t
@@ -25,16 +27,12 @@ val apply :
 
 val find : t -> Of_types.group_id -> group option
 
-(** Buckets to execute for a flow of hash [flow_hash] in a group of
-    this type and bucket list: [Select] hashes onto the weighted bucket
-    list, [All] returns every bucket, [Indirect]/[Fast_failover] the
-    first.  The verifier's symbolic walk calls it on captured groups. *)
-val select :
-  Of_msg.Group_mod.group_type -> Of_msg.Group_mod.bucket list -> flow_hash:int ->
-  Of_msg.Group_mod.bucket list
-
-(** [select_bucket g ~flow_hash] is {!select} over [g]'s type and buckets. *)
-val select_bucket : group -> flow_hash:int -> Of_msg.Group_mod.bucket list
+(** Buckets a flow of hash [flow_hash] executes in [g]: [Select]
+    hashes onto the weighted bucket list, [All] returns every bucket,
+    [Indirect]/[Fast_failover] the first. *)
+val select : group -> flow_hash:int -> Of_msg.Group_mod.bucket list
 
 val size : t -> int
-val iter : t -> (group -> unit) -> unit
+
+(** Every group, sorted by id. *)
+val groups : t -> group list

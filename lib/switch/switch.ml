@@ -14,19 +14,9 @@ open Scotch_openflow
 open Scotch_packet
 open Scotch_util
 
-(** Encapsulation a tunnel port applies; the paper's overlay works over
-    "any of the available tunneling protocols, such as GRE, MPLS,
-    MAC-in-MAC" (§4.1). *)
-type tunnel_encap = Mpls_tunnel | Gre_tunnel
-
 type port_kind = Normal | Tunnel of int (* tunnel id *)
 
-type port = {
-  port_id : int;
-  kind : port_kind;
-  encap : tunnel_encap; (* meaningful only for Tunnel ports *)
-  out : Scotch_sim.Link.t option;
-}
+type port = { kind : port_kind; out : Scotch_sim.Link.t option }
 
 (** A dataplane state change, as seen by an {!set_on_update} observer.
     Table events carry the applied rule delta (sourced from
@@ -82,131 +72,63 @@ let notify_update t ev = match t.on_update with None -> () | Some f -> f ev
 
 let find_port t pid = Hashtbl.find_opt t.ports pid
 
+let drop_action t = t.counters.dropped_action <- t.counters.dropped_action + 1
+
 let transmit t (port : port) pkt =
   match port.out with
-  | None -> t.counters.dropped_action <- t.counters.dropped_action + 1
+  | None -> drop_action t
   | Some link ->
     let pkt =
-      match (port.kind, port.encap) with
-      | Normal, _ -> pkt
-      | Tunnel tid, Mpls_tunnel -> Packet.push_encap (Headers.Encap.mpls tid) pkt
-      | Tunnel tid, Gre_tunnel -> Packet.push_encap (Headers.Encap.gre (Int32.of_int tid)) pkt
+      match port.kind with
+      | Normal -> pkt
+      | Tunnel tid -> Packet.encap_tunnel ~tunnel_id:tid pkt
     in
     t.counters.tx <- t.counters.tx + 1;
     ignore
       (Scotch_sim.Engine.schedule t.engine ~delay:t.profile.Profile.forward_latency (fun () ->
            Scotch_sim.Link.send link pkt))
 
-let output t ~in_port pid pkt =
-  match find_port t pid with
-  | None -> t.counters.dropped_action <- t.counters.dropped_action + 1
-  | Some port -> if port.port_id <> in_port then transmit t port pkt else ()
-
-let flood t ~in_port pkt =
-  Hashtbl.iter
-    (fun pid port ->
-      if pid <> in_port && port.kind = Normal then transmit t port pkt)
-    t.ports
-
 (* ------------------------------------------------------------------ *)
 (* Pipeline *)
 
-let to_ofa t ~in_port ~tunnel_id ~reason pkt =
+module P = Pipeline.Make (struct
+  type nonrec t = t
+
+  let lookup t ~table_id ctx =
+    if table_id >= Array.length t.tables then None
+    else Flow_table.lookup t.tables.(table_id) ~now:(now t) ctx
+
+  let emit t pid pkt =
+    match find_port t pid with None -> drop_action t | Some port -> transmit t port pkt
+
+  let flood t ~in_port pkt =
+    Hashtbl.iter
+      (fun pid port -> if pid <> in_port && port.kind = Normal then transmit t port pkt)
+      t.ports
+
   (* the start of the packet-in lifecycle: a data-plane miss (or
      explicit punt) hands the packet to the slow path.  These fire per
      missed packet, so the trace row is decimated per site. *)
-  if Scotch_obs.Obs.is_enabled () then begin
-    let name, site =
-      match reason with
-      | Of_types.Packet_in_reason.No_match -> ("dp.miss", t.hot_miss)
-      | _ -> ("dp.punt", t.hot_punt)
-    in
-    if Scotch_obs.Obs.hot_keep site then
-      Scotch_obs.Obs.instant ~name ~cat:"switch" ~ts:(now t) ~tid:t.dpid ~args:[]
-  end;
-  Ofa.submit_packet_in (ofa t) { Ofa.in_port; tunnel_id; reason; packet = pkt }
-
-(** Execute an action list; returns the (possibly rewritten) packet so
-    the pipeline can carry header pushes/pops into later tables. *)
-let rec apply_actions t ~(ctx : Of_match.context) ~via_miss pkt actions =
-  let in_port = ctx.Of_match.in_port in
-  match actions with
-  | [] -> pkt
-  | act :: rest ->
-    let continue pkt = apply_actions t ~ctx ~via_miss pkt rest in
-    (match act with
-    | Of_action.Output (Of_types.Port_no.Physical p) ->
-      output t ~in_port p pkt;
-      continue pkt
-    | Of_action.Output Of_types.Port_no.In_port ->
-      (match find_port t in_port with
-      | Some port -> transmit t port pkt
-      | None -> ());
-      continue pkt
-    | Of_action.Output Of_types.Port_no.Controller ->
-      let reason =
-        if via_miss then Of_types.Packet_in_reason.No_match
-        else Of_types.Packet_in_reason.Action
+  let to_controller t ({ in_port; tunnel_id; _ } : Of_match.context) reason pkt =
+    if Scotch_obs.Obs.is_enabled () then begin
+      let name, site =
+        match reason with
+        | Of_types.Packet_in_reason.No_match -> ("dp.miss", t.hot_miss)
+        | _ -> ("dp.punt", t.hot_punt)
       in
-      to_ofa t ~in_port ~tunnel_id:ctx.Of_match.tunnel_id ~reason pkt;
-      continue pkt
-    | Of_action.Output Of_types.Port_no.All ->
-      flood t ~in_port pkt;
-      continue pkt
-    | Of_action.Output (Of_types.Port_no.Local | Of_types.Port_no.Any) -> continue pkt
-    | Of_action.Group gid -> (
-      match Group_table.find t.groups gid with
-      | None ->
-        t.counters.dropped_action <- t.counters.dropped_action + 1;
-        continue pkt
-      | Some g ->
-        let flow_hash = Flow_key.hash (Packet.flow_key pkt) in
-        let buckets = Group_table.select_bucket g ~flow_hash in
-        List.iter
-          (fun (b : Of_msg.Group_mod.bucket) ->
-            ignore (apply_actions t ~ctx ~via_miss pkt b.Of_msg.Group_mod.actions))
-          buckets;
-        continue pkt)
-    | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
-    | Of_action.Pop_mpls -> (
-      match Packet.pop_encap pkt with
-      | Some (Headers.Encap.Mpls _, pkt') -> continue pkt'
-      | Some _ | None -> continue pkt)
-    | Of_action.Push_gre key -> continue (Packet.push_encap (Headers.Encap.gre key) pkt)
-    | Of_action.Pop_gre -> (
-      match Packet.pop_encap pkt with
-      | Some (Headers.Encap.Gre _, pkt') -> continue pkt'
-      | Some _ | None -> continue pkt)
-    | Of_action.Set_eth_dst mac ->
-      continue { pkt with Packet.eth = { pkt.Packet.eth with Headers.Ethernet.dst = mac } }
-    | Of_action.Set_eth_src mac ->
-      continue { pkt with Packet.eth = { pkt.Packet.eth with Headers.Ethernet.src = mac } }
-    | Of_action.Dec_ttl ->
-      continue { pkt with Packet.ip = Headers.Ipv4.decrement_ttl pkt.Packet.ip }
-    | Of_action.Drop ->
-      t.counters.dropped_action <- t.counters.dropped_action + 1;
-      continue pkt)
+      if Scotch_obs.Obs.hot_keep site then
+        Scotch_obs.Obs.instant ~name ~cat:"switch" ~ts:(now t) ~tid:t.dpid ~args:[]
+    end;
+    Ofa.submit_packet_in (ofa t) { Ofa.in_port; tunnel_id; reason; packet = pkt }
 
-let rec run_table t ~table_id ~(ctx : Of_match.context) pkt =
-  if table_id >= Array.length t.tables then
-    t.counters.dropped_no_rule <- t.counters.dropped_no_rule + 1
-  else begin
-    let table = t.tables.(table_id) in
-    let ctx = { ctx with Of_match.packet = pkt } in
-    match Flow_table.lookup table ~now:(now t) ctx with
-    | None ->
-      (* Bare table miss: OpenFlow 1.3 default is drop; controllers
-         install an explicit priority-0 miss rule when they want
-         Packet-Ins. *)
-      t.counters.dropped_no_rule <- t.counters.dropped_no_rule + 1
-    | Some rule ->
-      let via_miss = rule.Flow_table.priority = 0 && Of_match.is_wildcard rule.Flow_table.match_ in
-      let actions = Of_action.actions_of_instructions rule.Flow_table.instructions in
-      let pkt = apply_actions t ~ctx ~via_miss pkt actions in
-      (match Of_action.goto_of_instructions rule.Flow_table.instructions with
-      | Some next when next > table_id -> run_table t ~table_id:next ~ctx pkt
-      | Some _ | None -> ())
-  end
+  let group t gid = Group_table.find t.groups gid
+
+  (* a bare table miss drops: OpenFlow 1.3's default; controllers
+     install an explicit priority-0 miss rule when they want Packet-Ins *)
+  let drop t = function
+    | Pipeline.No_rule -> t.counters.dropped_no_rule <- t.counters.dropped_no_rule + 1
+    | Pipeline.Action -> drop_action t
+end)
 
 (** [receive t ~in_port pkt] is the data-plane entry point: applies the
     capacity and TCAM-stall gates, performs tunnel decapsulation, then
@@ -214,7 +136,7 @@ let rec run_table t ~table_id ~(ctx : Of_match.context) pkt =
 let receive t ~in_port pkt =
   t.counters.rx <- t.counters.rx + 1;
   let tnow = now t in
-  if t.failed then t.counters.dropped_action <- t.counters.dropped_action + 1
+  if t.failed then drop_action t
   else if tnow < t.dp_blocked_until then
     t.counters.dropped_blocked <- t.counters.dropped_blocked + 1
   else if not (Token_bucket.take t.dp_bucket ~now:tnow) then
@@ -234,7 +156,7 @@ let receive t ~in_port pkt =
       Scotch_telemetry.Sampler.offer s ~tunnel_id (fun () -> Packet.flow_key pkt)
     | None -> ());
     let ctx = Of_match.context ?tunnel_id ~in_port pkt in
-    run_table t ~table_id:0 ~ctx pkt
+    P.run_table t ~table_id:0 ~ctx pkt
   end
 
 (* ------------------------------------------------------------------ *)
@@ -283,7 +205,7 @@ let handler_of t : Ofa.handler =
       (fun po ->
         let ctx = Of_match.context ~in_port:po.Of_msg.Packet_out.in_port po.Of_msg.Packet_out.packet in
         ignore
-          (apply_actions t ~ctx ~via_miss:false po.Of_msg.Packet_out.packet
+          (P.apply_actions t ~ctx ~via_miss:false po.Of_msg.Packet_out.packet
              po.Of_msg.Packet_out.actions));
     flow_stats =
       (fun req ->
@@ -291,7 +213,7 @@ let handler_of t : Ofa.handler =
         Array.to_list t.tables
         |> List.concat_map (fun table ->
                if
-                 req.Of_msg.Stats.table_id = 0xFF
+                 req.Of_msg.Stats.table_id = Of_msg.Stats.all_tables
                  || Flow_table.table_id table = req.Of_msg.Stats.table_id
                then Flow_table.stats table ~now:tnow
                else [])
@@ -302,18 +224,7 @@ let handler_of t : Ofa.handler =
         { Of_msg.Stats.active_entries =
             Array.to_list (Array.map (fun table -> Flow_table.size table ~now:(now t)) t.tables)
         });
-    group_stats =
-      (fun () ->
-        let descs = ref [] in
-        Group_table.iter t.groups (fun g ->
-            descs :=
-              { Of_msg.Stats.group_id = g.Group_table.group_id;
-                group_type = g.Group_table.group_type;
-                buckets = g.Group_table.buckets }
-              :: !descs);
-        List.sort
-          (fun (a : Of_msg.Stats.group_desc) b -> compare a.group_id b.group_id)
-          !descs);
+    group_stats = (fun () -> Group_table.groups t.groups);
     telemetry =
       (fun () ->
         match t.sampler with
@@ -386,14 +297,14 @@ let create engine ~dpid ~name ~profile () =
 
 (** [add_port t ~port_id ?kind link] attaches an outgoing link on a
     port.  The peer is whatever the link's sink delivers to. *)
-let add_port t ~port_id ?(kind = Normal) ?(encap = Mpls_tunnel) link =
+let add_port t ~port_id ?(kind = Normal) link =
   if Hashtbl.mem t.ports port_id then invalid_arg "Switch.add_port: duplicate port";
-  Hashtbl.replace t.ports port_id { port_id; kind; encap; out = Some link }
+  Hashtbl.replace t.ports port_id { kind; out = Some link }
 
 (** Declare an input-only port (e.g. where only the peer sends). *)
-let add_input_port t ~port_id ?(kind = Normal) ?(encap = Mpls_tunnel) () =
+let add_input_port t ~port_id ?(kind = Normal) () =
   if Hashtbl.mem t.ports port_id then invalid_arg "Switch.add_input_port: duplicate port";
-  Hashtbl.replace t.ports port_id { port_id; kind; encap; out = None }
+  Hashtbl.replace t.ports port_id { kind; out = None }
 
 (** Failure injection: kill or revive both planes of the switch. *)
 let set_failed t failed =

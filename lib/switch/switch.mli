@@ -9,10 +9,6 @@
 
 open Scotch_openflow
 
-(** Encapsulation a tunnel port applies (§4.1: "GRE, MPLS, MAC-in-MAC,
-    etc."). *)
-type tunnel_encap = Mpls_tunnel | Gre_tunnel
-
 type port_kind = Normal | Tunnel of int (** tunnel id *)
 
 (** A dataplane state change, as seen by a {!set_on_update} observer.
@@ -56,10 +52,10 @@ val receive : t -> in_port:int -> Scotch_packet.Packet.t -> unit
 (** Attach an outgoing link on a port; the peer is whatever the link's
     sink delivers to.  Raises on duplicate port ids. *)
 val add_port :
-  t -> port_id:int -> ?kind:port_kind -> ?encap:tunnel_encap -> Scotch_sim.Link.t -> unit
+  t -> port_id:int -> ?kind:port_kind -> Scotch_sim.Link.t -> unit
 
 (** Declare an input-only port (where only the peer sends). *)
-val add_input_port : t -> port_id:int -> ?kind:port_kind -> ?encap:tunnel_encap -> unit -> unit
+val add_input_port : t -> port_id:int -> ?kind:port_kind -> unit -> unit
 
 (** Failure injection: kill or revive both planes. *)
 val set_failed : t -> bool -> unit

@@ -64,7 +64,8 @@ let install ~engine ~topo scotch =
              | Switch.Table_changed { table_id; added; removed } ->
                apply_u (Incremental.Table_delta { dpid; table_id; added; removed })
              | Switch.Groups_changed ->
-               apply_u (Incremental.Groups { dpid; groups = Snapshot.capture_groups sw })
+               let groups = Group_table.groups (Switch.group_table sw) in
+               apply_u (Incremental.Groups { dpid; groups })
              | Switch.Liveness_changed failed -> (
                (* ports are unchanged by a liveness flip; reuse the
                   tracked node's port list *)

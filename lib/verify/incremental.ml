@@ -73,7 +73,7 @@ type update =
     }
       (** the applied rule delta itself — the {!Scotch_switch.Switch}
           tap's shape; O(delta) regardless of table size *)
-  | Groups of { dpid : int; groups : S.group list }
+  | Groups of { dpid : int; groups : Group_table.group list }
   | Ports of { dpid : int; ports : S.port list; failed : bool }
   | Intents of S.intent_state option
 

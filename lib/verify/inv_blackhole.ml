@@ -28,7 +28,7 @@ let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
           Inv_common.check_output snap n ~invariant:D.Blackhole ~dead_severity:D.Warning
             ~table_id ~rule:subject p
         | Of_action.Group gid ->
-          if List.exists (fun (g : S.group) -> g.S.group_id = gid) n.S.groups then []
+          if List.exists (fun (g : Group_table.group) -> g.group_id = gid) n.S.groups then []
           else
             [ mk ~severity:D.Error ~invariant:D.Blackhole
                 (Printf.sprintf "rule points at unknown group %d" gid) ]

@@ -68,11 +68,13 @@ let node snap (st : S.intent_state) (inode : S.intent_node) =
         (fun (ig : S.intent_group) ->
           if ig.S.ig_age < st.S.grace then None
           else
-            match List.find_opt (fun (g : S.group) -> g.S.group_id = ig.S.ig_id) n.S.groups with
+            match
+              List.find_opt (fun (g : Group_table.group) -> g.group_id = ig.S.ig_id) n.S.groups
+            with
             | None ->
               Some (mk (Printf.sprintf "intent group %d is missing from the device" ig.S.ig_id))
             | Some g when
-                g.S.group_type <> ig.S.ig_type || g.S.buckets <> ig.S.ig_buckets ->
+                g.group_type <> ig.S.ig_type || g.buckets <> ig.S.ig_buckets ->
               Some
                 (mk
                    (Printf.sprintf "group %d buckets on the device differ from intent"
@@ -80,11 +82,11 @@ let node snap (st : S.intent_state) (inode : S.intent_node) =
             | Some _ -> None)
         inode.S.int_groups
       @ List.filter_map
-          (fun (g : S.group) ->
-            if List.exists (fun (ig : S.intent_group) -> ig.S.ig_id = g.S.group_id)
+          (fun (g : Group_table.group) ->
+            if List.exists (fun (ig : S.intent_group) -> ig.S.ig_id = g.group_id)
                  inode.S.int_groups
             then None
-            else Some (mk (Printf.sprintf "device group %d has no intent (orphan)" g.S.group_id)))
+            else Some (mk (Printf.sprintf "device group %d has no intent (orphan)" g.group_id)))
           n.S.groups
     in
     missing @ orphans @ group_diags

@@ -12,16 +12,16 @@ let name = "group-sanity"
 (** All group findings local to one (non-failed) node. *)
 let node snap (n : S.node) =
   List.concat_map
-    (fun (g : S.group) ->
+    (fun (g : Scotch_switch.Group_table.group) ->
       let mk = D.make ~dpid:n.S.dpid ~invariant:D.Group_sanity in
-      let label = Printf.sprintf "group %d" g.S.group_id in
-      if g.S.buckets = [] then
+      let label = Printf.sprintf "group %d" g.group_id in
+      if g.buckets = [] then
         [ mk ~severity:D.Error (label ^ " has an empty bucket list") ]
       else begin
         let weights =
           if
             List.exists (fun (b : Of_msg.Group_mod.bucket) -> b.Of_msg.Group_mod.weight <= 0)
-              g.S.buckets
+              g.buckets
           then [ mk ~severity:D.Error (label ^ " has a bucket with non-positive weight") ]
           else []
         in
@@ -32,10 +32,10 @@ let node snap (n : S.node) =
                 (function
                   | Of_action.Output (Of_types.Port_no.Physical p) ->
                     Inv_common.check_output snap n ~invariant:D.Group_sanity
-                      ~dead_severity:D.Error ~rule:(D.Group g.S.group_id) p
+                      ~dead_severity:D.Error ~rule:(D.Group g.group_id) p
                   | _ -> [])
                 b.Of_msg.Group_mod.actions)
-            g.S.buckets
+            g.buckets
         in
         weights @ targets
       end)

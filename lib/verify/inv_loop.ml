@@ -5,9 +5,11 @@
     one forged packet per class is walked through the snapshot's
     pipeline (tables, groups, tunnels with encap/decap) from every
     reachable injection point, and must never revisit a (switch,
-    in-port, encap-stack) state.  Each pipeline step is the datapath's
-    own code: {!Of_match.matches}, {!Flow_table.is_exact_shape},
-    {!Group_table.select} and {!Packet.decap_tunnel}.
+    in-port, encap-stack) state.  The walk runs the datapath's own
+    interpreter, {!Pipeline}, with a target whose outputs follow each
+    port to its peer; its lookups use {!Of_match.matches} and
+    {!Flow_table.is_exact_shape}, its tunnel ports
+    {!Packet.encap_tunnel} and {!Packet.decap_tunnel}.
 
     The walk is exposed per class ({!walk_class}) so the incremental
     verifier can re-walk only the classes a delta touches, with the
@@ -170,27 +172,46 @@ let witness_of key path =
     (String.concat " -> "
        (List.rev_map (fun (dpid, in_port, _) -> Printf.sprintf "%d:%d" dpid in_port) path))
 
-(** Walk one symbolic packet from an arrival, following every output it
-    generates; report a Loop diagnostic on the first state revisit or
-    hop-budget exhaustion.  One report per walk is enough — a loop
-    revisits its states forever.  Every dpid the packet arrives at
-    (failed, unknown or not) is recorded in [env.touched], so the
-    incremental verifier knows which node changes can alter this
-    walk. *)
-let walk env ~key start_dpid ~in_port pkt =
-  let looped = ref false in
-  let report ~dpid path msg =
-    if not !looped then begin
-      looped := true;
-      env.diags <-
-        D.make ~dpid ~witness:(witness_of key path) ~severity:D.Error ~invariant:D.Loop msg
-        :: env.diags
-    end
-  in
-  let rec arrive path dpid ~in_port pkt =
-    Hashtbl.replace env.touched dpid ();
-    if not !looped then
-      match S.node env.snap dpid with
+(** One walk: the class it follows and whether it has looped yet. *)
+type walk = { env : env; key : Flow_key.t; mutable looped : bool }
+
+(** The (dpid, in-port, encap-stack) states a walk has passed, newest
+    first. *)
+type path = (int * int * Headers.Encap.t list) list
+
+(** One arrival of the walk: the switch it reached and how. *)
+type step = { walk : walk; path : path; node : S.node }
+
+(** Report a Loop diagnostic and end the walk: one report per walk is
+    enough, a loop revisits its states forever. *)
+let report w ~dpid path msg =
+  w.looped <- true;
+  w.env.diags <-
+    D.make ~dpid ~witness:(witness_of w.key path) ~severity:D.Error ~invariant:D.Loop msg
+    :: w.env.diags
+
+(** The walk as a {!Pipeline} target.  Outputs follow the port to its
+    peer switch; Packet-Ins, drops and misses end the branch (the
+    coverage and blackhole invariants own them); once the walk has
+    looped, outputs do nothing. *)
+module rec Step : sig
+  include Pipeline.TARGET with type t = step
+
+  val arrive : walk -> path -> int -> in_port:int -> Packet.t -> unit
+end = struct
+  type t = step
+
+  let lookup s ~table_id ctx =
+    if table_id >= s.node.S.num_tables then None
+    else index_lookup (index_of s.walk.env s.node table_id) ctx
+
+  (* Every dpid the packet arrives at (failed, unknown or not) is
+     recorded in [env.touched], so the incremental verifier knows which
+     node changes can alter this walk. *)
+  let rec arrive w path dpid ~in_port pkt =
+    Hashtbl.replace w.env.touched dpid ();
+    if not w.looped then
+      match S.node w.env.snap dpid with
       | None -> ()
       | Some n ->
         if not n.S.failed then begin
@@ -204,88 +225,44 @@ let walk env ~key start_dpid ~in_port pkt =
           (* equal encap stacks are exactly the ones that print alike *)
           let state = (dpid, in_port, pkt.Packet.encaps) in
           if List.mem state path then
-            report ~dpid path
+            report w ~dpid path
               (Printf.sprintf "forwarding loop: (dpid %d, in-port %d) revisited" dpid in_port)
           else if List.length path >= max_hops then
-            report ~dpid path
+            report w ~dpid path
               (Printf.sprintf "hop budget (%d) exhausted: probable forwarding loop" max_hops)
-          else begin
-            let path = state :: path in
-            let ctx = Of_match.context ?tunnel_id ~in_port pkt in
-            run_table path n ~ctx ~table_id:0 pkt
-          end
+          else
+            Walk.run_table { walk = w; path = state :: path; node = n } ~table_id:0
+              ~ctx:(Of_match.context ?tunnel_id ~in_port pkt) pkt
         end
-  and run_table path (n : S.node) ~ctx ~table_id pkt =
-    let ctx = { ctx with Of_match.packet = pkt } in
-    match index_lookup (index_of env n table_id) ctx with
-    | None -> () (* bare miss: drop; the coverage invariant owns this *)
-    | Some r ->
-      let pkt = apply path n ~ctx pkt (Of_action.actions_of_instructions r.Flow_table.instructions) in
-      (match Of_action.goto_of_instructions r.Flow_table.instructions with
-      | Some next when next > table_id && next < n.S.num_tables ->
-        run_table path n ~ctx ~table_id:next pkt
-      | Some _ | None -> ())
-  and transmit path (_n : S.node) (p : S.port) pkt =
+
+  and transmit s (p : S.port) pkt =
     let pkt =
-      match p.S.tunnel with
-      | Some tid -> Packet.push_encap (Headers.Encap.mpls tid) pkt
-      | None -> pkt
+      match p.S.tunnel with Some tid -> Packet.encap_tunnel ~tunnel_id:tid pkt | None -> pkt
     in
     match p.S.endpoint with
-    | S.To_switch { peer; peer_in_port } -> arrive path peer ~in_port:peer_in_port pkt
+    | S.To_switch { peer; peer_in_port } -> arrive s.walk s.path peer ~in_port:peer_in_port pkt
     | S.To_host _ | S.Opaque | S.Disconnected -> ()
-  and emit path n pid pkt =
-    match S.find_port n pid with Some p -> transmit path n p pkt | None -> ()
-  and apply path (n : S.node) ~(ctx : Of_match.context) pkt actions =
-    match actions with
-    | [] -> pkt
-    | act :: rest ->
-      if !looped then pkt
-      else begin
-        let continue pkt = apply path n ~ctx pkt rest in
-        match act with
-        | Of_action.Output (Of_types.Port_no.Physical p) ->
-          if p <> ctx.Of_match.in_port then emit path n p pkt;
-          continue pkt
-        | Of_action.Output Of_types.Port_no.In_port ->
-          emit path n ctx.Of_match.in_port pkt;
-          continue pkt
-        | Of_action.Output Of_types.Port_no.All ->
-          List.iter
-            (fun (p : S.port) ->
-              if p.S.port_id <> ctx.Of_match.in_port && p.S.tunnel = None then
-                transmit path n p pkt)
-            n.S.ports;
-          continue pkt
-        | Of_action.Output
-            (Of_types.Port_no.Controller | Of_types.Port_no.Local | Of_types.Port_no.Any) ->
-          continue pkt
-        | Of_action.Group gid -> (
-          match List.find_opt (fun (g : S.group) -> g.S.group_id = gid) n.S.groups with
-          | None -> continue pkt
-          | Some g ->
-            let flow_hash = Flow_key.hash (Packet.flow_key pkt) in
-            List.iter
-              (fun (b : Of_msg.Group_mod.bucket) ->
-                ignore (apply path n ~ctx pkt b.Of_msg.Group_mod.actions))
-              (Group_table.select g.S.group_type g.S.buckets ~flow_hash);
-            continue pkt)
-        | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
-        | Of_action.Pop_mpls -> (
-          match Packet.pop_encap pkt with
-          | Some (Headers.Encap.Mpls _, pkt') -> continue pkt'
-          | Some _ | None -> continue pkt)
-        | Of_action.Push_gre k -> continue (Packet.push_encap (Headers.Encap.gre k) pkt)
-        | Of_action.Pop_gre -> (
-          match Packet.pop_encap pkt with
-          | Some (Headers.Encap.Gre _, pkt') -> continue pkt'
-          | Some _ | None -> continue pkt)
-        | Of_action.Set_eth_dst _ | Of_action.Set_eth_src _ | Of_action.Dec_ttl
-        | Of_action.Drop ->
-          continue pkt
-      end
-  in
-  arrive [] start_dpid ~in_port pkt
+
+  let emit s pid pkt =
+    if not s.walk.looped then
+      match S.find_port s.node pid with Some p -> transmit s p pkt | None -> ()
+
+  let flood s ~in_port pkt =
+    if not s.walk.looped then
+      List.iter
+        (fun (p : S.port) ->
+          if p.S.port_id <> in_port && p.S.tunnel = None then transmit s p pkt)
+        s.node.S.ports
+
+  let to_controller _ _ _ _ = ()
+  let group s gid = List.find_opt (fun (g : Group_table.group) -> g.group_id = gid) s.node.S.groups
+  let drop _ _ = ()
+end
+
+and Walk : sig
+  val run_table : step -> table_id:int -> ctx:Of_match.context -> Packet.t -> unit
+end =
+  Pipeline.Make (Step)
 
 (** Walk one equivalence class from all its injection points; returns
     its diagnostics and the sorted set of dpids the walks visited. *)
@@ -293,7 +270,8 @@ let walk_class env ~key entry_points =
   env.diags <- [];
   Hashtbl.reset env.touched;
   List.iter
-    (fun (dpid, in_port) -> walk env ~key dpid ~in_port (packet_of_key key))
+    (fun (dpid, in_port) ->
+      Step.arrive { env; key; looped = false } [] dpid ~in_port (packet_of_key key))
     entry_points;
   let touched = Hashtbl.fold (fun d () acc -> d :: acc) env.touched [] in
   (env.diags, List.sort compare touched)

@@ -23,19 +23,13 @@ type port = {
   endpoint : endpoint;
 }
 
-type group = {
-  group_id : int;
-  group_type : Scotch_openflow.Of_msg.Group_mod.group_type;
-  buckets : Scotch_openflow.Of_msg.Group_mod.bucket list;
-}
-
 type node = {
   dpid : int;
   node_name : string;
   failed : bool;
   num_tables : int;
   rules : (int * Flow_table.rule list) list;
-  groups : group list;
+  groups : Group_table.group list;
   ports : port list;
 }
 
@@ -132,16 +126,6 @@ let endpoint_map topo =
       | None -> ());
   map
 
-let capture_groups sw =
-  let groups = ref [] in
-  Group_table.iter (Switch.group_table sw) (fun g ->
-      groups :=
-        { group_id = g.Group_table.group_id;
-          group_type = g.Group_table.group_type;
-          buckets = g.Group_table.buckets }
-        :: !groups);
-  List.sort (fun a b -> compare a.group_id b.group_id) !groups
-
 let capture_node endpoints ~now sw =
   let dpid = Switch.dpid sw in
   let ports =
@@ -166,7 +150,7 @@ let capture_node endpoints ~now sw =
     rules =
       Array.to_list tables
       |> List.map (fun tbl -> (Flow_table.table_id tbl, Flow_table.live_rules tbl ~now));
-    groups = capture_groups sw;
+    groups = Group_table.groups (Switch.group_table sw);
     ports }
 
 let capture_overlay ov =

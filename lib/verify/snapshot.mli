@@ -27,21 +27,15 @@ type port = {
   endpoint : endpoint;
 }
 
-type group = {
-  group_id : int;
-  group_type : Scotch_openflow.Of_msg.Group_mod.group_type;
-  buckets : Scotch_openflow.Of_msg.Group_mod.bucket list;
-}
-
 (** One switch: identity, failure state, live rules per table (highest
-    priority first), groups and ports. *)
+    priority first), groups (sorted by id) and ports. *)
 type node = {
   dpid : int;
   node_name : string;
   failed : bool;
   num_tables : int;
   rules : (int * Flow_table.rule list) list; (** (table id, live rules) *)
-  groups : group list;
+  groups : Group_table.group list;
   ports : port list;
 }
 
@@ -120,10 +114,6 @@ val controlled : t -> int list
     the snapshot also carries the app's overlay bookkeeping and the
     managed/vswitch dpid sets. *)
 val capture : ?scotch:Scotch_core.Scotch.t -> now:float -> Scotch_topo.Topology.t -> t
-
-(** Freeze one switch's group table, sorted by group id: the group half
-    of {!capture}, and the incremental verifier's per-group-mod resync. *)
-val capture_groups : Scotch_switch.Switch.t -> group list
 
 (** Freeze just the reliable layer's intent stores — the incremental
     verifier's per-install intent resync ({!capture} does this as part

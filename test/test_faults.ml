@@ -96,9 +96,8 @@ let test_group_rebalance_after_kill () =
   in
   Alcotest.(check bool) "victim had uplink tunnels" true (dead_ports <> []);
   let open Scotch_openflow in
-  Scotch_switch.Group_table.iter
-    (Scotch_switch.Switch.group_table net.Testbed.edge)
-    (fun g ->
+  List.iter
+    (fun (g : Scotch_switch.Group_table.group) ->
       List.iter
         (fun (b : Of_msg.Group_mod.bucket) ->
           List.iter
@@ -107,7 +106,8 @@ let test_group_rebalance_after_kill () =
                 Alcotest.(check bool) "bucket avoids dead uplink" false (List.mem p dead_ports)
               | _ -> ())
             b.Of_msg.Group_mod.actions)
-        g.Scotch_switch.Group_table.buckets);
+        g.Scotch_switch.Group_table.buckets)
+    (Scotch_switch.Group_table.groups (Scotch_switch.Switch.group_table net.Testbed.edge));
   Alcotest.(check bool) "flows were lost during the outage" true (r.Ledger.flows_lost > 0)
 
 let test_recovered_vswitch_rejoins_as_backup () =
