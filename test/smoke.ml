@@ -12,7 +12,8 @@
    - resilience: the §5.6 failover story at its smallest configuration
      (2 kills), under continuous verification;
    - reconcile: the same recovery path with the reliable layer on and a
-     control-channel loss storm plus an OFA stall;
+     control-channel loss storm plus an OFA stall, under continuous
+     verification;
    - chaos: a fixed budget of seeded random fault schedules, plus the
      canary the shrinker must cut and whose repro must replay;
    - obs: a short flash crowd with metrics and tracing on;
@@ -58,6 +59,42 @@ let oracles_clean ~what (o : Resilience.outcome) =
     List.iter (fun v -> prerr_endline (Format.asprintf "%a" Oracle.pp_violation v)) vs;
     fail "%d oracle violation(s) %s" (List.length vs) what
 
+(* The continuous verifier's verdict on a run: no error in any hook
+   report, every full-rescan audit agreeing with the incremental set,
+   and no error in the maintained diagnostic set as it stands now. *)
+let verifier_clean ~what (o : Resilience.outcome) =
+  let v =
+    match o.Resilience.verify with
+    | Some v -> v
+    | None -> fail "invariant-checker hooks were not installed"
+  in
+  List.iter
+    (fun (r : Hooks.report) ->
+      match Diagnostic.errors r.Hooks.diagnostics with
+      | [] -> ()
+      | errs ->
+        List.iter (fun d -> prerr_endline (Diagnostic.to_string d)) errs;
+        fail "%s check at t=%.2f found %d invariant error(s)" r.Hooks.phase r.Hooks.at
+          (List.length errs))
+    (Hooks.reports v);
+  let incr =
+    match Hooks.incremental v with
+    | Some i -> i
+    | None -> fail "no incremental verifier in Continuous mode"
+  in
+  let st = Incremental.stats incr in
+  if st.Incremental.equiv_mismatches <> 0 then
+    fail "%d equivalence audit(s) disagreed with the incremental diagnostic set"
+      st.Incremental.equiv_mismatches;
+  (match Diagnostic.errors (Incremental.diagnostics incr) with
+  | [] -> ()
+  | errs ->
+    List.iter (fun d -> prerr_endline (Diagnostic.to_string d)) errs;
+    fail "%d error diagnostic(s) on the %s workload" (List.length errs) what);
+  Printf.printf "invariant checker: %d check(s), %d update(s), %d audit(s), 0 errors\n"
+    (Hooks.checks_run v) st.Incremental.updates st.Incremental.equiv_checks;
+  v
+
 (* ------------------------------------------------------------------ *)
 (* resilience: heartbeat detection inside [timeout, timeout + period +
    slack], a backup promoted for every kill, every select group
@@ -91,38 +128,11 @@ let resilience () =
     recs;
   oracles_clean ~what:"in the recovered end state" o;
   (* mid-run checks the end-state oracle cannot express *)
-  let v =
-    match o.Resilience.verify with
-    | Some v -> v
-    | None -> fail "invariant-checker hooks were not installed"
-  in
+  let v = verifier_clean ~what:"clean resilience" o in
   let post_recovery = Hooks.reports_of_phase v "post-recovery" in
   if List.length post_recovery < kills then
     fail "expected a post-recovery check per kill, got %d" (List.length post_recovery);
   if Hooks.reports_of_phase v "run-end" = [] then fail "no run-end check";
-  List.iter
-    (fun (r : Hooks.report) ->
-      match Diagnostic.errors r.Hooks.diagnostics with
-      | [] -> ()
-      | errs ->
-        List.iter (fun d -> prerr_endline (Diagnostic.to_string d)) errs;
-        fail "%s check at t=%.2f found %d invariant error(s)" r.Hooks.phase r.Hooks.at
-          (List.length errs))
-    (Hooks.reports v);
-  let incr =
-    match Hooks.incremental v with
-    | Some i -> i
-    | None -> fail "no incremental verifier in Continuous mode"
-  in
-  let st = Incremental.stats incr in
-  if st.Incremental.equiv_mismatches <> 0 then
-    fail "%d equivalence audit(s) disagreed with the incremental diagnostic set"
-      st.Incremental.equiv_mismatches;
-  (match Diagnostic.errors (Incremental.diagnostics incr) with
-  | [] -> ()
-  | errs -> fail "%d error diagnostic(s) on the clean resilience workload" (List.length errs));
-  Printf.printf "invariant checker: %d check(s), %d update(s), %d audit(s), 0 errors\n"
-    (Hooks.checks_run v) st.Incremental.updates st.Incremental.equiv_checks;
   [ ( Printf.sprintf "scale=%g kills=%d x%g verify=continuous ledger" scale kills multiplier,
       Ledger.digest ledger ) ]
 
@@ -131,12 +141,16 @@ let resilience () =
    flash window, one OFA stall and one vswitch crash.  Convergence
    within a bounded number of extra reconcile rounds, then the oracle
    suite on the converged state (intent == actual, nothing
-   outstanding, loss within the storm's priced exposure). *)
+   outstanding, loss within the storm's priced exposure).  The run is
+   under continuous verification, so the Divergence invariant diffs
+   the live intent stores against the device throughout, and is held to
+   the resilience smoke's verifier checks after convergence. *)
 
 let reconcile () =
   let scale = 0.25 and kills = 1 and multiplier = 5.0 and drop_p = 0.2 in
+  let config = { Config.default with Config.verify = Config.Continuous } in
   let o =
-    Resilience.run_outcome ~seed ~scale ~kills ~multiplier ~reconcile:true ~drop_p ()
+    Resilience.run_outcome ~config ~seed ~scale ~kills ~multiplier ~reconcile:true ~drop_p ()
   in
   let net = o.Resilience.net in
   let r =
@@ -168,7 +182,9 @@ let reconcile () =
   in
   if snap.Scotch_verify.Snapshot.intents = None then fail "snapshot carries no intent stores";
   oracles_clean ~what:"after convergence" o;
-  [ ( Printf.sprintf "scale=%g kills=%d x%g drop=%g reconcile" scale kills multiplier drop_p,
+  ignore (verifier_clean ~what:"converged reconcile" o);
+  [ ( Printf.sprintf "scale=%g kills=%d x%g drop=%g verify=continuous reconcile" scale kills
+        multiplier drop_p,
       R.digest r ) ]
 
 (* ------------------------------------------------------------------ *)
