@@ -42,15 +42,16 @@ let apply t (gm : Of_msg.Group_mod.t) =
       end)
   | Modify -> (
     (* existence first, as switches do: modifying an unknown group is
-       Unknown_group even when the buckets are also bad *)
-    match Hashtbl.find_opt t.groups gm.group_id with
-    | None -> Error `Unknown_group
-    | Some g -> (
+       Unknown_group even when the buckets are also bad.  OFPGC_MODIFY
+       replaces the type as well as the buckets. *)
+    if not (Hashtbl.mem t.groups gm.group_id) then Error `Unknown_group
+    else
       match validate_buckets gm with
       | Error _ as e -> e
       | Ok () ->
-        Hashtbl.replace t.groups gm.group_id { g with buckets = gm.buckets };
-        Ok ()))
+        Hashtbl.replace t.groups gm.group_id
+          { group_id = gm.group_id; group_type = gm.group_type; buckets = gm.buckets };
+        Ok ())
   | Delete ->
     Hashtbl.remove t.groups gm.group_id;
     Ok ()

@@ -17,7 +17,8 @@ type t
 
 val create : unit -> t
 
-(** Apply a Group_mod.  [Add]/[Modify] with an empty bucket list or a
+(** Apply a Group_mod.  [Modify] replaces the group's type and buckets,
+    as OFPGC_MODIFY does.  [Add]/[Modify] with an empty bucket list or a
     non-positive bucket weight are rejected (they would blackhole or
     skew every flow hashed onto the group), mirroring
     OFPGMFC_INVALID_GROUP on real switches. *)

@@ -311,6 +311,20 @@ let test_gt_add_modify_delete () =
     (Group_table.apply gt (Of_msg.Group_mod.delete ~group_id:1) = Ok ());
   Alcotest.(check int) "empty" 0 (Group_table.size gt)
 
+(* OFPGC_MODIFY replaces the whole entry: the type and the buckets. *)
+let test_gt_modify_replaces_type () =
+  let gt = Group_table.create () in
+  ignore (Group_table.apply gt (mk_select_group ()));
+  let buckets = [ Of_msg.Group_mod.bucket [ Of_action.Drop ] ] in
+  Alcotest.(check bool) "modify to all" true
+    (Group_table.apply gt
+       { (Of_msg.Group_mod.modify_select ~group_id:1 ~buckets) with
+         Of_msg.Group_mod.group_type = Of_msg.Group_mod.All }
+    = Ok ());
+  Alcotest.(check bool) "type and buckets replaced" true
+    (Group_table.find gt 1
+    = Some { Group_table.group_id = 1; group_type = Of_msg.Group_mod.All; buckets })
+
 let test_gt_rejects_bad_buckets () =
   let gt = Group_table.create () in
   Alcotest.(check bool) "add with no buckets" true
@@ -1147,6 +1161,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_ft_live_rules_order ] );
       ( "group_table",
         [ Alcotest.test_case "add/modify/delete" `Quick test_gt_add_modify_delete;
+          Alcotest.test_case "modify replaces the type" `Quick test_gt_modify_replaces_type;
           Alcotest.test_case "rejects bad buckets" `Quick test_gt_rejects_bad_buckets;
           Alcotest.test_case "select deterministic" `Quick test_gt_select_deterministic;
           Alcotest.test_case "select weights" `Quick test_gt_select_weights;
