@@ -1,6 +1,5 @@
 (** Array-backed binary min-heap, polymorphic in the element type with an
-    explicit comparison.  Used by the event queue and by the controller's
-    internal schedulers. *)
+    explicit comparison.  Used by the engine's event queue. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;

@@ -1,5 +1,5 @@
 (** Array-backed binary min-heap with an explicit comparison, used by
-    the event queue and the controller's schedulers. *)
+    the engine's event queue. *)
 
 type 'a t
 

@@ -1,48 +1,5 @@
-(** Online statistics: counters, running moments (Welford), windowed rate
-    meters and percentile estimation over stored samples. *)
-
-(** {1 Counters} *)
-
-module Counter = struct
-  type t = { mutable count : int }
-
-  let create () = { count = 0 }
-  let incr t = t.count <- t.count + 1
-  let add t n = t.count <- t.count + n
-  let value t = t.count
-  let reset t = t.count <- 0
-end
-
-(** {1 Running moments}
-
-    Numerically stable mean/variance over a stream (Welford's algorithm);
-    also tracks min and max. *)
-
-module Running = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.n
-  let mean t = if t.n = 0 then nan else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let min t = t.min
-  let max t = t.max
-end
+(** Online statistics: windowed rate meters and percentile estimation
+    over stored samples. *)
 
 (** {1 Sample sets}
 

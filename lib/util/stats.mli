@@ -1,35 +1,5 @@
-(** Online statistics: counters, running moments, exact sample sets and
-    sliding-window rate meters. *)
-
-(** Plain event counters. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val reset : t -> unit
-end
-
-(** Numerically stable mean/variance over a stream (Welford), plus
-    min/max. *)
-module Running : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-
-  (** [nan] when empty. *)
-  val mean : t -> float
-
-  (** Sample variance (n-1 denominator); 0 for fewer than two points. *)
-  val variance : t -> float
-
-  val min : t -> float
-  val max : t -> float
-end
+(** Online statistics: exact sample sets and sliding-window rate
+    meters. *)
 
 (** Stores every sample; supports exact percentiles.  Meant for
     experiment-sized data (up to a few million points). *)

@@ -163,24 +163,6 @@ let prop_heap_sorted =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  Alcotest.(check int) "value" 5 (Stats.Counter.value c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
-
-let test_running_moments () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_float ~eps:1e-9 "mean" 5.0 (Stats.Running.mean r);
-  (* sample variance of this classic data set is 32/7 *)
-  check_float ~eps:1e-9 "variance" (32.0 /. 7.0) (Stats.Running.variance r);
-  check_float ~eps:1e-9 "min" 2.0 (Stats.Running.min r);
-  check_float ~eps:1e-9 "max" 9.0 (Stats.Running.max r);
-  Alcotest.(check int) "count" 8 (Stats.Running.count r)
-
 let test_samples_percentile () =
   let s = Stats.Samples.create () in
   for i = 1 to 100 do
@@ -379,9 +361,7 @@ let () =
           Alcotest.test_case "to_list" `Quick test_heap_to_list;
           QCheck_alcotest.to_alcotest prop_heap_sorted ] );
       ( "stats",
-        [ Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "running moments" `Quick test_running_moments;
-          Alcotest.test_case "samples percentile" `Quick test_samples_percentile;
+        [ Alcotest.test_case "samples percentile" `Quick test_samples_percentile;
           Alcotest.test_case "samples empty" `Quick test_samples_empty;
           Alcotest.test_case "rate meter window" `Quick test_rate_meter ] );
       ( "histogram",
