@@ -1,9 +1,10 @@
 (** Per-switch intent store: the flow rules and group buckets the
     controller {e wants} on one switch, as opposed to what the switch
     actually holds.  Every Flow_mod / Group_mod routed through the
-    reliable layer is recorded here first; the anti-entropy reconciler
-    later diffs this store against flow/group stats read back from the
-    device.
+    reliable layer is recorded here first.  {!diff} is the one
+    definition of intent/device divergence: the anti-entropy reconciler
+    applies it to flow/group stats read back from the device, and the
+    verifier's Divergence invariant to a captured snapshot.
 
     Rules are keyed by (table, priority, match) — the identity a
     switch uses for ADD-replaces — and classified as {e durable} (no
@@ -87,8 +88,6 @@ let find_rule t ~table_id ~priority ~match_ =
 let forget_rule t ~table_id ~priority ~match_ =
   Hashtbl.remove t.rules (key ~table_id ~priority ~match_)
 
-let find_group t group_id = Hashtbl.find_opt t.groups group_id
-
 let compare_rules a b =
   compare (a.table_id, a.priority, a.match_) (b.table_id, b.priority, b.match_)
 
@@ -108,3 +107,74 @@ let flow_mod_of_rule (r : rule) =
   Of_msg.Flow_mod.add ~table_id:r.table_id ~priority:r.priority
     ~idle_timeout:r.idle_timeout ~hard_timeout:r.hard_timeout ~cookie:r.cookie
     ~match_:r.match_ ~instructions:r.instructions ()
+
+(** The Group_mod that sets one intent group, by Add or Modify. *)
+let group_mod command (g : group) =
+  { Of_msg.Group_mod.command; group_id = g.group_id; group_type = g.group_type;
+    buckets = g.buckets }
+
+(** {1 Intent vs device} *)
+
+type group_diff =
+  | Group_missing of group
+  | Group_changed of group
+  | Group_foreign of Of_types.group_id
+
+type diff = {
+  groups : group_diff list;
+  missing : rule list;
+  expired : rule list;
+  orphans : Of_msg.Stats.flow_stat list;
+}
+
+(* Entries younger than [grace] — intents by [now -. recorded_at],
+   device rules by their flow-stat duration — may still be in flight
+   and are skipped; foreign groups are reported whatever their age. *)
+let diff ~rules ~groups ~flow_stats ~group_descs ~now ~grace ~owned =
+  let rule_key (r : rule) = key ~table_id:r.table_id ~priority:r.priority ~match_:r.match_ in
+  let stat_key (fs : Of_msg.Stats.flow_stat) =
+    key ~table_id:fs.table_id ~priority:fs.priority ~match_:fs.match_
+  in
+  let index key_of l =
+    let h = Hashtbl.create 64 in
+    List.iter (fun x -> Hashtbl.replace h (key_of x) ()) l;
+    h
+  in
+  let on_device = index stat_key flow_stats and intended = index rule_key rules in
+  let settled recorded_at = now -. recorded_at >= grace in
+  let missing, expired =
+    List.filter
+      (fun (r : rule) -> settled r.recorded_at && not (Hashtbl.mem on_device (rule_key r)))
+      rules
+    |> List.partition is_durable
+  in
+  let orphans =
+    List.filter
+      (fun (fs : Of_msg.Stats.flow_stat) ->
+        fs.duration >= grace && List.mem fs.cookie owned
+        && not (Hashtbl.mem intended (stat_key fs)))
+      flow_stats
+  in
+  let changed =
+    List.filter_map
+      (fun (g : group) ->
+        if not (settled g.recorded_at) then None
+        else
+          match
+            List.find_opt (fun (d : Of_msg.Stats.group_desc) -> d.group_id = g.group_id)
+              group_descs
+          with
+          | None -> Some (Group_missing g)
+          | Some d when d.group_type <> g.group_type || d.buckets <> g.buckets ->
+            Some (Group_changed g)
+          | Some _ -> None)
+      groups
+  in
+  let foreign =
+    List.filter_map
+      (fun (d : Of_msg.Stats.group_desc) ->
+        if List.exists (fun (g : group) -> g.group_id = d.group_id) groups then None
+        else Some (Group_foreign d.group_id))
+      group_descs
+  in
+  { groups = changed @ foreign; missing; expired; orphans }

@@ -1,7 +1,8 @@
 (** Per-switch intent store: the rules and groups the controller wants
     on one switch.  The reliable send path records every Flow_mod /
-    Group_mod here; the anti-entropy reconciler diffs the store against
-    stats read back from the device. *)
+    Group_mod here.  {!diff} decides what the device lacks or holds
+    extra; the anti-entropy reconciler and the verifier's Divergence
+    invariant both call it. *)
 
 open Scotch_openflow
 
@@ -27,10 +28,6 @@ type t
 
 val create : unit -> t
 
-(** Durable rules never time out and must always exist on the device;
-    ephemeral rules (idle/hard timeouts) may legitimately expire. *)
-val is_durable : rule -> bool
-
 (** Record the intent effect of a Flow_mod: Add/Modify upserts by
     (table, priority, match); Delete removes every priority holding the
     match in the table, mirroring device semantics. *)
@@ -43,8 +40,6 @@ val find_rule : t -> table_id:int -> priority:int -> match_:Of_match.t -> rule o
     acknowledged by the reconciler). *)
 val forget_rule : t -> table_id:int -> priority:int -> match_:Of_match.t -> unit
 
-val find_group : t -> Of_types.group_id -> group option
-
 (** Deterministically ordered views. *)
 val rules : t -> rule list
 
@@ -53,3 +48,41 @@ val groups : t -> group list
 
 (** Rebuild the Flow_mod realizing one intent rule. *)
 val flow_mod_of_rule : rule -> Of_msg.Flow_mod.t
+
+(** The Group_mod that sets one intent group by [command] (Add or
+    Modify). *)
+val group_mod : Of_msg.Group_mod.command -> group -> Of_msg.Group_mod.t
+
+(** {1 Intent vs device} *)
+
+(** One group difference. *)
+type group_diff =
+  | Group_missing of group  (** intent group absent from the device *)
+  | Group_changed of group  (** on the device with another type or buckets *)
+  | Group_foreign of Of_types.group_id  (** device group with no intent *)
+
+(** What one switch's device lacks or holds extra, against its intent. *)
+type diff = {
+  groups : group_diff list;
+      (** intent groups by id with each difference in place, then
+          foreign groups in device order *)
+  missing : rule list;
+      (** durable intents (no timeouts) absent from the device, in
+          intent order *)
+  expired : rule list;
+      (** ephemeral intents (idle/hard timeouts) absent from the device:
+          the switch expired them *)
+  orphans : Of_msg.Stats.flow_stat list;
+      (** device rules with an [owned] cookie and no intent, in device order *)
+}
+
+(** [diff ~rules ~groups ~flow_stats ~group_descs ~now ~grace ~owned]
+    diffs one switch's intent rules and groups (as {!rules} and
+    {!groups} order them) against its flow stats and group descs.
+    Rules are matched by (table, priority, match), groups by id.  An
+    intent younger than [grace] at [now], and a device rule whose
+    duration is under [grace], may still be in flight and is skipped. *)
+val diff :
+  rules:rule list -> groups:group list -> flow_stats:Of_msg.Stats.flow_stat list ->
+  group_descs:Of_msg.Stats.group_desc list -> now:float -> grace:float ->
+  owned:Of_types.cookie list -> diff

@@ -22,11 +22,14 @@
        them.}
     {- {b Anti-entropy}: a periodic engine task reads flow and group
        stats back from each idle switch and diffs them against the
-       per-switch {!Intent} store — re-installing missing durable
-       rules, deleting orphans the controller owns (by cookie), fixing
-       group buckets, and pruning intent entries for ephemeral rules
-       the switch legitimately expired.  A switch that returns from
-       the dead gets a full-table resync instead of a diff.}}
+       per-switch {!Intent} store with {!Intent.diff} (the verifier's
+       Divergence invariant calls the same function) — re-installing
+       missing durable rules, deleting orphans the controller owns (by
+       cookie), re-asserting groups whose type or buckets drifted,
+       deleting foreign groups, and pruning intent entries for
+       ephemeral rules the switch legitimately expired.  A switch that
+       returns from the dead gets a full-table resync instead of a
+       diff.}}
 
     Divergence windows (first detection → clean diff) and every repair
     are recorded in a reconciliation ledger with a deterministic
@@ -326,9 +329,7 @@ let resync t ss =
     List.concat_map
       (fun (g : Intent.group) ->
         [ Of_msg.Group_mod (Of_msg.Group_mod.delete ~group_id:g.Intent.group_id);
-          Of_msg.Group_mod
-            { Of_msg.Group_mod.command = Of_msg.Group_mod.Add; group_id = g.Intent.group_id;
-              group_type = g.Intent.group_type; buckets = g.Intent.buckets } ])
+          Of_msg.Group_mod (Intent.group_mod Of_msg.Group_mod.Add g) ])
       (Intent.groups ss.intents)
   in
   let rule_payloads =
@@ -345,79 +346,26 @@ let resync t ss =
 let diff_and_repair t ss (flow_stats : Of_msg.Stats.flow_stat list)
     (group_descs : Of_msg.Stats.group_desc list) =
   let tnow = now t in
-  let grace = repair_grace in
-  let actual = Hashtbl.create 64 in
-  List.iter
-    (fun (fs : Of_msg.Stats.flow_stat) ->
-      Hashtbl.replace actual
-        (fs.Of_msg.Stats.table_id, fs.Of_msg.Stats.priority, fs.Of_msg.Stats.match_) fs)
-    flow_stats;
-  (* intent side: durable rules absent from the device are repaired;
-     ephemeral intents absent from the device are acknowledged as
-     expired.  Entries younger than the grace window are skipped — the
-     install may simply still be in flight. *)
-  let missing = ref [] in
-  let expired = ref [] in
-  List.iter
-    (fun (r : Intent.rule) ->
-      if
-        tnow -. r.Intent.recorded_at >= grace
-        && not (Hashtbl.mem actual (r.Intent.table_id, r.Intent.priority, r.Intent.match_))
-      then
-        if Intent.is_durable r then missing := r :: !missing else expired := r :: !expired)
-    (Intent.rules ss.intents);
+  let { Intent.groups; missing; expired; orphans } =
+    Intent.diff ~rules:(Intent.rules ss.intents) ~groups:(Intent.groups ss.intents) ~flow_stats
+      ~group_descs ~now:tnow ~grace:repair_grace ~owned:t.owned_cookies
+  in
+  (* the switch may expire ephemeral rules on its own: acknowledge it *)
   List.iter
     (fun (r : Intent.rule) ->
       Intent.forget_rule ss.intents ~table_id:r.Intent.table_id ~priority:r.Intent.priority
         ~match_:r.Intent.match_)
-    !expired;
-  let missing = List.rev !missing in
-  (* device side: rules carrying a cookie we own, old enough that no
-     install can still be racing, with no matching intent — orphans *)
-  let orphans =
-    List.filter
-      (fun (fs : Of_msg.Stats.flow_stat) ->
-        fs.Of_msg.Stats.duration >= grace
-        && List.mem fs.Of_msg.Stats.cookie t.owned_cookies
-        && Intent.find_rule ss.intents ~table_id:fs.Of_msg.Stats.table_id
-             ~priority:fs.Of_msg.Stats.priority ~match_:fs.Of_msg.Stats.match_
-           = None)
-      flow_stats
+    expired;
+  let group_fixes =
+    List.map
+      (fun gd ->
+        Of_msg.Group_mod
+          (match gd with
+          | Intent.Group_missing g -> Intent.group_mod Of_msg.Group_mod.Add g
+          | Intent.Group_changed g -> Intent.group_mod Of_msg.Group_mod.Modify g
+          | Intent.Group_foreign group_id -> Of_msg.Group_mod.delete ~group_id))
+      groups
   in
-  (* groups: wrong/missing buckets are re-asserted, foreign groups removed *)
-  let group_fixes = ref [] in
-  List.iter
-    (fun (g : Intent.group) ->
-      if tnow -. g.Intent.recorded_at >= grace then
-        match
-          List.find_opt
-            (fun (d : Of_msg.Stats.group_desc) -> d.Of_msg.Stats.group_id = g.Intent.group_id)
-            group_descs
-        with
-        | None ->
-          group_fixes :=
-            Of_msg.Group_mod
-              { Of_msg.Group_mod.command = Of_msg.Group_mod.Add;
-                group_id = g.Intent.group_id; group_type = g.Intent.group_type;
-                buckets = g.Intent.buckets }
-            :: !group_fixes
-        | Some d ->
-          if d.Of_msg.Stats.buckets <> g.Intent.buckets then
-            group_fixes :=
-              Of_msg.Group_mod
-                { Of_msg.Group_mod.command = Of_msg.Group_mod.Modify;
-                  group_id = g.Intent.group_id; group_type = g.Intent.group_type;
-                  buckets = g.Intent.buckets }
-              :: !group_fixes)
-    (Intent.groups ss.intents);
-  List.iter
-    (fun (d : Of_msg.Stats.group_desc) ->
-      if Intent.find_group ss.intents d.Of_msg.Stats.group_id = None then
-        group_fixes :=
-          Of_msg.Group_mod (Of_msg.Group_mod.delete ~group_id:d.Of_msg.Stats.group_id)
-          :: !group_fixes)
-    group_descs;
-  let group_fixes = List.rev !group_fixes in
   let n_div = List.length missing + List.length orphans + List.length group_fixes in
   if n_div > 0 then begin
     t.stats.repairs_missing <- t.stats.repairs_missing + List.length missing;

@@ -222,22 +222,23 @@ let peek t ~now (ctx : Of_match.context) =
   in
   go t.buckets
 
+(** One rule's flow statistics at [now], as table [table_id] reports it. *)
+let stat_of_rule ~table_id ~now r : Of_msg.Stats.flow_stat =
+  { Of_msg.Stats.table_id;
+    priority = r.priority;
+    match_ = r.match_;
+    packet_count = r.packet_count;
+    byte_count = r.byte_count;
+    duration = now -. r.installed_at;
+    cookie = r.cookie }
+
 (** Flow statistics for all live rules. *)
 let stats t ~now : Of_msg.Stats.flow_stat list =
   List.concat_map
     (fun b ->
       Hashtbl.fold
         (fun _ r acc ->
-          if is_expired ~now r then acc
-          else
-            { Of_msg.Stats.table_id = t.table_id;
-              priority = r.priority;
-              match_ = r.match_;
-              packet_count = r.packet_count;
-              byte_count = r.byte_count;
-              duration = now -. r.installed_at;
-              cookie = r.cookie }
-            :: acc)
+          if is_expired ~now r then acc else stat_of_rule ~table_id:t.table_id ~now r :: acc)
         b.by_match [])
     t.buckets
 

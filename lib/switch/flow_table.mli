@@ -74,6 +74,10 @@ val peek : t -> now:float -> Of_match.context -> rule option
 (** Flow statistics for all live rules. *)
 val stats : t -> now:float -> Of_msg.Stats.flow_stat list
 
+(** One rule's flow statistics at [now], as table [table_id] reports it:
+    the duration is [now -. installed_at]. *)
+val stat_of_rule : table_id:Of_types.table_id -> now:float -> rule -> Of_msg.Stats.flow_stat
+
 (** Inserts rejected for capacity so far. *)
 val insert_failures : t -> int
 

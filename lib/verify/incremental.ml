@@ -702,7 +702,8 @@ let apply_update t dirty u =
     match (old, intents) with
     | None, None -> ()
     | Some o, Some nw when o.S.grace = nw.S.grace && o.S.owned = nw.S.owned ->
-      (* re-diff only the switches whose intent node changed *)
+      (* re-diff only the switches whose intent node changed; a new
+         capture time re-ages every intent, so it changes them all *)
       let node_of (st : S.intent_state) d =
         List.find_opt (fun (i : S.intent_node) -> i.S.int_dpid = d) st.S.per_switch
       in
@@ -711,7 +712,10 @@ let apply_update t dirty u =
           (List.map (fun (i : S.intent_node) -> i.S.int_dpid) o.S.per_switch
           @ List.map (fun (i : S.intent_node) -> i.S.int_dpid) nw.S.per_switch)
       in
-      List.iter (fun d -> if node_of o d <> node_of nw d then recompute_divergence t d) dpids
+      let reaged = o.S.captured_at <> nw.S.captured_at in
+      List.iter
+        (fun d -> if reaged || node_of o d <> node_of nw d then recompute_divergence t d)
+        dpids
     | _ -> recompute_all_divergence t)
 
 let due_divergence t ~now =

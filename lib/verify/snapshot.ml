@@ -40,31 +40,16 @@ type host = {
   attach_port : int;
 }
 
-type intent_rule = {
-  ir_table : int;
-  ir_priority : int;
-  ir_match : Scotch_openflow.Of_match.t;
-  ir_cookie : Scotch_openflow.Of_types.cookie;
-  ir_durable : bool;
-  ir_age : float;
-}
-
-type intent_group = {
-  ig_id : int;
-  ig_type : Scotch_openflow.Of_msg.Group_mod.group_type;
-  ig_buckets : Scotch_openflow.Of_msg.Group_mod.bucket list;
-  ig_age : float;
-}
-
 type intent_node = {
   int_dpid : int;
-  int_rules : intent_rule list;
-  int_groups : intent_group list;
+  int_rules : Scotch_reliable.Intent.rule list;
+  int_groups : Scotch_reliable.Intent.group list;
 }
 
 type intent_state = {
   grace : float;
   owned : Scotch_openflow.Of_types.cookie list;
+  captured_at : float;
   per_switch : intent_node list;
 }
 
@@ -170,7 +155,8 @@ let capture_overlay ov =
 (** Freeze the reliable layer's intent stores (when the app has one), so
     the checker can diff intent against the captured device tables.  The
     repair grace rides along: both intents and device rules younger than
-    it may legitimately still be in flight. *)
+    it may legitimately still be in flight; intents are aged at
+    [captured_at]. *)
 let capture_intents ~now r =
   let module R = Scotch_reliable.Reliable in
   let module I = Scotch_reliable.Intent in
@@ -179,24 +165,11 @@ let capture_intents ~now r =
       (fun dpid ->
         Option.map
           (fun intents ->
-            { int_dpid = dpid;
-              int_rules =
-                List.map
-                  (fun (ir : I.rule) ->
-                    { ir_table = ir.I.table_id; ir_priority = ir.I.priority;
-                      ir_match = ir.I.match_; ir_cookie = ir.I.cookie;
-                      ir_durable = I.is_durable ir; ir_age = now -. ir.I.recorded_at })
-                  (I.rules intents);
-              int_groups =
-                List.map
-                  (fun (ig : I.group) ->
-                    { ig_id = ig.I.group_id; ig_type = ig.I.group_type;
-                      ig_buckets = ig.I.buckets; ig_age = now -. ig.I.recorded_at })
-                  (I.groups intents) })
+            { int_dpid = dpid; int_rules = I.rules intents; int_groups = I.groups intents })
           (R.intent_of r dpid))
       (R.dpids r)
   in
-  { grace = R.repair_grace; owned = R.owned_cookies r; per_switch }
+  { grace = R.repair_grace; owned = R.owned_cookies r; captured_at = now; per_switch }
 
 let capture ?scotch ~now topo =
   let endpoints = endpoint_map topo in

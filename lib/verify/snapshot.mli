@@ -46,28 +46,13 @@ type host = {
   attach_port : int;
 }
 
-(** One frozen intent-store rule (reliable layer): identity, owner
-    cookie, durability class and age at capture time. *)
-type intent_rule = {
-  ir_table : int;
-  ir_priority : int;
-  ir_match : Scotch_openflow.Of_match.t;
-  ir_cookie : Scotch_openflow.Of_types.cookie;
-  ir_durable : bool;  (** no timeouts: must exist on the device *)
-  ir_age : float;     (** seconds since the intent was recorded *)
-}
-
-type intent_group = {
-  ig_id : int;
-  ig_type : Scotch_openflow.Of_msg.Group_mod.group_type;
-  ig_buckets : Scotch_openflow.Of_msg.Group_mod.bucket list;
-  ig_age : float;
-}
-
+(** One reliable-managed switch's intent store at capture time, as
+    {!Scotch_reliable.Intent.rules} and {!Scotch_reliable.Intent.groups}
+    order it. *)
 type intent_node = {
   int_dpid : int;
-  int_rules : intent_rule list;
-  int_groups : intent_group list;
+  int_rules : Scotch_reliable.Intent.rule list;
+  int_groups : Scotch_reliable.Intent.group list;
 }
 
 (** The reliable layer's intent stores at capture time, with the repair
@@ -76,6 +61,7 @@ type intent_node = {
 type intent_state = {
   grace : float;
   owned : Scotch_openflow.Of_types.cookie list;
+  captured_at : float;  (** intents are aged at this time *)
   per_switch : intent_node list;
 }
 
