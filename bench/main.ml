@@ -4,8 +4,9 @@
 
    1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
       structures the simulator's credibility rests on — flow-table
-      lookup/insert, select-group hashing, event-heap churn, the packet
-      and OpenFlow wire codecs.  Run with `-- micro`; prints to stdout.
+      lookup hit and miss, insert and removal, select-group hashing,
+      event-heap churn, the packet and OpenFlow wire codecs.  Run with
+      `-- micro`; prints to stdout.
 
    2. TIMING GATES: the wall-clock budgets a seeded smoke cannot hold,
       as pass/fail verdicts in BENCH_core.json.  Run with `-- smoke`.
@@ -43,6 +44,40 @@ let bench_flow_table_lookup () =
   let ctx = Of_match.context ~in_port:1 probe in
   Bechamel.Test.make ~name:"flow_table lookup (1k exact rules)"
     (Bechamel.Staged.stage (fun () -> ignore (Flow_table.peek table ~now:0.0 ctx)))
+
+(* 10k rules of one wildcard mask (ip_dst /32 + protocol, the
+   rule-churn and Fig. 9 shape): one subtable, so a miss is one probe
+   and a removal one hash operation. *)
+let one_mask_table () =
+  let table = Flow_table.create ~table_id:0 () in
+  for i = 0 to 9_999 do
+    ignore
+      (Flow_table.insert table ~now:0.0 ~priority:10 ~match_:(Fig9.unique_match i)
+         ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
+         ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)
+  done;
+  table
+
+let bench_flow_table_miss () =
+  let table = one_mask_table () in
+  (* a TCP packet: no UDP rule of the table matches it *)
+  let ctx = Of_match.context ~in_port:1 (mk_packet 1) in
+  Bechamel.Test.make ~name:"flow_table lookup miss (10k one-mask rules)"
+    (Bechamel.Staged.stage (fun () -> ignore (Flow_table.peek table ~now:0.0 ctx)))
+
+let bench_flow_table_remove () =
+  (* delete one rule and put it back, so the table stays at 10k *)
+  let table = one_mask_table () in
+  let i = ref 0 in
+  Bechamel.Test.make ~name:"flow_table delete+reinsert (10k one-mask rules)"
+    (Bechamel.Staged.stage (fun () ->
+         i := (!i + 1) mod 10_000;
+         let match_ = Fig9.unique_match !i in
+         ignore (Flow_table.delete table ~priority:10 ~match_ ());
+         ignore
+           (Flow_table.insert table ~now:0.0 ~priority:10 ~match_
+              ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
+              ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)))
 
 let bench_flow_table_insert () =
   let table = Flow_table.create ~table_id:0 () in
@@ -140,7 +175,8 @@ let run_micro () =
   let open Bechamel in
   let benchmarks =
     Test.make_grouped ~name:"scotch"
-      ([ bench_flow_table_lookup (); bench_flow_table_insert (); bench_group_select ();
+      ([ bench_flow_table_lookup (); bench_flow_table_miss (); bench_flow_table_remove ();
+         bench_flow_table_insert (); bench_group_select ();
          bench_event_heap (); bench_packet_codec (); bench_of_wire () ]
       @ bench_of_wire_stats_reply ()
       @ [ bench_flow_key_hash (); bench_rng (); bench_simulation_throughput () ])

@@ -16,7 +16,9 @@ type context = {
 
 let context ?tunnel_id ~in_port packet = { in_port; tunnel_id; packet }
 
-(** A masked 32-bit IP prefix match. *)
+(** A masked 32-bit IP prefix match.  [value] keeps only the bits
+    inside [mask] (the builders and {!canonical} clear the rest), so two
+    matches that differ only in masked-out bits are one match. *)
 type masked = { value : int; mask : int }
 
 type t = {
@@ -43,10 +45,10 @@ let with_in_port p (t : t) = { t with in_port = Some p }
 let with_eth_type et t = { t with eth_type = Some et }
 
 let with_ip_src ?(mask = Ipv4_addr.mask32) addr t =
-  { t with ip_src = Some { value = Ipv4_addr.to_int addr; mask } }
+  { t with ip_src = Some { value = Ipv4_addr.to_int addr land mask; mask } }
 
 let with_ip_dst ?(mask = Ipv4_addr.mask32) addr t =
-  { t with ip_dst = Some { value = Ipv4_addr.to_int addr; mask } }
+  { t with ip_dst = Some { value = Ipv4_addr.to_int addr land mask; mask } }
 
 let with_ip_proto p t = { t with ip_proto = Some p }
 let with_l4_src p t = { t with l4_src = Some p }
@@ -64,6 +66,16 @@ let exact_flow (key : Flow_key.t) =
   |> with_ip_proto key.Flow_key.proto
   |> with_l4_src key.Flow_key.l4_src
   |> with_l4_dst key.Flow_key.l4_dst
+
+let canonical_ip = function
+  | Some { value; mask } when value land mask <> value -> Some { value = value land mask; mask }
+  | ip -> ip
+
+(** [canonical t] clears the IP value bits outside each mask; [t]
+    itself when there are none. *)
+let canonical (t : t) =
+  let ip_src = canonical_ip t.ip_src and ip_dst = canonical_ip t.ip_dst in
+  if ip_src == t.ip_src && ip_dst == t.ip_dst then t else { t with ip_src; ip_dst }
 
 let check opt ~actual ~equal = match opt with None -> true | Some v -> equal v actual
 

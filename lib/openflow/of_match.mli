@@ -15,7 +15,9 @@ type context = {
 
 val context : ?tunnel_id:int -> in_port:int -> Packet.t -> context
 
-(** A masked 32-bit match on an IP field. *)
+(** A masked 32-bit match on an IP field.  [value] keeps only the bits
+    inside [mask]: the builders and {!canonical} clear the rest, so two
+    matches that differ only in masked-out bits are one match. *)
 type masked = { value : int; mask : int }
 
 type t = {
@@ -49,6 +51,11 @@ val with_tunnel_id : int -> t -> t
 (** [exact_flow key] matches exactly the 5-tuple [key] — the per-flow
     rule shape reactive controllers install. *)
 val exact_flow : Flow_key.t -> t
+
+(** [canonical t] is [t] with each IP value reduced to the bits inside
+    its mask — [t] itself, unallocated, when it already is.  For
+    matches built as record literals (the builders already do this). *)
+val canonical : t -> t
 
 (** All present fields must agree; IP fields compare the {e inner}
     packet (encapsulations ignored). *)

@@ -2,9 +2,12 @@
     matches, per-rule counters, idle/hard timeouts and a bounded
     capacity (the TCAM limit of §3.3).
 
-    Rules live in per-priority buckets; exact-5-tuple rules (the common
-    reactive shape) are probed in O(1) during lookup, non-exact rules
-    are scanned.  Expiry is lazy with periodic sweeps. *)
+    A tuple-space classifier, as in Open vSwitch: within a priority,
+    one hash subtable per mask shape (fields pinned plus IP masks),
+    keyed by the rules' matches with masked-out IP bits cleared.  Insert,
+    replace and delete are one hash operation; a lookup makes one probe
+    per subtable, and a tie within a priority goes to the first rule in
+    {!live_rules} order.  Expiry is lazy with periodic sweeps. *)
 
 open Scotch_openflow
 
@@ -22,11 +25,6 @@ type rule = {
 }
 
 type t
-
-(** A match is exact-flow-shaped when it pins the IPv4 5-tuple (both
-    addresses /32, protocol and both ports) and nothing else, so lookup
-    finds its rule by probing with the packet's own 5-tuple. *)
-val is_exact_shape : Of_match.t -> bool
 
 (** One applied table mutation, as seen by an {!set_on_change}
     observer.  A replace fires [Rule_removed old] then [Rule_added new];
@@ -49,23 +47,25 @@ val sweep : t -> now:float -> int
 val size : t -> now:float -> int
 
 (** Add a rule.  An equal (match, priority) pair replaces the old rule,
-    keeping its counters (OpenFlow ADD semantics).  [Error `Table_full]
-    at capacity, counted in {!insert_failures}. *)
+    keeping its counters (OpenFlow ADD semantics); matches are compared
+    after {!Of_match.canonical}, so masked-out IP bits do not count.
+    [Error `Table_full] at capacity, counted in {!insert_failures}. *)
 val insert :
   t -> now:float -> priority:int -> match_:Of_match.t ->
   instructions:Of_action.instructions -> idle_timeout:float -> hard_timeout:float ->
   cookie:Of_types.cookie -> (unit, [ `Table_full ]) result
 
-(** Remove rules whose match equals [match_] (all priorities unless
-    given); returns the number removed. *)
+(** Remove rules whose match equals [match_], compared as {!insert}
+    compares them (all priorities unless given); returns the number
+    removed. *)
 val delete : t -> ?priority:int -> match_:Of_match.t -> unit -> int
 
 (** Remove all rules tagged [cookie] (how Scotch withdraws its shared
     overlay rules). *)
 val delete_by_cookie : t -> Of_types.cookie -> int
 
-(** Highest-priority live rule matching the context, updating its
-    counters and idle timer. *)
+(** The live rule matching the context that comes first in
+    {!precedence} order, updating its counters and idle timer. *)
 val lookup : t -> now:float -> Of_match.context -> rule option
 
 (** Pure lookup: no counter updates. *)
@@ -83,6 +83,12 @@ val insert_failures : t -> int
 
 val iter_rules : t -> (rule -> unit) -> unit
 
-(** Live rules at [now], highest priority first (deterministic order);
-    the flow-table half of a verification snapshot. *)
+(** Rule order: negative when [a] comes before [b] — higher priority,
+    then more fields pinned ({!Of_match.specificity}), then structural
+    match order.  Among rules matching one packet, lookup picks the
+    first. *)
+val precedence : rule -> rule -> int
+
+(** Live rules at [now] in {!precedence} order (deterministic, whatever
+    the hashing); the flow-table half of a verification snapshot. *)
 val live_rules : t -> now:float -> rule list

@@ -7,9 +7,9 @@
     reachable injection point, and must never revisit a (switch,
     in-port, encap-stack) state.  The walk runs the datapath's own
     interpreter, {!Pipeline}, with a target whose outputs follow each
-    port to its peer; its lookups use {!Of_match.matches} and
-    {!Flow_table.is_exact_shape}, its tunnel ports
-    {!Packet.encap_tunnel} and {!Packet.decap_tunnel}.
+    port to its peer; its lookups use {!Of_match.matches} and break a
+    same-priority tie by {!Flow_table.precedence}, as the datapath does;
+    its tunnel ports {!Packet.encap_tunnel} and {!Packet.decap_tunnel}.
 
     The walk is exposed per class ({!walk_class}) so the incremental
     verifier can re-walk only the classes a delta touches, with the
@@ -48,10 +48,23 @@ let packet_of_key (key : Flow_key.t) =
          ~proto:key.Flow_key.proto ())
     ~l4 ()
 
+(** A match is exact-flow-shaped when it pins the IPv4 5-tuple (both
+    addresses /32, protocol and both ports) and nothing else, so a
+    lookup finds its rule by probing with the packet's own 5-tuple. *)
+let is_exact_shape (m : Of_match.t) =
+  m.Of_match.in_port = None && m.Of_match.eth_type = None && m.Of_match.mpls_label = None
+  && m.Of_match.gre_key = None && m.Of_match.tunnel_id = None
+  && (match m.Of_match.ip_src with
+     | Some { Of_match.mask; _ } -> mask = Ipv4_addr.mask32
+     | None -> false)
+  && (match m.Of_match.ip_dst with
+     | Some { Of_match.mask; _ } -> mask = Ipv4_addr.mask32
+     | None -> false)
+  && m.Of_match.ip_proto <> None && m.Of_match.l4_src <> None && m.Of_match.l4_dst <> None
+
 (** Per-table match index: exact-5-tuple rules probed by the packet's
-    own key, the rest scanned — split by {!Flow_table.is_exact_shape},
-    as {!Flow_table} splits its own buckets, so thousands of reactive
-    per-flow rules cost O(1) per lookup. *)
+    own key, the rest scanned, so thousands of reactive per-flow rules
+    cost O(1) per lookup. *)
 type tbl_index = {
   exact : Flow_table.rule list Flow_key.Hashtbl.t; (* descending priority *)
   scan : Flow_table.rule list;                     (* descending priority *)
@@ -64,7 +77,7 @@ let index_table rules =
   (* [rules] is descending priority; keep that order in both halves *)
   List.iter
     (fun (r : Flow_table.rule) ->
-      if Flow_table.is_exact_shape r.Flow_table.match_ then begin
+      if is_exact_shape r.Flow_table.match_ then begin
         match Inv_common.flow_key_of_match r.Flow_table.match_ with
         | Some key -> (
           match Flow_key.Hashtbl.find_opt exact key with
@@ -81,11 +94,10 @@ let index_table rules =
     bucket in descending priority (two distinct exact rules sharing a
     bucket necessarily differ in priority, so the order is total).
     Returns [false] — caller must rebuild via {!index_table} — when any
-    delta rule belongs in the scan half, whose first-match order only
-    the full table list knows. *)
+    delta rule belongs in the scan half, which is only ever rebuilt. *)
 let index_delta idx ~added ~removed =
   let exact_key (r : Flow_table.rule) =
-    if Flow_table.is_exact_shape r.Flow_table.match_ then
+    if is_exact_shape r.Flow_table.match_ then
       Inv_common.flow_key_of_match r.Flow_table.match_
     else None
   in
@@ -130,17 +142,28 @@ let index_delta idx ~added ~removed =
   end
   else false
 
+(* The rule a lookup picks from [l] (descending priority) or [best]:
+   the matching one first in {!Flow_table.precedence} order, as the
+   datapath picks it, whatever order [l] keeps within a priority. *)
+let rec winner ctx best = function
+  | [] -> best
+  | (r : Flow_table.rule) :: rest -> (
+    match best with
+    | Some (b : Flow_table.rule) when r.Flow_table.priority < b.Flow_table.priority -> best
+    | _ ->
+      let better =
+        Of_match.matches r.Flow_table.match_ ctx
+        && match best with None -> true | Some b -> Flow_table.precedence r b < 0
+      in
+      winner ctx (if better then Some r else best) rest)
+
 let index_lookup idx (ctx : Of_match.context) =
-  let first l = List.find_opt (fun r -> Of_match.matches r.Flow_table.match_ ctx) l in
   let exact =
     match Flow_key.Hashtbl.find_opt idx.exact (Packet.flow_key ctx.Of_match.packet) with
-    | Some l -> first l
+    | Some l -> winner ctx None l
     | None -> None
   in
-  match (exact, first idx.scan) with
-  | Some a, Some b -> if b.Flow_table.priority > a.Flow_table.priority then Some b else Some a
-  | (Some _ as r), None | None, (Some _ as r) -> r
-  | None, None -> None
+  winner ctx exact idx.scan
 
 type env = {
   snap : S.t;

@@ -38,7 +38,7 @@ let test_ft_priority_order () =
 
 let test_ft_exact_and_wildcard_buckets () =
   let table = Flow_table.create ~table_id:0 () in
-  (* same priority: exact rule (probed) and a non-exact rule (scanned) *)
+  (* same priority: an exact rule and a dst-only rule, two subtables *)
   insert_ok table ~now:0.0 ~priority:5
     ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet ())))
     ~instructions:(out_port 1);
@@ -54,8 +54,8 @@ let test_ft_exact_and_wildcard_buckets () =
     Flow_table.lookup table ~now:0.0 (ctx (mk_packet ~dst:(Ipv4_addr.make 10 0 0 3) ()))
   with
   | Some r ->
-    Alcotest.(check bool) "scan rule found" true (r.Flow_table.instructions = out_port 2)
-  | None -> Alcotest.fail "scan miss"
+    Alcotest.(check bool) "dst-only rule found" true (r.Flow_table.instructions = out_port 2)
+  | None -> Alcotest.fail "dst-only miss"
 
 let test_ft_replace_preserves_counters () =
   let table = Flow_table.create ~table_id:0 () in
@@ -189,57 +189,181 @@ let test_ft_peek_no_counters () =
   | [ s ] -> Alcotest.(check int) "peek leaves counters" 0 s.Of_msg.Stats.packet_count
   | _ -> Alcotest.fail "stats"
 
-(* qcheck: the bucketed table agrees with a naive reference model *)
-let prop_ft_reference =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_bound 30)
-        (triple (int_bound 3) (* priority *)
-           (int_bound 5) (* flow index -> distinct exact matches *)
-           bool (* exact or dst-only *)))
+(* Two matches that differ only in IP bits outside the mask are one
+   rule: an insert replaces the other and a delete finds it, whether
+   the match came from a builder or a record literal. *)
+let test_ft_masked_bits_irrelevant () =
+  let table = Flow_table.create ~table_id:0 () in
+  let mask = Ipv4_addr.prefix_mask 24 in
+  let built host = Of_match.with_ip_dst ~mask (Ipv4_addr.make 10 0 1 host) Of_match.wildcard in
+  let literal host =
+    { Of_match.wildcard with
+      Of_match.ip_dst = Some { Of_match.value = Ipv4_addr.make 10 0 1 host; mask } }
   in
-  QCheck.Test.make ~name:"lookup agrees with naive reference" ~count:200 (QCheck.make gen)
-    (fun rules ->
+  insert_ok table ~now:0.0 ~priority:5 ~match_:(built 5) ~instructions:(out_port 1);
+  insert_ok table ~now:0.0 ~priority:5 ~match_:(literal 7) ~instructions:(out_port 2);
+  Alcotest.(check int) "one rule" 1 (Flow_table.size table ~now:0.0);
+  (match Flow_table.peek table ~now:0.0 (ctx (mk_packet ~dst:(Ipv4_addr.make 10 0 1 9) ())) with
+  | Some r -> Alcotest.(check bool) "replaced" true (r.Flow_table.instructions = out_port 2)
+  | None -> Alcotest.fail "prefix rule missed");
+  Alcotest.(check int) "delete finds it" 1 (Flow_table.delete table ~match_:(built 200) ());
+  Alcotest.(check int) "empty" 0 (Flow_table.size table ~now:0.0)
+
+(* qcheck: the tuple-space table against a list model, the reference
+   implementation.  The model keeps every present rule (expired ones
+   too, until a sweep reaps them); a lookup's answer is its first live
+   matching rule, sorted as [live_rules] sorts: priority, then fields
+   pinned, then structural match order. *)
+type ft_op =
+  | Ins of { prio : int; m : int; cookie : int; hard : float }
+  | Del of { prio : int option; m : int }
+  | Del_cookie of int
+  | Advance (* one second passes *)
+  | Sweep
+
+let ft_pp_op = function
+  | Ins { prio; m; cookie; hard } -> Printf.sprintf "ins p%d m%d c%d h%g" prio m cookie hard
+  | Del { prio; m } ->
+    Printf.sprintf "del %s m%d" (Option.fold ~none:"*" ~some:string_of_int prio) m
+  | Del_cookie c -> Printf.sprintf "del_cookie %d" c
+  | Advance -> "advance"
+  | Sweep -> "sweep"
+
+(* probe [k] is flow k: source port 1000+k towards 10.0.(k mod 2).(2+k) *)
+let ft_probe_dst k = Ipv4_addr.make 10 0 (k mod 2) (2 + k)
+let ft_probe k = mk_packet ~src_port:(1000 + k) ~dst:(ft_probe_dst k) ()
+
+(* Exact, one-field, two-field, in_port and prefix-masked ip_dst
+   shapes, overlapping on the probes so same-priority ties are common. *)
+let ft_matches =
+  let w = Of_match.wildcard in
+  let dst24 host = Of_match.with_ip_dst ~mask:(Ipv4_addr.prefix_mask 24) (Ipv4_addr.make 10 0 0 host) w in
+  Array.of_list
+    (List.init 4 (fun k -> Of_match.exact_flow (Packet.flow_key (ft_probe k)))
+    @ List.init 4 (fun k -> Of_match.with_l4_src (1000 + k) w)
+    @ [ Of_match.with_ip_proto Headers.Ipv4.proto_tcp w |> Of_match.with_l4_dst 80;
+        Of_match.with_ip_proto Headers.Ipv4.proto_tcp w |> Of_match.with_l4_src 1001;
+        Of_match.with_in_port 1 w;
+        Of_match.with_in_port 2 w |> Of_match.with_l4_src 1002;
+        dst24 0;
+        dst24 77; (* the same rule as [dst24 0] *)
+        { w with
+          Of_match.ip_dst =
+            Some { Of_match.value = Ipv4_addr.make 10 0 1 99; mask = Ipv4_addr.prefix_mask 24 } };
+        Of_match.with_ip_dst ~mask:(Ipv4_addr.prefix_mask 16) (Ipv4_addr.make 10 0 5 5) w;
+        Of_match.with_ip_dst (ft_probe_dst 3) w ])
+
+type ft_model_rule = {
+  mprio : int;
+  mmatch : Of_match.t;
+  mcookie : int;
+  minstalled : float;
+  mhard : float;
+  mout : int; (* the inserting op's index, as the output port *)
+}
+
+let prop_ft_reference =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ ( 6,
+            map
+              (fun (prio, m, cookie, hard) -> Ins { prio; m; cookie; hard })
+              (quad (int_bound 2) (int_bound (Array.length ft_matches - 1)) (int_bound 1)
+                 (oneofl [ 0.0; 0.0; 1.0; 2.5 ])) );
+          ( 2,
+            map
+              (fun (prio, m) -> Del { prio; m })
+              (pair (opt (int_bound 2)) (int_bound (Array.length ft_matches - 1))) );
+          (1, map (fun c -> Del_cookie c) (int_bound 1));
+          (1, return Advance);
+          (1, return Sweep) ])
+  in
+  let gen = QCheck.Gen.(list_size (int_bound 40) op_gen) in
+  let print ops = String.concat "; " (List.map ft_pp_op ops) in
+  QCheck.Test.make ~name:"lookup agrees with naive reference" ~count:300
+    (QCheck.make ~print gen) (fun ops ->
       let table = Flow_table.create ~table_id:0 () in
-      let reference = ref [] in
-      List.iteri
-        (fun i (prio, flow, exact) ->
-          let key = Packet.flow_key (mk_packet ~src_port:(1000 + flow) ()) in
-          let m =
-            if exact then Of_match.exact_flow key
-            else Of_match.with_l4_src (1000 + flow) Of_match.wildcard
+      let model = ref [] and now = ref 0.0 in
+      let canon (m : Of_match.t) =
+        let c = Option.map (fun { Of_match.value; mask } -> { Of_match.value = value land mask; mask }) in
+        { m with Of_match.ip_src = c m.Of_match.ip_src; ip_dst = c m.Of_match.ip_dst }
+      in
+      let live r = not (r.mhard > 0.0 && !now -. r.minstalled >= r.mhard) in
+      let order a b =
+        match compare b.mprio a.mprio with
+        | 0 -> (
+          match compare (Of_match.specificity b.mmatch) (Of_match.specificity a.mmatch) with
+          | 0 -> compare a.mmatch b.mmatch
+          | c -> c)
+        | c -> c
+      in
+      let sorted_live () = List.sort order (List.filter live !model) in
+      let view r = (r.mprio, r.mmatch, out_port r.mout, Int64.of_int r.mcookie) in
+      let of_rule (r : Flow_table.rule) =
+        (r.Flow_table.priority, r.Flow_table.match_, r.Flow_table.instructions, r.Flow_table.cookie)
+      in
+      let removing pred =
+        let gone, kept = List.partition pred !model in
+        model := kept;
+        List.length gone
+      in
+      let step i op =
+        match op with
+        | Ins { prio; m; cookie; hard } ->
+          let mm = canon ft_matches.(m) in
+          ignore (removing (fun r -> r.mprio = prio && r.mmatch = mm));
+          model :=
+            { mprio = prio; mmatch = mm; mcookie = cookie; minstalled = !now; mhard = hard; mout = i }
+            :: !model;
+          Flow_table.insert table ~now:!now ~priority:prio ~match_:ft_matches.(m)
+            ~instructions:(out_port i) ~idle_timeout:0.0 ~hard_timeout:hard
+            ~cookie:(Int64.of_int cookie)
+          = Ok ()
+        | Del { prio; m } ->
+          let mm = canon ft_matches.(m) in
+          let want =
+            removing (fun r -> r.mmatch = mm && Option.fold ~none:true ~some:(( = ) r.mprio) prio)
           in
-          (match
-             Flow_table.insert table ~now:0.0 ~priority:prio ~match_:m
-               ~instructions:(out_port i) ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L
-           with
-          | Ok () -> ()
-          | Error _ -> ());
-          (* reference: replace same (prio, match), keep insertion order *)
-          reference := (prio, m, i) :: List.filter (fun (p, m', _) -> not (p = prio && Of_match.equal m' m)) !reference)
-        rules;
-      (* probe with each flow *)
-      List.for_all
-        (fun flow ->
-          let pkt = mk_packet ~src_port:(1000 + flow) () in
-          let c = ctx pkt in
-          let expected =
-            List.fold_left
-              (fun acc (p, m, i) ->
-                if Of_match.matches m c then
-                  match acc with
-                  | Some (bp, _) when bp > p -> acc
-                  | Some (bp, _) when bp = p -> acc (* any same-priority rule acceptable *)
-                  | _ -> Some (p, i)
-                else acc)
-              None !reference
+          Flow_table.delete table ?priority:prio ~match_:ft_matches.(m) () = want
+        | Del_cookie c ->
+          let want = removing (fun r -> r.mcookie = c) in
+          Flow_table.delete_by_cookie table (Int64.of_int c) = want
+        | Advance ->
+          now := !now +. 1.0;
+          true
+        | Sweep ->
+          let want = removing (fun r -> not (live r)) in
+          Flow_table.sweep table ~now:!now = want
+      in
+      let agrees () =
+        let lookups_agree =
+          List.for_all
+            (fun (k, in_port) ->
+              let c = ctx ~in_port (ft_probe k) in
+              let want = List.find_opt (fun r -> Of_match.matches r.mmatch c) (sorted_live ()) in
+              Option.map view want = Option.map of_rule (Flow_table.peek table ~now:!now c))
+            [ (0, 1); (1, 1); (2, 1); (3, 1); (0, 2); (1, 2); (2, 2); (3, 2) ]
+        in
+        let live_agree =
+          List.map view (sorted_live ())
+          = List.map of_rule (Flow_table.live_rules table ~now:!now)
+        in
+        let stats_agree =
+          let of_stat (s : Of_msg.Stats.flow_stat) =
+            (s.Of_msg.Stats.priority, s.Of_msg.Stats.match_, s.Of_msg.Stats.cookie)
           in
-          let actual = Flow_table.peek table ~now:0.0 c in
-          match (expected, actual) with
-          | None, None -> true
-          | Some (p, _), Some r -> r.Flow_table.priority = p
-          | _ -> false)
-        [ 0; 1; 2; 3; 4; 5 ])
+          List.sort compare
+            (List.map (fun r -> (r.mprio, r.mmatch, Int64.of_int r.mcookie)) (sorted_live ()))
+          = List.sort compare (List.map of_stat (Flow_table.stats table ~now:!now))
+        in
+        lookups_agree && live_agree && stats_agree
+      in
+      let rec run i = function
+        | [] -> true
+        | op :: rest -> step i op && agrees () && run (i + 1) rest
+      in
+      run 0 ops)
 
 (* qcheck: [live_rules] order depends only on the rule set, not on the
    order the rules went in — same-priority, same-specificity ties
@@ -1157,6 +1281,8 @@ let () =
           Alcotest.test_case "delete by cookie" `Quick test_ft_delete_by_cookie;
           Alcotest.test_case "stats" `Quick test_ft_stats;
           Alcotest.test_case "peek leaves counters" `Quick test_ft_peek_no_counters;
+          Alcotest.test_case "masked-out bits are irrelevant" `Quick
+            test_ft_masked_bits_irrelevant;
           QCheck_alcotest.to_alcotest prop_ft_reference;
           QCheck_alcotest.to_alcotest prop_ft_live_rules_order ] );
       ( "group_table",

@@ -250,6 +250,88 @@ let test_loop_action_semantics () =
   Alcotest.(check (list string)) "select-group bucket" [ found ] (loops group_loop);
   Alcotest.(check (list string)) "pop ends at a host" [] (loops popped)
 
+(* Two rules of one priority that both match the a->b flow: the
+   datapath picks the first in [live_rules] order, and the walk must
+   follow that rule.  The winner sends the flow into the sw1 <-> sw2
+   bounce, the loser delivers it to host b, so a Loop finding means
+   the walk followed the winner; with the outputs swapped it must be
+   clean.  Each case's rules go in with the later one in [live_rules]
+   order inserted last; the incremental verifier, whose tables keep
+   their own order within a priority, must agree at every step. *)
+let test_loop_follows_tie_break () =
+  let eth_ipv4 m = Of_match.with_eth_type Headers.Ethernet.ethertype_ipv4 m in
+  let dst_b = Of_match.with_ip_dst (Ipv4_addr.of_int ip_b) Of_match.wildcard in
+  let cases =
+    (* (name, earlier, later): [earlier] comes first in [live_rules] *)
+    [ ("two one-field rules", dst_b, Of_match.with_ip_src (Ipv4_addr.of_int ip_a) Of_match.wildcard);
+      ("wider-pinned rule and exact", eth_ipv4 (exact_match ~src:ip_a ~dst:ip_b),
+       exact_match ~src:ip_a ~dst:ip_b);
+      ("two- and one-field rules", eth_ipv4 dst_b, dst_b) ]
+  in
+  let base sw1 =
+    snap
+      ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1; host ~id:2 ~ip:ip_b ~dpid:1 ~port:4 ]
+      [ node 1 ~rules:[ (0, sw1) ]
+          ~ports:
+            [ port 1 ~endpoint:(S.To_host 1);
+              port 2 ~endpoint:(S.To_switch { peer = 2; peer_in_port = 1 });
+              port 3 ~endpoint:(S.To_switch { peer = 2; peer_in_port = 2 });
+              port 4 ~endpoint:(S.To_host 2) ];
+        node 2
+          ~rules:[ (0, [ rule ~match_:Of_match.wildcard ~instructions:(output 2) () ]) ]
+          ~ports:
+            [ port 1 ~endpoint:(S.To_switch { peer = 1; peer_in_port = 2 });
+              port 2 ~endpoint:(S.To_switch { peer = 1; peer_in_port = 3 }) ] ]
+  in
+  let loops ds = List.exists (fun (d : D.t) -> d.D.invariant = D.Loop) ds in
+  let packet =
+    Packet.tcp_syn ~flow_id:1 ~created:0.0 ~src_mac:(Mac.of_host_id 1) ~dst_mac:(Mac.of_host_id 2)
+      ~ip_src:(Ipv4_addr.of_int ip_a) ~ip_dst:(Ipv4_addr.of_int ip_b) ~src_port:1000 ~dst_port:80 ()
+  in
+  let ctx = Of_match.context ~in_port:1 packet in
+  List.iter
+    (fun (name, earlier, later) ->
+      let table = Flow_table.create ~table_id:0 () in
+      let insert m ~out =
+        ignore
+          (Flow_table.insert table ~now:0.0 ~priority:10 ~match_:m ~instructions:(output out)
+             ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:Of_types.cookie_none)
+      in
+      insert earlier ~out:2;
+      insert later ~out:4;
+      let live = Flow_table.live_rules table ~now:0.0 in
+      let winner = List.find (fun r -> Of_match.matches r.Flow_table.match_ ctx) live in
+      (match Flow_table.peek table ~now:0.0 ctx with
+      | Some r ->
+        Alcotest.(check bool) (name ^ ": peek is live_rules' first match") true (r == winner);
+        Alcotest.(check bool) (name ^ ": the structural tie-break") true
+          (r.Flow_table.match_ = earlier)
+      | None -> Alcotest.fail (name ^ ": peek missed"));
+      Alcotest.(check bool) (name ^ ": walk follows the winner") true (loops (V.check (base live)));
+      let swapped =
+        List.map
+          (fun (r : Flow_table.rule) ->
+            { r with Flow_table.instructions = output (if r == winner then 4 else 2) })
+          live
+      in
+      Alcotest.(check bool) (name ^ ": swapped outputs are clean") false
+        (loops (V.check (base swapped)));
+      let incr = V.Incremental.create ~now:0.0 (base []) in
+      List.iteri
+        (fun i (r : Flow_table.rule) ->
+          let got =
+            V.Incremental.apply incr ~now:(0.01 *. float_of_int (i + 1))
+              (V.Incremental.Table_delta { dpid = 1; table_id = 0; added = [ r ]; removed = [] })
+          in
+          let want = V.check (V.Incremental.model incr) in
+          Alcotest.(check bool) (name ^ ": incremental agrees") true
+            (List.compare_lengths want got = 0
+            && List.for_all2 (fun a b -> D.compare a b = 0) want got);
+          Alcotest.(check bool) (name ^ ": audit agrees") true (V.Incremental.check_equivalence incr))
+        (List.rev live);
+      Alcotest.(check bool) (name ^ ": incremental loop") true (loops (V.Incremental.diagnostics incr)))
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Invariant 5: table-miss coverage and overlay symmetry *)
 
@@ -784,7 +866,9 @@ let () =
     [ ( "loop",
         [ Alcotest.test_case "two-switch loop detected" `Quick test_loop;
           Alcotest.test_case "broken loop is clean" `Quick test_loop_broken_is_clean;
-          Alcotest.test_case "action semantics" `Quick test_loop_action_semantics ] );
+          Alcotest.test_case "action semantics" `Quick test_loop_action_semantics;
+          Alcotest.test_case "follows the datapath tie-break" `Quick test_loop_follows_tie_break
+        ] );
       ( "blackhole",
         [ Alcotest.test_case "disconnected port" `Quick test_blackhole_disconnected_port;
           Alcotest.test_case "empty instructions" `Quick test_blackhole_empty_instructions;
