@@ -5,8 +5,8 @@
    1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
       structures the simulator's credibility rests on — flow-table
       lookup hit and miss, insert and removal, select-group hashing,
-      event-heap churn, the packet and OpenFlow wire codecs.  Run with
-      `-- micro`; prints to stdout.
+      event-queue churn and hold, the packet and OpenFlow wire codecs.
+      Run with `-- micro`; prints to stdout.
 
    2. TIMING GATES: the wall-clock budgets a seeded smoke cannot hold,
       as pass/fail verdicts in BENCH_core.json.  Run with `-- smoke`.
@@ -116,6 +116,22 @@ let bench_event_heap () =
          done;
          Scotch_sim.Engine.run e))
 
+(* The hold model: a queue held at [elephants]' pending peak of 55,
+   one schedule of a no-op at a random delay and one step per op. *)
+let bench_event_hold () =
+  let rng = Rng.create 7 in
+  let delays = Array.init 4096 (fun _ -> Rng.float rng 1.0) in
+  let e = Scotch_sim.Engine.create () in
+  for i = 0 to 54 do
+    ignore (Scotch_sim.Engine.schedule e ~delay:delays.(i) ignore)
+  done;
+  let k = ref 0 in
+  Bechamel.Test.make ~name:"event queue hold (55 pending)"
+    (Bechamel.Staged.stage (fun () ->
+         incr k;
+         ignore (Scotch_sim.Engine.schedule e ~delay:delays.(!k land 4095) ignore);
+         ignore (Scotch_sim.Engine.step e)))
+
 let bench_packet_codec () =
   let pkt =
     Packet.push_encap (Headers.Encap.mpls 7)
@@ -177,7 +193,7 @@ let run_micro () =
     Test.make_grouped ~name:"scotch"
       ([ bench_flow_table_lookup (); bench_flow_table_miss (); bench_flow_table_remove ();
          bench_flow_table_insert (); bench_group_select ();
-         bench_event_heap (); bench_packet_codec (); bench_of_wire () ]
+         bench_event_heap (); bench_event_hold (); bench_packet_codec (); bench_of_wire () ]
       @ bench_of_wire_stats_reply ()
       @ [ bench_flow_key_hash (); bench_rng (); bench_simulation_throughput () ])
   in

@@ -138,7 +138,7 @@ let dispatch_pending t (msg : Of_msg.t) =
   match Hashtbl.find_opt t.pending msg.Of_msg.xid with
   | Some req ->
     Hashtbl.remove t.pending msg.Of_msg.xid;
-    Option.iter Scotch_sim.Engine.cancel req.expiry;
+    Option.iter (Scotch_sim.Engine.cancel t.engine) req.expiry;
     if Scotch_obs.Obs.is_enabled () then begin
       let rtt = Scotch_sim.Engine.now t.engine -. req.sent_at in
       Scotch_obs.Registry.observe t.rtt_h rtt;

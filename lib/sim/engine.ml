@@ -3,38 +3,46 @@
     Events are closures ordered by (time, sequence); the sequence number
     makes simultaneous events fire in scheduling order, so runs are
     fully deterministic.  One engine owns the master PRNG from which all
-    traffic sources split their streams. *)
+    traffic sources split their streams.
+
+    The queue is a binary min-heap the engine owns, stored in three
+    parallel arrays: the times (an unboxed float array), the sequence
+    numbers and the closures.  Slot [i]'s children are [2i+1] and
+    [2i+2].  An event has no record of its own: its handle is its
+    sequence number, and cancelling records that number in a set
+    consulted at pop time. *)
 
 open Scotch_util
 
-type event = {
-  at : float;
-  seq : int;
-  mutable cancelled : bool;
-  run : unit -> unit;
-}
-
-(** Handle returned by {!schedule}; allows cancellation (e.g. pending
-    rule-timeout events when a rule is re-installed). *)
-type handle = event
+(** Handle returned by {!schedule}: the event's sequence number. *)
+type handle = int
 
 type t = {
   mutable now : float;
   mutable next_seq : int;
-  events : event Heap.t;
+  mutable at : Float.Array.t;
+  mutable seq : int array;
+  mutable run : (unit -> unit) array;
+  mutable size : int;
+  cancelled : (int, unit) Hashtbl.t;  (* seqs of cancelled events *)
   rng : Rng.t;
   mutable processed : int;
   mutable next_user_id : int;
   mutable run_end_hooks : (unit -> unit) list;
 }
 
-let compare_events a b =
-  match Float.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c
+(* What an empty slot holds, so a popped closure is not kept alive. *)
+let noop () = ()
+
+(* Small, so building a network that schedules little stays cheap. *)
+let initial_capacity = 16
 
 (** [create ~seed ()] makes an engine at time 0. *)
 let create ?(seed = 42) () =
-  { now = 0.0; next_seq = 0; events = Heap.create ~cmp:compare_events;
-    rng = Rng.create seed; processed = 0; next_user_id = 0; run_end_hooks = [] }
+  { now = 0.0; next_seq = 0; at = Float.Array.make initial_capacity 0.0;
+    seq = Array.make initial_capacity 0; run = Array.make initial_capacity noop; size = 0;
+    cancelled = Hashtbl.create 8; rng = Rng.create seed; processed = 0; next_user_id = 0;
+    run_end_hooks = [] }
 
 (** Current simulation time, in seconds. *)
 let now t = t.now
@@ -46,54 +54,134 @@ let rng t = t.rng
 (** Number of events executed so far. *)
 let processed t = t.processed
 
+let grow t =
+  let cap = 2 * Array.length t.seq in
+  let at = Float.Array.make cap 0.0 and seq = Array.make cap 0 and run = Array.make cap noop in
+  Float.Array.blit t.at 0 at 0 t.size;
+  Array.blit t.seq 0 seq 0 t.size;
+  Array.blit t.run 0 run 0 t.size;
+  t.at <- at;
+  t.seq <- seq;
+  t.run <- run
+
+(* Copy slot [src] into slot [dst]. *)
+let[@inline] move t ~src ~dst =
+  Float.Array.unsafe_set t.at dst (Float.Array.unsafe_get t.at src);
+  Array.unsafe_set t.seq dst (Array.unsafe_get t.seq src);
+  Array.unsafe_set t.run dst (Array.unsafe_get t.run src)
+
+let[@inline] place t i at seq run =
+  Float.Array.unsafe_set t.at i at;
+  Array.unsafe_set t.seq i seq;
+  Array.unsafe_set t.run i run
+
+(* Whether slot [i] fires before slot [j]. *)
+let[@inline] before t i j =
+  let ai = Float.Array.unsafe_get t.at i and aj = Float.Array.unsafe_get t.at j in
+  ai < aj || (ai = aj && Array.unsafe_get t.seq i < Array.unsafe_get t.seq j)
+
+(* Sift a hole up from the end and drop the new event into it.  Its seq
+   exceeds every queued one, so on equal times it stays below its
+   parent: only a strictly earlier time moves it up. *)
+let[@inline] push t at run =
+  if t.size = Array.length t.seq then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let i = ref t.size in
+  t.size <- t.size + 1;
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) lsr 1 in
+    if at < Float.Array.unsafe_get t.at p then begin
+      move t ~src:p ~dst:!i;
+      i := p
+    end
+    else rising := false
+  done;
+  place t !i at seq run;
+  seq
+
+(* Remove the root: sift a hole down from it and drop the last event
+   into it, then clear the vacated last slot. *)
+let pop_root t =
+  let n = t.size - 1 in
+  t.size <- n;
+  let at = Float.Array.unsafe_get t.at n
+  and seq = Array.unsafe_get t.seq n
+  and run = Array.unsafe_get t.run n in
+  Array.unsafe_set t.run n noop;
+  if n > 0 then begin
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let r = l + 1 in
+        let c = if r < n && before t r l then r else l in
+        let ca = Float.Array.unsafe_get t.at c in
+        if ca < at || (ca = at && Array.unsafe_get t.seq c < seq) then begin
+          move t ~src:c ~dst:!i;
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    place t !i at seq run
+  end
+
 (** [schedule_at t ~at f] runs [f] at absolute time [at].  Scheduling in
     the past raises [Invalid_argument]. *)
 let schedule_at t ~at run =
   if at < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: %.9f is before current time %.9f" at t.now);
-  let ev = { at; seq = t.next_seq; cancelled = false; run } in
-  t.next_seq <- t.next_seq + 1;
-  Heap.push t.events ev;
-  ev
+  push t at run
 
 (** [schedule t ~delay f] runs [f] after [delay] seconds. *)
 let schedule t ~delay run =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~at:(t.now +. delay) run
+  push t (t.now +. delay) run
 
-(** [cancel h] prevents a scheduled event from running (O(1); the slot is
-    skipped at pop time). *)
-let cancel (h : handle) = h.cancelled <- true
+(** [cancel t h] prevents a scheduled event from running: O(1), the
+    event is skipped when it reaches the root. *)
+let cancel t (h : handle) = Hashtbl.replace t.cancelled h ()
+
+(* Whether the event [seq] was cancelled, forgetting it if so.  Seqs
+   cancelled after their event fired stay until the queue drains. *)
+let take_cancelled t seq =
+  let hit = Hashtbl.mem t.cancelled seq in
+  if hit then Hashtbl.remove t.cancelled seq;
+  if t.size = 0 then Hashtbl.reset t.cancelled;
+  hit
 
 (** [step t] executes the next event; [false] when the queue is empty. *)
 let step t =
-  match Heap.pop t.events with
-  | None -> false
-  | Some ev ->
-    if not ev.cancelled then begin
-      t.now <- ev.at;
+  if t.size = 0 then false
+  else begin
+    let at = Float.Array.unsafe_get t.at 0
+    and seq = Array.unsafe_get t.seq 0
+    and run = Array.unsafe_get t.run 0 in
+    pop_root t;
+    t.now <- at;
+    if Hashtbl.length t.cancelled = 0 || not (take_cancelled t seq) then begin
       t.processed <- t.processed + 1;
-      ev.run ()
-    end
-    else t.now <- ev.at;
+      run ()
+    end;
     true
+  end
 
 (** [run ?until t] executes events in order until the queue drains or
     simulation time would exceed [until].  When stopped by [until], the
     clock is advanced exactly to [until] and remaining events stay
     queued. *)
 let run ?until t =
-  let continue () =
-    match (until, Heap.peek t.events) with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some limit, Some ev -> ev.at <= limit
-  in
-  while continue () do
-    ignore (step t)
-  done;
-  (match until with Some limit when limit > t.now -> t.now <- limit | _ -> ());
+  (match until with
+   | None -> while step t do () done
+   | Some limit ->
+     while t.size > 0 && Float.Array.unsafe_get t.at 0 <= limit do
+       ignore (step t)
+     done;
+     if limit > t.now then t.now <- limit);
   List.iter (fun f -> f ()) (List.rev t.run_end_hooks)
 
 (** [on_run_end t f] registers [f] to run (in registration order) every
@@ -126,7 +214,7 @@ let every t ~period ?start ?until f =
   fun () -> stopped := true
 
 (** Pending event count (cancelled events included until popped). *)
-let pending t = Heap.length t.events
+let pending t = t.size
 
 (** Engine-scoped unique small integers, for allocations that must be
     deterministic per run (e.g. traffic sources' ephemeral-port

@@ -3,12 +3,17 @@
     Events are closures ordered by (time, sequence); the sequence number
     makes simultaneous events fire in scheduling order, so runs are
     fully deterministic.  One engine owns the master PRNG from which all
-    traffic sources split their streams. *)
+    traffic sources split their streams.
+
+    The queue is a binary min-heap the engine owns, on parallel arrays
+    of times (unboxed), sequence numbers and closures, so scheduling an
+    event allocates no event record. *)
 
 type t
 
-(** Handle for cancelling a scheduled event. *)
-type handle
+(** Handle for cancelling a scheduled event: its sequence number, an
+    immediate int. *)
+type handle [@@immediate]
 
 (** [create ~seed ()] makes an engine at time 0. *)
 val create : ?seed:int -> unit -> t
@@ -31,10 +36,18 @@ val schedule_at : t -> at:float -> (unit -> unit) -> handle
     [Invalid_argument] on negative delays. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 
-(** Prevent a scheduled event from running; O(1). *)
-val cancel : handle -> unit
+(** [cancel t h] prevents the event [h] from running; O(1).  The event
+    stays queued, and is counted by {!pending}, until it reaches the
+    root.  Popping it advances {!now} to its time but neither runs it
+    nor counts it in {!processed}.  Cancelling it again, or cancelling
+    an event that already fired, changes nothing else.  The engine
+    remembers a cancelled handle until its event pops; one whose event
+    had already fired is forgotten whenever the queue drains. *)
+val cancel : t -> handle -> unit
 
-(** Execute the next event; [false] when the queue is empty. *)
+(** Execute the next event; [false] when the queue is empty.  A
+    cancelled event still counts as a step: [true], with {!now}
+    advanced to its time. *)
 val step : t -> bool
 
 (** [run ?until t] executes events in order until the queue drains or

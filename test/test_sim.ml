@@ -51,9 +51,57 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel e h;
   Engine.run e;
   Alcotest.(check bool) "cancelled" false !fired
+
+let test_engine_cancel_twice () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let ev name delay = Engine.schedule e ~delay (fun () -> log := name :: !log) in
+  ignore (ev "a" 1.0);
+  let b = ev "b" 2.0 in
+  ignore (ev "c" 3.0);
+  Engine.cancel e b;
+  Engine.cancel e b;
+  Alcotest.(check int) "cancelled still pending" 3 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "others fire" [ "a"; "c" ] (List.rev !log);
+  Alcotest.(check int) "processed" 2 (Engine.processed e);
+  Alcotest.(check int) "drained" 0 (Engine.pending e);
+  Alcotest.(check (float 1e-12)) "now at the last event" 3.0 (Engine.now e)
+
+let test_engine_cancel_fired () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let ev name delay = Engine.schedule e ~delay (fun () -> log := name :: !log) in
+  let a = ev "a" 1.0 in
+  ignore (ev "b" 2.0);
+  Alcotest.(check bool) "a runs" true (Engine.step e);
+  Engine.cancel e a;
+  Engine.cancel e a;
+  Alcotest.(check int) "pending unchanged" 1 (Engine.pending e);
+  Alcotest.(check int) "processed unchanged" 1 (Engine.processed e);
+  Engine.run e;
+  ignore (ev "c" 0.0);
+  Engine.run e;
+  Alcotest.(check (list string)) "later events fire" [ "a"; "b"; "c" ] (List.rev !log);
+  Alcotest.(check int) "processed" 3 (Engine.processed e)
+
+let test_engine_step_cancelled_root () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let a = Engine.schedule e ~delay:1.0 (fun () -> fired := "a" :: !fired) in
+  ignore (Engine.schedule e ~delay:2.0 (fun () -> fired := "b" :: !fired));
+  Engine.cancel e a;
+  Alcotest.(check bool) "step pops the cancelled root" true (Engine.step e);
+  Alcotest.(check (float 1e-12)) "now advanced to it" 1.0 (Engine.now e);
+  Alcotest.(check int) "not processed" 0 (Engine.processed e);
+  Alcotest.(check int) "one left" 1 (Engine.pending e);
+  Alcotest.(check (list string)) "nothing ran" [] !fired;
+  Alcotest.(check bool) "next step" true (Engine.step e);
+  Alcotest.(check (list string)) "b ran" [ "b" ] !fired;
+  Alcotest.(check bool) "empty" false (Engine.step e)
 
 let test_engine_run_until () =
   let e = Engine.create () in
@@ -100,6 +148,144 @@ let test_engine_step () =
   ignore (Engine.schedule e ~delay:1.0 (fun () -> ()));
   Alcotest.(check bool) "step runs" true (Engine.step e);
   Alcotest.(check int) "pending drained" 0 (Engine.pending e)
+
+(* The engine against a list model sorted by (at, seq).  Times come
+   from a small set so ties are common; events may cancel, schedule
+   from inside a running event, and the run is split by [~until].
+   After each operation the fired (id, now) log, [now], [processed] and
+   [pending] must agree; after the final drain no fired closure may
+   still be reachable from the engine. *)
+
+type op =
+  | Sched of float * float option  (* delay, and a child's delay *)
+  | Sched_at of float
+  | Cancel of int  (* the k-th handle issued, modulo their number *)
+  | Step
+  | Run_until of float  (* now + this *)
+  | Run
+
+let pp_op = function
+  | Sched (d, c) ->
+    Printf.sprintf "Sched %g%s" d
+      (match c with Some c -> Printf.sprintf " child %g" c | None -> "")
+  | Sched_at a -> Printf.sprintf "Sched_at %g" a
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Step -> "Step"
+  | Run_until x -> Printf.sprintf "Run_until +%g" x
+  | Run -> "Run"
+
+let gen_op =
+  let open QCheck.Gen in
+  let time = oneofl [ 0.0; 0.5; 1.0; 1.0; 2.0 ] in
+  frequency
+    [ (5, map2 (fun d c -> Sched (d, c)) time (opt time));
+      (2, map (fun a -> Sched_at a) (oneofl [ 0.0; 1.0; 1.5; 2.0; 3.0; 4.0 ]));
+      (2, map (fun k -> Cancel k) (int_bound 20));
+      (2, return Step);
+      (2, map (fun x -> Run_until x) (oneofl [ 0.0; 0.5; 1.0; 1.5 ]));
+      (1, return Run) ]
+
+type mev = { m_at : float; m_seq : int; m_id : int; m_child : float option;
+             mutable m_cancelled : bool }
+
+type model = { mutable m_now : float; mutable m_seq : int; mutable m_q : mev list;
+               mutable m_processed : int; mutable m_log : (int * float) list;
+               mutable m_handles : mev list (* newest first *) }
+
+let m_insert m ~at child =
+  let ev = { m_at = at; m_seq = m.m_seq; m_id = List.length m.m_handles; m_child = child;
+             m_cancelled = false } in
+  m.m_seq <- m.m_seq + 1;
+  m.m_handles <- ev :: m.m_handles;
+  let before x = x.m_at < at || (x.m_at = at && x.m_seq < ev.m_seq) in
+  let rec ins = function x :: r when before x -> x :: ins r | l -> ev :: l in
+  m.m_q <- ins m.m_q
+
+let m_step m =
+  match m.m_q with
+  | [] -> false
+  | ev :: rest ->
+    m.m_q <- rest;
+    m.m_now <- ev.m_at;
+    if not ev.m_cancelled then begin
+      m.m_processed <- m.m_processed + 1;
+      m.m_log <- (ev.m_id, m.m_now) :: m.m_log;
+      Option.iter (fun d -> m_insert m ~at:(m.m_now +. d) None) ev.m_child
+    end;
+    true
+
+let m_run_until m limit =
+  while (match m.m_q with ev :: _ -> ev.m_at <= limit | [] -> false) do
+    ignore (m_step m)
+  done;
+  if limit > m.m_now then m.m_now <- limit
+
+let m_run m = while m_step m do () done
+
+let nth_handle handles k =
+  match handles with [] -> None | _ -> Some (List.nth handles (k mod List.length handles))
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine agrees with a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let e = Engine.create () in
+      let m = { m_now = 0.0; m_seq = 0; m_q = []; m_processed = 0; m_log = [];
+                m_handles = [] } in
+      let log = ref [] and handles = ref [] and tokens = ref [] in
+      (* Each closure holds the only reference to a fresh token. *)
+      let rec add ~at child =
+        let id = List.length !handles in
+        let tok = ref id in
+        let w = Weak.create 1 in
+        Weak.set w 0 (Some tok);
+        tokens := w :: !tokens;
+        let run () =
+          log := (!tok, Engine.now e) :: !log;
+          Option.iter (fun d -> add ~at:(Engine.now e +. d) None) child
+        in
+        handles := Engine.schedule_at e ~at run :: !handles
+      in
+      let agree () =
+        !log = m.m_log && Engine.now e = m.m_now
+        && Engine.processed e = m.m_processed
+        && Engine.pending e = List.length m.m_q
+      in
+      let apply = function
+        | Sched (d, c) ->
+          add ~at:(Engine.now e +. d) c;
+          m_insert m ~at:(m.m_now +. d) c
+        | Sched_at a when a < m.m_now -> (
+          match add ~at:a None with
+          | () -> QCheck.Test.fail_report "past time accepted"
+          | exception Invalid_argument _ -> ())
+        | Sched_at a ->
+          add ~at:a None;
+          m_insert m ~at:a None
+        | Cancel k ->
+          Option.iter (Engine.cancel e) (nth_handle !handles k);
+          Option.iter (fun ev -> ev.m_cancelled <- true) (nth_handle m.m_handles k)
+        | Step ->
+          if Engine.step e <> m_step m then QCheck.Test.fail_report "step result"
+        | Run_until x ->
+          let limit = Engine.now e +. x in
+          Engine.run ~until:limit e;
+          m_run_until m limit
+        | Run ->
+          Engine.run e;
+          m_run m
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          if not (agree ()) then QCheck.Test.fail_reportf "disagree after %s" (pp_op op))
+        ops;
+      Engine.run e;
+      m_run m;
+      Gc.full_major ();
+      agree () && List.for_all (fun w -> not (Weak.check w 0)) !tokens)
 
 (* ------------------------------------------------------------------ *)
 (* Link *)
@@ -172,11 +358,15 @@ let () =
           Alcotest.test_case "now advances" `Quick test_engine_now_advances;
           Alcotest.test_case "past scheduling raises" `Quick test_engine_past_raises;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "cancel twice" `Quick test_engine_cancel_twice;
+          Alcotest.test_case "cancel after firing" `Quick test_engine_cancel_fired;
+          Alcotest.test_case "step on a cancelled root" `Quick test_engine_step_cancelled_root;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
           Alcotest.test_case "every/stop" `Quick test_engine_every;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "processed count" `Quick test_engine_processed;
-          Alcotest.test_case "step" `Quick test_engine_step ] );
+          Alcotest.test_case "step" `Quick test_engine_step;
+          QCheck_alcotest.to_alcotest prop_engine_model ] );
       ( "link",
         [ Alcotest.test_case "delivery time" `Quick test_link_delivery_time;
           Alcotest.test_case "serialization" `Quick test_link_serialization;

@@ -1,4 +1,4 @@
-(* Unit and property tests for Scotch_util: PRNG, heap, statistics,
+(* Unit and property tests for Scotch_util: PRNG, statistics,
    histogram, token bucket, admission, table printer. *)
 
 open Scotch_util
@@ -113,52 +113,6 @@ let test_rng_choice () =
     let v = Rng.choice rng arr in
     Alcotest.(check bool) "choice in array" true (Array.exists (( = ) v) arr)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop min" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop next" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop last" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_pop_exn () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h));
-  Heap.push h 42;
-  Alcotest.(check int) "pop_exn" 42 (Heap.pop_exn h)
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-let test_heap_to_list () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check (list int)) "to_list has all" [ 1; 2; 3 ]
-    (List.sort compare (Heap.to_list h))
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -354,12 +308,6 @@ let () =
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric;
           Alcotest.test_case "choice membership" `Quick test_rng_choice ] );
-      ( "heap",
-        [ Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "pop_exn" `Quick test_heap_pop_exn;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "to_list" `Quick test_heap_to_list;
-          QCheck_alcotest.to_alcotest prop_heap_sorted ] );
       ( "stats",
         [ Alcotest.test_case "samples percentile" `Quick test_samples_percentile;
           Alcotest.test_case "samples empty" `Quick test_samples_empty;
