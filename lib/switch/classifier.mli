@@ -1,0 +1,82 @@
+(** A tuple-space classifier over flow rules: the one rule index behind
+    every datapath flow table ({!Flow_table}) and behind every table of
+    the verifier's model and walk.
+
+    Rules live in per-priority buckets, in descending priority.  A
+    bucket holds one hash subtable per mask shape (fields pinned plus
+    IP masks), keyed by the rules' own matches, so adding or removing a
+    rule is one hash operation and a lookup makes one probe per
+    subtable.  Within a priority, a lookup picks the matching rule first
+    in {!precedence} order.  A (priority, match) pair is a rule's
+    {e slot}: a classifier holds at most one rule per slot.  Matches are
+    compared as stored, so callers store {!Of_match.canonical} ones. *)
+
+open Scotch_openflow
+
+type rule = {
+  priority : int;
+  match_ : Of_match.t;
+  instructions : Of_action.instructions;
+  idle_timeout : float; (** 0 = none *)
+  hard_timeout : float;
+  cookie : Of_types.cookie;
+  installed_at : float;
+  mutable last_used : float;
+  mutable packet_count : int;
+  mutable byte_count : int;
+}
+
+type t
+
+val create : unit -> t
+
+(** [of_list rules] stores the rules as they are, subtables sized from
+    the list; a later rule displaces an earlier one in its slot. *)
+val of_list : rule list -> t
+
+(** Rules held. *)
+val length : t -> int
+
+val is_empty : t -> bool
+
+(** Has [r] timed out at [now]?  Nothing has at [neg_infinity]. *)
+val expired : now:float -> rule -> bool
+
+(** Rule order: negative when [a] comes before [b] — higher priority,
+    then more fields pinned ({!Of_match.specificity}), then structural
+    match order.  Among rules matching one packet, {!lookup} picks the
+    first. *)
+val precedence : rule -> rule -> int
+
+(** The rule in slot ([priority], [match_]), if any. *)
+val find : t -> priority:int -> Of_match.t -> rule option
+
+(** The rules whose match is [match_], at most one per priority, in
+    descending priority. *)
+val find_all : t -> Of_match.t -> rule list
+
+(** Store [r]; its slot must be free. *)
+val add : t -> rule -> unit
+
+(** Empty [r]'s slot (a no-op when it already is). *)
+val remove : t -> rule -> unit
+
+(** Remove every rule [dead] selects and return them, bucket by bucket
+    in descending priority. *)
+val remove_where : t -> (rule -> bool) -> rule list
+
+(** Drop the buckets and subtables removals left empty. *)
+val compact : t -> unit
+
+(** The rule matching the context that comes first in {!precedence}
+    order among those not {!expired} at [now].  The verifier's walk
+    passes [neg_infinity] and so sees every rule. *)
+val lookup : t -> now:float -> Of_match.context -> rule option
+
+(** [fold f t acc] folds [f] over the rules, last first: with
+    [List.cons] it lists them in descending priority, in an order
+    within a priority that depends on hashing. *)
+val fold : (rule -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** {!fold} with [List.cons]. *)
+val to_list : t -> rule list

@@ -2,16 +2,17 @@
     matches, per-rule counters, idle/hard timeouts and a bounded
     capacity (the TCAM limit of §3.3).
 
-    A tuple-space classifier, as in Open vSwitch: within a priority,
-    one hash subtable per mask shape (fields pinned plus IP masks),
-    keyed by the rules' matches with masked-out IP bits cleared.  Insert,
-    replace and delete are one hash operation; a lookup makes one probe
-    per subtable, and a tie within a priority goes to the first rule in
-    {!live_rules} order.  Expiry is lazy with periodic sweeps. *)
+    The rules live in a {!Classifier}, the tuple-space index the
+    verifier also keeps its tables in: insert, replace and delete are
+    one hash operation, a lookup makes one probe per mask shape, and a
+    tie within a priority goes to the first rule in {!live_rules}
+    order.  This module adds OpenFlow ADD semantics, the capacity bound,
+    lazy expiry with periodic sweeps, counters, flow statistics and the
+    change tap. *)
 
 open Scotch_openflow
 
-type rule = {
+type rule = Classifier.rule = {
   priority : int;
   match_ : Of_match.t;
   instructions : Of_action.instructions;
@@ -83,10 +84,8 @@ val insert_failures : t -> int
 
 val iter_rules : t -> (rule -> unit) -> unit
 
-(** Rule order: negative when [a] comes before [b] — higher priority,
-    then more fields pinned ({!Of_match.specificity}), then structural
-    match order.  Among rules matching one packet, lookup picks the
-    first. *)
+(** {!Classifier.precedence}: among rules matching one packet, lookup
+    picks the first. *)
 val precedence : rule -> rule -> int
 
 (** Live rules at [now] in {!precedence} order (deterministic, whatever

@@ -69,8 +69,8 @@ let install ~engine ~topo scotch =
              | Switch.Liveness_changed failed -> (
                (* ports are unchanged by a liveness flip; reuse the
                   tracked node's port list *)
-               match Snapshot.node (Incremental.model incr) dpid with
-               | Some n -> apply_u (Incremental.Ports { dpid; ports = n.Snapshot.ports; failed })
+               match Incremental.ports incr dpid with
+               | Some ports -> apply_u (Incremental.Ports { dpid; ports; failed })
                | None -> ())))
     in
     let tap_all () = Topology.iter_switches topo tap_switch in

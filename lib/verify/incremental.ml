@@ -15,9 +15,8 @@
        A {!Match_trie} maps a changed rule's match to the classes it can
        touch, and each cached class records the dpids its last walk
        visited, so group/port/failure events on a switch re-walk
-       exactly the classes whose paths cross it.  The shared per-table
-       walk indexes are mutated in place on exact-rule deltas
-       ({!Inv_loop.index_delta}).}
+       exactly the classes whose paths cross it.  The walk looks rules
+       up in the classifiers below.}
     {- {b Blackhole}: cached {e per rule} (only violating rules are
        stored); a rule delta grades just the delta rules.  Whole-node
        rebuilds happen only when the rule environment shifts: a table
@@ -38,12 +37,15 @@
        actually changed, and when an in-grace device rule ages past the
        repair grace ({!Inv_divergence.deadline}).}}
 
-    Rule state is held in slot-keyed per-table stores so a
-    {!Table_delta} (the switch tap's shape) costs O(delta) even on a
-    table holding tens of thousands of reactive rules: the model's rule
-    {e list} for a churned table is merely marked stale and
-    re-materialized on demand, before any whole-model reader (the
-    full-rescan audit, coverage, a node rebuild) runs.
+    Rule state is one {!Scotch_switch.Classifier} per (switch, table),
+    the index the datapath's flow tables use, and the walk looks rules
+    up in the same classifiers, so a {!Table_delta} (the switch tap's
+    shape) costs one classifier operation per delta rule even on a
+    table holding tens of thousands of reactive rules.  The model's
+    nodes carry no rule lists: the whole-model readers (the full-rescan
+    audit through {!model}, coverage) and divergence derive them from
+    the classifiers when they ask, and never store them, so no list can
+    lag.
 
     All per-class and per-rule oracles are the same [Inv_*] functions
     the snapshot {!Checker} composes, so the two paths cannot drift;
@@ -83,13 +85,9 @@ type class_cache = {
   mutable ctouched : int list; (* sorted dpids the walk visited *)
 }
 
-type slot = Inv_common.slot
-
-let slot_of = Inv_common.slot_of
-
 type local_cache = {
   mutable lc_grp : D.t list; (* group sanity, whole node *)
-  lc_bh : (int * slot, D.t list) Hashtbl.t; (* violating rules only *)
+  lc_bh : (int * Inv_common.slot, D.t list) Hashtbl.t; (* violating rules only *)
   lc_shadow : (int, Inv_shadow.t) Hashtbl.t; (* table_id -> state *)
 }
 
@@ -101,18 +99,11 @@ type universe = {
   mutable overflow : Flow_key.Set.t;
 }
 
-(* A table's authoritative rules and the list last materialized from
-   them, in [slot_order], which lags [slots] only in [touched] slots. *)
-type store = {
-  slots : (slot, Flow_table.rule) Hashtbl.t;
-  mutable sorted : Flow_table.rule list option; (* None until first built *)
-  mutable touched : slot list; (* written since [sorted]; may repeat *)
-}
-
 let lat_cap = 8192
 
 type t = {
-  mutable model : S.t;
+  mutable model : S.t; (* every node's [rules] is empty: [tables] holds them *)
+  mutable tables : Inv_loop.tables; (* the authoritative rules *)
   mutable trie : Match_trie.t;
   refs : int ref Flow_key.Hashtbl.t; (* rule-derived refcounts; host-pair keys hold one *)
   mutable host_keys : Flow_key.Set.t;
@@ -121,14 +112,6 @@ type t = {
   mutable known : universe;
   mutable orphan : universe;
   classes : class_cache Flow_key.Hashtbl.t; (* exactly the active sets *)
-  indexes : (int * int, Inv_loop.tbl_index) Hashtbl.t;
-  stores : (int * int, store) Hashtbl.t;
-      (* (dpid, table) -> authoritative slot-keyed rule store; the
-         model's rule {e lists} may lag it (see [stale]) *)
-  stale : (int * int, unit) Hashtbl.t;
-      (* tables whose model list lags its store; flushed before any
-         whole-model read.  Invariant: a stale table's walk index is
-         already built, so no walk rebuilds one from the stale list. *)
   local : (int, local_cache) Hashtbl.t; (* per-node blackhole+shadow+group *)
   mutable coverage : D.t list;
   div : (int, D.t list) Hashtbl.t;
@@ -255,7 +238,7 @@ let unref_key t dirty key =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Model editing and the per-table rule stores *)
+(* Model editing and the per-table classifiers *)
 
 let set_node t (n : S.node) =
   let rest = List.filter (fun (o : S.node) -> o.S.dpid <> n.S.dpid) t.model.S.nodes in
@@ -263,76 +246,42 @@ let set_node t (n : S.node) =
     { t.model with
       S.nodes = List.sort (fun (a : S.node) b -> compare a.S.dpid b.S.dpid) (n :: rest) }
 
-(* Deterministic materialization order: descending priority (the walk
-   index builder's contract), ties by structural match compare.  Cheap
-   on purpose — this order is internal to the verifier; snapshot
-   capture keeps its own canonical order. *)
-let slot_order ((pa, ma) : slot) ((pb, mb) : slot) =
-  match compare pb pa with 0 -> compare ma mb | c -> c
+(* The classifiers of [dpid]'s tables, by table id. *)
+let node_tables t dpid = Option.value (Hashtbl.find_opt t.tables dpid) ~default:[]
 
-(* The store is seeded from the model, so it must be created before its
-   table's model list first goes stale. *)
-let store_of t dpid table_id =
-  let k = (dpid, table_id) in
-  match Hashtbl.find_opt t.stores k with
-  | Some s -> s
+(* Table [table_id] of [dpid], created empty if new. *)
+let classifier t dpid table_id =
+  let tables = node_tables t dpid in
+  match List.assoc_opt table_id tables with
+  | Some c -> c
   | None ->
-    let s = { slots = Hashtbl.create 64; sorted = None; touched = [] } in
-    (match S.node t.model dpid with
-    | Some n ->
-      List.iter
-        (fun r -> Hashtbl.replace s.slots (slot_of r) r)
-        (Option.value (List.assoc_opt table_id n.S.rules) ~default:[])
-    | None -> ());
-    Hashtbl.replace t.stores k s;
-    s
+    let c = Classifier.create () in
+    Hashtbl.replace t.tables dpid
+      (List.sort (fun (a, _) (b, _) -> compare a b) ((table_id, c) :: tables));
+    c
 
-(* O(touched log touched) plus the list prefix up to the last touched slot *)
-let materialize_store s =
-  let current slot acc =
-    match Hashtbl.find_opt s.slots slot with Some r -> r :: acc | None -> acc
-  in
-  let rec merge acc l ts =
-    match (l, ts) with
-    | _, [] -> List.rev_append acc l
-    | [], slot :: ts -> merge (current slot acc) [] ts
-    | r :: l', slot :: ts' ->
-      let c = slot_order (slot_of r) slot in
-      if c < 0 then merge (r :: acc) l' ts
-      else merge (current slot acc) (if c = 0 then l' else l) ts'
-  in
-  let rules =
-    match s.sorted with
-    | None ->
-      List.sort (fun a b -> slot_order (slot_of a) (slot_of b))
-        (Hashtbl.fold (fun _ r acc -> r :: acc) s.slots [])
-    | Some l -> merge [] l (List.sort_uniq slot_order s.touched)
-  in
-  s.sorted <- Some rules;
-  s.touched <- [];
-  rules
+let table_empty t dpid table_id =
+  match List.assoc_opt table_id (node_tables t dpid) with
+  | Some c -> Classifier.is_empty c
+  | None -> true
 
-let flush_table t ((dpid, table_id) as k) =
-  if Hashtbl.mem t.stale k then begin
-    Hashtbl.remove t.stale k;
-    match S.node t.model dpid with
-    | None -> ()
-    | Some n ->
-      let rules = materialize_store (store_of t dpid table_id) in
-      set_node t
-        { n with
-          S.rules =
-            List.sort
-              (fun (a, _) (b, _) -> compare a b)
-              ((table_id, rules) :: List.remove_assoc table_id n.S.rules) }
-  end
+(* Every rule of [dpid] with its table id, unlisted. *)
+let iter_rules t dpid f =
+  List.iter
+    (fun (table_id, c) -> Classifier.fold (fun r () -> f table_id r) c ())
+    (node_tables t dpid)
 
-let flush_node t dpid =
-  List.iter (flush_table t)
-    (Hashtbl.fold (fun ((d, _) as k) () acc -> if d = dpid then k :: acc else acc) t.stale [])
+(* [n] with its rule lists derived from the classifiers. *)
+let with_rules t (n : S.node) =
+  { n with
+    S.rules =
+      List.map (fun (table_id, c) -> (table_id, Classifier.to_list c)) (node_tables t n.S.dpid) }
 
-let flush_all t =
-  List.iter (flush_table t) (Hashtbl.fold (fun k () acc -> k :: acc) t.stale [])
+(** The tracked network, rule lists derived from the classifiers. *)
+let model t = { t.model with S.nodes = List.map (with_rules t) t.model.S.nodes }
+
+(** The tracked ports of switch [dpid]. *)
+let ports t dpid = Option.map (fun (n : S.node) -> n.S.ports) (S.node t.model dpid)
 
 (* ------------------------------------------------------------------ *)
 (* Per-invariant recomputation via the shared oracles *)
@@ -340,18 +289,18 @@ let flush_all t =
 (* --- blackhole: per-rule, only violating rules stored --- *)
 
 let bh_rule t lc (n : S.node) ~table_id r =
-  let k = (table_id, slot_of r) in
+  let k = (table_id, Inv_common.slot_of r) in
   (match Hashtbl.find_opt lc.lc_bh k with
   | Some old -> ledger_remove t old
   | None -> ());
-  match Inv_blackhole.rule t.model n ~table_id r with
+  match Inv_blackhole.rule t.model n ~table_id ~empty:(table_empty t n.S.dpid) r with
   | [] -> Hashtbl.remove lc.lc_bh k
   | ds ->
     Hashtbl.replace lc.lc_bh k ds;
     ledger_add t ds
 
 let bh_remove t lc ~table_id r =
-  let k = (table_id, slot_of r) in
+  let k = (table_id, Inv_common.slot_of r) in
   match Hashtbl.find_opt lc.lc_bh k with
   | Some ds ->
     Hashtbl.remove lc.lc_bh k;
@@ -361,10 +310,7 @@ let bh_remove t lc ~table_id r =
 let rebuild_blackhole t lc (n : S.node) =
   Hashtbl.iter (fun _ ds -> ledger_remove t ds) lc.lc_bh;
   Hashtbl.reset lc.lc_bh;
-  if not n.S.failed then
-    List.iter
-      (fun (table_id, rules) -> List.iter (fun r -> bh_rule t lc n ~table_id r) rules)
-      n.S.rules
+  if not n.S.failed then iter_rules t n.S.dpid (fun table_id r -> bh_rule t lc n ~table_id r)
 
 (* --- shadow: one {!Inv_shadow.t} per table --- *)
 
@@ -388,15 +334,9 @@ let build_local t (n : S.node) =
   if not n.S.failed then begin
     lc.lc_grp <- Inv_group.node t.model n;
     ledger_add t lc.lc_grp;
-    List.iter
-      (fun (table_id, rules) ->
-        let st = shadow_of lc table_id in
-        List.iter
-          (fun r ->
-            bh_rule t lc n ~table_id r;
-            ledger_add t (Inv_shadow.add st n ~table_id r))
-          rules)
-      n.S.rules
+    iter_rules t n.S.dpid (fun table_id r ->
+        bh_rule t lc n ~table_id r;
+        ledger_add t (Inv_shadow.add (shadow_of lc table_id) n ~table_id r))
   end;
   lc
 
@@ -406,7 +346,6 @@ let retract_local t lc =
   Hashtbl.iter (fun _ st -> ledger_remove t (Inv_shadow.findings st)) lc.lc_shadow
 
 let recompute_all_local t =
-  flush_all t;
   Hashtbl.iter (fun _ lc -> retract_local t lc) t.local;
   Hashtbl.reset t.local;
   List.iter
@@ -429,8 +368,10 @@ let recompute_divergence t dpid =
     match List.find_opt (fun (i : S.intent_node) -> i.S.int_dpid = dpid) st.S.per_switch with
     | None -> clear ()
     | Some inode ->
-      flush_node t dpid; (* the oracle diffs intents against device rules *)
-      let ds = Inv_divergence.node t.model st inode in
+      let now = t.model.S.now in
+      (* the oracle diffs intents against the node's derived rules *)
+      let n = Option.map (with_rules t) (S.node t.model dpid) in
+      let ds = match n with Some n -> Inv_divergence.node ~now st inode n | None -> [] in
       (match (Hashtbl.find_opt t.div dpid, ds) with
       | None, [] -> ()
       | Some old, _ when old = ds -> ()
@@ -438,7 +379,7 @@ let recompute_divergence t dpid =
         Option.iter (ledger_remove t) old;
         ledger_add t ds);
       if ds = [] then Hashtbl.remove t.div dpid else Hashtbl.replace t.div dpid ds;
-      (match Inv_divergence.deadline t.model st inode with
+      (match Option.bind n (Inv_divergence.deadline ~now st) with
       | Some due -> Hashtbl.replace t.div_deadlines dpid due
       | None -> Hashtbl.remove t.div_deadlines dpid))
 
@@ -454,8 +395,7 @@ let recompute_all_divergence t =
 (* --- coverage --- *)
 
 let recompute_coverage t =
-  flush_all t;
-  let c = Inv_coverage.snapshot t.model in
+  let c = Inv_coverage.snapshot (model t) in
   if c <> t.coverage then begin
     ledger_remove t t.coverage;
     ledger_add t c;
@@ -469,7 +409,7 @@ let miss_shaped (r : Flow_table.rule) =
 
 (** Re-walk every class in [dirty]. *)
 let rewalk t dirty =
-  let env = Inv_loop.make_env ~indexes:t.indexes t.model in
+  let env = Inv_loop.make_env t.model t.tables in
   let n = ref 0 in
   Hashtbl.iter
     (fun key () ->
@@ -525,14 +465,12 @@ let record_latency t dt =
 
 let refresh_edges t = t.edges <- Inv_loop.edge_ports t.model
 
-(** Drop every cache and rebuild from the current model — the big
-    hammer behind {!create} and {!refresh}. *)
-let reseed_all t dirty =
-  (* the model is authoritative here: callers either replaced it
-     wholesale or flushed every store first *)
-  Hashtbl.reset t.stores;
-  Hashtbl.reset t.stale;
-  Hashtbl.reset t.indexes;
+(** Drop every cache and rebuild from [snap] — the big hammer behind
+    {!create} and {!refresh}. *)
+let reseed_all t dirty snap =
+  t.tables <- Inv_loop.tables_of snap;
+  t.model <-
+    { snap with S.nodes = List.map (fun (n : S.node) -> { n with S.rules = [] }) snap.S.nodes };
   Flow_key.Hashtbl.iter (fun _ c -> ledger_remove t c.cdiags) t.classes;
   Flow_key.Hashtbl.reset t.classes;
   Flow_key.Hashtbl.reset t.refs;
@@ -555,48 +493,37 @@ let reseed_all t dirty =
               | None -> ())
             rules)
         n.S.rules)
-    t.model.S.nodes;
+    snap.S.nodes;
   recompute_all_local t;
   ledger_remove t t.coverage;
-  t.coverage <- Inv_coverage.snapshot t.model;
+  t.coverage <- Inv_coverage.snapshot snap;
   ledger_add t t.coverage;
   recompute_all_divergence t
 
-(* Fold one table's rule delta into the store,
-   the walk index, the class universe and every per-invariant cache —
-   O(delta) except where an environment shift (an empty<->nonempty
-   flip, a miss-rule change) forces a scoped rebuild.  The model's rule
-   list for the table is only marked stale; whole-model readers flush
-   it on demand. *)
+(* Fold one table's rule delta into its classifier, the class universe
+   and every per-invariant cache — O(delta) except where an environment
+   shift (an empty<->nonempty flip, a miss-rule change) forces a scoped
+   rebuild. *)
 let table_delta t dirty ~dpid ~table_id ~added ~removed =
   match S.node t.model dpid with
   | None -> ()
-  | Some _ ->
-    let store = store_of t dpid table_id in
-    let was_empty = Hashtbl.length store.slots = 0 in
-    (* Normalize against the store: removing an absent slot (say, a
+  | Some n ->
+    let c = classifier t dpid table_id in
+    let was_empty = Classifier.is_empty c in
+    (* Normalize against the classifier: removing an absent slot (say, a
        sweep reaping a rule a refresh already dropped) is a no-op, and
        adding over a live slot is a replace — retract the stored rule,
        then grade the new one. *)
-    let removed = List.filter_map (fun r -> Hashtbl.find_opt store.slots (slot_of r)) removed in
-    List.iter (fun r -> Hashtbl.remove store.slots (slot_of r)) removed;
-    let replaced = List.filter_map (fun r -> Hashtbl.find_opt store.slots (slot_of r)) added in
-    List.iter (fun r -> Hashtbl.remove store.slots (slot_of r)) replaced;
-    List.iter (fun r -> Hashtbl.replace store.slots (slot_of r) r) added;
+    let stored (r : Flow_table.rule) =
+      Classifier.find c ~priority:r.Flow_table.priority r.Flow_table.match_
+    in
+    let removed = List.filter_map stored removed in
+    List.iter (Classifier.remove c) removed;
+    let replaced = List.filter_map stored added in
+    List.iter (Classifier.remove c) replaced;
+    List.iter (Classifier.add c) added;
     let removed = replaced @ removed in
     if added <> [] || removed <> [] then begin
-      List.iter (fun r -> store.touched <- slot_of r :: store.touched) (added @ removed);
-      let now_empty = Hashtbl.length store.slots = 0 in
-      Hashtbl.replace t.stale (dpid, table_id) ();
-      (* keep the shared walk index in lockstep with the store; a stale
-         table must always have one, else a walk would rebuild it from
-         the lagging model list *)
-      let rebuilt () = Inv_loop.index_table (materialize_store store) in
-      (match Hashtbl.find_opt t.indexes (dpid, table_id) with
-      | Some idx ->
-        if not (Inv_loop.index_delta idx ~added ~removed) then
-          Hashtbl.replace t.indexes (dpid, table_id) (rebuilt ())
-      | None -> Hashtbl.replace t.indexes (dpid, table_id) (rebuilt ()));
       (* universe: additions before removals, so a replace keeps its
          key's refcount above zero throughout (no activation churn) *)
       List.iter
@@ -619,31 +546,19 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
         (added @ removed);
       (* local invariants, delta-driven *)
       (match Hashtbl.find_opt t.local dpid with
-      | None ->
-        flush_node t dpid;
-        (match S.node t.model dpid with
-        | Some n' -> Hashtbl.replace t.local dpid (build_local t n')
-        | None -> ())
-      | Some lc -> (
-        match S.node t.model dpid with
-        | None -> ()
-        | Some n' ->
-          if not n'.S.failed then
-            if was_empty <> now_empty then begin
-              (* an empty<->nonempty flip regrades gotos into this
-                 table from the node's other tables *)
-              flush_node t dpid;
-              match S.node t.model dpid with
-              | None -> ()
-              | Some n2 ->
-                rebuild_blackhole t lc n2;
-                shadow_delta t lc n2 ~table_id ~added ~removed
-            end
-            else begin
-              List.iter (fun r -> bh_remove t lc ~table_id r) removed;
-              List.iter (fun r -> bh_rule t lc n' ~table_id r) added;
-              shadow_delta t lc n' ~table_id ~added ~removed
-            end));
+      | None -> Hashtbl.replace t.local dpid (build_local t n)
+      | Some lc ->
+        if not n.S.failed then begin
+          if was_empty <> Classifier.is_empty c then
+            (* an empty<->nonempty flip regrades gotos into this table
+               from the node's other tables *)
+            rebuild_blackhole t lc n
+          else begin
+            List.iter (fun r -> bh_remove t lc ~table_id r) removed;
+            List.iter (fun r -> bh_rule t lc n ~table_id r) added
+          end;
+          shadow_delta t lc n ~table_id ~added ~removed
+        end);
       if table_id = 0 && List.exists miss_shaped (added @ removed) then
         recompute_coverage t;
       recompute_divergence t dpid
@@ -654,7 +569,6 @@ let apply_update t dirty u =
   | Table_delta { dpid; table_id; added; removed } ->
     table_delta t dirty ~dpid ~table_id ~added ~removed
   | Groups { dpid; groups } -> (
-    flush_node t dpid; (* group sanity and goto grading read the node's rules *)
     match S.node t.model dpid with
     | None -> ()
     | Some n ->
@@ -676,7 +590,6 @@ let apply_update t dirty u =
       | _ -> ());
       recompute_divergence t dpid)
   | Ports { dpid; ports; failed } -> (
-    flush_node t dpid;
     match S.node t.model dpid with
     | None -> ()
     | Some n ->
@@ -738,7 +651,8 @@ let apply t ~now u =
 
 let create ?(now = 0.0) snap =
   let t =
-    { model = { snap with S.now = now };
+    { model = snap;
+      tables = Hashtbl.create 1;
       trie = Match_trie.create ();
       refs = Flow_key.Hashtbl.create 256;
       host_keys = Flow_key.Set.empty;
@@ -747,9 +661,6 @@ let create ?(now = 0.0) snap =
       known = universe Inv_loop.max_seed_keys;
       orphan = universe Inv_loop.max_orphan_keys;
       classes = Flow_key.Hashtbl.create 256;
-      indexes = Hashtbl.create 64;
-      stores = Hashtbl.create 64;
-      stale = Hashtbl.create 64;
       local = Hashtbl.create 64;
       coverage = [];
       div = Hashtbl.create 16;
@@ -768,7 +679,7 @@ let create ?(now = 0.0) snap =
       lat_total = 0 }
   in
   let dirty = Hashtbl.create 256 in
-  reseed_all t dirty;
+  reseed_all t dirty { snap with S.now = now };
   rewalk t dirty;
   settle t ~now;
   t
@@ -777,17 +688,12 @@ let create ?(now = 0.0) snap =
     resync and run-end check use it to fold in events no tap covers
     (link flaps, lazy rule expiry, joins, overlay membership). *)
 let refresh t ~now snap =
-  t.model <- { snap with S.now = now };
   let dirty = Hashtbl.create 256 in
-  reseed_all t dirty;
+  reseed_all t dirty { snap with S.now = now };
   rewalk t dirty;
   settle t ~now
 
 let diagnostics t = t.current
-
-let model t =
-  flush_all t;
-  t.model
 
 let class_count t = Flow_key.Hashtbl.length t.classes
 
@@ -795,8 +701,7 @@ let class_count t = Flow_key.Hashtbl.length t.classes
     whole-snapshot rescan of the same model?  (Equality modulo
     [first_at], which the rescan cannot know.) *)
 let check_equivalence t =
-  flush_all t;
-  let full = Checker.check t.model in
+  let full = Checker.check (model t) in
   let ok =
     List.compare_lengths full t.current = 0
     && List.for_all2 (fun a b -> D.compare a b = 0) full t.current

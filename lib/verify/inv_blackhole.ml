@@ -10,12 +10,14 @@ module S = Snapshot
 
 let name = "blackhole"
 
-let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
+(** The findings of rule [r] in table [table_id] of [n]; [empty t] says
+    whether table [t] of [n] holds no rule. *)
+let rule snap (n : S.node) ~table_id ~empty (r : Flow_table.rule) =
   let subject = Inv_common.subject r in
   let mk = D.make ~dpid:n.S.dpid ~table_id ~rule:subject in
   let actions = Of_action.actions_of_instructions r.Flow_table.instructions in
   let goto = Of_action.goto_of_instructions r.Flow_table.instructions in
-  let empty =
+  let inert =
     if actions = [] && goto = None then
       [ mk ~severity:D.Error ~invariant:D.Blackhole
           "rule has no actions and no goto: every hit is silently dropped" ]
@@ -43,20 +45,20 @@ let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
         [ mk ~severity:D.Error ~invariant:D.Blackhole
             (Printf.sprintf "goto table %d is outside the pipeline (tables %d..%d)" next
                (table_id + 1) (n.S.num_tables - 1)) ]
-      else begin
-        match List.assoc_opt next n.S.rules with
-        | Some [] | None ->
-          [ mk ~severity:D.Error ~invariant:D.Blackhole
-              (Printf.sprintf "goto into empty table %d: every hit misses and is dropped" next) ]
-        | Some _ -> []
-      end
+      else if empty next then
+        [ mk ~severity:D.Error ~invariant:D.Blackhole
+            (Printf.sprintf "goto into empty table %d: every hit misses and is dropped" next) ]
+      else []
   in
-  empty @ outputs @ goto_diags
+  inert @ outputs @ goto_diags
 
 (** All blackhole findings local to one (non-failed) node. *)
 let node snap (n : S.node) =
+  let empty next =
+    match List.assoc_opt next n.S.rules with Some [] | None -> true | Some _ -> false
+  in
   List.concat_map
-    (fun (table_id, rules) -> List.concat_map (fun r -> rule snap n ~table_id r) rules)
+    (fun (table_id, rules) -> List.concat_map (fun r -> rule snap n ~table_id ~empty r) rules)
     n.S.rules
 
 let snapshot snap =

@@ -21,16 +21,13 @@ module Intent = Scotch_reliable.Intent
 
 let name = "divergence"
 
-(** Divergence findings for one reliable-managed switch. *)
-let node snap (st : S.intent_state) (inode : S.intent_node) =
-  match S.node snap inode.S.int_dpid with
-  | None -> [] (* coverage already reports controlled switches missing entirely *)
-  | Some n when n.S.failed -> []
-  | Some n ->
+(** Divergence findings at [now] for one reliable-managed switch [n]. *)
+let node ~now (st : S.intent_state) (inode : S.intent_node) (n : S.node) =
+  if n.S.failed then []
+  else
     let flow_stats =
       List.concat_map
-        (fun (table_id, rules) ->
-          List.map (Flow_table.stat_of_rule ~table_id ~now:snap.S.now) rules)
+        (fun (table_id, rules) -> List.map (Flow_table.stat_of_rule ~table_id ~now) rules)
         n.S.rules
     in
     let d =
@@ -66,18 +63,16 @@ let node snap (st : S.intent_state) (inode : S.intent_node) =
     reconciler-owned device rule on this switch ages past the grace
     window — i.e. when this switch needs re-diffing even without a new
     update. *)
-let deadline snap (st : S.intent_state) (inode : S.intent_node) =
-  match S.node snap inode.S.int_dpid with
-  | None -> None
-  | Some n when n.S.failed -> None
-  | Some n ->
+let deadline ~now (st : S.intent_state) (n : S.node) =
+  if n.S.failed then None
+  else
     List.fold_left
       (fun acc (_, rules) ->
         List.fold_left
           (fun acc (r : Flow_table.rule) ->
             if
               List.mem r.Flow_table.cookie st.S.owned
-              && snap.S.now -. r.Flow_table.installed_at < st.S.grace
+              && now -. r.Flow_table.installed_at < st.S.grace
             then begin
               let due = r.Flow_table.installed_at +. st.S.grace in
               match acc with Some d when d <= due -> acc | _ -> Some due
@@ -89,4 +84,10 @@ let deadline snap (st : S.intent_state) (inode : S.intent_node) =
 let snapshot snap =
   match snap.S.intents with
   | None -> []
-  | Some st -> List.concat_map (node snap st) st.S.per_switch
+  | Some st ->
+    List.concat_map
+      (fun (inode : S.intent_node) ->
+        match S.node snap inode.S.int_dpid with
+        | None -> [] (* coverage already reports controlled switches missing entirely *)
+        | Some n -> node ~now:snap.S.now st inode n)
+      st.S.per_switch

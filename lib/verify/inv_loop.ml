@@ -7,9 +7,9 @@
     reachable injection point, and must never revisit a (switch,
     in-port, encap-stack) state.  The walk runs the datapath's own
     interpreter, {!Pipeline}, with a target whose outputs follow each
-    port to its peer; its lookups use {!Of_match.matches} and break a
-    same-priority tie by {!Flow_table.precedence}, as the datapath does;
-    its tunnel ports {!Packet.encap_tunnel} and {!Packet.decap_tunnel}.
+    port to its peer; its lookups are the datapath's own
+    {!Classifier.lookup}, blind to expiry; its tunnel ports
+    {!Packet.encap_tunnel} and {!Packet.decap_tunnel}.
 
     The walk is exposed per class ({!walk_class}) so the incremental
     verifier can re-walk only the classes a delta touches, with the
@@ -48,147 +48,32 @@ let packet_of_key (key : Flow_key.t) =
          ~proto:key.Flow_key.proto ())
     ~l4 ()
 
-(** A match is exact-flow-shaped when it pins the IPv4 5-tuple (both
-    addresses /32, protocol and both ports) and nothing else, so a
-    lookup finds its rule by probing with the packet's own 5-tuple. *)
-let is_exact_shape (m : Of_match.t) =
-  m.Of_match.in_port = None && m.Of_match.eth_type = None && m.Of_match.mpls_label = None
-  && m.Of_match.gre_key = None && m.Of_match.tunnel_id = None
-  && (match m.Of_match.ip_src with
-     | Some { Of_match.mask; _ } -> mask = Ipv4_addr.mask32
-     | None -> false)
-  && (match m.Of_match.ip_dst with
-     | Some { Of_match.mask; _ } -> mask = Ipv4_addr.mask32
-     | None -> false)
-  && m.Of_match.ip_proto <> None && m.Of_match.l4_src <> None && m.Of_match.l4_dst <> None
+(** Each switch's tables as classifiers, by table id: the walk's
+    lookup index.  The rescan builds one per snapshot ({!tables_of});
+    the incremental verifier keeps its own as its rule state. *)
+type tables = (int, (int * Classifier.t) list) Hashtbl.t
 
-(** Per-table match index: exact-5-tuple rules probed by the packet's
-    own key, the rest scanned, so thousands of reactive per-flow rules
-    cost O(1) per lookup. *)
-type tbl_index = {
-  exact : Flow_table.rule list Flow_key.Hashtbl.t; (* descending priority *)
-  scan : Flow_table.rule list;                     (* descending priority *)
-}
-
-let index_table rules =
-  (* sized for its final load: no rehash on the way up *)
-  let exact = Flow_key.Hashtbl.create (max 16 (List.length rules / 2)) in
-  let scan = ref [] in
-  (* [rules] is descending priority; keep that order in both halves *)
+(** One classifier per snapshot table, holding the snapshot's own rule
+    records. *)
+let tables_of snap : tables =
+  let h = Hashtbl.create 64 in
   List.iter
-    (fun (r : Flow_table.rule) ->
-      if is_exact_shape r.Flow_table.match_ then begin
-        match Inv_common.flow_key_of_match r.Flow_table.match_ with
-        | Some key -> (
-          match Flow_key.Hashtbl.find_opt exact key with
-          | Some l -> Flow_key.Hashtbl.replace exact key (l @ [ r ])
-          | None -> Flow_key.Hashtbl.add exact key [ r ])
-        | None -> scan := r :: !scan
-      end
-      else scan := r :: !scan)
-    rules;
-  { exact; scan = List.rev !scan }
-
-(** In-place index maintenance for a rule delta whose every rule is
-    exact-shaped: mutate the probe buckets directly, keeping each
-    bucket in descending priority (two distinct exact rules sharing a
-    bucket necessarily differ in priority, so the order is total).
-    Returns [false] — caller must rebuild via {!index_table} — when any
-    delta rule belongs in the scan half, which is only ever rebuilt. *)
-let index_delta idx ~added ~removed =
-  let exact_key (r : Flow_table.rule) =
-    if is_exact_shape r.Flow_table.match_ then
-      Inv_common.flow_key_of_match r.Flow_table.match_
-    else None
-  in
-  if
-    List.for_all (fun r -> exact_key r <> None) added
-    && List.for_all (fun r -> exact_key r <> None) removed
-  then begin
-    List.iter
-      (fun (r : Flow_table.rule) ->
-        match exact_key r with
-        | None -> ()
-        | Some key -> (
-          match Flow_key.Hashtbl.find_opt idx.exact key with
-          | None -> ()
-          | Some l -> (
-            match
-              List.filter
-                (fun (x : Flow_table.rule) ->
-                  not
-                    (x.Flow_table.priority = r.Flow_table.priority
-                    && x.Flow_table.match_ = r.Flow_table.match_))
-                l
-            with
-            | [] -> Flow_key.Hashtbl.remove idx.exact key
-            | l' -> Flow_key.Hashtbl.replace idx.exact key l')))
-      removed;
-    List.iter
-      (fun (r : Flow_table.rule) ->
-        match exact_key r with
-        | None -> ()
-        | Some key ->
-          let rec ins = function
-            | [] -> [ r ]
-            | (x : Flow_table.rule) :: rest ->
-              if r.Flow_table.priority > x.Flow_table.priority then r :: x :: rest
-              else x :: ins rest
-          in
-          Flow_key.Hashtbl.replace idx.exact key
-            (ins (Option.value (Flow_key.Hashtbl.find_opt idx.exact key) ~default:[])))
-      added;
-    true
-  end
-  else false
-
-(* The rule a lookup picks from [l] (descending priority) or [best]:
-   the matching one first in {!Flow_table.precedence} order, as the
-   datapath picks it, whatever order [l] keeps within a priority. *)
-let rec winner ctx best = function
-  | [] -> best
-  | (r : Flow_table.rule) :: rest -> (
-    match best with
-    | Some (b : Flow_table.rule) when r.Flow_table.priority < b.Flow_table.priority -> best
-    | _ ->
-      let better =
-        Of_match.matches r.Flow_table.match_ ctx
-        && match best with None -> true | Some b -> Flow_table.precedence r b < 0
-      in
-      winner ctx (if better then Some r else best) rest)
-
-let index_lookup idx (ctx : Of_match.context) =
-  let exact =
-    match Flow_key.Hashtbl.find_opt idx.exact (Packet.flow_key ctx.Of_match.packet) with
-    | Some l -> winner ctx None l
-    | None -> None
-  in
-  winner ctx exact idx.scan
+    (fun (n : S.node) ->
+      Hashtbl.replace h n.S.dpid
+        (List.map (fun (table_id, rules) -> (table_id, Classifier.of_list rules)) n.S.rules))
+    snap.S.nodes;
+  h
 
 type env = {
   snap : S.t;
-  indexes : (int * int, tbl_index) Hashtbl.t; (* (dpid, table) -> index *)
+  tables : tables;
   mutable diags : D.t list;
   touched : (int, unit) Hashtbl.t; (* dpids the current walk visited *)
 }
 
-(** [make_env ?indexes snap] builds a walk environment.  Pass a shared
-    [indexes] table to amortize per-table indexing across many walks —
-    the incremental verifier keeps one across updates and invalidates
-    entries when the underlying table changes. *)
-let make_env ?indexes snap =
-  { snap;
-    indexes = (match indexes with Some h -> h | None -> Hashtbl.create 64);
-    diags = [];
-    touched = Hashtbl.create 16 }
-
-let index_of env (n : S.node) table_id =
-  match Hashtbl.find_opt env.indexes (n.S.dpid, table_id) with
-  | Some idx -> idx
-  | None ->
-    let idx = index_table (Option.value (List.assoc_opt table_id n.S.rules) ~default:[]) in
-    Hashtbl.replace env.indexes (n.S.dpid, table_id) idx;
-    idx
+(** [make_env snap tables] builds a walk environment over [snap]'s
+    ports, groups and liveness, looking rules up in [tables]. *)
+let make_env snap tables = { snap; tables; diags = []; touched = Hashtbl.create 16 }
 
 let witness_of key path =
   Printf.sprintf "%s via %s" (Flow_key.to_string key)
@@ -224,9 +109,13 @@ module rec Step : sig
 end = struct
   type t = step
 
+  (* expiry-blind: the model holds what the tables hold, expired or not *)
   let lookup s ~table_id ctx =
     if table_id >= s.node.S.num_tables then None
-    else index_lookup (index_of s.walk.env s.node table_id) ctx
+    else
+      match List.assoc table_id (Hashtbl.find s.walk.env.tables s.node.S.dpid) with
+      | c -> Classifier.lookup c ~now:neg_infinity ctx
+      | exception Not_found -> None
 
   (* Every dpid the packet arrives at (failed, unknown or not) is
      recorded in [env.touched], so the incremental verifier knows which
@@ -412,10 +301,8 @@ let edge_ports snap =
 
 (** Injection seeds: every exact 5-tuple a rule pins plus a key per host
     pair, each entering at its {!entry_points}.  Each kind is capped to
-    its smallest keys ({!Capped}).  Indexes every table into [env] on
-    the way. *)
-let seeds env =
-  let snap = env.snap in
+    its smallest keys ({!Capped}). *)
+let seeds snap =
   let hosts = host_index snap in
   let known = Capped.create max_seed_keys and orphan = Capped.create max_orphan_keys in
   let offer key = ignore (Capped.offer (if is_known hosts key then known else orphan) key) in
@@ -423,14 +310,11 @@ let seeds env =
   List.iter
     (fun (n : S.node) ->
       List.iter
-        (fun (table_id, rules) ->
-          let idx = index_table rules in
-          Hashtbl.replace env.indexes (n.S.dpid, table_id) idx;
-          Flow_key.Hashtbl.iter (fun key _ -> offer key) idx.exact;
+        (fun (_, rules) ->
           List.iter
             (fun (r : Flow_table.rule) ->
               Option.iter offer (Inv_common.flow_key_of_match r.Flow_table.match_))
-            idx.scan)
+            rules)
         n.S.rules)
     snap.S.nodes;
   let edges = edge_ports snap in
@@ -439,7 +323,7 @@ let seeds env =
   @ List.map seed (Flow_key.Set.elements orphan.Capped.keys)
 
 let snapshot snap =
-  let env = make_env snap in
+  let env = make_env snap (tables_of snap) in
   List.concat_map
     (fun (key, points) -> fst (walk_class env ~key points))
-    (seeds env)
+    (seeds snap)

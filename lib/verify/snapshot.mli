@@ -27,14 +27,18 @@ type port = {
   endpoint : endpoint;
 }
 
-(** One switch: identity, failure state, live rules per table (highest
-    priority first), groups (sorted by id) and ports. *)
+(** One switch: identity, failure state, live rules per table, groups
+    (sorted by id) and ports. *)
 type node = {
   dpid : int;
   node_name : string;
   failed : bool;
   num_tables : int;
-  rules : (int * Flow_table.rule list) list; (** (table id, live rules) *)
+  rules : (int * Flow_table.rule list) list;
+      (** (table id, live rules): each table's rules in descending
+          priority, in an unspecified order within a priority.
+          {!capture} lists them in {!Flow_table.live_rules} order; the
+          incremental verifier derives them in classifier order. *)
   groups : Group_table.group list;
   ports : port list;
 }

@@ -544,10 +544,19 @@ let gen_base_snap ~switches =
 
 (* A churn step, encoded as data so qcheck can shrink sequences.  Rule
    steps become [Incr.Table_delta], the switch tap's shape; an add over
-   a live (priority, match) slot is a replace, as in {!Flow_table}. *)
+   a live (priority, match) slot is a replace, as in {!Flow_table}.
+   Besides exact and protocol-wildcard rules, the rule shapes include an
+   [ip_dst] prefix, an exact rule pinned to an in-port, and a
+   same-priority tie between an exact rule and a broader [ip_dst] rule
+   added in one delta. *)
 type churn =
   | Add_rule of { dpid : int; table : int; prio : int; src : int; dst : int; out : int }
   | Add_wild of { dpid : int; prio : int; proto : int; out : int }
+  | Add_prefix of { dpid : int; table : int; prio : int; dst : int; bits : int; out : int }
+  | Add_in_port of {
+      dpid : int; table : int; prio : int; in_port : int; src : int; dst : int; out : int }
+  | Add_tie of {
+      dpid : int; table : int; prio : int; src : int; dst : int; out : int; broad_out : int }
   | Del_rule of { dpid : int; table : int; idx : int }
   | Set_group of { dpid : int; gid : int; out : int; weight : int }
   | Drop_groups of { dpid : int }
@@ -565,6 +574,18 @@ let churn_gen ~switches =
       (let* d = dpid and* p = int_range 1 30 and* proto = oneofl [ 6; 17 ]
        and* out = int_range 1 4 in
        return (Add_wild { dpid = d; prio = p; proto; out }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30
+       and* dst = int_range 0 (switches - 1) and* bits = oneofl [ 24; 30; 31 ]
+       and* out = int_range 1 4 in
+       return (Add_prefix { dpid = d; table = tbl; prio = p; dst; bits; out }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30 and* in_port = int_range 1 3
+       and* s = int_range 0 (switches - 1) and* dst = int_range 0 (switches - 1)
+       and* out = int_range 1 4 in
+       return (Add_in_port { dpid = d; table = tbl; prio = p; in_port; src = s; dst; out }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30
+       and* s = int_range 0 (switches - 1) and* dst = int_range 0 (switches - 1)
+       and* out = int_range 1 4 and* broad_out = int_range 1 4 in
+       return (Add_tie { dpid = d; table = tbl; prio = p; src = s; dst; out; broad_out }));
       (let* d = dpid and* tbl = int_range 0 1 and* idx = int_range 0 5 in
        return (Del_rule { dpid = d; table = tbl; idx }));
       (let* d = dpid and* gid = int_range 1 3 and* out = int_range 1 4
@@ -579,27 +600,33 @@ let churn_gen ~switches =
 
 (* Apply one churn step to the pure model, returning the matching
    incremental update. *)
-let step_of_churn model = function
+let step_of_churn model =
+  let add dpid table rules =
+    Option.map
+      (fun (_ : S.node) ->
+        let added =
+          List.map
+            (fun (prio, match_, out) -> rule ~priority:prio ~match_ ~instructions:(output out) ())
+            rules
+        in
+        Incr.Table_delta { dpid; table_id = table; added; removed = [] })
+      (S.node model dpid)
+  in
+  let dst_only ?mask dst =
+    Of_match.with_ip_dst ?mask (Ipv4_addr.of_int (gen_ip dst)) Of_match.wildcard
+  in
+  let exact src dst = exact_match ~src:(gen_ip src) ~dst:(gen_ip dst) in
+  function
   | Add_rule { dpid; table; prio; src; dst; out } ->
-    Option.map
-      (fun (_ : S.node) ->
-        let r =
-          rule ~priority:prio
-            ~match_:(exact_match ~src:(gen_ip src) ~dst:(gen_ip dst))
-            ~instructions:(output out) ()
-        in
-        Incr.Table_delta { dpid; table_id = table; added = [ r ]; removed = [] })
-      (S.node model dpid)
+    add dpid table [ (prio, exact src dst, out) ]
+  | Add_prefix { dpid; table; prio; dst; bits; out } ->
+    add dpid table [ (prio, dst_only ~mask:(Ipv4_addr.prefix_mask bits) dst, out) ]
+  | Add_in_port { dpid; table; prio; in_port; src; dst; out } ->
+    add dpid table [ (prio, Of_match.with_in_port in_port (exact src dst), out) ]
+  | Add_tie { dpid; table; prio; src; dst; out; broad_out } ->
+    add dpid table [ (prio, exact src dst, out); (prio, dst_only dst, broad_out) ]
   | Add_wild { dpid; prio; proto; out } ->
-    Option.map
-      (fun (_ : S.node) ->
-        let r =
-          rule ~priority:prio
-            ~match_:(Of_match.with_ip_proto proto Of_match.wildcard)
-            ~instructions:(output out) ()
-        in
-        Incr.Table_delta { dpid; table_id = 0; added = [ r ]; removed = [] })
-      (S.node model dpid)
+    add dpid 0 [ (prio, Of_match.with_ip_proto proto Of_match.wildcard, out) ]
   | Del_rule { dpid; table; idx } ->
     Option.map
       (fun (n : S.node) ->
@@ -675,6 +702,57 @@ let test_differential =
          let* steps = list_size (int_range 1 25) (churn_gen ~switches) in
          return (switches, steps))
        differential_prop)
+
+(* The rescan reads a snapshot's rule lists in descending priority and
+   promises nothing about the order within a priority (the incremental
+   verifier derives its lists in classifier order): shuffling each
+   priority's rules in every table of a churned snapshot must leave
+   [Checker.check] unchanged.  Every switch first gets a priority-1 TCP
+   rule forwarding around the ring, so which of two tied rules a walk
+   follows often decides whether it loops. *)
+let rescan_order_prop (switches, steps, seed) =
+  let incr = Incr.create ~now:0.0 (gen_base_snap ~switches) in
+  let ring =
+    List.init switches (fun i -> Add_wild { dpid = i + 1; prio = 1; proto = 6; out = 2 })
+  in
+  List.iteri
+    (fun i step ->
+      Option.iter
+        (fun u -> ignore (Incr.apply incr ~now:(0.1 *. float_of_int (i + 1)) u))
+        (step_of_churn (Incr.model incr) step))
+    (ring @ steps);
+  let snap = Incr.model incr in
+  let rng = Random.State.make [| seed |] in
+  let shuffle rules =
+    List.map (fun r -> (Random.State.bits rng, r)) rules
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+    |> List.stable_sort (fun (a : Flow_table.rule) b ->
+           compare b.Flow_table.priority a.Flow_table.priority)
+  in
+  let shuffled =
+    { snap with
+      S.nodes =
+        List.map
+          (fun (n : S.node) ->
+            { n with
+              S.rules = List.map (fun (table_id, rules) -> (table_id, shuffle rules)) n.S.rules })
+          snap.S.nodes }
+  in
+  let want = V.Checker.check snap and got = V.Checker.check shuffled in
+  List.compare_lengths want got = 0 && List.for_all2 (fun a b -> D.compare a b = 0) want got
+  || QCheck2.Test.fail_reportf "shuffled within priorities:@.%s@.in classifier order:@.%s"
+       (pp_diag_set got) (pp_diag_set want)
+
+let test_rescan_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"rescan ignores rule order within a priority"
+       QCheck2.Gen.(
+         let* switches = int_range 2 4 in
+         let* steps = list_size (int_range 1 25) (churn_gen ~switches) in
+         let* seed = int in
+         return (switches, steps, seed))
+       rescan_order_prop)
 
 (* ------------------------------------------------------------------ *)
 (* The class-universe cap: spoofed-source (orphan) keys beyond the cap
@@ -896,6 +974,7 @@ let () =
           Alcotest.test_case "clean path allocation" `Quick test_clean_path_alloc ] );
       ( "incremental",
         [ test_differential;
+          test_rescan_order;
           Alcotest.test_case "orphan cap promotion" `Quick test_orphan_cap_promotion;
           Alcotest.test_case "duplicate host ip" `Quick test_duplicate_host_ip ] );
       ( "clean-topologies",
