@@ -110,17 +110,6 @@ let account t ~sampled ~units payload =
     t.exact_bytes <- t.exact_bytes + bytes
   end
 
-let flow_key_of_match (m : Of_match.t) =
-  match (m.Of_match.ip_src, m.Of_match.ip_dst, m.Of_match.ip_proto) with
-  | Some src, Some dst, Some proto ->
-    Some
-      (Flow_key.make
-         ~ip_src:(Ipv4_addr.of_int src.Of_match.value)
-         ~ip_dst:(Ipv4_addr.of_int dst.Of_match.value)
-         ~proto
-         ?l4_src:m.Of_match.l4_src ?l4_dst:m.Of_match.l4_dst ())
-  | _ -> None
-
 (* Exact detection: poll per-flow packet counts at the vswitch and
    report each of its overlay flows' measured rate. *)
 let poll_vswitch_stats t sw ~on_rate vdpid =
@@ -135,7 +124,7 @@ let poll_vswitch_stats t sw ~on_rate vdpid =
         List.iter
           (fun (st : Of_msg.Stats.flow_stat) ->
             if st.Of_msg.Stats.cookie = Config.cookie_vflow then
-              match flow_key_of_match st.Of_msg.Stats.match_ with
+              match Of_match.flow_key st.Of_msg.Stats.match_ with
               | None -> ()
               | Some key -> (
                 match Flow_info_db.find t.db key with

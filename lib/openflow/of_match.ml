@@ -67,6 +67,17 @@ let exact_flow (key : Flow_key.t) =
   |> with_l4_src key.Flow_key.l4_src
   |> with_l4_dst key.Flow_key.l4_dst
 
+(** [flow_key m] is the 5-tuple [m] pins when it pins the protocol and
+    both IPs at /32, a port it leaves unpinned reading 0; the inverse of
+    {!exact_flow}. *)
+let flow_key (m : t) =
+  match (m.ip_src, m.ip_dst, m.ip_proto) with
+  | Some s, Some d, Some proto when s.mask = Ipv4_addr.mask32 && d.mask = Ipv4_addr.mask32 ->
+    Some
+      (Flow_key.make ~ip_src:(Ipv4_addr.of_int s.value) ~ip_dst:(Ipv4_addr.of_int d.value) ~proto
+         ?l4_src:m.l4_src ?l4_dst:m.l4_dst ())
+  | _ -> None
+
 let canonical_ip = function
   | Some { value; mask } when value land mask <> value -> Some { value = value land mask; mask }
   | ip -> ip
@@ -118,22 +129,48 @@ let is_wildcard t = specificity t = 0
 
 let equal (a : t) (b : t) = a = b
 
+(* Does [hi] leave the field free, or pin it to [lo]'s value? *)
+let covers_field hi lo =
+  match (hi, lo) with
+  | None, _ -> true
+  | Some _, None -> false
+  | Some a, Some b -> a = b
+
 (* OpenFlow multipart flow-stats filtering: a rule is selected when
    every field the request specifies is present in the rule's match
    with the same value (the rule may be strictly more specific).  The
    wildcard request selects everything. *)
 let selects (filter : t) (m : t) =
-  let field a b = match a with None -> true | Some v -> b = Some v in
-  field filter.in_port m.in_port
-  && field filter.eth_type m.eth_type
-  && field filter.ip_src m.ip_src
-  && field filter.ip_dst m.ip_dst
-  && field filter.ip_proto m.ip_proto
-  && field filter.l4_src m.l4_src
-  && field filter.l4_dst m.l4_dst
-  && field filter.mpls_label m.mpls_label
-  && (match filter.gre_key with None -> true | Some v -> m.gre_key = Some v)
-  && field filter.tunnel_id m.tunnel_id
+  covers_field filter.in_port m.in_port
+  && covers_field filter.eth_type m.eth_type
+  && covers_field filter.ip_src m.ip_src
+  && covers_field filter.ip_dst m.ip_dst
+  && covers_field filter.ip_proto m.ip_proto
+  && covers_field filter.l4_src m.l4_src
+  && covers_field filter.l4_dst m.l4_dst
+  && covers_field filter.mpls_label m.mpls_label
+  && covers_field filter.gre_key m.gre_key
+  && covers_field filter.tunnel_id m.tunnel_id
+
+let covers_ip hi lo =
+  match (hi, lo) with
+  | None, _ -> true
+  | Some _, None -> false
+  | Some a, Some b -> a.mask land b.mask = a.mask && a.value land a.mask = b.value land a.mask
+
+(** [covers hi lo]: every packet matching [lo] also matches [hi] —
+    each constraint of [hi] is implied by [lo]'s constraints. *)
+let covers (hi : t) (lo : t) =
+  covers_field hi.in_port lo.in_port
+  && covers_field hi.eth_type lo.eth_type
+  && covers_ip hi.ip_src lo.ip_src
+  && covers_ip hi.ip_dst lo.ip_dst
+  && covers_field hi.ip_proto lo.ip_proto
+  && covers_field hi.l4_src lo.l4_src
+  && covers_field hi.l4_dst lo.l4_dst
+  && covers_field hi.mpls_label lo.mpls_label
+  && covers_field hi.gre_key lo.gre_key
+  && covers_field hi.tunnel_id lo.tunnel_id
 
 let pp fmt (t : t) =
   let parts = ref [] in

@@ -52,6 +52,11 @@ val with_tunnel_id : int -> t -> t
     rule shape reactive controllers install. *)
 val exact_flow : Flow_key.t -> t
 
+(** [flow_key m] is the 5-tuple [m] pins when it pins the protocol and
+    both IPs at /32, a port it leaves unpinned reading 0: the inverse of
+    {!exact_flow}. *)
+val flow_key : t -> Flow_key.t option
+
 (** [canonical t] is [t] with each IP value reduced to the bits inside
     its mask — [t] itself, unallocated, when it already is.  For
     matches built as record literals (the builders already do this). *)
@@ -72,4 +77,10 @@ val equal : t -> t -> bool
     multipart flow-stats request filter.  The wildcard selects
     everything. *)
 val selects : t -> t -> bool
+
+(** [covers hi lo]: every packet matching [lo] also matches [hi] —
+    each field [hi] pins, [lo] pins to the same value, and each IP
+    prefix of [hi] contains [lo]'s. *)
+val covers : t -> t -> bool
+
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,5 @@
 (** A tuple-space classifier over flow rules: the one rule index behind
-    every datapath flow table and every table of the verifier.
+    every datapath flow table and every table of a verifier snapshot.
 
     Layout: tuple-space search, the Open vSwitch classifier ("Packet
     Classification using Tuple Space Search", SIGCOMM '99; "The Design
@@ -11,8 +11,11 @@
     Each rule sits in exactly one subtable, so add and remove are one
     hash operation, and a lookup builds the packet's key for each shape
     and makes one probe per subtable.  Within a priority a lookup picks
-    the first matching rule in {!precedence} order.  Removal leaves
-    empty subtables and buckets in place until {!compact}. *)
+    the first matching rule in {!precedence} order.  A rule can only
+    cover rules of a shape at least as fine as its own, so the cover
+    queries probe or scan just the subtables of related shapes.
+    Removal leaves empty subtables and buckets in place until
+    {!compact}. *)
 
 open Scotch_openflow
 open Scotch_packet
@@ -85,6 +88,49 @@ let same_shape (a : Of_match.t) (b : Of_match.t) =
   && pins a.Of_match.mpls_label b.Of_match.mpls_label
   && pins a.Of_match.gre_key b.Of_match.gre_key
   && pins a.Of_match.tunnel_id b.Of_match.tunnel_id
+
+(* Does every rule of shape [a] constrain at most what one of shape [b]
+   does — each field [a] pins pinned by [b], each IP mask of [a] inside
+   [b]'s?  Only then can a rule of shape [a] cover one of shape [b]. *)
+let coarser (a : Of_match.t) (b : Of_match.t) =
+  let pins x y = Option.is_none x || Option.is_some y in
+  let ip (x : Of_match.masked option) (y : Of_match.masked option) =
+    match (x, y) with
+    | None, _ -> true
+    | Some _, None -> false
+    | Some x, Some y -> x.Of_match.mask land y.Of_match.mask = x.Of_match.mask
+  in
+  pins a.Of_match.in_port b.Of_match.in_port
+  && pins a.Of_match.eth_type b.Of_match.eth_type
+  && ip a.Of_match.ip_src b.Of_match.ip_src
+  && ip a.Of_match.ip_dst b.Of_match.ip_dst
+  && pins a.Of_match.ip_proto b.Of_match.ip_proto
+  && pins a.Of_match.l4_src b.Of_match.l4_src
+  && pins a.Of_match.l4_dst b.Of_match.l4_dst
+  && pins a.Of_match.mpls_label b.Of_match.mpls_label
+  && pins a.Of_match.gre_key b.Of_match.gre_key
+  && pins a.Of_match.tunnel_id b.Of_match.tunnel_id
+
+(* [m] cut down to a [coarser] [shape]: the only key under which a
+   subtable of that shape can hold a rule covering [m]. *)
+let project (shape : Of_match.t) (m : Of_match.t) : Of_match.t =
+  let pin s v = match s with None -> None | Some _ -> v in
+  let ip (s : Of_match.masked option) (v : Of_match.masked option) =
+    match (s, v) with
+    | Some { Of_match.mask; _ }, Some v ->
+      Some { Of_match.value = v.Of_match.value land mask; mask }
+    | _ -> None
+  in
+  { Of_match.in_port = pin shape.Of_match.in_port m.Of_match.in_port;
+    eth_type = pin shape.Of_match.eth_type m.Of_match.eth_type;
+    ip_src = ip shape.Of_match.ip_src m.Of_match.ip_src;
+    ip_dst = ip shape.Of_match.ip_dst m.Of_match.ip_dst;
+    ip_proto = pin shape.Of_match.ip_proto m.Of_match.ip_proto;
+    l4_src = pin shape.Of_match.l4_src m.Of_match.l4_src;
+    l4_dst = pin shape.Of_match.l4_dst m.Of_match.l4_dst;
+    mpls_label = pin shape.Of_match.mpls_label m.Of_match.mpls_label;
+    gre_key = pin shape.Of_match.gre_key m.Of_match.gre_key;
+    tunnel_id = pin shape.Of_match.tunnel_id m.Of_match.tunnel_id }
 
 (* The packet's key in a subtable of [shape]: the packet's values in
    the fields [shape] pins, IP addresses masked as [shape] masks them.
@@ -248,6 +294,43 @@ let lookup t ~now (ctx : Of_match.context) =
   match t.buckets with
   | [] -> None
   | buckets -> first_hit ~now ctx (Packet.flow_key ctx.Of_match.packet) buckets
+
+(* A covering rule in a subtable is the one keyed by [m] projected
+   onto the subtable's shape: one probe, and none into a shape that is
+   not [coarser] than [m]'s.  Direct recursion, so the rescan's query
+   per rule allocates no closure. *)
+let rec covering_in f m acc = function
+  | [] -> acc
+  | st :: rest ->
+    let acc =
+      if Hashtbl.length st.rules = 0 || not (coarser st.shape m) then acc
+      else
+        let key = if coarser m st.shape then m else project st.shape m in
+        match Hashtbl.find_opt st.rules key with Some h -> f h acc | None -> acc
+    in
+    covering_in f m acc rest
+
+let rec covering_above f (r : rule) acc = function
+  | b :: rest when b.bpriority > r.priority ->
+    covering_above f r (covering_in f r.match_ acc b.subtables) rest
+  | _ -> acc
+
+let fold_covering f t r acc = covering_above f r acc t.buckets
+
+(* A rule [r] covers has [r]'s shape, and then [r]'s own match, or a
+   strictly finer shape, which is scanned. *)
+let fold_covered f t (r : rule) acc =
+  let m = r.match_ in
+  let scan acc st =
+    if not (coarser m st.shape) then acc
+    else if coarser st.shape m then
+      match Hashtbl.find_opt st.rules m with Some l -> f l acc | None -> acc
+    else
+      Hashtbl.fold (fun _ l acc -> if Of_match.covers m l.match_ then f l acc else acc) st.rules acc
+  in
+  List.fold_left
+    (fun acc b -> if b.bpriority < r.priority then List.fold_left scan acc b.subtables else acc)
+    acc t.buckets
 
 let fold f t acc =
   List.fold_right

@@ -1,15 +1,18 @@
 (** A tuple-space classifier over flow rules: the one rule index behind
     every datapath flow table ({!Flow_table}) and behind every table of
-    the verifier's model and walk.
+    a verifier snapshot, which every invariant reads.
 
     Rules live in per-priority buckets, in descending priority.  A
     bucket holds one hash subtable per mask shape (fields pinned plus
     IP masks), keyed by the rules' own matches, so adding or removing a
     rule is one hash operation and a lookup makes one probe per
     subtable.  Within a priority, a lookup picks the matching rule first
-    in {!precedence} order.  A (priority, match) pair is a rule's
-    {e slot}: a classifier holds at most one rule per slot.  Matches are
-    compared as stored, so callers store {!Of_match.canonical} ones. *)
+    in {!precedence} order.  The same layout answers the shadow
+    invariant's cover queries ({!fold_covering}, {!fold_covered}) with
+    a probe per subtable of a related shape.  A (priority, match) pair
+    is a rule's {e slot}: a classifier holds at most one rule per slot.
+    Matches are compared as stored, so callers store
+    {!Of_match.canonical} ones. *)
 
 open Scotch_openflow
 
@@ -72,6 +75,17 @@ val compact : t -> unit
     order among those not {!expired} at [now].  The verifier's walk
     passes [neg_infinity] and so sees every rule. *)
 val lookup : t -> now:float -> Of_match.context -> rule option
+
+(** [fold_covering f t r acc] folds [f] over the rules above [r]'s
+    priority whose match {!Of_match.covers} [r]'s: one probe per subtable
+    whose shape is coarser than [r]'s.  [r]'s match is canonical; [r]
+    itself need not be held. *)
+val fold_covering : (rule -> 'a -> 'a) -> t -> rule -> 'a -> 'a
+
+(** [fold_covered f t r acc] folds [f] over the rules below [r]'s
+    priority whose match [r]'s covers: one probe into [r]'s own shape
+    and a scan of each strictly finer one. *)
+val fold_covered : (rule -> 'a -> 'a) -> t -> rule -> 'a -> 'a
 
 (** [fold f t acc] folds [f] over the rules, last first: with
     [List.cons] it lists them in descending priority, in an order

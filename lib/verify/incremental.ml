@@ -12,20 +12,22 @@
        ({!Inv_loop.seeds}), chosen by the same capped insert
        ({!Inv_loop.Capped.offer}) over the same host index; a key the
        insert evicts waits in overflow until a withdrawal promotes it.
-       A {!Match_trie} maps a changed rule's match to the classes it can
-       touch, and each cached class records the dpids its last walk
-       visited, so group/port/failure events on a switch re-walk
-       exactly the classes whose paths cross it.  The walk looks rules
-       up in the classifiers below.}
+       A changed rule's match selects the active classes it can touch
+       (one hash probe for a match pinning a whole 5-tuple, one
+       filtered pass over the active classes otherwise), and each
+       cached class records the dpids its last walk visited, so
+       group/port/failure events on a switch re-walk exactly the
+       classes whose paths cross it.}
     {- {b Blackhole}: cached {e per rule} (only violating rules are
        stored); a rule delta grades just the delta rules.  Whole-node
        rebuilds happen only when the rule environment shifts: a table
        flipping empty<->nonempty (goto targets), a group delta
        (membership), and port/failure events (peer liveness).}
-    {- {b Shadow}: one {!Inv_shadow.t} per (node, table), the state
-       the snapshot pass folds {!Inv_shadow.add} into; a rule delta
-       calls {!Inv_shadow.add} and {!Inv_shadow.remove}, which return
-       the findings they create and retract.}
+    {- {b Shadow}: no state of its own.  A rule delta ledgers each
+       rule's {!Inv_shadow.pairs}, queried from its classifier, after
+       the rule is added and before it is removed; a node's cache
+       records whether it was built for a live node, so its shadow
+       findings are retracted by recomputing them.}
     {- {b Group sanity}: cached per node; recomputed on that node's
        group deltas and on liveness-affecting events.}
     {- {b Coverage}: recomputed on port changes, and on table-0
@@ -37,15 +39,14 @@
        actually changed, and when an in-grace device rule ages past the
        repair grace ({!Inv_divergence.deadline}).}}
 
-    Rule state is one {!Scotch_switch.Classifier} per (switch, table),
-    the index the datapath's flow tables use, and the walk looks rules
-    up in the same classifiers, so a {!Table_delta} (the switch tap's
-    shape) costs one classifier operation per delta rule even on a
-    table holding tens of thousands of reactive rules.  The model's
-    nodes carry no rule lists: the whole-model readers (the full-rescan
-    audit through {!model}, coverage) and divergence derive them from
-    the classifiers when they ask, and never store them, so no list can
-    lag.
+    Rule state is the model's own {!Snapshot.node} tables: one
+    {!Scotch_switch.Classifier} per (switch, table), the index the
+    datapath's flow tables use, edited in place.  Every invariant reads
+    that one index, so a {!Table_delta} (the switch tap's shape) costs
+    one classifier operation per delta rule even on a table holding
+    tens of thousands of reactive rules.  {!create} and {!refresh} take
+    over the classifiers of the snapshot they are given; the audit
+    rescans fresh copies ({!model}).
 
     All per-class and per-rule oracles are the same [Inv_*] functions
     the snapshot {!Checker} composes, so the two paths cannot drift;
@@ -86,9 +87,9 @@ type class_cache = {
 }
 
 type local_cache = {
+  live : bool; (* built for a live node: its shadow pairs are ledgered *)
   mutable lc_grp : D.t list; (* group sanity, whole node *)
   lc_bh : (int * Inv_common.slot, D.t list) Hashtbl.t; (* violating rules only *)
-  lc_shadow : (int, Inv_shadow.t) Hashtbl.t; (* table_id -> state *)
 }
 
 (* One kind of class key, known-source or orphan: the rescan's capped
@@ -102,9 +103,7 @@ type universe = {
 let lat_cap = 8192
 
 type t = {
-  mutable model : S.t; (* every node's [rules] is empty: [tables] holds them *)
-  mutable tables : Inv_loop.tables; (* the authoritative rules *)
-  mutable trie : Match_trie.t;
+  mutable model : S.t; (* its tables are the authoritative rules *)
   refs : int ref Flow_key.Hashtbl.t; (* rule-derived refcounts; host-pair keys hold one *)
   mutable host_keys : Flow_key.Set.t;
   mutable hosts : (int, S.host) Hashtbl.t; (* {!Inv_loop.host_index} *)
@@ -112,7 +111,7 @@ type t = {
   mutable known : universe;
   mutable orphan : universe;
   classes : class_cache Flow_key.Hashtbl.t; (* exactly the active sets *)
-  local : (int, local_cache) Hashtbl.t; (* per-node blackhole+shadow+group *)
+  local : (int, local_cache) Hashtbl.t; (* per-node blackhole+group *)
   mutable coverage : D.t list;
   div : (int, D.t list) Hashtbl.t;
   div_deadlines : (int, float) Hashtbl.t;
@@ -182,7 +181,6 @@ let universe_of t key = if Inv_loop.is_known t.hosts key then t.known else t.orp
 
 (* [dirty] collects classes needing a (re-)walk this apply. *)
 let activate t dirty key =
-  Match_trie.add t.trie key;
   Flow_key.Hashtbl.replace t.classes key
     { entry = Inv_loop.entry_points t.hosts ~edges:t.edges key; cdiags = []; ctouched = [] };
   Hashtbl.replace dirty key ()
@@ -191,7 +189,6 @@ let deactivate t dirty key =
   (match Flow_key.Hashtbl.find_opt t.classes key with
   | Some c when c.cdiags <> [] -> ledger_remove t c.cdiags
   | _ -> ());
-  Match_trie.remove t.trie key;
   Flow_key.Hashtbl.remove t.classes key;
   Hashtbl.remove dirty key
 
@@ -246,39 +243,26 @@ let set_node t (n : S.node) =
     { t.model with
       S.nodes = List.sort (fun (a : S.node) b -> compare a.S.dpid b.S.dpid) (n :: rest) }
 
-(* The classifiers of [dpid]'s tables, by table id. *)
-let node_tables t dpid = Option.value (Hashtbl.find_opt t.tables dpid) ~default:[]
-
-(* Table [table_id] of [dpid], created empty if new. *)
-let classifier t dpid table_id =
-  let tables = node_tables t dpid in
-  match List.assoc_opt table_id tables with
-  | Some c -> c
+(* Table [table_id] of [n], created empty (with [n] updated) if new. *)
+let classifier t (n : S.node) table_id =
+  match S.table n table_id with
+  | Some c -> (n, c)
   | None ->
     let c = Classifier.create () in
-    Hashtbl.replace t.tables dpid
-      (List.sort (fun (a, _) (b, _) -> compare a b) ((table_id, c) :: tables));
-    c
+    let n =
+      { n with
+        S.tables = List.sort (fun (a, _) (b, _) -> compare a b) ((table_id, c) :: n.S.tables) }
+    in
+    set_node t n;
+    (n, c)
 
-let table_empty t dpid table_id =
-  match List.assoc_opt table_id (node_tables t dpid) with
-  | Some c -> Classifier.is_empty c
-  | None -> true
-
-(* Every rule of [dpid] with its table id, unlisted. *)
-let iter_rules t dpid f =
-  List.iter
-    (fun (table_id, c) -> Classifier.fold (fun r () -> f table_id r) c ())
-    (node_tables t dpid)
-
-(* [n] with its rule lists derived from the classifiers. *)
-let with_rules t (n : S.node) =
-  { n with
-    S.rules =
-      List.map (fun (table_id, c) -> (table_id, Classifier.to_list c)) (node_tables t n.S.dpid) }
-
-(** The tracked network, rule lists derived from the classifiers. *)
-let model t = { t.model with S.nodes = List.map (with_rules t) t.model.S.nodes }
+(** The tracked network, each table a fresh copy of the tracked one. *)
+let model t =
+  let copy (table_id, c) = (table_id, Classifier.of_list (Classifier.to_list c)) in
+  { t.model with
+    S.nodes =
+      List.map (fun (n : S.node) -> { n with S.tables = List.map copy n.S.tables }) t.model.S.nodes
+  }
 
 (** The tracked ports of switch [dpid]. *)
 let ports t dpid = Option.map (fun (n : S.node) -> n.S.ports) (S.node t.model dpid)
@@ -293,7 +277,7 @@ let bh_rule t lc (n : S.node) ~table_id r =
   (match Hashtbl.find_opt lc.lc_bh k with
   | Some old -> ledger_remove t old
   | None -> ());
-  match Inv_blackhole.rule t.model n ~table_id ~empty:(table_empty t n.S.dpid) r with
+  match Inv_blackhole.rule t.model n ~table_id r with
   | [] -> Hashtbl.remove lc.lc_bh k
   | ds ->
     Hashtbl.replace lc.lc_bh k ds;
@@ -310,44 +294,37 @@ let bh_remove t lc ~table_id r =
 let rebuild_blackhole t lc (n : S.node) =
   Hashtbl.iter (fun _ ds -> ledger_remove t ds) lc.lc_bh;
   Hashtbl.reset lc.lc_bh;
-  if not n.S.failed then iter_rules t n.S.dpid (fun table_id r -> bh_rule t lc n ~table_id r)
-
-(* --- shadow: one {!Inv_shadow.t} per table --- *)
-
-let shadow_of lc table_id =
-  match Hashtbl.find_opt lc.lc_shadow table_id with
-  | Some st -> st
-  | None ->
-    let st = Inv_shadow.create () in
-    Hashtbl.replace lc.lc_shadow table_id st;
-    st
-
-let shadow_delta t lc (n : S.node) ~table_id ~added ~removed =
-  let st = shadow_of lc table_id in
-  List.iter (fun r -> ledger_remove t (Inv_shadow.remove st r)) removed;
-  List.iter (fun r -> ledger_add t (Inv_shadow.add st n ~table_id r)) added
+  if not n.S.failed then
+    List.iter
+      (fun (table_id, c) -> Classifier.fold (fun r () -> bh_rule t lc n ~table_id r) c ())
+      n.S.tables
 
 (* --- whole-node (re)builds --- *)
 
 let build_local t (n : S.node) =
-  let lc = { lc_grp = []; lc_bh = Hashtbl.create 8; lc_shadow = Hashtbl.create 4 } in
-  if not n.S.failed then begin
+  let lc = { live = not n.S.failed; lc_grp = []; lc_bh = Hashtbl.create 8 } in
+  if lc.live then begin
     lc.lc_grp <- Inv_group.node t.model n;
     ledger_add t lc.lc_grp;
-    iter_rules t n.S.dpid (fun table_id r ->
-        bh_rule t lc n ~table_id r;
-        ledger_add t (Inv_shadow.add (shadow_of lc table_id) n ~table_id r))
+    rebuild_blackhole t lc n;
+    ledger_add t (Inv_shadow.node n)
   end;
   lc
 
-let retract_local t lc =
+(* Retract every finding ledgered for node [dpid]: its shadow findings
+   are recomputed, so its tables must still hold what was ledgered. *)
+let retract_local t dpid lc =
   ledger_remove t lc.lc_grp;
   Hashtbl.iter (fun _ ds -> ledger_remove t ds) lc.lc_bh;
-  Hashtbl.iter (fun _ st -> ledger_remove t (Inv_shadow.findings st)) lc.lc_shadow
+  match S.node t.model dpid with
+  | Some n when lc.live -> ledger_remove t (Inv_shadow.node n)
+  | _ -> ()
 
-let recompute_all_local t =
-  Hashtbl.iter (fun _ lc -> retract_local t lc) t.local;
-  Hashtbl.reset t.local;
+let retract_all_local t =
+  Hashtbl.iter (retract_local t) t.local;
+  Hashtbl.reset t.local
+
+let build_all_local t =
   List.iter
     (fun (n : S.node) -> Hashtbl.replace t.local n.S.dpid (build_local t n))
     t.model.S.nodes
@@ -369,8 +346,7 @@ let recompute_divergence t dpid =
     | None -> clear ()
     | Some inode ->
       let now = t.model.S.now in
-      (* the oracle diffs intents against the node's derived rules *)
-      let n = Option.map (with_rules t) (S.node t.model dpid) in
+      let n = S.node t.model dpid in
       let ds = match n with Some n -> Inv_divergence.node ~now st inode n | None -> [] in
       (match (Hashtbl.find_opt t.div dpid, ds) with
       | None, [] -> ()
@@ -395,7 +371,7 @@ let recompute_all_divergence t =
 (* --- coverage --- *)
 
 let recompute_coverage t =
-  let c = Inv_coverage.snapshot (model t) in
+  let c = Inv_coverage.snapshot t.model in
   if c <> t.coverage then begin
     ledger_remove t t.coverage;
     ledger_add t c;
@@ -409,7 +385,7 @@ let miss_shaped (r : Flow_table.rule) =
 
 (** Re-walk every class in [dirty]. *)
 let rewalk t dirty =
-  let env = Inv_loop.make_env t.model t.tables in
+  let env = Inv_loop.make_env t.model in
   let n = ref 0 in
   Hashtbl.iter
     (fun key () ->
@@ -427,6 +403,33 @@ let rewalk t dirty =
     dirty;
   t.n_last_classes <- !n;
   t.n_classes_touched <- t.n_classes_touched + !n
+
+(* Mark the active classes whose packets could match [m]: [m]'s IP
+   prefixes, protocol and ports must agree with the class's key, while
+   the fields a packet can acquire along its walk (in-port, eth_type,
+   MPLS, GRE, tunnel id) exclude none.  A match pinning a whole 5-tuple
+   names at most one class. *)
+let touch_affected t dirty (m : Of_match.t) =
+  match (m.Of_match.l4_src, m.Of_match.l4_dst, Of_match.flow_key m) with
+  | Some _, Some _, Some key ->
+    if Flow_key.Hashtbl.mem t.classes key then Hashtbl.replace dirty key ()
+  | _ ->
+    let ip (o : Of_match.masked option) addr =
+      match o with
+      | None -> true
+      | Some { Of_match.value; mask } -> Ipv4_addr.to_int addr land mask = value land mask
+    in
+    let pin o v = match o with None -> true | Some x -> x = v in
+    Flow_key.Hashtbl.iter
+      (fun (key : Flow_key.t) _ ->
+        if
+          ip m.Of_match.ip_src key.Flow_key.ip_src
+          && ip m.Of_match.ip_dst key.Flow_key.ip_dst
+          && pin m.Of_match.ip_proto key.Flow_key.proto
+          && pin m.Of_match.l4_src key.Flow_key.l4_src
+          && pin m.Of_match.l4_dst key.Flow_key.l4_dst
+        then Hashtbl.replace dirty key ())
+      t.classes
 
 (** Classes whose last walk crossed [dpid]. *)
 let classes_touching t dirty dpid =
@@ -468,13 +471,12 @@ let refresh_edges t = t.edges <- Inv_loop.edge_ports t.model
 (** Drop every cache and rebuild from [snap] — the big hammer behind
     {!create} and {!refresh}. *)
 let reseed_all t dirty snap =
-  t.tables <- Inv_loop.tables_of snap;
-  t.model <-
-    { snap with S.nodes = List.map (fun (n : S.node) -> { n with S.rules = [] }) snap.S.nodes };
+  (* the local caches retract against the tables they were built on *)
+  retract_all_local t;
+  t.model <- snap;
   Flow_key.Hashtbl.iter (fun _ c -> ledger_remove t c.cdiags) t.classes;
   Flow_key.Hashtbl.reset t.classes;
   Flow_key.Hashtbl.reset t.refs;
-  t.trie <- Match_trie.create ();
   t.known <- universe Inv_loop.max_seed_keys;
   t.orphan <- universe Inv_loop.max_orphan_keys;
   Hashtbl.reset dirty;
@@ -485,16 +487,14 @@ let reseed_all t dirty snap =
   List.iter
     (fun (n : S.node) ->
       List.iter
-        (fun (_, rules) ->
-          List.iter
-            (fun (r : Flow_table.rule) ->
-              match Inv_common.flow_key_of_match r.Flow_table.match_ with
-              | Some key -> ref_key t dirty key
-              | None -> ())
-            rules)
-        n.S.rules)
+        (fun (_, c) ->
+          Classifier.fold
+            (fun (r : Flow_table.rule) () ->
+              Option.iter (ref_key t dirty) (Of_match.flow_key r.Flow_table.match_))
+            c ())
+        n.S.tables)
     snap.S.nodes;
-  recompute_all_local t;
+  build_all_local t;
   ledger_remove t t.coverage;
   t.coverage <- Inv_coverage.snapshot snap;
   ledger_add t t.coverage;
@@ -508,41 +508,45 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
   match S.node t.model dpid with
   | None -> ()
   | Some n ->
-    let c = classifier t dpid table_id in
+    let n, c = classifier t n table_id in
     let was_empty = Classifier.is_empty c in
     (* Normalize against the classifier: removing an absent slot (say, a
        sweep reaping a rule a refresh already dropped) is a no-op, and
        adding over a live slot is a replace — retract the stored rule,
-       then grade the new one. *)
-    let stored (r : Flow_table.rule) =
-      Classifier.find c ~priority:r.Flow_table.priority r.Flow_table.match_
+       then grade the new one.  A live node's cache ledgers each rule's
+       shadow pairs after the rule enters the classifier and retracts
+       them before it leaves, one rule at a time, so each pair enters
+       and leaves once. *)
+    let shadow = match Hashtbl.find_opt t.local dpid with Some lc -> lc.live | None -> false in
+    let take (r : Flow_table.rule) =
+      match Classifier.find c ~priority:r.Flow_table.priority r.Flow_table.match_ with
+      | None -> None
+      | Some old ->
+        if shadow then ledger_remove t (Inv_shadow.pairs n ~table_id c old);
+        Classifier.remove c old;
+        Some old
     in
-    let removed = List.filter_map stored removed in
-    List.iter (Classifier.remove c) removed;
-    let replaced = List.filter_map stored added in
-    List.iter (Classifier.remove c) replaced;
-    List.iter (Classifier.add c) added;
+    let removed = List.filter_map take removed in
+    let replaced = List.filter_map take added in
+    List.iter
+      (fun r ->
+        Classifier.add c r;
+        if shadow then ledger_add t (Inv_shadow.pairs n ~table_id c r))
+      added;
     let removed = replaced @ removed in
     if added <> [] || removed <> [] then begin
       (* universe: additions before removals, so a replace keeps its
          key's refcount above zero throughout (no activation churn) *)
       List.iter
         (fun (r : Flow_table.rule) ->
-          match Inv_common.flow_key_of_match r.Flow_table.match_ with
-          | Some key -> ref_key t dirty key
-          | None -> ())
+          Option.iter (ref_key t dirty) (Of_match.flow_key r.Flow_table.match_))
         added;
       List.iter
         (fun (r : Flow_table.rule) ->
-          match Inv_common.flow_key_of_match r.Flow_table.match_ with
-          | Some key -> unref_key t dirty key
-          | None -> ())
+          Option.iter (unref_key t dirty) (Of_match.flow_key r.Flow_table.match_))
         removed;
       List.iter
-        (fun (r : Flow_table.rule) ->
-          List.iter
-            (fun key -> Hashtbl.replace dirty key ())
-            (Match_trie.affected t.trie r.Flow_table.match_))
+        (fun (r : Flow_table.rule) -> touch_affected t dirty r.Flow_table.match_)
         (added @ removed);
       (* local invariants, delta-driven *)
       (match Hashtbl.find_opt t.local dpid with
@@ -556,8 +560,7 @@ let table_delta t dirty ~dpid ~table_id ~added ~removed =
           else begin
             List.iter (fun r -> bh_remove t lc ~table_id r) removed;
             List.iter (fun r -> bh_rule t lc n ~table_id r) added
-          end;
-          shadow_delta t lc n ~table_id ~added ~removed
+          end
         end);
       if table_id = 0 && List.exists miss_shaped (added @ removed) then
         recompute_coverage t;
@@ -606,7 +609,8 @@ let apply_update t dirty u =
             end)
           t.classes
       end;
-      recompute_all_local t;
+      retract_all_local t;
+      build_all_local t;
       recompute_coverage t;
       recompute_divergence t dpid)
   | Intents intents -> (
@@ -652,8 +656,6 @@ let apply t ~now u =
 let create ?(now = 0.0) snap =
   let t =
     { model = snap;
-      tables = Hashtbl.create 1;
-      trie = Match_trie.create ();
       refs = Flow_key.Hashtbl.create 256;
       host_keys = Flow_key.Set.empty;
       hosts = Hashtbl.create 64;

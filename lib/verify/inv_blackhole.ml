@@ -10,9 +10,8 @@ module S = Snapshot
 
 let name = "blackhole"
 
-(** The findings of rule [r] in table [table_id] of [n]; [empty t] says
-    whether table [t] of [n] holds no rule. *)
-let rule snap (n : S.node) ~table_id ~empty (r : Flow_table.rule) =
+(** The findings of rule [r] in table [table_id] of [n]. *)
+let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
   let subject = Inv_common.subject r in
   let mk = D.make ~dpid:n.S.dpid ~table_id ~rule:subject in
   let actions = Of_action.actions_of_instructions r.Flow_table.instructions in
@@ -45,7 +44,7 @@ let rule snap (n : S.node) ~table_id ~empty (r : Flow_table.rule) =
         [ mk ~severity:D.Error ~invariant:D.Blackhole
             (Printf.sprintf "goto table %d is outside the pipeline (tables %d..%d)" next
                (table_id + 1) (n.S.num_tables - 1)) ]
-      else if empty next then
+      else if Option.fold ~none:true ~some:Classifier.is_empty (S.table n next) then
         [ mk ~severity:D.Error ~invariant:D.Blackhole
             (Printf.sprintf "goto into empty table %d: every hit misses and is dropped" next) ]
       else []
@@ -54,12 +53,9 @@ let rule snap (n : S.node) ~table_id ~empty (r : Flow_table.rule) =
 
 (** All blackhole findings local to one (non-failed) node. *)
 let node snap (n : S.node) =
-  let empty next =
-    match List.assoc_opt next n.S.rules with Some [] | None -> true | Some _ -> false
-  in
   List.concat_map
-    (fun (table_id, rules) -> List.concat_map (fun r -> rule snap n ~table_id ~empty r) rules)
-    n.S.rules
+    (fun (table_id, c) -> Classifier.fold (fun r acc -> rule snap n ~table_id r @ acc) c [])
+    n.S.tables
 
 let snapshot snap =
   List.concat_map (fun (n : S.node) -> if n.S.failed then [] else node snap n) snap.S.nodes

@@ -12,13 +12,9 @@ module S = Snapshot
 let name = "coverage"
 
 let has_miss_rule (n : S.node) =
-  match List.assoc_opt 0 n.S.rules with
+  match S.table n 0 with
   | None -> false
-  | Some rules ->
-    List.exists
-      (fun (r : Flow_table.rule) ->
-        r.Flow_table.priority = 0 && Scotch_openflow.Of_match.is_wildcard r.Flow_table.match_)
-      rules
+  | Some c -> Classifier.find c ~priority:0 Scotch_openflow.Of_match.wildcard <> None
 
 let snapshot snap =
   let miss =

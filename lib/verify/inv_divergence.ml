@@ -26,9 +26,10 @@ let node ~now (st : S.intent_state) (inode : S.intent_node) (n : S.node) =
   if n.S.failed then []
   else
     let flow_stats =
-      List.concat_map
-        (fun (table_id, rules) -> List.map (Flow_table.stat_of_rule ~table_id ~now) rules)
-        n.S.rules
+      List.fold_left
+        (fun acc (table_id, c) ->
+          Classifier.fold (fun r acc -> Flow_table.stat_of_rule ~table_id ~now r :: acc) c acc)
+        [] n.S.tables
     in
     let d =
       Intent.diff ~rules:inode.S.int_rules ~groups:inode.S.int_groups ~flow_stats
@@ -67,9 +68,9 @@ let deadline ~now (st : S.intent_state) (n : S.node) =
   if n.S.failed then None
   else
     List.fold_left
-      (fun acc (_, rules) ->
-        List.fold_left
-          (fun acc (r : Flow_table.rule) ->
+      (fun acc (_, c) ->
+        Classifier.fold
+          (fun (r : Flow_table.rule) acc ->
             if
               List.mem r.Flow_table.cookie st.S.owned
               && now -. r.Flow_table.installed_at < st.S.grace
@@ -78,8 +79,8 @@ let deadline ~now (st : S.intent_state) (n : S.node) =
               match acc with Some d when d <= due -> acc | _ -> Some due
             end
             else acc)
-          acc rules)
-      None n.S.rules
+          c acc)
+      None n.S.tables
 
 let snapshot snap =
   match snap.S.intents with

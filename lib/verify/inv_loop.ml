@@ -8,8 +8,9 @@
     in-port, encap-stack) state.  The walk runs the datapath's own
     interpreter, {!Pipeline}, with a target whose outputs follow each
     port to its peer; its lookups are the datapath's own
-    {!Classifier.lookup}, blind to expiry; its tunnel ports
-    {!Packet.encap_tunnel} and {!Packet.decap_tunnel}.
+    {!Classifier.lookup} into the snapshot node's tables, blind to
+    expiry; its tunnel ports {!Packet.encap_tunnel} and
+    {!Packet.decap_tunnel}.
 
     The walk is exposed per class ({!walk_class}) so the incremental
     verifier can re-walk only the classes a delta touches, with the
@@ -48,32 +49,15 @@ let packet_of_key (key : Flow_key.t) =
          ~proto:key.Flow_key.proto ())
     ~l4 ()
 
-(** Each switch's tables as classifiers, by table id: the walk's
-    lookup index.  The rescan builds one per snapshot ({!tables_of});
-    the incremental verifier keeps its own as its rule state. *)
-type tables = (int, (int * Classifier.t) list) Hashtbl.t
-
-(** One classifier per snapshot table, holding the snapshot's own rule
-    records. *)
-let tables_of snap : tables =
-  let h = Hashtbl.create 64 in
-  List.iter
-    (fun (n : S.node) ->
-      Hashtbl.replace h n.S.dpid
-        (List.map (fun (table_id, rules) -> (table_id, Classifier.of_list rules)) n.S.rules))
-    snap.S.nodes;
-  h
-
 type env = {
   snap : S.t;
-  tables : tables;
   mutable diags : D.t list;
   touched : (int, unit) Hashtbl.t; (* dpids the current walk visited *)
 }
 
-(** [make_env snap tables] builds a walk environment over [snap]'s
-    ports, groups and liveness, looking rules up in [tables]. *)
-let make_env snap tables = { snap; tables; diags = []; touched = Hashtbl.create 16 }
+(** [make_env snap] builds a walk environment over [snap]'s tables,
+    ports, groups and liveness. *)
+let make_env snap = { snap; diags = []; touched = Hashtbl.create 16 }
 
 let witness_of key path =
   Printf.sprintf "%s via %s" (Flow_key.to_string key)
@@ -113,9 +97,9 @@ end = struct
   let lookup s ~table_id ctx =
     if table_id >= s.node.S.num_tables then None
     else
-      match List.assoc table_id (Hashtbl.find s.walk.env.tables s.node.S.dpid) with
-      | c -> Classifier.lookup c ~now:neg_infinity ctx
-      | exception Not_found -> None
+      match S.table s.node table_id with
+      | Some c -> Classifier.lookup c ~now:neg_infinity ctx
+      | None -> None
 
   (* Every dpid the packet arrives at (failed, unknown or not) is
      recorded in [env.touched], so the incremental verifier knows which
@@ -310,12 +294,12 @@ let seeds snap =
   List.iter
     (fun (n : S.node) ->
       List.iter
-        (fun (_, rules) ->
-          List.iter
-            (fun (r : Flow_table.rule) ->
-              Option.iter offer (Inv_common.flow_key_of_match r.Flow_table.match_))
-            rules)
-        n.S.rules)
+        (fun (_, c) ->
+          Classifier.fold
+            (fun (r : Flow_table.rule) () ->
+              Option.iter offer (Of_match.flow_key r.Flow_table.match_))
+            c ())
+        n.S.tables)
     snap.S.nodes;
   let edges = edge_ports snap in
   let seed key = (key, entry_points hosts ~edges key) in
@@ -323,7 +307,7 @@ let seeds snap =
   @ List.map seed (Flow_key.Set.elements orphan.Capped.keys)
 
 let snapshot snap =
-  let env = make_env snap (tables_of snap) in
+  let env = make_env snap in
   List.concat_map
     (fun (key, points) -> fst (walk_class env ~key points))
     (seeds snap)

@@ -22,7 +22,6 @@ module Diagnostic = Diagnostic
 module Snapshot = Snapshot
 module Invariant = Invariant
 module Checker = Checker
-module Match_trie = Match_trie
 module Incremental = Incremental
 module Hooks = Hooks
 

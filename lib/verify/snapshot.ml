@@ -28,7 +28,7 @@ type node = {
   node_name : string;
   failed : bool;
   num_tables : int;
-  rules : (int * Flow_table.rule list) list;
+  tables : (int * Classifier.t) list;
   groups : Group_table.group list;
   ports : port list;
 }
@@ -75,6 +75,8 @@ type t = {
 let node t dpid = List.find_opt (fun n -> n.dpid = dpid) t.nodes
 
 let find_port n pid = List.find_opt (fun p -> p.port_id = pid) n.ports
+
+let table n table_id = List.assoc_opt table_id n.tables
 
 let controlled t = List.sort_uniq compare (t.managed @ t.vswitch_dpids)
 
@@ -132,9 +134,10 @@ let capture_node endpoints ~now sw =
     node_name = Switch.name sw;
     failed = Switch.is_failed sw;
     num_tables = Array.length tables;
-    rules =
+    tables =
       Array.to_list tables
-      |> List.map (fun tbl -> (Flow_table.table_id tbl, Flow_table.live_rules tbl ~now));
+      |> List.map (fun tbl ->
+             (Flow_table.table_id tbl, Classifier.of_list (Flow_table.live_rules tbl ~now)));
     groups = Group_table.groups (Switch.group_table sw);
     ports }
 

@@ -1,5 +1,6 @@
 (** A frozen, side-effect-free view of the whole network for static
-    verification: every switch's live flow rules, group buckets and
+    verification: every switch's live flow rules (one
+    {!Scotch_switch.Classifier} per table), group buckets and
     ports (with where each port's output lands), the host attachment
     map, and — when a Scotch app is supplied — the controller's overlay
     bookkeeping (vswitch liveness, uplinks, tunnel origins, host
@@ -27,18 +28,18 @@ type port = {
   endpoint : endpoint;
 }
 
-(** One switch: identity, failure state, live rules per table, groups
+(** One switch: identity, failure state, rules per table, groups
     (sorted by id) and ports. *)
 type node = {
   dpid : int;
   node_name : string;
   failed : bool;
   num_tables : int;
-  rules : (int * Flow_table.rule list) list;
-      (** (table id, live rules): each table's rules in descending
-          priority, in an unspecified order within a priority.
-          {!capture} lists them in {!Flow_table.live_rules} order; the
-          incremental verifier derives them in classifier order. *)
+  tables : (int * Classifier.t) list;
+      (** (table id, rules), by table id: each table's rules in the
+          index its flow table uses.  {!capture} fills fresh ones with
+          the live rules; the incremental verifier's model edits its
+          own in place. *)
   groups : Group_table.group list;
   ports : port list;
 }
@@ -95,6 +96,9 @@ type t = {
 
 val node : t -> int -> node option
 val find_port : node -> int -> port option
+
+(** Table [table_id] of a node, when the node has it. *)
+val table : node -> int -> Classifier.t option
 
 (** Dpids with a controller connection (managed + vswitches) — the
     switches the table-miss coverage invariant applies to. *)

@@ -345,15 +345,15 @@ let prop_ft_reference =
               Option.map view want = Option.map of_rule (Flow_table.peek table ~now:!now c))
             [ (0, 1); (1, 1); (2, 1); (3, 1); (0, 2); (1, 2); (2, 2); (3, 2) ]
         in
+        let rebuilt =
+          let all = ref [] in
+          Flow_table.iter_rules table (fun r -> all := r :: !all);
+          Classifier.of_list (List.sort Classifier.precedence !all)
+        in
         (* the verifier's expiry-blind lookup, through the table's own
            classifier and through one built from its rules as the audit
            builds one, sees expired rules too *)
         let blind_agree =
-          let rebuilt =
-            let all = ref [] in
-            Flow_table.iter_rules table (fun r -> all := r :: !all);
-            Classifier.of_list (List.sort Classifier.precedence !all)
-          in
           List.for_all
             (fun (k, in_port) ->
               let c = ctx ~in_port (ft_probe k) in
@@ -377,7 +377,40 @@ let prop_ft_reference =
             (List.map (fun r -> (r.mprio, r.mmatch, Int64.of_int r.mcookie)) (sorted_live ()))
           = List.sort compare (List.map of_stat (Flow_table.stats table ~now:!now))
         in
-        lookups_agree && blind_agree && live_agree && stats_agree
+        (* the shadow pass's cover queries, for a rule of every probe
+           priority and match shape, find what brute force over the
+           model finds *)
+        let covers_agree =
+          let slots l = List.sort compare l in
+          List.for_all
+            (fun (prio, m) ->
+              let q =
+                { Flow_table.priority = prio; match_ = canon ft_matches.(m); instructions = [];
+                  idle_timeout = 0.0; hard_timeout = 0.0; cookie = 0L; installed_at = 0.0;
+                  last_used = 0.0; packet_count = 0; byte_count = 0 }
+              in
+              let query fold =
+                slots
+                  (fold
+                     (fun (r : Flow_table.rule) acc ->
+                       (r.Flow_table.priority, r.Flow_table.match_) :: acc)
+                     rebuilt q [])
+              in
+              let brute keep =
+                slots
+                  (List.filter_map
+                     (fun r -> if keep r then Some (r.mprio, r.mmatch) else None)
+                     !model)
+              in
+              query Classifier.fold_covering
+              = brute (fun r -> r.mprio > prio && Of_match.covers r.mmatch q.Flow_table.match_)
+              && query Classifier.fold_covered
+                 = brute (fun r -> r.mprio < prio && Of_match.covers q.Flow_table.match_ r.mmatch))
+            (List.concat_map
+               (fun prio -> List.init (Array.length ft_matches) (fun m -> (prio, m)))
+               [ 0; 1; 2 ])
+        in
+        lookups_agree && blind_agree && live_agree && stats_agree && covers_agree
       in
       let rec run i = function
         | [] -> true

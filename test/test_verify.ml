@@ -22,7 +22,9 @@ let port ?tunnel ?(link_up = Some true) ~endpoint port_id : S.port =
 
 let node ?(failed = false) ?(num_tables = 2) ?(rules = []) ?(groups = []) ?(ports = []) dpid :
     S.node =
-  { S.dpid; node_name = Printf.sprintf "sw%d" dpid; failed; num_tables; rules; groups; ports }
+  { S.dpid; node_name = Printf.sprintf "sw%d" dpid; failed; num_tables;
+    tables = List.map (fun (table_id, rules) -> (table_id, Classifier.of_list rules)) rules;
+    groups; ports }
 
 let snap ?(hosts = []) ?(managed = []) ?(vswitch_dpids = []) ?overlay ?intents nodes : S.t =
   { S.now = 0.0; nodes; hosts; managed; vswitch_dpids; overlay; intents }
@@ -546,13 +548,17 @@ let gen_base_snap ~switches =
    steps become [Incr.Table_delta], the switch tap's shape; an add over
    a live (priority, match) slot is a replace, as in {!Flow_table}.
    Besides exact and protocol-wildcard rules, the rule shapes include an
-   [ip_dst] prefix, an exact rule pinned to an in-port, and a
-   same-priority tie between an exact rule and a broader [ip_dst] rule
-   added in one delta. *)
+   [ip_dst] prefix, an [ip_src] prefix, L4 ports alone, an exact rule
+   pinned to an in-port, and a same-priority tie between an exact rule
+   and a broader [ip_dst] rule added in one delta.  The prefix and port
+   shapes select classes by a masked or partial key. *)
 type churn =
   | Add_rule of { dpid : int; table : int; prio : int; src : int; dst : int; out : int }
   | Add_wild of { dpid : int; prio : int; proto : int; out : int }
   | Add_prefix of { dpid : int; table : int; prio : int; dst : int; bits : int; out : int }
+  | Add_src_prefix of { dpid : int; table : int; prio : int; src : int; bits : int; out : int }
+  | Add_ports of {
+      dpid : int; table : int; prio : int; l4_src : int option; l4_dst : int option; out : int }
   | Add_in_port of {
       dpid : int; table : int; prio : int; in_port : int; src : int; dst : int; out : int }
   | Add_tie of {
@@ -578,6 +584,16 @@ let churn_gen ~switches =
        and* dst = int_range 0 (switches - 1) and* bits = oneofl [ 24; 30; 31 ]
        and* out = int_range 1 4 in
        return (Add_prefix { dpid = d; table = tbl; prio = p; dst; bits; out }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30
+       and* s = int_range 0 (switches - 1) and* bits = oneofl [ 24; 30; 31 ]
+       and* out = int_range 1 4 in
+       return (Add_src_prefix { dpid = d; table = tbl; prio = p; src = s; bits; out }));
+      (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30
+       and* l4_src, l4_dst =
+         oneofl
+           [ (Some 1000, None); (None, Some 80); (Some 53123, Some 80); (Some 1000, Some 81) ]
+       and* out = int_range 1 4 in
+       return (Add_ports { dpid = d; table = tbl; prio = p; l4_src; l4_dst; out }));
       (let* d = dpid and* tbl = int_range 0 1 and* p = int_range 1 30 and* in_port = int_range 1 3
        and* s = int_range 0 (switches - 1) and* dst = int_range 0 (switches - 1)
        and* out = int_range 1 4 in
@@ -621,6 +637,16 @@ let step_of_churn model =
     add dpid table [ (prio, exact src dst, out) ]
   | Add_prefix { dpid; table; prio; dst; bits; out } ->
     add dpid table [ (prio, dst_only ~mask:(Ipv4_addr.prefix_mask bits) dst, out) ]
+  | Add_src_prefix { dpid; table; prio; src; bits; out } ->
+    let m =
+      Of_match.with_ip_src ~mask:(Ipv4_addr.prefix_mask bits) (Ipv4_addr.of_int (gen_ip src))
+        Of_match.wildcard
+    in
+    add dpid table [ (prio, m, out) ]
+  | Add_ports { dpid; table; prio; l4_src; l4_dst; out } ->
+    let pin f v m = Option.fold ~none:m ~some:(fun p -> f p m) v in
+    let m = pin Of_match.with_l4_src l4_src (pin Of_match.with_l4_dst l4_dst Of_match.wildcard) in
+    add dpid table [ (prio, m, out) ]
   | Add_in_port { dpid; table; prio; in_port; src; dst; out } ->
     add dpid table [ (prio, Of_match.with_in_port in_port (exact src dst), out) ]
   | Add_tie { dpid; table; prio; src; dst; out; broad_out } ->
@@ -630,7 +656,7 @@ let step_of_churn model =
   | Del_rule { dpid; table; idx } ->
     Option.map
       (fun (n : S.node) ->
-        let old = Option.value (List.assoc_opt table n.S.rules) ~default:[] in
+        let old = Option.fold ~none:[] ~some:Classifier.to_list (S.table n table) in
         let removed = if old = [] then [] else [ List.nth old (idx mod List.length old) ] in
         Incr.Table_delta { dpid; table_id = table; added = []; removed })
       (S.node model dpid)
@@ -696,20 +722,20 @@ let differential_prop (switches, steps) =
 
 let test_differential =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:60 ~name:"incremental == snapshot after every delta"
+    (QCheck2.Test.make ~count:300 ~name:"incremental == snapshot after every delta"
        QCheck2.Gen.(
          let* switches = int_range 2 4 in
          let* steps = list_size (int_range 1 25) (churn_gen ~switches) in
          return (switches, steps))
        differential_prop)
 
-(* The rescan reads a snapshot's rule lists in descending priority and
-   promises nothing about the order within a priority (the incremental
-   verifier derives its lists in classifier order): shuffling each
-   priority's rules in every table of a churned snapshot must leave
-   [Checker.check] unchanged.  Every switch first gets a priority-1 TCP
-   rule forwarding around the ring, so which of two tied rules a walk
-   follows often decides whether it loops. *)
+(* A classifier's layout (subtable order, hash-table order) depends on
+   the order its rules went in, and the rescan must not: rebuilding
+   every table of a churned snapshot from its rules shuffled within
+   each priority must leave [Checker.check] unchanged.  Every switch
+   first gets a priority-1 TCP rule forwarding around the ring, so
+   which of two tied rules a walk follows often decides whether it
+   loops. *)
 let rescan_order_prop (switches, steps, seed) =
   let incr = Incr.create ~now:0.0 (gen_base_snap ~switches) in
   let ring =
@@ -736,7 +762,11 @@ let rescan_order_prop (switches, steps, seed) =
         List.map
           (fun (n : S.node) ->
             { n with
-              S.rules = List.map (fun (table_id, rules) -> (table_id, shuffle rules)) n.S.rules })
+              S.tables =
+                List.map
+                  (fun (table_id, c) ->
+                    (table_id, Classifier.of_list (shuffle (Classifier.to_list c))))
+                  n.S.tables })
           snap.S.nodes }
   in
   let want = V.Checker.check snap and got = V.Checker.check shuffled in
@@ -853,7 +883,7 @@ let test_duplicate_host_ip () =
 (* A rule pinning ip_src/32, ip_dst/32 and the protocol but no ports
    covers every exact rule of that host pair, whatever its ports: the
    shadow pass must compare it with them, in the rescan and in the
-   incremental per-table state alike. *)
+   incremental ledger alike. *)
 let test_portless_shadow () =
   let hi =
     rule ~priority:20
