@@ -78,7 +78,6 @@ val app :
 
 val switch : t -> Of_types.datapath_id -> sw option
 val switch_exn : t -> Of_types.datapath_id -> sw
-val iter_switches : t -> (sw -> unit) -> unit
 
 (** Attach a switch over a control channel with one-way [latency] (the
     management-port path of Fig. 2; ±10 % per-message jitter).  Raises

@@ -22,9 +22,6 @@ val readmit_above : float
 (** Quarantine time before probing resumes, s (2.0). *)
 val half_open_after : float
 
-(** Consecutive healthy probes required to close (3). *)
-val readmit_probes : int
-
 type state = Closed | Open | Half_open
 
 type probe = Reply of float (** round-trip time, s *) | Timeout

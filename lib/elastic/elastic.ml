@@ -245,8 +245,6 @@ let data_breaker_state t dpid =
 let actions t = List.rev t.actions_rev
 
 let counters t = t.counters
-let utilization t = t.last_util
-let mode t = t.mode
 
 let feed_probe t dpid probe =
   let control, _ = breaker_of t dpid in

@@ -85,13 +85,6 @@ val actions : t -> action list
 
 val counters : t -> counters
 
-(** Utilization computed at the last tick. *)
-val utilization : t -> float
-
-(** The decision mode this autoscaler was created under (read from
-    [Config.scaling] at {!create} time). *)
-val mode : t -> Scotch_core.Config.scaling
-
 (** EWMA control-path health score of a probed member. *)
 val health_score : t -> int -> float option
 

@@ -73,7 +73,7 @@ let run_dedicated_point ?(seed = 42) ~offered ~duration () =
   let queue_cap = 500 in
   let sink pkt = if Queue.length queue < queue_cap then Queue.push pkt queue in
   let link =
-    Scotch_sim.Link.create net.Testbed.engine ~name:"dedicated-port" ~bandwidth_bps:1e9
+    Scotch_sim.Link.create net.Testbed.engine ~bandwidth_bps:1e9
       ~latency:Testbed.control_latency ~queue_capacity:1000
   in
   Scotch_sim.Link.connect link sink;

@@ -95,13 +95,12 @@ let run_schedule (s : Ch.Schedule.t) : Ch.Oracle.observation =
   (* the attacker source exists in every run so same-cfg schedules
      allocate identical rng streams; only a Tenant_flood fault starts
      it *)
-  let _atk, flood = Testbed.flood_source net ~tenant:Isolation.attacker in
+  let _atk, flood = Testbed.flood_source net in
   let plan = Ch.Schedule.plan s in
   let ledger =
     Injector.run (Injector.env ~flood ~ctrl:net.Testbed.ctrl ~app:net.Testbed.app ()) plan
   in
-  let tenant = if cfg.Ch.Schedule.tenancy then Some Isolation.victim else None in
-  let replay = Testbed.replay_trace net ~seed ?tenant params in
+  let replay = Testbed.replay_trace net ~seed params in
   let horizon =
     Stdlib.max (params.Tracegen.duration +. 4.0) (Plan.last_activity plan +. settle)
   in

@@ -222,7 +222,7 @@ let run_variant ~attack ?(verify = Config.Off) ~seed ~scale () =
   (* the attacker source exists (unstarted) in both runs so the two
      simulations allocate identical rng streams and port windows; only
      the Tenant_flood fault ever starts it *)
-  let atk, flood = Testbed.flood_source net ~tenant:attacker in
+  let atk, flood = Testbed.flood_source net in
   let ledger =
     Injector.run
       (Injector.env ~flood ~ctrl:net.Testbed.ctrl ~app:net.Testbed.app ())
@@ -230,7 +230,7 @@ let run_variant ~attack ?(verify = Config.Off) ~seed ~scale () =
   in
   let clients =
     Array.init num_clients (fun i ->
-        Testbed.client_source net ~i ~rate:client_rate ~tenant:victim ())
+        Testbed.client_source net ~i ~rate:client_rate ())
   in
   Array.iter Source.start clients;
   let stop_clients_at = duration ~scale in

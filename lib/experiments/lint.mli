@@ -18,9 +18,7 @@ type scenario = {
   build : ?config:Scotch_core.Config.t -> seed:int -> unit -> built;
 }
 
-val scenarios : scenario list
 val names : string list
-val find : string -> scenario option
 
 (** [run_all ?seed ?only ()] runs every scenario ([only] restricts to
     the named ones; unknown names raise [Invalid_argument]) and returns

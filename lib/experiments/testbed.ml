@@ -222,21 +222,19 @@ let scotch_net ?(seed = 42) ?(profile = Profile.pica8) ?(vswitch_profile = Profi
     servers; server; verify; reliable }
 
 (** A client traffic source on client [i]. *)
-let client_source (net : scotch_net) ~i ~rate ?arrival ?spec_of ?tenant () =
+let client_source (net : scotch_net) ~i ~rate ?arrival ?spec_of () =
   let rng = Rng.split (Scotch_sim.Engine.rng net.engine) in
-  Source.create net.engine ~rng ~host:net.clients.(i) ~dst:net.server ~rate ?arrival ?spec_of
-    ?tenant ()
+  Source.create net.engine ~rng ~host:net.clients.(i) ~dst:net.server ~rate ?arrival ?spec_of ()
 
 (** A spoofed-source flood, by default from the attacker to the first
     server. *)
-let attack_source (net : scotch_net) ?(host = net.attacker) ?(dst = net.server) ?tenant ~rate
-    () =
+let attack_source (net : scotch_net) ?(host = net.attacker) ?(dst = net.server) ~rate () =
   let rng = Rng.split (Scotch_sim.Engine.rng net.engine) in
-  Source.create net.engine ~rng ~host ~dst ~rate ?tenant ~spoof_sources:true ()
+  Source.create net.engine ~rng ~host ~dst ~rate ~spoof_sources:true ()
 
-(** An unstarted attacker of [tenant] and the Injector's flood hook. *)
-let flood_source (net : scotch_net) ~tenant =
-  let atk = attack_source net ~tenant ~rate:1.0 () in
+(** An unstarted attacker and the Injector's flood hook. *)
+let flood_source (net : scotch_net) =
+  let atk = attack_source net ~rate:1.0 () in
   let flood ~tenant:_ ~rate ~active =
     if active then begin
       Source.set_rate atk rate;
@@ -265,11 +263,11 @@ type replay = {
 }
 
 (** Replay [params]'s trace, generated from [Rng.create (seed + 17)]. *)
-let replay_trace (net : scotch_net) ~seed ?tenant (params : Tracegen.params) =
+let replay_trace (net : scotch_net) ~seed (params : Tracegen.params) =
   let trace = Tracegen.generate (Rng.create (seed + 17)) params in
   let sources =
     Array.init params.Tracegen.num_sources (fun i ->
-        client_source net ~i ~rate:1.0 ?tenant ())
+        client_source net ~i ~rate:1.0 ())
   in
   { trace; launched = Tracegen.replay net.engine trace ~sources ~destinations:net.servers }
 
@@ -336,7 +334,7 @@ let decision_p99 ?tenant () =
     attachment tunnels, installs the shared green rules and sets the
     flow classifier (§5.4).  Returns the middlebox and segment. *)
 let add_firewall_segment (net : scotch_net) ~classify =
-  let mb = Middlebox.create net.engine ~name:"fw0" ~kind:Middlebox.Firewall () in
+  let mb = Middlebox.create net.engine () in
   Topology.insert_middlebox net.topo mb ~upstream:(net.edge, 70)
     ~downstream:(net.server_sw, 70);
   let seg =

@@ -85,19 +85,18 @@ val scotch_net :
 (** A client traffic source on client [i] toward the first server. *)
 val client_source :
   scotch_net -> i:int -> rate:float -> ?arrival:Source.arrival ->
-  ?spec_of:(Scotch_util.Rng.t -> Flow_gen.flow_spec) -> ?tenant:int -> unit -> Source.t
+  ?spec_of:(Scotch_util.Rng.t -> Flow_gen.flow_spec) -> unit -> Source.t
 
 (** A spoofed-source flood from [host] (default the attacker) to [dst]
     (default the first server). *)
 val attack_source :
-  scotch_net -> ?host:Host.t -> ?dst:Host.t -> ?tenant:int -> rate:float -> unit -> Source.t
+  scotch_net -> ?host:Host.t -> ?dst:Host.t -> rate:float -> unit -> Source.t
 
-(** The unstarted spoofed attacker of [tenant], and the
+(** The unstarted spoofed attacker, and the
     {!Scotch_faults.Injector} [flood] hook that starts it at a
     [Tenant_flood] fault's rate and stops it when the fault clears. *)
 val flood_source :
-  scotch_net -> tenant:int ->
-  Source.t * (tenant:int -> rate:float -> active:bool -> unit)
+  scotch_net -> Source.t * (tenant:int -> rate:float -> active:bool -> unit)
 
 (** Run the simulation to absolute time [until]. *)
 val run_until : scotch_net -> until:float -> unit
@@ -116,9 +115,9 @@ type replay = {
 }
 
 (** Generate the trace for [params] from [Rng.create (seed + 17)],
-    build one client source per trace source (tagged [tenant]) and
-    schedule the replay toward [net.servers]. *)
-val replay_trace : scotch_net -> seed:int -> ?tenant:int -> Tracegen.params -> replay
+    build one client source per trace source and schedule the replay
+    toward [net.servers]. *)
+val replay_trace : scotch_net -> seed:int -> Tracegen.params -> replay
 
 (** After the run: every launched flow of the replay, in trace order,
     as [(launch time, delivered to its server)]. *)

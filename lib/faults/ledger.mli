@@ -64,7 +64,6 @@ val time_to_rebalance : record -> float option
     axis — the shape [Scotch_experiments.Report.series] wants. *)
 val to_series : t -> (string * (float * float) list) list
 
-val to_table : t -> Scotch_util.Table_printer.t
 val print : t -> unit
 
 (** Canonical dump: every field of every record at full float

@@ -26,9 +26,9 @@ let tracer () = !default_tracer
 (** [reset ()] wipes the default registry and tracer.  Call before
     constructing the network under observation: handles resolve at
     component creation, so a reset afterwards orphans them. *)
-let reset ?capacity ?sample () =
+let reset ?capacity () =
   Registry.clear default_registry;
-  default_tracer := Trace.create ?capacity ?sample ()
+  default_tracer := Trace.create ?capacity ()
 
 (** {1 Registration shorthands on the default registry} *)
 
@@ -36,8 +36,6 @@ let counter ?help ?labels name = Registry.counter default_registry ?help ?labels
 
 let counter_fn ?help ?labels name f =
   Registry.counter_fn default_registry ?help ?labels name f
-
-let gauge ?help ?labels name = Registry.gauge default_registry ?help ?labels name
 
 let gauge_fn ?help ?labels name f =
   Registry.gauge_fn default_registry ?help ?labels name f

@@ -17,15 +17,14 @@ val registry : unit -> Registry.t
 val tracer : unit -> Trace.t
 
 (** Wipe the default registry and replace the tracer (optionally with a
-    new capacity/sampling rate).  Call {e before} building the network:
-    handles resolve at component creation. *)
-val reset : ?capacity:int -> ?sample:int -> unit -> unit
+    new capacity).  Call {e before} building the network: handles
+    resolve at component creation. *)
+val reset : ?capacity:int -> unit -> unit
 
 (** {1 Shorthands on the default registry/tracer} *)
 
 val counter : ?help:string -> ?labels:Registry.labels -> string -> Registry.counter
 val counter_fn : ?help:string -> ?labels:Registry.labels -> string -> (unit -> int) -> unit
-val gauge : ?help:string -> ?labels:Registry.labels -> string -> Registry.gauge
 val gauge_fn : ?help:string -> ?labels:Registry.labels -> string -> (unit -> float) -> unit
 
 val histogram :

@@ -8,7 +8,7 @@
     cell, {!observe} stores into a pre-allocated batch that is binned
     into the {!Scotch_util.Histogram} on overflow or at read time — no
     allocation, no hashing, no branching on metric identity.
-    Exposition ({!to_prometheus}, {!to_json}, {!samples}) walks the
+    Exposition ({!to_prometheus}, {!samples}) walks the
     registry in a deterministic (name, labels) order, so two seeded
     runs of the simulator produce byte-identical snapshots.
 
@@ -155,8 +155,6 @@ let observe hm x =
   hm.pending.(hm.npending) <- x;
   hm.npending <- hm.npending + 1
 
-let observations hm = flush hm; Histogram.count hm.h
-let sum hm = flush hm; hm.hsum.g
 let quantile_opt hm p = flush hm; Histogram.quantile_opt hm.h p
 
 (** {1 Snapshotting} *)
@@ -259,7 +257,7 @@ let to_prometheus t =
     (sorted_metrics t);
   Buffer.contents buf
 
-(** {1 JSON exposition} *)
+(** {1 JSON string escaping, shared with [Trace]} *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -273,39 +271,3 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
-
-let json_of_metric m =
-  let common =
-    Printf.sprintf "\"name\":\"%s\",\"labels\":%s,\"type\":\"%s\"" (json_escape m.name)
-      (json_labels m.labels) (kind_name m.kind)
-  in
-  match m.kind with
-  | Histogram hm ->
-    flush hm;
-    let h = hm.h in
-    let buckets = ref [] in
-    let acc = ref (Histogram.underflow h) in
-    for i = 0 to Histogram.nbins h - 1 do
-      acc := !acc + Histogram.bin_count h i;
-      let le = Histogram.bin_center h i +. (Histogram.bin_width h /. 2.0) in
-      buckets := Printf.sprintf "[%s,%d]" (float_str le) !acc :: !buckets
-    done;
-    Printf.sprintf "{%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" common (Histogram.count h)
-      (float_str hm.hsum.g)
-      (String.concat "," (List.rev !buckets))
-  | _ -> Printf.sprintf "{%s,\"value\":%s}" common (float_str (value_of m))
-
-(** JSON exposition: [{"metrics":[...]}], same deterministic order as
-    {!to_prometheus}. *)
-let to_json t =
-  "{\"metrics\":["
-  ^ String.concat "," (List.map json_of_metric (sorted_metrics t))
-  ^ "]}"

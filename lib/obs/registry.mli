@@ -1,6 +1,5 @@
 (** Metrics registry: typed counters, gauges and histograms with label
-    sets, deterministic snapshotting, Prometheus-text and JSON
-    exposition.
+    sets, deterministic snapshotting, Prometheus-text exposition.
 
     Handles are resolved once (at component construction); the hot-path
     update operations on a handle are plain mutable-field stores and
@@ -65,11 +64,9 @@ val set : gauge -> float -> unit
 
 (** Observations are batched: the hot path is a single array store, and
     binning runs once per 64 observations or lazily at the first read
-    ({!observations}/{!sum}/{!quantile_opt}/exposition). *)
+    ({!quantile_opt}/exposition). *)
 val observe : histogram -> float -> unit
 
-val observations : histogram -> int
-val sum : histogram -> float
 val quantile_opt : histogram -> float -> float option
 
 (** {1 Snapshotting / exposition} *)
@@ -87,10 +84,6 @@ val samples : t -> sample list
 (** Prometheus text-format exposition ([# HELP]/[# TYPE] once per
     family, histograms as cumulative [_bucket]/[_sum]/[_count]). *)
 val to_prometheus : t -> string
-
-(** JSON exposition: [{"metrics":[...]}], same order as
-    {!to_prometheus}. *)
-val to_json : t -> string
 
 (**/**)
 

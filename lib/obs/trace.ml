@@ -1,15 +1,15 @@
 (** Virtual-time tracer: spans and instants stamped with [Engine.now],
     exported as Chrome trace-event JSON (chrome://tracing / Perfetto).
 
-    Memory is bounded by a ring buffer; under sustained load the tracer
-    keeps every [sample]-th event and counts the rest as sampled-out,
-    and once the ring is full the oldest retained events are dropped
-    (newest-wins, so the tail of a run is always visible).  All
-    recording is O(1) per event; the only allocation on the record path
-    is the event itself (plus its [args] list when non-empty) — times
-    are stored as integer virtual nanoseconds so the record stays
-    float-free, i.e. one flat block with no boxed fields.  Call sites
-    still gate recording behind [Obs.is_enabled]. *)
+    Memory is bounded by a ring buffer: once it is full the oldest
+    retained events are dropped (newest-wins, so the tail of a run is
+    always visible).  Hot call sites thin their own events with
+    [Obs.hot_site].  All recording is O(1) per event; the only
+    allocation on the record path is the event itself (plus its [args]
+    list when non-empty) — times are stored as integer virtual
+    nanoseconds so the record stays float-free, i.e. one flat block
+    with no boxed fields.  Call sites still gate recording behind
+    [Obs.is_enabled]. *)
 
 type phase = Complete | Instant
 
@@ -30,42 +30,25 @@ type t = {
   ring : event array;
   mutable head : int; (* next write position *)
   mutable len : int; (* live events in the ring *)
-  mutable emitted : int; (* events offered, before sampling/eviction *)
-  mutable sampled_out : int;
+  mutable emitted : int; (* events offered, before eviction *)
   mutable dropped : int; (* evicted by ring wrap *)
-  sample : int; (* keep every [sample]-th event (1 = keep all) *)
 }
 
-let create ?(capacity = 65536) ?(sample = 1) () =
+let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  if sample <= 0 then invalid_arg "Trace.create: sample must be positive";
-  { ring = Array.make capacity dummy; head = 0; len = 0; emitted = 0;
-    sampled_out = 0; dropped = 0; sample }
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) dummy;
-  t.head <- 0;
-  t.len <- 0;
-  t.emitted <- 0;
-  t.sampled_out <- 0;
-  t.dropped <- 0
+  { ring = Array.make capacity dummy; head = 0; len = 0; emitted = 0; dropped = 0 }
 
 let length t = t.len
 let emitted t = t.emitted
-let sampled_out t = t.sampled_out
 let dropped t = t.dropped
 
 let record t ev =
   t.emitted <- t.emitted + 1;
-  if t.sample > 1 && t.emitted mod t.sample <> 0 then
-    t.sampled_out <- t.sampled_out + 1
-  else begin
-    let cap = Array.length t.ring in
-    if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
-    t.ring.(t.head) <- ev;
-    let h = t.head + 1 in
-    t.head <- (if h = cap then 0 else h)
-  end
+  let cap = Array.length t.ring in
+  if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
+  t.ring.(t.head) <- ev;
+  let h = t.head + 1 in
+  t.head <- (if h = cap then 0 else h)
 
 let ns s = int_of_float (s *. 1e9)
 

@@ -1,6 +1,6 @@
 (** Virtual-time tracer: spans/instants stamped with [Engine.now],
-    bounded ring-buffer memory, optional sampling, Chrome trace-event
-    JSON export (chrome://tracing / Perfetto). *)
+    bounded ring-buffer memory, Chrome trace-event JSON export
+    (chrome://tracing / Perfetto). *)
 
 type t
 
@@ -16,12 +16,9 @@ type event = {
   args : (string * string) list;
 }
 
-(** [create ~capacity ~sample ()] — ring of [capacity] events (default
-    65536), keeping every [sample]-th offered event (default 1 = all).
+(** [create ~capacity ()] — ring of [capacity] events (default 65536).
     When full, the oldest retained events are evicted (newest wins). *)
-val create : ?capacity:int -> ?sample:int -> unit -> t
-
-val clear : t -> unit
+val create : ?capacity:int -> unit -> t
 
 (** Record a span: [ts] is its virtual start time, [dur] its length. *)
 val complete :
@@ -33,12 +30,10 @@ val instant :
   t -> name:string -> cat:string -> ts:float -> tid:int ->
   args:(string * string) list -> unit
 
-(** Events currently retained / total offered / rejected by sampling /
-    evicted by ring wrap. *)
+(** Events currently retained / total offered / evicted by ring wrap. *)
 val length : t -> int
 
 val emitted : t -> int
-val sampled_out : t -> int
 val dropped : t -> int
 
 (** Retained events, oldest first. *)
@@ -48,8 +43,6 @@ val events : t -> event list
     are exported as viewer microseconds. *)
 val to_chrome_json : t -> string
 
-(** Canonical one-line-per-event dump and its MD5 hex digest — two
+(** MD5 hex digest of a canonical one-line-per-event dump — two
     same-seed runs must agree byte-for-byte. *)
-val canonical : t -> string
-
 val digest : t -> string

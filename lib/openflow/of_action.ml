@@ -43,15 +43,3 @@ let output port = [ Apply_actions [ Output port ] ]
 let to_controller = [ Apply_actions [ Output Port_no.Controller ] ]
 
 let drop = [ Apply_actions [ Drop ] ]
-
-let pp fmt = function
-  | Output p -> Format.fprintf fmt "output(%a)" Port_no.pp p
-  | Group g -> Format.fprintf fmt "group(%d)" g
-  | Push_mpls l -> Format.fprintf fmt "push_mpls(%d)" l
-  | Pop_mpls -> Format.pp_print_string fmt "pop_mpls"
-  | Push_gre k -> Format.fprintf fmt "push_gre(%ld)" k
-  | Pop_gre -> Format.pp_print_string fmt "pop_gre"
-  | Set_eth_dst m -> Format.fprintf fmt "set_eth_dst(%a)" Scotch_packet.Mac.pp m
-  | Set_eth_src m -> Format.fprintf fmt "set_eth_src(%a)" Scotch_packet.Mac.pp m
-  | Dec_ttl -> Format.pp_print_string fmt "dec_ttl"
-  | Drop -> Format.pp_print_string fmt "drop"

@@ -41,4 +41,3 @@ val output : Port_no.t -> instructions
 val to_controller : instructions
 
 val drop : instructions
-val pp : Format.formatter -> t -> unit

@@ -30,10 +30,6 @@ module Flow_mod = struct
     { command = Delete; table_id; priority; match_; instructions = []; idle_timeout = 0.0;
       hard_timeout = 0.0; cookie = cookie_none }
 
-  let pp fmt t =
-    Format.fprintf fmt "flow_mod{%s t%d p%d %a}"
-      (match t.command with Add -> "add" | Modify -> "mod" | Delete -> "del")
-      t.table_id t.priority Of_match.pp t.match_
 end
 
 (** {1 Group modification (select groups for §5.1 load balancing)} *)

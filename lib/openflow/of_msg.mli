@@ -24,7 +24,6 @@ module Flow_mod : sig
     ?cookie:cookie -> match_:Of_match.t -> instructions:Of_action.instructions -> unit -> t
 
   val delete : ?table_id:table_id -> ?priority:int -> match_:Of_match.t -> unit -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Group modification — select groups implement §5.1's load

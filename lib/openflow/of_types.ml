@@ -36,14 +36,6 @@ module Port_no = struct
     | p -> invalid_arg (Printf.sprintf "Port_no.of_int: %d" p)
 
   let equal a b = a = b
-
-  let pp fmt = function
-    | Physical p -> Format.fprintf fmt "port:%d" p
-    | In_port -> Format.pp_print_string fmt "IN_PORT"
-    | Controller -> Format.pp_print_string fmt "CONTROLLER"
-    | All -> Format.pp_print_string fmt "ALL"
-    | Local -> Format.pp_print_string fmt "LOCAL"
-    | Any -> Format.pp_print_string fmt "ANY"
 end
 
 (** Flow-table ids: OpenFlow 1.3 pipelines have tables 0..n; Scotch's

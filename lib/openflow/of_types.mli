@@ -22,7 +22,6 @@ module Port_no : sig
   val of_int : int -> t
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 type table_id = int

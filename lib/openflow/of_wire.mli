@@ -15,8 +15,6 @@
 
 exception Parse_error of string
 
-val version : int
-
 (** [size m = Bytes.length (encode m)], computed by arithmetic without
     allocating.  This is what the detection loop charges per message. *)
 val size : Of_msg.t -> int

@@ -37,8 +37,6 @@ let to_string t =
   Printf.sprintf "%s:%d->%s:%d/%d"
     (Ipv4_addr.to_string t.ip_src) t.l4_src (Ipv4_addr.to_string t.ip_dst) t.l4_dst t.proto
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 module Map = Map.Make (struct
   type nonrec t = t
 

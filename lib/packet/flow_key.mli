@@ -23,7 +23,6 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

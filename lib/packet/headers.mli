@@ -61,7 +61,6 @@ module Tcp : sig
 
   val flags_to_int : flags -> int
   val flags_of_int : int -> flags
-  val pp : Format.formatter -> t -> unit
 end
 
 module Udp : sig
@@ -69,7 +68,6 @@ module Udp : sig
 
   val header_bytes : int
   val make : src_port:int -> dst_port:int -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Transport-layer sum. *)

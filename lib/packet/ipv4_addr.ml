@@ -25,7 +25,6 @@ let to_string (t : t) =
     ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF)
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (** [prefix_mask len] is the netmask for a /len prefix (0 <= len <= 32). *)

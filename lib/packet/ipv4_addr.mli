@@ -14,7 +14,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** [prefix_mask len] is the netmask of a /len prefix (0-32). *)

@@ -29,7 +29,6 @@ let to_string (t : t) =
     ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF)
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (** [of_host_id i] gives host [i] a stable unicast locally-administered

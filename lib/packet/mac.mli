@@ -13,7 +13,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** [of_host_id i] gives host [i] a stable locally-administered unicast

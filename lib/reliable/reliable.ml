@@ -119,7 +119,7 @@ type t = {
   mutable windows : float list; (* closed divergence windows, newest first *)
   mutable records : record list; (* newest first *)
   mutable next_record_id : int;
-  mutable stop_reconciler : (unit -> unit) option;
+  mutable started : bool; (* the reconciler loop is scheduled *)
   mutable on_install : (int -> unit) option;
       (* verifier tap: fired with the dpid after a transaction's intents
          are recorded — the intent store for that switch is stale *)
@@ -135,7 +135,7 @@ let create ~seed ~owned_cookies ctrl =
         { txns_sent = 0; txns_acked = 0; txns_parked = 0; retries = 0; repairs_missing = 0;
           repairs_orphan = 0; repairs_group = 0; resyncs = 0; degraded_transitions = 0;
           degraded_seconds = 0.0 };
-      windows = []; records = []; next_record_id = 0; stop_reconciler = None;
+      windows = []; records = []; next_record_id = 0; started = false;
       on_install = None;
       divergence_h =
         Scotch_obs.Obs.histogram ~help:"Closed intent/device divergence windows (virtual s)"
@@ -166,7 +166,6 @@ let create ~seed ~owned_cookies ctrl =
 
 let owned_cookies t = t.owned_cookies
 let stats t = t.stats
-let controller t = t.ctrl
 let engine t = C.engine t.ctrl
 let now t = Engine.now (engine t)
 
@@ -191,7 +190,6 @@ let state_exn fn t dpid =
   | Some ss -> ss
   | None -> invalid_arg (Printf.sprintf "Reliable.%s: unregistered dpid %d" fn dpid)
 
-let health t dpid = Option.map (fun ss -> ss.health) (state t dpid)
 let intent_of t dpid = Option.map (fun ss -> ss.intents) (state t dpid)
 
 let dpids t =
@@ -443,17 +441,13 @@ let tick t =
     (dpids t)
 
 let start t =
-  match t.stop_reconciler with
-  | Some _ -> ()
-  | None ->
-    t.stop_reconciler <-
-      Some
-        (Engine.every (engine t) ~period:reconcile_interval
-           ~start:reconcile_start (fun () -> tick t))
-
-let stop t =
-  Option.iter (fun f -> f ()) t.stop_reconciler;
-  t.stop_reconciler <- None
+  if not t.started then begin
+    t.started <- true;
+    let (_ : unit -> unit) =
+      Engine.every (engine t) ~period:reconcile_interval ~start:reconcile_start (fun () -> tick t)
+    in
+    ()
+  end
 
 (** {1 Reconciliation ledger} *)
 

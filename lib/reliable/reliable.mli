@@ -60,12 +60,10 @@ val create : seed:int -> owned_cookies:Of_types.cookie list -> C.t -> t
 
 val owned_cookies : t -> Of_types.cookie list
 val stats : t -> stats
-val controller : t -> C.t
 
 (** Put a switch under reliable management (idempotent). *)
 val register_switch : t -> C.sw -> unit
 
-val health : t -> Of_types.datapath_id -> health option
 val intent_of : t -> Of_types.datapath_id -> Intent.t option
 val dpids : t -> Of_types.datapath_id list
 
@@ -94,17 +92,14 @@ val set_on_install : t -> (int -> unit) option -> unit
     wire this to the controller's [switch_alive] hook. *)
 val request_resync : t -> Of_types.datapath_id -> unit
 
-(** Start/stop the periodic reconciler on the controller's engine. *)
+(** Start the periodic reconciler on the controller's engine (idempotent). *)
 val start : t -> unit
-
-val stop : t -> unit
 
 (** One reconciler round, on demand (tests). *)
 val tick : t -> unit
 
 (** {1 Reconciliation ledger} *)
 
-val records : t -> record list
 val canonical : t -> string
 
 (** MD5 hex of {!canonical} — the bit-identity check for seeded runs. *)

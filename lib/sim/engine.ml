@@ -28,6 +28,7 @@ type t = {
   rng : Rng.t;
   mutable processed : int;
   mutable next_user_id : int;
+  mutable next_flow_id : int;
   mutable run_end_hooks : (unit -> unit) list;
 }
 
@@ -42,7 +43,7 @@ let create ?(seed = 42) () =
   { now = 0.0; next_seq = 0; at = Float.Array.make initial_capacity 0.0;
     seq = Array.make initial_capacity 0; run = Array.make initial_capacity noop; size = 0;
     cancelled = Hashtbl.create 8; rng = Rng.create seed; processed = 0; next_user_id = 0;
-    run_end_hooks = [] }
+    next_flow_id = 0; run_end_hooks = [] }
 
 (** Current simulation time, in seconds. *)
 let now t = t.now
@@ -223,3 +224,10 @@ let fresh_user_id t =
   let i = t.next_user_id in
   t.next_user_id <- i + 1;
   i
+
+(** Flow ids for traffic sources, from 1 up, counted per engine so two
+    simulations in one process number their flows alike.  Separate from
+    {!fresh_user_id}, which sets the sources' port windows. *)
+let fresh_flow_id t =
+  t.next_flow_id <- t.next_flow_id + 1;
+  t.next_flow_id

@@ -74,3 +74,7 @@ val pending : t -> int
     deterministic per run (e.g. traffic sources' ephemeral-port
     windows) rather than global to the process. *)
 val fresh_user_id : t -> int
+
+(** Fresh flow id, from 1 up, unique within this engine (bookkeeping
+    identity only — it never influences forwarding). *)
+val fresh_flow_id : t -> int

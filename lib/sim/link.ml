@@ -18,7 +18,6 @@ type stats = {
 
 type t = {
   engine : Engine.t;
-  name : string;
   bandwidth_bps : float;       (* bits per second *)
   latency : float;             (* propagation delay, seconds *)
   queue_capacity : int;        (* packets *)
@@ -29,12 +28,12 @@ type t = {
   stats : stats;
 }
 
-(** [create engine ~name ~bandwidth_bps ~latency ~queue_capacity] makes
-    an idle link.  Attach the receiver with {!connect}. *)
-let create engine ~name ~bandwidth_bps ~latency ~queue_capacity =
+(** [create engine ~bandwidth_bps ~latency ~queue_capacity] makes an
+    idle link.  Attach the receiver with {!connect}. *)
+let create engine ~bandwidth_bps ~latency ~queue_capacity =
   if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth must be positive";
   if latency < 0.0 then invalid_arg "Link.create: negative latency";
-  { engine; name; bandwidth_bps; latency; queue_capacity; queue = Queue.create ();
+  { engine; bandwidth_bps; latency; queue_capacity; queue = Queue.create ();
     busy = false; up = true; sink = (fun _ -> ());
     stats = { delivered = 0; dropped = 0; bytes = 0; dropped_down = 0 } }
 
@@ -84,13 +83,10 @@ let set_up t up =
 
 let is_up t = t.up
 
-let name t = t.name
 let delivered t = t.stats.delivered
 let dropped t = t.stats.dropped
 let bytes_delivered t = t.stats.bytes
 let queue_length t = Queue.length t.queue
-let latency t = t.latency
-let bandwidth_bps t = t.bandwidth_bps
 
 (** Convenience bandwidth constants. *)
 let gbps g = g *. 1e9

@@ -12,7 +12,6 @@ type t
     latency. *)
 val create :
   Engine.t ->
-  name:string ->
   bandwidth_bps:float ->
   latency:float ->
   queue_capacity:int ->
@@ -31,14 +30,11 @@ val set_up : t -> bool -> unit
 
 val is_up : t -> bool
 
-val name : t -> string
 val delivered : t -> int
 val dropped : t -> int
 
 val bytes_delivered : t -> int
 val queue_length : t -> int
-val latency : t -> float
-val bandwidth_bps : t -> float
 
 (** Convenience bandwidth constants. *)
 val gbps : float -> float

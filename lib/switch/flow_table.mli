@@ -84,10 +84,6 @@ val insert_failures : t -> int
 
 val iter_rules : t -> (rule -> unit) -> unit
 
-(** {!Classifier.precedence}: among rules matching one packet, lookup
-    picks the first. *)
-val precedence : rule -> rule -> int
-
-(** Live rules at [now] in {!precedence} order (deterministic, whatever
+(** Live rules at [now] in {!Classifier.precedence} order (deterministic, whatever
     the hashing); the flow-table half of a verification snapshot. *)
 val live_rules : t -> now:float -> rule list

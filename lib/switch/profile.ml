@@ -98,8 +98,6 @@ let open_vswitch =
     loaded host (§4.1). *)
 let scotch_vswitch = { open_vswitch with name = "scotch-vswitch" }
 
-let pp fmt t = Format.pp_print_string fmt t.name
-
 (** Maximum sustainable reactive flow-setup rate: one Packet-In, one
     FlowMod and one Packet-Out per flow, minus housekeeping duty. *)
 let max_flow_setup_rate t =

@@ -40,8 +40,6 @@ val open_vswitch : t
     (§4.1). *)
 val scotch_vswitch : t
 
-val pp : Format.formatter -> t -> unit
-
 (** Maximum sustainable reactive flow-setup rate: one Packet-In, one
     FlowMod and one Packet-Out per flow, minus housekeeping duty. *)
 val max_flow_setup_rate : t -> float

@@ -378,5 +378,3 @@ let install_direct t ~table_id ~priority ~match_ ~instructions ?(idle_timeout = 
     ?(hard_timeout = 0.0) ?(cookie = Of_types.cookie_none) () =
   Flow_table.insert t.tables.(table_id) ~now:(now t) ~priority ~match_ ~instructions
     ~idle_timeout ~hard_timeout ~cookie
-
-let pp fmt t = Format.fprintf fmt "switch{%s dpid=%d %a}" t.name t.dpid Profile.pp t.profile

@@ -104,5 +104,3 @@ val install_direct :
   t -> table_id:int -> priority:int -> match_:Of_match.t ->
   instructions:Of_action.instructions -> ?idle_timeout:float -> ?hard_timeout:float ->
   ?cookie:Of_types.cookie -> unit -> (unit, [ `Table_full ]) result
-
-val pp : Format.formatter -> t -> unit

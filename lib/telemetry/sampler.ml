@@ -39,7 +39,6 @@ type t = {
   rng : Rng.t;
   rate : float;
   sketch : Sketch.t;
-  dpid : int;
   mutable enabled : bool;
   mutable duty : duty;
   mutable window_start : float;
@@ -55,7 +54,7 @@ let create ?(topk = 16) ~seed ~dpid ~rate () =
   if rate <= 0.0 || rate > 1.0 then invalid_arg "Sampler.create: rate must be in (0,1]";
   let t =
     { rng = Rng.create (seed lxor (dpid * 0x9E3779B9) lxor 0x7E1E);
-      rate; sketch = Sketch.create ~capacity:topk; dpid; enabled = true; duty = Any_port;
+      rate; sketch = Sketch.create ~capacity:topk; enabled = true; duty = Any_port;
       window_start = 0.0; seen = 0; sampled = 0; win_seen = 0; win_sampled = 0; reports = 0;
       digest = "" }
   in
@@ -71,8 +70,6 @@ let create ?(topk = 16) ~seed ~dpid ~rate () =
     "scotch_telemetry_reports_total" (fun () -> t.reports);
   t
 
-let rate t = t.rate
-let dpid t = t.dpid
 let set_enabled t on = t.enabled <- on
 let enabled t = t.enabled
 let seen t = t.seen

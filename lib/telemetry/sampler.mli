@@ -20,9 +20,6 @@ type report = {
     unless [rate] is in (0,1]. *)
 val create : ?topk:int -> seed:int -> dpid:int -> rate:float -> unit -> t
 
-val rate : t -> float
-val dpid : t -> int
-
 (** Pool membership: a sampler whose vswitch left the active pool is
     disabled (no draws, no duty). *)
 val set_enabled : t -> bool -> unit

@@ -42,9 +42,6 @@ let create ~capacity =
     index = Flow_key.Hashtbl.create (2 * capacity);
     size = 0 }
 
-let capacity t = t.capacity
-let size t = t.size
-
 let clear t =
   Array.iter
     (fun s ->

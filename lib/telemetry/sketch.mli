@@ -13,10 +13,6 @@ type entry = {
 }
 
 val create : capacity:int -> t
-val capacity : t -> int
-
-(** Currently tracked keys (at most [capacity]). *)
-val size : t -> int
 
 val clear : t -> unit
 

@@ -83,5 +83,3 @@ let delay_samples t = t.delays
 
 (** Register a callback invoked on each delivered (decapsulated) packet. *)
 let on_receive t f = t.on_receive <- f
-
-let pp fmt t = Format.fprintf fmt "host{%s %a}" t.name Ipv4_addr.pp t.ip

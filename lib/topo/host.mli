@@ -51,5 +51,3 @@ val delay_samples : t -> Scotch_util.Stats.Samples.t
 (** Register a callback invoked on each delivered (decapsulated)
     packet. *)
 val on_receive : t -> (Packet.t -> unit) -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -15,12 +15,8 @@
 
 open Scotch_packet
 
-type kind = Firewall | Load_balancer | Ids
-
 type t = {
   engine : Scotch_sim.Engine.t;
-  name : string;
-  kind : kind;
   latency : float; (* per-packet processing delay *)
   state : unit Flow_key.Hashtbl.t;
   mutable out : Scotch_sim.Link.t option; (* toward S_D *)
@@ -30,8 +26,8 @@ type t = {
   mutable blocked : Flow_key.t -> bool; (* firewall policy *)
 }
 
-let create engine ~name ?(kind = Firewall) ?(latency = 50e-6) () =
-  { engine; name; kind; latency; state = Flow_key.Hashtbl.create 256; out = None;
+let create engine ?(latency = 50e-6) () =
+  { engine; latency; state = Flow_key.Hashtbl.create 256; out = None;
     processed = 0; state_violations = 0; encap_violations = 0; blocked = (fun _ -> false) }
 
 (** Set the link toward the downstream switch S_D. *)
@@ -68,8 +64,6 @@ let receive t pkt =
     end
   end
 
-let name t = t.name
-let kind t = t.kind
 let processed t = t.processed
 let state_violations t = t.state_violations
 let encap_violations t = t.encap_violations

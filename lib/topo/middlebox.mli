@@ -11,12 +11,10 @@
 
 open Scotch_packet
 
-type kind = Firewall | Load_balancer | Ids
-
 type t
 
 val create :
-  Scotch_sim.Engine.t -> name:string -> ?kind:kind -> ?latency:float -> unit -> t
+  Scotch_sim.Engine.t -> ?latency:float -> unit -> t
 
 (** Set the link toward the downstream switch S_D. *)
 val connect_out : t -> Scotch_sim.Link.t -> unit
@@ -28,8 +26,6 @@ val set_policy : t -> (Flow_key.t -> bool) -> unit
 (** Process one packet from S_U. *)
 val receive : t -> Packet.t -> unit
 
-val name : t -> string
-val kind : t -> kind
 val processed : t -> int
 val state_violations : t -> int
 val encap_violations : t -> int

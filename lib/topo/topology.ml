@@ -41,18 +41,11 @@ type t = {
   (* host id -> host *)
   tunnels : (int, tunnel) Hashtbl.t;
   mutable next_tunnel_id : int;
-  mutable next_link_id : int;
 }
 
 let create engine =
   { engine; switches = Hashtbl.create 16; hosts = Hashtbl.create 64; adj = Hashtbl.create 16;
-    host_attach = Hashtbl.create 64; tunnels = Hashtbl.create 32; next_tunnel_id = 1;
-    next_link_id = 1 }
-
-let fresh_link_name t prefix =
-  let n = t.next_link_id in
-  t.next_link_id <- n + 1;
-  Printf.sprintf "%s-%d" prefix n
+    host_attach = Hashtbl.create 64; tunnels = Hashtbl.create 32; next_tunnel_id = 1 }
 
 let add_switch t sw =
   let dpid = Switch.dpid sw in
@@ -66,15 +59,13 @@ let add_host t h =
 
 let switch t dpid = Hashtbl.find_opt t.switches dpid
 let switch_exn t dpid = Hashtbl.find t.switches dpid
-let host t id = Hashtbl.find_opt t.hosts id
 let iter_switches t f = Hashtbl.iter (fun _ sw -> f sw) t.switches
 let iter_hosts t f = Hashtbl.iter (fun _ h -> f h) t.hosts
 
-let mk_link t ?(params = default_link) ~prefix ~sink () =
+let mk_link t ?(params = default_link) ~sink () =
   let link =
-    Scotch_sim.Link.create t.engine ~name:(fresh_link_name t prefix)
-      ~bandwidth_bps:params.bandwidth_bps ~latency:params.latency
-      ~queue_capacity:params.queue_capacity
+    Scotch_sim.Link.create t.engine ~bandwidth_bps:params.bandwidth_bps
+      ~latency:params.latency ~queue_capacity:params.queue_capacity
   in
   Scotch_sim.Link.connect link sink;
   link
@@ -83,8 +74,8 @@ let mk_link t ?(params = default_link) ~prefix ~sink () =
     between port [pa] of [a] and port [pb] of [b], and records the
     adjacency for path computation. *)
 let link_switches t ?params (a, pa) (b, pb) =
-  let ab = mk_link t ?params ~prefix:"sw" ~sink:(fun pkt -> Switch.receive b ~in_port:pb pkt) () in
-  let ba = mk_link t ?params ~prefix:"sw" ~sink:(fun pkt -> Switch.receive a ~in_port:pa pkt) () in
+  let ab = mk_link t ?params ~sink:(fun pkt -> Switch.receive b ~in_port:pb pkt) () in
+  let ba = mk_link t ?params ~sink:(fun pkt -> Switch.receive a ~in_port:pa pkt) () in
   Switch.add_port a ~port_id:pa ab;
   Switch.add_port b ~port_id:pb ba;
   let da = Hashtbl.find t.adj (Switch.dpid a) and db = Hashtbl.find t.adj (Switch.dpid b) in
@@ -94,8 +85,8 @@ let link_switches t ?params (a, pa) (b, pb) =
 (** [attach_host t ?params h sw ~port] gives [h] its uplink to [sw] and
     [sw] a port delivering to [h]. *)
 let attach_host t ?params h sw ~port =
-  let up = mk_link t ?params ~prefix:"host" ~sink:(fun pkt -> Switch.receive sw ~in_port:port pkt) () in
-  let down = mk_link t ?params ~prefix:"host" ~sink:(fun pkt -> Host.deliver h pkt) () in
+  let up = mk_link t ?params ~sink:(fun pkt -> Switch.receive sw ~in_port:port pkt) () in
+  let down = mk_link t ?params ~sink:(fun pkt -> Host.deliver h pkt) () in
   Host.set_uplink h up;
   Switch.add_port sw ~port_id:port down;
   Hashtbl.replace t.host_attach (Ipv4_addr.to_int (Host.ip h)) (Switch.dpid sw, port)
@@ -116,8 +107,8 @@ let add_tunnel_switches t ?(params = default_tunnel) a b =
   let pa = tunnel_port_of_id tid_ab and pb = tunnel_port_of_id tid_ba in
   (* Packets sent into tunnel tid_ab arrive at [b]'s port for tid_ab. *)
   let pb_in = tunnel_port_of_id tid_ab and pa_in = tunnel_port_of_id tid_ba in
-  let ab = mk_link t ~params ~prefix:"tun" ~sink:(fun pkt -> Switch.receive b ~in_port:pb_in pkt) () in
-  let ba = mk_link t ~params ~prefix:"tun" ~sink:(fun pkt -> Switch.receive a ~in_port:pa_in pkt) () in
+  let ab = mk_link t ~params ~sink:(fun pkt -> Switch.receive b ~in_port:pb_in pkt) () in
+  let ba = mk_link t ~params ~sink:(fun pkt -> Switch.receive a ~in_port:pa_in pkt) () in
   Switch.add_port a ~port_id:pa ~kind:(Tunnel tid_ab) ab;
   Switch.add_input_port b ~port_id:pb_in ~kind:(Tunnel tid_ab) ();
   Switch.add_port b ~port_id:pb ~kind:(Tunnel tid_ba) ba;
@@ -135,7 +126,7 @@ let add_tunnel_to_host t ?(params = default_tunnel) sw h =
   let tid = t.next_tunnel_id in
   t.next_tunnel_id <- t.next_tunnel_id + 1;
   let p = tunnel_port_of_id tid in
-  let link = mk_link t ~params ~prefix:"tun" ~sink:(fun pkt -> Host.deliver h pkt) () in
+  let link = mk_link t ~params ~sink:(fun pkt -> Host.deliver h pkt) () in
   Switch.add_port sw ~port_id:p ~kind:(Tunnel tid) link;
   Hashtbl.replace t.tunnels tid
     { tunnel_id = tid; src_dpid = Switch.dpid sw; dst = `Host (Host.id h); src_port = p };
@@ -153,9 +144,9 @@ let iter_tunnels t f =
 (** [insert_middlebox t mb ~upstream:(su, up_port) ~downstream:(sd, down_in_port)]
     wires S_U → middlebox → S_D (§5.4's typical configuration). *)
 let insert_middlebox t ?params mb ~upstream:(su, up_port) ~downstream:(sd, down_in_port) =
-  let to_mb = mk_link t ?params ~prefix:"mb" ~sink:(fun pkt -> Middlebox.receive mb pkt) () in
+  let to_mb = mk_link t ?params ~sink:(fun pkt -> Middlebox.receive mb pkt) () in
   let from_mb =
-    mk_link t ?params ~prefix:"mb" ~sink:(fun pkt -> Switch.receive sd ~in_port:down_in_port pkt) ()
+    mk_link t ?params ~sink:(fun pkt -> Switch.receive sd ~in_port:down_in_port pkt) ()
   in
   Switch.add_port su ~port_id:up_port to_mb;
   Switch.add_input_port sd ~port_id:down_in_port ();

@@ -32,7 +32,6 @@ val add_switch : t -> Switch.t -> unit
 val add_host : t -> Host.t -> unit
 val switch : t -> Of_types.datapath_id -> Switch.t option
 val switch_exn : t -> Of_types.datapath_id -> Switch.t
-val host : t -> int -> Host.t option
 val iter_switches : t -> (Switch.t -> unit) -> unit
 val iter_hosts : t -> (Host.t -> unit) -> unit
 

@@ -64,9 +64,6 @@ let pareto t ~shape ~scale =
   if shape <= 0.0 || scale <= 0.0 then invalid_arg "Rng.pareto";
   scale /. (uniform_pos t ** (1.0 /. shape))
 
-(** [bool t] is a fair coin. *)
-let bool t = bits t land 1 = 1
-
 (** [bernoulli t p] is [true] with probability [p]. *)
 let bernoulli t p = float t 1.0 < p
 

@@ -32,9 +32,6 @@ val exponential : t -> rate:float -> float
     used for flow sizes (few elephants, many mice). *)
 val pareto : t -> shape:float -> scale:float -> float
 
-(** Fair coin. *)
-val bool : t -> bool
-
 (** [bernoulli t p] is [true] with probability [p]. *)
 val bernoulli : t -> float -> bool
 

@@ -45,5 +45,3 @@ let take_n t ~now n =
 let available t ~now =
   refill t ~now;
   t.tokens
-
-let rate t = t.rate

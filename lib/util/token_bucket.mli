@@ -18,5 +18,3 @@ val take_n : t -> now:float -> int -> bool
 
 (** Current token count after refilling up to [now]. *)
 val available : t -> now:float -> float
-
-val rate : t -> float

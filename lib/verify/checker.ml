@@ -8,8 +8,6 @@
 
 module D = Diagnostic
 
-let max_hops = Inv_loop.max_hops
-
 let check snap =
   D.normalize
     (List.concat_map (fun (module I : Invariant.S) -> I.snapshot snap) Invariant.all)

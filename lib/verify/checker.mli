@@ -24,10 +24,6 @@
        rule exists on the device, no reconciler-owned device rule or
        group lacks an intent, and group buckets match intent.}} *)
 
-(** Hop budget of the loop walk; exceeding it (without an exact state
-    revisit) is reported as a probable loop. *)
-val max_hops : int
-
 (** [check snap] runs every invariant and returns the sorted,
     de-duplicated findings (errors first, empty when clean). *)
 val check : Snapshot.t -> Diagnostic.t list

@@ -30,7 +30,8 @@ type severity = Error | Warning
 type invariant = Loop | Blackhole | Shadow | Group_sanity | Coverage | Divergence
 
 (** What a finding is about: a rule, by its table slot, or a group.
-    Kept as data and rendered only by {!pp}, so clean checks print nothing. *)
+    Kept as data and rendered only by {!to_string}, so clean checks print
+    nothing. *)
 type subject =
   | Rule of { priority : int; match_ : Scotch_openflow.Of_match.t }
   | Group of int
@@ -75,5 +76,4 @@ val errors : t list -> t list
     printed with its full mask, so distinct subjects print distinctly. *)
 val pp_subject : Format.formatter -> subject -> unit
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

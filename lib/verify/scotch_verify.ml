@@ -11,7 +11,7 @@
       let snap = Scotch_verify.Snapshot.capture ~scotch:app ~now topo in
       match Scotch_verify.check snap with
       | [] -> ()  (* clean *)
-      | diags -> List.iter (Format.printf "%a@." Scotch_verify.Diagnostic.pp) diags
+      | diags -> List.iter (fun d -> print_endline (Scotch_verify.Diagnostic.to_string d)) diags
     ]}
 
     {!Hooks} runs the incremental form of the same checker under

@@ -1,14 +1,7 @@
-(** Flow identity allocation and packet construction shared by all
-    traffic sources. *)
+(** Flow shapes and packet construction shared by all traffic
+    sources; flow ids come from [Engine.fresh_flow_id]. *)
 
 open Scotch_packet
-
-let next_flow_id = ref 0
-
-(** Fresh globally unique flow id. *)
-let fresh_flow_id () =
-  incr next_flow_id;
-  !next_flow_id
 
 (** Shape of one flow: [packets] datagrams of [payload] bytes, one every
     [interval] seconds. *)

@@ -1,11 +1,7 @@
-(** Flow identity allocation and packet construction shared by all
-    traffic sources. *)
+(** Flow shapes and packet construction shared by all traffic
+    sources; flow ids come from [Engine.fresh_flow_id]. *)
 
 open Scotch_packet
-
-(** Fresh globally unique flow id (bookkeeping identity only — it never
-    influences forwarding). *)
-val fresh_flow_id : unit -> int
 
 (** Shape of one flow: [packets] datagrams of [payload] bytes, one
     every [interval] seconds. *)

@@ -18,11 +18,6 @@ type t = {
   mutable rate : float; (* new flows per second *)
   arrival : arrival;
   spec_of : Rng.t -> Flow_gen.flow_spec;
-  tenant : int;
-      (* owning tenant of every flow this source launches (metadata for
-         multi-tenant experiments; 0 = the untenanted default).  The
-         network attributes flows by ingress port, so even a spoofing
-         source cannot launch flows outside its own tenant. *)
   spoof_sources : bool;
       (* spoof a fresh source IP per flow — the hping3 DDoS behaviour of
          §3.2 ("we simulate the new flows by spoofing each packet's
@@ -47,14 +42,12 @@ let fresh_port t =
   p
 
 let create engine ~rng ~host ~dst ~rate ?(arrival = Poisson)
-    ?(spec_of = fun _ -> Flow_gen.syn_spec) ?(tenant = 0) ?(spoof_sources = false) () =
+    ?(spec_of = fun _ -> Flow_gen.syn_spec) ?(spoof_sources = false) () =
   let idx = Scotch_sim.Engine.fresh_user_id engine in
   { engine; rng; host; dst_ip = Host.ip dst; dst_mac = Host.mac dst; rate; arrival; spec_of;
-    tenant; spoof_sources; spoof_counter = 0; launched = []; launched_count = 0;
+    spoof_sources; spoof_counter = 0; launched = []; launched_count = 0;
     packets_sent = 0; running = false; port_base = 1024 + (idx mod 21 * port_window);
     next_port = 0 }
-
-let tenant t = t.tenant
 
 let interarrival t =
   match t.arrival with
@@ -93,7 +86,7 @@ let send_flow_packets t ~(launched : Flow_gen.launched) ~src_mac ~ip_src ~src_po
 let launch_flow ?spec t =
   let now = Scotch_sim.Engine.now t.engine in
   let spec = match spec with Some s -> s | None -> t.spec_of t.rng in
-  let flow_id = Flow_gen.fresh_flow_id () in
+  let flow_id = Scotch_sim.Engine.fresh_flow_id t.engine in
   let ip_src, src_mac =
     if t.spoof_sources then begin
       t.spoof_counter <- t.spoof_counter + 1;

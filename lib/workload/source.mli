@@ -18,12 +18,8 @@ type t
     packet's source IP address"). *)
 val create :
   Scotch_sim.Engine.t -> rng:Scotch_util.Rng.t -> host:Host.t -> dst:Host.t -> rate:float ->
-  ?arrival:arrival -> ?spec_of:(Scotch_util.Rng.t -> Flow_gen.flow_spec) -> ?tenant:int ->
+  ?arrival:arrival -> ?spec_of:(Scotch_util.Rng.t -> Flow_gen.flow_spec) ->
   ?spoof_sources:bool -> unit -> t
-
-(** Owning tenant of this source's flows (metadata for multi-tenant
-    experiments; 0 = the untenanted default). *)
-val tenant : t -> int
 
 (** Launch one flow immediately (used by the trace replayer); [spec]
     overrides the source's sampler.  Once launched, a flow runs to

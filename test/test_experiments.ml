@@ -231,6 +231,29 @@ let test_ablation_withdrawal_figure () =
   Alcotest.(check (float 1e-9)) "active early" 1.0 (Report.value_at active 3.0);
   Alcotest.(check (float 1e-9)) "inactive at the end" 0.0 (Report.last_y active)
 
+(* Flow ids are counted per engine: a net run in alternating slices
+   with another numbers its flows as it does alone. *)
+let test_flow_ids_per_net () =
+  let net_with_source seed =
+    let net = Testbed.scotch_net ~seed () in
+    let src = Testbed.client_source net ~i:0 ~rate:200.0 () in
+    Source.start src;
+    (net, src)
+  in
+  let ids src = List.rev_map (fun l -> l.Flow_gen.flow_id) (Source.launched src) in
+  let a, src_a = net_with_source 1 in
+  let b, src_b = net_with_source 2 in
+  for slice = 1 to 10 do
+    let until = 0.05 *. float_of_int slice in
+    Testbed.run_until a ~until;
+    Testbed.run_until b ~until
+  done;
+  let alone, src_alone = net_with_source 2 in
+  Testbed.run_until alone ~until:0.5;
+  Alcotest.(check bool) "net A launched flows" true (Source.launched_count src_a > 0);
+  Alcotest.(check bool) "net B launched flows" true (Source.launched_count src_b > 0);
+  Alcotest.(check (list int)) "net B's ids as alone" (ids src_alone) (ids src_b)
+
 let () =
   Alcotest.run "scotch_experiments"
     [ ( "report",
@@ -244,7 +267,8 @@ let () =
           Alcotest.test_case "overload shed counts provisioned members" `Quick
             test_overload_shed_counts_provisioned;
           Alcotest.test_case "fabric wiring" `Quick test_fabric_wiring;
-          Alcotest.test_case "fabric cross-rack delivery" `Quick test_fabric_cross_rack_delivery ] );
+          Alcotest.test_case "fabric cross-rack delivery" `Quick test_fabric_cross_rack_delivery;
+          Alcotest.test_case "flow ids per net" `Quick test_flow_ids_per_net ] );
       ( "figures",
         [ Alcotest.test_case "fig3 point" `Slow test_fig3_point;
           Alcotest.test_case "fig4 point" `Slow test_fig4_point;

@@ -121,16 +121,6 @@ let test_trace_ring () =
   Alcotest.(check (list string)) "tail retained" [ "e3"; "e4"; "e5"; "e6" ]
     (List.map (fun e -> e.Trace.name) (Trace.events tr))
 
-let test_trace_sampling () =
-  let tr = Trace.create ~capacity:16 ~sample:3 () in
-  for i = 1 to 9 do
-    Trace.instant tr ~name:"e" ~cat:"test" ~ts:(float_of_int i) ~tid:0 ~args:[]
-  done;
-  Alcotest.(check int) "kept every 3rd" 3 (Trace.length tr);
-  Alcotest.(check int) "sampled out" 6 (Trace.sampled_out tr);
-  Alcotest.(check (list int)) "every 3rd offered" [ 3_000_000_000; 6_000_000_000; 9_000_000_000 ]
-    (List.map (fun e -> e.Trace.ts_ns) (Trace.events tr))
-
 let test_trace_json () =
   let tr = Trace.create ~capacity:8 () in
   Trace.complete tr ~name:"span \"x\"" ~cat:"core" ~ts:0.001 ~dur:0.0005 ~tid:3
@@ -180,7 +170,6 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick test_registry_prometheus ] );
       ( "trace",
         [ Alcotest.test_case "ring eviction" `Quick test_trace_ring;
-          Alcotest.test_case "sampling" `Quick test_trace_sampling;
           Alcotest.test_case "chrome json" `Quick test_trace_json ] );
       ("determinism", [ Alcotest.test_case "same seed, same obs" `Quick test_determinism ])
     ]

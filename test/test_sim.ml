@@ -142,6 +142,14 @@ let test_engine_processed () =
   Engine.run e;
   Alcotest.(check int) "processed" 3 (Engine.processed e)
 
+let test_engine_fresh_flow_ids () =
+  let e = Engine.create () in
+  let a = Engine.fresh_flow_id e in
+  let b = Engine.fresh_flow_id e in
+  Alcotest.(check (list int)) "from 1, monotone" [ 1; 2 ] [ a; b ];
+  Alcotest.(check int) "per engine" 1 (Engine.fresh_flow_id (Engine.create ()));
+  Alcotest.(check int) "apart from user ids" 0 (Engine.fresh_user_id e)
+
 let test_engine_step () =
   let e = Engine.create () in
   Alcotest.(check bool) "empty step" false (Engine.step e);
@@ -298,7 +306,7 @@ let mk_pkt ?(payload = 986) () =
 
 let test_link_delivery_time () =
   let e = Engine.create () in
-  let link = Link.create e ~name:"l" ~bandwidth_bps:1e6 ~latency:0.01 ~queue_capacity:10 in
+  let link = Link.create e ~bandwidth_bps:1e6 ~latency:0.01 ~queue_capacity:10 in
   let arrival = ref nan in
   Link.connect link (fun _ -> arrival := Engine.now e);
   let pkt = mk_pkt () in
@@ -312,7 +320,7 @@ let test_link_delivery_time () =
 let test_link_serialization () =
   (* two packets sent together: second arrives one transmission later *)
   let e = Engine.create () in
-  let link = Link.create e ~name:"l" ~bandwidth_bps:1e6 ~latency:0.0 ~queue_capacity:10 in
+  let link = Link.create e ~bandwidth_bps:1e6 ~latency:0.0 ~queue_capacity:10 in
   let times = ref [] in
   Link.connect link (fun _ -> times := Engine.now e :: !times);
   let pkt = mk_pkt () in
@@ -328,7 +336,7 @@ let test_link_serialization () =
 
 let test_link_queue_overflow () =
   let e = Engine.create () in
-  let link = Link.create e ~name:"l" ~bandwidth_bps:1e6 ~latency:0.0 ~queue_capacity:2 in
+  let link = Link.create e ~bandwidth_bps:1e6 ~latency:0.0 ~queue_capacity:2 in
   Link.connect link (fun _ -> ());
   (* 1 in transmission + 2 queued + 2 dropped *)
   for _ = 1 to 5 do
@@ -342,7 +350,7 @@ let test_link_validation () =
   let e = Engine.create () in
   Alcotest.(check bool) "zero bandwidth rejected" true
     (try
-       ignore (Link.create e ~name:"bad" ~bandwidth_bps:0.0 ~latency:0.0 ~queue_capacity:1);
+       ignore (Link.create e ~bandwidth_bps:0.0 ~latency:0.0 ~queue_capacity:1);
        false
      with Invalid_argument _ -> true)
 
@@ -366,6 +374,7 @@ let () =
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "processed count" `Quick test_engine_processed;
           Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "fresh flow ids" `Quick test_engine_fresh_flow_ids;
           QCheck_alcotest.to_alcotest prop_engine_model ] );
       ( "link",
         [ Alcotest.test_case "delivery time" `Quick test_link_delivery_time;

@@ -970,7 +970,7 @@ let fast_profile =
 let switch_with_sink ?(profile = fast_profile) e ~sink_port =
   let sw = Switch.create e ~dpid:1 ~name:"dut" ~profile () in
   let delivered = ref [] in
-  let link = Scotch_sim.Link.create e ~name:"sink" ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:1000 in
+  let link = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:1000 in
   Scotch_sim.Link.connect link (fun pkt -> delivered := pkt :: !delivered);
   Switch.add_port sw ~port_id:sink_port link;
   (sw, delivered)
@@ -1028,7 +1028,7 @@ let test_switch_goto_threads_packet () =
 let test_switch_group_select_path () =
   let e = Scotch_sim.Engine.create () in
   let sw, d2 = switch_with_sink e ~sink_port:2 in
-  let link3 = Scotch_sim.Link.create e ~name:"sink3" ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:1000 in
+  let link3 = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:1000 in
   let d3 = ref [] in
   Scotch_sim.Link.connect link3 (fun pkt -> d3 := pkt :: !d3);
   Switch.add_port sw ~port_id:3 link3;
@@ -1070,12 +1070,12 @@ let test_switch_tunnel_encap_decap () =
   let a = Switch.create e ~dpid:1 ~name:"a" ~profile:fast_profile () in
   let b = Switch.create e ~dpid:2 ~name:"b" ~profile:fast_profile () in
   (* tunnel 77: a port 10077 -> b in-port 10077 *)
-  let tun = Scotch_sim.Link.create e ~name:"tun" ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:100 in
+  let tun = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:100 in
   Scotch_sim.Link.connect tun (fun pkt -> Switch.receive b ~in_port:10077 pkt);
   Switch.add_port a ~port_id:10077 ~kind:(Switch.Tunnel 77) tun;
   Switch.add_input_port b ~port_id:10077 ~kind:(Switch.Tunnel 77) ();
   (* b: tunnel-id match forwards to sink port 5 *)
-  let sink = Scotch_sim.Link.create e ~name:"sink" ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:100 in
+  let sink = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:100 in
   let out = ref [] in
   Scotch_sim.Link.connect sink (fun pkt -> out := pkt :: !out);
   Switch.add_port b ~port_id:5 sink;
@@ -1185,8 +1185,7 @@ let test_switch_every_action () =
   in
   let attach ?kind port_id =
     let link =
-      Scotch_sim.Link.create e ~name:(string_of_int port_id) ~bandwidth_bps:1e12 ~latency:0.0
-        ~queue_capacity:100
+      Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:100
     in
     Scotch_sim.Link.connect link (fun pkt -> emitted := describe port_id pkt :: !emitted);
     Switch.add_port sw ~port_id ?kind link

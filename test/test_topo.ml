@@ -67,9 +67,9 @@ let test_middlebox_stateful () =
   let e = Scotch_sim.Engine.create () in
   let a = Host.create e ~id:1 ~name:"a" in
   let b = Host.create e ~id:2 ~name:"b" in
-  let mb = Middlebox.create e ~name:"fw" () in
+  let mb = Middlebox.create e () in
   let forwarded = ref 0 in
-  let link = Scotch_sim.Link.create e ~name:"out" ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:10 in
+  let link = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:0.0 ~queue_capacity:10 in
   Scotch_sim.Link.connect link (fun _ -> incr forwarded);
   Middlebox.connect_out mb link;
   (* seq 0 establishes, seq 1 passes *)
@@ -87,7 +87,7 @@ let test_middlebox_rejects_encapsulated () =
   let e = Scotch_sim.Engine.create () in
   let a = Host.create e ~id:1 ~name:"a" in
   let b = Host.create e ~id:2 ~name:"b" in
-  let mb = Middlebox.create e ~name:"fw" () in
+  let mb = Middlebox.create e () in
   Middlebox.receive mb (Packet.push_encap (Headers.Encap.mpls 1) (mk_packet ~src:a ~dst:b ()));
   Alcotest.(check int) "encap violation" 1 (Middlebox.encap_violations mb);
   Alcotest.(check int) "not processed" 0 (Middlebox.processed mb)
@@ -96,7 +96,7 @@ let test_middlebox_policy_block () =
   let e = Scotch_sim.Engine.create () in
   let a = Host.create e ~id:1 ~name:"a" in
   let b = Host.create e ~id:2 ~name:"b" in
-  let mb = Middlebox.create e ~name:"fw" () in
+  let mb = Middlebox.create e () in
   Middlebox.set_policy mb (fun key -> key.Flow_key.l4_dst = 80);
   Middlebox.receive mb (mk_packet ~src:a ~dst:b ());
   Alcotest.(check int) "blocked" 0 (Middlebox.processed mb)

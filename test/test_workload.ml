@@ -11,15 +11,10 @@ let rig () =
   let a = Host.create e ~id:1 ~name:"a" in
   let b = Host.create e ~id:2 ~name:"b" in
   (* a's uplink delivers straight to b *)
-  let link = Scotch_sim.Link.create e ~name:"direct" ~bandwidth_bps:1e12 ~latency:1e-6 ~queue_capacity:100000 in
+  let link = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:1e-6 ~queue_capacity:100000 in
   Scotch_sim.Link.connect link (fun pkt -> Host.deliver b pkt);
   Host.set_uplink a link;
   (e, a, b)
-
-let test_fresh_flow_ids () =
-  let a = Flow_gen.fresh_flow_id () in
-  let b = Flow_gen.fresh_flow_id () in
-  Alcotest.(check bool) "monotone" true (b > a)
 
 let test_source_constant_rate () =
   let e, a, b = rig () in
@@ -190,7 +185,7 @@ let test_trace_replay () =
   (* every source delivers straight to whichever destination the packet names *)
   Array.iter
     (fun h ->
-      let link = Scotch_sim.Link.create e ~name:"l" ~bandwidth_bps:1e12 ~latency:1e-6 ~queue_capacity:100000 in
+      let link = Scotch_sim.Link.create e ~bandwidth_bps:1e12 ~latency:1e-6 ~queue_capacity:100000 in
       Scotch_sim.Link.connect link (fun pkt ->
           Array.iter
             (fun d ->
@@ -214,8 +209,7 @@ let test_trace_replay () =
 let () =
   Alcotest.run "scotch_workload"
     [ ( "source",
-        [ Alcotest.test_case "fresh flow ids" `Quick test_fresh_flow_ids;
-          Alcotest.test_case "constant rate" `Quick test_source_constant_rate;
+        [ Alcotest.test_case "constant rate" `Quick test_source_constant_rate;
           Alcotest.test_case "poisson rate" `Quick test_source_poisson_rate;
           Alcotest.test_case "stop" `Quick test_source_stop;
           Alcotest.test_case "flow completes after stop" `Quick test_source_flow_completes_after_stop;
