@@ -19,7 +19,6 @@ type observation = {
   launched : int;  (** admitted background flows *)
   delivered : int;  (** of those, delivered end-to-end *)
   verify_errors : int;
-  verify_reports : int;  (** diagnostics incl. warnings, for context *)
   reconcile : reconcile_obs option;
   breakers : breaker_obs list;
   victim_sheds : int option;

@@ -16,7 +16,6 @@
 
 type stats = {
   tests : int;       (* predicate calls that ran a simulation *)
-  cache_hits : int;  (* candidate lists answered from the memo table *)
 }
 
 let partition xs n =
@@ -41,13 +40,11 @@ let complement_of chunks i =
 
 let ddmin ~still_fails xs =
   if xs = [] then invalid_arg "Shrink.ddmin: empty input";
-  let tests = ref 0 and hits = ref 0 in
+  let tests = ref 0 in
   let memo = Hashtbl.create 64 in
   let fails l =
     match Hashtbl.find_opt memo l with
-    | Some r ->
-      incr hits;
-      r
+    | Some r -> r
     | None ->
       incr tests;
       let r = still_fails l in
@@ -76,4 +73,4 @@ let ddmin ~still_fails xs =
     end
   in
   let minimal = go xs 2 in
-  (minimal, { tests = !tests; cache_hits = !hits })
+  (minimal, { tests = !tests })

@@ -2,7 +2,6 @@
 
 type stats = {
   tests : int;  (** predicate calls that ran a simulation *)
-  cache_hits : int;  (** candidate lists answered from the memo table *)
 }
 
 (** [ddmin ~still_fails xs] minimizes the failing list [xs] to a

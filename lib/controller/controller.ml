@@ -23,7 +23,6 @@ type sw = {
   mutable alive : bool;
   mutable last_echo_reply : float;
   mutable flow_mods_sent : int;
-  mutable packet_outs_sent : int;
   (* control-channel impairment (fault injection): extra one-way latency
      and a loss probability applied to both directions of the channel *)
   mutable chan_extra_latency : float;
@@ -36,7 +35,6 @@ type sw = {
 }
 
 type app = {
-  app_name : string;
   packet_in : sw -> Of_msg.Packet_in.t -> bool;
   switch_dead : sw -> unit;
   switch_alive : sw -> unit;
@@ -126,8 +124,8 @@ let fresh_xid t =
 let register_app t app = t.apps <- t.apps @ [ app ]
 
 let app ?(packet_in = fun _ _ -> false) ?(switch_dead = fun _ -> ())
-    ?(switch_alive = fun _ -> ()) name =
-  { app_name = name; packet_in; switch_dead; switch_alive }
+    ?(switch_alive = fun _ -> ()) () =
+  { packet_in; switch_dead; switch_alive }
 
 let switch t dpid = Hashtbl.find_opt t.switches dpid
 let switch_exn t dpid = Hashtbl.find t.switches dpid
@@ -233,7 +231,7 @@ let connect t device ~latency =
       send_raw =
         (fun msg -> transmit sw (fun () -> Ofa.deliver_message (Switch.ofa device) msg));
       pin_meter = Stats.Rate_meter.create ~window:pin_window;
-      alive = true; last_echo_reply = 0.0; flow_mods_sent = 0; packet_outs_sent = 0;
+      alive = true; last_echo_reply = 0.0; flow_mods_sent = 0;
       chan_extra_latency = 0.0; chan_drop_p = 0.0; chan_dropped = 0;
       chan_dup_p = 0.0; chan_reorder_p = 0.0; chan_duped = 0; chan_reordered = 0 }
   in
@@ -293,7 +291,6 @@ let send t (sw : sw) payload =
   | Of_msg.Flow_mod _ ->
     t.counters.flow_mods <- t.counters.flow_mods + 1;
     sw.flow_mods_sent <- sw.flow_mods_sent + 1
-  | Of_msg.Packet_out _ -> sw.packet_outs_sent <- sw.packet_outs_sent + 1
   | _ -> ());
   sw.send_raw (Of_msg.make ~xid:(fresh_xid t) payload)
 

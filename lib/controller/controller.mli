@@ -24,7 +24,6 @@ type sw = {
   mutable alive : bool;
   mutable last_echo_reply : float;
   mutable flow_mods_sent : int;
-  mutable packet_outs_sent : int;
   mutable chan_extra_latency : float;
       (** control-channel impairment: extra one-way latency (fault injection) *)
   mutable chan_drop_p : float;
@@ -39,7 +38,6 @@ type sw = {
 }
 
 type app = {
-  app_name : string;
   packet_in : sw -> Of_msg.Packet_in.t -> bool;
   switch_dead : sw -> unit;
   switch_alive : sw -> unit;
@@ -74,7 +72,7 @@ val register_app : t -> app -> unit
 (** Build an app record from optional callbacks. *)
 val app :
   ?packet_in:(sw -> Of_msg.Packet_in.t -> bool) -> ?switch_dead:(sw -> unit) ->
-  ?switch_alive:(sw -> unit) -> string -> app
+  ?switch_alive:(sw -> unit) -> unit -> app
 
 val switch : t -> Of_types.datapath_id -> sw option
 val switch_exn : t -> Of_types.datapath_id -> sw

@@ -72,7 +72,7 @@ let handle_packet_in t (sw : Controller.sw) (pi : Of_msg.Packet_in.t) =
 (** Build the controller app record; register with
     {!Controller.register_app}. *)
 let app t =
-  Controller.app ~packet_in:(fun sw pi -> handle_packet_in t sw pi) "reactive-routing"
+  Controller.app ~packet_in:(fun sw pi -> handle_packet_in t sw pi) ()
 
 (** Install the table-miss rule (priority 0, wildcard → controller) on a
     switch — the default OpenFlow reactive posture. *)

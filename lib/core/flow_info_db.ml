@@ -24,7 +24,6 @@ type entry = {
   mutable migrating : bool;
   mutable last_packet_count : int; (* at previous stats poll *)
   mutable last_active : float;     (* last time the flow was known alive *)
-  mutable last_poll_at : float;    (* when last_packet_count was observed *)
 }
 
 type t = {
@@ -52,7 +51,7 @@ let admit t ?(tenant = Tenant.default_id) ~key ~first_hop ~ingress_port ~now () 
   | None ->
     let e =
       { key; first_hop; ingress_port; tenant; created = now; kind = Pending;
-        migrating = false; last_packet_count = 0; last_active = now; last_poll_at = 0.0 }
+        migrating = false; last_packet_count = 0; last_active = now }
     in
     Flow_key.Hashtbl.replace t.flows key e;
     e
@@ -79,7 +78,6 @@ let remove t key =
 let observe_count _t e ~packets ~now ~interval =
   let delta = Stdlib.max 0 (packets - e.last_packet_count) in
   e.last_packet_count <- packets;
-  e.last_poll_at <- now;
   if delta > 0 then e.last_active <- now;
   if interval > 0.0 then float_of_int delta /. interval else 0.0
 

@@ -21,7 +21,6 @@ type entry = {
   mutable migrating : bool;
   mutable last_packet_count : int; (** at the previous stats poll *)
   mutable last_active : float;     (** last time the flow was known alive *)
-  mutable last_poll_at : float;    (** when [last_packet_count] was observed *)
 }
 
 type t

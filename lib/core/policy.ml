@@ -25,7 +25,6 @@ let red_priority = 10
 
 type segment = {
   seg_name : string;
-  middlebox : Middlebox.t;
   s_u : int;            (* upstream switch dpid *)
   s_u_mb_port : int;    (* S_U port toward the middlebox *)
   s_d : int;            (* downstream switch dpid *)
@@ -51,14 +50,14 @@ let classify t key = t.classify key
 
 let segments t = t.segments
 
-(** [add_segment t overlay ~name ~middlebox ~s_u ~s_u_mb_port ~s_d
-    ~s_d_mb_in_port] registers a segment and builds its overlay
-    attachment: a tunnel from every overlay vswitch to S_U (entry) and
-    from S_D back to every vswitch (exit).  The middlebox itself must
-    already be wired with {!Topology.insert_middlebox}. *)
-let add_segment t overlay ~name ~middlebox ~s_u ~s_u_mb_port ~s_d ~s_d_mb_in_port =
+(** [add_segment t overlay ~name ~s_u ~s_u_mb_port ~s_d ~s_d_mb_in_port]
+    registers a segment and builds its overlay attachment: a tunnel from
+    every overlay vswitch to S_U (entry) and from S_D back to every
+    vswitch (exit).  The middlebox itself must already be wired with
+    {!Topology.insert_middlebox}. *)
+let add_segment t overlay ~name ~s_u ~s_u_mb_port ~s_d ~s_d_mb_in_port =
   let seg =
-    { seg_name = name; middlebox; s_u; s_u_mb_port; s_d; s_d_mb_in_port;
+    { seg_name = name; s_u; s_u_mb_port; s_d; s_d_mb_in_port;
       in_tunnels = Hashtbl.create 16; out_tunnels = Hashtbl.create 16 }
   in
   let su_switch = Topology.switch_exn t.topo s_u in

@@ -18,7 +18,6 @@ val red_priority : int
 
 type segment = {
   seg_name : string;
-  middlebox : Middlebox.t;
   s_u : int;            (** upstream switch dpid *)
   s_u_mb_port : int;    (** S_U port toward the middlebox *)
   s_d : int;            (** downstream switch dpid *)
@@ -43,7 +42,7 @@ val segments : t -> segment list
     every vswitch to S_U and from S_D back).  The middlebox itself must
     already be wired with {!Topology.insert_middlebox}. *)
 val add_segment :
-  t -> Overlay.t -> name:string -> middlebox:Middlebox.t -> s_u:int -> s_u_mb_port:int ->
+  t -> Overlay.t -> name:string -> s_u:int -> s_u_mb_port:int ->
   s_d:int -> s_d_mb_in_port:int -> segment
 
 (** Tunnel id from a vswitch into the segment's S_U. *)

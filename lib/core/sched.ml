@@ -42,8 +42,6 @@
 module Admission = Scotch_util.Admission
 
 type counters = {
-  mutable served_admitted : int;
-  mutable served_large : int;
   mutable served_ingress : int;
   mutable diverted_overlay : int; (* ingress submissions past the overlay threshold *)
   mutable dropped : int;          (* ingress submissions past the dropping threshold *)
@@ -90,8 +88,8 @@ let create ?(shed_policy = Admission.Drop_new) ?(deadline = 0.0) ?(tenants = unt
       Option.iter (Admission.set_budget admission ~tenant:s.Tenant.id) s.Tenant.sched_budget)
     tenants;
   let counters =
-    { served_admitted = 0; served_large = 0; served_ingress = 0; diverted_overlay = 0;
-      dropped = 0; evicted = 0; expired = 0; budget_dropped = 0 }
+    { served_ingress = 0; diverted_overlay = 0; dropped = 0; evicted = 0; expired = 0;
+      budget_dropped = 0 }
   in
   { engine; rate; overlay_threshold; drop_threshold; differentiate; shed_policy; deadline;
     admitted = Hashtbl.create 4; large = Hashtbl.create 4; ingress = Hashtbl.create 8;
@@ -253,14 +251,10 @@ let serve_one t =
   let tenant = t.frame.(t.frame_pos) in
   t.frame_pos <- (t.frame_pos + 1) mod Array.length t.frame;
   match Queue.take_opt (tenant_q t.admitted tenant) with
-  | Some item ->
-    t.counters.served_admitted <- t.counters.served_admitted + 1;
-    item ()
+  | Some item -> item ()
   | None -> (
     match Queue.take_opt (tenant_q t.large tenant) with
-    | Some item ->
-      t.counters.served_large <- t.counters.served_large + 1;
-      item ()
+    | Some item -> item ()
     | None -> (
       match next_ingress_of_tenant t ~tenant with
       | Some item ->

@@ -23,8 +23,6 @@
     latency is independent of everyone else's backlog). *)
 
 type counters = {
-  mutable served_admitted : int;
-  mutable served_large : int;
   mutable served_ingress : int;
   mutable diverted_overlay : int; (** submissions past the overlay threshold *)
   mutable dropped : int;          (** submissions refused past the dropping threshold *)

@@ -846,7 +846,7 @@ let app t =
     ~packet_in:(fun sw pi -> handle_packet_in t sw pi)
     ~switch_dead:(fun sw -> handle_switch_dead t sw)
     ~switch_alive:(fun sw -> handle_switch_alive t sw)
-    "scotch"
+    ()
 
 (** {1 Elastic pool growth (§5.6)}
 

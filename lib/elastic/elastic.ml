@@ -125,13 +125,12 @@ let check_config c =
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Elastic: duplicate tenant id in tenant_shares"
 
-type action = { time : float; dir : [ `Up | `Down ]; dpid : int }
+type action = { time : float; dir : [ `Up | `Down ] }
 
 type counters = {
   mutable ejects : int;
   mutable readmits : int;
   mutable data_ejects : int;   (* data-axis breaker removals from forwarding *)
-  mutable data_readmits : int;
   mutable scale_ups : int;
   mutable scale_downs : int;
   mutable probes_sent : int;
@@ -187,7 +186,7 @@ let create ?(config = default_config) ?provision app =
       last_submitted = Hashtbl.create 16; predicted_q = Hashtbl.create 16;
       action_c = Hashtbl.create 8; stop = None;
       counters =
-        { ejects = 0; readmits = 0; data_ejects = 0; data_readmits = 0; scale_ups = 0;
+        { ejects = 0; readmits = 0; data_ejects = 0; scale_ups = 0;
           scale_downs = 0; probes_sent = 0; probe_timeouts = 0 } }
   in
   let module O = Scotch_obs.Obs in
@@ -269,9 +268,7 @@ let feed_data_probe t dpid probe =
   | Some Breaker.Ejected ->
     t.counters.data_ejects <- t.counters.data_ejects + 1;
     Scotch.fail_vswitch t.app dpid
-  | Some Breaker.Readmitted ->
-    t.counters.data_readmits <- t.counters.data_readmits + 1;
-    Scotch.revive_vswitch t.app dpid
+  | Some Breaker.Readmitted -> Scotch.revive_vswitch t.app dpid
   | None -> ()
 
 (* Probe every registered vswitch the heartbeat still considers alive.
@@ -317,7 +314,7 @@ let standby_candidate t =
    the pool dimension ROADMAP reserved part of the obs headroom for. *)
 let record_action t dir ~pool dpid =
   t.last_action <- now t;
-  t.actions_rev <- { time = now t; dir; dpid } :: t.actions_rev;
+  t.actions_rev <- { time = now t; dir } :: t.actions_rev;
   if Scotch_obs.Obs.is_enabled () then begin
     let dir_s = match dir with `Up -> "up" | `Down -> "down" in
     let c =

@@ -54,13 +54,12 @@ type config = {
 val default_config : config
 
 (** One autoscaler action, for oscillation analysis. *)
-type action = { time : float; dir : [ `Up | `Down ]; dpid : int }
+type action = { time : float; dir : [ `Up | `Down ] }
 
 type counters = {
   mutable ejects : int;
   mutable readmits : int;
   mutable data_ejects : int;   (** data-axis breaker removals from forwarding *)
-  mutable data_readmits : int;
   mutable scale_ups : int;
   mutable scale_downs : int;
   mutable probes_sent : int;

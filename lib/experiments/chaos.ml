@@ -118,7 +118,6 @@ let run_schedule (s : Ch.Schedule.t) : Ch.Oracle.observation =
     { Ch.Oracle.launched;
       delivered;
       verify_errors = List.length (V.Diagnostic.errors report);
-      verify_reports = List.length report;
       reconcile = Resilience.reconcile_obs net;
       breakers = breaker_obs net auto;
       victim_sheds =

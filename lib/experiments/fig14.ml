@@ -26,6 +26,10 @@ let run_variant ?(seed = 42) ~force_overlay () =
     else Config.default
   in
   let net = Testbed.scotch_net ~seed ~config () in
+  let samples = Scotch_util.Stats.Samples.create () in
+  Scotch_topo.Host.on_receive net.Testbed.server (fun pkt ->
+      Scotch_util.Stats.Samples.add samples
+        (Scotch_sim.Engine.now net.Testbed.engine -. pkt.Scotch_packet.Packet.meta.created));
   let src = Testbed.client_source net ~i:0 ~rate:1.0 () in
   (* several flows: they hash to different entry vswitches, so the
      distribution shows both the 1-tunnel (entry = cover) and the full
@@ -36,7 +40,6 @@ let run_variant ?(seed = 42) ~force_overlay () =
          ~spec:{ Flow_gen.packets = flow_packets; payload = 1000; interval = 1.0 /. pkt_rate })
   done;
   Testbed.run_until net ~until:(float_of_int flow_packets /. pkt_rate +. 1.0);
-  let samples = Scotch_topo.Host.delay_samples net.Testbed.server in
   List.map
     (fun p -> (p, Scotch_util.Stats.Samples.percentile samples (p /. 100.0) *. 1e6))
     percentiles

@@ -121,7 +121,7 @@ let scotch_config ~verify =
    oversubscribed by the flood — so all shedding comes from the
    attacker's own budget. *)
 let pool_profile =
-  { Overload.weak_vswitch with Profile.name = "iso-vswitch"; pin_queue_capacity = 200 }
+  { Overload.weak_vswitch with Profile.pin_queue_capacity = 200 }
 
 (* Overload's autoscaler tuning with the per-tenant demand split and
    this pool's bounds.  [Overload.vswitch_capacity] holds for
@@ -185,15 +185,12 @@ type outcome = {
       (* peak simultaneous members drained from flow-setup duty by the
          control-axis breaker while their data axis stayed closed *)
   quarantines : int;            (* control-axis breaker ejections *)
-  readmits : int;
   data_ejects : int;            (* data-axis removals from forwarding *)
-  final_pool : int;
   success : (float * float) list; (* per-bin victim delivery fraction *)
   verify_checks : int;
   verify_errors : int;          (* invariant errors + equivalence-audit misses *)
   ledger_digest : string;
   trace_digest : string;        (* obs trace digest — the determinism check *)
-  net : Testbed.scotch_net;
 }
 
 let run_variant ~attack ?(verify = Config.Off) ~seed ~scale () =
@@ -296,15 +293,12 @@ let run_variant ~attack ?(verify = Config.Off) ~seed ~scale () =
     attacker_shed = tenant_shed_total net ~tenant:attacker;
     drained_forwarding = !drained_peak;
     quarantines = counters.Elastic.ejects;
-    readmits = counters.Elastic.readmits;
     data_ejects = counters.Elastic.data_ejects;
-    final_pool = List.length (Overlay.active_vswitches net.Testbed.overlay);
     success = Testbed.success_bins ~bin_width ~until:stop_clients_at flows;
     verify_checks;
     verify_errors;
     ledger_digest = Ledger.digest ledger;
-    trace_digest = Scotch_obs.Trace.digest (O.tracer ());
-    net }
+    trace_digest = Scotch_obs.Trace.digest (O.tracer ()) }
 
 type pair = {
   baseline : outcome;  (* no attack, gray failure only *)

@@ -26,7 +26,6 @@ type built = {
 
 type scenario = {
   name : string;
-  doc : string;
   build : ?config:Config.t -> seed:int -> unit -> built;
 }
 
@@ -92,21 +91,16 @@ let fabric ?config ~seed () =
     b_until = steady_state }
 
 let scenarios =
-  [ { name = "scotch-net-idle";
-      doc = "evaluation network at rest: miss rules only, overlay dormant";
-      build = scotch_net_idle };
-    { name = "scotch-net-active";
-      doc = "flash crowd past activation: redirects, select group, live vflows";
-      build = scotch_net_active };
-    { name = "scotch-net-backups";
-      doc = "activated overlay with standby backup vswitches registered";
-      build = scotch_net_backups };
-    { name = "scotch-net-firewall";
-      doc = "middlebox policy segment: green/red rules share the tables (S5.4)";
-      build = scotch_net_firewall };
-    { name = "fabric";
-      doc = "leaf-spine fabric, cross-rack crowd over rack-local vswitches";
-      build = fabric } ]
+  [ (* evaluation network at rest: miss rules only, overlay dormant *)
+    { name = "scotch-net-idle"; build = scotch_net_idle };
+    (* flash crowd past activation: redirects, select group, live vflows *)
+    { name = "scotch-net-active"; build = scotch_net_active };
+    (* activated overlay with standby backup vswitches registered *)
+    { name = "scotch-net-backups"; build = scotch_net_backups };
+    (* middlebox policy segment: green/red rules share the tables (S5.4) *)
+    { name = "scotch-net-firewall"; build = scotch_net_firewall };
+    (* leaf-spine fabric, cross-rack crowd over rack-local vswitches *)
+    { name = "fabric"; build = fabric } ]
 
 let names = List.map (fun s -> s.name) scenarios
 

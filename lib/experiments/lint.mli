@@ -14,7 +14,6 @@ type built = {
 
 type scenario = {
   name : string;
-  doc : string;
   build : ?config:Scotch_core.Config.t -> seed:int -> unit -> built;
 }
 

@@ -40,8 +40,7 @@ let queue_capacity = 50
 
 let profile =
   { Profile.scotch_vswitch with
-    Profile.name = "model-ofa";
-    packet_in_service = 1.0 /. service_rate;
+    Profile.packet_in_service = 1.0 /. service_rate;
     pin_queue_capacity = queue_capacity;
     housekeeping_period = 0.0 }
 

@@ -45,8 +45,7 @@ let max_pool = 6
     latency. *)
 let weak_vswitch =
   { Profile.scotch_vswitch with
-    name = "weak-vswitch";
-    packet_in_service = 1.0 /. 100.0;
+    Profile.packet_in_service = 1.0 /. 100.0;
     flow_mod_service = 1.0 /. 200.0;
     packet_out_service = 1.0 /. 200.0;
     ofa_queue_capacity = 50;

@@ -179,7 +179,6 @@ let observation (o : outcome) =
   { Ch.Oracle.launched = o.launched;
     delivered = o.delivered;
     verify_errors = List.length (Scotch_verify.Diagnostic.errors report);
-    verify_reports = List.length report;
     reconcile = reconcile_obs net;
     breakers = []; (* no elastic loop in this experiment *)
     victim_sheds = None;

@@ -21,13 +21,9 @@ let control_latency = 0.5e-3 (* 1 GbE management network, one way *)
 
 type single = {
   engine : Scotch_sim.Engine.t;
-  topo : Topology.t;
   switch : Switch.t;
   ctrl : C.t;
   sw_handle : C.sw;
-  routing : Scotch_controller.Routing.t;
-  client : Host.t;
-  attacker : Host.t;
   server : Host.t;
   client_src : Source.t;
   attacker_src : Source.t;
@@ -64,8 +60,7 @@ let single ?(seed = 42) ~profile ~client_rate ~attack_rate () =
     Source.create engine ~rng:(Rng.split rng) ~host:attacker ~dst:server ~rate:attack_rate
       ~spoof_sources:true ()
   in
-  { engine; topo; switch; ctrl; sw_handle; routing; client; attacker; server; client_src;
-    attacker_src }
+  { engine; switch; ctrl; sw_handle; server; client_src; attacker_src }
 
 (** {1 Scotch evaluation network} *)
 
@@ -338,7 +333,7 @@ let add_firewall_segment (net : scotch_net) ~classify =
   Topology.insert_middlebox net.topo mb ~upstream:(net.edge, 70)
     ~downstream:(net.server_sw, 70);
   let seg =
-    Scotch_core.Policy.add_segment net.policy net.overlay ~name:"fw0" ~middlebox:mb
+    Scotch_core.Policy.add_segment net.policy net.overlay ~name:"fw0"
       ~s_u:edge_dpid ~s_u_mb_port:70 ~s_d:server_dpid ~s_d_mb_in_port:70
   in
   Scotch_core.Policy.set_classifier net.policy (fun key ->

@@ -24,13 +24,9 @@ val control_latency : float
 
 type single = {
   engine : Scotch_sim.Engine.t;
-  topo : Topology.t;
   switch : Switch.t;
   ctrl : C.t;
   sw_handle : C.sw;
-  routing : Scotch_controller.Routing.t;
-  client : Host.t;
-  attacker : Host.t;
   server : Host.t;
   client_src : Source.t;
   attacker_src : Source.t;

@@ -309,6 +309,6 @@ let run env plan =
       active = Hashtbl.create 16 }
   in
   C.register_app env.ctrl
-    (C.app ~switch_dead:(fun sw -> on_switch_dead t sw) "fault-injector");
+    (C.app ~switch_dead:(fun sw -> on_switch_dead t sw) ());
   List.iter (inject t) (Plan.faults plan);
   t.ledger

@@ -39,7 +39,6 @@ let check_params p =
   if p.capacity < 1 then invalid_arg "Ofa_model: capacity must be >= 1"
 
 type prediction = {
-  offered : float;
   utilization : float;
   blocking : float;
   throughput : float;
@@ -50,7 +49,7 @@ type prediction = {
 }
 
 let idle p =
-  { offered = 0.0; utilization = 0.0; blocking = 0.0; throughput = 0.0;
+  { utilization = 0.0; blocking = 0.0; throughput = 0.0;
     queue_len = 0.0; system_len = 0.0; wait = 0.0; sojourn = 1.0 /. p.service_rate }
 
 (* aⱼ = P(j arrivals during one service), for j = 0..n−1.
@@ -87,8 +86,7 @@ let of_distribution prm p =
   let throughput = prm.rate *. (1.0 -. blocking) in
   let sojourn = if throughput > 0.0 then system_len /. throughput else 0.0 in
   let wait = Float.max 0.0 (sojourn -. (1.0 /. prm.service_rate)) in
-  { offered = prm.rate /. prm.service_rate; utilization; blocking; throughput;
-    queue_len; system_len; wait; sojourn }
+  { utilization; blocking; throughput; queue_len; system_len; wait; sojourn }
 
 (* ρ → ∞ limit: the system pins full and the server never idles, so
    every metric follows from throughput = μ.  Also the numeric escape
@@ -102,7 +100,7 @@ let saturated prm =
      its time one below full, independent of the service law, giving
      L = N − 1/ρ + O(1/ρ²) *)
   let l = nf -. (1.0 /. rho) in
-  { offered = rho; utilization = 1.0; blocking = 1.0 -. (1.0 /. rho);
+  { utilization = 1.0; blocking = 1.0 -. (1.0 /. rho);
     throughput = prm.service_rate; queue_len = l -. 1.0; system_len = l;
     wait = (l -. 1.0) /. prm.service_rate; sojourn = l /. prm.service_rate }
 

@@ -38,7 +38,6 @@ type params = {
 val check_params : params -> unit
 
 type prediction = {
-  offered : float;      (** ρ = λ/μ, the offered load *)
   utilization : float;  (** P(server busy) = 1 − p₀ = ρ(1 − blocking) *)
   blocking : float;     (** P(an arrival finds the waiting room full) *)
   throughput : float;   (** admitted-job completion rate λ(1 − blocking) *)

@@ -162,7 +162,6 @@ let quantile_opt hm p = flush hm; Histogram.quantile_opt hm.h p
 type sample = {
   s_name : string;
   s_labels : labels;
-  s_kind : string;
   s_value : float; (* histograms report their observation count *)
 }
 
@@ -183,8 +182,7 @@ let value_of m =
     the programmatic snapshot tests and summary tables read. *)
 let samples t =
   List.map
-    (fun m -> { s_name = m.name; s_labels = m.labels; s_kind = kind_name m.kind;
-                s_value = value_of m })
+    (fun m -> { s_name = m.name; s_labels = m.labels; s_value = value_of m })
     (sorted_metrics t)
 
 (** {1 Prometheus text exposition} *)

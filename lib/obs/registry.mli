@@ -74,7 +74,6 @@ val quantile_opt : histogram -> float -> float option
 type sample = {
   s_name : string;
   s_labels : labels;
-  s_kind : string; (* "counter" | "gauge" | "histogram" *)
   s_value : float; (* histograms report their observation count *)
 }
 

@@ -131,16 +131,18 @@ let pop_root t =
   end
 
 (** [schedule_at t ~at f] runs [f] at absolute time [at].  Scheduling in
-    the past raises [Invalid_argument]. *)
+    the past or at NaN raises [Invalid_argument]: a NaN time would sit at
+    the root of the queue and block every later event. *)
 let schedule_at t ~at run =
-  if at < t.now then
+  if not (at >= t.now) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: %.9f is before current time %.9f" at t.now);
+      (Printf.sprintf "Engine.schedule_at: %.9f is not at or after current time %.9f" at
+         t.now);
   push t at run
 
 (** [schedule t ~delay f] runs [f] after [delay] seconds. *)
 let schedule t ~delay run =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative or NaN delay";
   push t (t.now +. delay) run
 
 (** [cancel t h] prevents a scheduled event from running: O(1), the
@@ -198,9 +200,9 @@ let on_run_end t f = t.run_end_hooks <- f :: t.run_end_hooks
     phases instead of stacking on the same instants.  Returns a stop
     function. *)
 let every t ~period ?start ?until f =
-  if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
+  if not (period > 0.0) then invalid_arg "Engine.every: period must be positive";
   let first = Option.value start ~default:period in
-  if first < 0.0 then invalid_arg "Engine.every: start must be non-negative";
+  if not (first >= 0.0) then invalid_arg "Engine.every: start must be non-negative";
   let stopped = ref false in
   let rec tick () =
     if not !stopped then begin

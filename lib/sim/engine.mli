@@ -29,11 +29,11 @@ val rng : t -> Scotch_util.Rng.t
 val processed : t -> int
 
 (** [schedule_at t ~at f] runs [f] at absolute time [at].  Raises
-    [Invalid_argument] when [at] is in the past. *)
+    [Invalid_argument] when [at] is in the past or NaN. *)
 val schedule_at : t -> at:float -> (unit -> unit) -> handle
 
 (** [schedule t ~delay f] runs [f] after [delay] seconds.  Raises
-    [Invalid_argument] on negative delays. *)
+    [Invalid_argument] on a negative or NaN delay. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 
 (** [cancel t h] prevents the event [h] from running; O(1).  The event
@@ -63,7 +63,8 @@ val on_run_end : t -> (unit -> unit) -> unit
 (** [every t ~period ?start ?until f] runs [f] every [period] seconds
     starting at [now + start] (default [now + period]); [start] phases
     periodic tasks sharing a period apart from each other.  Returns a
-    stop function. *)
+    stop function.  Raises [Invalid_argument] unless [period] is
+    positive and [start] non-negative (NaN is neither). *)
 val every :
   t -> period:float -> ?start:float -> ?until:float -> (unit -> unit) -> unit -> unit
 

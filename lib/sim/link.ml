@@ -13,7 +13,6 @@ type stats = {
   mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
-  mutable dropped_down : int; (* lost while the link was administratively down *)
 }
 
 type t = {
@@ -35,7 +34,7 @@ let create engine ~bandwidth_bps ~latency ~queue_capacity =
   if latency < 0.0 then invalid_arg "Link.create: negative latency";
   { engine; bandwidth_bps; latency; queue_capacity; queue = Queue.create ();
     busy = false; up = true; sink = (fun _ -> ());
-    stats = { delivered = 0; dropped = 0; bytes = 0; dropped_down = 0 } }
+    stats = { delivered = 0; dropped = 0; bytes = 0 } }
 
 (** [connect t sink] sets the function receiving delivered packets. *)
 let connect t sink = t.sink <- sink
@@ -58,10 +57,11 @@ let rec start_transmission t =
            ignore (Engine.schedule t.engine ~delay:t.latency (fun () -> t.sink pkt));
            start_transmission t))
 
-(** [send t pkt] enqueues [pkt] for transmission; drops (and counts) when
-    the queue is full or the link is down (link-flap fault injection). *)
+(** [send t pkt] enqueues [pkt] for transmission; drops (and counts) it
+    when the queue is full, and loses it when the link is down (link-flap
+    fault injection). *)
 let send t pkt =
-  if not t.up then t.stats.dropped_down <- t.stats.dropped_down + 1
+  if not t.up then ()
   else if t.busy then begin
     if Queue.length t.queue >= t.queue_capacity then t.stats.dropped <- t.stats.dropped + 1
     else Queue.push pkt t.queue
@@ -76,10 +76,7 @@ let send t pkt =
     bringing it back up restores service for subsequent sends. *)
 let set_up t up =
   t.up <- up;
-  if not up then begin
-    t.stats.dropped_down <- t.stats.dropped_down + Queue.length t.queue;
-    Queue.clear t.queue
-  end
+  if not up then Queue.clear t.queue
 
 let is_up t = t.up
 

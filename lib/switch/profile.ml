@@ -20,7 +20,6 @@
       attempted insertions/s with >90 % data-path loss past it. *)
 
 type t = {
-  name : string;
   (* OFA service times, seconds per message *)
   packet_in_service : float;   (* generate one Packet-In *)
   flow_mod_service : float;    (* install one rule *)
@@ -42,8 +41,7 @@ type t = {
 (** Pica8 Pronto 3780: 10 GbE data ports, weak management CPU.
     Saturation flow-setup rate ~1/(pin+fmod+pout) ≈ 140 flows/s. *)
 let pica8 =
-  { name = "pica8-pronto-3780";
-    packet_in_service = 1.0 /. 200.0;
+  { packet_in_service = 1.0 /. 200.0;
     flow_mod_service = 1.0 /. 1000.0;
     packet_out_service = 1.0 /. 1000.0;
     misc_service = 1.0 /. 5000.0;
@@ -60,8 +58,7 @@ let pica8 =
 (** HP Procurve 6600: higher OFA throughput than the Pica8 (Fig. 3)
     but an older OpenFlow 1.0 data plane (no tunnels/multi-table). *)
 let hp_procurve =
-  { name = "hp-procurve-6600";
-    packet_in_service = 1.0 /. 1000.0;
+  { packet_in_service = 1.0 /. 1000.0;
     flow_mod_service = 1.0 /. 1000.0;
     packet_out_service = 1.0 /. 1000.0;
     misc_service = 1.0 /. 5000.0;
@@ -79,8 +76,7 @@ let hp_procurve =
     (no TCAM, no housekeeping stalls), slower data plane than switch
     ASICs. *)
 let open_vswitch =
-  { name = "open-vswitch";
-    packet_in_service = 1.0 /. 10000.0;
+  { packet_in_service = 1.0 /. 10000.0;
     flow_mod_service = 1.0 /. 20000.0;
     packet_out_service = 1.0 /. 20000.0;
     misc_service = 1.0 /. 50000.0;
@@ -96,7 +92,7 @@ let open_vswitch =
 
 (** A Scotch overlay vswitch: an {!open_vswitch} selected on a lightly
     loaded host (§4.1). *)
-let scotch_vswitch = { open_vswitch with name = "scotch-vswitch" }
+let scotch_vswitch = open_vswitch
 
 (** Maximum sustainable reactive flow-setup rate: one Packet-In, one
     FlowMod and one Packet-Out per flow, minus housekeeping duty. *)

@@ -5,7 +5,6 @@
     Figs. 3/4/9/10. *)
 
 type t = {
-  name : string;
   (* OFA service times, seconds per message *)
   packet_in_service : float;   (** generate one Packet-In *)
   flow_mod_service : float;    (** install one rule *)

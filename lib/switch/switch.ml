@@ -298,12 +298,14 @@ let create engine ~dpid ~name ~profile () =
 (** [add_port t ~port_id ?kind link] attaches an outgoing link on a
     port.  The peer is whatever the link's sink delivers to. *)
 let add_port t ~port_id ?(kind = Normal) link =
-  if Hashtbl.mem t.ports port_id then invalid_arg "Switch.add_port: duplicate port";
+  if Hashtbl.mem t.ports port_id then
+    invalid_arg ("Switch.add_port: duplicate port on " ^ t.name);
   Hashtbl.replace t.ports port_id { kind; out = Some link }
 
 (** Declare an input-only port (e.g. where only the peer sends). *)
 let add_input_port t ~port_id ?(kind = Normal) () =
-  if Hashtbl.mem t.ports port_id then invalid_arg "Switch.add_input_port: duplicate port";
+  if Hashtbl.mem t.ports port_id then
+    invalid_arg ("Switch.add_input_port: duplicate port on " ^ t.name);
   Hashtbl.replace t.ports port_id { kind; out = None }
 
 (** Failure injection: kill or revive both planes of the switch. *)
@@ -335,7 +337,6 @@ let ports_snapshot t =
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let dpid t = t.dpid
-let name t = t.name
 
 (** Attach (or detach, with [None]) the telemetry sampler feeding off
     the receive path.  [None] — the default — leaves the datapath

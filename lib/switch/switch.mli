@@ -75,7 +75,6 @@ val all_ports : t -> int list
     port half of a verification snapshot; [None] link = input-only. *)
 val ports_snapshot : t -> (int * port_kind * Scotch_sim.Link.t option) list
 val dpid : t -> Of_types.datapath_id
-val name : t -> string
 
 (** Attach (or detach, with [None]) a telemetry sampler fed from the
     receive path, after tunnel decap and the admission gates.  [None]

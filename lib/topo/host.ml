@@ -4,16 +4,14 @@
     additionally be the endpoint of Scotch delivery tunnels (modeling
     the hypervisor host-vswitch of §4.1, which strips the tunnel header
     and hands the packet to the destination VM).  Hosts record per-flow
-    reception so experiments can compute flow-failure fractions and
-    completion times. *)
+    reception only, never per packet, so experiments can compute
+    flow-failure fractions and completion times. *)
 
 open Scotch_packet
 
 type flow_record = {
   mutable packets : int;
-  mutable bytes : int;
-  mutable first_seen : float;
-  mutable last_seen : float;
+  first_seen : float;
   mutable delay_sum : float; (* sum of one-way packet delays *)
 }
 
@@ -27,13 +25,12 @@ type t = {
   flows : (int, flow_record) Hashtbl.t; (* by packet flow_id *)
   mutable received_packets : int;
   mutable on_receive : Packet.t -> unit;
-  delays : Scotch_util.Stats.Samples.t; (* one-way packet delays *)
 }
 
 let create engine ~id ~name =
   { engine; id; name; mac = Mac.of_host_id id; ip = Ipv4_addr.of_host_id id; uplink = None;
     flows = Hashtbl.create 64; received_packets = 0;
-    on_receive = (fun _ -> ()); delays = Scotch_util.Stats.Samples.create () }
+    on_receive = (fun _ -> ()) }
 
 let set_uplink t link = t.uplink <- Some link
 
@@ -52,19 +49,14 @@ let deliver t pkt =
   in
   let pkt = strip pkt in
   let now = Scotch_sim.Engine.now t.engine in
+  let delay = now -. pkt.Packet.meta.created in
   t.received_packets <- t.received_packets + 1;
-  Scotch_util.Stats.Samples.add t.delays (now -. pkt.Packet.meta.created);
   let fid = pkt.Packet.meta.flow_id in
   (match Hashtbl.find_opt t.flows fid with
   | Some r ->
     r.packets <- r.packets + 1;
-    r.bytes <- r.bytes + Packet.size pkt;
-    r.last_seen <- now;
-    r.delay_sum <- r.delay_sum +. (now -. pkt.Packet.meta.created)
-  | None ->
-    Hashtbl.replace t.flows fid
-      { packets = 1; bytes = Packet.size pkt; first_seen = now; last_seen = now;
-        delay_sum = now -. pkt.Packet.meta.created });
+    r.delay_sum <- r.delay_sum +. delay
+  | None -> Hashtbl.replace t.flows fid { packets = 1; first_seen = now; delay_sum = delay });
   t.on_receive pkt
 
 let id t = t.id
@@ -77,9 +69,6 @@ let received_packets t = t.received_packets
 let flows_seen t = Hashtbl.length t.flows
 
 let flow_record t flow_id = Hashtbl.find_opt t.flows flow_id
-
-(** One-way delay samples of every delivered packet. *)
-let delay_samples t = t.delays
 
 (** Register a callback invoked on each delivered (decapsulated) packet. *)
 let on_receive t f = t.on_receive <- f

@@ -3,17 +3,16 @@
     A host has one uplink into the network and may additionally be the
     endpoint of Scotch delivery tunnels (modeling the hypervisor
     host-vswitch of §4.1, which strips the tunnel header and hands the
-    packet to the destination VM).  Hosts record per-flow reception so
+    packet to the destination VM).  Hosts record per-flow reception
+    only (a packet count, the first arrival and the summed delay), so
     experiments can compute flow-failure fractions and completion
-    times. *)
+    times; a per-packet measurement registers {!on_receive}. *)
 
 open Scotch_packet
 
 type flow_record = {
   mutable packets : int;
-  mutable bytes : int;
-  mutable first_seen : float;
-  mutable last_seen : float;
+  first_seen : float;
   mutable delay_sum : float; (** sum of one-way packet delays *)
 }
 
@@ -44,9 +43,6 @@ val received_packets : t -> int
 val flows_seen : t -> int
 
 val flow_record : t -> int -> flow_record option
-
-(** One-way delay samples of every delivered packet. *)
-val delay_samples : t -> Scotch_util.Stats.Samples.t
 
 (** Register a callback invoked on each delivered (decapsulated)
     packet. *)

@@ -124,7 +124,6 @@ type t = {
   (* counters *)
   mutable n_updates : int;
   mutable n_classes_touched : int;
-  mutable n_last_classes : int;
   mutable n_violations : int; (* distinct violations ever entered *)
   mutable n_equiv_checks : int;
   mutable n_equiv_mismatches : int;
@@ -135,7 +134,6 @@ type t = {
 type stats = {
   updates : int;
   classes_touched : int;
-  last_classes_touched : int;
   class_count : int;
   violations_seen : int;
   equiv_checks : int;
@@ -401,7 +399,6 @@ let rewalk t dirty =
         c.cdiags <- diags;
         c.ctouched <- touched)
     dirty;
-  t.n_last_classes <- !n;
   t.n_classes_touched <- t.n_classes_touched + !n
 
 (* Mark the active classes whose packets could match [m]: [m]'s IP
@@ -673,7 +670,6 @@ let create ?(now = 0.0) snap =
       current = [];
       n_updates = 0;
       n_classes_touched = 0;
-      n_last_classes = 0;
       n_violations = 0;
       n_equiv_checks = 0;
       n_equiv_mismatches = 0;
@@ -725,7 +721,6 @@ let percentile t q =
 let stats t =
   { updates = t.n_updates;
     classes_touched = t.n_classes_touched;
-    last_classes_touched = t.n_last_classes;
     class_count = class_count t;
     violations_seen = t.n_violations;
     equiv_checks = t.n_equiv_checks;

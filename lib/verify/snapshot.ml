@@ -25,7 +25,6 @@ type port = {
 
 type node = {
   dpid : int;
-  node_name : string;
   failed : bool;
   num_tables : int;
   tables : (int * Classifier.t) list;
@@ -34,7 +33,6 @@ type node = {
 }
 
 type host = {
-  host_id : int;
   host_ip : int;
   attach_dpid : int;
   attach_port : int;
@@ -131,7 +129,6 @@ let capture_node endpoints ~now sw =
   in
   let tables = Switch.tables sw in
   { dpid;
-    node_name = Switch.name sw;
     failed = Switch.is_failed sw;
     num_tables = Array.length tables;
     tables =
@@ -183,8 +180,7 @@ let capture ?scotch ~now topo =
       match Topology.host_attachment topo (Host.ip h) with
       | Some (attach_dpid, attach_port) ->
         hosts :=
-          { host_id = Host.id h;
-            host_ip = Scotch_packet.Ipv4_addr.to_int (Host.ip h);
+          { host_ip = Scotch_packet.Ipv4_addr.to_int (Host.ip h);
             attach_dpid; attach_port }
           :: !hosts
       | None -> ());

@@ -32,7 +32,6 @@ type port = {
     (sorted by id) and ports. *)
 type node = {
   dpid : int;
-  node_name : string;
   failed : bool;
   num_tables : int;
   tables : (int * Classifier.t) list;
@@ -45,7 +44,6 @@ type node = {
 }
 
 type host = {
-  host_id : int;
   host_ip : int;   (** {!Scotch_packet.Ipv4_addr.to_int} form *)
   attach_dpid : int;
   attach_port : int;

@@ -145,7 +145,7 @@ let test_oracle_verdicts () =
       ~workload:Schedule.default_workload []
   in
   let clean =
-    { Oracle.launched = 100; delivered = 99; verify_errors = 0; verify_reports = 3;
+    { Oracle.launched = 100; delivered = 99; verify_errors = 0;
       reconcile = Some { Oracle.converged = true; outstanding = 0 };
       breakers = [ { Oracle.dpid = 100; state = "closed"; demoted = false } ];
       victim_sheds = Some 0; digest = "d" }

@@ -77,20 +77,23 @@ let test_packet_in_dispatch_order () =
   let e, _, sw, a, b, ctrl = rig () in
   let log = ref [] in
   C.register_app ctrl
-    (C.app "first"
+    (C.app
        ~packet_in:(fun _ _ ->
          log := "first" :: !log;
-         false));
+         false)
+       ());
   C.register_app ctrl
-    (C.app "second"
+    (C.app
        ~packet_in:(fun _ _ ->
          log := "second" :: !log;
-         true));
+         true)
+       ());
   C.register_app ctrl
-    (C.app "third"
+    (C.app
        ~packet_in:(fun _ _ ->
          log := "third" :: !log;
-         true));
+         true)
+       ());
   let h = C.connect ctrl sw ~latency:0.001 in
   Scotch_controller.Routing.install_table_miss ctrl h;
   Scotch_sim.Engine.run e;
@@ -127,7 +130,7 @@ let test_pin_rate_meter () =
 let test_heartbeat_detects_death () =
   let e, _, sw, _, _, ctrl = rig () in
   let died = ref [] in
-  C.register_app ctrl (C.app "watch" ~switch_dead:(fun s -> died := s.C.dpid :: !died));
+  C.register_app ctrl (C.app ~switch_dead:(fun s -> died := s.C.dpid :: !died) ());
   let _h = C.connect ctrl sw ~latency:0.001 in
   C.start_heartbeat ctrl ~period:0.5 ~timeout:1.5;
   (* healthy for 3 s, then the agent dies *)

@@ -47,6 +47,26 @@ let test_engine_past_raises () =
        false
      with Invalid_argument _ -> true)
 
+(* A NaN time compares false with everything: queued, it would sit at
+   the root and block every later event. *)
+let test_engine_nan_raises () =
+  let e = Engine.create () in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  raises "NaN delay" (fun () -> ignore (Engine.schedule e ~delay:nan ignore));
+  raises "NaN time" (fun () -> ignore (Engine.schedule_at e ~at:nan ignore));
+  (* [every] returns its stop function; calling it at once keeps the
+     result a unit *)
+  raises "NaN period" (fun () -> Engine.every e ~period:nan ignore ());
+  raises "NaN start" (fun () -> Engine.every e ~period:1.0 ~start:nan ignore ());
+  let fired = ref 0 in
+  ignore (Engine.schedule_at e ~at:1.0 (fun () -> incr fired));
+  ignore (Engine.schedule_at e ~at:2.0 (fun () -> incr fired));
+  Engine.run ~until:10.0 e;
+  Alcotest.(check int) "later events fire" 2 !fired
+
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
@@ -365,6 +385,7 @@ let () =
           Alcotest.test_case "FIFO at ties" `Quick test_engine_fifo_ties;
           Alcotest.test_case "now advances" `Quick test_engine_now_advances;
           Alcotest.test_case "past scheduling raises" `Quick test_engine_past_raises;
+          Alcotest.test_case "NaN time raises" `Quick test_engine_nan_raises;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "cancel twice" `Quick test_engine_cancel_twice;
           Alcotest.test_case "cancel after firing" `Quick test_engine_cancel_fired;

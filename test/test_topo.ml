@@ -57,8 +57,28 @@ let test_host_delay_tracking () =
   let b = Host.create e ~id:2 ~name:"b" in
   ignore (Scotch_sim.Engine.schedule e ~delay:0.5 (fun () -> Host.deliver b (mk_packet ~src:a ~dst:b ())));
   Scotch_sim.Engine.run e;
-  Alcotest.(check (float 1e-9)) "delay sample" 0.5
-    (Scotch_util.Stats.Samples.mean (Host.delay_samples b))
+  match Host.flow_record b 1 with
+  | Some r ->
+    Alcotest.(check (float 1e-9)) "mean delay" 0.5 (r.Host.delay_sum /. float_of_int r.Host.packets)
+  | None -> Alcotest.fail "no flow record"
+
+(* A host keeps one record per flow and nothing per packet: 200k
+   deliveries of one flow leave its live heap where the first left it. *)
+let test_host_memory_per_flow () =
+  let e = Scotch_sim.Engine.create () in
+  let a = Host.create e ~id:1 ~name:"a" in
+  let b = Host.create e ~id:2 ~name:"b" in
+  let pkt = mk_packet ~src:a ~dst:b () in
+  Host.deliver b pkt;
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for _ = 1 to 200_000 do
+    Host.deliver b pkt
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  Alcotest.(check int) "delivered" 200_001 (Host.received_packets b);
+  if grown >= 20_000 then Alcotest.failf "live heap grew by %d words" grown
 
 (* ------------------------------------------------------------------ *)
 (* Middlebox *)
@@ -227,7 +247,8 @@ let () =
         [ Alcotest.test_case "identity" `Quick test_host_identity;
           Alcotest.test_case "deliver strips+records" `Quick test_host_deliver_strips_and_records;
           Alcotest.test_case "send requires uplink" `Quick test_host_send_requires_uplink;
-          Alcotest.test_case "delay tracking" `Quick test_host_delay_tracking ] );
+          Alcotest.test_case "delay tracking" `Quick test_host_delay_tracking;
+          Alcotest.test_case "memory per flow" `Quick test_host_memory_per_flow ] );
       ( "middlebox",
         [ Alcotest.test_case "stateful" `Quick test_middlebox_stateful;
           Alcotest.test_case "rejects encapsulated" `Quick test_middlebox_rejects_encapsulated;

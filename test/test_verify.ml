@@ -22,15 +22,15 @@ let port ?tunnel ?(link_up = Some true) ~endpoint port_id : S.port =
 
 let node ?(failed = false) ?(num_tables = 2) ?(rules = []) ?(groups = []) ?(ports = []) dpid :
     S.node =
-  { S.dpid; node_name = Printf.sprintf "sw%d" dpid; failed; num_tables;
+  { S.dpid; failed; num_tables;
     tables = List.map (fun (table_id, rules) -> (table_id, Classifier.of_list rules)) rules;
     groups; ports }
 
 let snap ?(hosts = []) ?(managed = []) ?(vswitch_dpids = []) ?overlay ?intents nodes : S.t =
   { S.now = 0.0; nodes; hosts; managed; vswitch_dpids; overlay; intents }
 
-let host ~id ~ip ~dpid ~port : S.host =
-  { S.host_id = id; host_ip = ip; attach_dpid = dpid; attach_port = port }
+let host ~ip ~dpid ~port : S.host =
+  { S.host_ip = ip; attach_dpid = dpid; attach_port = port }
 
 let ip_a = 0x0A000001 (* 10.0.0.1 *)
 let ip_b = 0x0A000002 (* 10.0.0.2 *)
@@ -61,7 +61,7 @@ let loop_snapshot () =
      exact rule on both switches bounces the flow forever *)
   let r ~out = rule ~match_:(exact_match ~src:ip_a ~dst:ip_b) ~instructions:(output out) () in
   snap
-    ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1 ]
+    ~hosts:[ host ~ip:ip_a ~dpid:1 ~port:1 ]
     [ node 1
         ~rules:[ (0, [ r ~out:2 ]) ]
         ~ports:
@@ -189,7 +189,7 @@ let test_group_non_positive_weight () =
    sw2 port 2 comes back into sw1 port 3 and sw2 port 3 holds host b. *)
 let tunnel_wiring ~sw1 ~sw2 =
   snap
-    ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1 ]
+    ~hosts:[ host ~ip:ip_a ~dpid:1 ~port:1 ]
     [ node 1 ~rules:sw1
         ~groups:
           [ group 1
@@ -272,7 +272,7 @@ let test_loop_follows_tie_break () =
   in
   let base sw1 =
     snap
-      ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1; host ~id:2 ~ip:ip_b ~dpid:1 ~port:4 ]
+      ~hosts:[ host ~ip:ip_a ~dpid:1 ~port:1; host ~ip:ip_b ~dpid:1 ~port:4 ]
       [ node 1 ~rules:[ (0, sw1) ]
           ~ports:
             [ port 1 ~endpoint:(S.To_host 1);
@@ -529,7 +529,7 @@ let gen_ip i = 0x0A000000 lor (i + 1)
 
 let gen_base_snap ~switches =
   let hosts =
-    List.init switches (fun i -> host ~id:(i + 1) ~ip:(gen_ip i) ~dpid:(i + 1) ~port:1)
+    List.init switches (fun i -> host ~ip:(gen_ip i) ~dpid:(i + 1) ~port:1)
   in
   let nodes =
     List.init switches (fun i ->
@@ -794,7 +794,7 @@ let test_orphan_cap_promotion () =
   (* sw1 holds two hosts; sw1 port 2 -> sw2 port 1, sw2 port 2 -> sw1 port 3 *)
   let base =
     snap ~managed:[ 1 ]
-      ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1; host ~id:2 ~ip:ip_b ~dpid:1 ~port:4 ]
+      ~hosts:[ host ~ip:ip_a ~dpid:1 ~port:1; host ~ip:ip_b ~dpid:1 ~port:4 ]
       [ node 1
           ~rules:[ (0, [ miss_rule () ]) ]
           ~ports:
@@ -858,7 +858,7 @@ let test_duplicate_host_ip () =
   let r ~out = rule ~match_:(exact_match ~src:ip_a ~dst:ip_b) ~instructions:(output out) () in
   let s =
     snap
-      ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1; host ~id:2 ~ip:ip_a ~dpid:2 ~port:1 ]
+      ~hosts:[ host ~ip:ip_a ~dpid:1 ~port:1; host ~ip:ip_a ~dpid:2 ~port:1 ]
       [ node 1
           ~rules:[ (0, [ r ~out:2 ]) ]
           ~ports:[ port 1 ~endpoint:(S.To_host 1); port 2 ~endpoint:(S.To_host 3) ];
@@ -930,7 +930,7 @@ let clean_snapshot () =
       ~instructions:(output 1) ()
   in
   snap ~managed:[ 1 ]
-    ~hosts:[ host ~id:1 ~ip:ip_a ~dpid:1 ~port:1 ]
+    ~hosts:[ host ~ip:ip_a ~dpid:1 ~port:1 ]
     [ node 1
         ~rules:[ (0, List.init clean_rules exact @ [ miss_rule () ]) ]
         ~ports:[ port 1 ~endpoint:(S.To_host 1) ] ]
