@@ -93,6 +93,19 @@ let unit_float what =
   in
   Arg.conv' ~docv:"P" (parse, Format.pp_print_float)
 
+(* Counts: at least 1 for [pos_int], at least 0 for [nat_int]. *)
+let int_from lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some _ -> Error (Printf.sprintf "%s must be at least %d, got %s" what lo s)
+    | None -> Error (Printf.sprintf "invalid %s %S, expected an integer" what s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
+let pos_int = int_from 1
+let nat_int = int_from 0
+
 let seed_arg =
   let doc = "PRNG seed; runs are bit-for-bit reproducible for a given seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -411,7 +424,7 @@ let chaos_cmd =
   in
   let schedules_arg =
     let doc = "Number of random schedules to explore." in
-    Arg.(value & opt int 50 & info [ "schedules" ] ~docv:"N" ~doc)
+    Arg.(value & opt (pos_int "--schedules") 50 & info [ "schedules" ] ~docv:"N" ~doc)
   in
   let time_budget_arg =
     let doc = "Stop exploring after this many CPU seconds (the schedule budget still caps)." in
@@ -445,7 +458,8 @@ let chaos_cmd =
   in
   let det_arg =
     let doc = "Double-run every $(docv)-th trial and compare digests (0 disables)." in
-    Arg.(value & opt int 7 & info [ "determinism-every" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (nat_int "--determinism-every") 7 & info [ "determinism-every" ] ~docv:"N" ~doc)
   in
   let module Ch = Scotch_chaos in
   let print_violations vs =

@@ -123,10 +123,11 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+(* [print] never writes NaN, and NaN would pass every range check *)
 let float_of s =
   match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail "bad float %S" s
+  | Some v when not (Float.is_nan v) -> v
+  | _ -> fail "bad float %S" s
 
 let int_of s =
   match int_of_string_opt s with Some v -> v | None -> fail "bad int %S" s

@@ -324,18 +324,15 @@ let pending_requests t = Hashtbl.length t.pending
 
 (** Install a flow rule. *)
 let install t sw ?(table_id = 0) ?(priority = 1) ?(idle_timeout = 0.0) ?(hard_timeout = 0.0)
-    ?(cookie = Of_types.cookie_none) ~match_ ~instructions () =
+    ~match_ ~instructions () =
   send t sw
     (Of_msg.Flow_mod
-       (Of_msg.Flow_mod.add ~table_id ~priority ~idle_timeout ~hard_timeout ~cookie ~match_
+       (Of_msg.Flow_mod.add ~table_id ~priority ~idle_timeout ~hard_timeout ~match_
           ~instructions ()))
 
 (** Remove rules matching exactly. *)
-let uninstall t sw ?(table_id = 0) ?priority ~match_ () =
-  send t sw
-    (Of_msg.Flow_mod
-       { (Of_msg.Flow_mod.delete ~table_id ~match_ ()) with
-         Of_msg.Flow_mod.priority = Option.value priority ~default:0 })
+let uninstall t sw ?(table_id = 0) ~match_ () =
+  send t sw (Of_msg.Flow_mod (Of_msg.Flow_mod.delete ~table_id ~match_ ()))
 
 (** Send a Packet-Out executing [actions] on [packet]. *)
 let packet_out t sw ?(in_port = 0) ~actions packet =

@@ -100,11 +100,10 @@ val pending_requests : t -> int
 (** Install a flow rule. *)
 val install :
   t -> sw -> ?table_id:int -> ?priority:int -> ?idle_timeout:float -> ?hard_timeout:float ->
-  ?cookie:Of_types.cookie -> match_:Of_match.t -> instructions:Of_action.instructions ->
-  unit -> unit
+  match_:Of_match.t -> instructions:Of_action.instructions -> unit -> unit
 
 (** Remove rules matching exactly. *)
-val uninstall : t -> sw -> ?table_id:int -> ?priority:int -> match_:Of_match.t -> unit -> unit
+val uninstall : t -> sw -> ?table_id:int -> match_:Of_match.t -> unit -> unit
 
 (** Send a Packet-Out executing [actions] on [packet]. *)
 val packet_out : t -> sw -> ?in_port:int -> actions:Of_action.t list ->

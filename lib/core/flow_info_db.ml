@@ -88,18 +88,18 @@ let physical_count t = t.physical_count
 let iter t f = Flow_key.Hashtbl.iter (fun _ e -> f e) t.flows
 
 (** Flows currently routed over the overlay whose first hop is [dpid],
-    recently seen alive ([horizon] seconds) and longer than
-    [min_packets] — the set that gets pinned during withdrawal (§5.5).
+    recently seen alive ([horizon] seconds) and longer than one packet
+    — the set that gets pinned during withdrawal (§5.5).
     One-packet probes (the bulk of a spoofed DDoS) need no pin: they
     will never send again, and a stray late packet simply becomes a new
     Packet-In. *)
-let overlay_flows_of_switch t ?(horizon = infinity) ?(min_packets = 2) ~now dpid =
+let overlay_flows_of_switch t ?(horizon = infinity) ~now dpid =
   Flow_key.Hashtbl.fold
     (fun _ e acc ->
       match e.kind with
       | Overlay _
         when e.first_hop = dpid
              && now -. e.last_active <= horizon
-             && e.last_packet_count >= min_packets -> e :: acc
+             && e.last_packet_count >= 2 -> e :: acc
       | Overlay _ | Pending | Physical | Dropped -> acc)
     t.flows []

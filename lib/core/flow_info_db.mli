@@ -52,8 +52,8 @@ val physical_count : t -> int
 val iter : t -> (entry -> unit) -> unit
 
 (** Flows on the overlay with first hop [dpid], recently alive
-    ([horizon] seconds) and longer than [min_packets] — the set pinned
+    ([horizon] seconds) and longer than one packet — the set pinned
     during withdrawal (§5.5).  One-packet probes (the bulk of a spoofed
     DDoS) need no pin. *)
 val overlay_flows_of_switch :
-  t -> ?horizon:float -> ?min_packets:int -> now:float -> int -> entry list
+  t -> ?horizon:float -> now:float -> int -> entry list

@@ -209,11 +209,10 @@ let send_batch t (sw : C.sw) payloads =
 
 let send_fm t sw fm = send_batch t sw [ Of_msg.Flow_mod fm ]
 
-let install t sw ?(table_id = 0) ?(priority = 1) ?(idle_timeout = 0.0) ?(hard_timeout = 0.0)
+let install t sw ?(table_id = 0) ?(priority = 1) ?(idle_timeout = 0.0)
     ?(cookie = Of_types.cookie_none) ~match_ ~instructions () =
   send_fm t sw
-    (Of_msg.Flow_mod.add ~table_id ~priority ~idle_timeout ~hard_timeout ~cookie ~match_
-       ~instructions ())
+    (Of_msg.Flow_mod.add ~table_id ~priority ~idle_timeout ~cookie ~match_ ~instructions ())
 
 let uninstall t sw ?(table_id = 0) ?priority ~match_ () =
   send_fm t sw

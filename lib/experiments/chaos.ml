@@ -139,8 +139,8 @@ let run_schedule (s : Ch.Schedule.t) : Ch.Oracle.observation =
     the overlay pool (active + backup dpids), both managed physical
     switches, the clients' edge access links and (when [tenancy]) the
     attacker tenant. *)
-let default_spec ?(cfg = Ch.Schedule.default_cfg) ?(workload = Ch.Schedule.default_workload)
-    () =
+let default_spec ?(cfg = Ch.Schedule.default_cfg) () =
+  let workload = Ch.Schedule.default_workload in
   { Ch.Gen.vswitches = Array.init (num_active + num_backups) Testbed.vswitch_dpid;
     phys = [| Testbed.edge_dpid; Testbed.server_dpid |];
     links =

@@ -306,9 +306,9 @@ type pair = {
   p99_delta : float;   (* |attacked - baseline| / baseline victim p99 *)
 }
 
-let run_pair ?(seed = 42) ?(scale = 1.0) ?(verify = Config.Off) () =
-  let baseline = run_variant ~attack:false ~verify ~seed ~scale () in
-  let attacked = run_variant ~attack:true ~verify ~seed ~scale () in
+let run_pair ?(seed = 42) ?(scale = 1.0) () =
+  let baseline = run_variant ~attack:false ~seed ~scale () in
+  let attacked = run_variant ~attack:true ~seed ~scale () in
   let p99_delta =
     match (baseline.victim_p99, attacked.victim_p99) with
     | Some b, Some a when b > 0.0 -> Float.abs (a -. b) /. b

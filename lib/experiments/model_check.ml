@@ -228,5 +228,3 @@ let figure_of (o : outcome) : Report.figure =
       [ series "simulated" (fun p -> p.sim_queue);
         series "model" (fun p -> p.model_queue);
         series "relative error" (fun p -> p.queue_err) ] }
-
-let run ?(seed = 42) ?(scale = 1.0) () : Report.figure = figure_of (summary ~seed ~scale ())

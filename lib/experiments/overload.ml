@@ -235,12 +235,11 @@ let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off)
 
 (** The elastic run alone — what the smoke test and the bench drive.
     [multiplier] tunes crowd intensity (default 7.5 = 3x pool
-    capacity); [peak] the gray failure's severity. *)
-let run_outcome ?(seed = 42) ?(scale = 1.0) ?(multiplier = 7.5) ?(peak = 40.0)
-    ?(elastic = true) ?(verify = Scotch_core.Config.Off)
-    ?(scaling = Scotch_core.Config.Reactive) () =
+    capacity). *)
+let run_outcome ?(seed = 42) ?(scale = 1.0) ?(multiplier = 7.5) ?(elastic = true)
+    ?(verify = Scotch_core.Config.Off) ?(scaling = Scotch_core.Config.Reactive) () =
   let params = trace_params ~scale ~multiplier in
-  let plan = degrade_plan ~params ~peak in
+  let plan = degrade_plan ~params ~peak:40.0 in
   run_variant ~elastic ~verify ~scaling ~seed ~plan ~params ()
 
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =

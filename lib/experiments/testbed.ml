@@ -102,8 +102,7 @@ let start_scotch ~engine ~topo ctrl app ~managed ~vswitches =
   Scotch_verify.Hooks.install ~engine ~topo app
 
 (** [scotch_net ()] builds the evaluation network:
-    - edge and server-side physical switches ([profile], default Pica8),
-      linked;
+    - edge and server-side Pica8 physical switches, linked;
     - [num_clients] client hosts and the attacker on the edge switch;
     - the server behind the server-side switch;
     - [num_vswitches] active + [num_backups] backup overlay vswitches,
@@ -115,11 +114,12 @@ let start_scotch ~engine ~topo ctrl app ~managed ~vswitches =
     reliable control-channel layer (intent store + barrier-acked
     transactions) whose anti-entropy reconciler owns all of Scotch's
     rule cookies; {!Scotch_core.Scotch.start} launches it. *)
-let scotch_net ?(seed = 42) ?(profile = Profile.pica8) ?(vswitch_profile = Profile.scotch_vswitch)
+let scotch_net ?(seed = 42) ?(vswitch_profile = Profile.scotch_vswitch)
     ?(config = Scotch_core.Config.default) ?(num_vswitches = 4) ?(num_backups = 0)
     ?(num_clients = 1) ?(num_servers = 1) ?(scotch_enabled = true) ?(reconcile = false) () =
   let engine = Scotch_sim.Engine.create ~seed () in
   let topo = Topology.create engine in
+  let profile = Profile.pica8 in
   let edge = Switch.create engine ~dpid:edge_dpid ~name:"edge" ~profile () in
   let server_sw = Switch.create engine ~dpid:server_dpid ~name:"server-sw" ~profile () in
   Topology.add_switch topo edge;
@@ -217,9 +217,9 @@ let scotch_net ?(seed = 42) ?(profile = Profile.pica8) ?(vswitch_profile = Profi
     servers; server; verify; reliable }
 
 (** A client traffic source on client [i]. *)
-let client_source (net : scotch_net) ~i ~rate ?arrival ?spec_of () =
+let client_source (net : scotch_net) ~i ~rate ?spec_of () =
   let rng = Rng.split (Scotch_sim.Engine.rng net.engine) in
-  Source.create net.engine ~rng ~host:net.clients.(i) ~dst:net.server ~rate ?arrival ?spec_of ()
+  Source.create net.engine ~rng ~host:net.clients.(i) ~dst:net.server ~rate ?spec_of ()
 
 (** A spoofed-source flood, by default from the attacker to the first
     server. *)
@@ -369,15 +369,16 @@ let tor_dpid rack = 1 + rack
 let spine_dpid i = 50 + i
 let fabric_host_id ~rack ~slot = 1 + (rack * 32) + slot
 
-(** [fabric ()] builds [num_racks] ToR switches (default Pica8), each
+(** [fabric ()] builds [num_racks] Pica8 ToR switches, each
     with [hosts_per_rack] hosts and two local Scotch vswitches, all
     ToRs linked to [num_spines] spine switches, every vswitch meshed
     and uplinked from every ToR, hosts covered by their rack's
     vswitches.  All ToRs and spines are Scotch-managed. *)
-let fabric ?(seed = 42) ?(profile = Profile.pica8) ?(config = Scotch_core.Config.default)
-    ?(num_racks = 4) ?(hosts_per_rack = 4) ?(num_spines = 2) ?(vswitches_per_rack = 2)
-    ?(scotch_enabled = true) () =
+let fabric ?(seed = 42) ?(config = Scotch_core.Config.default) ?(num_racks = 4)
+    ?(hosts_per_rack = 4) ?(num_spines = 2) ?(vswitches_per_rack = 2) ?(scotch_enabled = true)
+    () =
   let engine = Scotch_sim.Engine.create ~seed () in
+  let profile = Profile.pica8 in
   let topo = Topology.create engine in
   let tors =
     Array.init num_racks (fun r ->

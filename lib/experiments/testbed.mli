@@ -73,14 +73,14 @@ val vswitch_dpid : int -> int
     [reconcile = true] routes all installs through a reliable
     control-channel layer owning every Scotch rule cookie. *)
 val scotch_net :
-  ?seed:int -> ?profile:Profile.t -> ?vswitch_profile:Profile.t ->
+  ?seed:int -> ?vswitch_profile:Profile.t ->
   ?config:Scotch_core.Config.t -> ?num_vswitches:int -> ?num_backups:int ->
   ?num_clients:int -> ?num_servers:int -> ?scotch_enabled:bool -> ?reconcile:bool -> unit ->
   scotch_net
 
 (** A client traffic source on client [i] toward the first server. *)
 val client_source :
-  scotch_net -> i:int -> rate:float -> ?arrival:Source.arrival ->
+  scotch_net -> i:int -> rate:float ->
   ?spec_of:(Scotch_util.Rng.t -> Flow_gen.flow_spec) -> unit -> Source.t
 
 (** A spoofed-source flood from [host] (default the attacker) to [dst]
@@ -160,7 +160,7 @@ val tor_dpid : int -> int
     rack, [vswitches_per_rack] overlay vswitches per rack with
     rack-local coverage. *)
 val fabric :
-  ?seed:int -> ?profile:Profile.t -> ?config:Scotch_core.Config.t -> ?num_racks:int ->
+  ?seed:int -> ?config:Scotch_core.Config.t -> ?num_racks:int ->
   ?hosts_per_rack:int -> ?num_spines:int -> ?vswitches_per_rack:int -> ?scotch_enabled:bool ->
   unit -> fabric
 

@@ -53,9 +53,10 @@ type t = {
   kind : kind;
 }
 
+(* Negated, so that NaN fails them too. *)
 let check ~at ~duration name =
-  if at < 0.0 then invalid_arg (name ^ ": negative injection time");
-  if duration <= 0.0 then invalid_arg (name ^ ": duration must be positive")
+  if not (at >= 0.0) then invalid_arg (name ^ ": negative injection time");
+  if not (duration > 0.0) then invalid_arg (name ^ ": duration must be positive")
 
 (** [vswitch_crash ~at ?duration dpid] kills vswitch [dpid] at [at];
     with a finite [duration] it comes back (and rejoins as a backup,

@@ -107,8 +107,8 @@ let counter_fn t ?(help = "") ?(labels = []) name f =
   | Counter_fn cell -> cell.ifn <- f
   | k -> mismatch name k "counter_fn"
 
-let gauge t ?(help = "") ?(labels = []) name =
-  match (register t ~help ~labels name (fun () -> Gauge { g = 0.0 })).kind with
+let gauge t name =
+  match (register t ~help:"" ~labels:[] name (fun () -> Gauge { g = 0.0 })).kind with
   | Gauge g -> g
   | k -> mismatch name k "gauge"
 

@@ -40,7 +40,7 @@ val counter : t -> ?help:string -> ?labels:labels -> string -> counter
     untouched.  Re-registration replaces the closure. *)
 val counter_fn : t -> ?help:string -> ?labels:labels -> string -> (unit -> int) -> unit
 
-val gauge : t -> ?help:string -> ?labels:labels -> string -> gauge
+val gauge : t -> string -> gauge
 
 (** [gauge_fn t name f] registers a pull-style gauge: [f] is evaluated
     at snapshot time.  Re-registration replaces the closure (last

@@ -26,8 +26,8 @@ module Flow_mod = struct
     { command = Add; table_id; priority; match_; instructions; idle_timeout; hard_timeout;
       cookie }
 
-  let delete ?(table_id = 0) ?(priority = 0) ~match_ () =
-    { command = Delete; table_id; priority; match_; instructions = []; idle_timeout = 0.0;
+  let delete ?(table_id = 0) ~match_ () =
+    { command = Delete; table_id; priority = 0; match_; instructions = []; idle_timeout = 0.0;
       hard_timeout = 0.0; cookie = cookie_none }
 
 end
@@ -73,8 +73,8 @@ module Packet_in = struct
     packet : Scotch_packet.Packet.t;
   }
 
-  let make ?(table_id = 0) ?tunnel_id ~reason ~in_port packet =
-    { buffer_id = no_buffer; reason; table_id; in_port; tunnel_id; packet }
+  let make ?tunnel_id ~reason ~in_port packet =
+    { buffer_id = no_buffer; reason; table_id = 0; in_port; tunnel_id; packet }
 end
 
 module Packet_out = struct

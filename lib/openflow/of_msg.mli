@@ -23,7 +23,7 @@ module Flow_mod : sig
     ?table_id:table_id -> ?priority:int -> ?idle_timeout:float -> ?hard_timeout:float ->
     ?cookie:cookie -> match_:Of_match.t -> instructions:Of_action.instructions -> unit -> t
 
-  val delete : ?table_id:table_id -> ?priority:int -> match_:Of_match.t -> unit -> t
+  val delete : ?table_id:table_id -> match_:Of_match.t -> unit -> t
 end
 
 (** Group modification — select groups implement §5.1's load
@@ -62,8 +62,7 @@ module Packet_in : sig
   }
 
   val make :
-    ?table_id:table_id -> ?tunnel_id:int -> reason:Packet_in_reason.t ->
-    in_port:int -> Scotch_packet.Packet.t -> t
+    ?tunnel_id:int -> reason:Packet_in_reason.t -> in_port:int -> Scotch_packet.Packet.t -> t
 end
 
 module Packet_out : sig

@@ -209,9 +209,9 @@ let parse_ipv4 b off =
   in
   (ip, off + ihl, get_u16 b (off + 2))
 
-(** [parse ~flow_id ~created b] reconstructs a {!Packet.t} from wire
-    bytes, assigning fresh simulation metadata. *)
-let parse ?(flow_id = 0) ?(created = 0.0) b =
+(** [parse ~flow_id b] reconstructs a {!Packet.t} from wire bytes,
+    assigning fresh simulation metadata (created at time 0). *)
+let parse ?(flow_id = 0) b =
   if Bytes.length b < 14 then fail "truncated Ethernet header";
   let eth_dst = Mac.of_int (get_u48 b 0) in
   let eth_src = Mac.of_int (get_u48 b 6) in
@@ -256,7 +256,7 @@ let parse ?(flow_id = 0) ?(created = 0.0) b =
         ip;
         l4;
         payload_len;
-        meta = Packet.fresh_meta ~flow_id ~created () }
+        meta = Packet.fresh_meta ~flow_id ~created:0.0 () }
     end
   in
   go 14 (get_u16 b 12) []

@@ -21,5 +21,6 @@ val serialize : Packet.t -> Bytes.t
 val serialized_size : Packet.t -> int
 
 (** Reconstruct a packet from wire bytes, assigning fresh simulation
-    metadata.  Raises {!Parse_error} on malformed input. *)
-val parse : ?flow_id:int -> ?created:float -> Bytes.t -> Packet.t
+    metadata (created at time 0).  Raises {!Parse_error} on malformed
+    input. *)
+val parse : ?flow_id:int -> Bytes.t -> Packet.t

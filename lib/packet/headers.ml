@@ -73,8 +73,8 @@ module Tcp = struct
   let no_flags = { syn = false; ack = false; fin = false; rst = false }
   let syn_flags = { no_flags with syn = true }
 
-  let make ?(seq = 0) ?(flags = no_flags) ?(window = 65535) ~src_port ~dst_port () =
-    { src_port; dst_port; seq; ack_no = 0; flags; window }
+  let make ?(flags = no_flags) ~src_port ~dst_port () =
+    { src_port; dst_port; seq = 0; ack_no = 0; flags; window = 65535 }
 
   let flags_to_int f =
     (if f.fin then 0x01 else 0)

@@ -55,9 +55,7 @@ module Tcp : sig
   val header_bytes : int
   val syn_flags : flags
 
-  val make :
-    ?seq:int -> ?flags:flags -> ?window:int -> src_port:int -> dst_port:int ->
-    unit -> t
+  val make : ?flags:flags -> src_port:int -> dst_port:int -> unit -> t
 
   val flags_to_int : flags -> int
   val flags_of_int : int -> flags

@@ -193,24 +193,20 @@ let run ?until t =
     this {!run} to execute. *)
 let on_run_end t f = t.run_end_hooks <- f :: t.run_end_hooks
 
-(** [every t ~period ?start ?until f] runs [f] every [period] seconds
-    starting at [now + start] (default [now + period]), stopping after
-    [until] (if given).  [start] lets periodic tasks sharing a period
-    (heartbeat, stats polling, reconciliation) interleave at distinct
-    phases instead of stacking on the same instants.  Returns a stop
-    function. *)
-let every t ~period ?start ?until f =
+(** [every t ~period ?start f] runs [f] every [period] seconds
+    starting at [now + start] (default [now + period]).  [start] lets
+    periodic tasks sharing a period (heartbeat, stats polling,
+    reconciliation) interleave at distinct phases instead of stacking
+    on the same instants.  Returns a stop function. *)
+let every t ~period ?start f =
   if not (period > 0.0) then invalid_arg "Engine.every: period must be positive";
   let first = Option.value start ~default:period in
   if not (first >= 0.0) then invalid_arg "Engine.every: start must be non-negative";
   let stopped = ref false in
   let rec tick () =
     if not !stopped then begin
-      match until with
-      | Some u when t.now > u -> ()
-      | _ ->
-        f ();
-        ignore (schedule t ~delay:period tick)
+      f ();
+      ignore (schedule t ~delay:period tick)
     end
   in
   ignore (schedule t ~delay:first tick);

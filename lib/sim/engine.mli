@@ -60,13 +60,13 @@ val run : ?until:float -> t -> unit
     verification resyncs at. *)
 val on_run_end : t -> (unit -> unit) -> unit
 
-(** [every t ~period ?start ?until f] runs [f] every [period] seconds
+(** [every t ~period ?start f] runs [f] every [period] seconds
     starting at [now + start] (default [now + period]); [start] phases
     periodic tasks sharing a period apart from each other.  Returns a
     stop function.  Raises [Invalid_argument] unless [period] is
     positive and [start] non-negative (NaN is neither). *)
 val every :
-  t -> period:float -> ?start:float -> ?until:float -> (unit -> unit) -> unit -> unit
+  t -> period:float -> ?start:float -> (unit -> unit) -> unit -> unit
 
 (** Pending event count (cancelled events included until popped). *)
 val pending : t -> int

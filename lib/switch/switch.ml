@@ -375,7 +375,7 @@ let table t i = t.tables.(i)
 let group_table t = t.groups
 
 (** Direct (test) access: install a rule bypassing the OFA. *)
-let install_direct t ~table_id ~priority ~match_ ~instructions ?(idle_timeout = 0.0)
-    ?(hard_timeout = 0.0) ?(cookie = Of_types.cookie_none) () =
+let install_direct t ~table_id ~priority ~match_ ~instructions
+    ?(cookie = Of_types.cookie_none) () =
   Flow_table.insert t.tables.(table_id) ~now:(now t) ~priority ~match_ ~instructions
-    ~idle_timeout ~hard_timeout ~cookie
+    ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie

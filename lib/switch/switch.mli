@@ -101,5 +101,5 @@ val group_table : t -> Group_table.t
     setup). *)
 val install_direct :
   t -> table_id:int -> priority:int -> match_:Of_match.t ->
-  instructions:Of_action.instructions -> ?idle_timeout:float -> ?hard_timeout:float ->
+  instructions:Of_action.instructions ->
   ?cookie:Of_types.cookie -> unit -> (unit, [ `Table_full ]) result

@@ -38,5 +38,5 @@ let rate_estimate ~rate ~window c =
 
 (** Lower confidence bound on the packet rate — what the [Sampled]
     detection policy compares against [elephant_pkt_rate]. *)
-let rate_lower ?z ~rate ~window c =
-  if window <= 0.0 then 0.0 else lower_bound ?z ~rate c /. window
+let rate_lower ~rate ~window c =
+  if window <= 0.0 then 0.0 else lower_bound ~rate c /. window

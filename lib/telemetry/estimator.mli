@@ -18,4 +18,4 @@ val rate_estimate : rate:float -> window:float -> int -> float
 
 (** Lower confidence bound on the packet rate — what the [Sampled]
     detection policy compares against the elephant threshold. *)
-val rate_lower : ?z:float -> rate:float -> window:float -> int -> float
+val rate_lower : rate:float -> window:float -> int -> float

@@ -26,8 +26,8 @@ type t = {
   mutable blocked : Flow_key.t -> bool; (* firewall policy *)
 }
 
-let create engine ?(latency = 50e-6) () =
-  { engine; latency; state = Flow_key.Hashtbl.create 256; out = None;
+let create engine () =
+  { engine; latency = 50e-6; state = Flow_key.Hashtbl.create 256; out = None;
     processed = 0; state_violations = 0; encap_violations = 0; blocked = (fun _ -> false) }
 
 (** Set the link toward the downstream switch S_D. *)

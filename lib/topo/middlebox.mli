@@ -14,7 +14,7 @@ open Scotch_packet
 type t
 
 val create :
-  Scotch_sim.Engine.t -> ?latency:float -> unit -> t
+  Scotch_sim.Engine.t -> unit -> t
 
 (** Set the link toward the downstream switch S_D. *)
 val connect_out : t -> Scotch_sim.Link.t -> unit

@@ -70,23 +70,23 @@ let mk_link t ?(params = default_link) ~sink () =
   Scotch_sim.Link.connect link sink;
   link
 
-(** [link_switches t ?params (a, pa) (b, pb)] creates a duplex data link
+(** [link_switches t (a, pa) (b, pb)] creates a duplex data link
     between port [pa] of [a] and port [pb] of [b], and records the
     adjacency for path computation. *)
-let link_switches t ?params (a, pa) (b, pb) =
-  let ab = mk_link t ?params ~sink:(fun pkt -> Switch.receive b ~in_port:pb pkt) () in
-  let ba = mk_link t ?params ~sink:(fun pkt -> Switch.receive a ~in_port:pa pkt) () in
+let link_switches t (a, pa) (b, pb) =
+  let ab = mk_link t ~sink:(fun pkt -> Switch.receive b ~in_port:pb pkt) () in
+  let ba = mk_link t ~sink:(fun pkt -> Switch.receive a ~in_port:pa pkt) () in
   Switch.add_port a ~port_id:pa ab;
   Switch.add_port b ~port_id:pb ba;
   let da = Hashtbl.find t.adj (Switch.dpid a) and db = Hashtbl.find t.adj (Switch.dpid b) in
   da := (pa, Switch.dpid b) :: !da;
   db := (pb, Switch.dpid a) :: !db
 
-(** [attach_host t ?params h sw ~port] gives [h] its uplink to [sw] and
+(** [attach_host t h sw ~port] gives [h] its uplink to [sw] and
     [sw] a port delivering to [h]. *)
-let attach_host t ?params h sw ~port =
-  let up = mk_link t ?params ~sink:(fun pkt -> Switch.receive sw ~in_port:port pkt) () in
-  let down = mk_link t ?params ~sink:(fun pkt -> Host.deliver h pkt) () in
+let attach_host t h sw ~port =
+  let up = mk_link t ~sink:(fun pkt -> Switch.receive sw ~in_port:port pkt) () in
+  let down = mk_link t ~sink:(fun pkt -> Host.deliver h pkt) () in
   Host.set_uplink h up;
   Switch.add_port sw ~port_id:port down;
   Hashtbl.replace t.host_attach (Ipv4_addr.to_int (Host.ip h)) (Switch.dpid sw, port)
@@ -95,18 +95,19 @@ let attach_host t ?params h sw ~port =
     derived from the tunnel id, so tunnel ports never collide. *)
 let tunnel_port_of_id tid = 10_000 + tid
 
-(** [add_tunnel_switches t ?params a b] creates a duplex tunnel between
+(** [add_tunnel_switches t a b] creates a duplex tunnel between
     two switches (e.g. physical switch ↔ Scotch vswitch, or the vswitch
     mesh, §4.1).  Returns [(tid_ab, tid_ba)], the tunnel ids for each
     direction; the tunnel port at each source is
     [tunnel_port_of_id tid]. *)
-let add_tunnel_switches t ?(params = default_tunnel) a b =
+let add_tunnel_switches t a b =
   let tid_ab = t.next_tunnel_id in
   let tid_ba = t.next_tunnel_id + 1 in
   t.next_tunnel_id <- t.next_tunnel_id + 2;
   let pa = tunnel_port_of_id tid_ab and pb = tunnel_port_of_id tid_ba in
   (* Packets sent into tunnel tid_ab arrive at [b]'s port for tid_ab. *)
   let pb_in = tunnel_port_of_id tid_ab and pa_in = tunnel_port_of_id tid_ba in
+  let params = default_tunnel in
   let ab = mk_link t ~params ~sink:(fun pkt -> Switch.receive b ~in_port:pb_in pkt) () in
   let ba = mk_link t ~params ~sink:(fun pkt -> Switch.receive a ~in_port:pa_in pkt) () in
   Switch.add_port a ~port_id:pa ~kind:(Tunnel tid_ab) ab;
@@ -119,14 +120,14 @@ let add_tunnel_switches t ?(params = default_tunnel) a b =
     { tunnel_id = tid_ba; src_dpid = Switch.dpid b; dst = `Switch (Switch.dpid a); src_port = pb };
   (tid_ab, tid_ba)
 
-(** [add_tunnel_to_host t ?params sw h] creates a delivery tunnel from a
+(** [add_tunnel_to_host t sw h] creates a delivery tunnel from a
     Scotch vswitch to a host (the host-vswitch leg of the overlay).
     Returns the tunnel id. *)
-let add_tunnel_to_host t ?(params = default_tunnel) sw h =
+let add_tunnel_to_host t sw h =
   let tid = t.next_tunnel_id in
   t.next_tunnel_id <- t.next_tunnel_id + 1;
   let p = tunnel_port_of_id tid in
-  let link = mk_link t ~params ~sink:(fun pkt -> Host.deliver h pkt) () in
+  let link = mk_link t ~params:default_tunnel ~sink:(fun pkt -> Host.deliver h pkt) () in
   Switch.add_port sw ~port_id:p ~kind:(Tunnel tid) link;
   Hashtbl.replace t.tunnels tid
     { tunnel_id = tid; src_dpid = Switch.dpid sw; dst = `Host (Host.id h); src_port = p };
@@ -143,11 +144,9 @@ let iter_tunnels t f =
 
 (** [insert_middlebox t mb ~upstream:(su, up_port) ~downstream:(sd, down_in_port)]
     wires S_U → middlebox → S_D (§5.4's typical configuration). *)
-let insert_middlebox t ?params mb ~upstream:(su, up_port) ~downstream:(sd, down_in_port) =
-  let to_mb = mk_link t ?params ~sink:(fun pkt -> Middlebox.receive mb pkt) () in
-  let from_mb =
-    mk_link t ?params ~sink:(fun pkt -> Switch.receive sd ~in_port:down_in_port pkt) ()
-  in
+let insert_middlebox t mb ~upstream:(su, up_port) ~downstream:(sd, down_in_port) =
+  let to_mb = mk_link t ~sink:(fun pkt -> Middlebox.receive mb pkt) () in
+  let from_mb = mk_link t ~sink:(fun pkt -> Switch.receive sd ~in_port:down_in_port pkt) () in
   Switch.add_port su ~port_id:up_port to_mb;
   Switch.add_input_port sd ~port_id:down_in_port ();
   Middlebox.connect_out mb from_mb

@@ -9,12 +9,6 @@
 open Scotch_switch
 open Scotch_openflow
 
-type link_params = {
-  bandwidth_bps : float;
-  latency : float;
-  queue_capacity : int;
-}
-
 type tunnel = {
   tunnel_id : int;
   src_dpid : Of_types.datapath_id;
@@ -37,10 +31,10 @@ val iter_hosts : t -> (Host.t -> unit) -> unit
 
 (** Duplex data link between two switch ports, recorded in the
     adjacency graph. *)
-val link_switches : t -> ?params:link_params -> Switch.t * int -> Switch.t * int -> unit
+val link_switches : t -> Switch.t * int -> Switch.t * int -> unit
 
 (** Give a host its uplink and the switch a port delivering to it. *)
-val attach_host : t -> ?params:link_params -> Host.t -> Switch.t -> port:int -> unit
+val attach_host : t -> Host.t -> Switch.t -> port:int -> unit
 
 (** Port number a tunnel occupies at its source switch (globally
     unique, derived from the tunnel id). *)
@@ -50,13 +44,11 @@ val tunnel_port_of_id : int -> int
     the vswitch mesh, §4.1).  Returns the per-direction tunnel ids.
     Tunnels here are MPLS, {!Scotch_switch.Switch.add_port}'s default
     encapsulation (§4.1 allows "GRE, MPLS, MAC-in-MAC, etc."). *)
-val add_tunnel_switches :
-  t -> ?params:link_params -> Switch.t -> Switch.t -> int * int
+val add_tunnel_switches : t -> Switch.t -> Switch.t -> int * int
 
 (** Delivery tunnel from a vswitch to a host (the host-vswitch leg of
     the overlay).  Returns the tunnel id. *)
-val add_tunnel_to_host :
-  t -> ?params:link_params -> Switch.t -> Host.t -> int
+val add_tunnel_to_host : t -> Switch.t -> Host.t -> int
 
 val tunnel : t -> int -> tunnel option
 
@@ -66,8 +58,7 @@ val iter_tunnels : t -> (tunnel -> unit) -> unit
 
 (** Wire S_U → middlebox → S_D (§5.4's typical configuration). *)
 val insert_middlebox :
-  t -> ?params:link_params -> Middlebox.t -> upstream:Switch.t * int ->
-  downstream:Switch.t * int -> unit
+  t -> Middlebox.t -> upstream:Switch.t * int -> downstream:Switch.t * int -> unit
 
 (** {1 Graph queries (the controller's network view)} *)
 

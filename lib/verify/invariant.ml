@@ -22,5 +22,3 @@ let all : (module S) list =
     (module Inv_group);
     (module Inv_coverage);
     (module Inv_divergence) ]
-
-let names = List.map (fun (module I : S) -> I.name) all

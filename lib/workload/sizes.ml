@@ -16,14 +16,14 @@ let fixed ~packets ~payload ~interval : Rng.t -> Flow_gen.flow_spec =
 
 (** Pareto-distributed flow sizes in packets: shape [alpha] (heavier
     tail for smaller alpha), minimum [min_packets], truncated at
-    [max_packets].  Packets are [payload] bytes and the flow sends at
+    [max_packets].  Packets are 1000 bytes and the flow sends at
     [pkt_rate] packets/second. *)
-let pareto ?(alpha = 1.2) ?(min_packets = 2) ?(max_packets = 100_000) ?(payload = 1000)
-    ~pkt_rate () : Rng.t -> Flow_gen.flow_spec =
+let pareto ?(alpha = 1.2) ?(min_packets = 2) ?(max_packets = 100_000) ~pkt_rate () :
+    Rng.t -> Flow_gen.flow_spec =
  fun rng ->
   let size =
     Rng.pareto rng ~shape:alpha ~scale:(float_of_int min_packets)
     |> Float.round |> int_of_float
     |> Stdlib.min max_packets
   in
-  { Flow_gen.packets = size; payload; interval = 1.0 /. pkt_rate }
+  { Flow_gen.packets = size; payload = 1000; interval = 1.0 /. pkt_rate }

@@ -12,7 +12,7 @@ val fixed : packets:int -> payload:int -> interval:float -> Rng.t -> Flow_gen.fl
 
 (** Pareto-distributed sizes in packets: shape [alpha] (heavier tail
     when smaller), minimum [min_packets], truncated at [max_packets];
-    the flow sends [payload]-byte packets at [pkt_rate]/s. *)
+    the flow sends 1000-byte packets at [pkt_rate]/s. *)
 val pareto :
-  ?alpha:float -> ?min_packets:int -> ?max_packets:int -> ?payload:int -> pkt_rate:float ->
-  unit -> Rng.t -> Flow_gen.flow_spec
+  ?alpha:float -> ?min_packets:int -> ?max_packets:int -> pkt_rate:float -> unit -> Rng.t ->
+  Flow_gen.flow_spec

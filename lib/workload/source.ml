@@ -158,15 +158,13 @@ let failure_fraction t ~dst ?(since = 0.0) ?(until = infinity) () =
   if !total = 0 then 0.0 else float_of_int !failed /. float_of_int !total
 
 (** Fraction of flows fully delivered (every packet arrived). *)
-let completion_fraction t ~dst ?(since = 0.0) ?(until = infinity) () =
+let completion_fraction t ~dst () =
   let total = ref 0 and complete = ref 0 in
   List.iter
     (fun (l : Flow_gen.launched) ->
-      if l.Flow_gen.started >= since && l.Flow_gen.started <= until then begin
-        incr total;
-        match Host.flow_record dst l.Flow_gen.flow_id with
-        | Some r when r.Host.packets >= l.Flow_gen.spec.Flow_gen.packets -> incr complete
-        | Some _ | None -> ()
-      end)
+      incr total;
+      match Host.flow_record dst l.Flow_gen.flow_id with
+      | Some r when r.Host.packets >= l.Flow_gen.spec.Flow_gen.packets -> incr complete
+      | Some _ | None -> ())
     t.launched;
   if !total = 0 then 0.0 else float_of_int !complete /. float_of_int !total

@@ -47,4 +47,4 @@ val packets_sent : t -> int
 val failure_fraction : t -> dst:Host.t -> ?since:float -> ?until:float -> unit -> float
 
 (** Fraction of flows fully delivered (every packet arrived). *)
-val completion_fraction : t -> dst:Host.t -> ?since:float -> ?until:float -> unit -> float
+val completion_fraction : t -> dst:Host.t -> unit -> float

@@ -39,6 +39,28 @@ let prop_schedule_roundtrip =
       | Ok s' -> Schedule.equal s s'
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
+(* A repro file is outside input: a NaN fault time must fail to parse,
+   not reach the engine, since NaN passes every [<] range check. *)
+let test_nan_time_rejected () =
+  let s = Gen.generate (spec ~reconcile:false ~tenancy:false) ~seed:1 ~index:0 in
+  let first = ref true in
+  let rec nan_at = function
+    | "at" :: _ :: rest when !first ->
+      first := false;
+      "at" :: "nan" :: rest
+    | w :: rest -> w :: nan_at rest
+    | [] -> []
+  in
+  let text =
+    String.split_on_char '\n' (Schedule.print s)
+    |> List.map (fun l -> String.concat " " (nan_at (String.split_on_char ' ' l)))
+    |> String.concat "\n"
+  in
+  Alcotest.(check bool) "one at replaced" false !first;
+  match Schedule.parse text with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a schedule with a NaN fault time parsed"
+
 (* qcheck: the repro wrapper (schedule + verdict) round-trips too. *)
 let prop_repro_roundtrip =
   let arb =
@@ -184,7 +206,8 @@ let () =
   Alcotest.run "scotch_chaos"
     [ ( "serialization",
         [ QCheck_alcotest.to_alcotest prop_schedule_roundtrip;
-          QCheck_alcotest.to_alcotest prop_repro_roundtrip ] );
+          QCheck_alcotest.to_alcotest prop_repro_roundtrip;
+          Alcotest.test_case "NaN fault time rejected" `Quick test_nan_time_rejected ] );
       ("generator", [ QCheck_alcotest.to_alcotest prop_gen_deterministic_well_formed ]);
       ("shrinker", [ QCheck_alcotest.to_alcotest prop_ddmin_sound ]);
       ( "oracle",
