@@ -179,11 +179,10 @@ let rec handle_message t (sw : sw) (msg : Of_msg.t) =
        dispatch only ever fires for explicit {!request} probes —
        e.g. the circuit breaker's RTT measurements *)
     dispatch_pending t msg
-  | Of_msg.Hello | Of_msg.Echo_request -> ()
-  | Of_msg.Flow_stats_reply _ | Of_msg.Table_stats_reply _ | Of_msg.Group_stats_reply _
-  | Of_msg.Telemetry_reply _ | Of_msg.Barrier_reply | Of_msg.Error _ -> dispatch_pending t msg
-  | Of_msg.Flow_mod _ | Of_msg.Group_mod _ | Of_msg.Packet_out _
-  | Of_msg.Flow_stats_request _ | Of_msg.Table_stats_request
+  | Of_msg.Echo_request -> ()
+  | Of_msg.Flow_stats_reply _ | Of_msg.Group_stats_reply _ | Of_msg.Telemetry_reply _
+  | Of_msg.Barrier_reply | Of_msg.Error _ -> dispatch_pending t msg
+  | Of_msg.Flow_mod _ | Of_msg.Group_mod _ | Of_msg.Packet_out _ | Of_msg.Flow_stats_request _
   | Of_msg.Group_stats_request | Of_msg.Telemetry_request | Of_msg.Barrier_request -> ()
 
 (** [connect t device ~latency] attaches a switch over a control channel

@@ -9,10 +9,6 @@ type verify =
   | Off
   | Continuous
 
-type scaling =
-  | Reactive
-  | Predictive
-
 type tenancy = {
   tenants : Tenant.spec list;
   tenant_of : first_hop:int -> ingress_port:int -> Tenant.id;
@@ -48,7 +44,6 @@ type t = {
   ingress_deadline : float;
   verify : verify;
   tenancy : tenancy option;
-  scaling : scaling;
 }
 
 let default =
@@ -64,8 +59,7 @@ let default =
     shed_policy = Scotch_util.Admission.Drop_new;
     ingress_deadline = 0.0;
     verify = Off;
-    tenancy = None;
-    scaling = Reactive }
+    tenancy = None }
 
 (* §5.4's two rule colors, plus per-flow vswitch and table-miss rules *)
 let cookie_green = 0x5C07C4EEL (* shared overlay rules *)

@@ -28,18 +28,6 @@ type verify =
   | Off
   | Continuous
 
-(** How the elastic autoscaler decides.  [Reactive] (the default) is
-    the watermark-driven loop: observed utilization against high/low
-    watermarks, sustain counts, cooldown.  [Predictive] additionally
-    feeds per-member Holt arrival-rate estimates into the analytic OFA
-    queueing model, forecasts each member's Packet-In queue over the
-    probe horizon, and grows the pool as soon as blocking is otherwise
-    inevitable — before the watermarks trip.  Reactive triggers stay
-    armed underneath; drains keep reactive pacing in both modes. *)
-type scaling =
-  | Reactive
-  | Predictive
-
 (** Multi-tenant control-plane isolation: the tenant set (list order
     fixes per-tenant select-group ids) and the attribution function
     mapping a new flow's first-hop switch and ingress port to its
@@ -116,9 +104,6 @@ type t = {
       (** per-tenant budgets, select-group shares and blast-radius
           isolation — see {!tenancy}; [None] (the default) runs as one
           default tenant ({!Tenant.default}: share 1, no budgets) *)
-  scaling : scaling;
-      (** autoscaler decision mode — see {!scaling}; [Reactive] (the
-          default) keeps the watermark-driven PR-5 loop bit-identical *)
 }
 
 val default : t

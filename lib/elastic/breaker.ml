@@ -46,7 +46,7 @@ type t = {
 }
 
 let create ?(rtt_budget = 0.02) () =
-  if rtt_budget <= 0.0 then invalid_arg "Breaker: rtt_budget must be positive";
+  if not (rtt_budget > 0.0) then invalid_arg "Breaker: rtt_budget must be positive";
   { rtt_budget; state = Closed; score = 1.0; opened_at = 0.0; healthy_streak = 0 }
 
 let state t = t.state

@@ -24,52 +24,20 @@
     standby, falling back to the [provision] callback; scale-down
     demotes the highest-dpid active member to draining standby (its
     per-flow rules idle out, and it remains available for failover or
-    future promotion).
-
-    {b Predictive mode.}  With [Config.scaling = Predictive] the tick
-    additionally maintains a Holt (level + trend) arrival-rate
-    estimate per pool member — differencing each OFA's [pin_submitted]
-    arrival counter — and runs the analytic OFA queueing model's fluid
-    forecast ({!Scotch_model.Ofa_model}) over the next [horizon]
-    seconds.  When the forecast says a member's pin queue reaches its
-    capacity within the horizon, or pool-wide forecast demand exceeds
-    pool capacity outright (λ̂ ≥ nμ: the queues grow without bound),
-    shedding is inevitable on the current pool and growth happens
-    {e now}: such urgent scale-ups bypass the sustain count and the
-    cooldown (still at most one action per tick), which is what lets
-    the pool finish growing while a reactive loop would still be
-    waiting out its first cooldown.  Everything else — watermark
-    triggers as the safety net, drain pacing, breakers, tenancy views,
-    drain-then-demote — is unchanged, and [Reactive] mode executes
-    exactly the PR-5 loop. *)
+    future promotion). *)
 
 open Scotch_switch
 module C = Scotch_controller.Controller
 module Scotch = Scotch_core.Scotch
-module Config = Scotch_core.Config
 module Overlay = Scotch_core.Overlay
 module Sched = Scotch_core.Sched
 module Admission = Scotch_util.Admission
-module Ofa_model = Scotch_model.Ofa_model
-module Arrival = Scotch_model.Arrival
 
 (** Control-loop tick, s. *)
 let probe_period = 0.25
 
 (** Echo probe deadline (a miss = Timeout), s. *)
 let probe_timeout = 0.3
-
-(** Predictive look-ahead, s: how far the Holt estimate and the fluid
-    queue forecast extrapolate.  One cooldown's worth — far enough to
-    see a step crowd saturating the pool, short enough that the trend
-    extrapolation stays honest.  Only read under
-    [Config.scaling = Predictive]. *)
-let horizon = 2.0
-
-(** Level-smoothing factor of the per-member Holt arrival-rate
-    estimator, in (0, 1] (trend uses [arrival_alpha /. 2.]).  Only
-    read under [Predictive]. *)
-let arrival_alpha = 0.5
 
 (** Utilization above this counts toward scale-up. *)
 let high_water = 0.8
@@ -110,9 +78,10 @@ let default_config =
     low_water = 0.3; sustain_down = 8; min_pool = 1; max_pool = 8 }
 
 let check_config c =
-  if c.rtt_budget <= 0.0 then invalid_arg "Elastic: rtt_budget must be positive";
-  if c.vswitch_capacity <= 0.0 then invalid_arg "Elastic: vswitch_capacity must be positive";
-  if c.low_water < 0.0 || high_water <= c.low_water then
+  if not (c.rtt_budget > 0.0) then invalid_arg "Elastic: rtt_budget must be positive";
+  if not (c.vswitch_capacity > 0.0) then
+    invalid_arg "Elastic: vswitch_capacity must be positive";
+  if not (c.low_water >= 0.0 && c.low_water < high_water) then
     invalid_arg "Elastic: need 0 <= low_water < high_water";
   if c.sustain_down < 1 then invalid_arg "Elastic: sustain_down must be >= 1";
   if c.min_pool < 1 || c.max_pool < c.min_pool then
@@ -141,7 +110,6 @@ type t = {
   config : config;
   app : Scotch.t;
   ctrl : C.t;
-  mode : Config.scaling;
   provision : (unit -> C.sw option) option;
   breakers : (int, Breaker.t * Breaker.t) Hashtbl.t;
       (* per member: (control, data) — independent axes, so a member
@@ -151,14 +119,9 @@ type t = {
   mutable last_action : float;
   mutable actions_rev : action list;
   mutable last_util : float;
-  mutable last_forecast : float; (* predicted pool utilization at the horizon *)
   mutable last_shed : int; (* admission-layer shed total at the last tick *)
   last_tenant_pins : (int, int) Hashtbl.t;  (* per-tenant pin totals at the last tick *)
   last_tenant_shed : (int, int) Hashtbl.t;  (* per-tenant shed totals at the last tick *)
-  (* predictive state, touched only under Config.Predictive *)
-  arrivals : (int, Arrival.t) Hashtbl.t;    (* per-member Holt rate estimators *)
-  last_submitted : (int, int) Hashtbl.t;    (* per-member pin_submitted at the last tick *)
-  predicted_q : (int, float) Hashtbl.t;     (* per-member forecast queue at the horizon *)
   action_c : (string * int, Scotch_obs.Registry.counter) Hashtbl.t;
       (* (direction, pool-size-at-decision)-labelled action counters,
          created lazily per observed pool size *)
@@ -176,14 +139,11 @@ let now t = Scotch_sim.Engine.now (engine t)
 let create ?(config = default_config) ?provision app =
   check_config config;
   let t =
-    { config; app; ctrl = Scotch.ctrl app;
-      mode = (Scotch.config app).Config.scaling; provision;
+    { config; app; ctrl = Scotch.ctrl app; provision;
       breakers = Hashtbl.create 16;
       up_streak = 0; down_streak = 0; last_action = neg_infinity; actions_rev = [];
-      last_util = 0.0; last_forecast = 0.0; last_shed = 0;
-      last_tenant_pins = Hashtbl.create 4;
-      last_tenant_shed = Hashtbl.create 4; arrivals = Hashtbl.create 16;
-      last_submitted = Hashtbl.create 16; predicted_q = Hashtbl.create 16;
+      last_util = 0.0; last_shed = 0;
+      last_tenant_pins = Hashtbl.create 4; last_tenant_shed = Hashtbl.create 4;
       action_c = Hashtbl.create 8; stop = None;
       counters =
         { ejects = 0; readmits = 0; data_ejects = 0; scale_ups = 0;
@@ -209,9 +169,6 @@ let create ?(config = default_config) ?provision app =
     (fun () -> float_of_int (Overlay.quarantined_count (Scotch.overlay app)));
   O.gauge_fn ~help:"Pool utilization (demand over active capacity)"
     "scotch_elastic_utilization" (fun () -> t.last_util);
-  if t.mode = Config.Predictive then
-    O.gauge_fn ~help:"Model-forecast pool utilization at the probe horizon"
-      "scotch_elastic_utilization_forecast" (fun () -> t.last_forecast);
   t
 
 let breaker_of t dpid =
@@ -333,8 +290,7 @@ let record_action t dir ~pool dpid =
     Scotch_obs.Obs.instant ~name:"elastic.decision" ~cat:"elastic" ~ts:(now t) ~tid:dpid
       ~args:
         [ ("dir", dir_s); ("dpid", string_of_int dpid);
-          ("pool", string_of_int pool);
-          ("mode", match t.mode with Config.Reactive -> "reactive" | Config.Predictive -> "predictive") ]
+          ("pool", string_of_int pool) ]
   end
 
 let scale_up t ~pool =
@@ -361,67 +317,6 @@ let scale_down t ~pool =
     t.counters.scale_downs <- t.counters.scale_downs + 1;
     Scotch.demote_vswitch t.app dpid;
     record_action t `Down ~pool dpid
-
-(* Predictive look-ahead, one pass over the alive membership:
-   difference each member's pin_submitted arrival counter into its
-   Holt estimator, forecast its arrival rate λ̂ at the horizon, and run
-   the fluid queue forecast against the member's actual backlog and
-   pin-queue capacity.  Returns the pool-level forecast utilization
-   (Σλ̂ / nμ) and whether growth is urgent: some member's queue reaches
-   its capacity within the horizon, or forecast demand exceeds pool
-   capacity outright (λ̂ ≥ nμ — queues then grow without bound and
-   shedding on the current pool is inevitable, whatever the watermarks
-   currently read). *)
-let predictive_outlook t ~n =
-  let cfg = t.config in
-  let ts = now t in
-  let demand_hat = ref 0.0 in
-  let urgent = ref false in
-  List.iter
-    (fun dpid ->
-      match Scotch.vswitch_handle_of t.app dpid with
-      | Some sw when sw.C.alive ->
-        let ofa = Switch.ofa sw.C.device in
-        let submitted = (Ofa.counters ofa).Ofa.pin_submitted in
-        let last =
-          Option.value (Hashtbl.find_opt t.last_submitted dpid) ~default:0
-        in
-        Hashtbl.replace t.last_submitted dpid submitted;
-        let sample = float_of_int (submitted - last) /. probe_period in
-        let est =
-          match Hashtbl.find_opt t.arrivals dpid with
-          | Some e -> e
-          | None ->
-            let e = Arrival.create ~alpha:arrival_alpha in
-            Hashtbl.replace t.arrivals dpid e;
-            Scotch_obs.Obs.gauge_fn
-              ~help:"Model-forecast OFA pin-queue length at the probe horizon"
-              ~labels:[ ("dpid", string_of_int dpid) ]
-              "scotch_elastic_predicted_queue"
-              (fun () ->
-                Option.value (Hashtbl.find_opt t.predicted_q dpid) ~default:0.0);
-            e
-        in
-        Arrival.observe est ~now:ts ~rate:sample;
-        let lam = Arrival.forecast est ~horizon in
-        demand_hat := !demand_hat +. lam;
-        let backlog = float_of_int (snd (Ofa.queue_depths ofa)) in
-        let prm =
-          { Ofa_model.rate = lam; service_rate = cfg.vswitch_capacity;
-            capacity = (Switch.profile sw.C.device).Profile.pin_queue_capacity }
-        in
-        Hashtbl.replace t.predicted_q dpid
-          (Ofa_model.forecast_queue prm ~backlog ~horizon);
-        (match Ofa_model.time_to_block prm ~backlog with
-        | Some ttb when ttb <= horizon -> urgent := true
-        | Some _ | None -> ())
-      | Some _ | None -> ())
-    (Scotch.vswitch_dpids t.app);
-  let util_hat =
-    if n = 0 then if !demand_hat > 0.0 then infinity else 0.0
-    else !demand_hat /. (float_of_int n *. cfg.vswitch_capacity)
-  in
-  (util_hat, !urgent || util_hat >= 1.0)
 
 let autoscale_tick t =
   let ov = Scotch.overlay t.app in
@@ -499,23 +394,8 @@ let autoscale_tick t =
       (util, fresh)
   in
   t.last_util <- util;
-  (* the predictive outlook widens both triggers: forecast overload
-     counts toward the up-streak, and a member must look idle at the
-     horizon too before it counts toward the down-streak *)
-  let util_hat, urgent =
-    match t.mode with
-    | Config.Reactive -> (util, false)
-    | Config.Predictive ->
-      let util_hat, urgent = predictive_outlook t ~n in
-      t.last_forecast <- util_hat;
-      (util_hat, urgent)
-  in
-  let overloaded =
-    util > high_water || util_hat > high_water || fresh_shed > 0
-  in
-  let idle =
-    util < t.config.low_water && util_hat < t.config.low_water && fresh_shed = 0
-  in
+  let overloaded = util > high_water || fresh_shed > 0 in
+  let idle = util < t.config.low_water && fresh_shed = 0 in
   if overloaded then begin
     t.up_streak <- t.up_streak + 1;
     t.down_streak <- 0
@@ -529,15 +409,7 @@ let autoscale_tick t =
     t.down_streak <- 0
   end;
   let cooled = now t -. t.last_action >= cooldown in
-  if urgent && n < t.config.max_pool then begin
-    (* the model says blocking arrives within the horizon: grow now,
-       skipping sustain and cooldown (still one action per tick) —
-       successive urgent ticks finish growing the pool at probe-tick
-       cadence while a reactive loop would wait out its cooldown *)
-    scale_up t ~pool:n;
-    t.up_streak <- 0
-  end
-  else if t.up_streak >= sustain_up && cooled && n < t.config.max_pool
+  if t.up_streak >= sustain_up && cooled && n < t.config.max_pool
   then begin
     scale_up t ~pool:n;
     t.up_streak <- 0

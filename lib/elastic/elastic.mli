@@ -13,17 +13,7 @@
     lowest-dpid standby or calling [provision]; sustained idleness
     below [low_water] demotes the highest-dpid active member to
     draining standby.  Hysteresis bands, sustain counts and a 2 s
-    cooldown make the loop deterministic and oscillation-free.
-
-    Under [Config.scaling = Predictive] the tick also differences each
-    member's OFA arrival counter into a Holt (level + trend) rate
-    estimate and runs {!Scotch_model.Ofa_model}'s fluid forecast over
-    a 2 s horizon: when a member's pin queue is forecast to hit capacity
-    within the horizon — or forecast demand exceeds pool capacity
-    outright — scale-up happens immediately, bypassing sustain and
-    cooldown (one action per tick), growing the pool {e before} the
-    watermarks trip.  [Reactive] (the default) executes exactly the
-    watermark loop. *)
+    cooldown make the loop deterministic and oscillation-free. *)
 
 module C = Scotch_controller.Controller
 module Scotch = Scotch_core.Scotch

@@ -51,7 +51,6 @@ let null_handler =
     modify_group = (fun _ -> Ok ());
     execute_packet_out = ignore;
     flow_stats = (fun _ -> []);
-    table_stats = (fun () -> { Of_msg.Stats.active_entries = [] });
     group_stats = (fun () -> []);
     telemetry = (fun () -> Of_msg.Telemetry.empty);
     on_flow_mod_rejected = ignore }

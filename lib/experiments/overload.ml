@@ -168,8 +168,7 @@ type outcome = {
   elastic : Elastic.t option;
 }
 
-let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off)
-    ?(scaling = Scotch_core.Config.Reactive) ~seed ~plan
+let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off) ~seed ~plan
     ~(params : Tracegen.params) () =
   (* fresh obs world per run: the trace feeds both the admitted-flow
      p99 (decision spans) and the determinism digest; size the ring so
@@ -178,7 +177,7 @@ let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off)
   O.enable ();
   let net =
     Testbed.scotch_net ~seed ~vswitch_profile:weak_vswitch
-      ~config:{ scotch_config with Scotch_core.Config.verify; scaling }
+      ~config:{ scotch_config with Scotch_core.Config.verify }
       ~num_vswitches:num_active ~num_backups ~num_clients:params.Tracegen.num_sources
       ~num_servers:params.Tracegen.num_destinations ()
   in
@@ -237,10 +236,10 @@ let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off)
     [multiplier] tunes crowd intensity (default 7.5 = 3x pool
     capacity). *)
 let run_outcome ?(seed = 42) ?(scale = 1.0) ?(multiplier = 7.5) ?(elastic = true)
-    ?(verify = Scotch_core.Config.Off) ?(scaling = Scotch_core.Config.Reactive) () =
+    ?(verify = Scotch_core.Config.Off) () =
   let params = trace_params ~scale ~multiplier in
   let plan = degrade_plan ~params ~peak:40.0 in
-  run_variant ~elastic ~verify ~scaling ~seed ~plan ~params ()
+  run_variant ~elastic ~verify ~seed ~plan ~params ()
 
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let params = trace_params ~scale ~multiplier:7.5 in

@@ -1,5 +1,5 @@
 (** Exact steady state of the M/G/1/K queue via its embedded Markov
-    chain, plus the fluid transient the autoscaler forecasts with.
+    chain.
 
     Notation: λ = offered rate, μ = service rate, ρ = λ/μ, K = waiting
     room, N = K + 1 = most jobs the system holds counting the one in
@@ -178,26 +178,4 @@ let mm1k prm =
       done
     end;
     of_distribution prm p
-  end
-
-let check_fluid prm ~backlog =
-  check_params prm;
-  if not (Float.is_finite backlog) || backlog < 0.0 then
-    invalid_arg "Ofa_model: backlog must be finite and >= 0"
-
-let forecast_queue prm ~backlog ~horizon =
-  check_fluid prm ~backlog;
-  if not (Float.is_finite horizon) || horizon < 0.0 then
-    invalid_arg "Ofa_model: horizon must be finite and >= 0";
-  let drift = prm.rate -. prm.service_rate in
-  let k = float_of_int prm.capacity in
-  Float.min k (Float.max 0.0 (backlog +. (drift *. horizon)))
-
-let time_to_block prm ~backlog =
-  check_fluid prm ~backlog;
-  let k = float_of_int prm.capacity in
-  if backlog >= k then Some 0.0
-  else begin
-    let drift = prm.rate -. prm.service_rate in
-    if drift <= 0.0 then None else Some ((k -. backlog) /. drift)
   end

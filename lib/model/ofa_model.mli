@@ -13,13 +13,9 @@
     either service law; [Exponential] exists as a differential check
     against the textbook {!mm1k} closed form.
 
-    Two time scales, two tools:
-    - {!evaluate}: steady-state predictions (queue length, sojourn,
-      blocking) for model-vs-sim validation and capacity planning;
-    - {!forecast_queue}/{!time_to_block}: a transient fluid
-      approximation for the autoscaler's look-ahead — where the
-      interesting question is "does this backlog reach the queue cap
-      within the horizon", not the equilibrium it would settle to. *)
+    The model is a validation oracle: {!evaluate}'s steady-state
+    predictions (queue length, sojourn, blocking) are what
+    [Model_check] compares the simulated OFA against. *)
 
 (** Service-time law of the single server. *)
 type service =
@@ -49,24 +45,9 @@ type prediction = {
 
 (** Exact steady state of the M/G/1/K queue under [service] (default
     [Deterministic]), via the embedded Markov chain at departure
-    epochs.  O(K²) — fine for validation sweeps, too slow for a
-    per-tick control loop (use the fluid forecast there).  Raises like
-    {!check_params}. *)
+    epochs.  O(K²).  Raises like {!check_params}. *)
 val evaluate : ?service:service -> params -> prediction
 
 (** Textbook closed-form M/M/1/K solution — the differential oracle
     for [evaluate ~service:Exponential]. *)
 val mm1k : params -> prediction
-
-(** [forecast_queue p ~backlog ~horizon] — deterministic fluid
-    transient: a backlog served at [service_rate] and fed at [rate]
-    moves at λ − μ, clamped to [0, capacity].  The autoscaler's
-    look-ahead primitive: cheap, monotone in λ, exact for the
-    step-overload case that matters.  Raises like {!check_params} or
-    on a negative backlog/horizon. *)
-val forecast_queue : params -> backlog:float -> horizon:float -> float
-
-(** Time until the fluid backlog reaches [capacity], or [None] when it
-    never does (λ ≤ μ, or already draining).  [Some 0.] when the
-    backlog is already at (or past) capacity. *)
-val time_to_block : params -> backlog:float -> float option

@@ -1,9 +1,10 @@
 (** OpenFlow actions and instructions (OpenFlow 1.3 subset).
 
-    Scotch needs: output to physical/tunnel/controller ports, group
-    indirection for load balancing, MPLS push/pop with label set (the
-    inner ingress-port label of §5.2), GRE key set/strip, and goto-table
-    for the two-table miss pipeline. *)
+    The actions Scotch emits: output to physical/tunnel/controller
+    ports, group indirection for load balancing, MPLS push/pop with
+    label set (the inner ingress-port label of §5.2), explicit drop, and
+    goto-table for the two-table miss pipeline.  GRE key push/strip is
+    modelled by the datapath and the codec, but Scotch never emits it. *)
 
 open Of_types
 
@@ -14,9 +15,6 @@ type t =
   | Pop_mpls
   | Push_gre of int32           (* encapsulate with GRE key *)
   | Pop_gre
-  | Set_eth_dst of Scotch_packet.Mac.t
-  | Set_eth_src of Scotch_packet.Mac.t
-  | Dec_ttl
   | Drop                        (* explicit drop (empty action set) *)
 
 (** Instructions attached to a flow entry.  [Apply_actions] executes

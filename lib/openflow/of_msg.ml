@@ -1,14 +1,15 @@
 (** OpenFlow message types exchanged between switches and the
-    controller: the subset Scotch exercises (flow/group modification,
-    Packet-In/Out, flow statistics for elephant detection, and Echo for
-    vswitch liveness, §5.6). *)
+    controller: the subset Scotch sends (flow add/delete, select-group
+    modification, Packet-In/Out, flow statistics for elephant
+    detection, group descriptions and sampled telemetry, barriers, and
+    Echo for vswitch liveness, §5.6). *)
 
 open Of_types
 
 (** {1 Flow modification} *)
 
 module Flow_mod = struct
-  type command = Add | Modify | Delete
+  type command = Add | Delete
 
   type t = {
     command : command;
@@ -29,14 +30,11 @@ module Flow_mod = struct
   let delete ?(table_id = 0) ~match_ () =
     { command = Delete; table_id; priority = 0; match_; instructions = []; idle_timeout = 0.0;
       hard_timeout = 0.0; cookie = cookie_none }
-
 end
 
 (** {1 Group modification (select groups for §5.1 load balancing)} *)
 
 module Group_mod = struct
-  type group_type = All | Select | Indirect | Fast_failover
-
   type bucket = {
     weight : int;
     actions : Of_action.t list;
@@ -47,18 +45,16 @@ module Group_mod = struct
   type t = {
     command : command;
     group_id : group_id;
-    group_type : group_type;
     buckets : bucket list;
   }
 
   let bucket ?(weight = 1) actions = { weight; actions }
 
-  let add_select ~group_id ~buckets = { command = Add; group_id; group_type = Select; buckets }
+  let add_select ~group_id ~buckets = { command = Add; group_id; buckets }
 
-  let modify_select ~group_id ~buckets =
-    { command = Modify; group_id; group_type = Select; buckets }
+  let modify_select ~group_id ~buckets = { command = Modify; group_id; buckets }
 
-  let delete ~group_id = { command = Delete; group_id; group_type = Select; buckets = [] }
+  let delete ~group_id = { command = Delete; group_id; buckets = [] }
 end
 
 (** {1 Packet-In / Packet-Out} *)
@@ -111,16 +107,11 @@ module Stats = struct
 
   type flow_stats_reply = flow_stat list
 
-  type table_stats_reply = {
-    active_entries : int list; (* per table *)
-  }
-
   (** Group description (OFPMP_GROUP_DESC): what the switch's group
       table actually holds — the anti-entropy reconciler diffs this
       against controller intent. *)
   type group_desc = {
     group_id : group_id;
-    group_type : Group_mod.group_type;
     buckets : Group_mod.bucket list;
   }
 
@@ -152,7 +143,6 @@ end
 (** {1 The message sum type} *)
 
 type payload =
-  | Hello
   | Echo_request
   | Echo_reply
   | Flow_mod of Flow_mod.t
@@ -161,8 +151,6 @@ type payload =
   | Packet_out of Packet_out.t
   | Flow_stats_request of Stats.flow_stats_request
   | Flow_stats_reply of Stats.flow_stats_reply
-  | Table_stats_request
-  | Table_stats_reply of Stats.table_stats_reply
   | Group_stats_request
   | Group_stats_reply of Stats.group_stats_reply
   | Telemetry_request
@@ -177,7 +165,6 @@ let make ~xid payload = { xid; payload }
 
 let kind_name t =
   match t.payload with
-  | Hello -> "HELLO"
   | Echo_request -> "ECHO_REQUEST"
   | Echo_reply -> "ECHO_REPLY"
   | Flow_mod _ -> "FLOW_MOD"
@@ -186,8 +173,6 @@ let kind_name t =
   | Packet_out _ -> "PACKET_OUT"
   | Flow_stats_request _ -> "FLOW_STATS_REQUEST"
   | Flow_stats_reply _ -> "FLOW_STATS_REPLY"
-  | Table_stats_request -> "TABLE_STATS_REQUEST"
-  | Table_stats_reply _ -> "TABLE_STATS_REPLY"
   | Group_stats_request -> "GROUP_STATS_REQUEST"
   | Group_stats_reply _ -> "GROUP_STATS_REPLY"
   | Telemetry_request -> "TELEMETRY_REQUEST"

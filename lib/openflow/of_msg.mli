@@ -1,12 +1,13 @@
 (** OpenFlow messages exchanged between switches and the controller:
-    the subset Scotch exercises (flow/group modification,
-    Packet-In/Out, flow statistics for elephant detection, Echo for
-    vswitch liveness — §5.3, §5.6 of the paper). *)
+    the subset Scotch sends (flow add/delete, select-group
+    modification, Packet-In/Out, flow statistics for elephant
+    detection, group descriptions and sampled telemetry, barriers, Echo
+    for vswitch liveness — §5.1, §5.3, §5.6 of the paper). *)
 
 open Of_types
 
 module Flow_mod : sig
-  type command = Add | Modify | Delete
+  type command = Add | Delete
 
   type t = {
     command : command;
@@ -29,8 +30,6 @@ end
 (** Group modification — select groups implement §5.1's load
     balancing. *)
 module Group_mod : sig
-  type group_type = All | Select | Indirect | Fast_failover
-
   type bucket = {
     weight : int;
     actions : Of_action.t list;
@@ -41,7 +40,6 @@ module Group_mod : sig
   type t = {
     command : command;
     group_id : group_id;
-    group_type : group_type;
     buckets : bucket list;
   }
 
@@ -98,16 +96,11 @@ module Stats : sig
 
   type flow_stats_reply = flow_stat list
 
-  type table_stats_reply = {
-    active_entries : int list; (** per table *)
-  }
-
   (** Group description (OFPMP_GROUP_DESC): what the switch's group
       table actually holds — diffed against controller intent by the
       anti-entropy reconciler. *)
   type group_desc = {
     group_id : group_id;
-    group_type : Group_mod.group_type;
     buckets : Group_mod.bucket list;
   }
 
@@ -136,7 +129,6 @@ module Telemetry : sig
 end
 
 type payload =
-  | Hello
   | Echo_request
   | Echo_reply
   | Flow_mod of Flow_mod.t
@@ -145,8 +137,6 @@ type payload =
   | Packet_out of Packet_out.t
   | Flow_stats_request of Stats.flow_stats_request
   | Flow_stats_reply of Stats.flow_stats_reply
-  | Table_stats_request
-  | Table_stats_reply of Stats.table_stats_reply
   | Group_stats_request
   | Group_stats_reply of Stats.group_stats_reply
   | Telemetry_request

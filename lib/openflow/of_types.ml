@@ -64,17 +64,15 @@ module Packet_in_reason = struct
   type t =
     | No_match     (* table miss *)
     | Action       (* explicit output to CONTROLLER *)
-    | Invalid_ttl
 
-  let to_int = function No_match -> 0 | Action -> 1 | Invalid_ttl -> 2
+  let to_int = function No_match -> 0 | Action -> 1
 
   let of_int = function
     | 0 -> No_match
     | 1 -> Action
-    | 2 -> Invalid_ttl
     | n -> invalid_arg (Printf.sprintf "Packet_in_reason.of_int: %d" n)
 
   let pp fmt t =
     Format.pp_print_string fmt
-      (match t with No_match -> "NO_MATCH" | Action -> "ACTION" | Invalid_ttl -> "INVALID_TTL")
+      (match t with No_match -> "NO_MATCH" | Action -> "ACTION")
 end

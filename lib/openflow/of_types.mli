@@ -41,7 +41,7 @@ type cookie = int64
 val cookie_none : cookie
 
 module Packet_in_reason : sig
-  type t = No_match | Action | Invalid_ttl
+  type t = No_match | Action
 
   val to_int : t -> int
   val of_int : int -> t

@@ -15,6 +15,10 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* The {!Of_types} converters raise [Invalid_argument] on a code with
+   no meaning; on the wire that is a malformed message. *)
+let checked what of_int v = try of_int v with Invalid_argument _ -> fail "bad %s %d" what v
+
 let version = 0x04
 
 (** {1 Writer} *)
@@ -139,9 +143,6 @@ let act_push_mpls = 2
 let act_pop_mpls = 3
 let act_push_gre = 4
 let act_pop_gre = 5
-let act_set_eth_dst = 6
-let act_set_eth_src = 7
-let act_dec_ttl = 8
 let act_drop = 9
 
 let encode_action b (a : Of_action.t) =
@@ -152,22 +153,16 @@ let encode_action b (a : Of_action.t) =
   | Pop_mpls -> W.u8 b act_pop_mpls
   | Push_gre k -> W.u8 b act_push_gre; W.i32 b k
   | Pop_gre -> W.u8 b act_pop_gre
-  | Set_eth_dst m -> W.u8 b act_set_eth_dst; W.u64 b (Scotch_packet.Mac.to_int m)
-  | Set_eth_src m -> W.u8 b act_set_eth_src; W.u64 b (Scotch_packet.Mac.to_int m)
-  | Dec_ttl -> W.u8 b act_dec_ttl
   | Drop -> W.u8 b act_drop
 
 let decode_action r : Of_action.t =
   match R.u8 r with
-  | x when x = act_output -> Output (Port_no.of_int (R.u32 r))
+  | x when x = act_output -> Output (checked "port" Port_no.of_int (R.u32 r))
   | x when x = act_group -> Group (R.u32 r)
   | x when x = act_push_mpls -> Push_mpls (R.u32 r)
   | x when x = act_pop_mpls -> Pop_mpls
   | x when x = act_push_gre -> Push_gre (R.i32 r)
   | x when x = act_pop_gre -> Pop_gre
-  | x when x = act_set_eth_dst -> Set_eth_dst (Scotch_packet.Mac.of_int (R.u64 r))
-  | x when x = act_set_eth_src -> Set_eth_src (Scotch_packet.Mac.of_int (R.u64 r))
-  | x when x = act_dec_ttl -> Dec_ttl
   | x when x = act_drop -> Drop
   | x -> fail "unknown action %d" x
 
@@ -210,11 +205,11 @@ let encode_packet b (p : Scotch_packet.Packet.t) =
 let decode_packet r =
   let flow_id = R.u32 r in
   let data = R.bytes r in
-  Scotch_packet.Codec.parse ~flow_id data
+  try Scotch_packet.Codec.parse ~flow_id data
+  with Scotch_packet.Codec.Parse_error e -> fail "packet: %s" e
 
 (** {1 Message type codes (OpenFlow 1.3 numbering where applicable)} *)
 
-let t_hello = 0
 let t_error = 1
 let t_echo_request = 2
 let t_echo_reply = 3
@@ -229,12 +224,11 @@ let t_barrier_reply = 21
 
 (* multipart subtypes *)
 let mp_flow = 1
-let mp_table = 3
 let mp_group_desc = 7
 let mp_telemetry = 8 (* experimenter-style: the sampled-telemetry digest *)
 
 let encode_flow_mod b (fm : Of_msg.Flow_mod.t) =
-  W.u8 b (match fm.command with Add -> 0 | Modify -> 1 | Delete -> 3);
+  W.u8 b (match fm.command with Add -> 0 | Delete -> 3);
   W.u8 b fm.table_id;
   W.u16 b fm.priority;
   W.u64 b (Int64.to_int fm.cookie);
@@ -247,7 +241,6 @@ let decode_flow_mod r : Of_msg.Flow_mod.t =
   let command =
     match R.u8 r with
     | 0 -> Of_msg.Flow_mod.Add
-    | 1 -> Of_msg.Flow_mod.Modify
     | 3 -> Of_msg.Flow_mod.Delete
     | x -> fail "unknown flow_mod command %d" x
   in
@@ -260,10 +253,20 @@ let decode_flow_mod r : Of_msg.Flow_mod.t =
   let instructions = decode_instructions r in
   { command; table_id; priority; cookie; idle_timeout; hard_timeout; match_; instructions }
 
+(* Every group is a select group; the OpenFlow group-type byte stays on
+   the wire (select = 1), and any other type is malformed. *)
+let group_type_select = 1
+
+let encode_group_type b = W.u8 b group_type_select
+
+let decode_group_type r =
+  match R.u8 r with
+  | x when x = group_type_select -> ()
+  | x -> fail "unsupported group type %d" x
+
 let encode_group_mod b (gm : Of_msg.Group_mod.t) =
   W.u8 b (match gm.command with Add -> 0 | Modify -> 1 | Delete -> 2);
-  W.u8 b
-    (match gm.group_type with All -> 0 | Select -> 1 | Indirect -> 2 | Fast_failover -> 3);
+  encode_group_type b;
   W.u32 b gm.group_id;
   W.u16 b (List.length gm.buckets);
   List.iter
@@ -280,14 +283,7 @@ let decode_group_mod r : Of_msg.Group_mod.t =
     | 2 -> Of_msg.Group_mod.Delete
     | x -> fail "unknown group_mod command %d" x
   in
-  let group_type =
-    match R.u8 r with
-    | 0 -> Of_msg.Group_mod.All
-    | 1 -> Of_msg.Group_mod.Select
-    | 2 -> Of_msg.Group_mod.Indirect
-    | 3 -> Of_msg.Group_mod.Fast_failover
-    | x -> fail "unknown group type %d" x
-  in
+  decode_group_type r;
   let group_id = R.u32 r in
   let n = R.u16 r in
   let buckets =
@@ -296,7 +292,7 @@ let decode_group_mod r : Of_msg.Group_mod.t =
         let actions = decode_actions r in
         { Of_msg.Group_mod.weight; actions })
   in
-  { command; group_type; group_id; buckets }
+  { command; group_id; buckets }
 
 let encode_packet_in b (pi : Of_msg.Packet_in.t) =
   W.u32 b pi.buffer_id;
@@ -310,7 +306,7 @@ let encode_packet_in b (pi : Of_msg.Packet_in.t) =
 
 let decode_packet_in r : Of_msg.Packet_in.t =
   let buffer_id = R.u32 r in
-  let reason = Packet_in_reason.of_int (R.u8 r) in
+  let reason = checked "packet-in reason" Packet_in_reason.of_int (R.u8 r) in
   let table_id = R.u8 r in
   let in_port = R.u32 r in
   let tunnel_id = if R.u8 r = 1 then Some (R.u32 r) else None in
@@ -394,20 +390,9 @@ let decode_telemetry_report r : Of_msg.Telemetry.report =
   in
   { rate; window; seen; sampled; records }
 
-let encode_group_type b (gt : Of_msg.Group_mod.group_type) =
-  W.u8 b (match gt with All -> 0 | Select -> 1 | Indirect -> 2 | Fast_failover -> 3)
-
-let decode_group_type r : Of_msg.Group_mod.group_type =
-  match R.u8 r with
-  | 0 -> All
-  | 1 -> Select
-  | 2 -> Indirect
-  | 3 -> Fast_failover
-  | x -> fail "unknown group type %d" x
-
 let encode_group_desc b (gd : Of_msg.Stats.group_desc) =
   W.u32 b gd.group_id;
-  encode_group_type b gd.group_type;
+  encode_group_type b;
   W.u16 b (List.length gd.buckets);
   List.iter
     (fun (bk : Of_msg.Group_mod.bucket) ->
@@ -417,7 +402,7 @@ let encode_group_desc b (gd : Of_msg.Stats.group_desc) =
 
 let decode_group_desc r : Of_msg.Stats.group_desc =
   let group_id = R.u32 r in
-  let group_type = decode_group_type r in
+  decode_group_type r;
   let n = R.u16 r in
   let buckets =
     List.init n (fun _ ->
@@ -425,13 +410,12 @@ let decode_group_desc r : Of_msg.Stats.group_desc =
         let actions = decode_actions r in
         { Of_msg.Group_mod.weight; actions })
   in
-  { group_id; group_type; buckets }
+  { group_id; buckets }
 
 (** {1 Top level} *)
 
 let type_code (p : Of_msg.payload) =
   match p with
-  | Hello -> t_hello
   | Error _ -> t_error
   | Echo_request -> t_echo_request
   | Echo_reply -> t_echo_reply
@@ -439,10 +423,8 @@ let type_code (p : Of_msg.payload) =
   | Packet_out _ -> t_packet_out
   | Flow_mod _ -> t_flow_mod
   | Group_mod _ -> t_group_mod
-  | Flow_stats_request _ | Table_stats_request | Group_stats_request | Telemetry_request ->
-    t_multipart_request
-  | Flow_stats_reply _ | Table_stats_reply _ | Group_stats_reply _ | Telemetry_reply _ ->
-    t_multipart_reply
+  | Flow_stats_request _ | Group_stats_request | Telemetry_request -> t_multipart_request
+  | Flow_stats_reply _ | Group_stats_reply _ | Telemetry_reply _ -> t_multipart_reply
   | Barrier_request -> t_barrier_request
   | Barrier_reply -> t_barrier_reply
 
@@ -459,8 +441,7 @@ let match_size (m : Of_match.t) =
 
 let action_size : Of_action.t -> int = function
   | Output _ | Group _ | Push_mpls _ | Push_gre _ -> 5
-  | Set_eth_dst _ | Set_eth_src _ -> 9
-  | Pop_mpls | Pop_gre | Dec_ttl | Drop -> 1
+  | Pop_mpls | Pop_gre | Drop -> 1
 
 let actions_size acts = List.fold_left (fun n a -> n + action_size a) 2 acts
 
@@ -482,7 +463,7 @@ let telemetry_report_size (tr : Of_msg.Telemetry.report) = 26 + (17 * List.lengt
 
 let body_size (p : Of_msg.payload) =
   match p with
-  | Hello | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> 0
+  | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> 0
   | Error s -> 4 + String.length s
   | Flow_mod fm -> 20 + match_size fm.match_ + instructions_size fm.instructions
   | Group_mod gm -> 6 + buckets_size gm.buckets
@@ -491,8 +472,7 @@ let body_size (p : Of_msg.payload) =
   | Packet_out po -> 4 + actions_size po.actions + packet_size po.packet
   | Flow_stats_request fsr -> 3 + match_size fsr.match_
   | Flow_stats_reply stats -> List.fold_left (fun n fs -> n + flow_stat_size fs) 4 stats
-  | Table_stats_request | Group_stats_request | Telemetry_request -> 2
-  | Table_stats_reply { active_entries } -> 4 + (4 * List.length active_entries)
+  | Group_stats_request | Telemetry_request -> 2
   | Group_stats_reply descs ->
     List.fold_left
       (fun n (gd : Of_msg.Stats.group_desc) -> n + 5 + buckets_size gd.buckets)
@@ -512,7 +492,7 @@ let encode (msg : Of_msg.t) =
   W.u16 b n;
   W.u32 b msg.xid;
   (match msg.payload with
-  | Hello | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> ()
+  | Echo_request | Echo_reply | Barrier_request | Barrier_reply -> ()
   | Error s -> W.bytes b (Bytes.of_string s)
   | Flow_mod fm -> encode_flow_mod b fm
   | Group_mod gm -> encode_group_mod b gm
@@ -526,11 +506,6 @@ let encode (msg : Of_msg.t) =
     W.u16 b mp_flow;
     W.u16 b (List.length stats);
     List.iter (encode_flow_stat b) stats
-  | Table_stats_request -> W.u16 b mp_table
-  | Table_stats_reply { active_entries } ->
-    W.u16 b mp_table;
-    W.u16 b (List.length active_entries);
-    List.iter (W.u32 b) active_entries
   | Group_stats_request -> W.u16 b mp_group_desc
   | Group_stats_reply descs ->
     W.u16 b mp_group_desc;
@@ -554,8 +529,7 @@ let decode data : Of_msg.t =
   if len <> Bytes.length data then fail "length field %d != buffer %d" len (Bytes.length data);
   let xid = R.u32 r in
   let payload : Of_msg.payload =
-    if ty = t_hello then Hello
-    else if ty = t_error then Error (Bytes.to_string (R.bytes r))
+    if ty = t_error then Error (Bytes.to_string (R.bytes r))
     else if ty = t_echo_request then Echo_request
     else if ty = t_echo_reply then Echo_reply
     else if ty = t_barrier_request then Barrier_request
@@ -570,7 +544,6 @@ let decode data : Of_msg.t =
         let table_id = R.u8 r in
         let match_ = decode_match r in
         Flow_stats_request { table_id; match_ }
-      | x when x = mp_table -> Table_stats_request
       | x when x = mp_group_desc -> Group_stats_request
       | x when x = mp_telemetry -> Telemetry_request
       | x -> fail "unknown multipart request subtype %d" x
@@ -580,9 +553,6 @@ let decode data : Of_msg.t =
       | x when x = mp_flow ->
         let n = R.u16 r in
         Flow_stats_reply (List.init n (fun _ -> decode_flow_stat r))
-      | x when x = mp_table ->
-        let n = R.u16 r in
-        Table_stats_reply { active_entries = List.init n (fun _ -> R.u32 r) }
       | x when x = mp_group_desc ->
         let n = R.u16 r in
         Group_stats_reply (List.init n (fun _ -> decode_group_desc r))

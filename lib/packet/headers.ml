@@ -47,8 +47,6 @@ module Ipv4 = struct
   let make ?(ttl = 64) ?(dscp = 0) ?(ident = 0) ~src ~dst ~proto () =
     { src; dst; proto; ttl; dscp; ident }
 
-  let decrement_ttl t = { t with ttl = t.ttl - 1 }
-
   let pp fmt t =
     Format.fprintf fmt "ip{%a->%a proto=%d ttl=%d}" Ipv4_addr.pp t.src Ipv4_addr.pp t.dst
       t.proto t.ttl

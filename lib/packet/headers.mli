@@ -36,7 +36,6 @@ module Ipv4 : sig
     ?ttl:int -> ?dscp:int -> ?ident:int -> src:Ipv4_addr.t -> dst:Ipv4_addr.t -> proto:int ->
     unit -> t
 
-  val decrement_ttl : t -> t
   val pp : Format.formatter -> t -> unit
 end
 

@@ -27,7 +27,6 @@ type rule = {
 
 type group = {
   group_id : Of_types.group_id;
-  group_type : Of_msg.Group_mod.group_type;
   buckets : Of_msg.Group_mod.bucket list;
   recorded_at : float;
 }
@@ -50,7 +49,7 @@ let is_durable r = r.idle_timeout = 0.0 && r.hard_timeout = 0.0
 
 let record_flow_mod t ~now (fm : Of_msg.Flow_mod.t) =
   match fm.Of_msg.Flow_mod.command with
-  | Of_msg.Flow_mod.Add | Of_msg.Flow_mod.Modify ->
+  | Of_msg.Flow_mod.Add ->
     let r =
       { table_id = fm.Of_msg.Flow_mod.table_id; priority = fm.Of_msg.Flow_mod.priority;
         match_ = fm.Of_msg.Flow_mod.match_; instructions = fm.Of_msg.Flow_mod.instructions;
@@ -75,9 +74,8 @@ let record_group_mod t ~now (gm : Of_msg.Group_mod.t) =
   match gm.Of_msg.Group_mod.command with
   | Of_msg.Group_mod.Add | Of_msg.Group_mod.Modify ->
     Hashtbl.replace t.groups gm.Of_msg.Group_mod.group_id
-      { group_id = gm.Of_msg.Group_mod.group_id;
-        group_type = gm.Of_msg.Group_mod.group_type;
-        buckets = gm.Of_msg.Group_mod.buckets; recorded_at = now }
+      { group_id = gm.Of_msg.Group_mod.group_id; buckets = gm.Of_msg.Group_mod.buckets;
+        recorded_at = now }
   | Of_msg.Group_mod.Delete -> Hashtbl.remove t.groups gm.Of_msg.Group_mod.group_id
 
 let find_rule t ~table_id ~priority ~match_ =
@@ -110,8 +108,7 @@ let flow_mod_of_rule (r : rule) =
 
 (** The Group_mod that sets one intent group, by Add or Modify. *)
 let group_mod command (g : group) =
-  { Of_msg.Group_mod.command; group_id = g.group_id; group_type = g.group_type;
-    buckets = g.buckets }
+  { Of_msg.Group_mod.command; group_id = g.group_id; buckets = g.buckets }
 
 (** {1 Intent vs device} *)
 
@@ -165,8 +162,7 @@ let diff ~rules ~groups ~flow_stats ~group_descs ~now ~grace ~owned =
               group_descs
           with
           | None -> Some (Group_missing g)
-          | Some d when d.group_type <> g.group_type || d.buckets <> g.buckets ->
-            Some (Group_changed g)
+          | Some d when d.buckets <> g.buckets -> Some (Group_changed g)
           | Some _ -> None)
       groups
   in

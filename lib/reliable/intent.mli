@@ -19,7 +19,6 @@ type rule = {
 
 type group = {
   group_id : Of_types.group_id;
-  group_type : Of_msg.Group_mod.group_type;
   buckets : Of_msg.Group_mod.bucket list;
   recorded_at : float;
 }
@@ -28,7 +27,7 @@ type t
 
 val create : unit -> t
 
-(** Record the intent effect of a Flow_mod: Add/Modify upserts by
+(** Record the intent effect of a Flow_mod: Add upserts by
     (table, priority, match); Delete removes every priority holding the
     match in the table, mirroring device semantics. *)
 val record_flow_mod : t -> now:float -> Of_msg.Flow_mod.t -> unit
@@ -58,7 +57,7 @@ val group_mod : Of_msg.Group_mod.command -> group -> Of_msg.Group_mod.t
 (** One group difference. *)
 type group_diff =
   | Group_missing of group  (** intent group absent from the device *)
-  | Group_changed of group  (** on the device with another type or buckets *)
+  | Group_changed of group  (** on the device with other buckets *)
   | Group_foreign of Of_types.group_id  (** device group with no intent *)
 
 (** What one switch's device lacks or holds extra, against its intent. *)

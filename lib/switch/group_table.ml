@@ -1,16 +1,14 @@
-(** OpenFlow group table.
-
-    Scotch uses {e select} groups for load-balancing new flows across
-    vswitch tunnels (§5.1): one action bucket per tunnel, bucket chosen
-    by a hash of the flow id — "using a hash function based on the flow
-    id may be a likely choice for many vendors" — so all packets of a
-    flow take the same tunnel. *)
+(** OpenFlow group table of {e select} groups, the only group type
+    Scotch uses: they load-balance new flows across vswitch tunnels
+    (§5.1), one action bucket per tunnel, bucket chosen by a hash of the
+    flow id — "using a hash function based on the flow id may be a
+    likely choice for many vendors" — so all packets of a flow take the
+    same tunnel. *)
 
 open Scotch_openflow
 
 type group = Of_msg.Stats.group_desc = {
   group_id : Of_types.group_id;
-  group_type : Of_msg.Group_mod.group_type;
   buckets : Of_msg.Group_mod.bucket list;
 }
 
@@ -36,21 +34,18 @@ let apply t (gm : Of_msg.Group_mod.t) =
     | Ok () ->
       if Hashtbl.mem t.groups gm.group_id then Error `Group_exists
       else begin
-        Hashtbl.replace t.groups gm.group_id
-          { group_id = gm.group_id; group_type = gm.group_type; buckets = gm.buckets };
+        Hashtbl.replace t.groups gm.group_id { group_id = gm.group_id; buckets = gm.buckets };
         Ok ()
       end)
   | Modify -> (
     (* existence first, as switches do: modifying an unknown group is
-       Unknown_group even when the buckets are also bad.  OFPGC_MODIFY
-       replaces the type as well as the buckets. *)
+       Unknown_group even when the buckets are also bad *)
     if not (Hashtbl.mem t.groups gm.group_id) then Error `Unknown_group
     else
       match validate_buckets gm with
       | Error _ as e -> e
       | Ok () ->
-        Hashtbl.replace t.groups gm.group_id
-          { group_id = gm.group_id; group_type = gm.group_type; buckets = gm.buckets };
+        Hashtbl.replace t.groups gm.group_id { group_id = gm.group_id; buckets = gm.buckets };
         Ok ())
   | Delete ->
     Hashtbl.remove t.groups gm.group_id;
@@ -58,15 +53,12 @@ let apply t (gm : Of_msg.Group_mod.t) =
 
 let find t gid = Hashtbl.find_opt t.groups gid
 
-(** [select g ~flow_hash] picks the buckets a flow executes.  Select
-    groups hash the flow onto the weighted bucket list; [All] returns
-    every bucket; [Indirect] and [Fast_failover] use the first. *)
+(** [select g ~flow_hash] hashes the flow onto the weighted bucket
+    list. *)
 let select g ~flow_hash : Of_msg.Group_mod.bucket list =
-  match (g.group_type, g.buckets) with
-  | _, [] -> []
-  | Of_msg.Group_mod.All, buckets -> buckets
-  | (Of_msg.Group_mod.Indirect | Of_msg.Group_mod.Fast_failover), b :: _ -> [ b ]
-  | Of_msg.Group_mod.Select, buckets ->
+  match g.buckets with
+  | [] -> []
+  | buckets ->
     let total = List.fold_left (fun acc b -> acc + max 1 b.Of_msg.Group_mod.weight) 0 buckets in
     let target = flow_hash mod total in
     let rec go acc = function

@@ -1,7 +1,7 @@
-(** OpenFlow group table.  Scotch uses {e select} groups to
-    load-balance new flows across vswitch tunnels (§5.1): one bucket
-    per tunnel, bucket chosen by a hash of the flow id so all packets
-    of a flow take the same tunnel. *)
+(** OpenFlow group table of {e select} groups, the only group type
+    Scotch uses: they load-balance new flows across vswitch tunnels
+    (§5.1), one bucket per tunnel, bucket chosen by a hash of the flow
+    id so all packets of a flow take the same tunnel. *)
 
 open Scotch_openflow
 
@@ -9,7 +9,6 @@ open Scotch_openflow
     [Modify] replaces the entry, so a snapshot can share it. *)
 type group = Of_msg.Stats.group_desc = {
   group_id : Of_types.group_id;
-  group_type : Of_msg.Group_mod.group_type;
   buckets : Of_msg.Group_mod.bucket list;
 }
 
@@ -17,8 +16,8 @@ type t
 
 val create : unit -> t
 
-(** Apply a Group_mod.  [Modify] replaces the group's type and buckets,
-    as OFPGC_MODIFY does.  [Add]/[Modify] with an empty bucket list or a
+(** Apply a Group_mod.  [Modify] replaces the group's buckets, as
+    OFPGC_MODIFY does.  [Add]/[Modify] with an empty bucket list or a
     non-positive bucket weight are rejected (they would blackhole or
     skew every flow hashed onto the group), mirroring
     OFPGMFC_INVALID_GROUP on real switches. *)
@@ -28,9 +27,8 @@ val apply :
 
 val find : t -> Of_types.group_id -> group option
 
-(** Buckets a flow of hash [flow_hash] executes in [g]: [Select]
-    hashes onto the weighted bucket list, [All] returns every bucket,
-    [Indirect]/[Fast_failover] the first. *)
+(** The bucket a flow of hash [flow_hash] executes in [g], hashed onto
+    the weighted bucket list; [[]] when [g] has no buckets. *)
 val select : group -> flow_hash:int -> Of_msg.Group_mod.bucket list
 
 val size : t -> int

@@ -34,7 +34,6 @@ type handler = {
     (unit, [ `Group_exists | `Unknown_group | `Empty_buckets | `Non_positive_weight ]) result;
   execute_packet_out : Of_msg.Packet_out.t -> unit;
   flow_stats : Of_msg.Stats.flow_stats_request -> Of_msg.Stats.flow_stats_reply;
-  table_stats : unit -> Of_msg.Stats.table_stats_reply;
   group_stats : unit -> Of_msg.Stats.group_stats_reply;
   telemetry : unit -> Of_msg.Telemetry.report; (* drain the sampler window *)
   on_flow_mod_rejected : unit -> unit; (* datapath reject stall hook *)
@@ -199,13 +198,11 @@ let execute t (job : job) =
     | Of_msg.Packet_out po -> t.handler.execute_packet_out po
     | Of_msg.Echo_request -> reply Of_msg.Echo_reply
     | Of_msg.Flow_stats_request req -> reply (Of_msg.Flow_stats_reply (t.handler.flow_stats req))
-    | Of_msg.Table_stats_request -> reply (Of_msg.Table_stats_reply (t.handler.table_stats ()))
     | Of_msg.Group_stats_request -> reply (Of_msg.Group_stats_reply (t.handler.group_stats ()))
     | Of_msg.Telemetry_request -> reply (Of_msg.Telemetry_reply (t.handler.telemetry ()))
     | Of_msg.Barrier_request -> reply Of_msg.Barrier_reply
-    | Of_msg.Hello | Of_msg.Echo_reply | Of_msg.Barrier_reply | Of_msg.Error _
-    | Of_msg.Flow_stats_reply _ | Of_msg.Table_stats_reply _ | Of_msg.Group_stats_reply _
-    | Of_msg.Telemetry_reply _ | Of_msg.Packet_in _ -> ())
+    | Of_msg.Echo_reply | Of_msg.Barrier_reply | Of_msg.Error _ | Of_msg.Flow_stats_reply _
+    | Of_msg.Group_stats_reply _ | Of_msg.Telemetry_reply _ | Of_msg.Packet_in _ -> ())
 
 (** Failure injection (§5.6 testing): a dead OFA neither serves nor
     accepts anything — in particular it stops answering Echo requests,
@@ -310,8 +307,8 @@ let enqueue_pin t ~tenant job =
     tenant's queued work. *)
 let submit_packet_in t (job : pin_job) =
   let c = t.counters in
-  (* the arrival-process counter the predictive autoscaler's λ̂
-     estimator differences: offered load, before any admission verdict *)
+  (* the arrival-process counter: offered load, before any admission
+     verdict *)
   c.pin_submitted <- c.pin_submitted + 1;
   let tenant = t.pin_tenant_of job in
   let within_budget = Admission.offer t.admission ~tenant in

@@ -31,7 +31,6 @@ type handler = {
     (unit, [ `Group_exists | `Unknown_group | `Empty_buckets | `Non_positive_weight ]) result;
   execute_packet_out : Of_msg.Packet_out.t -> unit;
   flow_stats : Of_msg.Stats.flow_stats_request -> Of_msg.Stats.flow_stats_reply;
-  table_stats : unit -> Of_msg.Stats.table_stats_reply;
   group_stats : unit -> Of_msg.Stats.group_stats_reply;
   telemetry : unit -> Of_msg.Telemetry.report; (** drain the sampler window *)
   on_flow_mod_rejected : unit -> unit; (** datapath reject-stall hook *)
@@ -40,8 +39,7 @@ type handler = {
 type counters = {
   mutable pin_submitted : int;
       (** new-flow packets offered to the pin queue (the arrival
-          process, before any admission verdict) — what the predictive
-          autoscaler's rate estimator differences *)
+          process, before any admission verdict) *)
   mutable pin_sent : int;          (** Packet-In messages emitted *)
   mutable pin_dropped : int;       (** new-flow packets lost at the pin queue *)
   mutable pin_expired : int;       (** queued pin jobs shed past the deadline *)

@@ -59,12 +59,6 @@ module Make (T : TARGET) = struct
       | Of_action.Push_gre key -> continue (Packet.push_encap (Headers.Encap.gre key) pkt)
       | Of_action.Pop_gre ->
         continue (match Packet.pop_encap pkt with Some (Headers.Encap.Gre _, p) -> p | _ -> pkt)
-      | Of_action.Set_eth_dst mac ->
-        continue { pkt with Packet.eth = { pkt.Packet.eth with Headers.Ethernet.dst = mac } }
-      | Of_action.Set_eth_src mac ->
-        continue { pkt with Packet.eth = { pkt.Packet.eth with Headers.Ethernet.src = mac } }
-      | Of_action.Dec_ttl ->
-        continue { pkt with Packet.ip = Headers.Ipv4.decrement_ttl pkt.Packet.ip }
       | Of_action.Drop ->
         T.drop t Action;
         continue pkt)

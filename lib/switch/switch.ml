@@ -173,7 +173,7 @@ let handler_of t : Ofa.handler =
                 ignore (Flow_table.delete table ~match_:fm.Of_msg.Flow_mod.match_ ()))
             t.tables;
           Ok ()
-        | Of_msg.Flow_mod.Add | Of_msg.Flow_mod.Modify ->
+        | Of_msg.Flow_mod.Add ->
           if fm.Of_msg.Flow_mod.table_id >= Array.length t.tables then Error `Table_full
           else begin
             let table = t.tables.(fm.Of_msg.Flow_mod.table_id) in
@@ -219,11 +219,6 @@ let handler_of t : Ofa.handler =
                else [])
         |> List.filter (fun (fs : Of_msg.Stats.flow_stat) ->
                Of_match.selects req.Of_msg.Stats.match_ fs.Of_msg.Stats.match_));
-    table_stats =
-      (fun () ->
-        { Of_msg.Stats.active_entries =
-            Array.to_list (Array.map (fun table -> Flow_table.size table ~now:(now t)) t.tables)
-        });
     group_stats = (fun () -> Group_table.groups t.groups);
     telemetry =
       (fun () ->
@@ -368,7 +363,6 @@ let set_on_update t f =
               in
               notify_update t (Table_changed { table_id; added; removed }))))
     t.tables
-let profile t = t.profile
 let counters t = t.counters
 let tables t = t.tables
 let table t i = t.tables.(i)

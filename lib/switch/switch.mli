@@ -91,7 +91,6 @@ val sampler : t -> Scotch_telemetry.Sampler.t option
     default) leaves the tables observer-free and costs nothing on the
     packet path. *)
 val set_on_update : t -> (update_event -> unit) option -> unit
-val profile : t -> Profile.t
 val counters : t -> counters
 val tables : t -> Flow_table.t array
 val table : t -> int -> Flow_table.t

@@ -63,14 +63,22 @@ let test_uninstall () =
   Alcotest.(check int) "rule removed" 0 (Flow_table.size (Switch.table sw 0) ~now:1.0)
 
 let test_request_reply_xid () =
-  let e, _, sw, _, _, ctrl = rig () in
+  let e, _, sw, a, b, ctrl = rig () in
   let h = C.connect ctrl sw ~latency:0.001 in
+  let m = Of_match.exact_flow (Packet.flow_key (mk_packet ~src:a ~dst:b ())) in
+  C.install ctrl h ~priority:10 ~match_:m
+    ~instructions:(Of_action.output (Of_types.Port_no.Physical 2))
+    ();
+  Scotch_sim.Engine.run e;
   let got = ref None in
-  C.request ctrl h Of_msg.Table_stats_request (fun payload -> got := Some payload);
+  C.request ctrl h
+    (Of_msg.Flow_stats_request
+       { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard })
+    (fun payload -> got := Some payload);
   Scotch_sim.Engine.run e;
   match !got with
-  | Some (Of_msg.Table_stats_reply { active_entries }) ->
-    Alcotest.(check int) "two tables" 2 (List.length active_entries)
+  | Some (Of_msg.Flow_stats_reply stats) ->
+    Alcotest.(check int) "the installed rule" 1 (List.length stats)
   | _ -> Alcotest.fail "no reply routed"
 
 let test_packet_in_dispatch_order () =

@@ -18,9 +18,12 @@ let state = Alcotest.testable (Fmt.of_to_string (function
     ( = )
 
 let test_config_validation () =
-  Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
-      try ignore (B.create ~rtt_budget:0.0 ()) with Invalid_argument _ ->
-        raise (Invalid_argument ""));
+  List.iter
+    (fun rtt_budget ->
+      Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
+          try ignore (B.create ~rtt_budget ()) with Invalid_argument _ ->
+            raise (Invalid_argument "")))
+    [ 0.0; Float.nan ];
   ignore (B.create ())
 
 let test_healthy_stays_closed () =
@@ -219,8 +222,11 @@ let test_elastic_config_validation () =
   in
   bad { E.default_config with E.low_water = 0.8 } (* not below high_water 0.8 *);
   bad { E.default_config with E.min_pool = 5; max_pool = 4 };
+  bad { E.default_config with E.low_water = Float.nan };
   bad { E.default_config with E.rtt_budget = 0.0 };
+  bad { E.default_config with E.rtt_budget = Float.nan };
   bad { E.default_config with E.vswitch_capacity = 0.0 };
+  bad { E.default_config with E.vswitch_capacity = Float.nan };
   bad { E.default_config with E.sustain_down = 0 };
   bad { E.default_config with E.tenant_shares = [ (1, 0) ] };
   bad { E.default_config with E.tenant_shares = [ (1, 2); (2, 1); (1, 3) ] };

@@ -2,12 +2,11 @@
    textbook anchors the solver must hit exactly, a differential check
    of the embedded-chain solver against the closed-form M/M/1/K, and
    qcheck properties (monotonicity in offered load, probability
-   ranges, flow balance, saturation and light-traffic limits, fluid
-   forecast clamps, Holt estimator behaviour).  The model-vs-OFA-sim
-   comparison lives in the model smoke (test/model_smoke.ml). *)
+   ranges, flow balance, saturation and light-traffic limits).  The
+   model-vs-OFA-sim comparison lives in the model smoke
+   (test/smoke.ml). *)
 
 module M = Scotch_model.Ofa_model
-module A = Scotch_model.Arrival
 
 let prm ?(rate = 90.0) ?(service_rate = 100.0) ?(capacity = 50) () =
   { M.rate; service_rate; capacity }
@@ -30,19 +29,6 @@ let test_params_validation () =
   bad (prm ~capacity:0 ());
   M.check_params (prm ());
   M.check_params (prm ~rate:0.0 ())
-
-let test_arrival_validation () =
-  let bad f =
-    Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
-        try ignore (f ()) with Invalid_argument _ -> raise (Invalid_argument ""))
-  in
-  bad (fun () -> A.create ~alpha:0.0);
-  bad (fun () -> A.create ~alpha:1.5);
-  let t = A.create ~alpha:0.5 in
-  bad (fun () -> A.observe t ~now:0.0 ~rate:(-1.0));
-  A.observe t ~now:0.0 ~rate:10.0;
-  bad (fun () -> A.observe t ~now:0.0 ~rate:10.0) (* non-increasing time *);
-  bad (fun () -> A.forecast t ~horizon:(-1.0))
 
 (* ---------------- textbook anchors ---------------- *)
 
@@ -145,68 +131,10 @@ let prop_monotone_in_load =
       && b.M.blocking +. slack >= a.M.blocking
       && b.M.utilization +. slack >= a.M.utilization)
 
-(* Fluid forecast: horizon 0 is the clamped backlog, the result stays
-   inside [0, K], and it is monotone in the horizon when lambda > mu
-   and non-increasing when lambda < mu. *)
-let prop_fluid_forecast =
-  let gen =
-    QCheck.Gen.(pair gen_params (pair (int_range 0 150) (pair (int_range 0 50) (int_range 0 50))))
-  in
-  QCheck.Test.make ~name:"fluid forecast clamps and is monotone" ~count:300 (QCheck.make gen)
-    (fun (p, (b0, (h1, h2))) ->
-      let backlog = float_of_int b0 and k = float_of_int p.M.capacity in
-      let h1 = float_of_int h1 /. 10.0 and h2 = float_of_int h2 /. 10.0 in
-      let lo = Float.min h1 h2 and hi = Float.max h1 h2 in
-      let f h = M.forecast_queue p ~backlog ~horizon:h in
-      let at0 = f 0.0 and a = f lo and b = f hi in
-      at0 = Float.min backlog k
-      && a >= 0.0 && a <= k && b >= 0.0 && b <= k
-      && (if p.M.rate > p.M.service_rate then b +. 1e-9 >= a else a +. 1e-9 >= b)
-      &&
-      match M.time_to_block p ~backlog with
-      | Some 0.0 -> backlog >= k
-      | Some t -> t > 0.0 && p.M.rate > p.M.service_rate && backlog < k
-      | None -> p.M.rate <= p.M.service_rate && backlog < k)
-
-(* Holt estimator: a constant input is reproduced exactly; an exact
-   linear ramp is extrapolated to the true future value once the
-   trend has converged; forecasts clamp at zero. *)
-let prop_arrival_constant =
-  QCheck.Test.make ~name:"estimator reproduces a constant rate" ~count:200
-    (QCheck.make QCheck.Gen.(pair (int_range 0 1000) (int_range 1 10))) (fun (r, n) ->
-      let t = A.create ~alpha:0.5 in
-      let rate = float_of_int r in
-      for i = 0 to (10 * n) - 1 do
-        A.observe t ~now:(0.25 *. float_of_int i) ~rate
-      done;
-      Float.abs (A.rate t -. rate) < 1e-6
-      && Float.abs (A.slope t) < 1e-6
-      && Float.abs (A.forecast t ~horizon:2.0 -. rate) < 1e-5)
-
-let test_arrival_ramp () =
-  let t = A.create ~alpha:0.5 in
-  (* rate grows 40 fl/s per second, sampled every 0.25 s *)
-  for i = 0 to 399 do
-    let now = 0.25 *. float_of_int i in
-    A.observe t ~now ~rate:(100.0 +. (40.0 *. now))
-  done;
-  let now = 0.25 *. 399.0 in
-  check_close "slope converges to 40/s" ~tol:0.5 40.0 (A.slope t);
-  check_close "forecast extrapolates the ramp" ~tol:2.0
-    (100.0 +. (40.0 *. (now +. 2.0)))
-    (A.forecast t ~horizon:2.0);
-  (* a collapsing rate forecasts to zero, never negative *)
-  let d = A.create ~alpha:0.5 in
-  for i = 0 to 40 do
-    A.observe d ~now:(0.25 *. float_of_int i) ~rate:(Float.max 0.0 (100.0 -. (10.0 *. float_of_int i)))
-  done;
-  Alcotest.(check bool) "clamped at zero" true (A.forecast d ~horizon:10.0 = 0.0)
-
 let () =
   Alcotest.run "scotch_model"
     [ ( "validation",
-        [ Alcotest.test_case "params" `Quick test_params_validation;
-          Alcotest.test_case "arrival estimator" `Quick test_arrival_validation ] );
+        [ Alcotest.test_case "params" `Quick test_params_validation ] );
       ( "anchors",
         [ Alcotest.test_case "M/D/1 at rho 0.9" `Quick test_md1_anchor;
           Alcotest.test_case "saturation limit" `Quick test_saturation_limit;
@@ -215,7 +143,4 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_exponential_matches_mm1k;
           QCheck_alcotest.to_alcotest prop_ranges;
           QCheck_alcotest.to_alcotest prop_flow_balance;
-          QCheck_alcotest.to_alcotest prop_monotone_in_load;
-          QCheck_alcotest.to_alcotest prop_fluid_forecast;
-          QCheck_alcotest.to_alcotest prop_arrival_constant;
-          Alcotest.test_case "ramp extrapolation" `Quick test_arrival_ramp ] ) ]
+          QCheck_alcotest.to_alcotest prop_monotone_in_load ] ) ]

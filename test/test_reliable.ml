@@ -67,7 +67,7 @@ let test_xid_expiry () =
   let replied = ref false and timed_out = ref false in
   C.request ctrl h ~deadline:0.5
     ~on_timeout:(fun () -> timed_out := true)
-    Of_msg.Table_stats_request
+    Of_msg.Group_stats_request
     (fun _ -> replied := true);
   Alcotest.(check int) "request pending" 1 (C.pending_requests ctrl);
   Scotch_sim.Engine.run e;
@@ -81,7 +81,7 @@ let test_xid_reply_cancels_expiry () =
   let replied = ref false and timed_out = ref false in
   C.request ctrl h ~deadline:5.0
     ~on_timeout:(fun () -> timed_out := true)
-    Of_msg.Table_stats_request
+    Of_msg.Group_stats_request
     (fun _ -> replied := true);
   Scotch_sim.Engine.run e;
   Alcotest.(check bool) "reply routed" true !replied;
@@ -92,7 +92,7 @@ let test_xid_reply_cancels_expiry () =
 let test_request_without_deadline_strands () =
   let e, sw, ctrl, h = rig () in
   Switch.set_failed sw true;
-  C.request ctrl h Of_msg.Table_stats_request (fun _ -> ());
+  C.request ctrl h Of_msg.Group_stats_request (fun _ -> ());
   Scotch_sim.Engine.run e;
   (* legacy behaviour, kept deliberately: no deadline, no reclamation *)
   Alcotest.(check int) "entry stranded" 1 (C.pending_requests ctrl);
@@ -165,7 +165,8 @@ let test_churn_no_resurrection () =
 (* Every divergence kind, judged by both sides of the intent/device
    diff: the verifier's Divergence invariant reports each one, a single
    reconcile round repairs each one, and afterwards the verifier sees
-   nothing.  Group 2 keeps its buckets but drifts to another type. *)
+   nothing.  Group 2 keeps its bucket's actions but drifts to another
+   weight. *)
 
 let foreign_cookie = 0xF00DL
 
@@ -209,8 +210,8 @@ let test_every_divergence_kind () =
   in
   tamper (Of_msg.Group_mod.modify_select ~group_id:1 ~buckets:[ bucket 3 ]);
   tamper
-    { (Of_msg.Group_mod.modify_select ~group_id:2 ~buckets:[ bucket 2 ]) with
-      Of_msg.Group_mod.group_type = Of_msg.Group_mod.All };
+    (Of_msg.Group_mod.modify_select ~group_id:2
+       ~buckets:[ Of_msg.Group_mod.bucket ~weight:2 [ Of_action.Output (Of_types.Port_no.Physical 2) ] ]);
   tamper (Of_msg.Group_mod.add_select ~group_id:9 ~buckets:[ bucket 1 ]);
   let divergence () =
     let now = Scotch_sim.Engine.now e in
@@ -251,10 +252,10 @@ let test_every_divergence_kind () =
     (List.exists
        (fun (fr : Flow_table.rule) -> fr.Flow_table.cookie = foreign_cookie)
        (Flow_table.live_rules table ~now:(Scotch_sim.Engine.now e)));
-  Alcotest.(check bool) "type drift repaired by a Modify" true
-    (Option.map (fun (g : Group_table.group) -> g.Group_table.group_type)
+  Alcotest.(check bool) "weight drift repaired by a Modify" true
+    (Option.map (fun (g : Group_table.group) -> g.Group_table.buckets)
        (Group_table.find groups 2)
-    = Some Of_msg.Group_mod.Select);
+    = Some [ bucket 2 ]);
   Alcotest.(check (list string)) "verifier: clean after the round" [] (divergence ())
 
 (* ------------------------------------------------------------------ *)

@@ -488,19 +488,15 @@ let test_gt_add_modify_delete () =
     (Group_table.apply gt (Of_msg.Group_mod.delete ~group_id:1) = Ok ());
   Alcotest.(check int) "empty" 0 (Group_table.size gt)
 
-(* OFPGC_MODIFY replaces the whole entry: the type and the buckets. *)
-let test_gt_modify_replaces_type () =
+(* OFPGC_MODIFY replaces the whole bucket list. *)
+let test_gt_modify_replaces_buckets () =
   let gt = Group_table.create () in
   ignore (Group_table.apply gt (mk_select_group ()));
   let buckets = [ Of_msg.Group_mod.bucket [ Of_action.Drop ] ] in
-  Alcotest.(check bool) "modify to all" true
-    (Group_table.apply gt
-       { (Of_msg.Group_mod.modify_select ~group_id:1 ~buckets) with
-         Of_msg.Group_mod.group_type = Of_msg.Group_mod.All }
-    = Ok ());
-  Alcotest.(check bool) "type and buckets replaced" true
-    (Group_table.find gt 1
-    = Some { Group_table.group_id = 1; group_type = Of_msg.Group_mod.All; buckets })
+  Alcotest.(check bool) "modify" true
+    (Group_table.apply gt (Of_msg.Group_mod.modify_select ~group_id:1 ~buckets) = Ok ());
+  Alcotest.(check bool) "buckets replaced" true
+    (Group_table.find gt 1 = Some { Group_table.group_id = 1; buckets })
 
 let test_gt_rejects_bad_buckets () =
   let gt = Group_table.create () in
@@ -729,20 +725,6 @@ let prop_gt_tenant_shares =
           check ())
         ops;
       !ok)
-
-let test_gt_all_type () =
-  let gt = Group_table.create () in
-  ignore
-    (Group_table.apply gt
-       { Of_msg.Group_mod.command = Of_msg.Group_mod.Add; group_id = 2;
-         group_type = Of_msg.Group_mod.All;
-         buckets =
-           [ Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical 1) ];
-             Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical 2) ] ] });
-  match Group_table.find gt 2 with
-  | Some g ->
-    Alcotest.(check int) "all buckets" 2 (List.length (Group_table.select g ~flow_hash:1))
-  | None -> Alcotest.fail "group missing"
 
 (* ------------------------------------------------------------------ *)
 (* OFA model *)
@@ -1211,11 +1193,8 @@ let test_switch_every_action () =
     (Of_msg.Group_mod.add_select ~group_id:1
        ~buckets:[ Of_msg.Group_mod.bucket [ out 2 ]; Of_msg.Group_mod.bucket [ out 3 ] ]);
   group
-    { Of_msg.Group_mod.command = Of_msg.Group_mod.Add; group_id = 2;
-      group_type = Of_msg.Group_mod.All;
-      buckets =
-        [ Of_msg.Group_mod.bucket [ out 2 ];
-          Of_msg.Group_mod.bucket [ Of_action.Push_mpls 9; out 3 ] ] };
+    (Of_msg.Group_mod.add_select ~group_id:2
+       ~buckets:[ Of_msg.Group_mod.bucket [ Of_action.Push_mpls 9; out 3 ] ]);
   (* one rule per l4 destination port, so each step picks its rule *)
   let install ?(table_id = 0) dst instructions =
     match
@@ -1226,7 +1205,6 @@ let test_switch_every_action () =
     | Error _ -> Alcotest.fail "install"
   in
   let apply actions = [ Of_action.Apply_actions actions ] in
-  let mac_s = Mac.of_int 0x5 and mac_d = Mac.of_int 0xd in
   install 100 (apply [ out 2; out 1; out 42; out 4; out 10007 ]);
   install 101 (apply [ Of_action.Output Of_types.Port_no.In_port ]);
   install 102 (apply [ Of_action.Output Of_types.Port_no.All ]);
@@ -1241,10 +1219,6 @@ let test_switch_every_action () =
        [ Of_action.Push_mpls 5; out 2; Of_action.Pop_mpls; Of_action.Push_gre 6l; out 3;
          Of_action.Pop_mpls; Of_action.Push_mpls 8; Of_action.Pop_gre; out 2; Of_action.Pop_mpls;
          Of_action.Pop_gre; Of_action.Pop_gre; out 3 ]);
-  install 109
-    (apply
-       [ Of_action.Set_eth_src mac_s; Of_action.Set_eth_dst mac_d; Of_action.Dec_ttl; out 2;
-         Of_action.Dec_ttl; out 3 ]);
   install 110 (apply [ Of_action.Drop; out 2 ]);
   (* goto forward carries the pushed label; a backward goto is ignored;
      a goto past the last table is a no-rule drop *)
@@ -1280,16 +1254,12 @@ let test_switch_every_action () =
   step "controller" 103 receive ~out:[] ~pins:[ "ACTION@1" ];
   step "local/any" 104 receive ~out:[] ~pins:[];
   step "select group" 105 receive ~out:[ plain 2 ] ~pins:[];
-  step "all group" 106 receive ~out:[ plain 2; plain 2; with_encaps 3 "mpls{9}" ] ~pins:[];
+  step "group bucket, then the rest" 106 receive ~out:[ plain 2; with_encaps 3 "mpls{9}" ]
+    ~pins:[];
   step "missing group" 107 receive ~out:[ plain 2 ] ~pins:[];
   step "push/pop" 108 receive
     ~out:[ plain 3; with_encaps 2 "mpls{5}"; with_encaps 2 "mpls{8};gre{6}";
            with_encaps 3 "gre{6}" ]
-    ~pins:[];
-  step "eth/ttl" 109 receive
-    ~out:
-      [ Printf.sprintf "2:[] %s>%s ttl=63" (Mac.to_string mac_s) (Mac.to_string mac_d);
-        Printf.sprintf "3:[] %s>%s ttl=62" (Mac.to_string mac_s) (Mac.to_string mac_d) ]
     ~pins:[];
   step "drop" 110 receive ~out:[ plain 2 ] ~pins:[];
   step "goto forward" 111 receive ~out:[ with_encaps 2 "mpls{3}" ] ~pins:[];
@@ -1315,7 +1285,7 @@ let test_switch_every_action () =
      Output In_port on the undeclared port 50 *)
   let c = Switch.counters sw in
   Alcotest.(check (list int)) "rx tx blocked capacity no-rule action"
-    [ 17; 23; 0; 0; 2; 6 ]
+    [ 16; 20; 0; 0; 2; 6 ]
     [ c.Switch.rx; c.Switch.tx; c.Switch.dropped_blocked; c.Switch.dropped_capacity;
       c.Switch.dropped_no_rule; c.Switch.dropped_action ]
 
@@ -1339,11 +1309,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_ft_live_rules_order ] );
       ( "group_table",
         [ Alcotest.test_case "add/modify/delete" `Quick test_gt_add_modify_delete;
-          Alcotest.test_case "modify replaces the type" `Quick test_gt_modify_replaces_type;
+          Alcotest.test_case "modify replaces the buckets" `Quick
+            test_gt_modify_replaces_buckets;
           Alcotest.test_case "rejects bad buckets" `Quick test_gt_rejects_bad_buckets;
           Alcotest.test_case "select deterministic" `Quick test_gt_select_deterministic;
           Alcotest.test_case "select weights" `Quick test_gt_select_weights;
-          Alcotest.test_case "all type" `Quick test_gt_all_type;
           QCheck_alcotest.to_alcotest prop_gt_churn_weights;
           QCheck_alcotest.to_alcotest prop_gt_tenant_shares ] );
       ( "ofa",

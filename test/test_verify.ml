@@ -151,8 +151,7 @@ let test_no_shadow_when_disjoint () =
 (* ------------------------------------------------------------------ *)
 (* Invariant 4: group sanity *)
 
-let group ?(group_type = Of_msg.Group_mod.Select) ~buckets group_id : Group_table.group =
-  { Group_table.group_id; group_type; buckets }
+let group ~buckets group_id : Group_table.group = { Group_table.group_id; buckets }
 
 let bucket ?(weight = 1) actions : Of_msg.Group_mod.bucket = { Of_msg.Group_mod.weight; actions }
 
