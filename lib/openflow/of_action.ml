@@ -3,8 +3,7 @@
     The actions Scotch emits: output to physical/tunnel/controller
     ports, group indirection for load balancing, MPLS push/pop with
     label set (the inner ingress-port label of §5.2), explicit drop, and
-    goto-table for the two-table miss pipeline.  GRE key push/strip is
-    modelled by the datapath and the codec, but Scotch never emits it. *)
+    goto-table for the two-table miss pipeline. *)
 
 open Of_types
 
@@ -13,8 +12,6 @@ type t =
   | Group of group_id
   | Push_mpls of int            (* push label (combines PUSH_MPLS + SET_FIELD) *)
   | Pop_mpls
-  | Push_gre of int32           (* encapsulate with GRE key *)
-  | Pop_gre
   | Drop                        (* explicit drop (empty action set) *)
 
 (** Instructions attached to a flow entry.  [Apply_actions] executes

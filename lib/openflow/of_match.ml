@@ -30,7 +30,6 @@ type t = {
   l4_src : int option;
   l4_dst : int option;
   mpls_label : int option;  (* outermost label *)
-  gre_key : int32 option;   (* outermost GRE key *)
   tunnel_id : int option;
 }
 
@@ -39,7 +38,7 @@ type t = {
     this rule (§4: "the default rule at the switch is modified"). *)
 let wildcard =
   { in_port = None; eth_type = None; ip_src = None; ip_dst = None; ip_proto = None;
-    l4_src = None; l4_dst = None; mpls_label = None; gre_key = None; tunnel_id = None }
+    l4_src = None; l4_dst = None; mpls_label = None; tunnel_id = None }
 
 let with_in_port p (t : t) = { t with in_port = Some p }
 let with_eth_type et t = { t with eth_type = Some et }
@@ -54,7 +53,6 @@ let with_ip_proto p t = { t with ip_proto = Some p }
 let with_l4_src p t = { t with l4_src = Some p }
 let with_l4_dst p t = { t with l4_dst = Some p }
 let with_mpls_label l t = { t with mpls_label = Some l }
-let with_gre_key k t = { t with gre_key = Some k }
 let with_tunnel_id id (t : t) = { t with tunnel_id = Some id }
 
 (** [exact_flow key] matches exactly the 5-tuple [key] — the per-flow
@@ -113,9 +111,6 @@ let matches (t : t) (ctx : context) =
   && (match t.mpls_label with
      | None -> true
      | Some l -> Packet.outer_mpls_label p = Some l)
-  && (match t.gre_key with
-     | None -> true
-     | Some k -> Packet.outer_gre_key p = Some k)
   && match t.tunnel_id with None -> true | Some id -> ctx.tunnel_id = Some id
 
 (** Number of specified fields — a crude specificity measure used in
@@ -123,7 +118,7 @@ let matches (t : t) (ctx : context) =
 let specificity (t : t) =
   let b = function None -> 0 | Some _ -> 1 in
   b t.in_port + b t.eth_type + b t.ip_src + b t.ip_dst + b t.ip_proto + b t.l4_src
-  + b t.l4_dst + b t.mpls_label + b t.gre_key + b t.tunnel_id
+  + b t.l4_dst + b t.mpls_label + b t.tunnel_id
 
 let is_wildcard t = specificity t = 0
 
@@ -149,7 +144,6 @@ let selects (filter : t) (m : t) =
   && covers_field filter.l4_src m.l4_src
   && covers_field filter.l4_dst m.l4_dst
   && covers_field filter.mpls_label m.mpls_label
-  && covers_field filter.gre_key m.gre_key
   && covers_field filter.tunnel_id m.tunnel_id
 
 let covers_ip hi lo =
@@ -169,7 +163,6 @@ let covers (hi : t) (lo : t) =
   && covers_field hi.l4_src lo.l4_src
   && covers_field hi.l4_dst lo.l4_dst
   && covers_field hi.mpls_label lo.mpls_label
-  && covers_field hi.gre_key lo.gre_key
   && covers_field hi.tunnel_id lo.tunnel_id
 
 let pp fmt (t : t) =
@@ -191,7 +184,6 @@ let pp fmt (t : t) =
   Option.iter (fun v -> add "l4_src" (string_of_int v)) t.l4_src;
   Option.iter (fun v -> add "l4_dst" (string_of_int v)) t.l4_dst;
   Option.iter (fun v -> add "mpls" (string_of_int v)) t.mpls_label;
-  Option.iter (fun v -> add "gre_key" (Int32.to_string v)) t.gre_key;
   Option.iter (fun v -> add "tunnel" (string_of_int v)) t.tunnel_id;
   if !parts = [] then Format.pp_print_string fmt "match{*}"
   else Format.fprintf fmt "match{%s}" (String.concat "," (List.rev !parts))

@@ -29,7 +29,6 @@ type t = {
   l4_src : int option;
   l4_dst : int option;
   mpls_label : int option; (** outermost label *)
-  gre_key : int32 option;  (** outermost GRE key *)
   tunnel_id : int option;
 }
 
@@ -45,7 +44,6 @@ val with_ip_proto : int -> t -> t
 val with_l4_src : int -> t -> t
 val with_l4_dst : int -> t -> t
 val with_mpls_label : int -> t -> t
-val with_gre_key : int32 -> t -> t
 val with_tunnel_id : int -> t -> t
 
 (** [exact_flow key] matches exactly the 5-tuple [key] — the per-flow

@@ -27,7 +27,6 @@ module W = struct
   let u8 b v = Buffer.add_uint8 b (v land 0xFF)
   let u16 b v = Buffer.add_uint16_be b (v land 0xFFFF)
   let u32 b v = Buffer.add_int32_be b (Int32.of_int (v land 0xFFFFFFFF))
-  let i32 b v = Buffer.add_int32_be b v
   let u64 b v = Buffer.add_int64_be b (Int64.of_int v)
 
   let bytes b s =
@@ -53,7 +52,6 @@ module R = struct
     r.off <- r.off + 4;
     v
 
-  let i32 r = need r 4; let v = Bytes.get_int32_be r.data r.off in r.off <- r.off + 4; v
   let u64 r = need r 8; let v = Int64.to_int (Bytes.get_int64_be r.data r.off) in r.off <- r.off + 8; v
 
   let bytes r =
@@ -77,7 +75,6 @@ let field_ip_proto = 5
 let field_l4_src = 6
 let field_l4_dst = 7
 let field_mpls = 8
-let field_gre = 9
 let field_tunnel = 10
 
 let encode_match b (m : Of_match.t) =
@@ -86,7 +83,7 @@ let encode_match b (m : Of_match.t) =
       (List.filter Fun.id
          [ m.in_port <> None; m.eth_type <> None; m.ip_src <> None; m.ip_dst <> None;
            m.ip_proto <> None; m.l4_src <> None; m.l4_dst <> None; m.mpls_label <> None;
-           m.gre_key <> None; m.tunnel_id <> None ])
+           m.tunnel_id <> None ])
   in
   W.u8 b count;
   let simple id v = W.u8 b id; W.u8 b 0; W.u32 b v in
@@ -101,7 +98,6 @@ let encode_match b (m : Of_match.t) =
   Option.iter (simple field_l4_src) m.l4_src;
   Option.iter (simple field_l4_dst) m.l4_dst;
   Option.iter (simple field_mpls) m.mpls_label;
-  Option.iter (fun k -> W.u8 b field_gre; W.u8 b 0; W.i32 b k) m.gre_key;
   Option.iter (simple field_tunnel) m.tunnel_id
 
 let decode_match r : Of_match.t =
@@ -110,28 +106,20 @@ let decode_match r : Of_match.t =
   for _ = 1 to count do
     let id = R.u8 r in
     let has_mask = R.u8 r = 1 in
-    if id = field_gre then begin
-      let k = R.i32 r in
-      m := Of_match.with_gre_key k !m
-    end
-    else begin
-      let v = R.u32 r in
-      let mask = if has_mask then R.u32 r else Scotch_packet.Ipv4_addr.mask32 in
-      m :=
-        (match id with
-        | x when x = field_in_port -> Of_match.with_in_port v !m
-        | x when x = field_eth_type -> Of_match.with_eth_type v !m
-        | x when x = field_ip_src ->
-          Of_match.with_ip_src ~mask (Scotch_packet.Ipv4_addr.of_int v) !m
-        | x when x = field_ip_dst ->
-          Of_match.with_ip_dst ~mask (Scotch_packet.Ipv4_addr.of_int v) !m
-        | x when x = field_ip_proto -> Of_match.with_ip_proto v !m
-        | x when x = field_l4_src -> Of_match.with_l4_src v !m
-        | x when x = field_l4_dst -> Of_match.with_l4_dst v !m
-        | x when x = field_mpls -> Of_match.with_mpls_label v !m
-        | x when x = field_tunnel -> Of_match.with_tunnel_id v !m
-        | x -> fail "unknown match field %d" x)
-    end
+    let v = R.u32 r in
+    let mask = if has_mask then R.u32 r else Scotch_packet.Ipv4_addr.mask32 in
+    m :=
+      (match id with
+      | x when x = field_in_port -> Of_match.with_in_port v !m
+      | x when x = field_eth_type -> Of_match.with_eth_type v !m
+      | x when x = field_ip_src -> Of_match.with_ip_src ~mask (Scotch_packet.Ipv4_addr.of_int v) !m
+      | x when x = field_ip_dst -> Of_match.with_ip_dst ~mask (Scotch_packet.Ipv4_addr.of_int v) !m
+      | x when x = field_ip_proto -> Of_match.with_ip_proto v !m
+      | x when x = field_l4_src -> Of_match.with_l4_src v !m
+      | x when x = field_l4_dst -> Of_match.with_l4_dst v !m
+      | x when x = field_mpls -> Of_match.with_mpls_label v !m
+      | x when x = field_tunnel -> Of_match.with_tunnel_id v !m
+      | x -> fail "unknown match field %d" x)
   done;
   !m
 
@@ -141,8 +129,6 @@ let act_output = 0
 let act_group = 1
 let act_push_mpls = 2
 let act_pop_mpls = 3
-let act_push_gre = 4
-let act_pop_gre = 5
 let act_drop = 9
 
 let encode_action b (a : Of_action.t) =
@@ -151,8 +137,6 @@ let encode_action b (a : Of_action.t) =
   | Group g -> W.u8 b act_group; W.u32 b g
   | Push_mpls l -> W.u8 b act_push_mpls; W.u32 b l
   | Pop_mpls -> W.u8 b act_pop_mpls
-  | Push_gre k -> W.u8 b act_push_gre; W.i32 b k
-  | Pop_gre -> W.u8 b act_pop_gre
   | Drop -> W.u8 b act_drop
 
 let decode_action r : Of_action.t =
@@ -161,8 +145,6 @@ let decode_action r : Of_action.t =
   | x when x = act_group -> Group (R.u32 r)
   | x when x = act_push_mpls -> Push_mpls (R.u32 r)
   | x when x = act_pop_mpls -> Pop_mpls
-  | x when x = act_push_gre -> Push_gre (R.i32 r)
-  | x when x = act_pop_gre -> Pop_gre
   | x when x = act_drop -> Drop
   | x -> fail "unknown action %d" x
 
@@ -437,11 +419,11 @@ let masked_size = function None -> 0 | Some _ -> 10
 let match_size (m : Of_match.t) =
   1 + field_size m.in_port + field_size m.eth_type + masked_size m.ip_src
   + masked_size m.ip_dst + field_size m.ip_proto + field_size m.l4_src + field_size m.l4_dst
-  + field_size m.mpls_label + field_size m.gre_key + field_size m.tunnel_id
+  + field_size m.mpls_label + field_size m.tunnel_id
 
 let action_size : Of_action.t -> int = function
-  | Output _ | Group _ | Push_mpls _ | Push_gre _ -> 5
-  | Pop_mpls | Pop_gre | Drop -> 1
+  | Output _ | Group _ | Push_mpls _ -> 5
+  | Pop_mpls | Drop -> 1
 
 let actions_size acts = List.fold_left (fun n a -> n + action_size a) 2 acts
 

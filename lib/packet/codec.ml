@@ -4,9 +4,8 @@
     keeps the header model honest: property tests assert that
     [parse (serialize p)] reconstructs every header field, and the byte
     layouts follow the actual RFCs (Ethernet II, RFC 791 IPv4, RFC 793
-    TCP, RFC 768 UDP, RFC 3032 MPLS, RFC 2890 GRE with key).  Checksums
-    are computed on write and ignored on read (the simulator does not
-    corrupt bytes). *)
+    TCP, RFC 768 UDP, RFC 3032 MPLS).  Checksums are computed on write
+    and ignored on read (the simulator does not corrupt bytes). *)
 
 open Headers
 
@@ -60,13 +59,6 @@ let write_mpls b off ~label ~bos =
   set_u32 b off word;
   off + 4
 
-let write_gre b off ~key ~inner_ethertype =
-  (* flags: key-present bit (0x2000), version 0 *)
-  set_u16 b off 0x2000;
-  set_u16 b (off + 2) inner_ethertype;
-  set_u32 b (off + 4) (Int32.to_int key land 0xFFFFFFFF);
-  off + 8
-
 let write_vlan b off ~vid ~inner_ethertype =
   set_u16 b off vid;
   set_u16 b (off + 2) inner_ethertype;
@@ -111,18 +103,10 @@ let ethertype_for_next ~encaps =
   match encaps with
   | Encap.Mpls _ :: _ -> Ethernet.ethertype_mpls
   | Encap.Vlan _ :: _ -> Ethernet.ethertype_vlan
-  | Encap.Gre _ :: _ ->
-    (* GRE is carried in IP (proto 47); the Ethernet frame is IPv4. *)
-    Ethernet.ethertype_ipv4
   | [] -> Ethernet.ethertype_ipv4
 
-(* Wire bytes of an encapsulation stack: each header, plus the
-   synthetic outer IPv4 delivery header under every GRE. *)
-let encap_bytes encaps =
-  List.fold_left
-    (fun acc e ->
-      acc + Encap.header_bytes e + (match e with Encap.Gre _ -> Ipv4.header_bytes | _ -> 0))
-    0 encaps
+(* Wire bytes of an encapsulation stack. *)
+let encap_bytes encaps = List.fold_left (fun acc e -> acc + Encap.header_bytes e) 0 encaps
 
 let inner_ip_bytes (p : Packet.t) = Ipv4.header_bytes + L4.header_bytes p.l4 + p.payload_len
 
@@ -130,10 +114,8 @@ let inner_ip_bytes (p : Packet.t) = Ipv4.header_bytes + L4.header_bytes p.l4 + p
 let serialized_size (p : Packet.t) =
   Ethernet.header_bytes + encap_bytes p.encaps + inner_ip_bytes p
 
-(** [serialize p] renders [p] as wire bytes.  GRE encapsulation adds a
-    synthetic outer IPv4 delivery header (tunnel endpoints are not
-    modeled as addresses, so we use 0.0.0.0), MPLS labels stack directly
-    under Ethernet, VLAN tags rewrite the Ethernet type chain. *)
+(** [serialize p] renders [p] as wire bytes.  MPLS labels stack
+    directly under Ethernet, VLAN tags rewrite the Ethernet type chain. *)
 let serialize (p : Packet.t) =
   let inner_ip_len = inner_ip_bytes p in
   let total = serialized_size p in
@@ -159,15 +141,6 @@ let serialize (p : Packet.t) =
     | Encap.Mpls { label } :: rest ->
       let bos = match rest with Encap.Mpls _ :: _ -> false | _ -> true in
       let off = write_mpls b off ~label ~bos in
-      write_encaps off rest
-    | Encap.Gre { key } :: rest ->
-      (* outer delivery IP header carrying GRE *)
-      let gre_payload = 8 + encap_bytes rest + inner_ip_len in
-      let outer =
-        Ipv4.make ~src:(Ipv4_addr.of_int 0) ~dst:(Ipv4_addr.of_int 0) ~proto:Ipv4.proto_gre ()
-      in
-      let off = write_ipv4 b off outer ~total_len:(Ipv4.header_bytes + gre_payload) in
-      let off = write_gre b off ~key ~inner_ethertype:(ethertype_for_next ~encaps:rest) in
       write_encaps off rest
     | Encap.Vlan { vid } :: rest ->
       let off = write_vlan b off ~vid ~inner_ethertype:(ethertype_for_next ~encaps:rest) in
@@ -234,14 +207,7 @@ let parse ?(flow_id = 0) b =
     else fail "unsupported ethertype 0x%04x" ethertype
   and ip_layer off encaps =
     let ip, off, _total = parse_ipv4 b off in
-    if ip.Ipv4.proto = Ipv4.proto_gre then begin
-      if Bytes.length b < off + 8 then fail "truncated GRE header";
-      let flags = get_u16 b off in
-      if flags land 0x2000 = 0 then fail "GRE without key unsupported";
-      let inner_type = get_u16 b (off + 2) in
-      let key = Int32.of_int (get_u32 b (off + 4)) in
-      go (off + 8) inner_type (Encap.gre key :: encaps)
-    end
+    if ip.Ipv4.proto = Ipv4.proto_gre then fail "GRE encapsulation unsupported"
     else begin
       let l4, l4_len =
         if ip.Ipv4.proto = Ipv4.proto_tcp then (parse_tcp b off, Tcp.header_bytes)

@@ -5,22 +5,20 @@
     codec keeps the header model honest: property tests assert that
     [parse (serialize p)] reconstructs every header field, and the byte
     layouts follow the RFCs (Ethernet II, RFC 791 IPv4, RFC 793 TCP,
-    RFC 768 UDP, RFC 3032 MPLS, RFC 2890 GRE with key).  Checksums are
-    computed on write and ignored on read. *)
+    RFC 768 UDP, RFC 3032 MPLS).  Checksums are computed on write and
+    ignored on read. *)
 
 exception Parse_error of string
 
-(** Render a packet as wire bytes.  GRE encapsulations add a synthetic
-    outer IPv4 delivery header; MPLS labels stack directly under
+(** Render a packet as wire bytes.  MPLS labels stack directly under
     Ethernet; VLAN tags rewrite the Ethernet type chain. *)
 val serialize : Packet.t -> Bytes.t
 
 (** [serialized_size p = Bytes.length (serialize p)], computed without
-    rendering.  Unlike {!Packet.size} it counts the outer IPv4 header
-    each GRE encapsulation adds on the wire. *)
+    rendering. *)
 val serialized_size : Packet.t -> int
 
 (** Reconstruct a packet from wire bytes, assigning fresh simulation
     metadata (created at time 0).  Raises {!Parse_error} on malformed
-    input. *)
+    input, and on GRE (IP protocol 47), which the model does not carry. *)
 val parse : ?flow_id:int -> Bytes.t -> Packet.t

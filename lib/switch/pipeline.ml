@@ -56,9 +56,6 @@ module Make (T : TARGET) = struct
       | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
       | Of_action.Pop_mpls ->
         continue (match Packet.pop_encap pkt with Some (Headers.Encap.Mpls _, p) -> p | _ -> pkt)
-      | Of_action.Push_gre key -> continue (Packet.push_encap (Headers.Encap.gre key) pkt)
-      | Of_action.Pop_gre ->
-        continue (match Packet.pop_encap pkt with Some (Headers.Encap.Gre _, p) -> p | _ -> pkt)
       | Of_action.Drop ->
         T.drop t Action;
         continue pkt)

@@ -404,7 +404,7 @@ let rewalk t dirty =
 (* Mark the active classes whose packets could match [m]: [m]'s IP
    prefixes, protocol and ports must agree with the class's key, while
    the fields a packet can acquire along its walk (in-port, eth_type,
-   MPLS, GRE, tunnel id) exclude none.  A match pinning a whole 5-tuple
+   MPLS, tunnel id) exclude none.  A match pinning a whole 5-tuple
    names at most one class. *)
 let touch_affected t dirty (m : Of_match.t) =
   match (m.Of_match.l4_src, m.Of_match.l4_dst, Of_match.flow_key m) with

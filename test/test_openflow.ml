@@ -129,7 +129,7 @@ let test_wire_flow_mod () =
       ~cookie:0x5C07C4EEL
       ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet ())))
       ~instructions:
-        [ Of_action.Apply_actions [ Of_action.Push_mpls 3; Of_action.Pop_gre ];
+        [ Of_action.Apply_actions [ Of_action.Push_mpls 3; Of_action.Pop_mpls ];
           Of_action.Goto_table 1 ]
       ()
   in
@@ -291,6 +291,13 @@ let test_wire_malformed_fields () =
     Of_msg.Group_mod
       (Of_msg.Group_mod.add_select ~group_id:1 ~buckets:[ Of_msg.Group_mod.bucket [ out 1 ] ])
   in
+  (* a one-field match: its count at byte 28 (after the Flow_mod's
+     20-byte fixed part), the field id at 29 *)
+  let mpls_flow_mod =
+    Of_msg.Flow_mod
+      (Of_msg.Flow_mod.add ~match_:(Of_match.with_mpls_label 16 Of_match.wildcard)
+         ~instructions:Of_action.drop ())
+  in
   (* a Group action then four Pop_mpls, recounted as one action: nine
      bytes, the length of the eight-byte MAC operand codes 6 and 7 once
      carried, so only the code itself is wrong *)
@@ -318,7 +325,10 @@ let test_wire_malformed_fields () =
       ("group type 3", frame group_mod [ (9, 3) ]);
       ("action code 6", mac_action 6);
       ("action code 7", mac_action 7);
-      ("action code 8", frame (packet_out [ Of_action.Drop ]) [ (14, 8) ]) ]
+      ("action code 8", frame (packet_out [ Of_action.Drop ]) [ (14, 8) ]);
+      ("action code 4", frame (packet_out [ Of_action.Push_mpls 1 ]) [ (14, 4) ]);
+      ("action code 5", frame (packet_out [ Of_action.Pop_mpls ]) [ (14, 5) ]);
+      ("match field 9", frame mpls_flow_mod [ (29, 9) ]) ]
 
 (* qcheck: random matches round-trip *)
 let match_gen =
@@ -336,7 +346,6 @@ let match_gen =
       map (fun p m -> Of_match.with_l4_src p m) (int_bound 65535);
       map (fun p m -> Of_match.with_l4_dst p m) (int_bound 65535);
       map (fun l m -> Of_match.with_mpls_label l m) (int_bound 0xFFFFF);
-      map (fun k m -> Of_match.with_gre_key (Int32.of_int k) m) (int_bound 0xFFFF);
       map (fun t m -> Of_match.with_tunnel_id t m) (int_bound 1000) ]
   in
   map
@@ -363,8 +372,6 @@ let action_gen =
       map (fun g -> Of_action.Group g) (int_bound 100);
       map (fun l -> Of_action.Push_mpls l) (int_bound 0xFFFFF);
       return Of_action.Pop_mpls;
-      map (fun k -> Of_action.Push_gre (Int32.of_int k)) (int_bound 0xFFFF);
-      return Of_action.Pop_gre;
       return Of_action.Drop ]
 
 let prop_actions_wire_roundtrip =
@@ -384,7 +391,6 @@ let packet_gen =
   let encap =
     oneof
       [ map Headers.Encap.mpls (int_bound 0xFFFFF);
-        map (fun k -> Headers.Encap.gre (Int32.of_int k)) (int_bound 0xFFFF);
         map Headers.Encap.vlan (int_bound 0xFFF) ]
   in
   let base =

@@ -127,9 +127,7 @@ let test_packet_size () =
   (* eth 14 + ip 20 + tcp 20 *)
   Alcotest.(check int) "bare size" 54 (Packet.size p);
   let p = Packet.push_encap (Encap.mpls 5) p in
-  Alcotest.(check int) "mpls adds 4" 58 (Packet.size p);
-  let p = Packet.push_encap (Encap.gre 9l) p in
-  Alcotest.(check int) "gre adds 8" 66 (Packet.size p)
+  Alcotest.(check int) "mpls adds 4" 58 (Packet.size p)
 
 let test_packet_encap_stack () =
   let p = mk_packet () in
@@ -148,10 +146,6 @@ let test_packet_flow_key_ignores_encaps () =
   let k1 = Packet.flow_key p in
   let p = Packet.push_encap (Encap.mpls 3) p in
   Alcotest.(check bool) "same key" true (Flow_key.equal k1 (Packet.flow_key p))
-
-let test_packet_gre_key () =
-  let p = Packet.push_encap (Encap.gre 77l) (mk_packet ()) in
-  Alcotest.(check bool) "gre key" true (Packet.outer_gre_key p = Some 77l)
 
 let test_mpls_label_range () =
   Alcotest.(check bool) "label out of range" true
@@ -198,7 +192,17 @@ let test_codec_truncated () =
        false
      with Codec.Parse_error _ -> true)
 
-(* random valid packet generator: optional VLAN first, then MPLS/GRE *)
+(* GRE (IP protocol 47) is not part of the model: parsing it fails *)
+let test_codec_gre_rejected () =
+  let p = { (mk_packet ()) with Packet.l4 = L4.Other Ipv4.proto_gre } in
+  let p = { p with Packet.ip = { p.Packet.ip with Ipv4.proto = Ipv4.proto_gre } } in
+  Alcotest.(check bool) "gre raises" true
+    (try
+       ignore (Codec.parse (Codec.serialize p));
+       false
+     with Codec.Parse_error _ -> true)
+
+(* random valid packet generator: optional VLAN first, then MPLS *)
 let packet_gen =
   let open QCheck.Gen in
   let addr = map Ipv4_addr.of_int (int_bound 0xFFFFFF) in
@@ -210,15 +214,7 @@ let packet_gen =
         map2 (fun s d -> L4.Udp (Udp.make ~src_port:s ~dst_port:d)) (int_bound 65535)
           (int_bound 65535) ]
   in
-  let encaps =
-    (* MPLS may not appear below GRE-under-MPLS in arbitrary ways; keep
-       stacks the switches actually build: mpls* then gre* *)
-    map2
-      (fun mplses gres ->
-        List.map (fun l -> Encap.mpls l) mplses @ List.map (fun k -> Encap.gre (Int32.of_int k)) gres)
-      (list_size (int_bound 3) (int_bound 0xFFFFF))
-      (list_size (int_bound 2) (int_bound 0xFFFF))
-  in
+  let encaps = list_size (int_bound 3) (map Encap.mpls (int_bound 0xFFFFF)) in
   let vlan = opt (map (fun v -> Encap.vlan v) (int_bound 0xFFF)) in
   map2
     (fun (src_mac, dst_mac, ip_src, ip_dst) (l4, encaps, vlan, payload_len) ->
@@ -246,9 +242,7 @@ let prop_codec_roundtrip =
 
 let prop_codec_size =
   QCheck.Test.make ~name:"serialized length >= model size" ~count:300 packet_arb
-    (fun p ->
-      (* GRE adds a synthetic outer IP header on the wire *)
-      Bytes.length (Codec.serialize p) >= Packet.size p)
+    (fun p -> Bytes.length (Codec.serialize p) >= Packet.size p)
 
 let () =
   Alcotest.run "scotch_packet"
@@ -271,12 +265,12 @@ let () =
         [ Alcotest.test_case "size arithmetic" `Quick test_packet_size;
           Alcotest.test_case "encap stack" `Quick test_packet_encap_stack;
           Alcotest.test_case "flow key ignores encaps" `Quick test_packet_flow_key_ignores_encaps;
-          Alcotest.test_case "gre key" `Quick test_packet_gre_key;
           Alcotest.test_case "mpls label range" `Quick test_mpls_label_range ] );
       ( "codec",
         [ Alcotest.test_case "plain roundtrip" `Quick test_codec_plain_roundtrip;
           Alcotest.test_case "wire length" `Quick test_codec_wire_length;
           Alcotest.test_case "ip checksum" `Quick test_codec_ip_checksum;
           Alcotest.test_case "truncated input" `Quick test_codec_truncated;
+          Alcotest.test_case "gre rejected" `Quick test_codec_gre_rejected;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_size ] ) ]
