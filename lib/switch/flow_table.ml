@@ -142,7 +142,7 @@ let stat_of_rule ~table_id ~now r : Of_msg.Stats.flow_stat =
     duration = now -. r.installed_at;
     cookie = r.cookie }
 
-(** Flow statistics for all live rules. *)
+(** Flow statistics for all live rules, in the classifier's rule order. *)
 let stats t ~now : Of_msg.Stats.flow_stat list =
   Classifier.fold
     (fun r acc ->
@@ -154,8 +154,8 @@ let insert_failures t = t.insert_failures
 let iter_rules t f = Classifier.fold (fun r () -> f r) t.rules ()
 
 (** Live rules at [now] in {!precedence} order, which depends only on
-    the rule set, not on hashing — the flow-table half of a
-    {!Scotch_verify.Snapshot}. *)
+    the rule set, not on the order the rules went in — the flow-table
+    half of a {!Scotch_verify.Snapshot}. *)
 let live_rules t ~now =
   List.sort precedence
     (Classifier.fold (fun r acc -> if Classifier.expired ~now r then acc else r :: acc) t.rules [])

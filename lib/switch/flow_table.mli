@@ -4,7 +4,7 @@
 
     The rules live in a {!Classifier}, the tuple-space index the
     verifier also keeps its tables in: insert, replace and delete are
-    one hash operation, a lookup makes one probe per mask shape, and a
+    amortised O(1), a lookup makes one probe per mask shape, and a
     tie within a priority goes to the first rule in {!live_rules}
     order.  This module adds OpenFlow ADD semantics, the capacity bound,
     lazy expiry with periodic sweeps, counters, flow statistics and the
@@ -72,7 +72,9 @@ val lookup : t -> now:float -> Of_match.context -> rule option
 (** Pure lookup: no counter updates. *)
 val peek : t -> now:float -> Of_match.context -> rule option
 
-(** Flow statistics for all live rules. *)
+(** Flow statistics for all live rules, in the classifier's rule order:
+    descending priority, then mask-shape creation order, then install
+    order (a replaced rule counts as installed at its replacement). *)
 val stats : t -> now:float -> Of_msg.Stats.flow_stat list
 
 (** One rule's flow statistics at [now], as table [table_id] reports it:
@@ -82,8 +84,10 @@ val stat_of_rule : table_id:Of_types.table_id -> now:float -> rule -> Of_msg.Sta
 (** Inserts rejected for capacity so far. *)
 val insert_failures : t -> int
 
+(** Every held rule, expired or not, in the classifier's rule order. *)
 val iter_rules : t -> (rule -> unit) -> unit
 
-(** Live rules at [now] in {!Classifier.precedence} order (deterministic, whatever
-    the hashing); the flow-table half of a verification snapshot. *)
+(** Live rules at [now] in {!Classifier.precedence} order, which depends
+    on the rule set alone, not on the order the rules went in; the
+    flow-table half of a verification snapshot. *)
 val live_rules : t -> now:float -> rule list
