@@ -439,7 +439,7 @@ let buckets_size buckets =
     (fun n (bk : Of_msg.Group_mod.bucket) -> n + 2 + actions_size bk.actions)
     2 buckets
 
-let packet_size p = 8 + Scotch_packet.Codec.serialized_size p
+let packet_size p = 8 + Scotch_packet.Packet.size p
 let flow_stat_size (fs : Of_msg.Stats.flow_stat) = 31 + match_size fs.match_
 let telemetry_report_size (tr : Of_msg.Telemetry.report) = 26 + (17 * List.length tr.records)
 

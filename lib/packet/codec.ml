@@ -105,20 +105,13 @@ let ethertype_for_next ~encaps =
   | Encap.Vlan _ :: _ -> Ethernet.ethertype_vlan
   | [] -> Ethernet.ethertype_ipv4
 
-(* Wire bytes of an encapsulation stack. *)
-let encap_bytes encaps = List.fold_left (fun acc e -> acc + Encap.header_bytes e) 0 encaps
-
 let inner_ip_bytes (p : Packet.t) = Ipv4.header_bytes + L4.header_bytes p.l4 + p.payload_len
-
-(** [serialized_size p] is [Bytes.length (serialize p)], by arithmetic. *)
-let serialized_size (p : Packet.t) =
-  Ethernet.header_bytes + encap_bytes p.encaps + inner_ip_bytes p
 
 (** [serialize p] renders [p] as wire bytes.  MPLS labels stack
     directly under Ethernet, VLAN tags rewrite the Ethernet type chain. *)
 let serialize (p : Packet.t) =
   let inner_ip_len = inner_ip_bytes p in
-  let total = serialized_size p in
+  let total = Packet.size p in
   let b = Bytes.make total '\000' in
   let first_ethertype =
     match p.encaps with

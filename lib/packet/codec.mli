@@ -14,10 +14,6 @@ exception Parse_error of string
     Ethernet; VLAN tags rewrite the Ethernet type chain. *)
 val serialize : Packet.t -> Bytes.t
 
-(** [serialized_size p = Bytes.length (serialize p)], computed without
-    rendering. *)
-val serialized_size : Packet.t -> int
-
 (** Reconstruct a packet from wire bytes, assigning fresh simulation
     metadata (created at time 0).  Raises {!Parse_error} on malformed
     input, and on GRE (IP protocol 47), which the model does not carry. *)

@@ -481,10 +481,12 @@ let prop_size_matches_encode =
        QCheck.Gen.(map2 (fun xid p -> Of_msg.make ~xid p) (int_bound 0xFFFF) payload_gen))
     (fun m -> Of_wire.size m = Bytes.length (Of_wire.encode m))
 
-let prop_serialized_size =
-  QCheck.Test.make ~name:"serialized_size = serialized length" ~count:500
+(* [Packet.size] is the byte count the channel charges for a carried
+   packet (through [Of_wire.size]): it must be the rendered length. *)
+let prop_packet_size =
+  QCheck.Test.make ~name:"Packet.size = serialized length" ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Packet.pp) packet_gen)
-    (fun p -> Codec.serialized_size p = Bytes.length (Codec.serialize p))
+    (fun p -> Packet.size p = Bytes.length (Codec.serialize p))
 
 (* fuzz: corrupting any byte of a valid message must either decode to
    SOME message or raise Parse_error — never crash, loop or escape as
@@ -538,5 +540,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_match_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_actions_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_size_matches_encode;
-          QCheck_alcotest.to_alcotest prop_serialized_size;
+          QCheck_alcotest.to_alcotest prop_packet_size;
           QCheck_alcotest.to_alcotest prop_decode_total ] ) ]
