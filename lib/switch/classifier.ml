@@ -8,17 +8,18 @@
     one subtable per mask shape — the fields a match pins plus its IP
     masks — in creation order.  Each rule sits in exactly one subtable.
 
-    A subtable keeps its rules in a dense array in install order; a
-    removed rule's entry becomes the shared [vacant] sentinel.  An
-    open-addressed [int array] (linear probing, Robin Hood placement)
-    maps each rule's hash to its position.  One hash function mixes
-    every field the shape pins, IPs masked by the shape, from whatever
-    holds the values: a stored match, a packet (the datapath lookup) or
-    a finer query match seen through the shape (the cover queries).  No
-    key is built, so a probe allocates nothing; equality is checked
-    field by field.  Vacated entries stay until the subtable is
-    repacked, which keeps install order and happens when the array is
-    full, when vacated entries outnumber live ones, and in {!compact}.
+    A subtable keeps its rules in a {!Scotch_util.Open_index}: a dense
+    array in install order, a removed rule's entry becoming the shared
+    [vacant] sentinel, and an open-addressed [int array] (linear
+    probing, Robin Hood placement) mapping each rule's hash to its
+    position.  One hash function mixes every field the shape pins, IPs
+    masked by the shape, from whatever holds the values: a stored
+    match, a packet (the datapath lookup) or a finer query match seen
+    through the shape (the cover queries).  No key is built, so a probe
+    allocates nothing; equality is checked field by field.  Vacated
+    entries stay until the subtable is repacked, which keeps install
+    order and happens when the array is full, when vacated entries
+    outnumber live ones, and in {!compact}.
 
     Rule order: descending priority, then subtable creation order, then
     install order, a replaced rule taking the newer position.  {!fold},
@@ -31,6 +32,7 @@
 
 open Scotch_openflow
 open Scotch_packet
+module Ix = Scotch_util.Open_index
 
 type rule = {
   priority : int;
@@ -45,20 +47,11 @@ type rule = {
   mutable byte_count : int;
 }
 
-(* The rules of one priority sharing one mask shape.  [shape] is the
-   first rule's match: its present fields and IP masks are the
-   subtable's, its values are not read.  [rules.(0 .. used - 1)] are in
-   install order, [live] of them not [vacant].  [index] has
-   [index_size (Array.length rules)] slots, each [-1] or
-   [hash lsl pos_bits lor position]; a vacated position keeps its slot
-   until [repack]. *)
-type subtable = {
-  shape : Of_match.t;
-  mutable rules : rule array;
-  mutable used : int;
-  mutable live : int;
-  mutable index : int array;
-}
+(* The rules of one priority sharing one mask shape, in install order.
+   The store's tag is the shape: the first rule's match, whose present
+   fields and IP masks are the subtable's and whose values are not
+   read. *)
+type subtable = (Of_match.t, rule) Ix.t
 
 type bucket = {
   bpriority : int;
@@ -77,9 +70,8 @@ let vacant =
     hard_timeout = 0.0; cookie = 0L; installed_at = 0.0; last_used = 0.0; packet_count = 0;
     byte_count = 0 }
 
-(* "No such subtable" and "no such bucket" for the searches below:
-   probing [nowhere] finds nothing, and it is never written. *)
-let nowhere = { shape = Of_match.wildcard; rules = [||]; used = 0; live = 0; index = [| -1 |] }
+(* "No such bucket" for the searches below ("no such subtable",
+   [nowhere], is made with the subtables further down). *)
 let no_bucket = { bpriority = min_int; subtables = [] }
 
 let create () = { buckets = []; count = 0 }
@@ -145,19 +137,15 @@ let coarser (a : Of_match.t) (b : Of_match.t) =
    so a stored match, a packet and a query match pass theirs without
    building a key; a field the shape leaves free is ignored. *)
 
-let mix h v =
-  let h = (h lxor v) * 0x1E3779B97F4A7C15 in
-  h lxor (h lsr 29)
-
 (* 32 bits hashed from the values in the fields [shape] pins, IPs
    masked as [shape] masks them. *)
 let hash (shape : Of_match.t) ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls
     ~tunnel =
-  let pin o h v = match o with None -> h | Some _ -> mix h v in
+  let pin o h v = match o with None -> h | Some _ -> Ix.mix h v in
   let ip (o : Of_match.masked option) h v =
-    match o with None -> h | Some { Of_match.mask; _ } -> mix h (v land mask)
+    match o with None -> h | Some { Of_match.mask; _ } -> Ix.mix h (v land mask)
   in
-  let h = 0x2545F4914F6CDD1D in
+  let h = Ix.seed in
   let h = pin shape.Of_match.in_port h in_port in
   let h = pin shape.Of_match.eth_type h eth_type in
   let h = ip shape.Of_match.ip_src h ip_src in
@@ -167,8 +155,7 @@ let hash (shape : Of_match.t) ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src 
   let h = pin shape.Of_match.l4_dst h l4_dst in
   let h = pin shape.Of_match.mpls_label h mpls in
   let h = pin shape.Of_match.tunnel_id h tunnel in
-  let h = (h lxor (h lsr 32)) * 0x3F58476D1CE4E5B9 in
-  (h lxor (h lsr 29)) land 0xFFFF_FFFF
+  Ix.finish h
 
 (* Does stored match [m] hold these values in each field it pins, IPs
    compared under [m]'s masks? *)
@@ -192,7 +179,9 @@ let holds (m : Of_match.t) ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4
 let value (o : int option) = match o with Some v -> v | None -> 0
 let ip_value (o : Of_match.masked option) = match o with Some m -> m.Of_match.value | None -> 0
 
-let hash_match shape (m : Of_match.t) =
+(* A stored rule's hash in a subtable of shape [shape]. *)
+let hash_rule shape r =
+  let m = r.match_ in
   hash shape ~in_port:(value m.Of_match.in_port) ~eth_type:(value m.Of_match.eth_type)
     ~ip_src:(ip_value m.Of_match.ip_src) ~ip_dst:(ip_value m.Of_match.ip_dst)
     ~proto:(value m.Of_match.ip_proto) ~l4_src:(value m.Of_match.l4_src)
@@ -200,81 +189,29 @@ let hash_match shape (m : Of_match.t) =
     ~tunnel:(value m.Of_match.tunnel_id)
 
 (* ------------------------------------------------------------------ *)
-(* The index *)
-
-let pos_bits = 30
-let pos_mask = (1 lsl pos_bits) - 1
-
-(* Slots for an array of [capacity] rules: each held position has one,
-   so the index is at most half full. *)
-let index_size capacity = (2 * capacity) + 1
-
-(* The slot a hash [h] belongs in, in an index of [size] slots. *)
-let home h size = (h * size) lsr 32
-
-let next size s = if s + 1 = size then 0 else s + 1
-
-(* How far slot [s] is past hash [h]'s home slot. *)
-let distance size h s =
-  let d = s - home h size in
-  if d < 0 then d + size else d
-
-(* How far slot [s] is past the home slot of the entry [e] it holds. *)
-let displacement size e s = distance size (e lsr pos_bits) s
-
-(* Robin Hood placement of [e], [d] slots past its home, from slot [s]:
-   an entry nearer its own home gives up its slot and moves on. *)
-let rec place index e s d =
-  let here = index.(s) in
-  let size = Array.length index in
-  if here < 0 then index.(s) <- e
-  else
-    let dh = displacement size here s in
-    if dh < d then begin
-      index.(s) <- e;
-      place index here (next size s) (dh + 1)
-    end
-    else place index e (next size s) (d + 1)
-
-let add_entry st h pos =
-  let size = Array.length st.index in
-  place st.index ((h lsl pos_bits) lor pos) (home h size) 0
-
-(* The first slot from [s], [d] slots past [h]'s home, whose entry has
-   hash [h]; -1 once an empty slot, or an entry nearer its own home
-   than [h] would be, shows there is none further on. *)
-let rec candidate index h s d =
-  let e = index.(s) in
-  let size = Array.length index in
-  if e < 0 then -1
-  else if e lsr pos_bits = h then s
-  else if displacement size e s < d then -1
-  else candidate index h (next size s) (d + 1)
+(* Probing *)
 
 (* The position of the held rule whose pinned fields hold these values,
    or -1: the candidates of hash [h] from slot [s] on, checked field by
    field.  Direct recursion, so a probe allocates no closure. *)
 let rec find_from st h s ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls
     ~tunnel =
-  let index = st.index in
-  let size = Array.length index in
-  match candidate index h s (distance size h s) with
-  | -1 -> -1
-  | c ->
-    let pos = index.(c) land pos_mask in
-    let r = st.rules.(pos) in
+  if s < 0 then -1
+  else
+    let pos = Ix.position st s in
+    let r = st.Ix.entries.(pos) in
     if
       r != vacant
       && holds r.match_ ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls ~tunnel
     then pos
     else
-      find_from st h (next size c) ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls
-        ~tunnel
+      find_from st h (Ix.probe_next st h s) ~in_port ~eth_type ~ip_src ~ip_dst ~proto
+        ~l4_src ~l4_dst ~mpls ~tunnel
 
 let find_pos st ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls ~tunnel =
-  let h = hash st.shape ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls ~tunnel in
-  find_from st h (home h (Array.length st.index)) ~in_port ~eth_type ~ip_src ~ip_dst ~proto
-    ~l4_src ~l4_dst ~mpls ~tunnel
+  let h = hash st.Ix.tag ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls ~tunnel in
+  find_from st h (Ix.probe st h) ~in_port ~eth_type ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ~mpls
+    ~tunnel
 
 (* The position of the rule keyed by [m] seen through [st]'s shape —
    [m]'s own slot when the shapes are the same, the one rule that can
@@ -290,7 +227,7 @@ let pos_of_match st (m : Of_match.t) =
    encapsulation or tunnel the packet lacks misses, as
    {!Of_match.matches} does. *)
 let pos_of_packet st (ctx : Of_match.context) =
-  let sh = st.shape and p = ctx.Of_match.packet in
+  let sh = st.Ix.tag and p = ctx.Of_match.packet in
   let outer = p.Packet.encaps in
   let lacks pinned present = Option.is_some pinned && not present in
   if
@@ -309,61 +246,12 @@ let pos_of_packet st (ctx : Of_match.context) =
 (* ------------------------------------------------------------------ *)
 (* Subtable storage *)
 
-let subtable shape =
-  { shape; rules = [||]; used = 0; live = 0; index = Array.make (index_size 0) (-1) }
+let subtable shape : subtable = Ix.create ~tag:shape ~vacant ~hash:hash_rule
 
-(* Rebuild [st] with room for [capacity] rules, its live ones moved to
-   the front in install order and indexed afresh; arrays of the right
-   size are reused. *)
-let repack st capacity =
-  let old = st.rules in
-  let rules = if Array.length old = capacity then old else Array.make capacity vacant in
-  let n = ref 0 in
-  for i = 0 to st.used - 1 do
-    let r = old.(i) in
-    if r != vacant then begin
-      rules.(!n) <- r;
-      incr n
-    end
-  done;
-  if rules == old then Array.fill rules !n (st.used - !n) vacant;
-  let size = index_size capacity in
-  let index =
-    if Array.length st.index = size then begin
-      Array.fill st.index 0 size (-1);
-      st.index
-    end
-    else Array.make size (-1)
-  in
-  st.rules <- rules;
-  st.used <- !n;
-  st.index <- index;
-  for pos = 0 to !n - 1 do
-    add_entry st (hash_match st.shape rules.(pos).match_) pos
-  done
+(* Probing [nowhere] finds nothing, and it is never written. *)
+let nowhere = subtable Of_match.wildcard
 
-(* Repack [st], keeping its capacity unless that leaves under an eighth
-   of its live rules' count free or is over twice [roomy]: room for a
-   quarter as many again. *)
-let tidy st =
-  let live = st.live and capacity = Array.length st.rules in
-  let roomy = live + (live / 4) + 4 in
-  repack st (if capacity < live + (live / 8) + 4 || capacity > 2 * roomy then roomy else capacity)
-
-let append st r =
-  if st.used = Array.length st.rules then tidy st;
-  let pos = st.used in
-  st.rules.(pos) <- r;
-  st.used <- pos + 1;
-  st.live <- st.live + 1;
-  add_entry st (hash_match st.shape r.match_) pos
-
-let vacate st pos =
-  st.rules.(pos) <- vacant;
-  st.live <- st.live - 1
-
-(* Repack once vacated entries outnumber live ones. *)
-let tidy_if_sparse st = if st.used - st.live > st.live then tidy st
+let rule_at (st : subtable) pos = st.Ix.entries.(pos)
 
 (* ------------------------------------------------------------------ *)
 (* Buckets *)
@@ -375,7 +263,7 @@ let rec find_bucket priority = function
 
 let rec find_subtable match_ = function
   | [] -> nowhere
-  | st :: rest -> if same_shape st.shape match_ then st else find_subtable match_ rest
+  | st :: rest -> if same_shape st.Ix.tag match_ then st else find_subtable match_ rest
 
 (* The subtable holding slot ([priority], [match_]); [nowhere] if none. *)
 let slot t ~priority match_ = find_subtable match_ (find_bucket priority t.buckets).subtables
@@ -404,17 +292,17 @@ let subtable_for t ~priority match_ =
 
 let find t ~priority match_ =
   let st = slot t ~priority match_ in
-  match pos_of_match st match_ with -1 -> None | pos -> Some st.rules.(pos)
+  match pos_of_match st match_ with -1 -> None | pos -> Some (rule_at st pos)
 
 let find_all t match_ =
   List.filter_map
     (fun b ->
       let st = find_subtable match_ b.subtables in
-      match pos_of_match st match_ with -1 -> None | pos -> Some st.rules.(pos))
+      match pos_of_match st match_ with -1 -> None | pos -> Some (rule_at st pos))
     t.buckets
 
 let add t r =
-  append (subtable_for t ~priority:r.priority r.match_) r;
+  Ix.append (subtable_for t ~priority:r.priority r.match_) r;
   t.count <- t.count + 1
 
 let remove t r =
@@ -422,20 +310,20 @@ let remove t r =
   match pos_of_match st r.match_ with
   | -1 -> ()
   | pos ->
-    vacate st pos;
+    Ix.vacate st pos;
     t.count <- t.count - 1;
-    tidy_if_sparse st
+    Ix.tidy_if_sparse st
 
 (* Store [r], displacing the rule in its slot, if any. *)
 let displace t st r =
   (match pos_of_match st r.match_ with
   | -1 -> t.count <- t.count + 1
-  | pos -> vacate st pos);
-  append st r
+  | pos -> Ix.vacate st pos);
+  Ix.append st r
 
 (* Two passes over the list: the first makes the subtables and counts
-   each one's rules in [used], the second sizes each exactly and fills
-   it.  Consecutive rules mostly share a subtable, so the previous one
+   each one's rules, the second fills each, sized exactly.  Consecutive
+   rules mostly share a subtable, so the previous one (and its count)
    is kept at hand rather than searched for. *)
 let of_list rules =
   let t = create () in
@@ -444,7 +332,7 @@ let of_list rules =
     List.iter
       (fun r ->
         let st =
-          if !prev != nowhere && r.priority = !prio && same_shape !prev.shape r.match_ then !prev
+          if !prev != nowhere && r.priority = !prio && same_shape !prev.Ix.tag r.match_ then !prev
           else subtable_for t ~priority:r.priority r.match_
         in
         prev := st;
@@ -452,16 +340,20 @@ let of_list rules =
         f st r)
       rules
   in
-  each (fun st _ -> st.used <- st.used + 1);
-  List.iter
-    (fun b ->
-      List.iter
-        (fun st ->
-          let n = st.used in
-          st.used <- 0;
-          repack st n)
-        b.subtables)
-    t.buckets;
+  let counts = ref [] and last = ref nowhere and count = ref (ref 0) in
+  each (fun st _ ->
+      if st != !last then begin
+        last := st;
+        count :=
+          match List.assq_opt st !counts with
+          | Some n -> n
+          | None ->
+            let n = ref 0 in
+            counts := (st, n) :: !counts;
+            n
+      end;
+      incr !count);
+  List.iter (fun (st, n) -> Ix.reserve st !n) !counts;
   each (displace t);
   t
 
@@ -469,14 +361,14 @@ let of_list rules =
    last first. *)
 let reap dead st acc =
   let acc = ref acc in
-  for pos = 0 to st.used - 1 do
-    let r = st.rules.(pos) in
+  for pos = 0 to st.Ix.used - 1 do
+    let r = rule_at st pos in
     if r != vacant && dead r then begin
-      vacate st pos;
+      Ix.vacate st pos;
       acc := r :: !acc
     end
   done;
-  tidy_if_sparse st;
+  Ix.tidy_if_sparse st;
   !acc
 
 let remove_where t dead =
@@ -495,8 +387,8 @@ let compact t =
         b.subtables <-
           List.filter
             (fun st ->
-              if st.used > st.live && st.live > 0 then tidy st;
-              st.live > 0)
+              if st.Ix.used > st.Ix.live && st.Ix.live > 0 then Ix.tidy st;
+              st.Ix.live > 0)
             b.subtables;
         match b.subtables with [] -> None | _ -> Some b)
       t.buckets
@@ -507,12 +399,12 @@ let rec best_in ~now ctx best = function
   | [] -> best
   | st :: rest ->
     let best =
-      if st.live = 0 then best
+      if st.Ix.live = 0 then best
       else
         match pos_of_packet st ctx with
         | -1 -> best
         | pos ->
-          let r = st.rules.(pos) in
+          let r = rule_at st pos in
           if expired ~now r || (best != vacant && precedence best r < 0) then best else r
     in
     best_in ~now ctx best rest
@@ -533,8 +425,8 @@ let rec covering_in f m acc = function
   | [] -> acc
   | st :: rest ->
     let acc =
-      if st.live = 0 || not (coarser st.shape m) then acc
-      else match pos_of_match st m with -1 -> acc | pos -> f st.rules.(pos) acc
+      if st.Ix.live = 0 || not (coarser st.Ix.tag m) then acc
+      else match pos_of_match st m with -1 -> acc | pos -> f (rule_at st pos) acc
     in
     covering_in f m acc rest
 
@@ -550,13 +442,13 @@ let fold_covering f t r acc = covering_above f r acc t.buckets
 let fold_covered f t (r : rule) acc =
   let m = r.match_ in
   let scan acc st =
-    if st.live = 0 || not (coarser m st.shape) then acc
-    else if coarser st.shape m then
-      match pos_of_match st m with -1 -> acc | pos -> f st.rules.(pos) acc
+    if st.Ix.live = 0 || not (coarser m st.Ix.tag) then acc
+    else if coarser st.Ix.tag m then
+      match pos_of_match st m with -1 -> acc | pos -> f (rule_at st pos) acc
     else begin
       let acc = ref acc in
-      for pos = 0 to st.used - 1 do
-        let l = st.rules.(pos) in
+      for pos = 0 to st.Ix.used - 1 do
+        let l = rule_at st pos in
         if l != vacant && Of_match.covers m l.match_ then acc := f l !acc
       done;
       !acc
@@ -572,8 +464,8 @@ let fold f t acc =
       List.fold_right
         (fun st acc ->
           let acc = ref acc in
-          for pos = st.used - 1 downto 0 do
-            let r = st.rules.(pos) in
+          for pos = st.Ix.used - 1 downto 0 do
+            let r = rule_at st pos in
             if r != vacant then acc := f r !acc
           done;
           !acc)
@@ -585,15 +477,5 @@ let to_list t = fold List.cons t []
 let longest_probe t =
   List.fold_left
     (fun acc b ->
-      List.fold_left
-        (fun acc st ->
-          let size = Array.length st.index in
-          let longest = ref acc in
-          Array.iteri
-            (fun s e ->
-              if e >= 0 && st.rules.(e land pos_mask) != vacant then
-                longest := max !longest (displacement size e s + 1))
-            st.index;
-          !longest)
-        acc b.subtables)
+      List.fold_left (fun acc st -> max acc (Ix.longest_probe st)) acc b.subtables)
     0 t.buckets
