@@ -5,7 +5,8 @@
    1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
       structures the simulator's credibility rests on — flow-table
       lookup hit and miss, insert and removal, select-group hashing,
-      event-queue churn and hold, the packet and OpenFlow wire codecs.
+      event-queue churn and hold, the packet and OpenFlow wire codecs,
+      and both halves of an exact-polling round.
       Run with `-- micro`; prints to stdout.
 
    2. TIMING GATES: the wall-clock budgets a seeded smoke cannot hold,
@@ -187,6 +188,39 @@ let bench_of_wire_stats_reply () =
     Bechamel.Test.make ~name:"OpenFlow encode (1024-record stats reply)"
       (Bechamel.Staged.stage (fun () -> ignore (Of_wire.encode msg))) ]
 
+(* The two halves of one exact-polling round (§5.3): the vswitch's
+   reply, every live rule reported, and the controller's lookup of the
+   flow each record's exact match names. *)
+let bench_switch_flow_stats () =
+  let sw =
+    Switch.create (Scotch_sim.Engine.create ()) ~dpid:1 ~name:"v" ~profile:Profile.open_vswitch ()
+  in
+  for i = 0 to 9_999 do
+    ignore
+      (Switch.install_direct sw ~table_id:0 ~priority:10
+         ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet i)))
+         ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ())
+  done;
+  let req = { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard } in
+  Bechamel.Test.make ~name:"switch flow_stats (10k exact rules)"
+    (Bechamel.Staged.stage (fun () -> ignore (Switch.flow_stats sw req)))
+
+let bench_flow_info_db_find_match () =
+  let module Db = Scotch_core.Flow_info_db in
+  let db = Db.create () in
+  for i = 0 to 59_999 do
+    ignore
+      (Db.admit db ~key:(Packet.flow_key (mk_packet i)) ~first_hop:1 ~ingress_port:1 ~now:0.0 ())
+  done;
+  let matches =
+    Array.init 1024 (fun i -> Of_match.exact_flow (Packet.flow_key (mk_packet (i * 58))))
+  in
+  let i = ref 0 in
+  Bechamel.Test.make ~name:"flow_info_db find_match (60k entries)"
+    (Bechamel.Staged.stage (fun () ->
+         incr i;
+         ignore (Db.find_match db matches.(!i land 1023))))
+
 let bench_flow_key_hash () =
   let keys = Array.init 256 (fun i -> Packet.flow_key (mk_packet i)) in
   let i = ref 0 in
@@ -218,7 +252,8 @@ let run_micro () =
          bench_flow_table_insert (); bench_group_select ();
          bench_event_heap (); bench_event_hold (); bench_packet_codec (); bench_of_wire () ]
       @ bench_of_wire_stats_reply ()
-      @ [ bench_flow_key_hash (); bench_rng (); bench_simulation_throughput () ])
+      @ [ bench_switch_flow_stats (); bench_flow_info_db_find_match (); bench_flow_key_hash ();
+          bench_rng (); bench_simulation_throughput () ])
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

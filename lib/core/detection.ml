@@ -111,7 +111,10 @@ let account t ~sampled ~units payload =
   end
 
 (* Exact detection: poll per-flow packet counts at the vswitch and
-   report each of its overlay flows' measured rate. *)
+   report each of its overlay flows' measured rate.  The reply carries
+   one record per live rule, so the loop costs one probe per record:
+   {!Flow_info_db.find_match} reads a vflow rule's exact match in
+   place, building no flow key. *)
 let poll_vswitch_stats t sw ~on_rate vdpid =
   let req =
     { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard }
@@ -124,20 +127,17 @@ let poll_vswitch_stats t sw ~on_rate vdpid =
         List.iter
           (fun (st : Of_msg.Stats.flow_stat) ->
             if st.Of_msg.Stats.cookie = Config.cookie_vflow then
-              match Of_match.flow_key st.Of_msg.Stats.match_ with
-              | None -> ()
-              | Some key -> (
-                match Flow_info_db.find t.db key with
-                | Some e -> (
-                  match e.Flow_info_db.kind with
-                  | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
-                    let rate =
-                      Flow_info_db.observe_count t.db e ~packets:st.Of_msg.Stats.packet_count
-                        ~now:(now t) ~interval:t.config.Config.stats_poll_interval
-                    in
-                    on_rate ~vdpid e rate
-                  | _ -> ())
-                | None -> ()))
+              match Flow_info_db.find_match t.db st.Of_msg.Stats.match_ with
+              | Some e -> (
+                match e.Flow_info_db.kind with
+                | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
+                  let rate =
+                    Flow_info_db.observe_count t.db e ~packets:st.Of_msg.Stats.packet_count
+                      ~now:(now t) ~interval:t.config.Config.stats_poll_interval
+                  in
+                  on_rate ~vdpid e rate
+                | _ -> ())
+              | None -> ())
           stats
       | _ -> ())
 

@@ -1,9 +1,19 @@
 (** The Flow Info Database (§5.2): per-flow first-hop physical switch,
     ingress port, current path kind and last polled packet count — the
     state large-flow migration (§5.3) and withdrawal pinning (§5.5)
-    read. *)
+    read.
+
+    Entries are kept in admission order (a re-admitted flow counts as
+    admitted anew) and indexed by a hash of the key's five ints, the
+    {!Scotch_util.Open_index} layout the classifier's subtables use.
+    A lookup reads the five values where they are held, so
+    {!find_match} answers a stats record's exact match without building
+    a key: a miss allocates nothing and a hit only its [Some].  {!iter}
+    and {!overlay_flows_of_switch} follow admission order, never the
+    hash. *)
 
 open Scotch_packet
+open Scotch_openflow
 
 type path_kind =
   | Pending  (** queued at the controller, no path yet *)
@@ -28,6 +38,12 @@ type t
 val create : unit -> t
 val find : t -> Flow_key.t -> entry option
 
+(** [find_match t m] is the entry of the flow an exact match pins —
+    [Option.bind (Of_match.flow_key m) (find t)], read from [m]'s
+    fields in place: [None] unless [m] pins the protocol and both IPs
+    at /32. *)
+val find_match : t -> Of_match.t -> entry option
+
 (** Record a new flow in [Pending] state; an existing entry wins
     (Packet-In duplicates are common while a flow awaits setup).
     [tenant] defaults to {!Tenant.default_id}. *)
@@ -49,11 +65,13 @@ val remove : t -> Flow_key.t -> unit
 val size : t -> int
 val overlay_count : t -> int
 val physical_count : t -> int
+
+(** Every entry in admission order; [f] must not admit or remove. *)
 val iter : t -> (entry -> unit) -> unit
 
 (** Flows on the overlay with first hop [dpid], recently alive
     ([horizon] seconds) and longer than one packet — the set pinned
     during withdrawal (§5.5).  One-packet probes (the bulk of a spoofed
-    DDoS) need no pin. *)
+    DDoS) need no pin.  Listed in admission order. *)
 val overlay_flows_of_switch :
   t -> ?horizon:float -> now:float -> int -> entry list

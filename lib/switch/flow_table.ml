@@ -142,12 +142,19 @@ let stat_of_rule ~table_id ~now r : Of_msg.Stats.flow_stat =
     duration = now -. r.installed_at;
     cookie = r.cookie }
 
-(** Flow statistics for all live rules, in the classifier's rule order. *)
-let stats t ~now : Of_msg.Stats.flow_stat list =
+(** [fold_stats t ~now ~select acc] conses the statistics of the live
+    rules [select] selects onto [acc], in the classifier's rule order:
+    one fold, one record per rule. *)
+let fold_stats t ~now ~select acc : Of_msg.Stats.flow_stat list =
+  let table_id = t.table_id in
   Classifier.fold
     (fun r acc ->
-      if Classifier.expired ~now r then acc else stat_of_rule ~table_id:t.table_id ~now r :: acc)
-    t.rules []
+      if Classifier.expired ~now r || not (Of_match.selects select r.match_) then acc
+      else stat_of_rule ~table_id ~now r :: acc)
+    t.rules acc
+
+(** Flow statistics for all live rules, in the classifier's rule order. *)
+let stats t ~now = fold_stats t ~now ~select:Of_match.wildcard []
 
 let insert_failures t = t.insert_failures
 

@@ -77,6 +77,14 @@ val peek : t -> now:float -> Of_match.context -> rule option
     order (a replaced rule counts as installed at its replacement). *)
 val stats : t -> now:float -> Of_msg.Stats.flow_stat list
 
+(** [fold_stats t ~now ~select acc]: the statistics of the live rules
+    whose match [select] {!Of_match.selects}, in {!stats}' order, consed
+    onto [acc] — a multipart reply built table by table with no list
+    copied.  {!stats} is the select-all case. *)
+val fold_stats :
+  t -> now:float -> select:Of_match.t -> Of_msg.Stats.flow_stat list ->
+  Of_msg.Stats.flow_stat list
+
 (** One rule's flow statistics at [now], as table [table_id] reports it:
     the duration is [now -. installed_at]. *)
 val stat_of_rule : table_id:Of_types.table_id -> now:float -> rule -> Of_msg.Stats.flow_stat

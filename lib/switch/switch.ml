@@ -162,6 +162,18 @@ let receive t ~in_port pkt =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
+(* The tables folded right to left, each consing its live rules [req]
+   selects onto the records of the tables after it: the reply in table
+   order, built in one pass with no list copied. *)
+let flow_stats t (req : Of_msg.Stats.flow_stats_request) =
+  let now = now t and select = req.Of_msg.Stats.match_ and tid = req.Of_msg.Stats.table_id in
+  Array.fold_right
+    (fun table acc ->
+      if tid = Of_msg.Stats.all_tables || Flow_table.table_id table = tid then
+        Flow_table.fold_stats table ~now ~select acc
+      else acc)
+    t.tables []
+
 let handler_of t : Ofa.handler =
   { Ofa.install_flow =
       (fun fm ->
@@ -207,18 +219,7 @@ let handler_of t : Ofa.handler =
         ignore
           (P.apply_actions t ~ctx ~via_miss:false po.Of_msg.Packet_out.packet
              po.Of_msg.Packet_out.actions));
-    flow_stats =
-      (fun req ->
-        let tnow = now t in
-        Array.to_list t.tables
-        |> List.concat_map (fun table ->
-               if
-                 req.Of_msg.Stats.table_id = Of_msg.Stats.all_tables
-                 || Flow_table.table_id table = req.Of_msg.Stats.table_id
-               then Flow_table.stats table ~now:tnow
-               else [])
-        |> List.filter (fun (fs : Of_msg.Stats.flow_stat) ->
-               Of_match.selects req.Of_msg.Stats.match_ fs.Of_msg.Stats.match_));
+    flow_stats = flow_stats t;
     group_stats = (fun () -> Group_table.groups t.groups);
     telemetry =
       (fun () ->

@@ -96,6 +96,11 @@ val tables : t -> Flow_table.t array
 val table : t -> int -> Flow_table.t
 val group_table : t -> Group_table.t
 
+(** The OFA's answer to a flow-stats request: the live rules [req]
+    selects, of every table or of the one it names, in table order and
+    then each table's {!Flow_table.stats} order. *)
+val flow_stats : t -> Of_msg.Stats.flow_stats_request -> Of_msg.Stats.flow_stats_reply
+
 (** Install a rule directly, bypassing the OFA (tests and proactive
     setup). *)
 val install_direct :

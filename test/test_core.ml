@@ -4,6 +4,7 @@
 
 open Scotch_core
 open Scotch_packet
+module Of_match = Scotch_openflow.Of_match
 
 let key i =
   Flow_key.make
@@ -74,6 +75,166 @@ let test_db_overlay_flows_filter () =
   Alcotest.(check int) "only the live multi-packet flow pinned" 1 (List.length pins);
   Alcotest.(check bool) "it is flow 1" true
     (Flow_key.equal (List.hd pins).Flow_info_db.key (key 1))
+
+(* Keys for the model test: 1000 that differ only in ip_dst, a few
+   that differ elsewhere, one without ports, and the all-zero key —
+   the same as the database's removed-entry sentinel. *)
+let db_keys =
+  Array.concat
+    [ Array.init 1000 (fun i ->
+          Flow_key.make ~ip_src:(Ipv4_addr.make 10 0 0 1)
+            ~ip_dst:(Ipv4_addr.of_int (0x0A010000 + i)) ~proto:6 ~l4_src:5000 ~l4_dst:80 ());
+      Array.init 8 key;
+      [| Flow_key.make ~ip_src:(Ipv4_addr.make 10 0 0 1) ~ip_dst:(Ipv4_addr.make 10 1 0 0)
+           ~proto:17 ~l4_src:5000 ~l4_dst:80 ();
+         Flow_key.make ~ip_src:(Ipv4_addr.make 10 0 0 1) ~ip_dst:(Ipv4_addr.make 10 1 0 0)
+           ~proto:1 ();
+         Flow_key.make ~ip_src:0 ~ip_dst:0 ~proto:0 () |] ]
+
+type db_op =
+  | Admit of int * int (* key, first hop *)
+  | Set_kind of int * Flow_info_db.path_kind
+  | Remove of int
+
+(* Rule matches around [k] that name no flow: [k]'s destination at
+   /24, [k] without its protocol, the wildcard and a destination-only
+   rule. *)
+let db_misses (k : Flow_key.t) =
+  let exact = Of_match.exact_flow k in
+  let mask24 = Ipv4_addr.prefix_mask 24 in
+  [ { exact with
+      Of_match.ip_dst = Some { Of_match.value = k.Flow_key.ip_dst land mask24; mask = mask24 } };
+    { exact with Of_match.ip_proto = None };
+    Of_match.wildcard;
+    Of_match.with_ip_dst k.Flow_key.ip_dst Of_match.wildcard ]
+
+(* Those, and the exact matches that name [k]: its own, and one with an
+   in_port pin too, which {!Of_match.flow_key} ignores. *)
+let db_matches (k : Flow_key.t) =
+  let exact = Of_match.exact_flow k in
+  exact :: Of_match.with_in_port 3 exact :: db_misses k
+
+(* The database against an association list in admission order: after
+   every operation the sizes, per-kind counts, [iter]'s order and every
+   lookup agree, [find_match] agrees with [flow_key] then [find], and
+   nothing answers with the removed-entry sentinel.  Runs of hundreds
+   of operations over a few dozen keys cross many repacks. *)
+let prop_db_model =
+  let n = Array.length db_keys in
+  let key_gen = QCheck.Gen.(frequency [ (4, int_range 990 (n - 1)); (1, int_bound (n - 1)) ]) in
+  let kind_gen =
+    QCheck.Gen.oneofl
+      [ Flow_info_db.Pending; Flow_info_db.Physical; Flow_info_db.Dropped;
+        Flow_info_db.Overlay { entry_vswitch = 100 }; Flow_info_db.Overlay { entry_vswitch = 101 } ]
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 (fun k hop -> Admit (k, hop)) key_gen (int_bound 3));
+          (2, map2 (fun k kind -> Set_kind (k, kind)) key_gen kind_gen);
+          (3, map (fun k -> Remove k) key_gen) ])
+  in
+  QCheck.Test.make ~name:"flow info db agrees with an association list" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 400) op_gen))
+    (fun ops ->
+      let db = Flow_info_db.create () in
+      (* (key index, entry) in admission order *)
+      let model = ref [] in
+      let count p = List.length (List.filter (fun (_, e) -> p e.Flow_info_db.kind) !model) in
+      let agrees k =
+        let key = db_keys.(k) in
+        let want = List.assoc_opt k !model in
+        (match (Flow_info_db.find db key, want) with
+        | None, None -> true
+        | Some e, Some w -> e == w
+        | _ -> false)
+        && List.for_all
+             (fun m ->
+               let got = Flow_info_db.find_match db m in
+               Option.equal ( == ) got (Option.bind (Of_match.flow_key m) (Flow_info_db.find db)))
+             (db_matches key)
+        && List.for_all (fun m -> Flow_info_db.find_match db m = None) (db_misses key)
+      in
+      let step op =
+        (match op with
+        | Admit (k, first_hop) ->
+          let e =
+            Flow_info_db.admit db ~key:db_keys.(k) ~first_hop ~ingress_port:1 ~now:0.0 ()
+          in
+          if not (List.mem_assoc k !model) then model := !model @ [ (k, e) ]
+        | Set_kind (k, kind) ->
+          Option.iter (fun e -> Flow_info_db.set_kind db e kind) (Flow_info_db.find db db_keys.(k))
+        | Remove k ->
+          Flow_info_db.remove db db_keys.(k);
+          model := List.remove_assoc k !model);
+        let k = match op with Admit (k, _) | Set_kind (k, _) | Remove k -> k in
+        let order = ref [] in
+        Flow_info_db.iter db (fun e -> order := e :: !order);
+        agrees k
+        && Flow_info_db.size db = List.length !model
+        && Flow_info_db.overlay_count db
+           = count (function Flow_info_db.Overlay _ -> true | _ -> false)
+        && Flow_info_db.physical_count db = count (( = ) Flow_info_db.Physical)
+        && List.equal ( == ) (List.rev !order) (List.map snd !model)
+      in
+      List.for_all step ops && List.for_all agrees (List.init n Fun.id))
+
+(* 1000 keys that differ only in ip_dst: admitted, half removed and
+   re-admitted, every one is found by its key and by its exact match,
+   and [iter] lists them in admission order. *)
+let test_db_ip_dst_keys () =
+  let db = Flow_info_db.create () in
+  let admit i =
+    ignore (Flow_info_db.admit db ~key:db_keys.(i) ~first_hop:1 ~ingress_port:1 ~now:0.0 ())
+  in
+  for i = 0 to 999 do
+    admit i
+  done;
+  for i = 0 to 999 do
+    if i mod 2 = 0 then Flow_info_db.remove db db_keys.(i)
+  done;
+  Alcotest.(check int) "half left" 500 (Flow_info_db.size db);
+  for i = 0 to 999 do
+    if i mod 2 = 0 then admit i
+  done;
+  let order = ref [] in
+  Flow_info_db.iter db (fun e -> order := e.Flow_info_db.key :: !order);
+  let want =
+    List.init 500 (fun i -> db_keys.((2 * i) + 1)) @ List.init 500 (fun i -> db_keys.(2 * i))
+  in
+  Alcotest.(check bool) "admission order" true (List.equal Flow_key.equal (List.rev !order) want);
+  for i = 0 to 999 do
+    let key = db_keys.(i) in
+    match (Flow_info_db.find db key, Flow_info_db.find_match db (Of_match.exact_flow key)) with
+    | Some a, Some b when a == b && Flow_key.equal a.Flow_info_db.key key -> ()
+    | _ -> Alcotest.failf "key %s not found" (Flow_key.to_string key)
+  done
+
+(* A [find_match] miss allocates nothing and a hit only its [Some]; the
+   slack per lookup, 0.01 words, is the measurement's own boxed
+   float. *)
+let test_db_find_match_allocation () =
+  let db = Flow_info_db.create () in
+  for i = 0 to 999 do
+    ignore (Flow_info_db.admit db ~key:db_keys.(i) ~first_hop:1 ~ingress_port:1 ~now:0.0 ())
+  done;
+  let per_lookup m =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Flow_info_db.find_match db m)
+    done;
+    (Gc.minor_words () -. before) /. 10_000.0
+  in
+  let hit = Of_match.exact_flow db_keys.(500) in
+  let misses = Of_match.exact_flow (key 1) :: db_misses db_keys.(500) in
+  Alcotest.(check bool) "hits" true (Flow_info_db.find_match db hit <> None);
+  let words = per_lookup hit in
+  if words > 2.01 then Alcotest.failf "a hit allocates %.3f words" words;
+  List.iter
+    (fun m ->
+      let words = per_lookup m in
+      if words > 0.01 then Alcotest.failf "a miss allocates %.3f words" words)
+    misses
 
 (* ------------------------------------------------------------------ *)
 (* Sched *)
@@ -567,7 +728,10 @@ let () =
       ( "flow_info_db",
         [ Alcotest.test_case "admit dedup" `Quick test_db_admit_dedup;
           Alcotest.test_case "kind accounting" `Quick test_db_kind_accounting;
-          Alcotest.test_case "withdrawal pin filter" `Quick test_db_overlay_flows_filter ] );
+          Alcotest.test_case "withdrawal pin filter" `Quick test_db_overlay_flows_filter;
+          QCheck_alcotest.to_alcotest prop_db_model;
+          Alcotest.test_case "1000 keys differing in ip_dst" `Quick test_db_ip_dst_keys;
+          Alcotest.test_case "find_match allocation" `Quick test_db_find_match_allocation ] );
       ( "sched",
         [ Alcotest.test_case "thresholds" `Quick test_sched_thresholds;
           Alcotest.test_case "priorities" `Quick test_sched_priorities;

@@ -909,6 +909,94 @@ let prop_gt_tenant_shares =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* The flow-stats reply *)
+
+(* The reference reply: each requested table's stats, concatenated,
+   then filtered by the request's match. *)
+let flow_stats_reference sw ~now (req : Of_msg.Stats.flow_stats_request) =
+  Array.to_list (Switch.tables sw)
+  |> List.concat_map (fun table ->
+         if
+           req.Of_msg.Stats.table_id = Of_msg.Stats.all_tables
+           || Flow_table.table_id table = req.Of_msg.Stats.table_id
+         then Flow_table.stats table ~now
+         else [])
+  |> List.filter (fun (fs : Of_msg.Stats.flow_stat) ->
+         Of_match.selects req.Of_msg.Stats.match_ fs.Of_msg.Stats.match_)
+
+(* Both tables hold random rules of every shape of [ft_matches], some
+   expired at the request's time (engine time 0) and some aged; the
+   request names either table, a table the switch lacks or all of
+   them, and selects with a wildcard or any of those shapes.  The
+   handler's reply is the reference's, record for record and in order,
+   so the channel charges it the same bytes. *)
+let prop_flow_stats_reply =
+  let n = Array.length ft_matches in
+  let rule_gen =
+    QCheck.Gen.(
+      map
+        (fun ((table, prio, m, cookie), (age, expired)) -> (table, prio, m, cookie, age, expired))
+        (pair
+           (quad (int_bound 1) (int_bound 2) (int_bound (n - 1)) (int_bound 2))
+           (pair (oneofl [ 0.0; 0.5; 3.0 ]) bool)))
+  in
+  let req_gen =
+    QCheck.Gen.(
+      pair
+        (oneofl [ 0; 1; 2; Of_msg.Stats.all_tables ])
+        (opt ~ratio:0.7 (int_bound (n - 1))))
+  in
+  let gen =
+    QCheck.Gen.(pair (list_size (int_bound 60) rule_gen) (list_size (int_range 1 4) req_gen))
+  in
+  QCheck.Test.make ~name:"flow-stats reply agrees with concat and filter" ~count:300
+    (QCheck.make gen) (fun (rules, reqs) ->
+      let e = Scotch_sim.Engine.create () in
+      let sw = Switch.create e ~dpid:1 ~name:"s" ~profile:Profile.pica8 () in
+      List.iter
+        (fun (table, priority, m, cookie, age, expired) ->
+          match
+            Flow_table.insert (Switch.table sw table) ~now:(-.age) ~priority
+              ~match_:ft_matches.(m) ~instructions:(out_port 1) ~idle_timeout:0.0
+              ~hard_timeout:(if expired then age else 0.0) ~cookie:(Int64.of_int cookie)
+          with
+          | Ok () | Error `Table_full -> ())
+        rules;
+      List.for_all
+        (fun (table_id, select) ->
+          let match_ = match select with None -> Of_match.wildcard | Some m -> ft_matches.(m) in
+          let req = { Of_msg.Stats.table_id; match_ } in
+          let got = Switch.flow_stats sw req
+          and want = flow_stats_reference sw ~now:(Scotch_sim.Engine.now e) req in
+          let size stats = Of_wire.size (Of_msg.make ~xid:0 (Of_msg.Flow_stats_reply stats)) in
+          got = want && size got = size want)
+        reqs)
+
+(* The handler allocates each record once: its cons cell (3 words),
+   the record (8) and the boxed duration (2), 13 words, plus a constant
+   per request; a copy of the list would add 3 words a record. *)
+let test_flow_stats_allocation () =
+  let sw =
+    Switch.create (Scotch_sim.Engine.create ()) ~dpid:1 ~name:"s" ~profile:Profile.pica8 ()
+  in
+  let rules = 2000 in
+  for i = 0 to rules - 1 do
+    let key = Packet.flow_key (mk_packet ~dst:(Ipv4_addr.of_int (0x0A010000 + i)) ()) in
+    ignore
+      (Switch.install_direct sw ~table_id:(i land 1) ~priority:10 ~match_:(Of_match.exact_flow key)
+         ~instructions:(out_port 1) ())
+  done;
+  let req = { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard } in
+  Alcotest.(check int) "every rule reported" rules (List.length (Switch.flow_stats sw req));
+  let before = Gc.minor_words () in
+  let reply = Switch.flow_stats sw req in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "still every rule" rules (List.length reply);
+  let bound = (13.0 *. float_of_int rules) +. 64.0 in
+  if words > bound then
+    Alcotest.failf "the reply allocates %.0f words for %d records, over %.0f" words rules bound
+
+(* ------------------------------------------------------------------ *)
 (* OFA model *)
 
 let quiet_profile =
@@ -1522,4 +1610,6 @@ let () =
           Alcotest.test_case "failure injection" `Quick test_switch_failure_injection;
           Alcotest.test_case "normal ports" `Quick test_switch_normal_ports;
           Alcotest.test_case "packet out via ofa" `Quick test_switch_packet_out_via_ofa;
-          Alcotest.test_case "every action kind" `Quick test_switch_every_action ] ) ]
+          Alcotest.test_case "every action kind" `Quick test_switch_every_action;
+          QCheck_alcotest.to_alcotest prop_flow_stats_reply;
+          Alcotest.test_case "flow-stats reply allocation" `Quick test_flow_stats_allocation ] ) ]
