@@ -2,20 +2,25 @@
     on one switch.  The reliable send path records every Flow_mod /
     Group_mod here.  {!diff} decides what the device lacks or holds
     extra; the anti-entropy reconciler and the verifier's Divergence
-    invariant both call it. *)
+    invariant both call it.
+
+    {b Layout}: one {!Scotch_switch.Classifier} per table id, the index
+    the device keeps its own tables in, plus the groups by id.  A rule's
+    identity is its table and its classifier slot (priority, match), the
+    identity an ADD replaces on.  Matches are stored
+    {!Of_match.canonical}, as {!Scotch_switch.Flow_table.insert} stores
+    them, and a rule's [installed_at] is when its intent was last
+    recorded.
+
+    {b Order}: {!rules} lists by table id, then in the classifier's rule
+    order — descending priority, mask-shape creation order, then
+    recording order, a re-recorded rule taking the newest position. *)
 
 open Scotch_openflow
 
-type rule = {
-  table_id : int;
-  priority : int;
-  match_ : Of_match.t;
-  instructions : Of_action.instructions;
-  idle_timeout : float;
-  hard_timeout : float;
-  cookie : Of_types.cookie;
-  recorded_at : float;  (** when the intent was (last) recorded *)
-}
+(** An intent rule: its table id and the rule as the device would hold
+    it. *)
+type rule = int * Scotch_switch.Classifier.rule
 
 type group = {
   group_id : Of_types.group_id;
@@ -27,22 +32,31 @@ type t
 
 val create : unit -> t
 
-(** Record the intent effect of a Flow_mod: Add upserts by
-    (table, priority, match); Delete removes every priority holding the
-    match in the table, mirroring device semantics. *)
+(** A copy that later records leave unchanged: the verifier's capture. *)
+val copy : t -> t
+
+(** Record the intent effect of a Flow_mod: Add replaces the rule in
+    its slot; Delete removes every priority holding the match in the
+    table, as the device does. *)
 val record_flow_mod : t -> now:float -> Of_msg.Flow_mod.t -> unit
 
 val record_group_mod : t -> now:float -> Of_msg.Group_mod.t -> unit
-val find_rule : t -> table_id:int -> priority:int -> match_:Of_match.t -> rule option
 
-(** Drop one entry without touching the device (ephemeral expiry
-    acknowledged by the reconciler). *)
-val forget_rule : t -> table_id:int -> priority:int -> match_:Of_match.t -> unit
+(** The rule in slot ([table_id], [priority], [match_]): one probe. *)
+val find_rule :
+  t -> table_id:int -> priority:int -> match_:Of_match.t -> Scotch_switch.Classifier.rule option
 
-(** Deterministically ordered views. *)
+(** Empty a rule's slot without touching the device (ephemeral expiry
+    acknowledged by the reconciler): one probe. *)
+val forget_rule : t -> rule -> unit
+
+(** The rules in the store's order. *)
 val rules : t -> rule list
 
+(** The rules with no timeouts, in {!rules} order. *)
 val durable_rules : t -> rule list
+
+(** The groups by id. *)
 val groups : t -> group list
 
 (** Rebuild the Flow_mod realizing one intent rule. *)
@@ -67,7 +81,7 @@ type diff = {
           foreign groups in device order *)
   missing : rule list;
       (** durable intents (no timeouts) absent from the device, in
-          intent order *)
+          {!rules} order *)
   expired : rule list;
       (** ephemeral intents (idle/hard timeouts) absent from the device:
           the switch expired them *)
@@ -75,13 +89,11 @@ type diff = {
       (** device rules with an [owned] cookie and no intent, in device order *)
 }
 
-(** [diff ~rules ~groups ~flow_stats ~group_descs ~now ~grace ~owned]
-    diffs one switch's intent rules and groups (as {!rules} and
-    {!groups} order them) against its flow stats and group descs.
-    Rules are matched by (table, priority, match), groups by id.  An
-    intent younger than [grace] at [now], and a device rule whose
-    duration is under [grace], may still be in flight and is skipped. *)
+(** [diff t ~flow_stats ~group_descs ~now ~grace ~owned] diffs one
+    switch's intent store against its flow stats and group descs.
+    Rules are matched by slot, groups by id.  An intent younger than
+    [grace] at [now], and a device rule whose duration is under [grace],
+    may still be in flight and is skipped. *)
 val diff :
-  rules:rule list -> groups:group list -> flow_stats:Of_msg.Stats.flow_stat list ->
-  group_descs:Of_msg.Stats.group_desc list -> now:float -> grace:float ->
-  owned:Of_types.cookie list -> diff
+  t -> flow_stats:Of_msg.Stats.flow_stat list -> group_descs:Of_msg.Stats.group_desc list ->
+  now:float -> grace:float -> owned:Of_types.cookie list -> diff

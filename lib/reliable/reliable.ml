@@ -345,15 +345,11 @@ let diff_and_repair t ss (flow_stats : Of_msg.Stats.flow_stat list)
     (group_descs : Of_msg.Stats.group_desc list) =
   let tnow = now t in
   let { Intent.groups; missing; expired; orphans } =
-    Intent.diff ~rules:(Intent.rules ss.intents) ~groups:(Intent.groups ss.intents) ~flow_stats
-      ~group_descs ~now:tnow ~grace:repair_grace ~owned:t.owned_cookies
+    Intent.diff ss.intents ~flow_stats ~group_descs ~now:tnow ~grace:repair_grace
+      ~owned:t.owned_cookies
   in
   (* the switch may expire ephemeral rules on its own: acknowledge it *)
-  List.iter
-    (fun (r : Intent.rule) ->
-      Intent.forget_rule ss.intents ~table_id:r.Intent.table_id ~priority:r.Intent.priority
-        ~match_:r.Intent.match_)
-    expired;
+  List.iter (Intent.forget_rule ss.intents) expired;
   let group_fixes =
     List.map
       (fun gd ->

@@ -32,14 +32,13 @@ let node ~now (st : S.intent_state) (inode : S.intent_node) (n : S.node) =
         [] n.S.tables
     in
     let d =
-      Intent.diff ~rules:inode.S.int_rules ~groups:inode.S.int_groups ~flow_stats
-        ~group_descs:n.S.groups ~now:st.S.captured_at ~grace:st.S.grace ~owned:st.S.owned
+      Intent.diff inode.S.int_store ~flow_stats ~group_descs:n.S.groups ~now:st.S.captured_at
+        ~grace:st.S.grace ~owned:st.S.owned
     in
     let mk = D.make ~dpid:n.S.dpid ~severity:D.Error ~invariant:D.Divergence in
     List.map
-      (fun (r : Intent.rule) ->
-        mk ~table_id:r.Intent.table_id
-          ~rule:(D.Rule { priority = r.Intent.priority; match_ = r.Intent.match_ })
+      (fun (table_id, (r : Classifier.rule)) ->
+        mk ~table_id ~rule:(D.Rule { priority = r.priority; match_ = r.match_ })
           "durable intent rule is missing from the device")
       d.Intent.missing
     @ List.map

@@ -40,8 +40,7 @@ type host = {
 
 type intent_node = {
   int_dpid : int;
-  int_rules : Scotch_reliable.Intent.rule list;
-  int_groups : Scotch_reliable.Intent.group list;
+  int_store : Scotch_reliable.Intent.t;
 }
 
 type intent_state = {
@@ -165,7 +164,7 @@ let capture_intents ~now r =
       (fun dpid ->
         Option.map
           (fun intents ->
-            { int_dpid = dpid; int_rules = I.rules intents; int_groups = I.groups intents })
+            { int_dpid = dpid; int_store = I.copy intents })
           (R.intent_of r dpid))
       (R.dpids r)
   in

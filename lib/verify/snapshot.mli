@@ -49,13 +49,11 @@ type host = {
   attach_port : int;
 }
 
-(** One reliable-managed switch's intent store at capture time, as
-    {!Scotch_reliable.Intent.rules} and {!Scotch_reliable.Intent.groups}
-    order it. *)
+(** One reliable-managed switch's intent store at capture time: a
+    {!Scotch_reliable.Intent.copy}, which later records leave unchanged. *)
 type intent_node = {
   int_dpid : int;
-  int_rules : Scotch_reliable.Intent.rule list;
-  int_groups : Scotch_reliable.Intent.group list;
+  int_store : Scotch_reliable.Intent.t;
 }
 
 (** The reliable layer's intent stores at capture time, with the repair
