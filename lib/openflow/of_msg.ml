@@ -35,10 +35,7 @@ end
 (** {1 Group modification (select groups for §5.1 load balancing)} *)
 
 module Group_mod = struct
-  type bucket = {
-    weight : int;
-    actions : Of_action.t list;
-  }
+  type bucket = { actions : Of_action.t list }
 
   type command = Add | Modify | Delete
 
@@ -48,7 +45,7 @@ module Group_mod = struct
     buckets : bucket list;
   }
 
-  let bucket ?(weight = 1) actions = { weight; actions }
+  let bucket actions = { actions }
 
   let add_select ~group_id ~buckets = { command = Add; group_id; buckets }
 

@@ -30,10 +30,9 @@ end
 (** Group modification — select groups implement §5.1's load
     balancing. *)
 module Group_mod : sig
-  type bucket = {
-    weight : int;
-    actions : Of_action.t list;
-  }
+  (** One bucket: the actions a flow hashed onto it executes.  Every
+      bucket of a group weighs the same. *)
+  type bucket = { actions : Of_action.t list }
 
   type command = Add | Modify | Delete
 
@@ -43,7 +42,7 @@ module Group_mod : sig
     buckets : bucket list;
   }
 
-  val bucket : ?weight:int -> Of_action.t list -> bucket
+  val bucket : Of_action.t list -> bucket
   val add_select : group_id:group_id -> buckets:bucket list -> t
   val modify_select : group_id:group_id -> buckets:bucket list -> t
   val delete : group_id:group_id -> t

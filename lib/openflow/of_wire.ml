@@ -246,16 +246,27 @@ let decode_group_type r =
   | x when x = group_type_select -> ()
   | x -> fail "unsupported group type %d" x
 
+(* Every bucket weighs the same (§5.1 spreads flows evenly by hash);
+   the per-bucket weight stays on the wire as 1, and any other weight
+   is malformed. *)
+let encode_buckets b buckets =
+  W.u16 b (List.length buckets);
+  List.iter
+    (fun (bk : Of_msg.Group_mod.bucket) ->
+      W.u16 b 1;
+      encode_actions b bk.actions)
+    buckets
+
+let decode_buckets r =
+  List.init (R.u16 r) (fun _ ->
+      (match R.u16 r with 1 -> () | w -> fail "unsupported bucket weight %d" w);
+      { Of_msg.Group_mod.actions = decode_actions r })
+
 let encode_group_mod b (gm : Of_msg.Group_mod.t) =
   W.u8 b (match gm.command with Add -> 0 | Modify -> 1 | Delete -> 2);
   encode_group_type b;
   W.u32 b gm.group_id;
-  W.u16 b (List.length gm.buckets);
-  List.iter
-    (fun (bk : Of_msg.Group_mod.bucket) ->
-      W.u16 b bk.weight;
-      encode_actions b bk.actions)
-    gm.buckets
+  encode_buckets b gm.buckets
 
 let decode_group_mod r : Of_msg.Group_mod.t =
   let command =
@@ -267,13 +278,7 @@ let decode_group_mod r : Of_msg.Group_mod.t =
   in
   decode_group_type r;
   let group_id = R.u32 r in
-  let n = R.u16 r in
-  let buckets =
-    List.init n (fun _ ->
-        let weight = R.u16 r in
-        let actions = decode_actions r in
-        { Of_msg.Group_mod.weight; actions })
-  in
+  let buckets = decode_buckets r in
   { command; group_id; buckets }
 
 let encode_packet_in b (pi : Of_msg.Packet_in.t) =
@@ -375,23 +380,12 @@ let decode_telemetry_report r : Of_msg.Telemetry.report =
 let encode_group_desc b (gd : Of_msg.Stats.group_desc) =
   W.u32 b gd.group_id;
   encode_group_type b;
-  W.u16 b (List.length gd.buckets);
-  List.iter
-    (fun (bk : Of_msg.Group_mod.bucket) ->
-      W.u16 b bk.weight;
-      encode_actions b bk.actions)
-    gd.buckets
+  encode_buckets b gd.buckets
 
 let decode_group_desc r : Of_msg.Stats.group_desc =
   let group_id = R.u32 r in
   decode_group_type r;
-  let n = R.u16 r in
-  let buckets =
-    List.init n (fun _ ->
-        let weight = R.u16 r in
-        let actions = decode_actions r in
-        { Of_msg.Group_mod.weight; actions })
-  in
+  let buckets = decode_buckets r in
   { group_id; buckets }
 
 (** {1 Top level} *)

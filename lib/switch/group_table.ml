@@ -16,15 +16,11 @@ type t = { groups : (Of_types.group_id, group) Hashtbl.t }
 
 let create () = { groups = Hashtbl.create 16 }
 
-(** [Add]/[Modify] validation: a group with no buckets, or a bucket
-    with a non-positive weight, would silently blackhole (or skew) every
-    flow hashed onto it — real switches reject such Group_mods with
-    OFPGMFC_INVALID_GROUP, and so do we. *)
+(** [Add]/[Modify] validation: a group with no buckets would silently
+    blackhole every flow hashed onto it — real switches reject such
+    Group_mods with OFPGMFC_INVALID_GROUP, and so do we. *)
 let validate_buckets (gm : Of_msg.Group_mod.t) =
-  if gm.buckets = [] then Error `Empty_buckets
-  else if List.exists (fun b -> b.Of_msg.Group_mod.weight <= 0) gm.buckets then
-    Error `Non_positive_weight
-  else Ok ()
+  if gm.buckets = [] then Error `Empty_buckets else Ok ()
 
 let apply t (gm : Of_msg.Group_mod.t) =
   match gm.command with
@@ -53,21 +49,9 @@ let apply t (gm : Of_msg.Group_mod.t) =
 
 let find t gid = Hashtbl.find_opt t.groups gid
 
-(** [select g ~flow_hash] hashes the flow onto the weighted bucket
-    list. *)
-let select g ~flow_hash : Of_msg.Group_mod.bucket list =
-  match g.buckets with
-  | [] -> []
-  | buckets ->
-    let total = List.fold_left (fun acc b -> acc + max 1 b.Of_msg.Group_mod.weight) 0 buckets in
-    let target = flow_hash mod total in
-    let rec go acc = function
-      | [] -> [ List.hd buckets ]
-      | b :: rest ->
-        let acc = acc + max 1 b.Of_msg.Group_mod.weight in
-        if target < acc then [ b ] else go acc rest
-    in
-    go 0 buckets
+(** [select g ~flow_hash] hashes the flow onto one of the equal
+    buckets; [apply] keeps every group non-empty. *)
+let select g ~flow_hash = List.nth g.buckets (flow_hash mod List.length g.buckets)
 
 let size t = Hashtbl.length t.groups
 

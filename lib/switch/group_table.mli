@@ -17,19 +17,18 @@ type t
 val create : unit -> t
 
 (** Apply a Group_mod.  [Modify] replaces the group's buckets, as
-    OFPGC_MODIFY does.  [Add]/[Modify] with an empty bucket list or a
-    non-positive bucket weight are rejected (they would blackhole or
-    skew every flow hashed onto the group), mirroring
-    OFPGMFC_INVALID_GROUP on real switches. *)
+    OFPGC_MODIFY does.  [Add]/[Modify] with an empty bucket list are
+    rejected (they would blackhole every flow hashed onto the group),
+    mirroring OFPGMFC_INVALID_GROUP on real switches. *)
 val apply :
-  t -> Of_msg.Group_mod.t ->
-  (unit, [ `Group_exists | `Unknown_group | `Empty_buckets | `Non_positive_weight ]) result
+  t -> Of_msg.Group_mod.t -> (unit, [ `Group_exists | `Unknown_group | `Empty_buckets ]) result
 
 val find : t -> Of_types.group_id -> group option
 
-(** The bucket a flow of hash [flow_hash] executes in [g], hashed onto
-    the weighted bucket list; [[]] when [g] has no buckets. *)
-val select : group -> flow_hash:int -> Of_msg.Group_mod.bucket list
+(** The bucket a flow of hash [flow_hash] (non-negative) executes in
+    [g]: bucket [flow_hash mod n] of its [n] equal buckets.  [g] is a
+    group {!apply} accepted, so [n > 0]. *)
+val select : group -> flow_hash:int -> Of_msg.Group_mod.bucket
 
 val size : t -> int
 

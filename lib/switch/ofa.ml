@@ -31,7 +31,7 @@ type handler = {
   install_flow : Of_msg.Flow_mod.t -> (unit, [ `Table_full ]) result;
   modify_group :
     Of_msg.Group_mod.t ->
-    (unit, [ `Group_exists | `Unknown_group | `Empty_buckets | `Non_positive_weight ]) result;
+    (unit, [ `Group_exists | `Unknown_group | `Empty_buckets ]) result;
   execute_packet_out : Of_msg.Packet_out.t -> unit;
   flow_stats : Of_msg.Stats.flow_stats_request -> Of_msg.Stats.flow_stats_reply;
   group_stats : unit -> Of_msg.Stats.group_stats_reply;
@@ -193,8 +193,7 @@ let execute t (job : job) =
       | Ok () -> ()
       | Error `Group_exists -> reply (Of_msg.Error "group exists")
       | Error `Unknown_group -> reply (Of_msg.Error "unknown group")
-      | Error `Empty_buckets -> reply (Of_msg.Error "empty bucket list")
-      | Error `Non_positive_weight -> reply (Of_msg.Error "non-positive bucket weight"))
+      | Error `Empty_buckets -> reply (Of_msg.Error "empty bucket list"))
     | Of_msg.Packet_out po -> t.handler.execute_packet_out po
     | Of_msg.Echo_request -> reply Of_msg.Echo_reply
     | Of_msg.Flow_stats_request req -> reply (Of_msg.Flow_stats_reply (t.handler.flow_stats req))

@@ -28,7 +28,7 @@ type handler = {
   install_flow : Of_msg.Flow_mod.t -> (unit, [ `Table_full ]) result;
   modify_group :
     Of_msg.Group_mod.t ->
-    (unit, [ `Group_exists | `Unknown_group | `Empty_buckets | `Non_positive_weight ]) result;
+    (unit, [ `Group_exists | `Unknown_group | `Empty_buckets ]) result;
   execute_packet_out : Of_msg.Packet_out.t -> unit;
   flow_stats : Of_msg.Stats.flow_stats_request -> Of_msg.Stats.flow_stats_reply;
   group_stats : unit -> Of_msg.Stats.group_stats_reply;

@@ -48,10 +48,9 @@ module Make (T : TARGET) = struct
           continue pkt
         | Some g ->
           let flow_hash = Flow_key.hash (Packet.flow_key pkt) in
-          List.iter
-            (fun (b : Of_msg.Group_mod.bucket) ->
-              ignore (apply_actions t ~ctx ~via_miss pkt b.Of_msg.Group_mod.actions))
-            (Group_table.select g ~flow_hash);
+          ignore
+            (apply_actions t ~ctx ~via_miss pkt
+               (Group_table.select g ~flow_hash).Of_msg.Group_mod.actions);
           continue pkt)
       | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
       | Of_action.Pop_mpls ->

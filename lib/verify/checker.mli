@@ -11,9 +11,8 @@
        unknown port, a disconnected port, or a goto into the void.}
     {- {b No shadowed rules}: no higher-priority rule fully covers a
        lower-priority one in the same table.}
-    {- {b Group sanity}: select groups are non-empty with positive
-       weights, and every bucket's tunnel endpoint is a live vswitch
-       (§5.1, §5.6).}
+    {- {b Group sanity}: select groups are non-empty, and every bucket's
+       tunnel endpoint is a live vswitch (§5.1, §5.6).}
     {- {b Table-miss coverage and overlay symmetry}: every controlled
        switch has its priority-0 wildcard miss rule, every uplink
        tunnel is in the origin map (§5.2), every host has an alive

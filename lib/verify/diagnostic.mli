@@ -18,8 +18,8 @@ type severity = Error | Warning
        port, goto into the void);}
     {- [Shadow] — a higher-priority rule fully covers a lower one,
        making it unreachable;}
-    {- [Group_sanity] — empty select groups, non-positive weights,
-       buckets pointing at dead vswitch tunnels (§5.1/§5.6);}
+    {- [Group_sanity] — empty select groups, buckets pointing at dead
+       vswitch tunnels (§5.1/§5.6);}
     {- [Coverage] — a controlled switch without a table-miss rule, or
        broken overlay symmetry (an entry tunnel without a return
        path);}

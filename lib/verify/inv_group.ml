@@ -1,5 +1,5 @@
-(** Invariant: group sanity.  Select groups are non-empty with positive
-    weights, and every bucket output lands on a live endpoint — dead
+(** Invariant: group sanity.  Select groups are non-empty, and every
+    bucket output lands on a live endpoint — dead
     bucket targets are errors, because groups never expire and only a
     failover rebalance can fix them (§5.1, §5.6). *)
 
@@ -17,28 +17,17 @@ let node snap (n : S.node) =
       let label = Printf.sprintf "group %d" g.group_id in
       if g.buckets = [] then
         [ mk ~severity:D.Error (label ^ " has an empty bucket list") ]
-      else begin
-        let weights =
-          if
-            List.exists (fun (b : Of_msg.Group_mod.bucket) -> b.Of_msg.Group_mod.weight <= 0)
-              g.buckets
-          then [ mk ~severity:D.Error (label ^ " has a bucket with non-positive weight") ]
-          else []
-        in
-        let targets =
-          List.concat_map
-            (fun (b : Of_msg.Group_mod.bucket) ->
-              List.concat_map
-                (function
-                  | Of_action.Output (Of_types.Port_no.Physical p) ->
-                    Inv_common.check_output snap n ~invariant:D.Group_sanity
-                      ~dead_severity:D.Error ~rule:(D.Group g.group_id) p
-                  | _ -> [])
-                b.Of_msg.Group_mod.actions)
-            g.buckets
-        in
-        weights @ targets
-      end)
+      else
+        List.concat_map
+          (fun (b : Of_msg.Group_mod.bucket) ->
+            List.concat_map
+              (function
+                | Of_action.Output (Of_types.Port_no.Physical p) ->
+                  Inv_common.check_output snap n ~invariant:D.Group_sanity
+                    ~dead_severity:D.Error ~rule:(D.Group g.group_id) p
+                | _ -> [])
+              b.Of_msg.Group_mod.actions)
+          g.buckets)
     n.S.groups
 
 let snapshot snap =

@@ -143,7 +143,7 @@ let test_wire_group_mod () =
     Of_msg.Group_mod.add_select ~group_id:1
       ~buckets:
         [ Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical 10001) ];
-          Of_msg.Group_mod.bucket ~weight:3
+          Of_msg.Group_mod.bucket
             [ Of_action.Output (Of_types.Port_no.Physical 10002) ] ]
   in
   let msg' = roundtrip (Of_msg.make ~xid:2 (Of_msg.Group_mod gm)) in
@@ -196,7 +196,7 @@ let test_wire_multipart () =
   let desc =
     { Of_msg.Stats.group_id = 9;
       buckets =
-        [ Of_msg.Group_mod.bucket ~weight:2 [ Of_action.Push_mpls 5; Of_action.Group 3 ];
+        [ Of_msg.Group_mod.bucket [ Of_action.Push_mpls 5; Of_action.Group 3 ];
           Of_msg.Group_mod.bucket [ Of_action.Pop_mpls; Of_action.Drop ] ] }
   in
   let report =
@@ -268,7 +268,8 @@ let test_wire_bad_length () =
    frame below is a valid encoding with one byte (or the Output port)
    overwritten, and decoding it raises Parse_error.  Layout offsets:
    the 8-byte header; then a Flow_mod's command, a Group_mod's command
-   and type, a multipart request's u16 subtype, a Packet-In's u32 buffer
+   and type (its u32 group id, u16 bucket count and first bucket's u16
+   weight follow at 10, 14 and 16), a multipart request's u16 subtype, a Packet-In's u32 buffer
    id then reason, and a Packet-Out's u32 in_port, u16 action count and
    first action. *)
 let test_wire_malformed_fields () =
@@ -322,6 +323,8 @@ let test_wire_malformed_fields () =
       ("flow-mod command 1", frame flow_mod [ (8, 1) ]);
       ("group type 0", frame group_mod [ (9, 0) ]);
       ("group type 2", frame group_mod [ (9, 2) ]);
+      ("bucket weight 0", frame group_mod [ (16, 0); (17, 0) ]);
+      ("bucket weight 2", frame group_mod [ (16, 0); (17, 2) ]);
       ("group type 3", frame group_mod [ (9, 3) ]);
       ("action code 6", mac_action 6);
       ("action code 7", mac_action 7);
@@ -418,7 +421,7 @@ let payload_gen =
       [ map (fun a -> Of_action.Apply_actions a) actions;
         map (fun t -> Of_action.Goto_table t) (int_bound 3) ]
   in
-  let bucket = map2 (fun weight a -> Of_msg.Group_mod.bucket ~weight a) (int_bound 100) actions in
+  let bucket = map Of_msg.Group_mod.bucket actions in
   let flow_stat =
     let+ table_id = int_bound 3
     and+ priority = int_bound 0xFFFF

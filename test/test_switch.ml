@@ -644,12 +644,10 @@ let test_classifier_lookup_allocation () =
 (* ------------------------------------------------------------------ *)
 (* Group_table *)
 
-let mk_select_group ?(weights = [ 1; 1; 1 ]) () =
+let mk_select_group () =
   let buckets =
-    List.mapi
-      (fun i w ->
-        Of_msg.Group_mod.bucket ~weight:w [ Of_action.Output (Of_types.Port_no.Physical (100 + i)) ])
-      weights
+    List.init 3 (fun i ->
+        Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical (100 + i)) ])
   in
   Of_msg.Group_mod.add_select ~group_id:1 ~buckets
 
@@ -685,10 +683,6 @@ let test_gt_rejects_bad_buckets () =
   Alcotest.(check bool) "add with no buckets" true
     (Group_table.apply gt (Of_msg.Group_mod.add_select ~group_id:1 ~buckets:[])
     = Error `Empty_buckets);
-  Alcotest.(check bool) "add with zero weight" true
-    (Group_table.apply gt (mk_select_group ~weights:[ 1; 0; 1 ] ()) = Error `Non_positive_weight);
-  Alcotest.(check bool) "add with negative weight" true
-    (Group_table.apply gt (mk_select_group ~weights:[ -3 ] ()) = Error `Non_positive_weight);
   Alcotest.(check int) "nothing installed" 0 (Group_table.size gt);
   Alcotest.(check bool) "good add" true (Group_table.apply gt (mk_select_group ()) = Ok ());
   Alcotest.(check bool) "modify to no buckets" true
@@ -708,38 +702,19 @@ let test_gt_select_deterministic () =
   | Some g ->
     let b1 = Group_table.select g ~flow_hash:12345 in
     let b2 = Group_table.select g ~flow_hash:12345 in
-    Alcotest.(check bool) "same flow same bucket" true (b1 = b2);
-    Alcotest.(check int) "single bucket" 1 (List.length b1)
+    Alcotest.(check bool) "same flow same bucket" true (b1 == b2);
+    Alcotest.(check bool) "bucket flow_hash mod n" true (b1 == List.nth g.Group_table.buckets 0)
 
-let test_gt_select_weights () =
-  let gt = Group_table.create () in
-  ignore (Group_table.apply gt (mk_select_group ~weights:[ 1; 3 ] ()));
-  match Group_table.find gt 1 with
-  | None -> Alcotest.fail "group missing"
-  | Some g ->
-    let counts = Array.make 2 0 in
-    for h = 0 to 3999 do
-      match Group_table.select g ~flow_hash:h with
-      | [ b ] -> (
-        match b.Of_msg.Group_mod.actions with
-        | [ Of_action.Output (Of_types.Port_no.Physical p) ] ->
-          counts.(p - 100) <- counts.(p - 100) + 1
-        | _ -> ())
-      | _ -> ()
-    done;
-    Alcotest.(check int) "weight 1 share" 1000 counts.(0);
-    Alcotest.(check int) "weight 3 share" 3000 counts.(1)
-
-(* qcheck: select-group weights survive pool churn.  After any
+(* qcheck: select-group shares survive pool churn.  After any
    sequence of member add / remove / breaker-eject cycles (each
    re-asserting the bucket list, as Scotch's rebalance does), the hash
-   distribution over a full cycle matches the configured weights
-   exactly and an ejected member never receives a flow. *)
+   distribution over a full cycle gives every live member exactly an
+   equal share and an ejected member never receives a flow. *)
 let prop_gt_churn_weights =
   let op_gen =
     QCheck.Gen.(
       frequency
-        [ (3, map (fun w -> `Add w) (int_range 1 4));
+        [ (3, return `Add);
           (2, map (fun i -> `Remove i) (int_bound 40));
           (2, map (fun i -> `Eject i) (int_bound 40)) ])
   in
@@ -747,12 +722,11 @@ let prop_gt_churn_weights =
   QCheck.Test.make ~name:"select weights survive churn, ejected buckets get nothing"
     ~count:100 (QCheck.make gen) (fun ops ->
       let gt = Group_table.create () in
-      let bucket_of (port, w) =
-        Of_msg.Group_mod.bucket ~weight:w
-          [ Of_action.Output (Of_types.Port_no.Physical port) ]
+      let bucket_of port =
+        Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical port) ]
       in
       (* a two-member active pool to start; fresh ports for joiners *)
-      let live = ref [ (100, 1); (101, 1) ] in
+      let live = ref [ 100; 101 ] in
       let benched = ref [] in
       let next_port = ref 102 in
       ignore
@@ -762,8 +736,8 @@ let prop_gt_churn_weights =
       List.iter
         (fun op ->
           (match op with
-          | `Add w ->
-            live := !live @ [ (!next_port, w) ];
+          | `Add ->
+            live := !live @ [ !next_port ];
             incr next_port
           | `Remove i when List.length !live > 1 ->
             live := List.filteri (fun j _ -> j <> i mod List.length !live) !live
@@ -781,28 +755,22 @@ let prop_gt_churn_weights =
             match Group_table.find gt 1 with
             | None -> ok := false
             | Some g ->
-              let total = List.fold_left (fun acc (_, w) -> acc + w) 0 !live in
               let counts = Hashtbl.create 8 in
-              for h = 0 to (50 * total) - 1 do
-                match Group_table.select g ~flow_hash:h with
-                | [ b ] -> (
-                  match b.Of_msg.Group_mod.actions with
-                  | [ Of_action.Output (Of_types.Port_no.Physical p) ] ->
-                    Hashtbl.replace counts p
-                      (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
-                  | _ -> ok := false)
+              for h = 0 to (50 * List.length !live) - 1 do
+                match (Group_table.select g ~flow_hash:h).Of_msg.Group_mod.actions with
+                | [ Of_action.Output (Of_types.Port_no.Physical p) ] ->
+                  Hashtbl.replace counts p
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
                 | _ -> ok := false
               done;
-              (* exact weighted share for every live member *)
+              (* exact equal share for every live member *)
               List.iter
-                (fun (p, w) ->
-                  if Option.value ~default:0 (Hashtbl.find_opt counts p) <> 50 * w then
-                    ok := false)
+                (fun p ->
+                  if Option.value ~default:0 (Hashtbl.find_opt counts p) <> 50 then ok := false)
                 !live;
               (* an ejected or removed member gets nothing *)
               List.iter
-                (fun (p, _) ->
-                  if (not (List.mem_assoc p !live)) && Hashtbl.mem counts p then ok := false)
+                (fun p -> if (not (List.mem p !live)) && Hashtbl.mem counts p then ok := false)
                 !benched)
         ops;
       !ok)
@@ -872,13 +840,10 @@ let prop_gt_tenant_shares =
                   let n = List.length slice in
                   let hits = Hashtbl.create 8 in
                   for h = 0 to (20 * n) - 1 do
-                    match Group_table.select g ~flow_hash:h with
-                    | [ b ] -> (
-                      match b.Of_msg.Group_mod.actions with
-                      | [ Of_action.Output (Of_types.Port_no.Physical p) ] ->
-                        Hashtbl.replace hits p
-                          (1 + Option.value ~default:0 (Hashtbl.find_opt hits p))
-                      | _ -> ok := false)
+                    match (Group_table.select g ~flow_hash:h).Of_msg.Group_mod.actions with
+                    | [ Of_action.Output (Of_types.Port_no.Physical p) ] ->
+                      Hashtbl.replace hits p
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt hits p))
                     | _ -> ok := false
                   done;
                   (* weight-1 buckets: exactly uniform over the slice,
@@ -1587,7 +1552,6 @@ let () =
             test_gt_modify_replaces_buckets;
           Alcotest.test_case "rejects bad buckets" `Quick test_gt_rejects_bad_buckets;
           Alcotest.test_case "select deterministic" `Quick test_gt_select_deterministic;
-          Alcotest.test_case "select weights" `Quick test_gt_select_weights;
           QCheck_alcotest.to_alcotest prop_gt_churn_weights;
           QCheck_alcotest.to_alcotest prop_gt_tenant_shares ] );
       ( "ofa",
