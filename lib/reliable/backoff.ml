@@ -10,30 +10,23 @@
     The jitter itself de-synchronizes retries that would otherwise
     thunder in lock-step after a shared outage. *)
 
-type t = {
-  base : float;    (* first-retry delay, seconds *)
-  factor : float;  (* exponential growth per attempt *)
-  cap : float;     (* ceiling before jitter *)
-  jitter : float;  (* delay is scaled by [1 ± jitter] *)
-  seed : int;
-}
+(* The schedule's shape: 50 ms first retry, doubling per attempt, a
+   1 s ceiling, each delay scaled by [1 ± jitter]. *)
+let base = 0.05
+let factor = 2.0
+let cap = 1.0
+let jitter = 0.25
 
-let create ?(base = 0.05) ?(factor = 2.0) ?(cap = 1.0) ?(jitter = 0.25) ?(seed = 0) () =
-  if base <= 0.0 then invalid_arg "Backoff.create: base must be positive";
-  if factor < 1.0 then invalid_arg "Backoff.create: factor must be >= 1";
-  if cap < base then invalid_arg "Backoff.create: cap must be >= base";
-  if jitter < 0.0 || jitter >= 1.0 then invalid_arg "Backoff.create: jitter in [0,1)";
-  { base; factor; cap; jitter; seed }
+type t = { seed : int }
+
+let create ?(seed = 0) () = { seed }
 
 let delay t ?(salt = 0) ~attempt () =
   if attempt < 1 then invalid_arg "Backoff.delay: attempt must be >= 1";
-  let raw = Float.min t.cap (t.base *. (t.factor ** float_of_int (attempt - 1))) in
-  if t.jitter = 0.0 then raw
-  else begin
-    let key = t.seed lxor (salt * 0x9E3779B9) lxor (attempt * 0x85EBCA6B) in
-    let u = Scotch_util.Rng.float (Scotch_util.Rng.create key) 1.0 in
-    raw *. (1.0 -. t.jitter +. (2.0 *. t.jitter *. u))
-  end
+  let raw = Float.min cap (base *. (factor ** float_of_int (attempt - 1))) in
+  let key = t.seed lxor (salt * 0x9E3779B9) lxor (attempt * 0x85EBCA6B) in
+  let u = Scotch_util.Rng.float (Scotch_util.Rng.create key) 1.0 in
+  raw *. (1.0 -. jitter +. (2.0 *. jitter *. u))
 
 (** The full deterministic schedule of the first [attempts] delays. *)
 let schedule t ?(salt = 0) ~attempts () =

@@ -5,12 +5,18 @@
     retries from different sources interleave, while the jitter keeps
     concurrent retries from thundering in lock-step. *)
 
+(** The schedule's shape: the delay before retry [n] is
+    [min cap (base * factor^(n-1))] — 50 ms, doubling, capped at 1 s —
+    scaled by a draw in [1 ± jitter], ±25 %. *)
+
+val base : float
+val factor : float
+val cap : float
+val jitter : float
+
 type t
 
-(** Defaults: 50 ms base, doubling per attempt, capped at 1 s, ±25 %
-    jitter. *)
-val create :
-  ?base:float -> ?factor:float -> ?cap:float -> ?jitter:float -> ?seed:int -> unit -> t
+val create : ?seed:int -> unit -> t
 
 (** Delay before retry [attempt] (1-based); [salt] distinguishes
     independent retry sequences (e.g. per transaction). *)
