@@ -151,7 +151,12 @@ end = struct
         s.node.S.ports
 
   let to_controller _ _ _ _ = ()
-  let group s gid = List.find_opt (fun (g : Group_table.group) -> g.group_id = gid) s.node.S.groups
+  (* an empty group, which only a forged snapshot holds (group sanity
+     reports it), executes nothing, as a missing one does *)
+  let group s gid =
+    List.find_opt
+      (fun (g : Group_table.group) -> g.group_id = gid && g.buckets <> [])
+      s.node.S.groups
   let drop _ _ = ()
 end
 
