@@ -270,13 +270,6 @@ let start t =
     let stop = Scotch_sim.Engine.every t.engine ~period:(1.0 /. t.rate) (fun () -> serve_one t) in
     t.stop <- Some stop
 
-let stop t =
-  match t.stop with
-  | None -> ()
-  | Some f ->
-    f ();
-    t.stop <- None
-
 (** Pending rule installs in [tenant]'s reserved admitted queue — the
     §5.3 signal that a switch's control plane cannot absorb more
     physical-path setups, scoped to the capacity the tenant actually

@@ -91,8 +91,6 @@ val submit_large : t -> ?tenant:int -> (unit -> unit) -> unit
 (** Begin serving at rate R.  Idempotent. *)
 val start : t -> unit
 
-val stop : t -> unit
-
 (** Pending rule installs in [tenant]'s admitted queue — the §5.3
     signal that a switch's control plane cannot absorb more
     physical-path setups, scoped to the capacity that tenant actually

@@ -368,15 +368,16 @@ type fabric = {
 let tor_dpid rack = 1 + rack
 let spine_dpid i = 50 + i
 let fabric_host_id ~rack ~slot = 1 + (rack * 32) + slot
+let num_spines = 2
+let vswitches_per_rack = 2
 
 (** [fabric ()] builds [num_racks] Pica8 ToR switches, each
     with [hosts_per_rack] hosts and two local Scotch vswitches, all
-    ToRs linked to [num_spines] spine switches, every vswitch meshed
+    ToRs linked to two spine switches, every vswitch meshed
     and uplinked from every ToR, hosts covered by their rack's
     vswitches.  All ToRs and spines are Scotch-managed. *)
 let fabric ?(seed = 42) ?(config = Scotch_core.Config.default) ?(num_racks = 4)
-    ?(hosts_per_rack = 4) ?(num_spines = 2) ?(vswitches_per_rack = 2) ?(scotch_enabled = true)
-    () =
+    ?(hosts_per_rack = 4) ?(scotch_enabled = true) () =
   let engine = Scotch_sim.Engine.create ~seed () in
   let profile = Profile.pica8 in
   let topo = Topology.create engine in

@@ -156,13 +156,12 @@ type fabric = {
 
 val tor_dpid : int -> int
 
-(** Build the fabric: ToRs and spines (all Scotch-managed), hosts per
-    rack, [vswitches_per_rack] overlay vswitches per rack with
-    rack-local coverage. *)
+(** Build the fabric: [num_racks] ToRs and two spines (all
+    Scotch-managed), [hosts_per_rack] hosts and two overlay vswitches
+    per rack, with rack-local coverage. *)
 val fabric :
   ?seed:int -> ?config:Scotch_core.Config.t -> ?num_racks:int ->
-  ?hosts_per_rack:int -> ?num_spines:int -> ?vswitches_per_rack:int -> ?scotch_enabled:bool ->
-  unit -> fabric
+  ?hosts_per_rack:int -> ?scotch_enabled:bool -> unit -> fabric
 
 (** A spoofed-source flood between two fabric hosts. *)
 val fabric_attack : fabric -> src:Host.t -> dst:Host.t -> rate:float -> Source.t

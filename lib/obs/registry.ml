@@ -1,13 +1,13 @@
-(** The metrics registry: typed counters, gauges and histograms with
-    label sets, one shared namespace for the whole control plane.
+(** The metrics registry: typed counters, pull gauges and histograms
+    with label sets, one shared namespace for the whole control plane.
 
     Handles are resolved {e once}, at component-construction time
     ([Registry.counter] et al. hash the (name, labels) key), and the
-    hot-path operations on a handle are plain field stores:
-    {!incr}/{!add} bump an int cell, {!set} writes an unboxed float
-    cell, {!observe} stores into a pre-allocated batch that is binned
-    into the {!Scotch_util.Histogram} on overflow or at read time — no
-    allocation, no hashing, no branching on metric identity.
+    hot-path operations on a handle are plain field stores: {!incr}
+    bumps an int cell, {!observe} stores into a pre-allocated batch
+    that is binned into the {!Scotch_util.Histogram} on overflow or at
+    read time — no allocation, no hashing, no branching on metric
+    identity.  A gauge is a closure polled at snapshot time.
     Exposition ({!to_prometheus}, {!samples}) walks the
     registry in a deterministic (name, labels) order, so two seeded
     runs of the simulator produce byte-identical snapshots.
@@ -23,8 +23,8 @@ open Scotch_util
 type labels = (string * string) list
 
 (* Single-field records keep the hot-path stores allocation-free: the
-   int cell is an immediate store, and the all-float record gives the
-   gauge an unboxed float field. *)
+   int cell is an immediate store, and the all-float record gives a
+   histogram's running sum an unboxed float field. *)
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 
@@ -46,7 +46,6 @@ type int_fn_cell = { mutable ifn : unit -> int }
 type kind =
   | Counter of counter
   | Counter_fn of int_fn_cell
-  | Gauge of gauge
   | Gauge_fn of fn_cell
   | Histogram of histogram
 
@@ -75,7 +74,7 @@ let key name labels =
 
 let kind_name = function
   | Counter _ | Counter_fn _ -> "counter"
-  | Gauge _ | Gauge_fn _ -> "gauge"
+  | Gauge_fn _ -> "gauge"
   | Histogram _ -> "histogram"
 
 let register t ~help ~labels name make =
@@ -107,11 +106,6 @@ let counter_fn t ?(help = "") ?(labels = []) name f =
   | Counter_fn cell -> cell.ifn <- f
   | k -> mismatch name k "counter_fn"
 
-let gauge t name =
-  match (register t ~help:"" ~labels:[] name (fun () -> Gauge { g = 0.0 })).kind with
-  | Gauge g -> g
-  | k -> mismatch name k "gauge"
-
 (** [gauge_fn t name f] registers a pull-style gauge: [f] is evaluated
     at snapshot time.  Re-registration replaces the closure (last
     writer wins), so rebuilt networks shadow stale ones. *)
@@ -137,10 +131,7 @@ let histogram t ?(help = "") ?(labels = []) ?(lo = 0.0) ?(hi = 1.0) ?(bins = 50)
 (** {1 Hot-path handle operations} *)
 
 let incr c = c.c <- c.c + 1
-let add c n = c.c <- c.c + n
 let counter_value c = c.c
-
-let set g v = g.g <- v
 
 let flush hm =
   for i = 0 to hm.npending - 1 do
@@ -174,7 +165,6 @@ let value_of m =
   match m.kind with
   | Counter c -> float_of_int c.c
   | Counter_fn cell -> float_of_int (cell.ifn ())
-  | Gauge g -> g.g
   | Gauge_fn cell -> cell.fn ()
   | Histogram hm -> flush hm; float_of_int (Histogram.count hm.h)
 

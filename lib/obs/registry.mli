@@ -1,10 +1,10 @@
-(** Metrics registry: typed counters, gauges and histograms with label
-    sets, deterministic snapshotting, Prometheus-text exposition.
+(** Metrics registry: typed counters, pull gauges and histograms with
+    label sets, deterministic snapshotting, Prometheus-text exposition.
 
     Handles are resolved once (at component construction); the hot-path
     update operations on a handle are plain mutable-field stores and
-    allocate nothing.  See DESIGN.md §10 for the counter naming
-    scheme. *)
+    allocate nothing.  Gauges are pull-only: a closure read at snapshot
+    time.  See DESIGN.md §10 for the counter naming scheme. *)
 
 type t
 
@@ -13,7 +13,6 @@ type t
 type labels = (string * string) list
 
 type counter
-type gauge
 type histogram
 
 val create : unit -> t
@@ -40,8 +39,6 @@ val counter : t -> ?help:string -> ?labels:labels -> string -> counter
     untouched.  Re-registration replaces the closure. *)
 val counter_fn : t -> ?help:string -> ?labels:labels -> string -> (unit -> int) -> unit
 
-val gauge : t -> string -> gauge
-
 (** [gauge_fn t name f] registers a pull-style gauge: [f] is evaluated
     at snapshot time.  Re-registration replaces the closure (last
     writer wins), so rebuilt networks shadow stale ones. *)
@@ -57,10 +54,7 @@ val histogram :
 (** {1 Hot-path updates — O(1), allocation-free} *)
 
 val incr : counter -> unit
-val add : counter -> int -> unit
 val counter_value : counter -> int
-
-val set : gauge -> float -> unit
 
 (** Observations are batched: the hot path is a single array store, and
     binning runs once per 64 observations or lazily at the first read

@@ -36,5 +36,3 @@ let output port = [ Apply_actions [ Output port ] ]
 
 (** Send to the controller (Packet-In via action). *)
 let to_controller = [ Apply_actions [ Output Port_no.Controller ] ]
-
-let drop = [ Apply_actions [ Drop ] ]

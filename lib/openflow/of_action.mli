@@ -34,5 +34,3 @@ val output : Port_no.t -> instructions
 
 (** Send to the controller (Packet-In via action). *)
 val to_controller : instructions
-
-val drop : instructions

@@ -15,11 +15,6 @@ let make a b c d : t =
   in
   (octet a lsl 24) lor (octet b lsl 16) lor (octet c lsl 8) lor octet d
 
-let of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> make (int_of_string a) (int_of_string b) (int_of_string c) (int_of_string d)
-  | _ -> failwith "Ipv4_addr.of_string: expected dotted quad"
-
 let to_string (t : t) =
   Printf.sprintf "%d.%d.%d.%d"
     ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF)

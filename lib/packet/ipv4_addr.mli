@@ -9,9 +9,6 @@ val to_int : t -> int
 (** [make a b c d] is the address [a.b.c.d]; octets must be 0-255. *)
 val make : int -> int -> int -> int -> t
 
-(** Parse a dotted quad.  Raises [Failure] on malformed input. *)
-val of_string : string -> t
-
 val to_string : t -> string
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -11,18 +11,6 @@ let to_int (t : t) = t
 
 let broadcast : t = mask
 
-(** [of_string "aa:bb:cc:dd:ee:ff"] parses colon-separated hex octets. *)
-let of_string s =
-  match String.split_on_char ':' s with
-  | [ a; b; c; d; e; f ] ->
-    let octet x =
-      let v = int_of_string ("0x" ^ x) in
-      if v < 0 || v > 0xFF then failwith "Mac.of_string: octet out of range";
-      v
-    in
-    List.fold_left (fun acc x -> (acc lsl 8) lor octet x) 0 [ a; b; c; d; e; f ]
-  | _ -> failwith "Mac.of_string: expected six colon-separated octets"
-
 let to_string (t : t) =
   Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"
     ((t lsr 40) land 0xFF) ((t lsr 32) land 0xFF) ((t lsr 24) land 0xFF)

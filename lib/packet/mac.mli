@@ -8,9 +8,6 @@ val of_int : int -> t
 val to_int : t -> int
 val broadcast : t
 
-(** Parse ["aa:bb:cc:dd:ee:ff"].  Raises [Failure] on malformed input. *)
-val of_string : string -> t
-
 val to_string : t -> string
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

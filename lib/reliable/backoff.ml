@@ -27,8 +27,3 @@ let delay t ?(salt = 0) ~attempt () =
   let key = t.seed lxor (salt * 0x9E3779B9) lxor (attempt * 0x85EBCA6B) in
   let u = Scotch_util.Rng.float (Scotch_util.Rng.create key) 1.0 in
   raw *. (1.0 -. jitter +. (2.0 *. jitter *. u))
-
-(** The full deterministic schedule of the first [attempts] delays. *)
-let schedule t ?(salt = 0) ~attempts () =
-  if attempts < 0 then invalid_arg "Backoff.schedule: negative attempts";
-  List.init attempts (fun i -> delay t ~salt ~attempt:(i + 1) ())

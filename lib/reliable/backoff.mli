@@ -21,6 +21,3 @@ val create : ?seed:int -> unit -> t
 (** Delay before retry [attempt] (1-based); [salt] distinguishes
     independent retry sequences (e.g. per transaction). *)
 val delay : t -> ?salt:int -> attempt:int -> unit -> float
-
-(** The first [attempts] delays, in order. *)
-val schedule : t -> ?salt:int -> attempts:int -> unit -> float list

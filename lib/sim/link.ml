@@ -84,7 +84,3 @@ let delivered t = t.stats.delivered
 let dropped t = t.stats.dropped
 let bytes_delivered t = t.stats.bytes
 let queue_length t = Queue.length t.queue
-
-(** Convenience bandwidth constants. *)
-let gbps g = g *. 1e9
-let mbps m = m *. 1e6

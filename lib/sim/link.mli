@@ -35,8 +35,3 @@ val dropped : t -> int
 
 val bytes_delivered : t -> int
 val queue_length : t -> int
-
-(** Convenience bandwidth constants. *)
-val gbps : float -> float
-
-val mbps : float -> float

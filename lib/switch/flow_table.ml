@@ -59,17 +59,12 @@ let remove t r =
   Classifier.remove t.rules r;
   notify t (Rule_removed r)
 
-(* Remove every rule [dead] selects; returns the number removed. *)
-let remove_where t dead =
-  let doomed = Classifier.remove_where t.rules dead in
-  List.iter (fun r -> notify t (Rule_removed r)) doomed;
-  List.length doomed
-
 (** Remove expired rules; returns the number reaped. *)
 let sweep t ~now =
-  let reaped = remove_where t (Classifier.expired ~now) in
+  let doomed = Classifier.remove_where t.rules (Classifier.expired ~now) in
+  List.iter (fun r -> notify t (Rule_removed r)) doomed;
   Classifier.compact t.rules;
-  reaped
+  List.length doomed
 
 (** Live rule count (sweeps first, so the answer is exact). *)
 let size t ~now =
@@ -113,10 +108,6 @@ let delete t ?priority ~match_ () =
   in
   List.iter (remove t) doomed;
   List.length doomed
-
-(** [delete_by_cookie t cookie] removes all rules tagged [cookie]
-    (Scotch withdraws its overlay rules this way). *)
-let delete_by_cookie t cookie = remove_where t (fun r -> r.cookie = cookie)
 
 (** Pure lookup: no counter updates (tests and stats). *)
 let peek t ~now ctx = Classifier.lookup t.rules ~now ctx

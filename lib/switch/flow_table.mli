@@ -61,10 +61,6 @@ val insert :
     removed. *)
 val delete : t -> ?priority:int -> match_:Of_match.t -> unit -> int
 
-(** Remove all rules tagged [cookie] (how Scotch withdraws its shared
-    overlay rules). *)
-val delete_by_cookie : t -> Of_types.cookie -> int
-
 (** The live rule matching the context that comes first in
     {!precedence} order, updating its counters and idle timer. *)
 val lookup : t -> now:float -> Of_match.context -> rule option

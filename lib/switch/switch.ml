@@ -369,8 +369,7 @@ let tables t = t.tables
 let table t i = t.tables.(i)
 let group_table t = t.groups
 
-(** Direct (test) access: install a rule bypassing the OFA. *)
-let install_direct t ~table_id ~priority ~match_ ~instructions
-    ?(cookie = Of_types.cookie_none) () =
+(** Install a permanent rule bypassing the OFA, with no cookie. *)
+let install_direct t ~table_id ~priority ~match_ ~instructions () =
   Flow_table.insert t.tables.(table_id) ~now:(now t) ~priority ~match_ ~instructions
-    ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie
+    ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:Of_types.cookie_none

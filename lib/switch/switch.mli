@@ -101,9 +101,9 @@ val group_table : t -> Group_table.t
     then each table's {!Flow_table.stats} order. *)
 val flow_stats : t -> Of_msg.Stats.flow_stats_request -> Of_msg.Stats.flow_stats_reply
 
-(** Install a rule directly, bypassing the OFA (tests and proactive
-    setup). *)
+(** Install a permanent rule with no cookie directly, bypassing the
+    OFA (tests and proactive setup).  To plant a rule with a cookie,
+    {!Flow_table.insert} into {!table}. *)
 val install_direct :
   t -> table_id:int -> priority:int -> match_:Of_match.t ->
-  instructions:Of_action.instructions ->
-  ?cookie:Of_types.cookie -> unit -> (unit, [ `Table_full ]) result
+  instructions:Of_action.instructions -> unit -> (unit, [ `Table_full ]) result

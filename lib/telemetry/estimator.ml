@@ -9,8 +9,8 @@
     elephant threshold: declaring on the {e lower} bound trades a
     little detection latency for precision (few mice promoted). *)
 
-(** One-sided 95% normal quantile: the detection policy's default
-    confidence level. *)
+(** One-sided 95% normal quantile: the detection policy's confidence
+    level. *)
 let z95 = 1.645
 
 (** Unbiased estimate of the true packet count behind [c] samples. *)
@@ -18,25 +18,18 @@ let scaled ~rate c =
   if rate <= 0.0 || rate > 1.0 then invalid_arg "Estimator.scaled: rate must be in (0,1]";
   float_of_int c /. rate
 
-(** [interval ~rate ~z c] is a [(lo, hi)] confidence interval on the
-    true count: [c ± z·√c] scaled by [1/rate] (the binomial standard
+(** [interval ~rate c] is a [(lo, hi)] confidence interval on the
+    true count: [c ± z95·√c] scaled by [1/rate] (the binomial standard
     deviation is at most [√(c/rate)·…]; we use the conservative
     Poisson-style [√c] spread on the sample count itself).  [lo] is
     clamped at 0. *)
-let interval ?(z = z95) ~rate c =
+let interval ~rate c =
   if rate <= 0.0 || rate > 1.0 then invalid_arg "Estimator.interval: rate must be in (0,1]";
   let cf = float_of_int c in
-  let spread = z *. sqrt cf in
-  (Float.max 0.0 ((cf -. spread) /. rate), (cf +. spread +. (z *. z)) /. rate)
-
-let lower_bound ?z ~rate c = fst (interval ?z ~rate c)
-let upper_bound ?z ~rate c = snd (interval ?z ~rate c)
-
-(** Packet-rate estimate (pkts/s) over a report window. *)
-let rate_estimate ~rate ~window c =
-  if window <= 0.0 then 0.0 else scaled ~rate c /. window
+  let spread = z95 *. sqrt cf in
+  (Float.max 0.0 ((cf -. spread) /. rate), (cf +. spread +. (z95 *. z95)) /. rate)
 
 (** Lower confidence bound on the packet rate — what the [Sampled]
     detection policy compares against [elephant_pkt_rate]. *)
 let rate_lower ~rate ~window c =
-  if window <= 0.0 then 0.0 else lower_bound ~rate c /. window
+  if window <= 0.0 then 0.0 else fst (interval ~rate c) /. window

@@ -15,8 +15,8 @@
     double counting, and spreads monitoring duty across the pool in
     exactly the select groups' proportions — the {!Assignment} module
     tracks those shares and tells each sampler which tunnels are its
-    duty.  An unconfigured sampler ([Any_port]) samples everything it
-    is offered (standalone/test use).
+    duty.  A sampler samples everything it is offered ([Any_port])
+    until its first {!set_duty_uplinks}.
 
     Determinism: the coin stream is seeded from [(seed, dpid)], so two
     same-seed runs sample identical packet sets and produce identical
@@ -82,8 +82,6 @@ let set_duty_uplinks t tunnel_ids =
   let h = Hashtbl.create (Stdlib.max 4 (List.length tunnel_ids)) in
   List.iter (fun tid -> Hashtbl.replace h tid ()) tunnel_ids;
   t.duty <- Uplinks h
-
-let set_duty_any t = t.duty <- Any_port
 
 let on_duty t ~tunnel_id =
   match t.duty with

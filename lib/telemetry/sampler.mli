@@ -16,8 +16,9 @@ type report = {
 }
 
 (** [create ~seed ~dpid ~rate ()] — the coin stream is seeded from
-    [(seed, dpid)]; [topk] bounds the sketch (default 16).  Raises
-    unless [rate] is in (0,1]. *)
+    [(seed, dpid)]; [topk] bounds the sketch (default 16).  The new
+    sampler samples every packet offered until {!set_duty_uplinks}.
+    Raises unless [rate] is in (0,1]. *)
 val create : ?topk:int -> seed:int -> dpid:int -> rate:float -> unit -> t
 
 (** Pool membership: a sampler whose vswitch left the active pool is
@@ -30,9 +31,6 @@ val enabled : t -> bool
     the flows whose {e entry} hop this vswitch is, so every overlay
     packet is sampled exactly once pool-wide. *)
 val set_duty_uplinks : t -> int list -> unit
-
-(** Sample everything offered (standalone/test use; the default). *)
-val set_duty_any : t -> unit
 
 val on_duty : t -> tunnel_id:int option -> bool
 

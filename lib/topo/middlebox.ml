@@ -23,20 +23,14 @@ type t = {
   mutable processed : int;
   mutable state_violations : int;
   mutable encap_violations : int;
-  mutable blocked : Flow_key.t -> bool; (* firewall policy *)
 }
 
 let create engine () =
   { engine; latency = 50e-6; state = Flow_key.Hashtbl.create 256; out = None;
-    processed = 0; state_violations = 0; encap_violations = 0; blocked = (fun _ -> false) }
+    processed = 0; state_violations = 0; encap_violations = 0 }
 
 (** Set the link toward the downstream switch S_D. *)
 let connect_out t link = t.out <- Some link
-
-(** Install a blocking predicate (e.g. drop flows from an attacker
-    prefix) — how "the security tools will hopefully kick in and tame
-    the attacks" plugs in. *)
-let set_policy t blocked = t.blocked <- blocked
 
 (** [receive t pkt] processes one packet from S_U. *)
 let receive t pkt =
@@ -45,22 +39,19 @@ let receive t pkt =
   end
   else begin
     let key = Packet.flow_key pkt in
-    if t.blocked key then ()
+    let has_state = Flow_key.Hashtbl.mem t.state key in
+    if (not has_state) && pkt.Packet.meta.seq_in_flow > 0 then
+      (* mid-connection packet without establishment: reject *)
+      t.state_violations <- t.state_violations + 1
     else begin
-      let has_state = Flow_key.Hashtbl.mem t.state key in
-      if (not has_state) && pkt.Packet.meta.seq_in_flow > 0 then
-        (* mid-connection packet without establishment: reject *)
-        t.state_violations <- t.state_violations + 1
-      else begin
-        if not has_state then Flow_key.Hashtbl.replace t.state key ();
-        t.processed <- t.processed + 1;
-        match t.out with
-        | None -> ()
-        | Some link ->
-          ignore
-            (Scotch_sim.Engine.schedule t.engine ~delay:t.latency (fun () ->
-                 Scotch_sim.Link.send link pkt))
-      end
+      if not has_state then Flow_key.Hashtbl.replace t.state key ();
+      t.processed <- t.processed + 1;
+      match t.out with
+      | None -> ()
+      | Some link ->
+        ignore
+          (Scotch_sim.Engine.schedule t.engine ~delay:t.latency (fun () ->
+               Scotch_sim.Link.send link pkt))
     end
   end
 

@@ -19,10 +19,6 @@ val create :
 (** Set the link toward the downstream switch S_D. *)
 val connect_out : t -> Scotch_sim.Link.t -> unit
 
-(** Install a blocking predicate — how "the security tools will
-    hopefully kick in and tame the attacks" plugs in. *)
-val set_policy : t -> (Flow_key.t -> bool) -> unit
-
 (** Process one packet from S_U. *)
 val receive : t -> Packet.t -> unit
 

@@ -42,19 +42,6 @@ let bin_count t i = t.bins.(i)
 (** [bin_center t i] is the midpoint of bin [i]. *)
 let bin_center t i = t.lo +. ((float_of_int i +. 0.5) *. bin_width t)
 
-(** [cdf t] returns [(value, cumulative fraction)] pairs at the upper edge
-    of each bin, counting underflow in every entry. *)
-let cdf t =
-  let n = nbins t in
-  let out = Array.make n (0.0, 0.0) in
-  let acc = ref t.underflow in
-  let total = float_of_int (Stdlib.max t.count 1) in
-  for i = 0 to n - 1 do
-    acc := !acc + t.bins.(i);
-    out.(i) <- (t.lo +. (float_of_int (i + 1) *. bin_width t), float_of_int !acc /. total)
-  done;
-  out
-
 (** Approximate quantile by scanning the CDF (resolution = bin width);
     [None] when the histogram is empty. *)
 let quantile_opt t p =
@@ -74,9 +61,3 @@ let quantile_opt t p =
      with Exit -> ());
     Some !result
   end
-
-(** Raising wrapper around {!quantile_opt}. *)
-let quantile t p =
-  match quantile_opt t p with
-  | Some q -> q
-  | None -> invalid_arg "Histogram.quantile: empty"

@@ -27,12 +27,5 @@ val bin_count : t -> int -> int
 (** Midpoint of bin [i]. *)
 val bin_center : t -> int -> float
 
-(** [(upper_edge, cumulative_fraction)] per bin; monotone, ends at 1. *)
-val cdf : t -> (float * float) array
-
 (** Approximate quantile (resolution = bin width); [None] when empty. *)
 val quantile_opt : t -> float -> float option
-
-(** Raising wrapper around {!quantile_opt}; raises [Invalid_argument]
-    when the histogram is empty. *)
-val quantile : t -> float -> float

@@ -71,19 +71,3 @@ let bernoulli t p = float t 1.0 < p
 let choice t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
   arr.(int t (Array.length arr))
-
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-(** [geometric t p] counts Bernoulli(p) trials until first success
-    (support 1, 2, ...). *)
-let geometric t p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric";
-  if p = 1.0 then 1
-  else 1 + int_of_float (log (uniform_pos t) /. log (1.0 -. p))

@@ -14,9 +14,6 @@ val create : int -> t
     perturb the others. *)
 val split : t -> t
 
-(** 62 uniformly random non-negative bits. *)
-val bits : t -> int
-
 (** [int t n] is uniform on [0, n-1].  Raises [Invalid_argument] if
     [n <= 0]. *)
 val int : t -> int -> int
@@ -37,10 +34,3 @@ val bernoulli : t -> float -> bool
 
 (** [choice t arr] picks a uniform element; raises on empty arrays. *)
 val choice : t -> 'a array -> 'a
-
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit
-
-(** [geometric t p] counts Bernoulli(p) trials until the first success
-    (support 1, 2, ...). *)
-val geometric : t -> float -> int

@@ -30,18 +30,3 @@ let take t ~now =
     true
   end
   else false
-
-(** [take_n t ~now n] consumes [n] tokens atomically if available. *)
-let take_n t ~now n =
-  refill t ~now;
-  let n = float_of_int n in
-  if t.tokens >= n then begin
-    t.tokens <- t.tokens -. n;
-    true
-  end
-  else false
-
-(** [available t ~now] is the current token count after refill. *)
-let available t ~now =
-  refill t ~now;
-  t.tokens

@@ -12,9 +12,3 @@ val create : rate:float -> burst:float -> t
 (** [take t ~now] consumes one token if available; returns whether the
     event is admitted.  [now] must not move backwards. *)
 val take : t -> now:float -> bool
-
-(** [take_n t ~now n] consumes [n] tokens atomically if available. *)
-val take_n : t -> now:float -> int -> bool
-
-(** Current token count after refilling up to [now]. *)
-val available : t -> now:float -> float

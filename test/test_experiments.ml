@@ -136,7 +136,7 @@ let test_overload_shed_counts_provisioned () =
     Alcotest.(check int) "pin drop counted" (before + 1) (Overload.total_shed net)
 
 let test_fabric_wiring () =
-  let fb = Testbed.fabric ~num_racks:3 ~hosts_per_rack:2 ~num_spines:2 ~vswitches_per_rack:2 () in
+  let fb = Testbed.fabric ~num_racks:3 ~hosts_per_rack:2 () in
   Alcotest.(check int) "tors" 3 (Array.length fb.Testbed.f_tors);
   Alcotest.(check int) "spines" 2 (Array.length fb.Testbed.f_spines);
   Alcotest.(check int) "vswitches" 6 (Array.length fb.Testbed.f_vswitches);

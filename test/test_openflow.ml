@@ -286,7 +286,8 @@ let test_wire_malformed_fields () =
   in
   let flow_mod =
     Of_msg.Flow_mod
-      (Of_msg.Flow_mod.add ~match_:Of_match.wildcard ~instructions:Of_action.drop ())
+      (Of_msg.Flow_mod.add ~match_:Of_match.wildcard
+         ~instructions:[ Of_action.Apply_actions [ Of_action.Drop ] ] ())
   in
   let group_mod =
     Of_msg.Group_mod
@@ -297,7 +298,7 @@ let test_wire_malformed_fields () =
   let mpls_flow_mod =
     Of_msg.Flow_mod
       (Of_msg.Flow_mod.add ~match_:(Of_match.with_mpls_label 16 Of_match.wildcard)
-         ~instructions:Of_action.drop ())
+         ~instructions:[ Of_action.Apply_actions [ Of_action.Drop ] ] ())
   in
   (* a Group action then four Pop_mpls, recounted as one action: nine
      bytes, the length of the eight-byte MAC operand codes 6 and 7 once
@@ -359,7 +360,10 @@ let prop_match_wire_roundtrip =
   QCheck.Test.make ~name:"match wire round-trip" ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Of_match.pp) match_gen)
     (fun m ->
-      let fm = Of_msg.Flow_mod.add ~match_:m ~instructions:Of_action.drop () in
+      let fm =
+        Of_msg.Flow_mod.add ~match_:m
+          ~instructions:[ Of_action.Apply_actions [ Of_action.Drop ] ] ()
+      in
       match
         (Of_wire.decode (Of_wire.encode (Of_msg.make ~xid:0 (Of_msg.Flow_mod fm)))).Of_msg.payload
       with

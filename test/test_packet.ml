@@ -8,7 +8,7 @@ open Headers
 (* Mac *)
 
 let test_mac_roundtrip () =
-  let m = Mac.of_string "02:00:0a:0b:0c:0d" in
+  let m = Mac.of_int 0x02000a0b0c0d in
   Alcotest.(check string) "to_string" "02:00:0a:0b:0c:0d" (Mac.to_string m);
   Alcotest.(check bool) "equal" true (Mac.equal m (Mac.of_int (Mac.to_int m)))
 
@@ -22,21 +22,13 @@ let test_mac_of_host_id () =
   let first_octet = Mac.to_int a lsr 40 in
   Alcotest.(check int) "locally administered" 0x02 (first_octet land 0x03)
 
-let test_mac_bad_string () =
-  Alcotest.(check bool) "bad parse raises" true
-    (try
-       ignore (Mac.of_string "nonsense");
-       false
-     with _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Ipv4_addr *)
 
 let test_ip_roundtrip () =
-  let a = Ipv4_addr.of_string "10.1.2.3" in
+  let a = Ipv4_addr.make 10 1 2 3 in
   Alcotest.(check string) "to_string" "10.1.2.3" (Ipv4_addr.to_string a);
-  Alcotest.(check int) "make" (Ipv4_addr.to_int a)
-    (Ipv4_addr.to_int (Ipv4_addr.make 10 1 2 3))
+  Alcotest.(check int) "make" 0x0A010203 (Ipv4_addr.to_int a)
 
 let test_ip_prefix_mask () =
   Alcotest.(check int) "/0" 0 (Ipv4_addr.prefix_mask 0);
@@ -81,8 +73,8 @@ let test_flow_key_hash_nonnegative () =
   for _ = 1 to 1000 do
     let k =
       Flow_key.make
-        ~ip_src:(Ipv4_addr.of_int (Scotch_util.Rng.bits rng))
-        ~ip_dst:(Ipv4_addr.of_int (Scotch_util.Rng.bits rng))
+        ~ip_src:(Ipv4_addr.of_int (Scotch_util.Rng.int rng max_int))
+        ~ip_dst:(Ipv4_addr.of_int (Scotch_util.Rng.int rng max_int))
         ~proto:(Scotch_util.Rng.int rng 256)
         ~l4_src:(Scotch_util.Rng.int rng 65536)
         ~l4_dst:(Scotch_util.Rng.int rng 65536)
@@ -249,8 +241,7 @@ let () =
     [ ( "mac",
         [ Alcotest.test_case "roundtrip" `Quick test_mac_roundtrip;
           Alcotest.test_case "broadcast" `Quick test_mac_broadcast;
-          Alcotest.test_case "of_host_id" `Quick test_mac_of_host_id;
-          Alcotest.test_case "bad string" `Quick test_mac_bad_string ] );
+          Alcotest.test_case "of_host_id" `Quick test_mac_of_host_id ] );
       ( "ipv4_addr",
         [ Alcotest.test_case "roundtrip" `Quick test_ip_roundtrip;
           Alcotest.test_case "prefix mask" `Quick test_ip_prefix_mask;

@@ -17,19 +17,20 @@ module Backoff = Scotch_reliable.Backoff
 (* ------------------------------------------------------------------ *)
 (* Backoff: delays are a pure function of (seed, salt, attempt) *)
 
+(* The first [n] delays of the retry sequence [salt], in order. *)
+let delays b ~salt n = List.init n (fun i -> Backoff.delay b ~salt ~attempt:(i + 1) ())
+
 let test_backoff_deterministic () =
   let b1 = Backoff.create ~seed:7 () and b2 = Backoff.create ~seed:7 () in
   Alcotest.(check (list (float 1e-12))) "same seed, same schedule"
-    (Backoff.schedule b1 ~salt:3 ~attempts:6 ())
-    (Backoff.schedule b2 ~salt:3 ~attempts:6 ());
+    (delays b1 ~salt:3 6) (delays b2 ~salt:3 6);
   Alcotest.(check (float 1e-12)) "pure in attempt: re-asking is stable"
     (Backoff.delay b1 ~salt:3 ~attempt:2 ())
     (Backoff.delay b1 ~salt:3 ~attempt:2 ());
   Alcotest.(check bool) "salts decorrelate retry sequences" true
-    (Backoff.schedule b1 ~salt:1 ~attempts:6 () <> Backoff.schedule b1 ~salt:2 ~attempts:6 ());
+    (delays b1 ~salt:1 6 <> delays b1 ~salt:2 6);
   Alcotest.(check bool) "seeds decorrelate deployments" true
-    (Backoff.schedule b1 ~attempts:6 ()
-    <> Backoff.schedule (Backoff.create ~seed:8 ()) ~attempts:6 ())
+    (delays b1 ~salt:0 6 <> delays (Backoff.create ~seed:8 ()) ~salt:0 6)
 
 let test_backoff_envelope () =
   let open Backoff in
@@ -41,7 +42,7 @@ let test_backoff_envelope () =
         (Printf.sprintf "attempt %d within +/-25%% of %.3f s" (i + 1) nominal)
         true
         (d >= ((1.0 -. jitter) *. nominal) -. 1e-9 && d <= ((1.0 +. jitter) *. nominal) +. 1e-9))
-    (Backoff.schedule b ~attempts:8 ())
+    (delays b ~salt:0 8)
 
 (* ------------------------------------------------------------------ *)
 (* Controller xid expiry: a lost reply no longer strands the pending
@@ -201,8 +202,8 @@ let test_every_divergence_kind () =
     (Flow_table.delete table ~priority:20 ~match_:durable ());
   let direct ~cookie i =
     Result.get_ok
-      (Switch.install_direct vsw ~table_id:0 ~priority:10 ~match_:(match_of i)
-         ~instructions:out ~cookie ())
+      (Flow_table.insert table ~now:(Scotch_sim.Engine.now e) ~priority:10 ~match_:(match_of i)
+         ~instructions:out ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie)
   in
   direct ~cookie:owned_cookie 3;
   direct ~cookie:foreign_cookie 4;

@@ -374,10 +374,6 @@ let test_link_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_link_units () =
-  Alcotest.(check (float 1.0)) "gbps" 1e9 (Link.gbps 1.0);
-  Alcotest.(check (float 1.0)) "mbps" 45.6e6 (Link.mbps 45.6)
-
 let () =
   Alcotest.run "scotch_sim"
     [ ( "engine",
@@ -401,5 +397,4 @@ let () =
         [ Alcotest.test_case "delivery time" `Quick test_link_delivery_time;
           Alcotest.test_case "serialization" `Quick test_link_serialization;
           Alcotest.test_case "queue overflow" `Quick test_link_queue_overflow;
-          Alcotest.test_case "validation" `Quick test_link_validation;
-          Alcotest.test_case "unit helpers" `Quick test_link_units ] ) ]
+          Alcotest.test_case "validation" `Quick test_link_validation ] ) ]

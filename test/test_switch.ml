@@ -147,25 +147,6 @@ let test_ft_delete () =
   Alcotest.(check int) "delete remaining" 1 (Flow_table.delete table ~match_:m ());
   Alcotest.(check int) "empty" 0 (Flow_table.size table ~now:0.0)
 
-let test_ft_delete_by_cookie () =
-  let table = Flow_table.create ~table_id:0 () in
-  (match
-     Flow_table.insert table ~now:0.0 ~priority:5
-       ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet ~src_port:1 ())))
-       ~instructions:(out_port 1) ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0xAAL
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "insert");
-  (match
-     Flow_table.insert table ~now:0.0 ~priority:5
-       ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet ~src_port:2 ())))
-       ~instructions:(out_port 1) ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0xBBL
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "insert");
-  Alcotest.(check int) "one removed" 1 (Flow_table.delete_by_cookie table 0xAAL);
-  Alcotest.(check int) "one left" 1 (Flow_table.size table ~now:0.0)
-
 let test_ft_stats () =
   let table = Flow_table.create ~table_id:3 () in
   let m = Of_match.exact_flow (Packet.flow_key (mk_packet ())) in
@@ -217,7 +198,6 @@ let test_ft_masked_bits_irrelevant () =
 type ft_op =
   | Ins of { prio : int; m : int; cookie : int; hard : float }
   | Del of { prio : int option; m : int }
-  | Del_cookie of int
   | Advance (* one second passes *)
   | Sweep
 
@@ -225,7 +205,6 @@ let ft_pp_op = function
   | Ins { prio; m; cookie; hard } -> Printf.sprintf "ins p%d m%d c%d h%g" prio m cookie hard
   | Del { prio; m } ->
     Printf.sprintf "del %s m%d" (Option.fold ~none:"*" ~some:string_of_int prio) m
-  | Del_cookie c -> Printf.sprintf "del_cookie %d" c
   | Advance -> "advance"
   | Sweep -> "sweep"
 
@@ -304,7 +283,6 @@ let prop_ft_reference =
             map
               (fun (prio, m) -> Del { prio; m })
               (pair (opt (int_bound 2)) (int_bound (Array.length ft_matches - 1))) );
-          (1, map (fun c -> Del_cookie c) (int_bound 1));
           (1, return Advance);
           (1, return Sweep) ])
   in
@@ -393,9 +371,6 @@ let prop_ft_reference =
             removing (fun r -> r.mmatch = mm && Option.fold ~none:true ~some:(( = ) r.mprio) prio)
           in
           Flow_table.delete table ?priority:prio ~match_:ft_matches.(m) () = want
-        | Del_cookie c ->
-          let want = removing (fun r -> r.mcookie = c) in
-          Flow_table.delete_by_cookie table (Int64.of_int c) = want
         | Advance ->
           now := !now +. 1.0;
           true
@@ -1535,7 +1510,6 @@ let () =
           Alcotest.test_case "capacity limit" `Quick test_ft_capacity;
           Alcotest.test_case "capacity after expiry" `Quick test_ft_capacity_after_expiry;
           Alcotest.test_case "delete" `Quick test_ft_delete;
-          Alcotest.test_case "delete by cookie" `Quick test_ft_delete_by_cookie;
           Alcotest.test_case "stats" `Quick test_ft_stats;
           Alcotest.test_case "peek leaves counters" `Quick test_ft_peek_no_counters;
           Alcotest.test_case "masked-out bits are irrelevant" `Quick

@@ -112,15 +112,6 @@ let test_middlebox_rejects_encapsulated () =
   Alcotest.(check int) "encap violation" 1 (Middlebox.encap_violations mb);
   Alcotest.(check int) "not processed" 0 (Middlebox.processed mb)
 
-let test_middlebox_policy_block () =
-  let e = Scotch_sim.Engine.create () in
-  let a = Host.create e ~id:1 ~name:"a" in
-  let b = Host.create e ~id:2 ~name:"b" in
-  let mb = Middlebox.create e () in
-  Middlebox.set_policy mb (fun key -> key.Flow_key.l4_dst = 80);
-  Middlebox.receive mb (mk_packet ~src:a ~dst:b ());
-  Alcotest.(check int) "blocked" 0 (Middlebox.processed mb)
-
 (* ------------------------------------------------------------------ *)
 (* Topology graph *)
 
@@ -251,8 +242,7 @@ let () =
           Alcotest.test_case "memory per flow" `Quick test_host_memory_per_flow ] );
       ( "middlebox",
         [ Alcotest.test_case "stateful" `Quick test_middlebox_stateful;
-          Alcotest.test_case "rejects encapsulated" `Quick test_middlebox_rejects_encapsulated;
-          Alcotest.test_case "policy block" `Quick test_middlebox_policy_block ] );
+          Alcotest.test_case "rejects encapsulated" `Quick test_middlebox_rejects_encapsulated ] );
       ( "topology",
         [ Alcotest.test_case "shortest path on line" `Quick test_shortest_path_line;
           Alcotest.test_case "route to host" `Quick test_route_to_host;

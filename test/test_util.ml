@@ -12,14 +12,14 @@ let check_float ?(eps = 1e-9) msg expected actual =
 let test_rng_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
-    Alcotest.(check int) "same stream" (Rng.bits a) (Rng.bits b)
+    Alcotest.(check int) "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_seed_sensitivity () =
   let a = Rng.create 7 and b = Rng.create 8 in
   let differs = ref false in
   for _ = 1 to 10 do
-    if Rng.bits a <> Rng.bits b then differs := true
+    if Rng.int a max_int <> Rng.int b max_int then differs := true
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
 
@@ -29,7 +29,7 @@ let test_rng_split_independent () =
   let child2 = Rng.split parent in
   let differs = ref false in
   for _ = 1 to 10 do
-    if Rng.bits child1 <> Rng.bits child2 then differs := true
+    if Rng.int child1 max_int <> Rng.int child2 max_int then differs := true
   done;
   Alcotest.(check bool) "split streams differ" true !differs
 
@@ -87,25 +87,6 @@ let test_rng_bernoulli () =
   let frac = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "p ~ 0.3" true (abs_float (frac -. 0.3) < 0.02)
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 9 in
-  let arr = Array.init 50 Fun.id in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
-
-let test_rng_geometric () =
-  let rng = Rng.create 10 in
-  let n = 20_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Rng.geometric rng 0.25
-  done;
-  let mean = float_of_int !sum /. float_of_int n in
-  Alcotest.(check bool) "mean ~ 4" true (abs_float (mean -. 4.0) < 0.15);
-  Alcotest.(check int) "p=1 gives 1" 1 (Rng.geometric rng 1.0)
-
 let test_rng_choice () =
   let rng = Rng.create 11 in
   let arr = [| 10; 20; 30 |] in
@@ -155,20 +136,6 @@ let test_histogram_counts () =
   Alcotest.(check int) "count includes overflow" 7 (Histogram.count h);
   check_float ~eps:1e-9 "bin center" 0.5 (Histogram.bin_center h 0)
 
-let test_histogram_cdf_monotone () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:20 in
-  let rng = Rng.create 12 in
-  for _ = 1 to 1000 do
-    Histogram.add h (Rng.float rng 1.0)
-  done;
-  let cdf = Histogram.cdf h in
-  let ok = ref true in
-  for i = 1 to Array.length cdf - 1 do
-    if snd cdf.(i) < snd cdf.(i - 1) then ok := false
-  done;
-  Alcotest.(check bool) "cdf monotone" true !ok;
-  check_float ~eps:1e-9 "cdf reaches 1" 1.0 (snd cdf.(Array.length cdf - 1))
-
 let test_histogram_quantile () =
   let h = Histogram.create ~lo:0.0 ~hi:100.0 ~bins:100 in
   for i = 0 to 99 do
@@ -191,14 +158,12 @@ let test_token_bucket_rate () =
   Alcotest.(check int) "burst limited" 10 !taken;
   (* after one second, 100 more tokens, capped at burst *)
   Alcotest.(check bool) "refilled" true (Token_bucket.take tb ~now:1.0);
-  Alcotest.(check bool) "available capped at burst" true
-    (Token_bucket.available tb ~now:10.0 <= 10.0)
-
-let test_token_bucket_take_n () =
-  let tb = Token_bucket.create ~rate:10.0 ~burst:5.0 in
-  Alcotest.(check bool) "take 5" true (Token_bucket.take_n tb ~now:0.0 5);
-  Alcotest.(check bool) "empty" false (Token_bucket.take_n tb ~now:0.0 1);
-  Alcotest.(check bool) "refill partial" true (Token_bucket.take_n tb ~now:0.3 3)
+  (* nine idle seconds refill 900 tokens, but the bucket holds 10 *)
+  let later = ref 0 in
+  for _ = 1 to 20 do
+    if Token_bucket.take tb ~now:10.0 then incr later
+  done;
+  Alcotest.(check int) "refill capped at burst" 10 !later
 
 let test_token_bucket_sustained_rate () =
   let tb = Token_bucket.create ~rate:50.0 ~burst:1.0 in
@@ -305,8 +270,6 @@ let () =
           Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
           Alcotest.test_case "pareto heavy tail" `Quick test_rng_pareto_heavy_tail;
           Alcotest.test_case "bernoulli frequency" `Quick test_rng_bernoulli;
-          Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "geometric mean" `Quick test_rng_geometric;
           Alcotest.test_case "choice membership" `Quick test_rng_choice ] );
       ( "stats",
         [ Alcotest.test_case "samples percentile" `Quick test_samples_percentile;
@@ -314,11 +277,9 @@ let () =
           Alcotest.test_case "rate meter window" `Quick test_rate_meter ] );
       ( "histogram",
         [ Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "cdf monotone" `Quick test_histogram_cdf_monotone;
           Alcotest.test_case "quantile" `Quick test_histogram_quantile ] );
       ( "token_bucket",
         [ Alcotest.test_case "burst and refill" `Quick test_token_bucket_rate;
-          Alcotest.test_case "take_n" `Quick test_token_bucket_take_n;
           Alcotest.test_case "sustained rate" `Quick test_token_bucket_sustained_rate ] );
       ( "admission",
         [ Alcotest.test_case "budget" `Quick test_admission_budget;

@@ -115,11 +115,6 @@ let test_completion_fraction () =
 (* ------------------------------------------------------------------ *)
 (* Sizes *)
 
-let test_sizes_probe () =
-  let spec = Sizes.probe (Rng.create 1) in
-  Alcotest.(check int) "one packet" 1 spec.Flow_gen.packets;
-  Alcotest.(check int) "no payload" 0 spec.Flow_gen.payload
-
 let test_sizes_pareto () =
   let sample = Sizes.pareto ~alpha:1.2 ~min_packets:2 ~max_packets:100 ~pkt_rate:100.0 () in
   let rng = Rng.create 11 in
@@ -135,7 +130,7 @@ let test_sizes_pareto () =
 let params =
   { Tracegen.duration = 50.0; base_rate = 20.0; flash_start = 20.0; flash_end = 30.0;
     flash_multiplier = 10.0; hotspot_fraction = 0.8; num_sources = 3; num_destinations = 2;
-    size_of = Sizes.probe }
+    size_of = (fun _ -> Flow_gen.syn_spec) }
 
 let test_trace_sorted_and_bounded () =
   let trace = Tracegen.generate (Rng.create 13) params in
@@ -220,8 +215,7 @@ let () =
           Alcotest.test_case "failure fraction" `Quick test_failure_fraction;
           Alcotest.test_case "completion fraction" `Quick test_completion_fraction ] );
       ( "sizes",
-        [ Alcotest.test_case "probe" `Quick test_sizes_probe;
-          Alcotest.test_case "pareto bounds" `Quick test_sizes_pareto ] );
+        [ Alcotest.test_case "pareto bounds" `Quick test_sizes_pareto ] );
       ( "tracegen",
         [ Alcotest.test_case "sorted and bounded" `Quick test_trace_sorted_and_bounded;
           Alcotest.test_case "flash ratio" `Quick test_trace_flash_ratio;
