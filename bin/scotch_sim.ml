@@ -281,24 +281,15 @@ let obs_cmd =
 
 let verify_net_cmd =
   let doc =
-    "Statically verify the dataplane of every experiment topology at steady state: no \
-     forwarding loops, no blackholes, no shadowed rules, sane groups, full table-miss \
-     coverage and overlay symmetry.  With --watch, verification instead runs continuously \
-     while the scenario's workload executes — the incremental verifier re-checks every \
-     rule/group/liveness delta at the install chokepoint and audits itself against full \
-     rescans.  Exit codes: 0 clean, 1 violations (or audit mismatches), 2 usage."
+    "Verify the dataplane of every experiment topology continuously while the scenario's \
+     workload runs: the incremental verifier re-checks every rule/group/liveness delta at the \
+     install chokepoint for forwarding loops, blackholes, shadowed rules, group sanity, \
+     table-miss coverage, overlay symmetry and intent divergence, and audits itself against \
+     full rescans.  Exit codes: 0 clean, 1 violations (or audit mismatches), 2 usage."
   in
   let scenario_arg =
     let doc = "Only lint the named scenario(s); repeatable.  Default: all." in
     Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"NAME" ~doc)
-  in
-  let watch_arg =
-    let doc =
-      "Continuous mode: run each scenario under Config.Continuous, re-verifying on every \
-       dataplane delta, and report per-update latency, classes touched and the full-rescan \
-       audit count alongside any violations (with first-seen virtual timestamps)."
-    in
-    Arg.(value & flag & info [ "watch" ] ~doc)
   in
   let print_diag d =
     let d_ts =
@@ -308,35 +299,13 @@ let verify_net_cmd =
     in
     Printf.printf "  %s%s\n" (Scotch_verify.Diagnostic.to_string d) d_ts
   in
-  let usage_error msg =
-    Printf.eprintf "verify-net: %s (known: %s)\n" msg (String.concat ", " Lint.names);
-    exit 2
-  in
-  let run_snapshot ~seed ~only =
+  let run seed scenario_names =
+    let only = match scenario_names with [] -> None | ns -> Some ns in
     let results =
-      try Lint.run_all ~seed ?only () with Invalid_argument msg -> usage_error msg
-    in
-    let total =
-      List.fold_left
-        (fun acc (name, diags) ->
-          (match diags with
-          | [] -> Printf.printf "%-22s clean\n" name
-          | ds ->
-            Printf.printf "%-22s %d diagnostic(s)\n" name (List.length ds);
-            List.iter print_diag ds);
-          acc + List.length diags)
-        0 results
-    in
-    if total > 0 then begin
-      Printf.printf "verify-net: %d diagnostic(s) across %d scenario(s)\n" total
-        (List.length results);
-      exit 1
-    end
-    else Printf.printf "verify-net: all %d scenario(s) clean\n" (List.length results)
-  in
-  let run_watch ~seed ~only =
-    let results =
-      try Lint.watch_all ~seed ?only () with Invalid_argument msg -> usage_error msg
+      try Lint.watch_all ~seed ?only ()
+      with Invalid_argument msg ->
+        Printf.eprintf "verify-net: %s (known: %s)\n" msg (String.concat ", " Lint.names);
+        exit 2
     in
     let bad =
       List.fold_left
@@ -356,18 +325,13 @@ let verify_net_cmd =
         0 results
     in
     if bad > 0 then begin
-      Printf.printf "verify-net --watch: %d problem(s) across %d scenario(s)\n" bad
+      Printf.printf "verify-net: %d problem(s) across %d scenario(s)\n" bad
         (List.length results);
       exit 1
     end
-    else
-      Printf.printf "verify-net --watch: all %d scenario(s) clean\n" (List.length results)
+    else Printf.printf "verify-net: all %d scenario(s) clean\n" (List.length results)
   in
-  let run seed scenario_names watch =
-    let only = match scenario_names with [] -> None | ns -> Some ns in
-    if watch then run_watch ~seed ~only else run_snapshot ~seed ~only
-  in
-  Cmd.v (Cmd.info "verify-net" ~doc) Term.(const run $ seed_arg $ scenario_arg $ watch_arg)
+  Cmd.v (Cmd.info "verify-net" ~doc) Term.(const run $ seed_arg $ scenario_arg)
 
 (* model-check gets its own command (not a bare spec) for the
    tolerance gate: it exits 1 when model and simulation disagree, so it

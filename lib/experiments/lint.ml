@@ -1,10 +1,11 @@
 (** Lint scenarios for [scotch-sim verify-net]: build each experiment
-    topology, drive it to a steady state, then run the dataplane
-    invariant checker — either on a frozen snapshot (the default) or
-    continuously on every rule delta ([--watch], the incremental
-    verifier).  Every scenario is seeded and short (a few simulated
-    seconds), so the whole suite is deterministic and fast enough for
-    the [@lint] alias.
+    topology under continuous verification and drive it to a steady
+    state, so the incremental verifier re-checks every rule delta as the
+    workload runs and its run-end check audits the maintained
+    diagnostic set against a full rescan of a fresh snapshot.  Every
+    scenario is seeded and short (a few simulated seconds), so the
+    whole suite is deterministic and fast enough for the [@lint]
+    alias.
 
     A clean tree must produce zero diagnostics on every scenario — the
     checker's false-positive budget on real topologies is zero. *)
@@ -12,32 +13,19 @@
 module V = Scotch_verify
 module Config = Scotch_core.Config
 
-(* Each scenario builds its network under a caller-chosen config (the
-   snapshot path keeps the default; the watch path flips
-   [Config.verify] to [Continuous] so the testbed installs the
-   incremental taps), runs the workload, and exposes both a frozen
-   snapshot check and the installed hooks. *)
-type built = {
-  b_run : until:float -> unit;
-  b_check : unit -> V.Diagnostic.t list; (* frozen-snapshot lint *)
-  b_hooks : unit -> V.Hooks.t option;    (* testbed-installed hooks *)
-  b_until : float;                       (* steady-state horizon *)
-}
-
+(* Each scenario builds its network under [config], so the testbed
+   installs the incremental taps, runs it to its steady-state horizon
+   and returns the installed hooks. *)
 type scenario = {
   name : string;
-  build : ?config:Config.t -> seed:int -> unit -> built;
+  run : seed:int -> V.Hooks.t option;
 }
 
-let check_net (net : Testbed.scotch_net) =
-  let now = Scotch_sim.Engine.now net.Testbed.engine in
-  V.check (V.Snapshot.capture ~scotch:net.Testbed.app ~now net.Testbed.topo)
+let config = { Config.default with Config.verify = Config.Continuous }
 
-let built_of_net ?(until = 4.0) (net : Testbed.scotch_net) =
-  { b_run = (fun ~until -> Testbed.run_until net ~until);
-    b_check = (fun () -> check_net net);
-    b_hooks = (fun () -> net.Testbed.verify);
-    b_until = until }
+let run_net ~until (net : Testbed.scotch_net) =
+  Testbed.run_until net ~until;
+  net.Testbed.verify
 
 (* Rates chosen against Config.default.activate_pin_rate (100/s): the
    attacker alone pushes the edge switch past activation, so the
@@ -48,33 +36,28 @@ let steady_state = 4.0
 let attack_rate = 300.0
 let client_rate = 20.0
 
-let scotch_net_idle ?config ~seed () =
-  built_of_net ~until:1.0 (Testbed.scotch_net ?config ~seed ())
+let scotch_net_idle ~seed = run_net ~until:1.0 (Testbed.scotch_net ~config ~seed ())
 
-let active_net ?config ~seed ?(num_backups = 0) () =
-  let net =
-    Testbed.scotch_net ?config ~seed ~num_vswitches:4 ~num_backups ~num_clients:2 ()
-  in
+let active_net ~seed ?(num_backups = 0) () =
+  let net = Testbed.scotch_net ~config ~seed ~num_vswitches:4 ~num_backups ~num_clients:2 () in
   Scotch_workload.Source.start (Testbed.attack_source net ~rate:attack_rate ());
   Scotch_workload.Source.start (Testbed.client_source net ~i:0 ~rate:client_rate ());
   Scotch_workload.Source.start (Testbed.client_source net ~i:1 ~rate:client_rate ());
   net
 
-let scotch_net_active ?config ~seed () =
-  built_of_net ~until:steady_state (active_net ?config ~seed ())
+let scotch_net_active ~seed = run_net ~until:steady_state (active_net ~seed ())
 
-let scotch_net_backups ?config ~seed () =
-  built_of_net ~until:steady_state (active_net ?config ~seed ~num_backups:2 ())
+let scotch_net_backups ~seed = run_net ~until:steady_state (active_net ~seed ~num_backups:2 ())
 
-let scotch_net_firewall ?config ~seed () =
-  let net = active_net ?config ~seed () in
+let scotch_net_firewall ~seed =
+  let net = active_net ~seed () in
   (* every flow crosses the firewall segment: both the shared green
      rules and per-flow red rules are on the books when we lint *)
   ignore (Testbed.add_firewall_segment net ~classify:(fun _ -> true));
-  built_of_net ~until:steady_state net
+  run_net ~until:steady_state net
 
-let fabric ?config ~seed () =
-  let fb = Testbed.fabric ?config ~seed ~num_racks:3 ~hosts_per_rack:2 () in
+let fabric ~seed =
+  let fb = Testbed.fabric ~config ~seed ~num_racks:3 ~hosts_per_rack:2 () in
   let host ~rack ~slot = fb.Testbed.f_hosts.(rack).(slot) in
   Scotch_workload.Source.start
     (Testbed.fabric_attack fb ~src:(host ~rack:0 ~slot:0) ~dst:(host ~rack:2 ~slot:1)
@@ -82,25 +65,20 @@ let fabric ?config ~seed () =
   Scotch_workload.Source.start
     (Testbed.fabric_client fb ~src:(host ~rack:1 ~slot:0) ~dst:(host ~rack:2 ~slot:0)
        ~rate:client_rate);
-  { b_run = (fun ~until -> Scotch_sim.Engine.run ~until fb.Testbed.f_engine);
-    b_check =
-      (fun () ->
-        let now = Scotch_sim.Engine.now fb.Testbed.f_engine in
-        V.check (V.Snapshot.capture ~scotch:fb.Testbed.f_app ~now fb.Testbed.f_topo));
-    b_hooks = (fun () -> fb.Testbed.f_verify);
-    b_until = steady_state }
+  Scotch_sim.Engine.run ~until:steady_state fb.Testbed.f_engine;
+  fb.Testbed.f_verify
 
 let scenarios =
   [ (* evaluation network at rest: miss rules only, overlay dormant *)
-    { name = "scotch-net-idle"; build = scotch_net_idle };
+    { name = "scotch-net-idle"; run = scotch_net_idle };
     (* flash crowd past activation: redirects, select group, live vflows *)
-    { name = "scotch-net-active"; build = scotch_net_active };
+    { name = "scotch-net-active"; run = scotch_net_active };
     (* activated overlay with standby backup vswitches registered *)
-    { name = "scotch-net-backups"; build = scotch_net_backups };
+    { name = "scotch-net-backups"; run = scotch_net_backups };
     (* middlebox policy segment: green/red rules share the tables (S5.4) *)
-    { name = "scotch-net-firewall"; build = scotch_net_firewall };
+    { name = "scotch-net-firewall"; run = scotch_net_firewall };
     (* leaf-spine fabric, cross-rack crowd over rack-local vswitches *)
-    { name = "fabric"; build = fabric } ]
+    { name = "fabric"; run = fabric } ]
 
 let names = List.map (fun s -> s.name) scenarios
 
@@ -117,18 +95,8 @@ let select only =
         | None -> invalid_arg (Printf.sprintf "unknown lint scenario %S" n))
       names
 
-(** Run every scenario (or just [only]); returns per-scenario
-    diagnostics, in declaration order. *)
-let run_all ?(seed = 42) ?only () =
-  List.map
-    (fun s ->
-      let b = s.build ~seed () in
-      b.b_run ~until:b.b_until;
-      (s.name, b.b_check ()))
-    (select only)
-
 (* ------------------------------------------------------------------ *)
-(* Watch (continuous) mode *)
+(* Continuous verification *)
 
 type watch_report = {
   w_diagnostics : V.Diagnostic.t list;
@@ -141,20 +109,17 @@ type watch_report = {
   w_p99_us : float;
 }
 
-(** Run a scenario under [Config.Continuous]: the testbed installs the
-    incremental verifier, every rule/group/liveness delta is re-checked
-    as the workload runs, and the run-end phase check audits the
-    maintained diagnostic set against a full rescan.  Returns the final
-    diagnostics (with first-violation timestamps) plus the verifier's
+(** Run a scenario: the testbed installs the incremental verifier,
+    every rule/group/liveness delta is re-checked as the workload runs,
+    and the run-end phase check audits the maintained diagnostic set
+    against a full rescan.  Returns the final diagnostics (with
+    first-violation timestamps) plus the verifier's
     update/class/audit counters and per-update latency percentiles. *)
 let watch_all ?(seed = 42) ?only () =
   List.map
     (fun s ->
-      let config = { Config.default with Config.verify = Config.Continuous } in
-      let b = s.build ~config ~seed () in
-      b.b_run ~until:b.b_until;
       let incr =
-        match Option.bind (b.b_hooks ()) V.Hooks.incremental with
+        match Option.bind (s.run ~seed) V.Hooks.incremental with
         | Some incr -> incr
         | None ->
           (* every lint topology routes through the testbed, which

@@ -1,29 +1,11 @@
 (** Lint scenarios for [scotch-sim verify-net]: each builds an
-    experiment topology, drives it to a seeded steady state and runs
-    the {!Scotch_verify} invariant checker — on a frozen snapshot
-    ({!run_all}) or continuously on every rule delta ({!watch_all}).
-    A clean tree yields zero diagnostics on every scenario. *)
-
-(** The scenario's network under a caller-chosen config, ready to run. *)
-type built = {
-  b_run : until:float -> unit;
-  b_check : unit -> Scotch_verify.Diagnostic.t list; (** frozen-snapshot lint *)
-  b_hooks : unit -> Scotch_verify.Hooks.t option;    (** testbed-installed hooks *)
-  b_until : float;                                   (** steady-state horizon *)
-}
-
-type scenario = {
-  name : string;
-  build : ?config:Scotch_core.Config.t -> seed:int -> unit -> built;
-}
+    experiment topology and drives it to a seeded steady state under
+    continuous verification ({!watch_all}): the {!Scotch_verify}
+    incremental checker re-checks every rule delta and audits itself
+    against full rescans.  A clean tree yields zero diagnostics and zero
+    audit mismatches on every scenario. *)
 
 val names : string list
-
-(** [run_all ?seed ?only ()] runs every scenario ([only] restricts to
-    the named ones; unknown names raise [Invalid_argument]) and returns
-    [(name, diagnostics)] pairs in declaration order. *)
-val run_all :
-  ?seed:int -> ?only:string list -> unit -> (string * Scotch_verify.Diagnostic.t list) list
 
 (** Continuous-mode lint result: the incremental verifier's final
     diagnostic set (with first-violation virtual timestamps) and its

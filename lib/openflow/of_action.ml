@@ -2,8 +2,8 @@
 
     The actions Scotch emits: output to physical/tunnel/controller
     ports, group indirection for load balancing, MPLS push/pop with
-    label set (the inner ingress-port label of §5.2), explicit drop, and
-    goto-table for the two-table miss pipeline. *)
+    label set (the inner ingress-port label of §5.2), and goto-table
+    for the two-table miss pipeline.  An empty action list drops. *)
 
 open Of_types
 
@@ -12,7 +12,6 @@ type t =
   | Group of group_id
   | Push_mpls of int            (* push label (combines PUSH_MPLS + SET_FIELD) *)
   | Pop_mpls
-  | Drop                        (* explicit drop (empty action set) *)
 
 (** Instructions attached to a flow entry.  [Apply_actions] executes
     immediately; [Goto_table] continues matching in a later table

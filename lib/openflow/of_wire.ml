@@ -129,7 +129,6 @@ let act_output = 0
 let act_group = 1
 let act_push_mpls = 2
 let act_pop_mpls = 3
-let act_drop = 9
 
 let encode_action b (a : Of_action.t) =
   match a with
@@ -137,7 +136,6 @@ let encode_action b (a : Of_action.t) =
   | Group g -> W.u8 b act_group; W.u32 b g
   | Push_mpls l -> W.u8 b act_push_mpls; W.u32 b l
   | Pop_mpls -> W.u8 b act_pop_mpls
-  | Drop -> W.u8 b act_drop
 
 let decode_action r : Of_action.t =
   match R.u8 r with
@@ -145,7 +143,6 @@ let decode_action r : Of_action.t =
   | x when x = act_group -> Group (R.u32 r)
   | x when x = act_push_mpls -> Push_mpls (R.u32 r)
   | x when x = act_pop_mpls -> Pop_mpls
-  | x when x = act_drop -> Drop
   | x -> fail "unknown action %d" x
 
 let encode_actions b acts =
@@ -417,7 +414,7 @@ let match_size (m : Of_match.t) =
 
 let action_size : Of_action.t -> int = function
   | Output _ | Group _ | Push_mpls _ -> 5
-  | Pop_mpls | Drop -> 1
+  | Pop_mpls -> 1
 
 let actions_size acts = List.fold_left (fun n a -> n + action_size a) 2 acts
 

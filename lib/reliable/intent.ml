@@ -29,10 +29,6 @@ type t = {
 
 let create () = { tables = []; groups = [] }
 
-let copy t =
-  { tables = List.map (fun (id, c) -> (id, Classifier.of_list (Classifier.to_list c))) t.tables;
-    groups = t.groups }
-
 let held t table_id = List.assoc_opt table_id t.tables
 
 (* Table [table_id]'s classifier, made in table-id order if new. *)
@@ -78,12 +74,15 @@ let find_rule t ~table_id ~priority ~match_ =
 let forget_rule t ((table_id, r) : rule) =
   Option.iter (fun c -> Classifier.remove c r) (held t table_id)
 
-let rules t =
+let fold_rules keep t =
   List.fold_right
-    (fun (table_id, c) acc -> Classifier.fold (fun r acc -> (table_id, r) :: acc) c acc)
+    (fun (table_id, c) acc ->
+      Classifier.fold (fun r acc -> if keep r then (table_id, r) :: acc else acc) c acc)
     t.tables []
 
-let durable_rules t = List.filter (fun (_, r) -> is_durable r) (rules t)
+let rules t = fold_rules (fun _ -> true) t
+
+let durable_rules t = fold_rules is_durable t
 
 let groups t = t.groups
 

@@ -32,9 +32,6 @@ type t
 
 val create : unit -> t
 
-(** A copy that later records leave unchanged: the verifier's capture. *)
-val copy : t -> t
-
 (** Record the intent effect of a Flow_mod: Add replaces the rule in
     its slot; Delete removes every priority holding the match in the
     table, as the device does. *)

@@ -120,9 +120,9 @@ type t = {
   mutable records : record list; (* newest first *)
   mutable next_record_id : int;
   mutable started : bool; (* the reconciler loop is scheduled *)
-  mutable on_install : (int -> unit) option;
-      (* verifier tap: fired with the dpid after a transaction's intents
-         are recorded — the intent store for that switch is stale *)
+  mutable on_intent : (int -> unit) option;
+      (* verifier tap: fired with the dpid after that switch's intent
+         store changed (a transaction's records, a forgotten expiry) *)
   divergence_h : Scotch_obs.Registry.histogram;
       (* closed divergence windows (virtual seconds); obs-gated *)
 }
@@ -136,7 +136,7 @@ let create ~seed ~owned_cookies ctrl =
           repairs_orphan = 0; repairs_group = 0; resyncs = 0; degraded_transitions = 0;
           degraded_seconds = 0.0 };
       windows = []; records = []; next_record_id = 0; started = false;
-      on_install = None;
+      on_intent = None;
       divergence_h =
         Scotch_obs.Obs.histogram ~help:"Closed intent/device divergence windows (virtual s)"
           ~lo:0.0 ~hi:5.0 ~bins:50 "scotch_reliable_divergence_window_seconds" }
@@ -214,6 +214,8 @@ let divergence_windows t = List.rev t.windows
 let records t = List.rev t.records
 
 (** {1 Transactions} *)
+
+let intent_changed t ss = match t.on_intent with None -> () | Some f -> f ss.handle.C.dpid
 
 let record_payload t ss payload =
   match payload with
@@ -298,15 +300,15 @@ let transaction t (sw : C.sw) payloads =
   if payloads <> [] then begin
     let ss = state_exn "transaction" t sw.C.dpid in
     List.iter (record_payload t ss) payloads;
-    (match t.on_install with None -> () | Some f -> f sw.C.dpid);
+    intent_changed t ss;
     enqueue t ss payloads
   end
 
-(** Attach (or detach, with [None]) an install observer, fired with the
-    dpid after a transaction's intents are recorded — the incremental
-    verifier's cue that the intent store for that switch changed.
-    [None] (the default) costs one [match] per transaction. *)
-let set_on_install t f = t.on_install <- f
+(** Attach (or detach, with [None]) an intent observer, fired with the
+    dpid after that switch's intent store changed — the incremental
+    verifier's cue to re-diff it.  [None] (the default) costs one
+    [match] per change. *)
+let set_on_intent t f = t.on_intent <- f
 
 (** {1 Full resync (switch recovery)} *)
 
@@ -349,7 +351,10 @@ let diff_and_repair t ss (flow_stats : Of_msg.Stats.flow_stat list)
       ~owned:t.owned_cookies
   in
   (* the switch may expire ephemeral rules on its own: acknowledge it *)
-  List.iter (Intent.forget_rule ss.intents) expired;
+  if expired <> [] then begin
+    List.iter (Intent.forget_rule ss.intents) expired;
+    intent_changed t ss
+  end;
   let group_fixes =
     List.map
       (fun gd ->

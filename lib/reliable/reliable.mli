@@ -82,11 +82,12 @@ val divergence_windows : t -> float list
     barrier-acked transaction.  Payloads must be Flow_mod/Group_mod. *)
 val transaction : t -> C.sw -> Of_msg.payload list -> unit
 
-(** Attach (or detach, with [None]) an install observer, fired with the
-    dpid after a transaction's intents are recorded — the incremental
-    verifier's cue that the switch's intent store changed.  [None] (the
-    default) costs one [match] per transaction. *)
-val set_on_install : t -> (int -> unit) option -> unit
+(** Attach (or detach, with [None]) an intent observer, fired with the
+    dpid after that switch's intent store changed: a transaction's
+    records, or the reconciler forgetting rules the switch expired.
+    The incremental verifier reads the store in place and re-diffs that
+    switch.  [None] (the default) costs one [match] per change. *)
+val set_on_intent : t -> (int -> unit) option -> unit
 
 (** Flag a switch for a full-table resync at the next reconciler tick —
     wire this to the controller's [switch_alive] hook. *)

@@ -54,10 +54,7 @@ module Make (T : TARGET) = struct
           continue pkt)
       | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
       | Of_action.Pop_mpls ->
-        continue (match Packet.pop_encap pkt with Some (Headers.Encap.Mpls _, p) -> p | _ -> pkt)
-      | Of_action.Drop ->
-        T.drop t Action;
-        continue pkt)
+        continue (match Packet.pop_encap pkt with Some (Headers.Encap.Mpls _, p) -> p | _ -> pkt))
 
   let rec run_table t ~table_id ~(ctx : Of_match.context) pkt =
     let ctx = { ctx with Of_match.packet = pkt } in

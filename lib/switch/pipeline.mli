@@ -8,7 +8,7 @@ open Scotch_packet
 (** Why the pipeline gave a packet up. *)
 type drop_reason =
   | No_rule  (** a table miss, or a goto past the last table *)
-  | Action   (** an explicit [Drop], a missing group or a missing port *)
+  | Action   (** a missing group or a missing port *)
 
 module type TARGET = sig
   type t

@@ -31,7 +31,7 @@ type counters = {
   mutable dropped_blocked : int;   (** datapath stalled by TCAM writes *)
   mutable dropped_capacity : int;  (** datapath pps exceeded *)
   mutable dropped_no_rule : int;   (** table miss with no miss rule *)
-  mutable dropped_action : int;    (** explicit Drop / unconnected port *)
+  mutable dropped_action : int;    (** missing group / unconnected port *)
 }
 
 type t

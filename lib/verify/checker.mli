@@ -7,8 +7,9 @@
        anywhere, plus a synthetic flow per host pair) must never
        revisit a (switch, in-port, encapsulation-stack) state.}
     {- {b No blackholes}: every table hit ends at a host port, a live
-       tunnel, the controller, or an explicit drop — never at an
-       unknown port, a disconnected port, or a goto into the void.}
+       tunnel or the controller — never at an unknown port, a
+       disconnected port, a rule with no actions, or a goto into the
+       void.}
     {- {b No shadowed rules}: no higher-priority rule fully covers a
        lower-priority one in the same table.}
     {- {b Group sanity}: select groups are non-empty, and every bucket's

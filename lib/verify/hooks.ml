@@ -89,10 +89,12 @@ let install ~engine ~topo scotch =
     tap_all ();
     (match Scotch.reliable scotch with
     | Some r ->
-      Reliable.set_on_install r
+      Reliable.set_on_intent r
         (Some
-           (fun _dpid ->
-             apply_u (Incremental.Intents (Some (Snapshot.capture_intents ~now:(now ()) r)))))
+           (fun dpid ->
+             Option.iter
+               (fun store -> apply_u (Incremental.Intents { dpid; store }))
+               (Reliable.intent_of r dpid)))
     | None -> ());
     Scotch.on_install scotch (fun _sw _payloads ->
         st.installs_issued <- st.installs_issued + 1);

@@ -29,9 +29,9 @@ val settle_delay : float
 
 (** [install ~engine ~topo scotch] builds an {!Incremental} verifier,
     taps every switch's dataplane updates and the reliable layer's
-    installs, re-verifies the affected header-space classes on each
-    delta and audits against a full rescan every 1024 updates.  It
-    also resyncs (and records a "post-recovery" report) {!settle_delay}
+    intent changes (each switch's store is read in place), re-verifies
+    what each delta can affect and audits against a full rescan every
+    1024 updates.  It also resyncs (and records a "post-recovery" report) {!settle_delay}
     after each vswitch repair, and at every {!Scotch_sim.Engine.run}
     return.  Returns [None] under [Config.Off]. *)
 val install :

@@ -1,10 +1,10 @@
 (** The incremental dataplane verifier: per-update invariant checking.
 
-    Maintains a pure {!Snapshot.t} model of the network plus cached
+    Maintains a {!Snapshot.t} model of the network plus cached
     per-invariant results, and on each delta (flow-mod, group-mod,
-    port/failure event or intent refresh) recomputes only what the
-    delta can affect; wholesale changes (node joins, hosts, overlay
-    membership) are folded in by {!refresh}:
+    port/failure event or one switch's intent change) recomputes only
+    what the delta can affect; wholesale changes (node joins, hosts,
+    overlay membership) are folded in by {!refresh}:
 
     {ul
     {- {b Loop}: header space is partitioned into the same flow-key
@@ -35,9 +35,12 @@
        wildcard) rule — per-flow rule churn cannot change miss
        coverage.}
     {- {b Divergence}: cached per reliable-managed switch; recomputed
-       on that switch's deltas, on the intent nodes an intent refresh
-       actually changed, and when an in-grace device rule ages past the
-       repair grace ({!Inv_divergence.deadline}).}}
+       on that switch's deltas and intent changes, and when an entry in
+       grace (an owned device rule, a durable intent rule, an intent
+       group) ages past the repair grace ({!Inv_divergence.deadline}).
+       The intent stores are the reliable layer's own, read in place:
+       the model holds no copy, and intents age on the model's [now]
+       like the device rules.}}
 
     Rule state is the model's own {!Snapshot.node} tables: one
     {!Scotch_switch.Classifier} per (switch, table), the index the
@@ -78,7 +81,8 @@ type update =
           tap's shape; O(delta) regardless of table size *)
   | Groups of { dpid : int; groups : Group_table.group list }
   | Ports of { dpid : int; ports : S.port list; failed : bool }
-  | Intents of S.intent_state option
+  | Intents of { dpid : int; store : Scotch_reliable.Intent.t }
+      (** switch [dpid]'s intent store, read in place, changed *)
 
 type class_cache = {
   mutable entry : (int * int) list;
@@ -114,7 +118,7 @@ type t = {
   local : (int, local_cache) Hashtbl.t; (* per-node blackhole+group *)
   mutable coverage : D.t list;
   div : (int, D.t list) Hashtbl.t;
-  div_deadlines : (int, float) Hashtbl.t;
+  div_deadlines : (int, float) Hashtbl.t; (* {!Inv_divergence.deadline} per dpid *)
   mutable ledger : int DMap.t;
       (* live diagnostic -> multiplicity across every cache; its key
          set IS the current diagnostic set *)
@@ -353,8 +357,8 @@ let recompute_divergence t dpid =
         Option.iter (ledger_remove t) old;
         ledger_add t ds);
       if ds = [] then Hashtbl.remove t.div dpid else Hashtbl.replace t.div dpid ds;
-      (match Option.bind n (Inv_divergence.deadline ~now st) with
-      | Some due -> Hashtbl.replace t.div_deadlines dpid due
+      (match Option.bind n (Inv_divergence.deadline ~now st inode) with
+      | Some stamp -> Hashtbl.replace t.div_deadlines dpid stamp
       | None -> Hashtbl.remove t.div_deadlines dpid))
 
 let recompute_all_divergence t =
@@ -610,36 +614,34 @@ let apply_update t dirty u =
       build_all_local t;
       recompute_coverage t;
       recompute_divergence t dpid)
-  | Intents intents -> (
-    let old = t.model.S.intents in
-    t.model <- { t.model with S.intents = intents };
-    match (old, intents) with
-    | None, None -> ()
-    | Some o, Some nw when o.S.grace = nw.S.grace && o.S.owned = nw.S.owned ->
-      (* re-diff only the switches whose intent node changed; a new
-         capture time re-ages every intent, so it changes them all *)
-      let node_of (st : S.intent_state) d =
-        List.find_opt (fun (i : S.intent_node) -> i.S.int_dpid = d) st.S.per_switch
-        |> Option.map (fun (i : S.intent_node) ->
-               let module I = Scotch_reliable.Intent in
-               (I.rules i.S.int_store, I.groups i.S.int_store))
-      in
-      let dpids =
-        List.sort_uniq compare
-          (List.map (fun (i : S.intent_node) -> i.S.int_dpid) o.S.per_switch
-          @ List.map (fun (i : S.intent_node) -> i.S.int_dpid) nw.S.per_switch)
-      in
-      let reaged = o.S.captured_at <> nw.S.captured_at in
-      List.iter
-        (fun d -> if reaged || node_of o d <> node_of nw d then recompute_divergence t d)
-        dpids
-    | _ -> recompute_all_divergence t)
+  | Intents { dpid; store } -> (
+    match t.model.S.intents with
+    | None -> ()
+    | Some st ->
+      if not (List.exists (fun (i : S.intent_node) -> i.S.int_dpid = dpid) st.S.per_switch)
+      then begin
+        (* a switch's first intents: the reliable layer registered it
+           since the last capture *)
+        let per_switch =
+          List.merge
+            (fun (a : S.intent_node) b -> Int.compare a.S.int_dpid b.S.int_dpid)
+            st.S.per_switch
+            [ { S.int_dpid = dpid; int_store = store } ]
+        in
+        t.model <- { t.model with S.intents = Some { st with S.per_switch } }
+      end;
+      recompute_divergence t dpid)
 
 let due_divergence t ~now =
-  let due =
-    Hashtbl.fold (fun d t' acc -> if t' <= now then d :: acc else acc) t.div_deadlines []
-  in
-  List.iter (fun dpid -> recompute_divergence t dpid) due
+  match t.model.S.intents with
+  | None -> ()
+  | Some st ->
+    let due =
+      Hashtbl.fold
+        (fun d stamp acc -> if now -. stamp >= st.S.grace then d :: acc else acc)
+        t.div_deadlines []
+    in
+    List.iter (recompute_divergence t) due
 
 let apply t ~now u =
   let t0 = Unix.gettimeofday () in

@@ -1,18 +1,19 @@
 (** Invariant: intent/actual divergence (reliable layer).
 
-    Each reliable-managed switch's captured intent store is diffed
-    against the captured device tables by {!Scotch_reliable.Intent.diff},
-    the function the reconciler repairs from, so the verifier and the
-    reconciler share one definition of divergence.  Intents are aged at
-    the intent capture, device rules at the snapshot's [now]; entries
-    younger than the repair grace may still be in flight and are
-    skipped.  Failed switches are skipped (the resync-at-recovery path
-    owns them).
+    Each reliable-managed switch's intent store, read in place, is
+    diffed against the snapshot's device tables by
+    {!Scotch_reliable.Intent.diff}, the function the reconciler repairs
+    from, so the verifier and the reconciler share one definition of
+    divergence.  Intents and device rules age on one clock, the
+    snapshot's [now]; entries younger than the repair grace may still be
+    in flight and are skipped.  Failed switches are skipped (the
+    resync-at-recovery path owns them).
 
     Exposed per switch so the incremental verifier can re-diff only the
-    switch an install touched; {!deadline} tells it when a currently
-    in-grace device rule will age into visibility, so pure time passage
-    also triggers the right re-checks. *)
+    switch an update touched; {!deadline} tells it when an entry now in
+    grace (an owned device rule, a durable intent rule, an intent group)
+    ages into visibility, so pure time passage also triggers the right
+    re-checks. *)
 
 open Scotch_switch
 module D = Diagnostic
@@ -32,7 +33,7 @@ let node ~now (st : S.intent_state) (inode : S.intent_node) (n : S.node) =
         [] n.S.tables
     in
     let d =
-      Intent.diff inode.S.int_store ~flow_stats ~group_descs:n.S.groups ~now:st.S.captured_at
+      Intent.diff inode.S.int_store ~flow_stats ~group_descs:n.S.groups ~now
         ~grace:st.S.grace ~owned:st.S.owned
     in
     let mk = D.make ~dpid:n.S.dpid ~severity:D.Error ~invariant:D.Divergence in
@@ -59,27 +60,36 @@ let node ~now (st : S.intent_state) (inode : S.intent_node) (n : S.node) =
             mk (Printf.sprintf "device group %d has no intent (orphan)" id))
         d.Intent.groups
 
-(** Earliest future virtual time at which a currently-in-grace
-    reconciler-owned device rule on this switch ages past the grace
-    window — i.e. when this switch needs re-diffing even without a new
-    update. *)
-let deadline ~now (st : S.intent_state) (n : S.node) =
+(** The oldest stamp on switch [n] still inside the repair grace at
+    [now]: of a reconciler-owned device rule, a durable intent rule or
+    an intent group.  Once [now -. stamp >= grace], the test {!node}
+    applies, the switch's findings can change with no update, so it
+    needs re-diffing then.  [None] when nothing is in grace. *)
+let deadline ~now (st : S.intent_state) (inode : S.intent_node) (n : S.node) =
   if n.S.failed then None
   else
+    let oldest at acc =
+      if now -. at >= st.S.grace then acc
+      else match acc with Some a when a <= at -> acc | _ -> Some at
+    in
+    let acc =
+      List.fold_left
+        (fun acc (_, c) ->
+          Classifier.fold
+            (fun (r : Flow_table.rule) acc ->
+              if List.mem r.Flow_table.cookie st.S.owned then oldest r.Flow_table.installed_at acc
+              else acc)
+            c acc)
+        None n.S.tables
+    in
+    let acc =
+      List.fold_left
+        (fun acc (_, (r : Classifier.rule)) -> oldest r.installed_at acc)
+        acc (Intent.durable_rules inode.S.int_store)
+    in
     List.fold_left
-      (fun acc (_, c) ->
-        Classifier.fold
-          (fun (r : Flow_table.rule) acc ->
-            if
-              List.mem r.Flow_table.cookie st.S.owned
-              && now -. r.Flow_table.installed_at < st.S.grace
-            then begin
-              let due = r.Flow_table.installed_at +. st.S.grace in
-              match acc with Some d when d <= due -> acc | _ -> Some due
-            end
-            else acc)
-          c acc)
-      None n.S.tables
+      (fun acc (g : Intent.group) -> oldest g.Intent.recorded_at acc)
+      acc (Intent.groups inode.S.int_store)
 
 let snapshot snap =
   match snap.S.intents with

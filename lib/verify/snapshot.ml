@@ -1,10 +1,13 @@
-(** A frozen, side-effect-free view of the whole network for static
+(** A side-effect-free view of the whole network for static
     verification.
 
     Capture walks the topology once: adjacency, tunnels and host
     attachments resolve every port to the endpoint its output lands on,
-    so the checker never needs the live objects again.  All record
-    fields are transparent so tests can forge known-bad states. *)
+    so the checker needs no live switch again.  The reliable layer's
+    intent stores are the exception: they are read in place, not copied,
+    and every change to one is announced to the incremental verifier
+    ({!Scotch_reliable.Reliable.set_on_intent}).  All record fields are
+    transparent so tests can forge known-bad states. *)
 
 open Scotch_switch
 open Scotch_topo
@@ -46,7 +49,6 @@ type intent_node = {
 type intent_state = {
   grace : float;
   owned : Scotch_openflow.Of_types.cookie list;
-  captured_at : float;
   per_switch : intent_node list;
 }
 
@@ -151,24 +153,19 @@ let capture_overlay ov =
     mesh = List.sort compare !mesh;
     deliveries = List.sort compare !deliveries }
 
-(** Freeze the reliable layer's intent stores (when the app has one), so
-    the checker can diff intent against the captured device tables.  The
-    repair grace rides along: both intents and device rules younger than
-    it may legitimately still be in flight; intents are aged at
-    [captured_at]. *)
-let capture_intents ~now r =
+(** The reliable layer's intent stores (when the app has one), read in
+    place, so the checker can diff intent against the captured device
+    tables.  The repair grace rides along: both intents and device rules
+    younger than it may legitimately still be in flight. *)
+let reliable_intents r =
   let module R = Scotch_reliable.Reliable in
-  let module I = Scotch_reliable.Intent in
   let per_switch =
     List.filter_map
       (fun dpid ->
-        Option.map
-          (fun intents ->
-            { int_dpid = dpid; int_store = I.copy intents })
-          (R.intent_of r dpid))
+        Option.map (fun int_store -> { int_dpid = dpid; int_store }) (R.intent_of r dpid))
       (R.dpids r)
   in
-  { grace = R.repair_grace; owned = R.owned_cookies r; captured_at = now; per_switch }
+  { grace = R.repair_grace; owned = R.owned_cookies r; per_switch }
 
 let capture ?scotch ~now topo =
   let endpoints = endpoint_map topo in
@@ -190,4 +187,4 @@ let capture ?scotch ~now topo =
     vswitch_dpids = (match scotch with Some s -> Scotch.vswitch_dpids s | None -> []);
     overlay = Option.map (fun s -> capture_overlay (Scotch.overlay s)) scotch;
     intents =
-      Option.bind scotch (fun s -> Option.map (capture_intents ~now) (Scotch.reliable s)) }
+      Option.bind scotch (fun s -> Option.map reliable_intents (Scotch.reliable s)) }

@@ -1,10 +1,12 @@
-(** A frozen, side-effect-free view of the whole network for static
+(** A side-effect-free view of the whole network for static
     verification: every switch's live flow rules (one
     {!Scotch_switch.Classifier} per table), group buckets and
     ports (with where each port's output lands), the host attachment
     map, and — when a Scotch app is supplied — the controller's overlay
     bookkeeping (vswitch liveness, uplinks, tunnel origins, host
-    coverage, mesh and delivery tunnels).
+    coverage, mesh and delivery tunnels).  Device state is frozen at
+    capture; the reliable layer's intent stores are not copied but read
+    in place, and are aged, like the device rules, at [now].
 
     All record fields are transparent so tests can forge known-bad
     states without driving a simulation. *)
@@ -49,21 +51,21 @@ type host = {
   attach_port : int;
 }
 
-(** One reliable-managed switch's intent store at capture time: a
-    {!Scotch_reliable.Intent.copy}, which later records leave unchanged. *)
+(** One reliable-managed switch's intent store, read in place: the
+    reliable layer's own {!Scotch_reliable.Intent.t}, which its later
+    records keep editing. *)
 type intent_node = {
   int_dpid : int;
   int_store : Scotch_reliable.Intent.t;
 }
 
-(** The reliable layer's intent stores at capture time, with the repair
-    grace (entries younger than it may still be in flight) and the
-    cookies whose device rules the reconciler owns. *)
+(** The reliable layer's intent stores, with the repair grace (entries
+    younger than it at the snapshot's [now] may still be in flight) and
+    the cookies whose device rules the reconciler owns. *)
 type intent_state = {
   grace : float;
   owned : Scotch_openflow.Of_types.cookie list;
-  captured_at : float;  (** intents are aged at this time *)
-  per_switch : intent_node list;
+  per_switch : intent_node list;  (** by dpid *)
 }
 
 (** The controller's overlay bookkeeping (§4.1, §5.2, §5.6). *)
@@ -105,7 +107,6 @@ val controlled : t -> int list
     managed/vswitch dpid sets. *)
 val capture : ?scotch:Scotch_core.Scotch.t -> now:float -> Scotch_topo.Topology.t -> t
 
-(** Freeze just the reliable layer's intent stores — the incremental
-    verifier's per-install intent resync ({!capture} does this as part
-    of a full capture). *)
-val capture_intents : now:float -> Scotch_reliable.Reliable.t -> intent_state
+(** Every registered switch's intent store, in place: what {!capture}
+    puts in [intents] when the app has a reliable layer. *)
+val reliable_intents : Scotch_reliable.Reliable.t -> intent_state

@@ -9,6 +9,10 @@
    intended change to a seeded run is a reviewed `dune promote`.  One
    process runs one smoke: the observability world is process-global.
 
+   Verification and obs observe a run without steering it: each
+   determinism rerun flips the verify mode (or, in fig12, obs) of the
+   run it repeats and must reproduce its digests.
+
    - resilience: the §5.6 failover story at its smallest configuration
      (2 kills), under continuous verification;
    - reconcile: the same recovery path with the reliable layer on and a
@@ -101,12 +105,26 @@ let verifier_clean ~what (o : Resilience.outcome) =
    rebalanced and both corpses revived; the recovered end state judged
    by the oracle suite; the continuous verifier's post-recovery and
    run-end checks, its full-rescan audits and its maintained diagnostic
-   set all clean. *)
+   set all clean; the ledger the same with verification off, at seeds
+   42 and 7. *)
+
+(* Verification observes without steering: a run's digests are the
+   same whether it was continuously verified or not. *)
+let agree ~what ~seed ~verified ~unverified =
+  if verified <> unverified then fail "%s differ with verification off (seed %d)" what seed
+
+(* The same, for the pair of runs [digests ~seed ~verify] makes. *)
+let pure ~what ~seed digests =
+  let verified = digests ~seed ~verify:Config.Continuous in
+  agree ~what ~seed ~verified ~unverified:(digests ~seed ~verify:Config.Off)
 
 let resilience () =
   let scale = 0.25 and kills = 2 and multiplier = 5.0 in
-  let config = { Config.default with Config.verify = Config.Continuous } in
-  let o = Resilience.run_outcome ~config ~seed ~scale ~kills ~multiplier () in
+  let run ~seed ~verify =
+    Resilience.run_outcome ~config:{ Config.default with Config.verify } ~seed ~scale ~kills
+      ~multiplier ()
+  in
+  let o = run ~seed ~verify:Config.Continuous in
   let ledger = o.Resilience.ledger in
   Ledger.print ledger;
   let recs = Ledger.records ledger in
@@ -133,6 +151,10 @@ let resilience () =
   if List.length post_recovery < kills then
     fail "expected a post-recovery check per kill, got %d" (List.length post_recovery);
   if Hooks.reports_of_phase v "run-end" = [] then fail "no run-end check";
+  let ledger_of ~seed ~verify = Ledger.digest (run ~seed ~verify).Resilience.ledger in
+  agree ~what:"ledger digests" ~seed ~verified:(Ledger.digest ledger)
+    ~unverified:(ledger_of ~seed ~verify:Config.Off);
+  pure ~what:"ledger digests" ~seed:7 ledger_of;
   [ ( Printf.sprintf "scale=%g kills=%d x%g verify=continuous ledger" scale kills multiplier,
       Ledger.digest ledger ) ]
 
@@ -144,28 +166,37 @@ let resilience () =
    outstanding, loss within the storm's priced exposure).  The run is
    under continuous verification, so the Divergence invariant diffs
    the live intent stores against the device throughout, and is held to
-   the resilience smoke's verifier checks after convergence. *)
+   the resilience smoke's verifier checks after convergence; the ledger
+   and reconcile digests are the same with verification off. *)
 
 let reconcile () =
   let scale = 0.25 and kills = 1 and multiplier = 5.0 and drop_p = 0.2 in
-  let config = { Config.default with Config.verify = Config.Continuous } in
-  let o =
-    Resilience.run_outcome ~config ~seed ~scale ~kills ~multiplier ~reconcile:true ~drop_p ()
+  (* the storm run, then reconcile rounds until the reliable layer
+     converges (at most 16): the outcome, the layer and the rounds *)
+  let converged_storm ~verify =
+    let o =
+      Resilience.run_outcome ~config:{ Config.default with Config.verify } ~seed ~scale ~kills
+        ~multiplier ~reconcile:true ~drop_p ()
+    in
+    let net = o.Resilience.net in
+    let r =
+      match net.Testbed.reliable with
+      | Some r -> r
+      | None -> fail "reliable layer was not built"
+    in
+    let engine = net.Testbed.engine in
+    let rounds = ref 0 in
+    while (not (R.converged r)) && !rounds < 16 do
+      incr rounds;
+      Testbed.run_until net ~until:(Scotch_sim.Engine.now engine +. R.reconcile_interval)
+    done;
+    (o, r, !rounds)
   in
+  let o, r, rounds = converged_storm ~verify:Config.Continuous in
   let net = o.Resilience.net in
-  let r =
-    match net.Testbed.reliable with
-    | Some r -> r
-    | None -> fail "reliable layer was not built"
-  in
   let engine = net.Testbed.engine in
-  let rounds = ref 0 in
-  while (not (R.converged r)) && !rounds < 16 do
-    incr rounds;
-    Testbed.run_until net ~until:(Scotch_sim.Engine.now engine +. R.reconcile_interval)
-  done;
   if not (R.converged r) then fail "reconciler never converged (16 extra rounds)";
-  Printf.printf "converged after %d extra round(s)\n" !rounds;
+  Printf.printf "converged after %d extra round(s)\n" rounds;
   (match Ledger.convergence o.Resilience.ledger with
   | None -> fail "no convergence block in the recovery ledger"
   | Some c ->
@@ -183,6 +214,10 @@ let reconcile () =
   if snap.Scotch_verify.Snapshot.intents = None then fail "snapshot carries no intent stores";
   oracles_clean ~what:"after convergence" o;
   ignore (verifier_clean ~what:"converged reconcile" o);
+  let o_off, r_off, _ = converged_storm ~verify:Config.Off in
+  agree ~what:"ledger and reconcile digests" ~seed
+    ~verified:(Ledger.digest o.Resilience.ledger, R.digest r)
+    ~unverified:(Ledger.digest o_off.Resilience.ledger, R.digest r_off);
   [ ( Printf.sprintf "scale=%g kills=%d x%g drop=%g verify=continuous reconcile" scale kills
         multiplier drop_p,
       R.digest r ) ]
@@ -322,13 +357,14 @@ let obs () =
    decision latency inside the bound, the autoscaler grew the pool and
    drained it back without flapping, the breaker ejected and readmitted
    the degraded member, elastic delivers >= 15 % more than static,
-   same-seed runs are bit-identical and the continuously verified run
-   stays invariant-clean. *)
+   same-seed runs with verification on and off are bit-identical (at
+   seeds 42 and 7) and the continuously verified run stays
+   invariant-clean. *)
 
 let overload () =
   let scale = 0.5 in
-  let o = Overload.run_outcome ~seed ~scale ~verify:Config.Continuous () in
-  let o2 = Overload.run_outcome ~seed ~scale ~verify:Config.Continuous () in
+  let run ~seed ~verify = Overload.run_outcome ~seed ~scale ~verify () in
+  let o = run ~seed ~verify:Config.Continuous in
   let st = Overload.run_outcome ~seed ~scale ~elastic:false () in
   Printf.printf
     "p99=%s launched=%d delivered=%d shed=%d actions=%d ejects=%d readmits=%d final_pool=%d\n"
@@ -397,10 +433,14 @@ let overload () =
   if float_of_int o.Overload.delivered < 1.15 *. float_of_int st.Overload.delivered then
     fail "elastic pool delivered %d vs static %d: autoscaling bought < 15%%"
       o.Overload.delivered st.Overload.delivered;
-  if o.Overload.ledger_digest <> o2.Overload.ledger_digest then
-    fail "ledger digest differs across same-seed runs";
-  if o.Overload.trace_digest <> o2.Overload.trace_digest then
-    fail "obs trace digest differs across same-seed runs";
+  let digests ~seed ~verify =
+    let o = run ~seed ~verify in
+    (o.Overload.ledger_digest, o.Overload.trace_digest)
+  in
+  agree ~what:"same-seed ledger and trace digests" ~seed
+    ~verified:(o.Overload.ledger_digest, o.Overload.trace_digest)
+    ~unverified:(digests ~seed ~verify:Config.Off);
+  pure ~what:"same-seed ledger and trace digests" ~seed:7 digests;
   let v =
     match o.Overload.net.Testbed.verify with
     | Some v -> v
@@ -426,7 +466,8 @@ let overload () =
 (* telemetry: the sampled path finds every planted elephant (recall >=
    0.9) without false alarms (precision >= 0.9), migrates them, spends
    at most a tenth of the exact path's stats-channel messages and wire
-   bytes, stays invariant-clean and is same-seed deterministic. *)
+   bytes, stays invariant-clean, and its same-seed rerun with
+   verification off agrees but for the verify counters. *)
 
 let telemetry () =
   let scale = 0.25 in
@@ -458,8 +499,13 @@ let telemetry () =
         fail "%s run: %d dataplane invariant errors" o.Telemetry.o_label
           o.Telemetry.o_verify_errors)
     [ exact; sampled ];
-  let _, sampled2 = Telemetry.summary ~seed ~scale ~verify:Config.Continuous () in
-  if sampled2 <> sampled then fail "same-seed sampled runs diverged";
+  (* the rerun, unverified, agrees on everything but the verify counters *)
+  let unverified (o : Telemetry.outcome) =
+    { o with Telemetry.o_verify_checks = 0; o_verify_errors = 0 }
+  in
+  let exact2, sampled2 = Telemetry.summary ~seed ~scale () in
+  if compare (unverified exact, unverified sampled) (exact2, sampled2) <> 0 then
+    fail "same-seed runs diverged with verification off";
   (* floats as %h hex literals: exact, and the same on every platform *)
   let record (o : Telemetry.outcome) =
     Printf.sprintf "%s %h %d %d %d %h %h %h %d %d %d %d %d\n" o.Telemetry.o_label
@@ -475,8 +521,9 @@ let telemetry () =
 (* isolation: every shed flow is the attacker's own, the victim's p99
    and delivery are unchanged vs the no-attack baseline, the
    per-function breaker held a drained-but-forwarding member, same-seed
-   runs are bit-identical and the continuously verified attacked run
-   stays invariant-clean. *)
+   attacked runs with verification on and off are bit-identical (at
+   seeds 42 and 7) and the continuously verified one stays
+   invariant-clean. *)
 
 let isolation () =
   let scale = 0.5 in
@@ -513,12 +560,13 @@ let isolation () =
     fail "data-axis breaker removed %d members from forwarding during a control-plane-only \
           gray failure"
       a.Isolation.data_ejects;
-  let a2 = Isolation.run_variant ~attack:true ~seed ~scale () in
-  if a.Isolation.ledger_digest <> a2.Isolation.ledger_digest then
-    fail "ledger digest differs across same-seed runs";
-  if a.Isolation.trace_digest <> a2.Isolation.trace_digest then
-    fail "obs trace digest differs across same-seed runs";
-  let v = Isolation.run_variant ~attack:true ~verify:Config.Continuous ~seed ~scale () in
+  let run ~seed ~verify = Isolation.run_variant ~attack:true ~verify ~seed ~scale () in
+  let digests (o : Isolation.outcome) = (o.Isolation.ledger_digest, o.Isolation.trace_digest) in
+  let v = run ~seed ~verify:Config.Continuous in
+  agree ~what:"same-seed ledger and trace digests" ~seed ~verified:(digests v)
+    ~unverified:(digests a);
+  pure ~what:"same-seed ledger and trace digests" ~seed:7 (fun ~seed ~verify ->
+      digests (run ~seed ~verify));
   if v.Isolation.verify_checks = 0 then fail "continuous verifier never checked";
   if v.Isolation.verify_errors > 0 then
     fail "%d dataplane invariant errors under the flood" v.Isolation.verify_errors;
@@ -560,14 +608,19 @@ let model () =
 
 (* ------------------------------------------------------------------ *)
 (* fig12: with migration on, the elephants' final delay falls below
-   the migration-off run's.
+   the migration-off run's, and the table is the same with obs on.
    The rendered table is the digest: it pins the large-flow migration
    queue, which no other smoke's digest reaches. *)
 
 let fig12 () =
   let scale = 0.25 in
+  let render fig = Scotch_util.Table_printer.render (Report.to_table fig) in
   let fig = Fig12.run ~seed ~scale () in
-  let table = Scotch_util.Table_printer.render (Report.to_table fig) in
+  let table = render fig in
+  (* obs observes without steering: the same table with it on *)
+  Scotch_obs.Obs.reset ();
+  Scotch_obs.Obs.enable ();
+  if render (Fig12.run ~seed ~scale ()) <> table then fail "table differs with obs on";
   print_string fig.Report.title;
   print_newline ();
   print_string table;

@@ -197,7 +197,7 @@ let test_wire_multipart () =
     { Of_msg.Stats.group_id = 9;
       buckets =
         [ Of_msg.Group_mod.bucket [ Of_action.Push_mpls 5; Of_action.Group 3 ];
-          Of_msg.Group_mod.bucket [ Of_action.Pop_mpls; Of_action.Drop ] ] }
+          Of_msg.Group_mod.bucket [ Of_action.Pop_mpls ] ] }
   in
   let report =
     { Of_msg.Telemetry.rate = 1.0 /. 3.0; window = Float.pi;
@@ -287,7 +287,7 @@ let test_wire_malformed_fields () =
   let flow_mod =
     Of_msg.Flow_mod
       (Of_msg.Flow_mod.add ~match_:Of_match.wildcard
-         ~instructions:[ Of_action.Apply_actions [ Of_action.Drop ] ] ())
+         ~instructions:[ Of_action.Apply_actions [] ] ())
   in
   let group_mod =
     Of_msg.Group_mod
@@ -298,7 +298,7 @@ let test_wire_malformed_fields () =
   let mpls_flow_mod =
     Of_msg.Flow_mod
       (Of_msg.Flow_mod.add ~match_:(Of_match.with_mpls_label 16 Of_match.wildcard)
-         ~instructions:[ Of_action.Apply_actions [ Of_action.Drop ] ] ())
+         ~instructions:[ Of_action.Apply_actions [] ] ())
   in
   (* a Group action then four Pop_mpls, recounted as one action: nine
      bytes, the length of the eight-byte MAC operand codes 6 and 7 once
@@ -329,7 +329,8 @@ let test_wire_malformed_fields () =
       ("group type 3", frame group_mod [ (9, 3) ]);
       ("action code 6", mac_action 6);
       ("action code 7", mac_action 7);
-      ("action code 8", frame (packet_out [ Of_action.Drop ]) [ (14, 8) ]);
+      ("action code 8", frame (packet_out [ Of_action.Pop_mpls ]) [ (14, 8) ]);
+      ("action code 9", frame (packet_out [ Of_action.Pop_mpls ]) [ (14, 9) ]);
       ("action code 4", frame (packet_out [ Of_action.Push_mpls 1 ]) [ (14, 4) ]);
       ("action code 5", frame (packet_out [ Of_action.Pop_mpls ]) [ (14, 5) ]);
       ("match field 9", frame mpls_flow_mod [ (29, 9) ]) ]
@@ -362,7 +363,7 @@ let prop_match_wire_roundtrip =
     (fun m ->
       let fm =
         Of_msg.Flow_mod.add ~match_:m
-          ~instructions:[ Of_action.Apply_actions [ Of_action.Drop ] ] ()
+          ~instructions:[ Of_action.Apply_actions [] ] ()
       in
       match
         (Of_wire.decode (Of_wire.encode (Of_msg.make ~xid:0 (Of_msg.Flow_mod fm)))).Of_msg.payload
@@ -378,8 +379,7 @@ let action_gen =
       return (Of_action.Output Of_types.Port_no.All);
       map (fun g -> Of_action.Group g) (int_bound 100);
       map (fun l -> Of_action.Push_mpls l) (int_bound 0xFFFFF);
-      return Of_action.Pop_mpls;
-      return Of_action.Drop ]
+      return Of_action.Pop_mpls ]
 
 let prop_actions_wire_roundtrip =
   QCheck.Test.make ~name:"action list wire round-trip" ~count:500

@@ -222,7 +222,7 @@ let test_every_divergence_kind () =
     let snap =
       { (Scotch_verify.Snapshot.capture ~now topo) with
         Scotch_verify.Snapshot.intents =
-          Some (Scotch_verify.Snapshot.capture_intents ~now r) }
+          Some (Scotch_verify.Snapshot.reliable_intents r) }
     in
     Scotch_verify.check snap
     |> List.filter (fun (d : Scotch_verify.Diagnostic.t) ->
@@ -611,6 +611,134 @@ let test_unimpaired_run_is_quiet () =
   Alcotest.(check bool) "converged" true (R.converged r);
   Alcotest.(check (list (float 1e-9))) "no divergence windows" [] (R.divergence_windows r)
 
+(* ------------------------------------------------------------------ *)
+(* The verifier's divergence path, differentially: random reliable
+   installs and deletes, lossy control channels, reconciler rounds and
+   time steps on two switches, with the incremental verifier tapped in
+   as the verification hooks tap it.  After every step its diagnostic
+   set must agree with a full rescan of its own model (the audit, taken
+   before anything sweeps the rules the switches expired lazily), and
+   then, with those rules swept and the verifier brought to the current
+   time, with the checker on a fresh capture. *)
+
+module V = Scotch_verify
+module Incr = Scotch_verify.Incremental
+
+type div_step =
+  | Install of { dpid : int; m : int; durable : bool }
+  | Remove of { dpid : int; m : int }
+  | Regroup of { dpid : int; port : int }
+  | Loss of { dpid : int; drop_p : float }
+  | Reconcile
+  | Advance of float
+
+let div_step_gen =
+  QCheck.Gen.(
+    let dpid = int_range 1 2 and m = int_bound 3 in
+    frequency
+      [ (4, map (fun (dpid, m, durable) -> Install { dpid; m; durable }) (triple dpid m bool));
+        (2, map (fun (dpid, m) -> Remove { dpid; m }) (pair dpid m));
+        (1, map (fun (dpid, port) -> Regroup { dpid; port }) (pair dpid (int_range 1 3)));
+        (1, map (fun (dpid, drop_p) -> Loss { dpid; drop_p }) (pair dpid (oneofl [ 0.0; 0.5; 0.9 ])));
+        (2, return Reconcile);
+        (5, map (fun dt -> Advance dt) (oneofl [ 0.01; 0.05; 0.2; 0.5; 1.0 ])) ])
+
+let print_div_step = function
+  | Install { dpid; m; durable } ->
+    Printf.sprintf "install s%d m%d%s" dpid m (if durable then "" else " idle")
+  | Remove { dpid; m } -> Printf.sprintf "remove s%d m%d" dpid m
+  | Regroup { dpid; port } -> Printf.sprintf "regroup s%d p%d" dpid port
+  | Loss { dpid; drop_p } -> Printf.sprintf "loss s%d %g" dpid drop_p
+  | Reconcile -> "reconcile"
+  | Advance dt -> Printf.sprintf "advance %g" dt
+
+let prop_divergence_differential =
+  QCheck.Test.make ~name:"incremental divergence agrees with a fresh rescan" ~count:100
+    (QCheck.make ~print:QCheck.Print.(list print_div_step)
+       QCheck.Gen.(list_size (int_range 1 40) div_step_gen))
+    (fun steps ->
+      let e = Scotch_sim.Engine.create () in
+      let now () = Scotch_sim.Engine.now e in
+      let topo = Topology.create e in
+      let ctrl = C.create e topo in
+      let r = R.create ~seed:0 ~owned_cookies:[ owned_cookie ] ctrl in
+      let rigs =
+        List.map
+          (fun dpid ->
+            let sw = Switch.create e ~dpid ~name:"s" ~profile:fast_profile () in
+            Topology.add_switch topo sw;
+            let h = C.connect ctrl sw ~latency:0.05 in
+            R.register_switch r h;
+            (sw, h))
+          [ 1; 2 ]
+      in
+      let capture () =
+        { (V.Snapshot.capture ~now:(now ()) topo) with
+          V.Snapshot.intents = Some (V.Snapshot.reliable_intents r) }
+      in
+      let incr = Incr.create ~now:(now ()) (capture ()) in
+      let apply u = ignore (Incr.apply incr ~now:(now ()) u) in
+      List.iter
+        (fun (sw, _) ->
+          let dpid = Switch.dpid sw in
+          Switch.set_on_update sw
+            (Some
+               (function
+                 | Switch.Table_changed { table_id; added; removed } ->
+                   apply (Incr.Table_delta { dpid; table_id; added; removed })
+                 | Switch.Groups_changed ->
+                   apply (Incr.Groups { dpid; groups = Group_table.groups (Switch.group_table sw) })
+                 | Switch.Liveness_changed _ -> ())))
+        rigs;
+      R.set_on_intent r
+        (Some
+           (fun dpid ->
+             Option.iter (fun store -> apply (Incr.Intents { dpid; store })) (R.intent_of r dpid)));
+      let handle dpid = snd (List.nth rigs (dpid - 1)) in
+      let match_of m = Of_match.exact_flow (Scotch_packet.Packet.flow_key (mk_packet m)) in
+      let run = function
+        | Install { dpid; m; durable } ->
+          R.transaction r (handle dpid)
+            [ Of_msg.Flow_mod
+                (Of_msg.Flow_mod.add ~priority:10 ~idle_timeout:(if durable then 0.0 else 1.0)
+                   ~cookie:owned_cookie ~match_:(match_of m)
+                   ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ()) ]
+        | Remove { dpid; m } ->
+          R.transaction r (handle dpid)
+            [ Of_msg.Flow_mod (Of_msg.Flow_mod.delete ~match_:(match_of m) ()) ]
+        | Regroup { dpid; port } ->
+          let buckets =
+            [ Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical port) ] ]
+          in
+          let mod_ =
+            if Scotch_reliable.Intent.groups (Option.get (R.intent_of r dpid)) = [] then
+              Of_msg.Group_mod.add_select
+            else Of_msg.Group_mod.modify_select
+          in
+          R.transaction r (handle dpid) [ Of_msg.Group_mod (mod_ ~group_id:1 ~buckets) ]
+        | Loss { dpid; drop_p } ->
+          C.set_channel_impairment (handle dpid) ~extra_latency:0.0 ~drop_p
+        | Reconcile -> R.tick r
+        | Advance dt -> Scotch_sim.Engine.run e ~until:(now () +. dt)
+      in
+      let agrees full =
+        let current = Incr.diagnostics incr in
+        List.compare_lengths full current = 0
+        && List.for_all2 (fun a b -> V.Diagnostic.compare a b = 0) full current
+      in
+      List.for_all
+        (fun step ->
+          run step;
+          let audited = Incr.check_equivalence incr in
+          List.iter
+            (fun (sw, _) ->
+              Array.iter (fun tbl -> ignore (Flow_table.size tbl ~now:(now ()))) (Switch.tables sw))
+            rigs;
+          (* an empty delta: the verifier's clock moves to now *)
+          apply (Incr.Table_delta { dpid = 1; table_id = 0; added = []; removed = [] });
+          audited && agrees (V.check (capture ())) && Incr.check_equivalence incr)
+        steps)
+
 let () =
   Alcotest.run "scotch_reliable"
     [ ( "backoff",
@@ -630,4 +758,5 @@ let () =
           Alcotest.test_case "unimpaired run is quiet" `Quick test_unimpaired_run_is_quiet;
           Alcotest.test_case "pool churn: no orphan resurrection" `Quick
             test_churn_no_resurrection;
-          Alcotest.test_case "every divergence kind" `Quick test_every_divergence_kind ] ) ]
+          Alcotest.test_case "every divergence kind" `Quick test_every_divergence_kind;
+          QCheck_alcotest.to_alcotest prop_divergence_differential ] ) ]

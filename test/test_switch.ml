@@ -634,7 +634,7 @@ let test_gt_add_modify_delete () =
   Alcotest.(check bool) "modify" true
     (Group_table.apply gt
        (Of_msg.Group_mod.modify_select ~group_id:1
-          ~buckets:[ Of_msg.Group_mod.bucket [ Of_action.Drop ] ])
+          ~buckets:[ Of_msg.Group_mod.bucket [ Of_action.Pop_mpls ] ])
     = Ok ());
   Alcotest.(check bool) "modify unknown" true
     (Group_table.apply gt (Of_msg.Group_mod.modify_select ~group_id:9 ~buckets:[])
@@ -647,7 +647,7 @@ let test_gt_add_modify_delete () =
 let test_gt_modify_replaces_buckets () =
   let gt = Group_table.create () in
   ignore (Group_table.apply gt (mk_select_group ()));
-  let buckets = [ Of_msg.Group_mod.bucket [ Of_action.Drop ] ] in
+  let buckets = [ Of_msg.Group_mod.bucket [ Of_action.Pop_mpls ] ] in
   Alcotest.(check bool) "modify" true
     (Group_table.apply gt (Of_msg.Group_mod.modify_select ~group_id:1 ~buckets) = Ok ());
   Alcotest.(check bool) "buckets replaced" true
@@ -1429,7 +1429,6 @@ let test_switch_every_action () =
        [ Of_action.Push_mpls 5; out 2; Of_action.Pop_mpls; Of_action.Push_mpls 6;
          Of_action.Push_mpls 8; out 2; Of_action.Pop_mpls; out 3; Of_action.Pop_mpls;
          Of_action.Pop_mpls; out 3 ]);
-  install 110 (apply [ Of_action.Drop; out 2 ]);
   (* goto forward carries the pushed label; a backward goto is ignored;
      a goto past the last table is a no-rule drop *)
   install 111 [ Of_action.Apply_actions [ Of_action.Push_mpls 3 ]; Of_action.Goto_table 1 ];
@@ -1471,7 +1470,6 @@ let test_switch_every_action () =
     ~out:[ plain 3; with_encaps 2 "mpls{5}"; with_encaps 2 "mpls{8};mpls{6}";
            with_encaps 3 "mpls{6}" ]
     ~pins:[];
-  step "drop" 110 receive ~out:[ plain 2 ] ~pins:[];
   step "goto forward" 111 receive ~out:[ with_encaps 2 "mpls{3}" ] ~pins:[];
   step "goto backward" 112 receive ~out:[ plain 2; plain 3 ] ~pins:[];
   step "goto past last table" 113 receive ~out:[] ~pins:[];
@@ -1491,11 +1489,11 @@ let test_switch_every_action () =
     ~out:[ with_encaps 1 "mpls{4}"; with_encaps 2 "mpls{4}"; with_encaps 3 "mpls{4}" ]
     ~pins:[ "ACTION@1" ];
   (* no-rule: the two gotos.  action: ports 42 and 4 (input-only) in
-     "physical", port 4 again in the flood, the missing group, Drop, and
+     "physical", port 4 again in the flood, the missing group, and
      Output In_port on the undeclared port 50 *)
   let c = Switch.counters sw in
   Alcotest.(check (list int)) "rx tx blocked capacity no-rule action"
-    [ 16; 20; 0; 0; 2; 6 ]
+    [ 15; 19; 0; 0; 2; 5 ]
     [ c.Switch.rx; c.Switch.tx; c.Switch.dropped_blocked; c.Switch.dropped_capacity;
       c.Switch.dropped_no_rule; c.Switch.dropped_action ]
 

@@ -442,7 +442,7 @@ let test_render_shadow () =
 let intents ?(flow_mods = []) () : S.intent_state =
   let store = Scotch_reliable.Intent.create () in
   List.iter (Scotch_reliable.Intent.record_flow_mod store ~now:(-5.0)) flow_mods;
-  { S.grace = 1.0; owned = [ 7L ]; captured_at = 0.0;
+  { S.grace = 1.0; owned = [ 7L ];
     per_switch = [ { S.int_dpid = 1; int_store = store } ] }
 
 let test_render_divergence () =
@@ -968,11 +968,10 @@ let test_clean_path_alloc () =
 
 let test_lint_scenarios_clean () =
   List.iter
-    (fun (name, diags) ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s clean" name)
-        0 (List.length diags))
-    (Scotch_experiments.Lint.run_all ~seed:7
+    (fun (name, (w : Scotch_experiments.Lint.watch_report)) ->
+      Alcotest.(check int) (Printf.sprintf "%s clean" name) 0 (List.length w.w_diagnostics);
+      Alcotest.(check int) (Printf.sprintf "%s audits agree" name) 0 w.w_equiv_mismatches)
+    (Scotch_experiments.Lint.watch_all ~seed:7
        ~only:[ "scotch-net-idle"; "scotch-net-active" ]
        ())
 
