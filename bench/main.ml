@@ -208,6 +208,23 @@ let bench_event_hold () =
          ignore (Scotch_sim.Engine.schedule e ~delay:delays.(!k land 4095) ignore);
          ignore (Scotch_sim.Engine.step e)))
 
+(* The same hold, through the other schedule path: one registered
+   handler fired instead of a closure scheduled. *)
+let bench_event_hold_handler () =
+  let rng = Rng.create 7 in
+  let delays = Array.init 4096 (fun _ -> Rng.float rng 1.0) in
+  let e = Scotch_sim.Engine.create () in
+  let h = Scotch_sim.Engine.handler e ignore in
+  for i = 0 to 54 do
+    Scotch_sim.Engine.fire e ~delay:delays.(i) h
+  done;
+  let k = ref 0 in
+  Bechamel.Test.make ~name:"event queue hold (55 pending), registered handler"
+    (Bechamel.Staged.stage (fun () ->
+         incr k;
+         Scotch_sim.Engine.fire e ~delay:delays.(!k land 4095) h;
+         ignore (Scotch_sim.Engine.step e)))
+
 let bench_packet_codec () =
   let pkt =
     Packet.push_encap (Headers.Encap.mpls 7)
@@ -304,7 +321,8 @@ let run_micro () =
          bench_flow_table_remove ();
          bench_flow_table_insert (); bench_group_select (); bench_intent_delete ();
          bench_intent_diff ();
-         bench_event_heap (); bench_event_hold (); bench_packet_codec (); bench_of_wire () ]
+         bench_event_heap (); bench_event_hold (); bench_event_hold_handler ();
+         bench_packet_codec (); bench_of_wire () ]
       @ bench_of_wire_stats_reply ()
       @ [ bench_switch_flow_stats (); bench_flow_info_db_find_match (); bench_flow_key_hash ();
           bench_rng (); bench_simulation_throughput () ])

@@ -6,24 +6,36 @@
     traffic sources split their streams.
 
     The queue is a binary min-heap the engine owns, stored in three
-    parallel arrays: the times (an unboxed float array), the sequence
-    numbers and the closures.  Slot [i]'s children are [2i+1] and
-    [2i+2].  An event has no record of its own: its handle is its
-    sequence number, and cancelling records that number in a set
-    consulted at pop time. *)
+    parallel arrays of unboxed data: the times (a float array), the
+    sequence numbers and an int key naming what to run.  Slot [i]'s
+    children are [2i+1] and [2i+2].  A sift moves only immediates, so it
+    never takes the write barrier.  A key [k >= 0] is a slot of the
+    one-off closure table, written once by {!schedule} and cleared when
+    the event pops; a key [k < 0] is the registered handler [lnot k],
+    which {!fire} schedules without writing a pointer at all.  An event
+    has no record of its own: its handle is its sequence number, and
+    cancelling records that number in a set consulted at pop time. *)
 
 open Scotch_util
 
 (** Handle returned by {!schedule}: the event's sequence number. *)
 type handle = int
 
+(** A registered handler: its index in the handler table. *)
+type handler = int
+
 type t = {
   mutable now : float;
   mutable next_seq : int;
   mutable at : Float.Array.t;
   mutable seq : int array;
-  mutable run : (unit -> unit) array;
+  mutable key : int array;
   mutable size : int;
+  mutable closures : (unit -> unit) array;  (* one-off closures, by slot *)
+  mutable free : int array;  (* a stack of the free closure slots *)
+  mutable n_free : int;
+  mutable handlers : (unit -> unit) array;
+  mutable n_handlers : int;
   cancelled : (int, unit) Hashtbl.t;  (* seqs of cancelled events *)
   rng : Rng.t;
   mutable processed : int;
@@ -32,7 +44,8 @@ type t = {
   mutable run_end_hooks : (unit -> unit) list;
 }
 
-(* What an empty slot holds, so a popped closure is not kept alive. *)
+(* What an empty closure slot holds, so a popped closure is not kept
+   alive. *)
 let noop () = ()
 
 (* Small, so building a network that schedules little stays cheap. *)
@@ -41,7 +54,8 @@ let initial_capacity = 16
 (** [create ~seed ()] makes an engine at time 0. *)
 let create ?(seed = 42) () =
   { now = 0.0; next_seq = 0; at = Float.Array.make initial_capacity 0.0;
-    seq = Array.make initial_capacity 0; run = Array.make initial_capacity noop; size = 0;
+    seq = Array.make initial_capacity 0; key = Array.make initial_capacity 0; size = 0;
+    closures = [||]; free = [||]; n_free = 0; handlers = [||]; n_handlers = 0;
     cancelled = Hashtbl.create 8; rng = Rng.create seed; processed = 0; next_user_id = 0;
     next_flow_id = 0; run_end_hooks = [] }
 
@@ -55,26 +69,37 @@ let rng t = t.rng
 (** Number of events executed so far. *)
 let processed t = t.processed
 
-let grow t =
+let grow_heap t =
   let cap = 2 * Array.length t.seq in
-  let at = Float.Array.make cap 0.0 and seq = Array.make cap 0 and run = Array.make cap noop in
+  let at = Float.Array.make cap 0.0 and seq = Array.make cap 0 and key = Array.make cap 0 in
   Float.Array.blit t.at 0 at 0 t.size;
   Array.blit t.seq 0 seq 0 t.size;
-  Array.blit t.run 0 run 0 t.size;
+  Array.blit t.key 0 key 0 t.size;
   t.at <- at;
   t.seq <- seq;
-  t.run <- run
+  t.key <- key
+
+(* Double the closure table, made on the first {!schedule}; every slot
+   is in use, so the new slots become the free stack. *)
+let grow_closures t =
+  let old = Array.length t.closures in
+  let cap = max initial_capacity (2 * old) in
+  let closures = Array.make cap noop in
+  Array.blit t.closures 0 closures 0 old;
+  t.closures <- closures;
+  t.free <- Array.init cap (fun i -> cap - 1 - i);
+  t.n_free <- cap - old
 
 (* Copy slot [src] into slot [dst]. *)
 let[@inline] move t ~src ~dst =
   Float.Array.unsafe_set t.at dst (Float.Array.unsafe_get t.at src);
   Array.unsafe_set t.seq dst (Array.unsafe_get t.seq src);
-  Array.unsafe_set t.run dst (Array.unsafe_get t.run src)
+  Array.unsafe_set t.key dst (Array.unsafe_get t.key src)
 
-let[@inline] place t i at seq run =
+let[@inline] place t i at seq key =
   Float.Array.unsafe_set t.at i at;
   Array.unsafe_set t.seq i seq;
-  Array.unsafe_set t.run i run
+  Array.unsafe_set t.key i key
 
 (* Whether slot [i] fires before slot [j]. *)
 let[@inline] before t i j =
@@ -84,8 +109,8 @@ let[@inline] before t i j =
 (* Sift a hole up from the end and drop the new event into it.  Its seq
    exceeds every queued one, so on equal times it stays below its
    parent: only a strictly earlier time moves it up. *)
-let[@inline] push t at run =
-  if t.size = Array.length t.seq then grow t;
+let[@inline] push t at key =
+  if t.size = Array.length t.seq then grow_heap t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let i = ref t.size in
@@ -99,18 +124,17 @@ let[@inline] push t at run =
     end
     else rising := false
   done;
-  place t !i at seq run;
+  place t !i at seq key;
   seq
 
 (* Remove the root: sift a hole down from it and drop the last event
-   into it, then clear the vacated last slot. *)
+   into it. *)
 let pop_root t =
   let n = t.size - 1 in
   t.size <- n;
   let at = Float.Array.unsafe_get t.at n
   and seq = Array.unsafe_get t.seq n
-  and run = Array.unsafe_get t.run n in
-  Array.unsafe_set t.run n noop;
+  and key = Array.unsafe_get t.key n in
   if n > 0 then begin
     let i = ref 0 and sinking = ref true in
     while !sinking do
@@ -127,8 +151,16 @@ let pop_root t =
         else sinking := false
       end
     done;
-    place t !i at seq run
+    place t !i at seq key
   end
+
+(* Queue the one-off closure [run] at [at], in a free slot. *)
+let[@inline] push_closure t at run =
+  if t.n_free = 0 then grow_closures t;
+  t.n_free <- t.n_free - 1;
+  let slot = Array.unsafe_get t.free t.n_free in
+  Array.unsafe_set t.closures slot run;
+  push t at slot
 
 (** [schedule_at t ~at f] runs [f] at absolute time [at].  Scheduling in
     the past or at NaN raises [Invalid_argument]: a NaN time would sit at
@@ -138,12 +170,29 @@ let schedule_at t ~at run =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: %.9f is not at or after current time %.9f" at
          t.now);
-  push t at run
+  push_closure t at run
 
 (** [schedule t ~delay f] runs [f] after [delay] seconds. *)
 let schedule t ~delay run =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative or NaN delay";
-  push t (t.now +. delay) run
+  push_closure t (t.now +. delay) run
+
+(** [handler t f] registers [f] for the engine's lifetime. *)
+let handler t f =
+  let n = t.n_handlers in
+  if n = Array.length t.handlers then begin
+    let handlers = Array.make (max 8 (2 * n)) noop in
+    Array.blit t.handlers 0 handlers 0 n;
+    t.handlers <- handlers
+  end;
+  t.handlers.(n) <- f;
+  t.n_handlers <- n + 1;
+  n
+
+(** [fire t ~delay h] runs the handler [h] after [delay] seconds. *)
+let fire t ~delay (h : handler) =
+  if not (delay >= 0.0) then invalid_arg "Engine.fire: negative or NaN delay";
+  ignore (push t (t.now +. delay) (lnot h))
 
 (** [cancel t h] prevents a scheduled event from running: O(1), the
     event is skipped when it reaches the root. *)
@@ -157,13 +206,25 @@ let take_cancelled t seq =
   if t.size = 0 then Hashtbl.reset t.cancelled;
   hit
 
+(* What the key [k] runs; a one-off closure's slot is cleared and
+   freed. *)
+let[@inline] take t k =
+  if k < 0 then Array.unsafe_get t.handlers (lnot k)
+  else begin
+    let run = Array.unsafe_get t.closures k in
+    Array.unsafe_set t.closures k noop;
+    Array.unsafe_set t.free t.n_free k;
+    t.n_free <- t.n_free + 1;
+    run
+  end
+
 (** [step t] executes the next event; [false] when the queue is empty. *)
 let step t =
   if t.size = 0 then false
   else begin
     let at = Float.Array.unsafe_get t.at 0
     and seq = Array.unsafe_get t.seq 0
-    and run = Array.unsafe_get t.run 0 in
+    and run = take t (Array.unsafe_get t.key 0) in
     pop_root t;
     t.now <- at;
     if Hashtbl.length t.cancelled = 0 || not (take_cancelled t seq) then begin

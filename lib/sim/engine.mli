@@ -6,8 +6,11 @@
     traffic sources split their streams.
 
     The queue is a binary min-heap the engine owns, on parallel arrays
-    of times (unboxed), sequence numbers and closures, so scheduling an
-    event allocates no event record. *)
+    of unboxed data: times, sequence numbers and an int key naming what
+    to run, so scheduling an event allocates no event record and a sift
+    never takes the write barrier.  A one-off closure from {!schedule}
+    waits in a slot table until its event pops; a {!handler} registered
+    once is fired by {!fire} with no allocation at all. *)
 
 type t
 
@@ -35,6 +38,22 @@ val schedule_at : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] after [delay] seconds.  Raises
     [Invalid_argument] on a negative or NaN delay. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle
+
+(** A closure registered with the engine for its whole lifetime.
+
+    Register handlers per component, when the network is built (one
+    per link, switch, port or middlebox), never per flow or per event:
+    a handler is never freed. *)
+type handler [@@immediate]
+
+(** [handler t f] registers [f]; firing the result runs it. *)
+val handler : t -> (unit -> unit) -> handler
+
+(** [fire t ~delay h] runs the handler [h] after [delay] seconds, as an
+    event ordered like one from {!schedule}; it allocates nothing, and
+    the event cannot be cancelled.  Raises [Invalid_argument] on a
+    negative or NaN delay. *)
+val fire : t -> delay:float -> handler -> unit
 
 (** [cancel t h] prevents the event [h] from running; O(1).  The event
     stays queued, and is counted by {!pending}, until it reaches the

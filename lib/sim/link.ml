@@ -5,26 +5,31 @@
     for [size / bandwidth] seconds, then arrives [latency] seconds later
     at the sink.  When more than [queue_capacity] packets are waiting
     the tail is dropped (counted).  The testbed links (1/10 GbE data
-    ports, 1 GbE management ports, §3.2) are instances of this. *)
+    ports, 1 GbE management ports, §3.2) are instances of this.
+
+    A hop allocates nothing.  Every packet on the link sits in one ring,
+    oldest first: the [n_flight] propagating, then the one in service,
+    then those waiting.  Packets leave in the order they arrived (one
+    server) and the latency is constant, so they also arrive in that
+    order, at the head.  Two engine handlers, registered on the link's
+    first send, end a transmission and deliver the oldest propagating
+    packet. *)
 
 open Scotch_packet
-
-type stats = {
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable bytes : int;
-}
 
 type t = {
   engine : Engine.t;
   bandwidth_bps : float;       (* bits per second *)
   latency : float;             (* propagation delay, seconds *)
   queue_capacity : int;        (* packets *)
-  queue : Packet.t Queue.t;
-  mutable busy : bool;
-  mutable up : bool; (* fault injection: a down link loses every packet *)
+  packets : Packet.t Ring.t;   (* propagating, in service, waiting *)
+  mutable n_flight : int;      (* propagating: the ring's first *)
+  mutable up : bool; (* fault injection: a down link accepts nothing *)
   mutable sink : Packet.t -> unit;
-  stats : stats;
+  mutable handlers : (Engine.handler * Engine.handler) option; (* transmitted, arrive *)
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable bytes : int;
 }
 
 (** [create engine ~bandwidth_bps ~latency ~queue_capacity] makes an
@@ -32,55 +37,75 @@ type t = {
 let create engine ~bandwidth_bps ~latency ~queue_capacity =
   if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth must be positive";
   if latency < 0.0 then invalid_arg "Link.create: negative latency";
-  { engine; bandwidth_bps; latency; queue_capacity; queue = Queue.create ();
-    busy = false; up = true; sink = (fun _ -> ());
-    stats = { delivered = 0; dropped = 0; bytes = 0 } }
+  { engine; bandwidth_bps; latency; queue_capacity; packets = Ring.create Packet.placeholder;
+    n_flight = 0; up = true; sink = (fun _ -> ()); handlers = None; delivered = 0;
+    dropped = 0; bytes = 0 }
 
 (** [connect t sink] sets the function receiving delivered packets. *)
 let connect t sink = t.sink <- sink
 
+(* A packet is in service whenever one is not propagating: a queued
+   packet goes into service as soon as the server frees. *)
+let busy t = Ring.length t.packets > t.n_flight
+
 let transmission_time t pkt =
   float_of_int (Packet.size pkt * 8) /. t.bandwidth_bps
 
-let rec start_transmission t =
-  match Queue.take_opt t.queue with
-  | None -> t.busy <- false
-  | Some pkt ->
-    t.busy <- true;
-    let tx = transmission_time t pkt in
-    ignore
-      (Engine.schedule t.engine ~delay:tx (fun () ->
-           (* Packet leaves the transmitter; propagation runs in parallel
-              with the next transmission. *)
-           t.stats.delivered <- t.stats.delivered + 1;
-           t.stats.bytes <- t.stats.bytes + Packet.size pkt;
-           ignore (Engine.schedule t.engine ~delay:t.latency (fun () -> t.sink pkt));
-           start_transmission t))
+(* Start transmitting the packet after the propagating ones. *)
+let rec serve t =
+  let pkt = Ring.get t.packets t.n_flight in
+  Engine.fire t.engine ~delay:(transmission_time t pkt) (fst (handlers t))
+
+(* The packet in service leaves the transmitter; propagation runs in
+   parallel with the next transmission. *)
+and transmitted t () =
+  let pkt = Ring.get t.packets t.n_flight in
+  t.delivered <- t.delivered + 1;
+  t.bytes <- t.bytes + Packet.size pkt;
+  t.n_flight <- t.n_flight + 1;
+  Engine.fire t.engine ~delay:t.latency (snd (handlers t));
+  if busy t then serve t
+
+and arrive t () =
+  let pkt = Ring.pop t.packets in
+  t.n_flight <- t.n_flight - 1;
+  t.sink pkt
+
+and handlers t =
+  match t.handlers with
+  | Some hs -> hs
+  | None ->
+    let hs = (Engine.handler t.engine (transmitted t), Engine.handler t.engine (arrive t)) in
+    t.handlers <- Some hs;
+    hs
+
+let queue_length t = max 0 (Ring.length t.packets - t.n_flight - 1)
 
 (** [send t pkt] enqueues [pkt] for transmission; drops (and counts) it
-    when the queue is full, and loses it when the link is down (link-flap
-    fault injection). *)
+    when the queue is full, and ignores it, counting nothing, when the
+    link is down (link-flap fault injection).  An idle link has an empty
+    queue, so [pkt] goes straight into service. *)
 let send t pkt =
   if not t.up then ()
-  else if t.busy then begin
-    if Queue.length t.queue >= t.queue_capacity then t.stats.dropped <- t.stats.dropped + 1
-    else Queue.push pkt t.queue
+  else if busy t then begin
+    if queue_length t >= t.queue_capacity then t.dropped <- t.dropped + 1
+    else Ring.push t.packets pkt
   end
   else begin
-    Queue.push pkt t.queue;
-    start_transmission t
+    Ring.push t.packets pkt;
+    serve t
   end
 
 (** Administrative state (fault injection).  Taking a link down empties
-    its queue — in-flight packets are lost, exactly like a cable pull;
-    bringing it back up restores service for subsequent sends. *)
+    its queue: the waiting packets are lost, while the packet in service
+    and those propagating still arrive and count as delivered.  Bringing
+    it back up restores service for subsequent sends. *)
 let set_up t up =
   t.up <- up;
-  if not up then Queue.clear t.queue
+  if not up then Ring.truncate t.packets (min (Ring.length t.packets) (t.n_flight + 1))
 
 let is_up t = t.up
 
-let delivered t = t.stats.delivered
-let dropped t = t.stats.dropped
-let bytes_delivered t = t.stats.bytes
-let queue_length t = Queue.length t.queue
+let delivered t = t.delivered
+let dropped t = t.dropped
+let bytes_delivered t = t.bytes

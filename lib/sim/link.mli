@@ -20,12 +20,14 @@ val create :
 (** Set the function receiving delivered packets. *)
 val connect : t -> (Scotch_packet.Packet.t -> unit) -> unit
 
-(** Enqueue a packet for transmission; drops (and counts) when the
-    queue is full or the link is administratively down. *)
+(** Enqueue a packet for transmission; drops (and counts) it when the
+    queue is full.  A link that is administratively down ignores it,
+    counting nothing. *)
 val send : t -> Scotch_packet.Packet.t -> unit
 
 (** Administrative state (fault injection).  Taking a link down empties
-    its queue — in-flight packets are lost, like a cable pull. *)
+    its queue: the waiting packets are lost, while the packet in service
+    and those propagating still arrive and count as delivered. *)
 val set_up : t -> bool -> unit
 
 val is_up : t -> bool

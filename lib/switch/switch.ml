@@ -59,6 +59,7 @@ type t = {
   mutable on_update : (update_event -> unit) option; (* verifier tap *)
   hot_miss : Scotch_obs.Obs.hot_site; (* trace decimation for dp.miss *)
   hot_punt : Scotch_obs.Obs.hot_site; (* trace decimation for dp.punt *)
+  egress : Scotch_sim.Egress.t; (* sends waiting out [forward_latency] *)
 }
 
 let ofa t = Option.get t.ofa
@@ -77,16 +78,14 @@ let drop_action t = t.counters.dropped_action <- t.counters.dropped_action + 1
 let transmit t (port : port) pkt =
   match port.out with
   | None -> drop_action t
-  | Some link ->
+  | Some _ as out ->
     let pkt =
       match port.kind with
       | Normal -> pkt
       | Tunnel tid -> Packet.encap_tunnel ~tunnel_id:tid pkt
     in
     t.counters.tx <- t.counters.tx + 1;
-    ignore
-      (Scotch_sim.Engine.schedule t.engine ~delay:t.profile.Profile.forward_latency (fun () ->
-           Scotch_sim.Link.send link pkt))
+    Scotch_sim.Egress.send t.egress out pkt
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline *)
@@ -262,7 +261,8 @@ let create engine ~dpid ~name ~profile () =
           dropped_action = 0 };
       sampler = None; on_update = None;
       hot_miss = Scotch_obs.Obs.hot_site ();
-      hot_punt = Scotch_obs.Obs.hot_site () }
+      hot_punt = Scotch_obs.Obs.hot_site ();
+      egress = Scotch_sim.Egress.create engine ~delay:profile.Profile.forward_latency }
   in
   (* golden-ratio phase spread: devices' maintenance windows never line
      up, whatever the dpid pattern *)

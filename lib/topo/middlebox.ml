@@ -16,18 +16,21 @@
 open Scotch_packet
 
 type t = {
-  engine : Scotch_sim.Engine.t;
-  latency : float; (* per-packet processing delay *)
   state : unit Flow_key.Hashtbl.t;
   mutable out : Scotch_sim.Link.t option; (* toward S_D *)
+  egress : Scotch_sim.Egress.t; (* sends waiting out the processing delay *)
   mutable processed : int;
   mutable state_violations : int;
   mutable encap_violations : int;
 }
 
+(* per-packet processing delay, seconds *)
+let latency = 50e-6
+
 let create engine () =
-  { engine; latency = 50e-6; state = Flow_key.Hashtbl.create 256; out = None;
-    processed = 0; state_violations = 0; encap_violations = 0 }
+  { state = Flow_key.Hashtbl.create 256; out = None;
+    egress = Scotch_sim.Egress.create engine ~delay:latency; processed = 0;
+    state_violations = 0; encap_violations = 0 }
 
 (** Set the link toward the downstream switch S_D. *)
 let connect_out t link = t.out <- Some link
@@ -48,10 +51,7 @@ let receive t pkt =
       t.processed <- t.processed + 1;
       match t.out with
       | None -> ()
-      | Some link ->
-        ignore
-          (Scotch_sim.Engine.schedule t.engine ~delay:t.latency (fun () ->
-               Scotch_sim.Link.send link pkt))
+      | Some _ as out -> Scotch_sim.Egress.send t.egress out pkt
     end
   end
 
