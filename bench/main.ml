@@ -5,6 +5,7 @@
    1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
       structures the simulator's credibility rests on — flow-table
       lookup hit and miss, insert and removal, select-group hashing,
+      one switch receive through the overlay miss pipeline,
       the reconciler's intent store, event-queue churn and hold, the
       packet and OpenFlow wire codecs,
       and both halves of an exact-polling round.
@@ -130,7 +131,52 @@ let bench_group_select () =
   Bechamel.Test.make ~name:"select-group bucket choice (8 buckets)"
     (Bechamel.Staged.stage (fun () ->
          incr i;
-         ignore (Group_table.select g ~flow_hash:(Flow_key.hash (Packet.flow_key (mk_packet !i))))))
+         ignore (Group_table.select g ~flow_hash:(Packet.flow_hash (mk_packet !i)))))
+
+(* One [Switch.receive] through the Section 5.2 two-table miss pipeline
+   of a physical switch: table 0 pushes the in-port label and goes to
+   table 1, whose miss rule sends to a select group of 4 tunnel ports.
+   The tunnel links are down, and the engine runs every 64 receives, so
+   each receive also pays one egress event that hands its packet to a
+   down link and drops it.  Left to pile up in the egress stage, every
+   packet would survive to the major heap and promotion would dominate
+   the figure. *)
+let bench_switch_receive_overlay () =
+  let engine = Scotch_sim.Engine.create () in
+  let profile = { Profile.pica8 with Profile.datapath_pps = 1e9 } in
+  let sw = Switch.create engine ~dpid:1 ~name:"bench" ~profile () in
+  Switch.add_input_port sw ~port_id:1 ();
+  let tunnels = List.init 4 (fun i -> 100 + i) in
+  List.iter
+    (fun port_id ->
+      let link =
+        Scotch_sim.Link.create engine ~bandwidth_bps:1e10 ~latency:1e-6 ~queue_capacity:16
+      in
+      Scotch_sim.Link.set_up link false;
+      Switch.add_port sw ~port_id ~kind:(Switch.Tunnel port_id) link)
+    tunnels;
+  ignore
+    (Group_table.apply (Switch.group_table sw)
+       (Of_msg.Group_mod.add_select ~group_id:1
+          ~buckets:
+            (List.map
+               (fun p -> Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical p) ])
+               tunnels)));
+  ignore
+    (Switch.install_direct sw ~table_id:0 ~priority:0
+       ~match_:(Of_match.with_in_port 1 Of_match.wildcard)
+       ~instructions:[ Of_action.Apply_actions [ Of_action.Push_mpls 1 ]; Of_action.Goto_table 1 ]
+       ());
+  ignore
+    (Switch.install_direct sw ~table_id:1 ~priority:0 ~match_:Of_match.wildcard
+       ~instructions:[ Of_action.Apply_actions [ Of_action.Group 1 ] ]
+       ());
+  let packets = Array.init 256 mk_packet and i = ref 0 in
+  Bechamel.Test.make ~name:"switch receive, overlay miss (push, goto, select group, tunnel out)"
+    (Bechamel.Staged.stage (fun () ->
+         incr i;
+         Switch.receive sw ~in_port:1 packets.(!i land 255);
+         if !i land 63 = 0 then Scotch_sim.Engine.run engine))
 
 (* One switch's intent store holding 10k exact rules that differ only
    in ip_dst, the shape that defeats a generic hash (see above). *)
@@ -319,7 +365,8 @@ let run_micro () =
     Test.make_grouped ~name:"scotch"
       ([ bench_flow_table_lookup (); bench_flow_table_lookup_dst (); bench_flow_table_miss ();
          bench_flow_table_remove ();
-         bench_flow_table_insert (); bench_group_select (); bench_intent_delete ();
+         bench_flow_table_insert (); bench_group_select (); bench_switch_receive_overlay ();
+         bench_intent_delete ();
          bench_intent_diff ();
          bench_event_heap (); bench_event_hold (); bench_event_hold_handler ();
          bench_packet_codec (); bench_of_wire () ]

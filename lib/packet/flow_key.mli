@@ -22,6 +22,12 @@ val compare : t -> t -> int
     bucket. *)
 val hash : t -> int
 
+(** [hash] over the fields given one by one:
+    [hash t = hash_fields ~ip_src:t.ip_src ~ip_dst:t.ip_dst ...].
+    Allocates nothing. *)
+val hash_fields :
+  ip_src:Ipv4_addr.t -> ip_dst:Ipv4_addr.t -> proto:int -> l4_src:int -> l4_dst:int -> int
+
 val to_string : t -> string
 
 module Map : Map.S with type key = t

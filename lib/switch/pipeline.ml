@@ -17,54 +17,67 @@ module type TARGET = sig
   val drop : t -> drop_reason -> unit
 end
 
+(* The walk allocates only what a header push or pop must: the actions
+   are read in place from the rule, each one applied by direct
+   recursion, and the lookup context is copied only when an action list
+   changed the packet. *)
 module Make (T : TARGET) = struct
   let rec apply_actions t ~(ctx : Of_match.context) ~via_miss pkt actions =
     match actions with
     | [] -> pkt
     | act :: rest ->
-      let continue pkt = apply_actions t ~ctx ~via_miss pkt rest in
-      (match act with
-      | Of_action.Output (Of_types.Port_no.Physical p) ->
-        if p <> ctx.Of_match.in_port then T.emit t p pkt;
-        continue pkt
-      | Of_action.Output Of_types.Port_no.In_port ->
-        T.emit t ctx.Of_match.in_port pkt;
-        continue pkt
-      | Of_action.Output Of_types.Port_no.Controller ->
-        let reason =
-          if via_miss then Of_types.Packet_in_reason.No_match
-          else Of_types.Packet_in_reason.Action
-        in
-        T.to_controller t ctx reason pkt;
-        continue pkt
-      | Of_action.Output Of_types.Port_no.All ->
-        T.flood t ~in_port:ctx.Of_match.in_port pkt;
-        continue pkt
-      | Of_action.Output (Of_types.Port_no.Local | Of_types.Port_no.Any) -> continue pkt
-      | Of_action.Group gid -> (
-        match T.group t gid with
-        | None ->
-          T.drop t Action;
-          continue pkt
-        | Some g ->
-          let flow_hash = Flow_key.hash (Packet.flow_key pkt) in
-          ignore
-            (apply_actions t ~ctx ~via_miss pkt
-               (Group_table.select g ~flow_hash).Of_msg.Group_mod.actions);
-          continue pkt)
-      | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
-      | Of_action.Pop_mpls ->
-        continue (match Packet.pop_encap pkt with Some (Headers.Encap.Mpls _, p) -> p | _ -> pkt))
+      let pkt =
+        match act with
+        | Of_action.Output (Of_types.Port_no.Physical p) ->
+          if p <> ctx.Of_match.in_port then T.emit t p pkt;
+          pkt
+        | Of_action.Output Of_types.Port_no.In_port ->
+          T.emit t ctx.Of_match.in_port pkt;
+          pkt
+        | Of_action.Output Of_types.Port_no.Controller ->
+          let reason =
+            if via_miss then Of_types.Packet_in_reason.No_match
+            else Of_types.Packet_in_reason.Action
+          in
+          T.to_controller t ctx reason pkt;
+          pkt
+        | Of_action.Output Of_types.Port_no.All ->
+          T.flood t ~in_port:ctx.Of_match.in_port pkt;
+          pkt
+        | Of_action.Output (Of_types.Port_no.Local | Of_types.Port_no.Any) -> pkt
+        | Of_action.Group gid ->
+          (match T.group t gid with
+          | None -> T.drop t Action
+          | Some g ->
+            let bucket = Group_table.select g ~flow_hash:(Packet.flow_hash pkt) in
+            ignore (apply_actions t ~ctx ~via_miss pkt bucket.Of_msg.Group_mod.actions));
+          pkt
+        | Of_action.Push_mpls label -> Packet.push_encap (Headers.Encap.mpls label) pkt
+        | Of_action.Pop_mpls -> Packet.pop_mpls pkt
+      in
+      apply_actions t ~ctx ~via_miss pkt rest
+
+  (* Every [Apply_actions] list of a rule's instructions, in order. *)
+  let rec apply_instructions t ~ctx ~via_miss pkt = function
+    | [] -> pkt
+    | Of_action.Apply_actions actions :: rest ->
+      apply_instructions t ~ctx ~via_miss (apply_actions t ~ctx ~via_miss pkt actions) rest
+    | Of_action.Goto_table _ :: rest -> apply_instructions t ~ctx ~via_miss pkt rest
 
   let rec run_table t ~table_id ~(ctx : Of_match.context) pkt =
-    let ctx = { ctx with Of_match.packet = pkt } in
+    let ctx = if ctx.Of_match.packet == pkt then ctx else { ctx with Of_match.packet = pkt } in
     match T.lookup t ~table_id ctx with
     | None -> T.drop t No_rule
     | Some rule ->
       let via_miss = rule.Flow_table.priority = 0 && Of_match.is_wildcard rule.Flow_table.match_ in
-      let actions = Of_action.actions_of_instructions rule.Flow_table.instructions in
-      let pkt = apply_actions t ~ctx ~via_miss pkt actions in
-      (match Of_action.goto_of_instructions rule.Flow_table.instructions with
-      | Some next when next > table_id -> run_table t ~table_id:next ~ctx pkt
-      | Some _ | None -> ())
+      let instructions = rule.Flow_table.instructions in
+      let pkt = apply_instructions t ~ctx ~via_miss pkt instructions in
+      follow_goto t ~table_id ~ctx pkt instructions
+
+  (* The first [Goto_table], followed only when it points forward. *)
+  and follow_goto t ~table_id ~ctx pkt = function
+    | [] -> ()
+    | Of_action.Goto_table next :: _ ->
+      if next > table_id then run_table t ~table_id:next ~ctx pkt
+    | Of_action.Apply_actions _ :: rest -> follow_goto t ~table_id ~ctx pkt rest
 end

@@ -16,7 +16,14 @@ open Scotch_util
 
 type port_kind = Normal | Tunnel of int (* tunnel id *)
 
-type port = { kind : port_kind; out : Scotch_sim.Link.t option }
+type port = {
+  kind : port_kind;
+  out : Scotch_sim.Link.t option;
+  tunnel_id : int option; (* [Some tid] on a [Tunnel tid] port, made once *)
+}
+
+let port kind out =
+  { kind; out; tunnel_id = (match kind with Tunnel tid -> Some tid | Normal -> None) }
 
 (** A dataplane state change, as seen by an {!set_on_update} observer.
     Table events carry the applied rule delta (sourced from
@@ -71,8 +78,6 @@ let notify_update t ev = match t.on_update with None -> () | Some f -> f ev
 (* ------------------------------------------------------------------ *)
 (* Output path *)
 
-let find_port t pid = Hashtbl.find_opt t.ports pid
-
 let drop_action t = t.counters.dropped_action <- t.counters.dropped_action + 1
 
 let transmit t (port : port) pkt =
@@ -98,7 +103,9 @@ module P = Pipeline.Make (struct
     else Flow_table.lookup t.tables.(table_id) ~now:(now t) ctx
 
   let emit t pid pkt =
-    match find_port t pid with None -> drop_action t | Some port -> transmit t port pkt
+    match Hashtbl.find t.ports pid with
+    | port -> transmit t port pkt
+    | exception Not_found -> drop_action t
 
   let flood t ~in_port pkt =
     Hashtbl.iter
@@ -141,12 +148,14 @@ let receive t ~in_port pkt =
   else if not (Token_bucket.take t.dp_bucket ~now:tnow) then
     t.counters.dropped_capacity <- t.counters.dropped_capacity + 1
   else begin
-    let tunnel_id, pkt =
-      match find_port t in_port with
-      | Some { kind = Tunnel tid; _ } ->
-        (* strip the outer tunnel header and surface it as metadata *)
-        (Some tid, Packet.decap_tunnel ~tunnel_id:tid pkt)
-      | _ -> (None, pkt)
+    let tunnel_id =
+      match Hashtbl.find t.ports in_port with
+      | port -> port.tunnel_id
+      | exception Not_found -> None
+    in
+    (* strip the outer tunnel header and surface it as metadata *)
+    let pkt =
+      match tunnel_id with Some tid -> Packet.decap_tunnel ~tunnel_id:tid pkt | None -> pkt
     in
     (match t.sampler with
     | Some s ->
@@ -296,13 +305,13 @@ let create engine ~dpid ~name ~profile () =
 let add_port t ~port_id ?(kind = Normal) link =
   if Hashtbl.mem t.ports port_id then
     invalid_arg ("Switch.add_port: duplicate port on " ^ t.name);
-  Hashtbl.replace t.ports port_id { kind; out = Some link }
+  Hashtbl.replace t.ports port_id (port kind (Some link))
 
 (** Declare an input-only port (e.g. where only the peer sends). *)
 let add_input_port t ~port_id ?(kind = Normal) () =
   if Hashtbl.mem t.ports port_id then
     invalid_arg ("Switch.add_input_port: duplicate port on " ^ t.name);
-  Hashtbl.replace t.ports port_id { kind; out = None }
+  Hashtbl.replace t.ports port_id (port kind None)
 
 (** Failure injection: kill or revive both planes of the switch. *)
 let set_failed t failed =
@@ -315,7 +324,7 @@ let is_failed t = t.failed
 (** The outgoing link attached to a port, if any (fault injection:
     link-flap targets are addressed as (switch, port)). *)
 let link_of_port t port_id =
-  match find_port t port_id with None -> None | Some p -> p.out
+  match Hashtbl.find_opt t.ports port_id with None -> None | Some p -> p.out
 
 (** Ids of the switch's normal (non-tunnel) ports, sorted. *)
 let normal_ports t =

@@ -44,19 +44,17 @@ let send t pkt =
     host (directly or via a delivery tunnel).  All remaining
     encapsulations are stripped, reception is recorded. *)
 let deliver t pkt =
-  let rec strip pkt =
-    match Packet.pop_encap pkt with None -> pkt | Some (_, pkt') -> strip pkt'
-  in
-  let pkt = strip pkt in
+  let pkt = Packet.strip pkt in
   let now = Scotch_sim.Engine.now t.engine in
   let delay = now -. pkt.Packet.meta.created in
   t.received_packets <- t.received_packets + 1;
   let fid = pkt.Packet.meta.flow_id in
-  (match Hashtbl.find_opt t.flows fid with
-  | Some r ->
+  (match Hashtbl.find t.flows fid with
+  | r ->
     r.packets <- r.packets + 1;
     r.delay_sum <- r.delay_sum +. delay
-  | None -> Hashtbl.replace t.flows fid { packets = 1; first_seen = now; delay_sum = delay });
+  | exception Not_found ->
+    Hashtbl.replace t.flows fid { packets = 1; first_seen = now; delay_sum = delay });
   t.on_receive pkt
 
 let id t = t.id

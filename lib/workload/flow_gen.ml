@@ -23,12 +23,11 @@ type launched = {
   spec : flow_spec;
 }
 
-(** [packet ~spec ~seq] builds the [seq]-th packet of a flow.  TCP SYN
-    for single-packet probe flows, UDP data otherwise. *)
-let packet ~flow_id ~created ~src_mac ~dst_mac ~ip_src ~ip_dst ~src_port ~dst_port ~spec ~seq
-    () =
+(** [packet ~spec] builds the first packet of a flow.  TCP SYN for
+    single-packet probe flows, UDP data otherwise. *)
+let packet ~flow_id ~created ~src_mac ~dst_mac ~ip_src ~ip_dst ~src_port ~dst_port ~spec () =
   if spec.packets = 1 && spec.payload = 0 then
     Packet.tcp_syn ~flow_id ~created ~src_mac ~dst_mac ~ip_src ~ip_dst ~src_port ~dst_port ()
   else
-    Packet.udp_data ~seq_in_flow:seq ~payload_len:spec.payload ~flow_id ~created ~src_mac
-      ~dst_mac ~ip_src ~ip_dst ~src_port ~dst_port ()
+    Packet.udp_data ~payload_len:spec.payload ~flow_id ~created ~src_mac ~dst_mac ~ip_src
+      ~ip_dst ~src_port ~dst_port ()

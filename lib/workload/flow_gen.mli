@@ -23,9 +23,9 @@ type launched = {
   spec : flow_spec;
 }
 
-(** The [seq]-th packet of a flow: TCP SYN for single-packet probes,
-    UDP data otherwise. *)
+(** The first packet of a flow: TCP SYN for single-packet probes, UDP
+    data otherwise.  Later packets are this one restamped with
+    {!Packet.with_meta}. *)
 val packet :
   flow_id:int -> created:float -> src_mac:Mac.t -> dst_mac:Mac.t -> ip_src:Ipv4_addr.t ->
-  ip_dst:Ipv4_addr.t -> src_port:int -> dst_port:int -> spec:flow_spec -> seq:int -> unit ->
-  Packet.t
+  ip_dst:Ipv4_addr.t -> src_port:int -> dst_port:int -> spec:flow_spec -> unit -> Packet.t

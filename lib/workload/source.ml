@@ -61,12 +61,18 @@ let send_flow_packets t ~(launched : Flow_gen.launched) ~src_mac ~ip_src ~src_po
   let dst_ip = t.dst_ip and dst_mac = t.dst_mac in
   (* once launched, a flow runs to completion even if the source's
      arrival process stops *)
-  let rec send seq =
-    if seq < spec.Flow_gen.packets then begin
+  if spec.Flow_gen.packets > 0 then begin
+    (* the headers are built once, in the first packet; every later
+       packet is the first restamped *)
+    let first =
+      Flow_gen.packet ~flow_id:launched.Flow_gen.flow_id
+        ~created:(Scotch_sim.Engine.now t.engine) ~src_mac ~dst_mac ~ip_src ~ip_dst:dst_ip
+        ~src_port ~dst_port:80 ~spec ()
+    in
+    let rec send seq =
       let pkt =
-        Flow_gen.packet ~flow_id:launched.Flow_gen.flow_id
-          ~created:(Scotch_sim.Engine.now t.engine) ~src_mac ~dst_mac ~ip_src
-          ~ip_dst:dst_ip ~src_port ~dst_port:80 ~spec ~seq ()
+        if seq = 0 then first
+        else Packet.with_meta first ~created:(Scotch_sim.Engine.now t.engine) ~seq_in_flow:seq
       in
       t.packets_sent <- t.packets_sent + 1;
       Host.send t.host pkt;
@@ -77,9 +83,9 @@ let send_flow_packets t ~(launched : Flow_gen.launched) ~src_mac ~ip_src ~src_po
         let delay = spec.Flow_gen.interval *. (0.99 +. Rng.float t.rng 0.02) in
         ignore (Scotch_sim.Engine.schedule t.engine ~delay (fun () -> send (seq + 1)))
       end
-    end
-  in
-  send 0
+    in
+    send 0
+  end
 
 (** Launch one flow immediately (also used by the trace replayer).
     [spec] overrides the source's sampler for this flow. *)

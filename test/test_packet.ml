@@ -109,6 +109,11 @@ let test_flow_key_to_string () =
 (* ------------------------------------------------------------------ *)
 (* Packet construction and encapsulation *)
 
+(* Strip the outermost header; [None] when not encapsulated.  The
+   one-step pop the encapsulation operations are specified by. *)
+let pop_encap (p : Packet.t) =
+  match p.Packet.encaps with [] -> None | e :: rest -> Some (e, { p with Packet.encaps = rest })
+
 let mk_packet () =
   Packet.tcp_syn ~flow_id:1 ~created:0.0 ~src_mac:(Mac.of_host_id 1)
     ~dst_mac:(Mac.of_host_id 2) ~ip_src:(Ipv4_addr.make 10 0 0 1)
@@ -127,7 +132,7 @@ let test_packet_encap_stack () =
   let p = Packet.push_encap (Encap.mpls 7) p in
   let p = Packet.push_encap (Encap.mpls 42) p in
   Alcotest.(check (option int)) "outer label" (Some 42) (Packet.outer_mpls_label p);
-  match Packet.pop_encap p with
+  match pop_encap p with
   | Some (Encap.Mpls { label }, p') ->
     Alcotest.(check int) "popped outer" 42 label;
     Alcotest.(check (option int)) "inner now outer" (Some 7) (Packet.outer_mpls_label p')
@@ -236,6 +241,78 @@ let prop_codec_size =
   QCheck.Test.make ~name:"serialized length >= model size" ~count:300 packet_arb
     (fun p -> Bytes.length (Codec.serialize p) >= Packet.size p)
 
+(* ------------------------------------------------------------------ *)
+(* The in-place encapsulation operations against their [pop_encap]
+   definitions.  Stacks mix MPLS labels and VLAN tags in any order;
+   labels come from a small range so a tunnel id often matches. *)
+
+let mixed_packet_gen =
+  let open QCheck.Gen in
+  let encap = oneof [ map Encap.mpls (int_bound 3); map Encap.vlan (int_bound 3) ] in
+  let l4 =
+    oneof
+      [ map2 (fun s d -> L4.Tcp (Tcp.make ~src_port:s ~dst_port:d ())) (int_bound 65535)
+          (int_bound 65535);
+        map2 (fun s d -> L4.Udp (Udp.make ~src_port:s ~dst_port:d)) (int_bound 65535)
+          (int_bound 65535);
+        map (fun p -> L4.Other p) (int_bound 255) ]
+  in
+  map3
+    (fun (ip_src, ip_dst) (l4, encaps) (flow_id, created, seq_in_flow) ->
+      let eth =
+        Ethernet.make ~src:(Mac.of_host_id 1) ~dst:(Mac.of_host_id 2)
+          ~ethertype:Ethernet.ethertype_ipv4
+      in
+      let ip = Ipv4.make ~src:ip_src ~dst:ip_dst ~proto:(L4.proto l4) () in
+      let p = Packet.make ~payload_len:10 ~flow_id ~created ~eth ~ip ~l4 () in
+      let p = { p with Packet.meta = { p.Packet.meta with Packet.seq_in_flow } } in
+      List.fold_left (fun p e -> Packet.push_encap e p) p encaps)
+    (let addr = map Ipv4_addr.of_int (int_bound 0xFFFFFFFF) in
+     pair addr addr)
+    (pair l4 (list_size (int_bound 3) encap))
+    (triple small_nat (float_bound_inclusive 10.0) small_nat)
+
+let mixed_packet_arb = QCheck.make ~print:(Format.asprintf "%a" Packet.pp) mixed_packet_gen
+
+(* The result equals [expect], and is the argument itself when nothing
+   was stripped: no copy is made for a no-op. *)
+let same_or_self p ~expect got = got = expect && (expect != p || got == p)
+
+let prop_flow_hash =
+  QCheck.Test.make ~name:"flow_hash is the hash of the flow key" ~count:300 mixed_packet_arb
+    (fun p -> Packet.flow_hash p = Flow_key.hash (Packet.flow_key p))
+
+let prop_decap_pop_mpls =
+  QCheck.Test.make ~name:"decap_tunnel and pop_mpls agree with pop_encap" ~count:300
+    (QCheck.pair mixed_packet_arb (QCheck.int_bound 3))
+    (fun (p, tunnel_id) ->
+      let decap =
+        match pop_encap p with
+        | Some (Encap.Mpls { label }, p') when label = tunnel_id -> p'
+        | _ -> p
+      and pop = match pop_encap p with Some (Encap.Mpls _, p') -> p' | _ -> p in
+      same_or_self p ~expect:decap (Packet.decap_tunnel ~tunnel_id p)
+      && same_or_self p ~expect:pop (Packet.pop_mpls p))
+
+let prop_strip =
+  QCheck.Test.make ~name:"strip pops until nothing is left" ~count:300 mixed_packet_arb
+    (fun p ->
+      let rec strip p = match pop_encap p with None -> p | Some (_, p') -> strip p' in
+      let expect = strip p in
+      same_or_self p ~expect (Packet.strip p) && (Packet.strip p).Packet.encaps = [])
+
+let prop_with_meta =
+  QCheck.Test.make ~name:"with_meta changes only created and seq_in_flow" ~count:300
+    (QCheck.triple mixed_packet_arb (QCheck.float_bound_inclusive 10.0) QCheck.small_nat)
+    (fun (p, created, seq_in_flow) ->
+      let q = Packet.with_meta p ~created ~seq_in_flow in
+      q.Packet.meta.Packet.created = created
+      && q.Packet.meta.Packet.seq_in_flow = seq_in_flow
+      && q = { p with Packet.meta = { p.Packet.meta with Packet.created; seq_in_flow } }
+      (* the headers are shared, not copied *)
+      && q.Packet.eth == p.Packet.eth && q.Packet.ip == p.Packet.ip
+      && q.Packet.l4 == p.Packet.l4 && q.Packet.encaps == p.Packet.encaps)
+
 let () =
   Alcotest.run "scotch_packet"
     [ ( "mac",
@@ -256,7 +333,11 @@ let () =
         [ Alcotest.test_case "size arithmetic" `Quick test_packet_size;
           Alcotest.test_case "encap stack" `Quick test_packet_encap_stack;
           Alcotest.test_case "flow key ignores encaps" `Quick test_packet_flow_key_ignores_encaps;
-          Alcotest.test_case "mpls label range" `Quick test_mpls_label_range ] );
+          Alcotest.test_case "mpls label range" `Quick test_mpls_label_range;
+          QCheck_alcotest.to_alcotest prop_flow_hash;
+          QCheck_alcotest.to_alcotest prop_decap_pop_mpls;
+          QCheck_alcotest.to_alcotest prop_strip;
+          QCheck_alcotest.to_alcotest prop_with_meta ] );
       ( "codec",
         [ Alcotest.test_case "plain roundtrip" `Quick test_codec_plain_roundtrip;
           Alcotest.test_case "wire length" `Quick test_codec_wire_length;

@@ -1497,6 +1497,260 @@ let test_switch_every_action () =
     [ c.Switch.rx; c.Switch.tx; c.Switch.dropped_blocked; c.Switch.dropped_capacity;
       c.Switch.dropped_no_rule; c.Switch.dropped_action ]
 
+(* ------------------------------------------------------------------ *)
+(* The action interpreter against its reference *)
+
+(* The interpreter as it stood before it read instructions in place:
+   one [continue] closure per action, the actions collected with
+   [Of_action.actions_of_instructions] and the goto found with
+   [goto_of_instructions], the lookup context copied at every table,
+   and the select-group hash taken over a built flow key. *)
+module Pipeline_ref (T : Pipeline.TARGET) = struct
+  let pop_encap (p : Packet.t) =
+    match p.Packet.encaps with [] -> None | e :: rest -> Some (e, { p with Packet.encaps = rest })
+
+  let rec apply_actions t ~(ctx : Of_match.context) ~via_miss pkt actions =
+    match actions with
+    | [] -> pkt
+    | act :: rest ->
+      let continue pkt = apply_actions t ~ctx ~via_miss pkt rest in
+      (match act with
+      | Of_action.Output (Of_types.Port_no.Physical p) ->
+        if p <> ctx.Of_match.in_port then T.emit t p pkt;
+        continue pkt
+      | Of_action.Output Of_types.Port_no.In_port ->
+        T.emit t ctx.Of_match.in_port pkt;
+        continue pkt
+      | Of_action.Output Of_types.Port_no.Controller ->
+        let reason =
+          if via_miss then Of_types.Packet_in_reason.No_match
+          else Of_types.Packet_in_reason.Action
+        in
+        T.to_controller t ctx reason pkt;
+        continue pkt
+      | Of_action.Output Of_types.Port_no.All ->
+        T.flood t ~in_port:ctx.Of_match.in_port pkt;
+        continue pkt
+      | Of_action.Output (Of_types.Port_no.Local | Of_types.Port_no.Any) -> continue pkt
+      | Of_action.Group gid -> (
+        match T.group t gid with
+        | None ->
+          T.drop t Pipeline.Action;
+          continue pkt
+        | Some g ->
+          let flow_hash = Flow_key.hash (Packet.flow_key pkt) in
+          ignore
+            (apply_actions t ~ctx ~via_miss pkt
+               (Group_table.select g ~flow_hash).Of_msg.Group_mod.actions);
+          continue pkt)
+      | Of_action.Push_mpls label -> continue (Packet.push_encap (Headers.Encap.mpls label) pkt)
+      | Of_action.Pop_mpls ->
+        continue (match pop_encap pkt with Some (Headers.Encap.Mpls _, p) -> p | _ -> pkt))
+
+  let rec run_table t ~table_id ~(ctx : Of_match.context) pkt =
+    let ctx = { ctx with Of_match.packet = pkt } in
+    match T.lookup t ~table_id ctx with
+    | None -> T.drop t Pipeline.No_rule
+    | Some rule ->
+      let via_miss = rule.Flow_table.priority = 0 && Of_match.is_wildcard rule.Flow_table.match_ in
+      let actions = Of_action.actions_of_instructions rule.Flow_table.instructions in
+      let pkt = apply_actions t ~ctx ~via_miss pkt actions in
+      (match Of_action.goto_of_instructions rule.Flow_table.instructions with
+      | Some next when next > table_id -> run_table t ~table_id:next ~ctx pkt
+      | Some _ | None -> ())
+end
+
+(* A target that records every call, with the packets it was handed.
+   Table [i] holds at most one wildcard rule; group 1 is present, every
+   other group is missing. *)
+type pipe_event =
+  | Lookup of int * Packet.t  (* table id, the context's packet *)
+  | Emit of int * Packet.t
+  | Flood of int * Packet.t
+  | To_controller of int * int option * Packet.t * Of_types.Packet_in_reason.t * Packet.t
+  | Drop of Pipeline.drop_reason
+
+module Recorder = struct
+  type t = {
+    tables : Flow_table.t array;
+    group1 : Group_table.group;
+    mutable log : pipe_event list;
+  }
+
+  let record t ev = t.log <- ev :: t.log
+
+  let lookup t ~table_id (ctx : Of_match.context) =
+    record t (Lookup (table_id, ctx.Of_match.packet));
+    if table_id < 0 || table_id >= Array.length t.tables then None
+    else Flow_table.lookup t.tables.(table_id) ~now:0.0 ctx
+
+  let emit t p pkt = record t (Emit (p, pkt))
+  let flood t ~in_port pkt = record t (Flood (in_port, pkt))
+
+  let to_controller t (ctx : Of_match.context) reason pkt =
+    record t
+      (To_controller
+         (ctx.Of_match.in_port, ctx.Of_match.tunnel_id, ctx.Of_match.packet, reason, pkt))
+
+  let group t gid = if gid = 1 then Some t.group1 else None
+  let drop t reason = record t (Drop reason)
+end
+
+module P_new = Pipeline.Make (Recorder)
+module P_ref = Pipeline_ref (Recorder)
+
+let pipe_tables = 3
+
+(* One rule per table: [None] leaves the table empty (a miss). *)
+type pipe_case = {
+  rules : (int * Of_action.instructions) option list;  (* priority, instructions *)
+  buckets : Of_action.t list list;  (* group 1's buckets; no group actions inside *)
+  start : int;
+  actions : Of_action.t list;  (* a bare [apply_actions] call *)
+  via_miss : bool;
+  tunnel_id : int option;
+  pkt : Packet.t;
+}
+
+let recorder case =
+  let tables = Array.init pipe_tables (fun i -> Flow_table.create ~table_id:i ()) in
+  List.iteri
+    (fun i -> function
+      | None -> ()
+      | Some (priority, instructions) ->
+        insert_ok tables.(i) ~now:0.0 ~priority ~match_:Of_match.wildcard ~instructions)
+    case.rules;
+  let buckets = List.map Of_msg.Group_mod.bucket case.buckets in
+  { Recorder.tables; group1 = { Group_table.group_id = 1; buckets }; log = [] }
+
+let pipe_action_gen ~groups =
+  let open QCheck.Gen in
+  let port =
+    Of_types.Port_no.(
+      oneofl [ Physical 1; Physical 2; Physical 3; In_port; Controller; All; Local ])
+  in
+  frequency
+    ([ (4, map (fun p -> Of_action.Output p) port);
+       (2, map (fun l -> Of_action.Push_mpls l) (int_bound 3));
+       (2, return Of_action.Pop_mpls) ]
+    @ if groups then [ (2, map (fun g -> Of_action.Group g) (int_range 1 2)) ] else [])
+
+let pipe_instructions_gen =
+  let open QCheck.Gen in
+  let actions = list_size (int_bound 4) (pipe_action_gen ~groups:true) in
+  let* applies = list_size (int_bound 3) (map (fun a -> Of_action.Apply_actions a) actions) in
+  (* forward, backward, to itself and past the last table *)
+  let* gotos =
+    list_size (int_bound 2) (map (fun n -> Of_action.Goto_table n) (int_bound pipe_tables))
+  in
+  (* shuffle them together, so a goto may come first, last or between lists *)
+  let* keys = list_repeat (List.length applies + List.length gotos) (int_bound 100) in
+  let tagged = List.combine keys (applies @ gotos) in
+  return (List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) tagged))
+
+let pipe_case_gen =
+  let open QCheck.Gen in
+  let rule = opt ~ratio:0.85 (pair (oneofl [ 0; 5 ]) pipe_instructions_gen) in
+  let* rules = list_repeat pipe_tables rule in
+  let* buckets =
+    list_size (int_range 1 3) (list_size (int_bound 3) (pipe_action_gen ~groups:false))
+  in
+  let* start = int_bound 1 in
+  let* actions = list_size (int_bound 4) (pipe_action_gen ~groups:true) in
+  let* via_miss = bool in
+  let* tunnel_id = opt (return 9) in
+  let* encaps =
+    list_size (int_bound 2)
+      (oneof [ map Headers.Encap.mpls (int_bound 3); map Headers.Encap.vlan (int_bound 3) ])
+  in
+  let* src_port = int_bound 65535 in
+  let pkt = List.fold_left (fun p e -> Packet.push_encap e p) (mk_packet ~src_port ()) encaps in
+  return { rules; buckets; start; actions; via_miss; tunnel_id; pkt }
+
+let pp_actions acts =
+  let pp = function
+    | Of_action.Output (Of_types.Port_no.Physical p) -> Printf.sprintf "out:%d" p
+    | Of_action.Output p -> Printf.sprintf "out:%x" (Of_types.Port_no.to_int p)
+    | Of_action.Group g -> Printf.sprintf "group:%d" g
+    | Of_action.Push_mpls l -> Printf.sprintf "push:%d" l
+    | Of_action.Pop_mpls -> "pop"
+  in
+  "[" ^ String.concat "; " (List.map pp acts) ^ "]"
+
+let pp_pipe_case c =
+  let instr = function
+    | Of_action.Apply_actions a -> "apply " ^ pp_actions a
+    | Of_action.Goto_table n -> Printf.sprintf "goto %d" n
+  in
+  let rule i = function
+    | None -> Printf.sprintf "table %d: empty" i
+    | Some (prio, is) ->
+      Printf.sprintf "table %d prio %d: %s" i prio (String.concat ", " (List.map instr is))
+  in
+  String.concat "\n"
+    (List.mapi rule c.rules
+    @ [ "group 1: " ^ String.concat " | " (List.map pp_actions c.buckets);
+        Printf.sprintf "start %d; actions %s via_miss %b; tunnel %s; packet %s" c.start
+          (pp_actions c.actions) c.via_miss
+          (match c.tunnel_id with None -> "-" | Some t -> string_of_int t)
+          (Format.asprintf "%a" Packet.pp c.pkt) ])
+
+(* The same calls, in the same order, with equal packets; and the same
+   packet returned from a bare action list. *)
+let prop_pipeline_matches_reference =
+  QCheck.Test.make ~name:"pipeline agrees with its closure-per-action reference" ~count:500
+    (QCheck.make ~print:pp_pipe_case pipe_case_gen)
+    (fun case ->
+      let ctx = Of_match.context ?tunnel_id:case.tunnel_id ~in_port:1 case.pkt in
+      let t_new = recorder case and t_ref = recorder case in
+      P_new.run_table t_new ~table_id:case.start ~ctx case.pkt;
+      P_ref.run_table t_ref ~table_id:case.start ~ctx case.pkt;
+      let walked = t_new.Recorder.log = t_ref.Recorder.log in
+      let r_new = P_new.apply_actions t_new ~ctx ~via_miss:case.via_miss case.pkt case.actions in
+      let r_ref = P_ref.apply_actions t_ref ~ctx ~via_miss:case.via_miss case.pkt case.actions in
+      walked && r_new = r_ref && t_new.Recorder.log = t_ref.Recorder.log)
+
+(* An output to a port, and a present select group, allocate nothing:
+   the interpreter reads the action list in place and hashes the
+   packet's headers without building a flow key. *)
+module Counting = struct
+  type t = { mutable emitted : int; group : Group_table.group option }
+
+  let lookup _ ~table_id:_ _ = None
+  let emit t _ _ = t.emitted <- t.emitted + 1
+  let flood _ ~in_port:_ _ = ()
+  let to_controller _ _ _ _ = ()
+  let group t _ = t.group
+  let drop _ _ = ()
+end
+
+module P_count = Pipeline.Make (Counting)
+
+let test_pipeline_allocates_nothing () =
+  let buckets =
+    List.init 3 (fun i ->
+        Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical (2 + i)) ])
+  in
+  let t = { Counting.emitted = 0; group = Some { Group_table.group_id = 1; buckets } } in
+  let pkt = mk_packet () in
+  let ctx = Of_match.context ~in_port:1 pkt in
+  let output = [ Of_action.Output (Of_types.Port_no.Physical 2) ]
+  and group = [ Of_action.Group 1 ] in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let run actions () =
+    for _ = 1 to 1000 do
+      ignore (P_count.apply_actions t ~ctx ~via_miss:false pkt actions)
+    done
+  in
+  let empty = words ignore in
+  Alcotest.(check (float 0.0)) "output: minor words" empty (words (run output));
+  Alcotest.(check (float 0.0)) "select group: minor words" empty (words (run group));
+  Alcotest.(check int) "emitted" 2000 t.Counting.emitted
+
 let () =
   Alcotest.run "scotch_switch"
     [ ( "flow_table",
@@ -1547,5 +1801,7 @@ let () =
           Alcotest.test_case "normal ports" `Quick test_switch_normal_ports;
           Alcotest.test_case "packet out via ofa" `Quick test_switch_packet_out_via_ofa;
           Alcotest.test_case "every action kind" `Quick test_switch_every_action;
+          QCheck_alcotest.to_alcotest prop_pipeline_matches_reference;
+          Alcotest.test_case "actions allocate nothing" `Quick test_pipeline_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_flow_stats_reply;
           Alcotest.test_case "flow-stats reply allocation" `Quick test_flow_stats_allocation ] ) ]

@@ -154,30 +154,56 @@ let test_sampler_window_resets () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
-(* Offer [n] packets of one flow at [rate]; the truth must land inside
-   the estimator's own interval stretched to twice its distance from
-   the scaled estimate on each side (z=1.645 doubled: a z=3.29, 99.9%
-   interval) — and at rate 1 it is exact.  This is the
-   unbiasedness/convergence pair: the interval width shrinks to 0 as
-   rate -> 1. *)
-let prop_estimator_convergence =
-  QCheck.Test.make ~name:"scaled estimate brackets the truth; exact at rate 1" ~count:60
-    QCheck.(triple (int_range 1 1000) (int_range 500 5000) (int_range 0 2))
-    (fun (seed, n, rate_ix) ->
-      let rate = [| 0.1; 0.5; 1.0 |].(rate_ix) in
-      let s = Sampler.create ~seed ~dpid:100 ~rate () in
-      Sampler.set_enabled s true;
-      for _ = 1 to n do
-        Sampler.offer s ~tunnel_id:None (fun () -> key 1)
-      done;
-      let c = Sampler.sampled s in
-      if rate = 1.0 then c = n && Estimator.scaled ~rate c = float_of_int n
-      else begin
-        let est = Estimator.scaled ~rate c and truth = float_of_int n in
-        let lo = Estimator.rate_lower ~rate ~window:1.0 c
-        and hi = snd (Estimator.interval ~rate c) in
-        est -. (2.0 *. (est -. lo)) <= truth && truth <= est +. (2.0 *. (hi -. est))
-      end)
+(* Offer [n] packets of one flow at [rate] to a sampler seeded
+   [seed]; the sampled count. *)
+let sampled_count ~seed ~n ~rate =
+  let s = Sampler.create ~seed ~dpid:100 ~rate () in
+  Sampler.set_enabled s true;
+  let k = key 1 in
+  for _ = 1 to n do
+    Sampler.offer s ~tunnel_id:None (fun () -> k)
+  done;
+  Sampler.sampled s
+
+(* Does the truth [n] land inside the estimator's own interval stretched
+   to twice its distance from the scaled estimate on each side (z=1.645
+   doubled: a z=3.29, 99.9% interval)? *)
+let brackets ~rate ~n c =
+  let est = Estimator.scaled ~rate c and truth = float_of_int n in
+  let lo = Estimator.rate_lower ~rate ~window:1.0 c and hi = snd (Estimator.interval ~rate c) in
+  est -. (2.0 *. (est -. lo)) <= truth && truth <= est +. (2.0 *. (hi -. est))
+
+(* The unbiasedness/convergence pair: at rate 1 the estimate is exact,
+   and below it the 99.9% interval covers the truth at its nominal
+   level (the interval width shrinks to 0 as rate -> 1).  A 99.9%
+   interval misses about once in a thousand draws, so coverage is
+   checked on one fixed grid, not per random case: seeds 1-1000 x
+   n in {500, 1000, 2000, 4124, 5000} x rates {0.1, 0.5}, at most 0.1%
+   of them missed.  (54, 4124, 0.1) is a known miss: 485 samples where
+   about 412 are expected (+3.8 sigma) put the bracket at
+   [4125.5, 5628.7]. *)
+let test_estimator_coverage () =
+  let ns = [ 500; 1000; 2000; 4124; 5000 ] and rates = [ 0.1; 0.5 ] in
+  let cases = ref 0 and misses = ref [] in
+  for seed = 1 to 1000 do
+    List.iter
+      (fun n ->
+        let c = sampled_count ~seed ~n ~rate:1.0 in
+        if c <> n || Estimator.scaled ~rate:1.0 c <> float_of_int n then
+          Alcotest.failf "rate 1 not exact: seed %d, n %d, %d sampled" seed n c;
+        List.iter
+          (fun rate ->
+            incr cases;
+            if not (brackets ~rate ~n (sampled_count ~seed ~n ~rate)) then
+              misses := (seed, n, rate) :: !misses)
+          rates)
+      ns
+  done;
+  Alcotest.(check bool) "(54, 4124, 0.1) is a known miss" true
+    (List.mem (54, 4124, 0.1) !misses);
+  let missed = List.length !misses in
+  if missed * 1000 > !cases then
+    Alcotest.failf "%d of %d cases missed their 99.9%% interval" missed !cases
 
 let prop_sampler_determinism =
   QCheck.Test.make ~name:"same seed, same offers => identical report and digest" ~count:40
@@ -239,6 +265,7 @@ let () =
             test_sampler_disabled_draws_nothing;
           Alcotest.test_case "window resets" `Quick test_sampler_window_resets ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_estimator_convergence;
+        [ Alcotest.test_case "scaled estimate brackets the truth; exact at rate 1" `Quick
+            test_estimator_coverage;
           QCheck_alcotest.to_alcotest prop_sampler_determinism;
           QCheck_alcotest.to_alcotest prop_sketch_never_undercounts ] ) ]

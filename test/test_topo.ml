@@ -9,9 +9,10 @@ let fast_profile =
   { Profile.open_vswitch with Profile.forward_latency = 0.0; datapath_pps = 1e9 }
 
 let mk_packet ?(flow_id = 1) ?(seq = 0) ~src ~dst () =
-  Packet.udp_data ~seq_in_flow:seq ~payload_len:100 ~flow_id ~created:0.0
-    ~src_mac:(Host.mac src) ~dst_mac:(Host.mac dst) ~ip_src:(Host.ip src)
-    ~ip_dst:(Host.ip dst) ~src_port:1000 ~dst_port:80 ()
+  Packet.with_meta ~created:0.0 ~seq_in_flow:seq
+    (Packet.udp_data ~payload_len:100 ~flow_id ~created:0.0 ~src_mac:(Host.mac src)
+       ~dst_mac:(Host.mac dst) ~ip_src:(Host.ip src) ~ip_dst:(Host.ip dst) ~src_port:1000
+       ~dst_port:80 ())
 
 (* ------------------------------------------------------------------ *)
 (* Host *)
