@@ -5,7 +5,8 @@
    1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
       structures the simulator's credibility rests on — flow-table
       lookup hit and miss, insert and removal, select-group hashing,
-      one switch receive through the overlay miss pipeline,
+      one switch receive through the overlay miss pipeline, the
+      verifier's clean-rule grading and one class walk,
       the reconciler's intent store, event-queue churn and hold, the
       packet and OpenFlow wire codecs,
       and both halves of an exact-polling round.
@@ -177,6 +178,69 @@ let bench_switch_receive_overlay () =
          incr i;
          Switch.receive sw ~in_port:1 packets.(!i land 255);
          if !i land 63 = 0 then Scotch_sim.Engine.run engine))
+
+(* The verifier's two per-update kernels on forged snapshots: grading
+   one clean rule (an output to a host port, a select group and a goto
+   into a filled table), and walking one flow class from host a's
+   switch out tunnel 7 to the switch that strips it and delivers. *)
+module Vs = Scotch_verify.Snapshot
+
+let verify_port ?tunnel ~endpoint port_id =
+  { Vs.port_id; tunnel; link_up = Some true; endpoint }
+
+let verify_rule ~instructions =
+  { Flow_table.priority = 10;
+    match_ = Of_match.exact_flow (Packet.flow_key (mk_packet 1));
+    instructions; idle_timeout = 0.0; hard_timeout = 0.0; cookie = Of_types.cookie_none;
+    installed_at = 0.0; last_used = 0.0; packet_count = 0; byte_count = 0 }
+
+let verify_node ~dpid ~rules ~groups ~ports =
+  { Vs.dpid; failed = false; num_tables = 2;
+    tables = List.map (fun (id, rs) -> (id, Classifier.of_list rs)) rules; groups; ports }
+
+let verify_snapshot nodes =
+  { Vs.now = 0.0;
+    nodes;
+    hosts =
+      [ { Vs.host_ip = Ipv4_addr.to_int (Packet.flow_key (mk_packet 1)).Flow_key.ip_src;
+          attach_dpid = 1; attach_port = 1 } ];
+    managed = [ 1 ]; vswitch_dpids = []; overlay = None; intents = None }
+
+let bench_blackhole_grade () =
+  let out p = Of_action.Output (Of_types.Port_no.Physical p) in
+  let r =
+    verify_rule
+      ~instructions:[ Of_action.Apply_actions [ out 1; Of_action.Group 1 ]; Of_action.Goto_table 1 ]
+  in
+  let n =
+    verify_node ~dpid:1
+      ~rules:[ (0, [ r ]); (1, [ verify_rule ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ]) ]
+      ~groups:[ { Group_table.group_id = 1; buckets = [ Of_msg.Group_mod.bucket [ out 1 ] ] } ]
+      ~ports:[ verify_port ~endpoint:(Vs.To_host 1) 1 ]
+  in
+  let snap = verify_snapshot [ n ] in
+  Bechamel.Test.make ~name:"blackhole grade, clean rule"
+    (Bechamel.Staged.stage (fun () -> ignore (Scotch_verify.Inv_blackhole.rule snap n ~table_id:0 r)))
+
+let bench_loop_walk () =
+  let out p = Of_action.output (Of_types.Port_no.Physical p) in
+  let snap =
+    verify_snapshot
+      [ verify_node ~dpid:1 ~rules:[ (0, [ verify_rule ~instructions:(out 10007) ]) ] ~groups:[]
+          ~ports:
+            [ verify_port ~endpoint:(Vs.To_host 1) 1;
+              verify_port ~tunnel:7 ~endpoint:(Vs.To_switch { peer = 2; peer_in_port = 10007 }) 10007 ];
+        verify_node ~dpid:2 ~rules:[ (0, [ verify_rule ~instructions:(out 3) ]) ] ~groups:[]
+          ~ports:
+            [ { (verify_port ~tunnel:7 ~endpoint:Vs.Disconnected 10007) with Vs.link_up = None };
+              verify_port ~endpoint:(Vs.To_host 2) 3 ] ]
+  in
+  let env = Scotch_verify.Inv_loop.make_env snap in
+  let key = Packet.flow_key (mk_packet 1) in
+  let prev = snd (Scotch_verify.Inv_loop.walk_class env ~key ~prev:[] [ (1, 1) ]) in
+  Bechamel.Test.make ~name:"loop walk, one class across a tunnel"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Scotch_verify.Inv_loop.walk_class env ~key ~prev [ (1, 1) ])))
 
 (* One switch's intent store holding 10k exact rules that differ only
    in ip_dst, the shape that defeats a generic hash (see above). *)
@@ -366,6 +430,7 @@ let run_micro () =
       ([ bench_flow_table_lookup (); bench_flow_table_lookup_dst (); bench_flow_table_miss ();
          bench_flow_table_remove ();
          bench_flow_table_insert (); bench_group_select (); bench_switch_receive_overlay ();
+         bench_blackhole_grade (); bench_loop_walk ();
          bench_intent_delete ();
          bench_intent_diff ();
          bench_event_heap (); bench_event_hold (); bench_event_hold_handler ();

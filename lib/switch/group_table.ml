@@ -12,9 +12,14 @@ type group = Of_msg.Stats.group_desc = {
   buckets : Of_msg.Group_mod.bucket list;
 }
 
-type t = { groups : (Of_types.group_id, group) Hashtbl.t }
+(* Each group is stored as the option {!find} returns, built once when
+   the group is written, so a lookup allocates nothing. *)
+type t = { groups : (Of_types.group_id, group option) Hashtbl.t }
 
 let create () = { groups = Hashtbl.create 16 }
+
+let store t (gm : Of_msg.Group_mod.t) =
+  Hashtbl.replace t.groups gm.group_id (Some { group_id = gm.group_id; buckets = gm.buckets })
 
 (** [Add]/[Modify] validation: a group with no buckets would silently
     blackhole every flow hashed onto it — real switches reject such
@@ -30,7 +35,7 @@ let apply t (gm : Of_msg.Group_mod.t) =
     | Ok () ->
       if Hashtbl.mem t.groups gm.group_id then Error `Group_exists
       else begin
-        Hashtbl.replace t.groups gm.group_id { group_id = gm.group_id; buckets = gm.buckets };
+        store t gm;
         Ok ()
       end)
   | Modify -> (
@@ -41,13 +46,13 @@ let apply t (gm : Of_msg.Group_mod.t) =
       match validate_buckets gm with
       | Error _ as e -> e
       | Ok () ->
-        Hashtbl.replace t.groups gm.group_id { group_id = gm.group_id; buckets = gm.buckets };
+        store t gm;
         Ok ())
   | Delete ->
     Hashtbl.remove t.groups gm.group_id;
     Ok ()
 
-let find t gid = Hashtbl.find_opt t.groups gid
+let find t gid = match Hashtbl.find t.groups gid with g -> g | exception Not_found -> None
 
 (** [select g ~flow_hash] hashes the flow onto one of the equal
     buckets; [apply] keeps every group non-empty. *)
@@ -56,5 +61,5 @@ let select g ~flow_hash = List.nth g.buckets (flow_hash mod List.length g.bucket
 let size t = Hashtbl.length t.groups
 
 let groups t =
-  Hashtbl.fold (fun _ g acc -> g :: acc) t.groups []
+  Hashtbl.fold (fun _ g acc -> match g with Some g -> g :: acc | None -> acc) t.groups []
   |> List.sort (fun a b -> compare a.group_id b.group_id)

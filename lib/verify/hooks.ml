@@ -31,7 +31,11 @@ let settle_delay = 0.5
     diagnostic set is checked against a full rescan of the tracked
     model ({!Incremental.check_equivalence}).  Each audit is O(model),
     so the cadence bounds the continuous mode's amortized overhead on
-    rule-churn-heavy workloads. *)
+    rule-churn-heavy workloads.  Clean rules allocate nothing in the
+    blackhole and shadow passes, so an audit allocates for its model
+    copy, its seed selection and its class walks: 9 Mwords over the 26
+    audits of a [fabric-verify] run (seed 42), against 46 when every
+    rule built its actions list and every seed rule its key. *)
 let equiv_every = 1024
 
 let install ~engine ~topo scotch =

@@ -9,8 +9,9 @@
     {ul
     {- {b Loop}: header space is partitioned into the same flow-key
        equivalence classes the snapshot checker seeds
-       ({!Inv_loop.seeds}), chosen by the same capped insert
-       ({!Inv_loop.Capped.offer}) over the same host index; a key the
+       ({!Inv_loop.seeds}), chosen by a capped insert
+       ({!Inv_loop.Capped.offer}) that keeps the selection the rescan
+       makes, over the same host index; a key the
        insert evicts waits in overflow until a withdrawal promotes it.
        A changed rule's match selects the active classes it can touch
        (one hash probe for a match pinning a whole 5-tuple, one
@@ -115,6 +116,8 @@ type t = {
   mutable known : universe;
   mutable orphan : universe;
   classes : class_cache Flow_key.Hashtbl.t; (* exactly the active sets *)
+  dirty : (Flow_key.t, unit) Hashtbl.t; (* classes to re-walk this apply; empty between *)
+  walk : Inv_loop.env; (* reused by every re-walk *)
   local : (int, local_cache) Hashtbl.t; (* per-node blackhole+group *)
   mutable coverage : D.t list;
   div : (int, D.t list) Hashtbl.t;
@@ -195,7 +198,7 @@ let deactivate t dirty key =
   Hashtbl.remove dirty key
 
 (* Activation keeps the exact selection the rescan's {!Inv_loop.seeds}
-   makes, through the same {!Inv_loop.Capped.offer}. *)
+   makes, through {!Inv_loop.Capped.offer}. *)
 let enter_universe t dirty key =
   let u = universe_of t key in
   match Inv_loop.Capped.offer u.active key with
@@ -274,24 +277,24 @@ let ports t dpid = Option.map (fun (n : S.node) -> n.S.ports) (S.node t.model dp
 
 (* --- blackhole: per-rule, only violating rules stored --- *)
 
-let bh_rule t lc (n : S.node) ~table_id r =
-  let k = (table_id, Inv_common.slot_of r) in
-  (match Hashtbl.find_opt lc.lc_bh k with
-  | Some old -> ledger_remove t old
-  | None -> ());
-  match Inv_blackhole.rule t.model n ~table_id r with
-  | [] -> Hashtbl.remove lc.lc_bh k
-  | ds ->
-    Hashtbl.replace lc.lc_bh k ds;
-    ledger_add t ds
-
+(* A node with no violating rule, the usual case, builds no slot key. *)
 let bh_remove t lc ~table_id r =
-  let k = (table_id, Inv_common.slot_of r) in
-  match Hashtbl.find_opt lc.lc_bh k with
-  | Some ds ->
-    Hashtbl.remove lc.lc_bh k;
-    ledger_remove t ds
-  | None -> ()
+  if Hashtbl.length lc.lc_bh > 0 then begin
+    let k = (table_id, Inv_common.slot_of r) in
+    match Hashtbl.find lc.lc_bh k with
+    | exception Not_found -> ()
+    | ds ->
+      Hashtbl.remove lc.lc_bh k;
+      ledger_remove t ds
+  end
+
+let bh_rule t lc (n : S.node) ~table_id r =
+  bh_remove t lc ~table_id r;
+  match Inv_blackhole.rule t.model n ~table_id r with
+  | [] -> ()
+  | ds ->
+    Hashtbl.replace lc.lc_bh (table_id, Inv_common.slot_of r) ds;
+    ledger_add t ds
 
 let rebuild_blackhole t lc (n : S.node) =
   Hashtbl.iter (fun _ ds -> ledger_remove t ds) lc.lc_bh;
@@ -385,25 +388,26 @@ let recompute_coverage t =
 let miss_shaped (r : Flow_table.rule) =
   r.Flow_table.priority = 0 && Of_match.is_wildcard r.Flow_table.match_
 
-(** Re-walk every class in [dirty]. *)
-let rewalk t dirty =
-  let env = Inv_loop.make_env t.model in
-  let n = ref 0 in
+(** Re-walk every class in [t.dirty], then clear it. *)
+let rewalk t =
+  t.walk.Inv_loop.snap <- t.model;
   Hashtbl.iter
     (fun key () ->
-      incr n;
-      match Flow_key.Hashtbl.find_opt t.classes key with
-      | None -> ()
-      | Some c ->
-        let diags, touched = Inv_loop.walk_class env ~key c.entry in
+      match Flow_key.Hashtbl.find t.classes key with
+      | exception Not_found -> ()
+      | c ->
+        let diags, touched = Inv_loop.walk_class t.walk ~key ~prev:c.ctouched c.entry in
         if diags <> c.cdiags then begin
           ledger_remove t c.cdiags;
           ledger_add t diags
         end;
         c.cdiags <- diags;
         c.ctouched <- touched)
-    dirty;
-  t.n_classes_touched <- t.n_classes_touched + !n
+    t.dirty;
+  t.n_classes_touched <- t.n_classes_touched + Hashtbl.length t.dirty;
+  (* back to its initial size: it allocates again only after a refresh
+     or an apply that dirtied many classes grew it *)
+  Hashtbl.reset t.dirty
 
 (* Mark the active classes whose packets could match [m]: [m]'s IP
    prefixes, protocol and ports must agree with the class's key, while
@@ -646,10 +650,9 @@ let due_divergence t ~now =
 let apply t ~now u =
   let t0 = Unix.gettimeofday () in
   t.model <- { t.model with S.now = now };
-  let dirty : (Flow_key.t, unit) Hashtbl.t = Hashtbl.create 8 in
   due_divergence t ~now;
-  apply_update t dirty u;
-  rewalk t dirty;
+  apply_update t t.dirty u;
+  rewalk t;
   settle t ~now;
   t.n_updates <- t.n_updates + 1;
   record_latency t (Unix.gettimeofday () -. t0);
@@ -665,6 +668,8 @@ let create ?(now = 0.0) snap =
       known = universe Inv_loop.max_seed_keys;
       orphan = universe Inv_loop.max_orphan_keys;
       classes = Flow_key.Hashtbl.create 256;
+      dirty = Hashtbl.create 8;
+      walk = Inv_loop.make_env snap;
       local = Hashtbl.create 64;
       coverage = [];
       div = Hashtbl.create 16;
@@ -681,9 +686,8 @@ let create ?(now = 0.0) snap =
       lat = Array.make lat_cap 0.0;
       lat_total = 0 }
   in
-  let dirty = Hashtbl.create 256 in
-  reseed_all t dirty { snap with S.now = now };
-  rewalk t dirty;
+  reseed_all t t.dirty { snap with S.now = now };
+  rewalk t;
   settle t ~now;
   t
 
@@ -691,9 +695,8 @@ let create ?(now = 0.0) snap =
     resync and run-end check use it to fold in events no tap covers
     (link flaps, lazy rule expiry, joins, overlay membership). *)
 let refresh t ~now snap =
-  let dirty = Hashtbl.create 256 in
-  reseed_all t dirty { snap with S.now = now };
-  rewalk t dirty;
+  reseed_all t t.dirty { snap with S.now = now };
+  rewalk t;
   settle t ~now
 
 let diagnostics t = t.current

@@ -10,8 +10,43 @@ module S = Snapshot
 
 let name = "blackhole"
 
-(** The findings of rule [r] in table [table_id] of [n]. *)
-let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
+(* The clean-rule test, read from the rule's instructions in place and
+   allocating nothing: every output goes to a port {!Inv_common.output_clean}
+   accepts, every group is known, some action or goto exists, and the
+   first goto leads forward into a non-empty table.  Exactly the rules
+   for which {!findings} returns [[]] pass. *)
+
+let rec group_known gid = function
+  | [] -> false
+  | (g : Group_table.group) :: rest -> g.group_id = gid || group_known gid rest
+
+let rec actions_clean snap (n : S.node) = function
+  | [] -> true
+  | Of_action.Output (Of_types.Port_no.Physical p) :: rest ->
+    Inv_common.output_clean snap p n.S.ports && actions_clean snap n rest
+  | Of_action.Group gid :: rest -> group_known gid n.S.groups && actions_clean snap n rest
+  | _ :: rest -> actions_clean snap n rest
+
+(* a missing table counts as empty *)
+let rec table_filled table_id = function
+  | [] -> false
+  | (id, c) :: rest ->
+    if id = table_id then not (Classifier.is_empty c) else table_filled table_id rest
+
+let goto_clean (n : S.node) ~table_id next =
+  next > table_id && next < n.S.num_tables && table_filled next n.S.tables
+
+let rec clean snap n ~table_id ~acts ~goto = function
+  | [] -> acts || goto
+  | Of_action.Apply_actions a :: rest ->
+    let acts = match a with [] -> acts | _ :: _ -> true in
+    actions_clean snap n a && clean snap n ~table_id ~acts ~goto rest
+  | Of_action.Goto_table next :: rest ->
+    (goto || goto_clean n ~table_id next) && clean snap n ~table_id ~acts ~goto:true rest
+
+(* The findings of a rule that failed the clean test, worded for the
+   report. *)
+let findings snap (n : S.node) ~table_id (r : Flow_table.rule) =
   let subject = Inv_common.subject r in
   let mk = D.make ~dpid:n.S.dpid ~table_id ~rule:subject in
   let actions = Of_action.actions_of_instructions r.Flow_table.instructions in
@@ -29,7 +64,7 @@ let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
           Inv_common.check_output snap n ~invariant:D.Blackhole ~dead_severity:D.Warning
             ~table_id ~rule:subject p
         | Of_action.Group gid ->
-          if List.exists (fun (g : Group_table.group) -> g.group_id = gid) n.S.groups then []
+          if group_known gid n.S.groups then []
           else
             [ mk ~severity:D.Error ~invariant:D.Blackhole
                 (Printf.sprintf "rule points at unknown group %d" gid) ]
@@ -44,12 +79,18 @@ let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
         [ mk ~severity:D.Error ~invariant:D.Blackhole
             (Printf.sprintf "goto table %d is outside the pipeline (tables %d..%d)" next
                (table_id + 1) (n.S.num_tables - 1)) ]
-      else if Option.fold ~none:true ~some:Classifier.is_empty (S.table n next) then
+      else if not (table_filled next n.S.tables) then
         [ mk ~severity:D.Error ~invariant:D.Blackhole
             (Printf.sprintf "goto into empty table %d: every hit misses and is dropped" next) ]
       else []
   in
   inert @ outputs @ goto_diags
+
+(** The findings of rule [r] in table [table_id] of [n]; a clean rule
+    costs no allocation. *)
+let rule snap (n : S.node) ~table_id (r : Flow_table.rule) =
+  if clean snap n ~table_id ~acts:false ~goto:false r.Flow_table.instructions then []
+  else findings snap n ~table_id r
 
 (** All blackhole findings local to one (non-failed) node. *)
 let node snap (n : S.node) =

@@ -13,10 +13,9 @@ let name = "group-sanity"
 let node snap (n : S.node) =
   List.concat_map
     (fun (g : Scotch_switch.Group_table.group) ->
-      let mk = D.make ~dpid:n.S.dpid ~invariant:D.Group_sanity in
-      let label = Printf.sprintf "group %d" g.group_id in
       if g.buckets = [] then
-        [ mk ~severity:D.Error (label ^ " has an empty bucket list") ]
+        [ D.make ~dpid:n.S.dpid ~invariant:D.Group_sanity ~severity:D.Error
+            (Printf.sprintf "group %d has an empty bucket list" g.group_id) ]
       else
         List.concat_map
           (fun (b : Of_msg.Group_mod.bucket) ->

@@ -11,6 +11,7 @@
     leaves, one rule at a time, so each pair enters and leaves the
     ledger once. *)
 
+open Scotch_openflow
 open Scotch_switch
 module D = Diagnostic
 module S = Snapshot
@@ -31,11 +32,23 @@ let pairs (n : S.node) ~table_id c (r : Flow_table.rule) =
     c r
     (Classifier.fold_covering (fun hi acc -> shadow_diag n ~table_id hi r :: acc) c r [])
 
-(** Shadow findings of one table: each rule with the rules covering it. *)
+(* What [table]'s one cover callback reads the lower rule from before
+   the first rule is asked about. *)
+let no_rule : Flow_table.rule =
+  { Flow_table.priority = 0; match_ = Of_match.wildcard; instructions = []; idle_timeout = 0.0;
+    hard_timeout = 0.0; cookie = Of_types.cookie_none; installed_at = 0.0; last_used = 0.0;
+    packet_count = 0; byte_count = 0 }
+
+(** Shadow findings of one table: each rule with the rules covering it.
+    One cover callback serves the whole table, so a rule nothing covers
+    costs no allocation. *)
 let table (n : S.node) ~table_id c =
+  let lo = ref no_rule in
+  let covered hi acc = shadow_diag n ~table_id hi !lo :: acc in
   Classifier.fold
-    (fun lo acc ->
-      Classifier.fold_covering (fun hi acc -> shadow_diag n ~table_id hi lo :: acc) c lo acc)
+    (fun r acc ->
+      lo := r;
+      Classifier.fold_covering covered c r acc)
     c []
 
 (** All shadow findings local to one (non-failed) node. *)

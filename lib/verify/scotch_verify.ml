@@ -25,6 +25,12 @@ module Checker = Checker
 module Incremental = Incremental
 module Hooks = Hooks
 
+(** Two per-invariant analyzers, whose finer entry points (one rule's
+    grading, one class's walk, the audit's seed selection) the
+    differential tests and the micro-benchmarks drive directly. *)
+module Inv_blackhole = Inv_blackhole
+module Inv_loop = Inv_loop
+
 (** [check snap] runs the invariants — no loops, no blackholes, no
     shadowed rules, group sanity, miss coverage / overlay symmetry and
     (when the snapshot carries intent stores) zero intent/actual

@@ -71,11 +71,25 @@ type t = {
   intents : intent_state option;
 }
 
-let node t dpid = List.find_opt (fun n -> n.dpid = dpid) t.nodes
+(* Plain recursive loops: a [List.find_opt] predicate would be a
+   closure built on every call. *)
+let rec node_in dpid = function
+  | [] -> None
+  | n :: rest -> if n.dpid = dpid then Some n else node_in dpid rest
 
-let find_port n pid = List.find_opt (fun p -> p.port_id = pid) n.ports
+let node t dpid = node_in dpid t.nodes
 
-let table n table_id = List.assoc_opt table_id n.tables
+let rec port_in pid = function
+  | [] -> None
+  | p :: rest -> if p.port_id = pid then Some p else port_in pid rest
+
+let find_port n pid = port_in pid n.ports
+
+let rec table_in table_id = function
+  | [] -> None
+  | (id, c) :: rest -> if id = table_id then Some c else table_in table_id rest
+
+let table n table_id = table_in table_id n.tables
 
 let controlled t = List.sort_uniq compare (t.managed @ t.vswitch_dpids)
 

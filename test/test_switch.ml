@@ -1712,15 +1712,16 @@ let prop_pipeline_matches_reference =
 
 (* An output to a port, and a present select group, allocate nothing:
    the interpreter reads the action list in place and hashes the
-   packet's headers without building a flow key. *)
+   packet's headers without building a flow key, and the group table
+   hands back the option it stored. *)
 module Counting = struct
-  type t = { mutable emitted : int; group : Group_table.group option }
+  type t = { mutable emitted : int; groups : Group_table.t }
 
   let lookup _ ~table_id:_ _ = None
   let emit t _ _ = t.emitted <- t.emitted + 1
   let flood _ ~in_port:_ _ = ()
   let to_controller _ _ _ _ = ()
-  let group t _ = t.group
+  let group t gid = Group_table.find t.groups gid
   let drop _ _ = ()
 end
 
@@ -1731,7 +1732,10 @@ let test_pipeline_allocates_nothing () =
     List.init 3 (fun i ->
         Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical (2 + i)) ])
   in
-  let t = { Counting.emitted = 0; group = Some { Group_table.group_id = 1; buckets } } in
+  let t = { Counting.emitted = 0; groups = Group_table.create () } in
+  (match Group_table.apply t.Counting.groups (Of_msg.Group_mod.add_select ~group_id:1 ~buckets) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "group add rejected");
   let pkt = mk_packet () in
   let ctx = Of_match.context ~in_port:1 pkt in
   let output = [ Of_action.Output (Of_types.Port_no.Physical 2) ]
