@@ -146,6 +146,13 @@ let dispatch_pending t (msg : Of_msg.t) =
     req.k msg.Of_msg.payload
   | None -> ()
 
+(* The first app whose [packet_in] returns [true] consumes the event:
+   [List.exists] by direct recursion, which allocates no closure per
+   Packet-In. *)
+let rec offer_packet_in sw pi = function
+  | [] -> false
+  | a :: rest -> a.packet_in sw pi || offer_packet_in sw pi rest
+
 let rec handle_message t (sw : sw) (msg : Of_msg.t) =
   if Scotch_sim.Engine.now t.engine < t.paused_until then begin
     (* frozen controller: the message sits in the (unbounded) socket
@@ -164,7 +171,7 @@ let rec handle_message t (sw : sw) (msg : Of_msg.t) =
       Scotch_obs.Obs.instant ~name:"controller.packet_in" ~cat:"controller"
         ~ts:(Scotch_sim.Engine.now t.engine) ~tid:sw.dpid ~args:[];
     Stats.Rate_meter.tick sw.pin_meter ~now:(Scotch_sim.Engine.now t.engine);
-    let handled = List.exists (fun a -> a.packet_in sw pi) t.apps in
+    let handled = offer_packet_in sw pi t.apps in
     if not handled then t.counters.unhandled_packet_ins <- t.counters.unhandled_packet_ins + 1
   | Of_msg.Echo_reply ->
     sw.last_echo_reply <- Scotch_sim.Engine.now t.engine;
@@ -213,16 +220,14 @@ let connect t device ~latency =
     end
     else 0.0
   in
+  (* one delivery of [deliver], jittered and maybe held back *)
+  let schedule_delivery sw deliver =
+    ignore (Scotch_sim.Engine.schedule t.engine ~delay:(jittered sw +. reorder_hold sw) deliver)
+  in
   let transmit sw deliver =
     if not (dropped sw) then begin
-      let once () =
-        ignore
-          (Scotch_sim.Engine.schedule t.engine
-             ~delay:(jittered sw +. reorder_hold sw)
-             deliver)
-      in
-      once ();
-      if duped sw then once ()
+      schedule_delivery sw deliver;
+      if duped sw then schedule_delivery sw deliver
     end
   in
   let rec sw =
@@ -335,7 +340,7 @@ let uninstall t sw ?(table_id = 0) ~match_ () =
 
 (** Send a Packet-Out executing [actions] on [packet]. *)
 let packet_out t sw ?(in_port = 0) ~actions packet =
-  send t sw (Of_msg.Packet_out (Of_msg.Packet_out.make ~in_port ~actions packet))
+  send t sw (Of_msg.Packet_out { Of_msg.Packet_out.in_port; actions; packet })
 
 (** Packet-In rate of a switch over the sliding window — the §4.2
     congestion signal. *)

@@ -110,12 +110,37 @@ let account t ~sampled ~units payload =
     t.exact_bytes <- t.exact_bytes + bytes
   end
 
+(* One pass over an exact-stats reply's records: charge each to the
+   ledger and report each large overlay flow entering at [vdpid].  The
+   reply carries one record per live rule, so the walk costs one probe
+   per record: {!Flow_info_db.find_match_exn} reads a vflow rule's
+   exact match in place, building no flow key and no option, and the
+   rate stays an unboxed local. *)
+let rec walk_flow_stats t ~on_large vdpid = function
+  | [] -> ()
+  | (st : Of_msg.Stats.flow_stat) :: rest ->
+    t.exact_msgs <- t.exact_msgs + 1;
+    t.exact_bytes <- t.exact_bytes + Of_wire.flow_stat_size st;
+    (if st.Of_msg.Stats.cookie = Config.cookie_vflow then
+       match Flow_info_db.find_match_exn t.db st.Of_msg.Stats.match_ with
+       | e -> (
+         match e.Flow_info_db.kind with
+         | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
+           let delta =
+             Flow_info_db.observe_count t.db e ~packets:st.Of_msg.Stats.packet_count ~now:(now t)
+           in
+           let interval = t.config.Config.stats_poll_interval in
+           let rate = if interval > 0.0 then float_of_int delta /. interval else 0.0 in
+           if rate > Config.elephant_pkt_rate then on_large ~vdpid e
+         | _ -> ())
+       | exception Not_found -> ());
+    walk_flow_stats t ~on_large vdpid rest
+
 (* Exact detection: poll per-flow packet counts at the vswitch and
-   report each of its overlay flows' measured rate.  The reply carries
-   one record per live rule, so the loop costs one probe per record:
-   {!Flow_info_db.find_match} reads a vflow rule's exact match in
-   place, building no flow key. *)
-let poll_vswitch_stats t sw ~on_rate vdpid =
+   report its overlay flows whose measured rate is large.  The reply is
+   charged as it is walked: its framing first, then each record, which
+   adds up to its {!Of_wire.size}. *)
+let poll_vswitch_stats t sw ~on_large vdpid =
   let req =
     { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard }
   in
@@ -123,29 +148,16 @@ let poll_vswitch_stats t sw ~on_rate vdpid =
   C.request t.ctrl sw (Of_msg.Flow_stats_request req)
     (function
       | Of_msg.Flow_stats_reply stats ->
-        account t ~sampled:false ~units:(1 + List.length stats) (Of_msg.Flow_stats_reply stats);
-        List.iter
-          (fun (st : Of_msg.Stats.flow_stat) ->
-            if st.Of_msg.Stats.cookie = Config.cookie_vflow then
-              match Flow_info_db.find_match t.db st.Of_msg.Stats.match_ with
-              | Some e -> (
-                match e.Flow_info_db.kind with
-                | Flow_info_db.Overlay { entry_vswitch } when entry_vswitch = vdpid ->
-                  let rate =
-                    Flow_info_db.observe_count t.db e ~packets:st.Of_msg.Stats.packet_count
-                      ~now:(now t) ~interval:t.config.Config.stats_poll_interval
-                  in
-                  on_rate ~vdpid e rate
-                | _ -> ())
-              | None -> ())
-          stats
+        t.exact_msgs <- t.exact_msgs + 1;
+        t.exact_bytes <- t.exact_bytes + Of_wire.flow_stats_reply_framing;
+        walk_flow_stats t ~on_large vdpid stats
       | _ -> ())
 
 (* Sampled detection (§5.3 via the telemetry subsystem): drain the duty
    vswitch's sampler window and rank the carried top-k records by the
    lower confidence bound of their inverse-probability-scaled rate
    estimate.  Constant-size replies replace the per-vflow stats dump. *)
-let poll_vswitch_telemetry t sw ~on_rate vdpid =
+let poll_vswitch_telemetry t sw ~on_large vdpid =
   account t ~sampled:true ~units:1 Of_msg.Telemetry_request;
   C.request t.ctrl sw Of_msg.Telemetry_request
     (function
@@ -170,15 +182,13 @@ let poll_vswitch_telemetry t sw ~on_rate vdpid =
                     e.Flow_info_db.last_packet_count
                     + int_of_float (Float.round (Estimator.scaled ~rate c))
                   in
-                  let (_ : float) =
-                    Flow_info_db.observe_count t.db e ~packets:est ~now:(now t) ~interval:window
-                  in
-                  on_rate ~vdpid e lower
+                  let (_ : int) = Flow_info_db.observe_count t.db e ~packets:est ~now:(now t) in
+                  if lower > Config.elephant_pkt_rate then on_large ~vdpid e
                 | _ -> ()))
             tr.Of_msg.Telemetry.records
       | _ -> ())
 
-let start t ~vswitch ~on_rate =
+let start t ~vswitch ~on_large =
   let (_ : unit -> unit) =
     Scotch_sim.Engine.every (C.engine t.ctrl) ~period:t.config.Config.stats_poll_interval
       (fun () ->
@@ -190,12 +200,12 @@ let start t ~vswitch ~on_rate =
                 match t.config.Config.detection with
                 | Config.Exact_polling -> (
                   match vswitch vdpid with
-                  | Some sw -> poll_vswitch_stats t sw ~on_rate vdpid
+                  | Some sw -> poll_vswitch_stats t sw ~on_large vdpid
                   | None -> ())
                 | Config.Sampled _ -> (
                   if Assignment.duty_tunnels t.duty vdpid <> [] then
                     match vswitch vdpid with
-                    | Some sw -> poll_vswitch_telemetry t sw ~on_rate vdpid
+                    | Some sw -> poll_vswitch_telemetry t sw ~on_large vdpid
                     | None -> ())))
   in
   ()

@@ -28,15 +28,15 @@ val attach_sampler : t -> Switch.t -> unit
     under exact polling. *)
 val refresh_duty : t -> unit
 
-(** [start t ~vswitch ~on_rate] schedules the poll every
+(** [start t ~vswitch ~on_large] schedules the poll every
     [stats_poll_interval].  Each tick polls every alive vswitch (under
     sampling, only those on duty) through its controller handle
-    [vswitch vdpid], and calls [on_rate ~vdpid e rate] for every
-    overlay flow [e] entering at [vdpid], with its measured packet rate
-    (under sampling, the lower confidence bound of the estimate). *)
+    [vswitch vdpid], and calls [on_large ~vdpid e] for every overlay
+    flow [e] entering at [vdpid] whose measured packet rate (under
+    sampling, the lower confidence bound of the estimate) exceeds
+    {!Config.elephant_pkt_rate}. *)
 val start :
-  t -> vswitch:(int -> C.sw option) ->
-  on_rate:(vdpid:int -> Flow_info_db.entry -> float -> unit) -> unit
+  t -> vswitch:(int -> C.sw option) -> on_large:(vdpid:int -> Flow_info_db.entry -> unit) -> unit
 
 (** Suspend or resume the poll (a controller-side monitoring outage);
     both detection styles stop. *)

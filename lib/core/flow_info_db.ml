@@ -11,7 +11,7 @@
     [gone] sentinel, indexed by an open-addressed [int array] on a hash
     of the key's five ints.  A lookup hashes the five values wherever
     they are held — a {!Flow_key.t}, or the fields of an exact
-    {!Of_match.t} in a stats record ({!find_match}) — and compares them
+    {!Of_match.t} in a stats record ({!find_match_exn}) — and compares them
     field by field, so it builds no key and a miss allocates nothing.
     {!iter} and {!overlay_flows_of_switch} walk admission order, which
     does not depend on the hash. *)
@@ -93,17 +93,21 @@ let entry_at t pos = match pos with -1 -> None | pos -> Some t.flows.Ix.entries.
 
 let find t key = entry_at t (pos_of_key t key)
 
-(* The fields {!Of_match.flow_key} reads, read in place. *)
-let find_match t (m : Of_match.t) =
+(* The fields {!Of_match.flow_key} reads, read in place; a hit
+   allocates nothing. *)
+let find_match_exn t (m : Of_match.t) =
   match (m.Of_match.ip_src, m.Of_match.ip_dst, m.Of_match.ip_proto) with
   | Some s, Some d, Some proto
-    when s.Of_match.mask = Ipv4_addr.mask32 && d.Of_match.mask = Ipv4_addr.mask32 ->
+    when s.Of_match.mask = Ipv4_addr.mask32 && d.Of_match.mask = Ipv4_addr.mask32 -> (
     let port = function Some p -> p | None -> 0 in
-    entry_at t
-      (find_pos t ~ip_src:(Ipv4_addr.of_int s.Of_match.value)
-         ~ip_dst:(Ipv4_addr.of_int d.Of_match.value) ~proto ~l4_src:(port m.Of_match.l4_src)
-         ~l4_dst:(port m.Of_match.l4_dst))
-  | _ -> None
+    match
+      find_pos t ~ip_src:(Ipv4_addr.of_int s.Of_match.value)
+        ~ip_dst:(Ipv4_addr.of_int d.Of_match.value) ~proto ~l4_src:(port m.Of_match.l4_src)
+        ~l4_dst:(port m.Of_match.l4_dst)
+    with
+    | -1 -> raise Not_found
+    | pos -> t.flows.Ix.entries.(pos))
+  | _ -> raise Not_found
 
 let count_kind t kind delta =
   match kind with
@@ -139,17 +143,17 @@ let remove t key =
     Ix.vacate t.flows pos;
     Ix.tidy_if_sparse t.flows
 
-(** [observe_count t e ~packets ~now ~interval] folds a fresh cumulative
-    packet count into the entry and returns the flow's packet rate over
-    [interval] — the shared rate arithmetic of both the exact-polling
-    and sampled-telemetry detection paths.  Negative deltas (a vswitch
-    rule expired and was re-installed, resetting its counter) clamp to
-    zero rather than poisoning the rate. *)
-let observe_count _t e ~packets ~now ~interval =
+(** [observe_count t e ~packets ~now] folds a fresh cumulative packet
+    count into the entry and returns the packets since the previous
+    one — the shared bookkeeping of both the exact-polling and
+    sampled-telemetry detection paths.  Negative deltas (a vswitch rule
+    expired and was re-installed, resetting its counter) clamp to zero
+    rather than poisoning the rate. *)
+let observe_count _t e ~packets ~now =
   let delta = Stdlib.max 0 (packets - e.last_packet_count) in
   e.last_packet_count <- packets;
   if delta > 0 then e.last_active <- now;
-  if interval > 0.0 then float_of_int delta /. interval else 0.0
+  delta
 
 let size t = t.flows.Ix.live
 let overlay_count t = t.overlay_count

@@ -7,8 +7,8 @@
     admitted anew) and indexed by a hash of the key's five ints, the
     {!Scotch_util.Open_index} layout the classifier's subtables use.
     A lookup reads the five values where they are held, so
-    {!find_match} answers a stats record's exact match without building
-    a key: a miss allocates nothing and a hit only its [Some].  {!iter}
+    {!find_match_exn} answers a stats record's exact match without
+    building a key, allocating nothing.  {!iter}
     and {!overlay_flows_of_switch} follow admission order, never the
     hash. *)
 
@@ -38,11 +38,12 @@ type t
 val create : unit -> t
 val find : t -> Flow_key.t -> entry option
 
-(** [find_match t m] is the entry of the flow an exact match pins —
+(** [find_match_exn t m] is the entry of the flow an exact match pins —
     [Option.bind (Of_match.flow_key m) (find t)], read from [m]'s
-    fields in place: [None] unless [m] pins the protocol and both IPs
-    at /32. *)
-val find_match : t -> Of_match.t -> entry option
+    fields in place, raising [Not_found] for [None]: unless [m] pins
+    the protocol and both IPs at /32, or no flow has that key.  Neither
+    a hit nor a miss allocates. *)
+val find_match_exn : t -> Of_match.t -> entry
 
 (** Record a new flow in [Pending] state; an existing entry wins
     (Packet-In duplicates are common while a flow awaits setup).
@@ -56,10 +57,10 @@ val admit :
 val set_kind : t -> entry -> path_kind -> unit
 
 (** Fold a fresh cumulative packet count into the entry and return the
-    flow's packet rate over [interval] — the shared rate arithmetic of
-    the exact-polling and sampled-telemetry detection paths.  Negative
+    packets since the previous count — the shared bookkeeping of the
+    exact-polling and sampled-telemetry detection paths.  Negative
     deltas (counter reset after rule re-install) clamp to zero. *)
-val observe_count : t -> entry -> packets:int -> now:float -> interval:float -> float
+val observe_count : t -> entry -> packets:int -> now:float -> int
 
 val remove : t -> Flow_key.t -> unit
 val size : t -> int

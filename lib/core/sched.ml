@@ -157,25 +157,21 @@ let evict t q ~tenant =
     victim.Admission.payload.shed ()
   | None -> ()
 
-let enqueue t q ~tenant run shed =
-  Admission.push t.admission q ~at:(Scotch_sim.Engine.now t.engine) ~tenant { run; shed };
-  `Queued
-
 let refuse t ~tenant =
   t.counters.dropped <- t.counters.dropped + 1;
   Admission.refuse t.admission ~tenant;
   `Drop
 
-(** [submit_ingress t ~port ?tenant ?shed run] applies the Fig. 7
-    thresholds: [`Queued] (item will run when served), [`Overlay]
-    (past the overlay threshold — caller must route the flow over the
-    Scotch overlay) or [`Drop] (past the dropping threshold under
-    [Drop_new], refused by the tenant's own budget, or no same-tenant
-    eviction victim).  Under [Drop_oldest]/[Priority_preserving] a
-    full queue shelters the newcomer by shedding a queued victim of
-    its own tenant (its [shed] callback runs) and still returns
-    [`Queued]. *)
-let submit_ingress t ~port ?(tenant = Tenant.default_id) ?(shed = fun () -> ()) run =
+(** [ingress_verdict t ~port ~tenant] applies the Fig. 7 thresholds
+    to a submission whose item does not exist yet: [`Queued] (the
+    caller must {!enqueue_ingress} it now), [`Overlay] (past the
+    overlay threshold — caller must route the flow over the Scotch
+    overlay) or [`Drop] (past the dropping threshold under [Drop_new],
+    refused by the tenant's own budget, or no same-tenant eviction
+    victim).  Under [Drop_oldest]/[Priority_preserving] a full queue
+    shelters the newcomer by shedding a queued victim of its own tenant
+    (its [shed] callback runs) and still answers [`Queued]. *)
+let ingress_verdict t ~port ~tenant =
   if not (Admission.offer t.admission ~tenant) then begin
     (* the tenant's admission budget bit: shed its own newcomer without
        touching the shared thresholds or anyone else's queue slots *)
@@ -191,20 +187,36 @@ let submit_ingress t ~port ?(tenant = Tenant.default_id) ?(shed = fun () -> ()) 
       | Admission.Drop_new -> refuse t ~tenant
       | Admission.Drop_oldest ->
         evict t q ~tenant;
-        enqueue t q ~tenant run shed
+        `Queued
       | Admission.Priority_preserving -> (
         match longest_ingress_of_tenant t ~tenant with
         | Some (_, vq, _) ->
           evict t vq ~tenant;
-          enqueue t q ~tenant run shed
+          `Queued
         | None -> refuse t ~tenant)
     end
     else if len >= t.overlay_threshold then begin
       t.counters.diverted_overlay <- t.counters.diverted_overlay + 1;
       `Overlay
     end
-    else enqueue t q ~tenant run shed
+    else `Queued
   end
+
+(** [enqueue_ingress t ~port ~tenant ~shed run] queues the item a
+    [`Queued] verdict admitted: [run] when served, [shed] if it is
+    evicted or expires first. *)
+let enqueue_ingress t ~port ~tenant ~shed run =
+  Admission.push t.admission (ingress_queue t ~port ~tenant)
+    ~at:(Scotch_sim.Engine.now t.engine) ~tenant { run; shed }
+
+(** [submit_ingress t ~port ?tenant ?shed run] is {!ingress_verdict}
+    then, on [`Queued], {!enqueue_ingress}. *)
+let submit_ingress t ~port ?(tenant = Tenant.default_id) ?(shed = fun () -> ()) run =
+  match ingress_verdict t ~port ~tenant with
+  | `Queued ->
+    enqueue_ingress t ~port ~tenant ~shed run;
+    `Queued
+  | (`Overlay | `Drop) as v -> v
 
 (** Enqueue a rule install for an admitted (physical-path) flow in
     [tenant]'s own reserved queue. *)

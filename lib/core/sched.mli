@@ -74,6 +74,15 @@ val submit_ingress :
   t -> port:int -> ?tenant:int -> ?shed:(unit -> unit) -> (unit -> unit) ->
   [ `Queued | `Overlay | `Drop ]
 
+(** {!submit_ingress} in two steps, so a caller builds the item only
+    when it is queued.  [ingress_verdict] does all the counting and any
+    eviction and answers as {!submit_ingress} would; after [`Queued]
+    the caller must {!enqueue_ingress} the item before anything else
+    touches the scheduler. *)
+val ingress_verdict : t -> port:int -> tenant:int -> [ `Queued | `Overlay | `Drop ]
+
+val enqueue_ingress : t -> port:int -> tenant:int -> shed:(unit -> unit) -> (unit -> unit) -> unit
+
 (** The ingress lanes' per-tenant budgets and submitted / queued /
     shed tallies (shed: budget refusals, threshold refusals, evictions
     and expiries). *)

@@ -207,7 +207,12 @@ let send_batch t (sw : C.sw) payloads =
     Reliable.register_switch r sw;
     Reliable.transaction r sw payloads
 
-let send_fm t sw fm = send_batch t sw [ Of_msg.Flow_mod fm ]
+(* [send_batch] of one FlowMod, without the list when nothing reads
+   it. *)
+let send_fm t sw fm =
+  match (t.install_hooks, t.reliable) with
+  | [], None -> C.send t.ctrl sw (Of_msg.Flow_mod fm)
+  | _ -> send_batch t sw [ Of_msg.Flow_mod fm ]
 
 let install t sw ?(table_id = 0) ?(priority = 1) ?(idle_timeout = 0.0)
     ?(cookie = Of_types.cookie_none) ~match_ ~instructions () =
@@ -408,12 +413,14 @@ let predicted_entry t m (e : Flow_info_db.entry) =
     let vdpid, _ = List.nth pool (Flow_key.hash e.Flow_info_db.key mod n) in
     Some vdpid
 
-(* The exact-match rule steering [key] at an overlay vswitch. *)
-let install_vflow t sw key actions =
-  install t sw ~table_id:0 ~priority:flow_priority ~idle_timeout:Config.vswitch_rule_idle
-    ~cookie:Config.cookie_vflow ~match_:(Of_match.exact_flow key)
-    ~instructions:[ Of_action.Apply_actions actions ]
-    ()
+(* The exact-match rule steering a flow at an overlay vswitch; [match_]
+   is the flow's {!Of_match.exact_flow}, immutable, so one value serves
+   the entry and the cover install. *)
+let install_vflow t sw match_ actions =
+  send_fm t sw
+    { Of_msg.Flow_mod.command = Of_msg.Flow_mod.Add; table_id = 0; priority = flow_priority;
+      match_; instructions = [ Of_action.Apply_actions actions ];
+      idle_timeout = Config.vswitch_rule_idle; hard_timeout = 0.0; cookie = Config.cookie_vflow }
 
 (** [route_overlay t e pkt ~entry] installs the overlay path for flow
     [e]: a rule at the entry vswitch (pop the ingress label, forward
@@ -436,17 +443,16 @@ let route_overlay t (e : Flow_info_db.entry) pkt ~entry =
         if entry = cover then Overlay.delivery_tunnel t.overlay ~vswitch_dpid:entry dst_ip
         else Overlay.mesh_tunnel t.overlay ~src:entry ~dst:cover
     in
-    let entry_actions =
-      Option.map (fun tid -> [ Of_action.Pop_mpls; tunnel_out tid ]) entry_tunnel
-    in
-    match (entry_actions, vswitch_handle_of t entry) with
+    match (entry_tunnel, vswitch_handle_of t entry) with
     | None, _ | _, None -> unroutable t e
-    | Some actions, Some entry_sw ->
-      install_vflow t entry_sw key actions;
+    | Some tid, Some entry_sw ->
+      let actions = [ Of_action.Pop_mpls; tunnel_out tid ] in
+      let match_ = Of_match.exact_flow key in
+      install_vflow t entry_sw match_ actions;
       (if cover <> entry then
          match (Overlay.delivery_tunnel t.overlay ~vswitch_dpid:cover dst_ip,
                 vswitch_handle_of t cover) with
-         | Some tid, Some cover_sw -> install_vflow t cover_sw key [ tunnel_out tid ]
+         | Some tid, Some cover_sw -> install_vflow t cover_sw match_ [ tunnel_out tid ]
          | _ -> ());
       C.packet_out t.ctrl entry_sw ~actions pkt;
       (match e.Flow_info_db.kind with
@@ -590,13 +596,10 @@ let launch_migration t ~vdpid (e : Flow_info_db.entry) =
         do_migration ~detected_at t e)
   | None -> e.Flow_info_db.migrating <- false
 
-(* The §5.3 trigger: an overlay flow whose measured [rate] clears the
-   elephant threshold starts migrating, once. *)
-let migrate_if_large t ~vdpid (e : Flow_info_db.entry) rate =
-  if
-    t.config.Config.migration_enabled && rate > Config.elephant_pkt_rate
-    && not e.Flow_info_db.migrating
-  then begin
+(* The §5.3 trigger: an overlay flow {!Detection} found large starts
+   migrating, once. *)
+let migrate_large t ~vdpid (e : Flow_info_db.entry) =
+  if t.config.Config.migration_enabled && not e.Flow_info_db.migrating then begin
     e.Flow_info_db.migrating <- true;
     launch_migration t ~vdpid e
   end
@@ -625,31 +628,36 @@ let path_overloaded t ~first_hop ~dst_ip ~tenant =
 
 (** {1 Packet-In handling} *)
 
+let route_via_overlay t m (e : Flow_info_db.entry) pkt ~entry_vswitch =
+  let entry =
+    match entry_vswitch with
+    | Some v -> Some v
+    | None -> predicted_entry t m e
+  in
+  if not m.active then activate t m;
+  match entry with
+  | None -> unroutable t e
+  | Some entry -> route_overlay t e pkt ~entry
+
+(* The flow never got its decision: refused outright, evicted to make
+   room, or expired past the ingress deadline. *)
+let shed_flow t (e : Flow_info_db.entry) =
+  match e.Flow_info_db.kind with
+  | Flow_info_db.Pending ->
+    t.counters.flows_dropped <- t.counters.flows_dropped + 1;
+    Flow_info_db.set_kind t.db e Flow_info_db.Dropped;
+    decision_span t e "shed"
+  | Flow_info_db.Overlay _ | Flow_info_db.Physical | Flow_info_db.Dropped -> ()
+
+(* The ingress queue's verdict comes first, so the queued item's
+   closures are built only for a flow that is queued. *)
 let serve_new_flow t m (e : Flow_info_db.entry) pkt ~entry_vswitch =
-  let route_via_overlay () =
-    let entry =
-      match entry_vswitch with
-      | Some v -> Some v
-      | None -> predicted_entry t m e
-    in
-    if not m.active then activate t m;
-    match entry with
-    | None -> unroutable t e
-    | Some entry -> route_overlay t e pkt ~entry
-  in
-  let shed () =
-    (* the flow never got its decision: refused outright, evicted to
-       make room, or expired past the ingress deadline *)
-    match e.Flow_info_db.kind with
-    | Flow_info_db.Pending ->
-      t.counters.flows_dropped <- t.counters.flows_dropped + 1;
-      Flow_info_db.set_kind t.db e Flow_info_db.Dropped;
-      decision_span t e "shed"
-    | Flow_info_db.Overlay _ | Flow_info_db.Physical | Flow_info_db.Dropped -> ()
-  in
-  let submit =
-    Sched.submit_ingress m.sched ~port:e.Flow_info_db.ingress_port ~tenant:e.Flow_info_db.tenant
-      ~shed (fun () ->
+  let port = e.Flow_info_db.ingress_port and tenant = e.Flow_info_db.tenant in
+  match Sched.ingress_verdict m.sched ~port ~tenant with
+  | `Queued ->
+    Sched.enqueue_ingress m.sched ~port ~tenant
+      ~shed:(fun () -> shed_flow t e)
+      (fun () ->
         match e.Flow_info_db.kind with
         | Flow_info_db.Pending ->
           (* §5.3's path-load check applies to any physical setup: when a
@@ -657,97 +665,97 @@ let serve_new_flow t m (e : Flow_info_db.entry) pkt ~entry_vswitch =
              the overlay instead of waiting forever. *)
           if
             path_overloaded t ~first_hop:e.Flow_info_db.first_hop
-              ~dst_ip:e.Flow_info_db.key.Flow_key.ip_dst ~tenant:e.Flow_info_db.tenant
-          then
-            route_via_overlay ()
+              ~dst_ip:e.Flow_info_db.key.Flow_key.ip_dst ~tenant
+          then route_via_overlay t m e pkt ~entry_vswitch
           else install_physical t e ~first_packet:(Some pkt) ~on_complete:(fun () -> ())
         | Flow_info_db.Overlay _ | Flow_info_db.Physical | Flow_info_db.Dropped -> ())
-  in
-  match submit with
-  | `Queued -> ()
   | `Overlay ->
     (* beyond the control-plane capacity of the physical network: route
        over the Scotch overlay (activating redirection if needed) *)
-    route_via_overlay ()
-  | `Drop -> shed ()
+    route_via_overlay t m e pkt ~entry_vswitch
+  | `Drop -> shed_flow t e
+
+(* A packet-in raised by a vswitch for a packet that arrived over a
+   mesh tunnel: the delivery rule at the covering vswitch lost a race
+   with the data packet (or expired).  Repair: reinstall the delivery
+   rule and forward the packet. *)
+let repair_delivery t (sw : C.sw) (pi : Of_msg.Packet_in.t) pkt =
+  if Hashtbl.mem t.vswitch_handles sw.C.dpid && pi.Of_msg.Packet_in.tunnel_id <> None then begin
+    let key = Packet.flow_key pkt in
+    match Overlay.delivery_tunnel t.overlay ~vswitch_dpid:sw.C.dpid key.Flow_key.ip_dst with
+    | None -> false
+    | Some tid ->
+      let actions = [ tunnel_out tid ] in
+      install_vflow t sw (Of_match.exact_flow key) actions;
+      C.packet_out t.ctrl sw ~actions pkt;
+      true
+  end
+  else false
+
+(* A Packet-In attributed to the physical switch [origin_dpid] and its
+   ingress port; [entry_vswitch] is the vswitch that raised it, if the
+   packet came over the overlay. *)
+let origin_packet_in t pkt ~origin_dpid ~ingress_port ~entry_vswitch =
+  match managed_of t origin_dpid with
+  | None -> false
+  | Some m ->
+    Stats.Rate_meter.tick m.attributed ~now:(now t);
+    let key = Packet.flow_key pkt in
+    (match Flow_info_db.find t.db key with
+    | Some e -> (
+      match e.Flow_info_db.kind with
+      | Flow_info_db.Pending -> () (* duplicate while queued *)
+      | Flow_info_db.Overlay _ -> (
+        (* vswitch rule expired, or the flow rehashed after a vswitch
+           failure: (re)install the overlay path *)
+        match entry_vswitch with
+        | Some entry -> route_overlay t e pkt ~entry
+        | None -> (
+          match predicted_entry t m e with
+          | Some entry -> route_overlay t e pkt ~entry
+          | None -> ()))
+      | Flow_info_db.Physical | Flow_info_db.Dropped ->
+        (* red rule expired or flow retrying after shed: treat as new.
+           Tenancy is decided once, at the flow's original ingress — a
+           downstream switch re-seeing the flow (its packet racing the
+           path install) must not re-attribute it to whoever owns the
+           inter-switch port. *)
+        let tenant = e.Flow_info_db.tenant in
+        Flow_info_db.remove t.db key;
+        t.counters.flows_seen <- t.counters.flows_seen + 1;
+        let e =
+          Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port
+            ~now:(now t) ()
+        in
+        serve_new_flow t m e pkt ~entry_vswitch)
+    | None ->
+      t.counters.flows_seen <- t.counters.flows_seen + 1;
+      let tenant = Tenancy.tenant_of_flow t.tenancy ~first_hop:origin_dpid ~ingress_port in
+      let e =
+        Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port ~now:(now t)
+          ()
+      in
+      serve_new_flow t m e pkt ~entry_vswitch);
+    true
 
 let handle_packet_in t (sw : C.sw) (pi : Of_msg.Packet_in.t) =
   let pkt = pi.Of_msg.Packet_in.packet in
   (* Attribute the Packet-In to its origin physical switch. *)
-  let origin =
-    match pi.Of_msg.Packet_in.tunnel_id with
-    | Some tid -> (
-      match Overlay.origin_of_tunnel t.overlay tid with
-      | Some origin_dpid ->
-        (* §5.2: physical switch id from the tunnel id, ingress port from
-           the inner MPLS label *)
-        let ingress = Option.value (Packet.outer_mpls_label pkt) ~default:0 in
-        Some (origin_dpid, ingress, Some sw.C.dpid)
-      | None -> None (* a mesh-tunnel arrival: handled below as a repair *))
-    | None -> (
-      match managed_of t sw.C.dpid with
-      | Some _ -> Some (sw.C.dpid, pi.Of_msg.Packet_in.in_port, None)
-      | None -> None)
-  in
-  match origin with
-  | None ->
-    (* A packet-in raised by a vswitch for a packet that arrived over a
-       mesh tunnel: the delivery rule at the covering vswitch lost a
-       race with the data packet (or expired).  Repair: reinstall the
-       delivery rule and forward the packet. *)
-    if Hashtbl.mem t.vswitch_handles sw.C.dpid && pi.Of_msg.Packet_in.tunnel_id <> None then begin
-      let key = Packet.flow_key pkt in
-      match Overlay.delivery_tunnel t.overlay ~vswitch_dpid:sw.C.dpid key.Flow_key.ip_dst with
-      | None -> false
-      | Some tid ->
-        let actions = [ tunnel_out tid ] in
-        install_vflow t sw key actions;
-        C.packet_out t.ctrl sw ~actions pkt;
-        true
-    end
-    else false
-  | Some (origin_dpid, ingress_port, entry_vswitch) -> (
-    match managed_of t origin_dpid with
-    | None -> false
-    | Some m ->
-      Stats.Rate_meter.tick m.attributed ~now:(now t);
-      let key = Packet.flow_key pkt in
-      (match Flow_info_db.find t.db key with
-      | Some e -> (
-        match e.Flow_info_db.kind with
-        | Flow_info_db.Pending -> () (* duplicate while queued *)
-        | Flow_info_db.Overlay _ -> (
-          (* vswitch rule expired, or the flow rehashed after a vswitch
-             failure: (re)install the overlay path *)
-          match entry_vswitch with
-          | Some entry -> route_overlay t e pkt ~entry
-          | None -> (
-            match predicted_entry t m e with
-            | Some entry -> route_overlay t e pkt ~entry
-            | None -> ()))
-        | Flow_info_db.Physical | Flow_info_db.Dropped ->
-          (* red rule expired or flow retrying after shed: treat as new.
-             Tenancy is decided once, at the flow's original ingress — a
-             downstream switch re-seeing the flow (its packet racing the
-             path install) must not re-attribute it to whoever owns the
-             inter-switch port. *)
-          let tenant = e.Flow_info_db.tenant in
-          Flow_info_db.remove t.db key;
-          t.counters.flows_seen <- t.counters.flows_seen + 1;
-          let e =
-            Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port
-              ~now:(now t) ()
-          in
-          serve_new_flow t m e pkt ~entry_vswitch)
-      | None ->
-        t.counters.flows_seen <- t.counters.flows_seen + 1;
-        let tenant = Tenancy.tenant_of_flow t.tenancy ~first_hop:origin_dpid ~ingress_port in
-        let e =
-          Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port ~now:(now t)
-            ()
-        in
-        serve_new_flow t m e pkt ~entry_vswitch);
-      true)
+  match pi.Of_msg.Packet_in.tunnel_id with
+  | Some tid -> (
+    match Overlay.origin_of_tunnel t.overlay tid with
+    | Some origin_dpid ->
+      (* §5.2: physical switch id from the tunnel id, ingress port from
+         the inner MPLS label *)
+      let ingress_port = Option.value (Packet.outer_mpls_label pkt) ~default:0 in
+      origin_packet_in t pkt ~origin_dpid ~ingress_port ~entry_vswitch:(Some sw.C.dpid)
+    | None -> repair_delivery t sw pi pkt (* a mesh-tunnel arrival *))
+  | None -> (
+    match managed_of t sw.C.dpid with
+    | Some _ ->
+      origin_packet_in t pkt ~origin_dpid:sw.C.dpid ~ingress_port:pi.Of_msg.Packet_in.in_port
+        ~entry_vswitch:None
+    | None -> repair_delivery t sw pi pkt)
 
 (** {1 vswitch failure (§5.6)} *)
 
@@ -825,7 +833,7 @@ let start t =
     Scotch_sim.Engine.every (engine t) ~period:Config.monitor_interval (fun () ->
         monitor_tick t)
   in
-  Detection.start t.detection ~vswitch:(vswitch_handle_of t) ~on_rate:(migrate_if_large t);
+  Detection.start t.detection ~vswitch:(vswitch_handle_of t) ~on_large:(migrate_large t);
   C.start_heartbeat t.ctrl ~period:Config.heartbeat_period
     ~timeout:Config.heartbeat_timeout;
   Option.iter Reliable.start t.reliable

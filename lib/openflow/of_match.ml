@@ -56,14 +56,17 @@ let with_mpls_label l t = { t with mpls_label = Some l }
 let with_tunnel_id id (t : t) = { t with tunnel_id = Some id }
 
 (** [exact_flow key] matches exactly the 5-tuple [key] — the per-flow
-    rule shape the reactive controller installs. *)
+    rule shape the reactive controller installs.  One record literal:
+    what [wildcard |> with_ip_src … |> with_l4_dst …] builds, without
+    the four intermediate copies. *)
 let exact_flow (key : Flow_key.t) =
-  wildcard
-  |> with_ip_src (key.Flow_key.ip_src)
-  |> with_ip_dst (key.Flow_key.ip_dst)
-  |> with_ip_proto key.Flow_key.proto
-  |> with_l4_src key.Flow_key.l4_src
-  |> with_l4_dst key.Flow_key.l4_dst
+  let ip (a : Ipv4_addr.t) =
+    Some { value = Ipv4_addr.to_int a land Ipv4_addr.mask32; mask = Ipv4_addr.mask32 }
+  in
+  { in_port = None; eth_type = None; ip_src = ip key.Flow_key.ip_src;
+    ip_dst = ip key.Flow_key.ip_dst; ip_proto = Some key.Flow_key.proto;
+    l4_src = Some key.Flow_key.l4_src; l4_dst = Some key.Flow_key.l4_dst; mpls_label = None;
+    tunnel_id = None }
 
 (** [flow_key m] is the 5-tuple [m] pins when it pins the protocol and
     both IPs at /32, a port it leaves unpinned reading 0; the inverse of

@@ -445,6 +445,7 @@ let body_size (p : Of_msg.payload) =
   | Packet_out po -> 4 + actions_size po.actions + packet_size po.packet
   | Flow_stats_request fsr -> 3 + match_size fsr.match_
   | Flow_stats_reply stats -> List.fold_left (fun n fs -> n + flow_stat_size fs) 4 stats
+    (* [flow_stats_reply_framing] counts this 4 and the header's 8 *)
   | Group_stats_request | Telemetry_request -> 2
   | Group_stats_reply descs ->
     List.fold_left
@@ -453,6 +454,8 @@ let body_size (p : Of_msg.payload) =
   | Telemetry_reply tr -> 2 + telemetry_report_size tr
 
 let size (msg : Of_msg.t) = 8 + body_size msg.payload
+
+let flow_stats_reply_framing = 8 + 4
 
 (** [encode msg] renders a framed message: header (version, type,
     length, xid) then body, into one buffer of exactly [size msg]

@@ -19,6 +19,14 @@ exception Parse_error of string
     allocating.  This is what the detection loop charges per message. *)
 val size : Of_msg.t -> int
 
+(** A flow-stats reply's {!size} is [flow_stats_reply_framing] (the
+    header and the multipart framing) plus [flow_stat_size] of each of
+    its records, so a reader walking the records can charge the reply
+    in the same pass. *)
+val flow_stats_reply_framing : int
+
+val flow_stat_size : Of_msg.Stats.flow_stat -> int
+
 (** Render one framed message. *)
 val encode : Of_msg.t -> Bytes.t
 

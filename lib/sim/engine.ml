@@ -194,6 +194,13 @@ let fire t ~delay (h : handler) =
   if not (delay >= 0.0) then invalid_arg "Engine.fire: negative or NaN delay";
   ignore (push t (t.now +. delay) (lnot h))
 
+(** [fire_at t ~at h] runs the handler [h] at absolute time [at]. *)
+let fire_at t ~at (h : handler) =
+  if not (at >= t.now) then
+    invalid_arg
+      (Printf.sprintf "Engine.fire_at: %.9f is not at or after current time %.9f" at t.now);
+  ignore (push t at (lnot h))
+
 (** [cancel t h] prevents a scheduled event from running: O(1), the
     event is skipped when it reaches the root. *)
 let cancel t (h : handle) = Hashtbl.replace t.cancelled h ()

@@ -55,6 +55,11 @@ val handler : t -> (unit -> unit) -> handler
     negative or NaN delay. *)
 val fire : t -> delay:float -> handler -> unit
 
+(** [fire_at t ~at h] runs the handler [h] at absolute time [at], like
+    {!fire}: no allocation and no cancelling.  Raises
+    [Invalid_argument] when [at] is in the past or NaN. *)
+val fire_at : t -> at:float -> handler -> unit
+
 (** [cancel t h] prevents the event [h] from running; O(1).  The event
     stays queued, and is counted by {!pending}, until it reaches the
     root.  Popping it advances {!now} to its time but neither runs it

@@ -22,10 +22,6 @@ type pin_job = {
   packet : Packet.t;
 }
 
-type job =
-  | Packet_in_job of pin_job
-  | Message_job of Of_msg.t
-
 (** Switch-side effects the OFA triggers when jobs complete. *)
 type handler = {
   install_flow : Of_msg.Flow_mod.t -> (unit, [ `Table_full ]) result;
@@ -68,6 +64,15 @@ type t = {
   mutable pin_tenant_of : pin_job -> int; (* applied once, at submission *)
   expire_pin : pin_job Admission.item -> unit;
   mutable busy : bool;
+  (* The job in service: the Packet-In job [serving_pin] when
+     [serving_is_pin], else the controller message [serving_msg].  The
+     field not in use, and both once the job completes, hold the
+     placeholders below, so a finished job is not kept alive. *)
+  mutable serving_is_pin : bool;
+  mutable serving_pin : pin_job;
+  mutable serving_msg : Of_msg.t;
+  mutable complete : Scotch_sim.Engine.handler option;
+      (* registered on the first service: ends the job in service *)
   mutable to_controller : Of_msg.t -> unit;
   handler : handler;
   counters : counters;
@@ -115,6 +120,12 @@ let register_metrics t =
   O.gauge_fn ~help:"OFA input queue depth" ~labels:(("queue", "pin") :: labels)
     "scotch_ofa_queue_depth" (fun () -> float_of_int (Queue.length t.pin_queue))
 
+let no_pin =
+  { in_port = 0; tunnel_id = None; reason = Of_types.Packet_in_reason.No_match;
+    packet = Packet.placeholder }
+
+let no_msg = Of_msg.make ~xid:0 Of_msg.Echo_reply
+
 let create ?(housekeeping_phase = 0.0) ?(jitter_seed = 0) ?(dpid = 0) engine ~profile ~handler =
   let counters =
     { pin_submitted = 0; pin_sent = 0; pin_dropped = 0; pin_expired = 0; pin_budget_dropped = 0;
@@ -126,7 +137,8 @@ let create ?(housekeeping_phase = 0.0) ?(jitter_seed = 0) ?(dpid = 0) engine ~pr
       admission = Admission.create (); pin_policy = Admission.Drop_new; pin_deadline = 0.0;
       pin_tenant_of = (fun _ -> 0);
       expire_pin = (fun _ -> counters.pin_expired <- counters.pin_expired + 1);
-      busy = false; to_controller = (fun _ -> ()); handler; counters;
+      busy = false; serving_is_pin = false; serving_pin = no_pin; serving_msg = no_msg;
+      complete = None; to_controller = (fun _ -> ()); handler; counters;
       next_xid = 1; dead = false; slowdown = 1.0; stalled_until = 0.0; dpid;
       service_h =
         Scotch_obs.Obs.histogram ~help:"OFA job service time (virtual seconds)"
@@ -159,49 +171,36 @@ let housekeeping_end t ~now =
     else None
   end
 
-let service_time t (job : job) =
-  let p = t.profile in
-  let base =
-    match job with
-    | Packet_in_job _ -> p.Profile.packet_in_service
-    | Message_job m -> (
-      match m.Of_msg.payload with
-      | Of_msg.Flow_mod _ -> p.Profile.flow_mod_service
-      | Of_msg.Packet_out _ -> p.Profile.packet_out_service
-      | _ -> p.Profile.misc_service)
-  in
-  base *. t.slowdown *. (0.95 +. Scotch_util.Rng.float t.rng 0.1)
-
-let execute t (job : job) =
+let execute_pin t { in_port; tunnel_id; reason; packet } =
   let c = t.counters in
-  match job with
-  | Packet_in_job { in_port; tunnel_id; reason; packet } ->
-    c.pin_sent <- c.pin_sent + 1;
-    let pi = Of_msg.Packet_in.make ?tunnel_id ~reason ~in_port packet in
-    t.to_controller (Of_msg.make ~xid:(fresh_xid t) (Of_msg.Packet_in pi))
-  | Message_job msg -> (
-    c.msgs_handled <- c.msgs_handled + 1;
-    let reply payload = t.to_controller (Of_msg.make ~xid:msg.Of_msg.xid payload) in
-    match msg.Of_msg.payload with
-    | Of_msg.Flow_mod fm ->
-      c.flow_mods_handled <- c.flow_mods_handled + 1;
-      (match t.handler.install_flow fm with
-      | Ok () -> ()
-      | Error `Table_full -> reply (Of_msg.Error "table full"))
-    | Of_msg.Group_mod gm -> (
-      match t.handler.modify_group gm with
-      | Ok () -> ()
-      | Error `Group_exists -> reply (Of_msg.Error "group exists")
-      | Error `Unknown_group -> reply (Of_msg.Error "unknown group")
-      | Error `Empty_buckets -> reply (Of_msg.Error "empty bucket list"))
-    | Of_msg.Packet_out po -> t.handler.execute_packet_out po
-    | Of_msg.Echo_request -> reply Of_msg.Echo_reply
-    | Of_msg.Flow_stats_request req -> reply (Of_msg.Flow_stats_reply (t.handler.flow_stats req))
-    | Of_msg.Group_stats_request -> reply (Of_msg.Group_stats_reply (t.handler.group_stats ()))
-    | Of_msg.Telemetry_request -> reply (Of_msg.Telemetry_reply (t.handler.telemetry ()))
-    | Of_msg.Barrier_request -> reply Of_msg.Barrier_reply
-    | Of_msg.Echo_reply | Of_msg.Barrier_reply | Of_msg.Error _ | Of_msg.Flow_stats_reply _
-    | Of_msg.Group_stats_reply _ | Of_msg.Telemetry_reply _ | Of_msg.Packet_in _ -> ())
+  c.pin_sent <- c.pin_sent + 1;
+  let pi = Of_msg.Packet_in.make ?tunnel_id ~reason ~in_port packet in
+  t.to_controller (Of_msg.make ~xid:(fresh_xid t) (Of_msg.Packet_in pi))
+
+let execute_msg t (msg : Of_msg.t) =
+  let c = t.counters in
+  c.msgs_handled <- c.msgs_handled + 1;
+  let reply payload = t.to_controller (Of_msg.make ~xid:msg.Of_msg.xid payload) in
+  match msg.Of_msg.payload with
+  | Of_msg.Flow_mod fm ->
+    c.flow_mods_handled <- c.flow_mods_handled + 1;
+    (match t.handler.install_flow fm with
+    | Ok () -> ()
+    | Error `Table_full -> reply (Of_msg.Error "table full"))
+  | Of_msg.Group_mod gm -> (
+    match t.handler.modify_group gm with
+    | Ok () -> ()
+    | Error `Group_exists -> reply (Of_msg.Error "group exists")
+    | Error `Unknown_group -> reply (Of_msg.Error "unknown group")
+    | Error `Empty_buckets -> reply (Of_msg.Error "empty bucket list"))
+  | Of_msg.Packet_out po -> t.handler.execute_packet_out po
+  | Of_msg.Echo_request -> reply Of_msg.Echo_reply
+  | Of_msg.Flow_stats_request req -> reply (Of_msg.Flow_stats_reply (t.handler.flow_stats req))
+  | Of_msg.Group_stats_request -> reply (Of_msg.Group_stats_reply (t.handler.group_stats ()))
+  | Of_msg.Telemetry_request -> reply (Of_msg.Telemetry_reply (t.handler.telemetry ()))
+  | Of_msg.Barrier_request -> reply Of_msg.Barrier_reply
+  | Of_msg.Echo_reply | Of_msg.Barrier_reply | Of_msg.Error _ | Of_msg.Flow_stats_reply _
+  | Of_msg.Group_stats_reply _ | Of_msg.Telemetry_reply _ | Of_msg.Packet_in _ -> ()
 
 (** Failure injection (§5.6 testing): a dead OFA neither serves nor
     accepts anything — in particular it stops answering Echo requests,
@@ -240,58 +239,96 @@ let admission t = t.admission
 
 let shed_total t = t.counters.pin_dropped + t.counters.pin_expired
 
-let rec serve t =
-  if t.dead then t.busy <- false
-  else begin
-  (* controller messages have strict priority over Packet-In generation *)
-  let job =
-    match Queue.take_opt t.cmsg_queue with
-    | Some m -> Some (Message_job m)
-    | None -> (
-      (* stale pin jobs are shed without burning a service slot: the
-         controller would only see them after the flow's packets had
-         already been lost or rerouted *)
-      match
-        Admission.take t.admission t.pin_queue ~now:(Scotch_sim.Engine.now t.engine)
-          ~deadline:t.pin_deadline ~expire:t.expire_pin
-      with
-      | Some item -> Some (Packet_in_job item.Admission.payload)
-      | None -> None)
+(* Start serving the job the in-service fields hold: it completes
+   after its service time, pushed past a housekeeping window or a
+   stall, through the [complete] handler. *)
+let rec start_service t =
+  t.busy <- true;
+  let p = t.profile in
+  let now = Scotch_sim.Engine.now t.engine in
+  let start = match housekeeping_end t ~now with None -> now | Some e -> e in
+  let start = Stdlib.max start t.stalled_until in
+  let base =
+    if t.serving_is_pin then p.Profile.packet_in_service
+    else
+      match t.serving_msg.Of_msg.payload with
+      | Of_msg.Flow_mod _ -> p.Profile.flow_mod_service
+      | Of_msg.Packet_out _ -> p.Profile.packet_out_service
+      | _ -> p.Profile.misc_service
   in
-  match job with
-  | None -> t.busy <- false
-  | Some job ->
-    t.busy <- true;
-    let now = Scotch_sim.Engine.now t.engine in
-    let start = match housekeeping_end t ~now with None -> now | Some e -> e in
-    let start = Stdlib.max start t.stalled_until in
-    let finish = start +. service_time t job in
-    if Scotch_obs.Obs.is_enabled () then begin
-      Scotch_obs.Registry.observe t.service_h (finish -. start);
-      (* per-job spans fire for every served packet — decimated per site
-         so the histogram stays exact but the trace stays small *)
-      let name, site =
-        match job with
-        | Packet_in_job _ -> ("ofa.serve.packet_in", t.hot_pin)
-        | Message_job _ -> ("ofa.serve.msg", t.hot_msg)
-      in
-      if Scotch_obs.Obs.hot_keep site then
-        Scotch_obs.Obs.span ~name ~cat:"switch" ~ts:start ~dur:(finish -. start) ~tid:t.dpid
-          ~args:[]
-    end;
-    ignore
-      (Scotch_sim.Engine.schedule_at t.engine ~at:finish (fun () ->
-           if t.dead then
-             (* the agent died mid-service: the job is lost, but [busy]
-                must clear or a revived agent never serves again — it
-                would accept queue entries forever without draining
-                them (and so never answer another Echo) *)
-             t.busy <- false
-           else begin
-             execute t job;
-             serve t
-           end))
+  (* ±5 % jitter, see [rng] *)
+  let finish =
+    start +. (base *. t.slowdown *. (0.95 +. Scotch_util.Rng.float t.rng 0.1))
+  in
+  if Scotch_obs.Obs.is_enabled () then begin
+    Scotch_obs.Registry.observe t.service_h (finish -. start);
+    (* per-job spans fire for every served packet — decimated per site
+       so the histogram stays exact but the trace stays small *)
+    let name, site =
+      if t.serving_is_pin then ("ofa.serve.packet_in", t.hot_pin)
+      else ("ofa.serve.msg", t.hot_msg)
+    in
+    if Scotch_obs.Obs.hot_keep site then
+      Scotch_obs.Obs.span ~name ~cat:"switch" ~ts:start ~dur:(finish -. start) ~tid:t.dpid
+        ~args:[]
+  end;
+  let on_finish =
+    match t.complete with
+    | Some h -> h
+    | None ->
+      let h = Scotch_sim.Engine.handler t.engine (fun () -> complete t) in
+      t.complete <- Some h;
+      h
+  in
+  Scotch_sim.Engine.fire_at t.engine ~at:finish on_finish
+
+(* The job in service is done: run its effect, then serve the next. *)
+and complete t =
+  if t.dead then begin
+    (* the agent died mid-service: the job is lost, but [busy] must
+       clear or a revived agent never serves again — it would accept
+       queue entries forever without draining them (and so never
+       answer another Echo) *)
+    t.busy <- false;
+    t.serving_pin <- no_pin;
+    t.serving_msg <- no_msg
   end
+  else begin
+    if t.serving_is_pin then begin
+      let job = t.serving_pin in
+      t.serving_pin <- no_pin;
+      execute_pin t job
+    end
+    else begin
+      let msg = t.serving_msg in
+      t.serving_msg <- no_msg;
+      execute_msg t msg
+    end;
+    serve t
+  end
+
+and serve t =
+  if t.dead then t.busy <- false
+  else if not (Queue.is_empty t.cmsg_queue) then begin
+    (* controller messages have strict priority over Packet-In
+       generation *)
+    t.serving_is_pin <- false;
+    t.serving_msg <- Queue.take t.cmsg_queue;
+    start_service t
+  end
+  else
+    (* stale pin jobs are shed without burning a service slot: the
+       controller would only see them after the flow's packets had
+       already been lost or rerouted *)
+    match
+      Admission.take t.admission t.pin_queue ~now:(Scotch_sim.Engine.now t.engine)
+        ~deadline:t.pin_deadline ~expire:t.expire_pin
+    with
+    | Some item ->
+      t.serving_is_pin <- true;
+      t.serving_pin <- item.Admission.payload;
+      start_service t
+    | None -> t.busy <- false
 
 let kick t = if not t.busy then serve t
 

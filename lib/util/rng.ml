@@ -6,25 +6,36 @@
     64-bit period and passes BigCrush; it is more than adequate for
     workload generation. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer, read and written with
+   the unboxed primitives: an [int64] record field would box every new
+   state, three words a draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
 (** [create seed] returns a fresh generator.  Two generators created with
     the same seed produce identical streams. *)
-let create seed = { state = Int64.of_int seed }
+let create seed = of_state (Int64.of_int seed)
 
 (** [split t] derives an independent generator from [t], advancing [t].
     Used to give each traffic source its own stream so that adding a
     source does not perturb the others. *)
 let split t =
-  let s = Int64.add t.state golden_gamma in
-  t.state <- s;
-  { state = Int64.mul s 0xBF58476D1CE4E5B9L }
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  of_state (Int64.mul s 0xBF58476D1CE4E5B9L)
 
-let next_int64 t =
-  let s = Int64.add t.state golden_gamma in
-  t.state <- s;
+let[@inline] next_int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
   let z = s in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in

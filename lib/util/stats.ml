@@ -57,37 +57,53 @@ end
     monitor uses this to estimate Packet-In rates (§4.2 of the paper). *)
 
 module Rate_meter = struct
+  (* The window's timestamps, oldest first, in a ring: [len] of them
+     from slot [head] on, wrapping.  The capacity is 0 or a power of
+     two, grown on demand, so a meter that is never ticked holds no
+     buffer and a busy one stops allocating once it fits its window. *)
   type t = {
     window : float;
-    events : float Queue.t;
+    mutable ring : Float.Array.t;
+    mutable head : int;
+    mutable len : int;
     mutable total : int;
   }
 
   let create ~window =
     if window <= 0.0 then invalid_arg "Rate_meter.create: window must be positive";
-    { window; events = Queue.create (); total = 0 }
+    { window; ring = Float.Array.create 0; head = 0; len = 0; total = 0 }
 
   let expire t ~now =
     let cutoff = now -. t.window in
-    let rec go () =
-      match Queue.peek_opt t.events with
-      | Some ts when ts <= cutoff ->
-        ignore (Queue.pop t.events);
-        go ()
-      | _ -> ()
-    in
-    go ()
+    let mask = Float.Array.length t.ring - 1 in
+    while t.len > 0 && Float.Array.unsafe_get t.ring t.head <= cutoff do
+      t.head <- (t.head + 1) land mask;
+      t.len <- t.len - 1
+    done
+
+  (* Double the ring, unwrapping it so the oldest timestamp is slot 0. *)
+  let grow t =
+    let cap = Float.Array.length t.ring in
+    let ring = Float.Array.create (Stdlib.max 8 (2 * cap)) in
+    for i = 0 to t.len - 1 do
+      Float.Array.unsafe_set ring i (Float.Array.unsafe_get t.ring ((t.head + i) land (cap - 1)))
+    done;
+    t.ring <- ring;
+    t.head <- 0
 
   (** [tick t ~now] records one event at time [now]. *)
   let tick t ~now =
     expire t ~now;
-    Queue.push now t.events;
+    if t.len = Float.Array.length t.ring then grow t;
+    let mask = Float.Array.length t.ring - 1 in
+    Float.Array.unsafe_set t.ring ((t.head + t.len) land mask) now;
+    t.len <- t.len + 1;
     t.total <- t.total + 1
 
   (** [rate t ~now] is the event rate (per second) over the last window. *)
   let rate t ~now =
     expire t ~now;
-    float_of_int (Queue.length t.events) /. t.window
+    float_of_int t.len /. t.window
 
   (** [total t] is the all-time event count. *)
   let total t = t.total

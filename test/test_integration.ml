@@ -280,6 +280,63 @@ let test_determinism () =
   let _, f2 = run_failure ~scotch:true ~attack_rate:1000.0 ~duration:6.0 ~seed:7 () in
   Alcotest.(check (float 0.0)) "identical runs for identical seeds" f1 f2
 
+(* The fabric under continuous verification, as the fabric-verify
+   benchmark builds it: three constant-rate spoofing attackers and four
+   clients converging on one host, so flows cross ToR, spine and ToR,
+   installed destination-first, while every switch update feeds the
+   incremental verifier.  A change to the new-flow path can be right on
+   a single edge switch and still wrong here.  Each seed runs twice in
+   one process: the verifier must report no error and no audit
+   mismatch, and the second run must repeat the first's outcomes, so
+   no state survives from one simulation into the next. *)
+let fabric_verify_outcome ~seed ~duration =
+  let config = { Config.default with Config.verify = Config.Continuous } in
+  let fb = Testbed.fabric ~seed ~config () in
+  let engine = fb.Testbed.f_engine in
+  let dst = fb.Testbed.f_hosts.(3).(0) in
+  let attackers =
+    List.map
+      (fun r ->
+        Source.create engine ~rng:(Scotch_util.Rng.split (Scotch_sim.Engine.rng engine))
+          ~host:fb.Testbed.f_hosts.(r).(1) ~dst ~rate:667.0 ~arrival:Source.Constant
+          ~spoof_sources:true ())
+      [ 0; 1; 2 ]
+  in
+  let clients =
+    List.init 4 (fun r -> Testbed.fabric_client fb ~src:fb.Testbed.f_hosts.(r).(2) ~dst ~rate:50.0)
+  in
+  List.iter Source.start (attackers @ clients);
+  Scotch_sim.Engine.run ~until:duration engine;
+  let hooks = Option.get fb.Testbed.f_verify in
+  let incr = Option.get (Scotch_verify.Hooks.incremental hooks) in
+  let st = Scotch_verify.Incremental.stats incr in
+  let errors =
+    List.length (Scotch_verify.Diagnostic.errors (Scotch_verify.Incremental.diagnostics incr))
+    + Scotch_verify.Hooks.error_count hooks
+  in
+  let c = Scotch.counters fb.Testbed.f_app in
+  let cc = Scotch_controller.Controller.counters fb.Testbed.f_ctrl in
+  let delivered = ref 0 in
+  Scotch_topo.Topology.iter_hosts fb.Testbed.f_topo (fun h ->
+      delivered := !delivered + Scotch_topo.Host.received_packets h);
+  ( (errors, st.Scotch_verify.Incremental.equiv_mismatches),
+    [ st.Scotch_verify.Incremental.updates; st.Scotch_verify.Incremental.equiv_checks;
+      cc.Scotch_controller.Controller.packet_ins; cc.Scotch_controller.Controller.flow_mods;
+      c.Scotch.flows_seen; c.Scotch.flows_overlay; c.Scotch.flows_physical;
+      c.Scotch.flows_dropped; !delivered;
+      List.fold_left (fun n s -> n + Source.launched_count s) 0 (attackers @ clients) ] )
+
+let test_fabric_verify_clean_and_repeatable () =
+  List.iter
+    (fun seed ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let verdict, outcome = fabric_verify_outcome ~seed ~duration:2.0 in
+      let verdict', outcome' = fabric_verify_outcome ~seed ~duration:2.0 in
+      Alcotest.(check (pair int int)) (name "verify errors, audit mismatches") (0, 0) verdict;
+      Alcotest.(check (pair int int)) (name "second run: errors, mismatches") (0, 0) verdict';
+      Alcotest.(check (list int)) (name "second run repeats the first") outcome outcome')
+    [ 1; 5; 7; 42 ]
+
 let test_dedicated_port_capped_by_r () =
   let r = Ablation.run_dedicated_point ~offered:2000.0 ~duration:4.0 () in
   let rr = Config.rule_rate in
@@ -314,7 +371,9 @@ let () =
             test_repeated_activation_cycles ] );
       ( "fabric",
         [ Alcotest.test_case "destination-side protection (§1)" `Slow
-            test_fabric_destination_protection ] );
+            test_fabric_destination_protection;
+          Alcotest.test_case "fabric under continuous verification" `Slow
+            test_fabric_verify_clean_and_repeatable ] );
       ( "elasticity",
         [ Alcotest.test_case "live vswitch addition (§5.6)" `Slow test_live_vswitch_addition ] )
     ]

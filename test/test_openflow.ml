@@ -56,6 +56,37 @@ let test_exact_flow_match () =
   Alcotest.(check bool) "rejects other flow" false (Of_match.matches m (ctx other));
   Alcotest.(check int) "five fields" 5 (Of_match.specificity m)
 
+(* [exact_flow] is one record literal: it must build what the chained
+   [with_*] builders build, for any 5-tuple (the port extremes
+   included), and allocate no more than that record. *)
+let key_gen =
+  let open QCheck.Gen in
+  let addr = map Ipv4_addr.of_int (int_bound 0xFFFFFFFF) in
+  let port = frequency [ (1, return 0); (1, return 65535); (4, int_bound 65535) ] in
+  let+ ip_src = addr and+ ip_dst = addr and+ proto = int_bound 255 and+ l4_src = port
+  and+ l4_dst = port in
+  Flow_key.make ~ip_src ~ip_dst ~proto ~l4_src ~l4_dst ()
+
+let prop_exact_flow_literal =
+  QCheck.Test.make ~name:"exact_flow = the chained with_* build" ~count:500
+    (QCheck.make ~print:Flow_key.to_string key_gen)
+    (fun (k : Flow_key.t) ->
+      Of_match.equal (Of_match.exact_flow k)
+        Of_match.(
+          wildcard |> with_ip_src k.Flow_key.ip_src |> with_ip_dst k.Flow_key.ip_dst
+          |> with_ip_proto k.Flow_key.proto |> with_l4_src k.Flow_key.l4_src
+          |> with_l4_dst k.Flow_key.l4_dst))
+
+let test_exact_flow_allocation () =
+  let k = Packet.flow_key (mk_packet ()) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Of_match.exact_flow k))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. 1000.0 in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per call <= 26" per_call) true
+    (per_call <= 26.0)
+
 let test_masked_ip_match () =
   let m =
     Of_match.with_ip_src ~mask:(Ipv4_addr.prefix_mask 8) (Ipv4_addr.make 10 0 0 0)
@@ -415,8 +446,19 @@ let packet_gen =
     (fun p encaps -> List.fold_left (fun p e -> Packet.push_encap e p) p encaps)
     base (list_size (int_bound 2) encap)
 
+let flow_stat_gen =
+  let open QCheck.Gen in
+  let+ table_id = int_bound 3
+  and+ priority = int_bound 0xFFFF
+  and+ match_ = match_gen
+  and+ packet_count = int_bound 1_000_000
+  and+ duration = map (fun n -> float_of_int n /. 1000.0) (int_bound 1_000_000) in
+  { Of_msg.Stats.table_id; priority; match_; packet_count; byte_count = 64 * packet_count;
+    duration; cookie = Int64.of_int priority }
+
 let payload_gen =
   let open QCheck.Gen in
+  let flow_stat = flow_stat_gen in
   let actions = list_size (int_bound 4) action_gen in
   let ms = map (fun n -> float_of_int n /. 1000.0) (int_bound 1_000_000) in
   let small_list g = list_size (int_bound 5) g in
@@ -426,15 +468,6 @@ let payload_gen =
         map (fun t -> Of_action.Goto_table t) (int_bound 3) ]
   in
   let bucket = map Of_msg.Group_mod.bucket actions in
-  let flow_stat =
-    let+ table_id = int_bound 3
-    and+ priority = int_bound 0xFFFF
-    and+ match_ = match_gen
-    and+ packet_count = int_bound 1_000_000
-    and+ duration = ms in
-    { Of_msg.Stats.table_id; priority; match_; packet_count; byte_count = 64 * packet_count;
-      duration; cookie = Int64.of_int priority }
-  in
   let telemetry_record =
     let+ p = packet_gen and+ sampled = int_bound 1000 in
     { Of_msg.Telemetry.key = Packet.flow_key p; sampled }
@@ -488,6 +521,24 @@ let prop_size_matches_encode =
        QCheck.Gen.(map2 (fun xid p -> Of_msg.make ~xid p) (int_bound 0xFFFF) payload_gen))
     (fun m -> Of_wire.size m = Bytes.length (Of_wire.encode m))
 
+(* A reader that walks a flow-stats reply charges it as the framing
+   plus each record's size: that must be the reply's [Of_wire.size],
+   for small replies and for those past the 64 KiB a u16 length can
+   frame, which the ledger charges unsplit. *)
+let prop_flow_stats_reply_charge =
+  QCheck.Test.make ~name:"reply framing + record sizes = size, past 64 KiB too" ~count:60
+    (QCheck.make
+       ~print:(fun l -> Printf.sprintf "%d records" (List.length l))
+       QCheck.Gen.(
+         list_size (frequency [ (2, int_bound 8); (1, int_range 2100 2600) ]) flow_stat_gen))
+    (fun stats ->
+      let walked =
+        List.fold_left
+          (fun n st -> n + Of_wire.flow_stat_size st)
+          Of_wire.flow_stats_reply_framing stats
+      in
+      walked = Of_wire.size (Of_msg.make ~xid:0 (Of_msg.Flow_stats_reply stats)))
+
 (* [Packet.size] is the byte count the channel charges for a carried
    packet (through [Of_wire.size]): it must be the rendered length. *)
 let prop_packet_size =
@@ -528,6 +579,8 @@ let () =
         [ Alcotest.test_case "wildcard" `Quick test_wildcard_matches_everything;
           Alcotest.test_case "in_port" `Quick test_in_port_match;
           Alcotest.test_case "exact flow" `Quick test_exact_flow_match;
+          QCheck_alcotest.to_alcotest prop_exact_flow_literal;
+          Alcotest.test_case "exact flow allocation" `Quick test_exact_flow_allocation;
           Alcotest.test_case "masked ip" `Quick test_masked_ip_match;
           Alcotest.test_case "mpls label" `Quick test_mpls_match;
           Alcotest.test_case "tunnel id" `Quick test_tunnel_match;
@@ -547,5 +600,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_match_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_actions_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_size_matches_encode;
+          QCheck_alcotest.to_alcotest prop_flow_stats_reply_charge;
           QCheck_alcotest.to_alcotest prop_packet_size;
           QCheck_alcotest.to_alcotest prop_decode_total ] ) ]

@@ -193,7 +193,20 @@ let test_engine_fire () =
     match Engine.fire e ~delay:d h with () -> false | exception Invalid_argument _ -> true
   in
   Alcotest.(check bool) "negative delay raises" true (raises (-1.0));
-  Alcotest.(check bool) "NaN delay raises" true (raises nan)
+  Alcotest.(check bool) "NaN delay raises" true (raises nan);
+  (* [fire_at] takes an absolute time and orders like [schedule_at] *)
+  log := [];
+  Engine.fire_at e ~at:3.0 h;
+  ignore (Engine.schedule_at e ~at:3.0 (fun () -> log := -1.0 :: !log));
+  Engine.fire_at e ~at:2.5 h;
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "fire_at: time order, FIFO at ties" [ 2.5; 3.0; -1.0 ]
+    (List.rev !log);
+  let raises_at at =
+    match Engine.fire_at e ~at h with () -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "fire_at in the past raises" true (raises_at 1.0);
+  Alcotest.(check bool) "fire_at NaN raises" true (raises_at nan)
 
 (* Firing a registered handler allocates nothing once the queue has
    grown: the minor words it takes equal those of an empty call, which

@@ -124,6 +124,84 @@ let test_rate_meter () =
   check_float ~eps:1e-9 "expired" 0.0 (Stats.Rate_meter.rate m ~now:2.0);
   Alcotest.(check int) "total survives expiry" 10 (Stats.Rate_meter.total m)
 
+(* The queue meter the ring replaced, kept as the reference: a tick
+   expires every timestamp at or before [now - window], then queues
+   [now]. *)
+module Queue_meter = struct
+  type t = { window : float; events : float Queue.t; mutable total : int }
+
+  let create ~window = { window; events = Queue.create (); total = 0 }
+
+  let expire t ~now =
+    let cutoff = now -. t.window in
+    while (not (Queue.is_empty t.events)) && Queue.peek t.events <= cutoff do
+      ignore (Queue.pop t.events)
+    done
+
+  let tick t ~now =
+    expire t ~now;
+    Queue.push now t.events;
+    t.total <- t.total + 1
+
+  let rate t ~now =
+    expire t ~now;
+    float_of_int (Queue.length t.events) /. t.window
+end
+
+(* Random tick/query sequences on a non-decreasing clock: steps of 0
+   (equal timestamps), steps that land exactly on [now - window] of an
+   earlier tick, and bursts long enough to grow the ring past its first
+   capacity several times.  Every step is a multiple of 1/1024, so the
+   clock's sums are exact and the boundary cases stay exact. *)
+let prop_rate_meter_matches_queue =
+  let open QCheck.Gen in
+  let window = 0.25 in
+  let step =
+    frequency
+      [ (3, return 0.0); (2, return (window /. 4.0)); (1, return window);
+        (4, map (fun n -> float_of_int n /. 1024.0) (int_bound 300)) ]
+  in
+  let op = pair bool step in
+  QCheck.Test.make ~name:"ring rate meter = queue meter" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 400) op))
+    (fun ops ->
+      let ring = Stats.Rate_meter.create ~window and queue = Queue_meter.create ~window in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (is_tick, dt) ->
+          now := !now +. dt;
+          if is_tick then begin
+            Stats.Rate_meter.tick ring ~now:!now;
+            Queue_meter.tick queue ~now:!now
+          end;
+          Stats.Rate_meter.rate ring ~now:!now = Queue_meter.rate queue ~now:!now
+          && Stats.Rate_meter.total ring = queue.Queue_meter.total)
+        ops)
+
+(* Once the ring holds a full window, a tick allocates nothing: the
+   minor words of a thousand ticks equal those of an empty call.  The
+   timestamps are boxed beforehand, in a list, so passing one to [tick]
+   allocates nothing either. *)
+let test_rate_meter_tick_allocates_nothing () =
+  let m = Stats.Rate_meter.create ~window:1.0 in
+  let times n ~from = List.init n (fun i -> float_of_int (from + i) *. 0.001) in
+  let rec ticks = function
+    | [] -> ()
+    | now :: rest ->
+      Stats.Rate_meter.tick m ~now;
+      ticks rest
+  in
+  ticks (times 5000 ~from:1);
+  let later = times 1000 ~from:5001 in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words ignore in
+  Alcotest.(check (float 0.0)) "minor words" empty (words (fun () -> ticks later));
+  check_float ~eps:1.0 "steady rate" 1000.0 (Stats.Rate_meter.rate m ~now:6.0)
+
 (* ------------------------------------------------------------------ *)
 (* Histogram *)
 
@@ -274,7 +352,10 @@ let () =
       ( "stats",
         [ Alcotest.test_case "samples percentile" `Quick test_samples_percentile;
           Alcotest.test_case "samples empty" `Quick test_samples_empty;
-          Alcotest.test_case "rate meter window" `Quick test_rate_meter ] );
+          Alcotest.test_case "rate meter window" `Quick test_rate_meter;
+          QCheck_alcotest.to_alcotest prop_rate_meter_matches_queue;
+          Alcotest.test_case "rate meter tick allocation" `Quick
+            test_rate_meter_tick_allocates_nothing ] );
       ( "histogram",
         [ Alcotest.test_case "counts" `Quick test_histogram_counts;
           Alcotest.test_case "quantile" `Quick test_histogram_quantile ] );
