@@ -54,7 +54,7 @@ type counters = {
    reply path emit the xid round-trip span. *)
 type pending_req = {
   k : Of_msg.payload -> unit;
-  expiry : Scotch_sim.Engine.handle option;
+  expiry : Scotch_sim.Engine.handle;
   sent_at : float;
   req_dpid : int;
 }
@@ -136,7 +136,7 @@ let dispatch_pending t (msg : Of_msg.t) =
   match Hashtbl.find_opt t.pending msg.Of_msg.xid with
   | Some req ->
     Hashtbl.remove t.pending msg.Of_msg.xid;
-    Option.iter (Scotch_sim.Engine.cancel t.engine) req.expiry;
+    Scotch_sim.Engine.cancel t.engine req.expiry;
     if Scotch_obs.Obs.is_enabled () then begin
       let rtt = Scotch_sim.Engine.now t.engine -. req.sent_at in
       Scotch_obs.Registry.observe t.rtt_h rtt;
@@ -298,26 +298,21 @@ let send t (sw : sw) payload =
   | _ -> ());
   sw.send_raw (Of_msg.make ~xid:(fresh_xid t) payload)
 
-(** [request t sw payload k] sends a request and calls [k] on the
-    matching reply.  With [~deadline] the pending entry self-expires
-    after that many seconds: the continuation is dropped (never called),
+(** [request t sw payload k ~deadline] sends a request and calls [k]
+    on the matching reply.  The pending entry self-expires after
+    [deadline] seconds: the continuation is dropped (never called),
     [on_timeout] fires instead, and [counters.expired_requests] is
-    bumped.  Without a deadline a lost reply strands the entry forever —
-    callers talking over impairable channels should always pass one. *)
-let request ?deadline ?on_timeout t (sw : sw) payload k =
+    bumped, so a lost reply or a dead switch strands nothing. *)
+let request ~deadline ?on_timeout t (sw : sw) payload k =
+  if deadline <= 0.0 then invalid_arg "Controller.request: deadline must be positive";
   let xid = fresh_xid t in
   let expiry =
-    match deadline with
-    | None -> None
-    | Some d ->
-      if d <= 0.0 then invalid_arg "Controller.request: deadline must be positive";
-      Some
-        (Scotch_sim.Engine.schedule t.engine ~delay:d (fun () ->
-             if Hashtbl.mem t.pending xid then begin
-               Hashtbl.remove t.pending xid;
-               t.counters.expired_requests <- t.counters.expired_requests + 1;
-               match on_timeout with Some f -> f () | None -> ()
-             end))
+    Scotch_sim.Engine.schedule t.engine ~delay:deadline (fun () ->
+        if Hashtbl.mem t.pending xid then begin
+          Hashtbl.remove t.pending xid;
+          t.counters.expired_requests <- t.counters.expired_requests + 1;
+          match on_timeout with Some f -> f () | None -> ()
+        end)
   in
   Hashtbl.replace t.pending xid
     { k; expiry; sent_at = Scotch_sim.Engine.now t.engine; req_dpid = sw.dpid };

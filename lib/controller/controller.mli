@@ -86,12 +86,12 @@ val connect : t -> Switch.t -> latency:float -> sw
 val send : t -> sw -> Of_msg.payload -> unit
 
 (** Send a request and call the continuation on the matching reply.
-    With [~deadline] the pending entry self-expires after that many
-    seconds: the continuation is dropped, [on_timeout] fires instead and
-    [counters.expired_requests] is bumped — without it a lost reply
-    strands the entry forever. *)
+    The pending entry self-expires after [deadline] seconds (positive,
+    else [Invalid_argument]): the continuation is dropped,
+    [on_timeout] fires instead and [counters.expired_requests] is
+    bumped, so a lost reply or a dead switch strands no entry. *)
 val request :
-  ?deadline:float -> ?on_timeout:(unit -> unit) -> t -> sw -> Of_msg.payload ->
+  deadline:float -> ?on_timeout:(unit -> unit) -> t -> sw -> Of_msg.payload ->
   (Of_msg.payload -> unit) -> unit
 
 (** Number of in-flight requests still awaiting a reply. *)

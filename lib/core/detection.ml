@@ -145,7 +145,8 @@ let poll_vswitch_stats t sw ~on_large vdpid =
     { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard }
   in
   account t ~sampled:false ~units:1 (Of_msg.Flow_stats_request req);
-  C.request t.ctrl sw (Of_msg.Flow_stats_request req)
+  C.request ~deadline:t.config.Config.stats_poll_interval t.ctrl sw
+    (Of_msg.Flow_stats_request req)
     (function
       | Of_msg.Flow_stats_reply stats ->
         t.exact_msgs <- t.exact_msgs + 1;
@@ -159,7 +160,7 @@ let poll_vswitch_stats t sw ~on_large vdpid =
    estimate.  Constant-size replies replace the per-vflow stats dump. *)
 let poll_vswitch_telemetry t sw ~on_large vdpid =
   account t ~sampled:true ~units:1 Of_msg.Telemetry_request;
-  C.request t.ctrl sw Of_msg.Telemetry_request
+  C.request ~deadline:t.config.Config.stats_poll_interval t.ctrl sw Of_msg.Telemetry_request
     (function
       | Of_msg.Telemetry_reply tr ->
         account t ~sampled:true ~units:(1 + List.length tr.Of_msg.Telemetry.records)

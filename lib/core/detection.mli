@@ -34,7 +34,9 @@ val refresh_duty : t -> unit
     [vswitch vdpid], and calls [on_large ~vdpid e] for every overlay
     flow [e] entering at [vdpid] whose measured packet rate (under
     sampling, the lower confidence bound of the estimate) exceeds
-    {!Config.elephant_pkt_rate}. *)
+    {!Config.elephant_pkt_rate}.  A poll whose reply has not come back
+    by the next tick expires (a dead or stalled vswitch strands no
+    pending request). *)
 val start :
   t -> vswitch:(int -> C.sw option) -> on_large:(vdpid:int -> Flow_info_db.entry -> unit) -> unit
 

@@ -209,15 +209,6 @@ let enqueue_ingress t ~port ~tenant ~shed run =
   Admission.push t.admission (ingress_queue t ~port ~tenant)
     ~at:(Scotch_sim.Engine.now t.engine) ~tenant { run; shed }
 
-(** [submit_ingress t ~port ?tenant ?shed run] is {!ingress_verdict}
-    then, on [`Queued], {!enqueue_ingress}. *)
-let submit_ingress t ~port ?(tenant = Tenant.default_id) ?(shed = fun () -> ()) run =
-  match ingress_verdict t ~port ~tenant with
-  | `Queued ->
-    enqueue_ingress t ~port ~tenant ~shed run;
-    `Queued
-  | (`Overlay | `Drop) as v -> v
-
 (** Enqueue a rule install for an admitted (physical-path) flow in
     [tenant]'s own reserved queue. *)
 let submit_admitted t ?(tenant = Tenant.default_id) item =

@@ -64,23 +64,17 @@ val create :
 
 val counters : t -> counters
 
-(** Apply the Fig. 7 thresholds: [`Queued] (runs when served),
-    [`Overlay] (route the flow over the Scotch overlay now) or
-    [`Drop] (shared threshold, the tenant's own budget, or no
-    same-tenant eviction victim).  [shed] fires if the
-    item is later evicted or expires without being served (never after
-    [run]).  [tenant] defaults to {!Tenant.default_id}. *)
-val submit_ingress :
-  t -> port:int -> ?tenant:int -> ?shed:(unit -> unit) -> (unit -> unit) ->
-  [ `Queued | `Overlay | `Drop ]
-
-(** {!submit_ingress} in two steps, so a caller builds the item only
-    when it is queued.  [ingress_verdict] does all the counting and any
-    eviction and answers as {!submit_ingress} would; after [`Queued]
-    the caller must {!enqueue_ingress} the item before anything else
-    touches the scheduler. *)
+(** An ingress submission in two steps, so a caller builds the item
+    only when it is queued.  [ingress_verdict] applies the Fig. 7
+    thresholds and does all the counting and any eviction: [`Queued]
+    (the caller must {!enqueue_ingress} the item before anything else
+    touches the scheduler), [`Overlay] (route the flow over the Scotch
+    overlay now) or [`Drop] (shared threshold, the tenant's own budget,
+    or no same-tenant eviction victim). *)
 val ingress_verdict : t -> port:int -> tenant:int -> [ `Queued | `Overlay | `Drop ]
 
+(** Queue the item a [`Queued] verdict admitted: [run] when served,
+    [shed] if it is evicted or expires first (never after [run]). *)
 val enqueue_ingress : t -> port:int -> tenant:int -> shed:(unit -> unit) -> (unit -> unit) -> unit
 
 (** The ingress lanes' per-tenant budgets and submitted / queued /

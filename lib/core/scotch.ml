@@ -545,8 +545,8 @@ let install_physical t (e : Flow_info_db.entry) ~first_packet ~on_complete =
 
 (** Migration of one detected elephant (served from the large-flow
     queue): recheck control-path load along the candidate path, then
-    install destination-first. *)
-let do_migration ?(detected_at = 0.0) t (e : Flow_info_db.entry) =
+    install destination-first.  [detected_at] starts its trace span. *)
+let do_migration t ~detected_at (e : Flow_info_db.entry) =
   let dst_ip = e.Flow_info_db.key.Flow_key.ip_dst in
   let path_ok =
     match Scotch_topo.Topology.route_to_host (C.topo t.ctrl) ~src:e.Flow_info_db.first_hop ~dst_ip with
@@ -576,32 +576,28 @@ let do_migration ?(detected_at = 0.0) t (e : Flow_info_db.entry) =
           Scotch_obs.Obs.span ~name:"scotch.migration" ~cat:"core" ~ts:detected_at
             ~dur:(now t -. detected_at) ~tid:e.Flow_info_db.first_hop ~args:[])
 
-(* Common tail of every detection path: count, trace, fire the
-   ground-truth hook, and queue the migration through the first hop's
-   large-flow queue.  The caller has already set [e.migrating]. *)
-let launch_migration t ~vdpid (e : Flow_info_db.entry) =
-  t.counters.elephants_detected <- t.counters.elephants_detected + 1;
-  let detected_at =
-    if Scotch_obs.Obs.is_enabled () then begin
-      Scotch_obs.Obs.instant ~name:"scotch.elephant_detected" ~cat:"core" ~ts:(now t)
-        ~tid:vdpid ~args:[];
-      now t
-    end
-    else 0.0
-  in
-  Detection.elephant t.detection e.Flow_info_db.key;
-  match managed_of t e.Flow_info_db.first_hop with
-  | Some m ->
-    Sched.submit_large m.sched ~tenant:e.Flow_info_db.tenant (fun () ->
-        do_migration ~detected_at t e)
-  | None -> e.Flow_info_db.migrating <- false
-
 (* The §5.3 trigger: an overlay flow {!Detection} found large starts
-   migrating, once. *)
+   migrating, once.  Count and trace the detection, fire the
+   ground-truth hook, and queue the migration through the first hop's
+   large-flow queue. *)
 let migrate_large t ~vdpid (e : Flow_info_db.entry) =
   if t.config.Config.migration_enabled && not e.Flow_info_db.migrating then begin
     e.Flow_info_db.migrating <- true;
-    launch_migration t ~vdpid e
+    t.counters.elephants_detected <- t.counters.elephants_detected + 1;
+    let detected_at =
+      if Scotch_obs.Obs.is_enabled () then begin
+        Scotch_obs.Obs.instant ~name:"scotch.elephant_detected" ~cat:"core" ~ts:(now t)
+          ~tid:vdpid ~args:[];
+        now t
+      end
+      else 0.0
+    in
+    Detection.elephant t.detection e.Flow_info_db.key;
+    match managed_of t e.Flow_info_db.first_hop with
+    | Some m ->
+      Sched.submit_large m.sched ~tenant:e.Flow_info_db.tenant (fun () ->
+          do_migration t ~detected_at e)
+    | None -> e.Flow_info_db.migrating <- false
   end
 
 (** Control-plane load check for a candidate physical path (§5.3: the

@@ -193,7 +193,7 @@ type outcome = {
   trace_digest : string;        (* obs trace digest — the determinism check *)
 }
 
-let run_variant ~attack ?(verify = Config.Off) ~seed ~scale () =
+let run_variant ~attack ~verify ~seed ~scale () =
   O.reset ~capacity:(1 lsl 20) ();
   O.enable ();
   let net =
@@ -307,8 +307,9 @@ type pair = {
 }
 
 let run_pair ?(seed = 42) ?(scale = 1.0) () =
-  let baseline = run_variant ~attack:false ~seed ~scale () in
-  let attacked = run_variant ~attack:true ~seed ~scale () in
+  let verify = Config.Off in
+  let baseline = run_variant ~attack:false ~verify ~seed ~scale () in
+  let attacked = run_variant ~attack:true ~verify ~seed ~scale () in
   let p99_delta =
     match (baseline.victim_p99, attacked.victim_p99) with
     | Some b, Some a when b > 0.0 -> Float.abs (a -. b) /. b

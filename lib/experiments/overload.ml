@@ -168,7 +168,7 @@ type outcome = {
   elastic : Elastic.t option;
 }
 
-let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off) ~seed ~plan
+let run_variant ?(elastic = true) ~verify ~seed ~plan
     ~(params : Tracegen.params) () =
   (* fresh obs world per run: the trace feeds both the admitted-flow
      p99 (decision spans) and the determinism digest; size the ring so
@@ -232,20 +232,12 @@ let run_variant ?(elastic = true) ?(verify = Scotch_core.Config.Off) ~seed ~plan
     net;
     elastic = auto }
 
-(** The elastic run alone — what the smoke test and the bench drive.
-    [multiplier] tunes crowd intensity (default 7.5 = 3x pool
-    capacity). *)
-let run_outcome ?(seed = 42) ?(scale = 1.0) ?(multiplier = 7.5) ?(elastic = true)
-    ?(verify = Scotch_core.Config.Off) () =
-  let params = trace_params ~scale ~multiplier in
-  let plan = degrade_plan ~params ~peak:40.0 in
-  run_variant ~elastic ~verify ~seed ~plan ~params ()
-
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let params = trace_params ~scale ~multiplier:7.5 in
   let plan = degrade_plan ~params ~peak:40.0 in
-  let elastic = run_variant ~elastic:true ~seed ~plan ~params () in
-  let static = run_variant ~elastic:false ~seed ~plan ~params () in
+  let verify = Scotch_core.Config.Off in
+  let elastic = run_variant ~elastic:true ~verify ~seed ~plan ~params () in
+  let static = run_variant ~elastic:false ~verify ~seed ~plan ~params () in
   Printf.printf
     "overload: elastic p99=%s s, shed=%d, delivered=%d/%d, actions=%d, ejects=%d, \
      readmits=%d, final pool=%d\n"

@@ -38,7 +38,7 @@ let label_of = function
   | Config.Exact_polling -> "exact"
   | Config.Sampled r -> Printf.sprintf "sampled@%g" r
 
-let run_mode ?seed ?(verify = Config.Off) ~detection ~duration () =
+let run_mode ?seed ~verify ~detection ~duration () =
   let truth = Flow_key.Hashtbl.create 8 in
   let net =
     Fig12.scenario ?seed
@@ -89,26 +89,17 @@ let run_mode ?seed ?(verify = Config.Off) ~detection ~duration () =
       | Some v -> Scotch_verify.Hooks.error_count v
       | None -> 0) }
 
-(** Exact baseline and the headline 1/100 sampled run on the same seed
-    — what the telemetry smoke gates on.  [verify]
-    (default off) runs both under the dataplane verifier; the outcome's
-    check/error counts gate on it. *)
-let summary ?(seed = 42) ?(scale = 1.0) ?(verify = Config.Off) () =
-  let duration = Stdlib.max 12.0 (20.0 *. scale) in
-  let exact = run_mode ~seed ~verify ~detection:Config.Exact_polling ~duration () in
-  let sampled = run_mode ~seed ~verify ~detection:(Config.Sampled default_rate) ~duration () in
-  (exact, sampled)
-
 let reduction ~(exact : outcome) ~(sampled : outcome) =
   if sampled.o_msgs = 0 then Float.infinity
   else float_of_int exact.o_msgs /. float_of_int sampled.o_msgs
 
 let run ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let duration = Stdlib.max 12.0 (20.0 *. scale) in
-  let exact = run_mode ~seed ~detection:Config.Exact_polling ~duration () in
+  let verify = Config.Off in
+  let exact = run_mode ~seed ~verify ~detection:Config.Exact_polling ~duration () in
   let rates = [ 0.005; default_rate; 0.05 ] in
   let sampled =
-    List.map (fun r -> run_mode ~seed ~detection:(Config.Sampled r) ~duration ()) rates
+    List.map (fun r -> run_mode ~seed ~verify ~detection:(Config.Sampled r) ~duration ()) rates
   in
   let points f = List.map (fun o -> (o.o_rate, f o)) sampled in
   { Report.id = "telemetry";

@@ -76,8 +76,6 @@ module Packet_out = struct
     actions : Of_action.t list;
     packet : Scotch_packet.Packet.t;
   }
-
-  let make ?(in_port = 0) ~actions packet = { in_port; actions; packet }
 end
 
 (** {1 Statistics (multipart) — flow stats drive large-flow detection

@@ -68,8 +68,6 @@ module Packet_out : sig
     actions : Of_action.t list;
     packet : Scotch_packet.Packet.t;
   }
-
-  val make : ?in_port:int -> actions:Of_action.t list -> Scotch_packet.Packet.t -> t
 end
 
 (** Statistics (multipart): flow stats drive large-flow detection

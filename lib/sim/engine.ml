@@ -14,7 +14,8 @@
     the event pops; a key [k < 0] is the registered handler [lnot k],
     which {!fire} schedules without writing a pointer at all.  An event
     has no record of its own: its handle is its sequence number, and
-    cancelling records that number in a set consulted at pop time. *)
+    cancelling records that number in a set consulted at pop time, for
+    a pop whose number lies between the set's least and greatest. *)
 
 open Scotch_util
 
@@ -37,6 +38,8 @@ type t = {
   mutable handlers : (unit -> unit) array;
   mutable n_handlers : int;
   cancelled : (int, unit) Hashtbl.t;  (* seqs of cancelled events *)
+  mutable cancelled_lo : int;  (* the least and greatest seq in [cancelled] *)
+  mutable cancelled_hi : int;  (* (max_int, min_int when empty) *)
   rng : Rng.t;
   mutable processed : int;
   mutable next_user_id : int;
@@ -56,8 +59,9 @@ let create ?(seed = 42) () =
   { now = 0.0; next_seq = 0; at = Float.Array.make initial_capacity 0.0;
     seq = Array.make initial_capacity 0; key = Array.make initial_capacity 0; size = 0;
     closures = [||]; free = [||]; n_free = 0; handlers = [||]; n_handlers = 0;
-    cancelled = Hashtbl.create 8; rng = Rng.create seed; processed = 0; next_user_id = 0;
-    next_flow_id = 0; run_end_hooks = [] }
+    cancelled = Hashtbl.create 8; cancelled_lo = max_int; cancelled_hi = min_int;
+    rng = Rng.create seed; processed = 0; next_user_id = 0; next_flow_id = 0;
+    run_end_hooks = [] }
 
 (** Current simulation time, in seconds. *)
 let now t = t.now
@@ -203,14 +207,24 @@ let fire_at t ~at (h : handler) =
 
 (** [cancel t h] prevents a scheduled event from running: O(1), the
     event is skipped when it reaches the root. *)
-let cancel t (h : handle) = Hashtbl.replace t.cancelled h ()
+let cancel t (h : handle) =
+  Hashtbl.replace t.cancelled h ();
+  if h < t.cancelled_lo then t.cancelled_lo <- h;
+  if h > t.cancelled_hi then t.cancelled_hi <- h
 
 (* Whether the event [seq] was cancelled, forgetting it if so.  Seqs
-   cancelled after their event fired stay until the queue drains. *)
+   cancelled after their event fired stay until the queue drains here.
+   A pop whose seq lies outside [cancelled_lo, cancelled_hi] never gets
+   here: while an answered request's expiry waits cancelled, the events
+   that pop were mostly scheduled after it, and skip the lookup. *)
 let take_cancelled t seq =
   let hit = Hashtbl.mem t.cancelled seq in
   if hit then Hashtbl.remove t.cancelled seq;
   if t.size = 0 then Hashtbl.reset t.cancelled;
+  if hit || t.size = 0 then begin
+    t.cancelled_lo <- Hashtbl.fold (fun s () lo -> Int.min s lo) t.cancelled max_int;
+    t.cancelled_hi <- Hashtbl.fold (fun s () hi -> Int.max s hi) t.cancelled min_int
+  end;
   hit
 
 (* What the key [k] runs; a one-off closure's slot is cleared and
@@ -234,7 +248,7 @@ let step t =
     and run = take t (Array.unsafe_get t.key 0) in
     pop_root t;
     t.now <- at;
-    if Hashtbl.length t.cancelled = 0 || not (take_cancelled t seq) then begin
+    if seq < t.cancelled_lo || seq > t.cancelled_hi || not (take_cancelled t seq) then begin
       t.processed <- t.processed + 1;
       run ()
     end;

@@ -66,7 +66,8 @@ val fire_at : t -> at:float -> handler -> unit
     nor counts it in {!processed}.  Cancelling it again, or cancelling
     an event that already fired, changes nothing else.  The engine
     remembers a cancelled handle until its event pops; one whose event
-    had already fired is forgotten whenever the queue drains. *)
+    had already fired matches no later event, and may stay until the
+    queue drains. *)
 val cancel : t -> handle -> unit
 
 (** Execute the next event; [false] when the queue is empty.  A

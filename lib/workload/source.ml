@@ -23,7 +23,7 @@ type t = {
          §3.2 ("we simulate the new flows by spoofing each packet's
          source IP address") *)
   mutable spoof_counter : int;
-  mutable launched : Flow_gen.launched list; (* reversed *)
+  mutable launched : Flow_gen.launched list; (* reversed; empty when spoofing *)
   mutable launched_count : int;
   mutable packets_sent : int;
   mutable running : bool;
@@ -112,7 +112,8 @@ let launch_flow ?spec t =
     else { key with Flow_key.proto = Headers.Ipv4.proto_udp }
   in
   let launched = { Flow_gen.flow_id; key; started = now; spec } in
-  t.launched <- launched :: t.launched;
+  (* an attacker's flows are counted, never looked up again *)
+  if not t.spoof_sources then t.launched <- launched :: t.launched;
   t.launched_count <- t.launched_count + 1;
   send_flow_packets t ~launched ~src_mac ~ip_src ~src_port;
   launched

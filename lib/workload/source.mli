@@ -15,7 +15,10 @@ type t
 
 (** [spoof_sources] spoofs a fresh source IP per flow — the hping3 DDoS
     behaviour of §3.2 ("we simulate the new flows by spoofing each
-    packet's source IP address"). *)
+    packet's source IP address").  Such a source only counts its flows
+    ({!launched_count}, {!packets_sent}): it keeps no per-flow record,
+    so {!launched} stays empty and the failure and completion fractions
+    read 0. *)
 val create :
   Scotch_sim.Engine.t -> rng:Scotch_util.Rng.t -> host:Host.t -> dst:Host.t -> rate:float ->
   ?arrival:arrival -> ?spec_of:(Scotch_util.Rng.t -> Flow_gen.flow_spec) ->
@@ -35,7 +38,7 @@ val set_rate : t -> float -> unit
 (** Retarget subsequent flows (in-flight flows are unaffected). *)
 val set_destination : t -> dst:Host.t -> unit
 
-(** Flows launched so far, newest first. *)
+(** Flows launched so far, newest first (none for a spoofing source). *)
 val launched : t -> Flow_gen.launched list
 
 val launched_count : t -> int

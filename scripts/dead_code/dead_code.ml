@@ -35,13 +35,14 @@
    used.
 
    Optional arguments.  Every optional parameter `?x` of a top-level
-   lib value, exported or not, must be passed by some application:
-   `~x:v`, `?x:v`, or forwarded as `?x`.  The `None` the compiler fills
-   in for an omitted argument passes nothing.  A value used other than
-   as the head of an application, or in a partial one (stored in a
-   record, passed as an argument, applied to some labels only), counts
-   as passing all of its options.  An option no caller passes is a
-   constant.
+   lib value, exported or not, must be passed by some application
+   outside test: `~x:v`, `?x:v`, or forwarded as `?x`.  The `None` the
+   compiler fills in for an omitted argument passes nothing.  A value
+   used other than as the head of an application, or in a partial one
+   (stored in a record, passed as an argument, applied to some labels
+   only), counts as passing all of its options.  Code under test passes
+   none: an option no caller passes is a constant, and one that only
+   tests pass is a second path the program never takes.
 
    Each finding is one line, sorted: `path: val v`, `path: type.field`
    or `path: v ?x`, where path is the .mli declaration when there is
@@ -124,8 +125,8 @@ let optionals : (string, string list) Hashtbl.t = Hashtbl.create 256
 (* Locations some identifier resolves to. *)
 let used : (string * int, unit) Hashtbl.t = Hashtbl.create 4096
 
-(* (location, Some label) when an application passes that option;
-   (location, None) when a use may pass any of them. *)
+(* (location, Some label) when an application outside test passes that
+   option; (location, None) when such a use may pass any of them. *)
 let passes : ((string * int) * string option, unit) Hashtbl.t = Hashtbl.create 4096
 
 (* Modules passed whole: (unit, module path, the module's path). *)
@@ -138,7 +139,7 @@ let rec labels ty =
   | Tpoly (ty, _) -> labels ty
   | _ -> []
 
-let scan ~lib ~has_mli ~unit annots =
+let scan ~lib ~test ~has_mli ~unit annots =
   let modpath = ref [] in
   let within name f =
     match name with
@@ -216,6 +217,7 @@ let scan ~lib ~has_mli ~unit annots =
     | Tmod_constraint (me, _, _, _) -> whole me
     | _ -> ()
   in
+  let pass p = if not test then Hashtbl.replace passes p () in
   let open Tast_iterator in
   let type_declaration sub td =
     let tname = td.typ_name.txt in
@@ -254,19 +256,19 @@ let scan ~lib ~has_mli ~unit annots =
     match e.exp_desc with
     | Texp_ident (_, _, vd) ->
       Hashtbl.replace used (loc_id vd.val_loc) ();
-      Hashtbl.replace passes (loc_id vd.val_loc, None) ()
+      pass (loc_id vd.val_loc, None)
     | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
       let id = loc_id vd.val_loc in
       Hashtbl.replace used id ();
       (* a partial application leaves options to whoever applies the rest *)
-      if labels e.exp_type <> [] then Hashtbl.replace passes (id, None) ();
+      if labels e.exp_type <> [] then pass (id, None);
       List.iter
         (function
           (* an omitted option: the compiler's ghost [None] *)
           | ( Asttypes.Optional _,
               Some { exp_desc = Texp_construct (_, { cstr_name = "None"; _ }, []); exp_loc; _ } )
             when exp_loc.loc_ghost -> ()
-          | Optional l, Some _ -> Hashtbl.replace passes (id, Some l) ()
+          | Optional l, Some _ -> pass (id, Some l)
           | _ -> ())
         args;
       List.iter (fun (_, a) -> Option.iter (sub.expr sub) a) args
@@ -354,7 +356,7 @@ let () =
         (fun file ->
           let cmt = Cmt_format.read_cmt file in
           Hashtbl.replace units cmt.cmt_modname ();
-          scan ~lib:(root = "lib") ~has_mli:(Sys.file_exists (file ^ "i")) ~unit:cmt.cmt_modname
+          scan ~lib:(root = "lib") ~test:(root = "test") ~has_mli:(Sys.file_exists (file ^ "i")) ~unit:cmt.cmt_modname
             cmt.cmt_annots)
         files)
     trees;

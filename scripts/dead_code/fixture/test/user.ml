@@ -1,4 +1,4 @@
-(* Uses of the fixture's library, from outside it. *)
+(* Uses of the fixture's library, from outside it, by a test. *)
 
 (* A manifest re-export: its fields are the library's fields. *)
 type t = Dead_code_fixture.Counter.t = {
@@ -21,13 +21,6 @@ module Make (M : sig val whole : int end) = struct let v = M.whole end
 module Made = Make (Dead_code_fixture.Exports.Passed)
 module O = Dead_code_fixture.Options
 
-let forward ?x () = O.forwarded ?x ()
-
-type holder = { f : ?x:int -> unit -> int }
-
-let holder = { f = O.stored }
-let partial = O.partial ~a:1
-
 let () =
   let c = Dead_code_fixture.Counter.make () in
   Dead_code_fixture.Counter.bump c;
@@ -36,5 +29,4 @@ let () =
   Printf.printf "%d %d %d\n" matched (Dead_code_fixture.Counter.dotted c) (aliased c);
   canary ();
   Printf.printf "%d %d %d\n" Dead_code_fixture.Exports.qualified X.via_alias Made.v;
-  Printf.printf "%d %d %d %d\n" (O.never ()) (O.tilde ~x:1 ()) (forward ()) (holder.f ~x:2 ());
-  print_int (partial ~x:3 ())
+  print_int (O.tested ~x:1 ())

@@ -361,11 +361,19 @@ let obs () =
    seeds 42 and 7) and the continuously verified run stays
    invariant-clean. *)
 
+(* One run of the overload scenario: a flash crowd of [multiplier]
+   (7.5 is 3x pool capacity) plus the gray failure, as [Overload.run]
+   builds it. *)
+let overload_run ~seed ~scale ~multiplier ~elastic ~verify =
+  let params = Overload.trace_params ~scale ~multiplier in
+  let plan = Overload.degrade_plan ~params ~peak:40.0 in
+  Overload.run_variant ~elastic ~verify ~seed ~plan ~params ()
+
 let overload () =
   let scale = 0.5 in
-  let run ~seed ~verify = Overload.run_outcome ~seed ~scale ~verify () in
+  let run ~seed ~verify = overload_run ~seed ~scale ~multiplier:7.5 ~elastic:true ~verify in
   let o = run ~seed ~verify:Config.Continuous in
-  let st = Overload.run_outcome ~seed ~scale ~elastic:false () in
+  let st = overload_run ~seed ~scale ~multiplier:7.5 ~elastic:false ~verify:Config.Off in
   Printf.printf
     "p99=%s launched=%d delivered=%d shed=%d actions=%d ejects=%d readmits=%d final_pool=%d\n"
     (match o.Overload.p99 with Some q -> Printf.sprintf "%.3fs" q | None -> "n/a")
@@ -469,9 +477,18 @@ let overload () =
    bytes, stays invariant-clean, and its same-seed rerun with
    verification off agrees but for the verify counters. *)
 
+(* The exact baseline and the headline 1/100 sampled run on one seed,
+   as long as [Telemetry.run] runs them. *)
+let telemetry_pair ~scale ~verify =
+  let duration = Stdlib.max 12.0 (20.0 *. scale) in
+  let run detection = Telemetry.run_mode ~seed ~verify ~detection ~duration () in
+  let exact = run Config.Exact_polling in
+  let sampled = run (Config.Sampled Telemetry.default_rate) in
+  (exact, sampled)
+
 let telemetry () =
   let scale = 0.25 in
-  let exact, sampled = Telemetry.summary ~seed ~scale ~verify:Config.Continuous () in
+  let exact, sampled = telemetry_pair ~scale ~verify:Config.Continuous in
   let reduction = Telemetry.reduction ~exact ~sampled in
   Printf.printf
     "exact %d/%d detected ttd=%.2fs %d msgs %d bytes | sampled@%g %d/%d detected ttd=%.2fs %d \
@@ -503,7 +520,7 @@ let telemetry () =
   let unverified (o : Telemetry.outcome) =
     { o with Telemetry.o_verify_checks = 0; o_verify_errors = 0 }
   in
-  let exact2, sampled2 = Telemetry.summary ~seed ~scale () in
+  let exact2, sampled2 = telemetry_pair ~scale ~verify:Config.Off in
   if compare (unverified exact, unverified sampled) (exact2, sampled2) <> 0 then
     fail "same-seed runs diverged with verification off";
   (* floats as %h hex literals: exact, and the same on every platform *)
@@ -596,7 +613,7 @@ let model () =
     fail "blocking error %.4f exceeds 0.01 absolute" mc.MC.max_blocking_err;
   if mc.MC.digest <> (MC.summary ~seed ~scale ()).MC.digest then
     fail "model-check digest differs across same-seed runs";
-  let react = OV.run_outcome ~seed ~scale ~multiplier () in
+  let react = overload_run ~seed ~scale ~multiplier ~elastic:true ~verify:Config.Off in
   Printf.printf "queue err %.1f%%, sojourn err %.1f%%; x%g flash crowd: shed %d, final pool %d\n"
     (100.0 *. mc.MC.max_queue_err) (100.0 *. mc.MC.max_sojourn_err) multiplier react.OV.shed
     react.OV.final_pool;

@@ -71,7 +71,7 @@ let test_request_reply_xid () =
     ();
   Scotch_sim.Engine.run e;
   let got = ref None in
-  C.request ctrl h
+  C.request ctrl h ~deadline:1.0
     (Of_msg.Flow_stats_request
        { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard })
     (fun payload -> got := Some payload);

@@ -249,10 +249,19 @@ let mk_sched ?(rate = 100.0) ?(overlay_threshold = 3) ?(drop_threshold = 6)
     ?(differentiate = true) e =
   Sched.create e ~rate ~overlay_threshold ~drop_threshold ~differentiate
 
+(* An ingress submission as [Scotch.serve_new_flow] makes it: the
+   verdict first, then the item only if it is queued. *)
+let submit_ingress s ~port ?(tenant = Tenant.default_id) ?(shed = ignore) run =
+  match Sched.ingress_verdict s ~port ~tenant with
+  | `Queued ->
+    Sched.enqueue_ingress s ~port ~tenant ~shed run;
+    `Queued
+  | (`Overlay | `Drop) as v -> v
+
 let test_sched_thresholds () =
   let e = Scotch_sim.Engine.create () in
   let s = mk_sched e in
-  let outcomes = List.init 8 (fun _ -> Sched.submit_ingress s ~port:1 (fun () -> ())) in
+  let outcomes = List.init 8 (fun _ -> submit_ingress s ~port:1 (fun () -> ())) in
   Alcotest.(check int) "queued up to threshold" 3
     (List.length (List.filter (( = ) `Queued) outcomes));
   (* the queue sticks at the overlay threshold: everything else diverts *)
@@ -265,7 +274,7 @@ let test_sched_priorities () =
   let e = Scotch_sim.Engine.create () in
   let s = mk_sched ~rate:10.0 e in
   let log = ref [] in
-  ignore (Sched.submit_ingress s ~port:1 (fun () -> log := "ingress" :: !log));
+  ignore (submit_ingress s ~port:1 (fun () -> log := "ingress" :: !log));
   Sched.submit_large s (fun () -> log := "large" :: !log);
   Sched.submit_admitted s (fun () -> log := "admitted" :: !log);
   Sched.start s;
@@ -280,8 +289,8 @@ let test_sched_round_robin () =
   let log = ref [] in
   (* three items on port 1, three on port 2 — RR must alternate *)
   for i = 1 to 3 do
-    ignore (Sched.submit_ingress s ~port:1 (fun () -> log := (1, i) :: !log));
-    ignore (Sched.submit_ingress s ~port:2 (fun () -> log := (2, i) :: !log))
+    ignore (submit_ingress s ~port:1 (fun () -> log := (1, i) :: !log));
+    ignore (submit_ingress s ~port:2 (fun () -> log := (2, i) :: !log))
   done;
   Sched.start s;
   Scotch_sim.Engine.run ~until:1.0 e;
@@ -291,9 +300,9 @@ let test_sched_round_robin () =
 let test_sched_no_differentiation_single_queue () =
   let e = Scotch_sim.Engine.create () in
   let s = mk_sched ~differentiate:false ~overlay_threshold:4 e in
-  ignore (Sched.submit_ingress s ~port:1 (fun () -> ()));
-  ignore (Sched.submit_ingress s ~port:2 (fun () -> ()));
-  ignore (Sched.submit_ingress s ~port:3 (fun () -> ()));
+  ignore (submit_ingress s ~port:1 (fun () -> ()));
+  ignore (submit_ingress s ~port:2 (fun () -> ()));
+  ignore (submit_ingress s ~port:3 (fun () -> ()));
   Alcotest.(check int) "shared queue" 3 (Sched.ingress_queue_length s ~port:42)
 
 let test_sched_rate_pacing () =
@@ -301,7 +310,7 @@ let test_sched_rate_pacing () =
   let s = mk_sched ~rate:50.0 ~overlay_threshold:1000 ~drop_threshold:2000 e in
   let served = ref 0 in
   for _ = 1 to 1000 do
-    ignore (Sched.submit_ingress s ~port:1 (fun () -> incr served))
+    ignore (submit_ingress s ~port:1 (fun () -> incr served))
   done;
   Sched.start s;
   (* idempotent: a second start adds no second serve loop *)
@@ -312,7 +321,7 @@ let test_sched_rate_pacing () =
 let test_sched_drop_threshold () =
   let e = Scotch_sim.Engine.create () in
   let s = mk_sched ~overlay_threshold:10 ~drop_threshold:5 e in
-  let outcomes = List.init 8 (fun _ -> Sched.submit_ingress s ~port:1 (fun () -> ())) in
+  let outcomes = List.init 8 (fun _ -> submit_ingress s ~port:1 (fun () -> ())) in
   Alcotest.(check int) "dropped past threshold" 3
     (List.length (List.filter (( = ) `Drop) outcomes));
   Alcotest.(check int) "drop counter" 3 (Sched.counters s).Sched.dropped
@@ -329,7 +338,7 @@ let test_sched_drop_oldest () =
   in
   let shed = ref [] and ran = ref [] in
   let submit port i =
-    Sched.submit_ingress s ~port ~shed:(fun () -> shed := i :: !shed) (fun () -> ran := i :: !ran)
+    submit_ingress s ~port ~shed:(fun () -> shed := i :: !shed) (fun () -> ran := i :: !ran)
   in
   ignore (submit 1 1);
   ignore (submit 1 2);
@@ -352,7 +361,7 @@ let test_sched_priority_preserving () =
   in
   let shed = ref [] in
   let submit port i =
-    Sched.submit_ingress s ~port ~shed:(fun () -> shed := i :: !shed) (fun () -> ())
+    submit_ingress s ~port ~shed:(fun () -> shed := i :: !shed) (fun () -> ())
   in
   ignore (submit 2 1);
   ignore (submit 2 2);
@@ -378,7 +387,7 @@ let test_sched_deadline_expiry () =
   let shed = ref [] and ran = ref [] in
   let submit i =
     ignore
-      (Sched.submit_ingress s ~port:1
+      (submit_ingress s ~port:1
          ~shed:(fun () -> shed := i :: !shed)
          (fun () -> ran := i :: !ran))
   in
@@ -401,9 +410,9 @@ let test_sched_budget_refusal () =
       ~overlay_threshold:10 ~drop_threshold:20 ~differentiate:true
   in
   Alcotest.(check bool) "within budget" true
-    (queued (Sched.submit_ingress s ~port:1 ~tenant:7 ignore));
+    (queued (submit_ingress s ~port:1 ~tenant:7 ignore));
   Alcotest.(check bool) "over budget" true
-    (Sched.submit_ingress s ~port:2 ~tenant:7 ignore = `Drop);
+    (submit_ingress s ~port:2 ~tenant:7 ignore = `Drop);
   Alcotest.(check int) "budget_dropped" 1 (Sched.counters s).Sched.budget_dropped;
   Alcotest.(check int) "charged to the tenant" 1
     (Scotch_util.Admission.shed (Sched.admission s) ~tenant:7);
@@ -423,7 +432,7 @@ let prop_sched_rr_fairness =
       let served = Array.make nports 0 in
       for port = 0 to nports - 1 do
         for _ = 1 to serves do
-          ignore (Sched.submit_ingress s ~port (fun () -> served.(port) <- served.(port) + 1))
+          ignore (submit_ingress s ~port (fun () -> served.(port) <- served.(port) + 1))
         done
       done;
       Sched.start s;
@@ -654,6 +663,25 @@ let prop_detection_exact_charge =
           size (Scotch_openflow.Of_msg.Flow_stats_request request)
           + size (Scotch_openflow.Of_msg.Flow_stats_reply sent) ))
 
+(* A vswitch that dies with a stats poll in flight never answers it:
+   the poll expires after [stats_poll_interval] instead of leaving its
+   pending entry behind for the rest of the run. *)
+let test_detection_poll_expires () =
+  let e, ctrl, ov, _, vsw, d = detection_rig Config.Exact_polling in
+  let module C = Scotch_controller.Controller in
+  let sw = C.connect ctrl vsw ~latency:0.001 in
+  Detection.start d ~vswitch:(fun dpid -> if dpid = 100 then Some sw else None)
+    ~on_large:(fun ~vdpid:_ _ -> ());
+  (* the poll leaves at t = 1 s and reaches the vswitch ~1 ms later *)
+  Scotch_sim.Engine.run ~until:1.0005 e;
+  Alcotest.(check int) "poll in flight" 1 (C.pending_requests ctrl);
+  Scotch_switch.Switch.set_failed vsw true;
+  Overlay.iter_vswitches ov (fun v -> v.Overlay.alive <- false);
+  let interval = Config.default.Config.stats_poll_interval in
+  Scotch_sim.Engine.run ~until:(1.0 +. interval +. 0.01) e;
+  Alcotest.(check int) "nothing pending" 0 (C.pending_requests ctrl);
+  Alcotest.(check int) "the poll expired" 1 (C.counters ctrl).C.expired_requests
+
 let test_detection_sampler_duty () =
   let _, _, ov, phys, vsw, d = detection_rig (Config.Sampled 0.5) in
   let enabled () =
@@ -802,6 +830,7 @@ let () =
       ( "detection",
         [ Alcotest.test_case "exact-polling ledger" `Quick test_detection_exact_ledger;
           Alcotest.test_case "sampler duty" `Quick test_detection_sampler_duty;
+          Alcotest.test_case "a dead vswitch's poll expires" `Quick test_detection_poll_expires;
           QCheck_alcotest.to_alcotest prop_detection_exact_charge ] );
       ( "scotch_app",
         [ Alcotest.test_case "overlay entry spread" `Quick test_select_assignment_agrees_with_group;

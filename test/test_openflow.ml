@@ -196,7 +196,7 @@ let test_wire_packet_in_out () =
     Alcotest.(check (option int)) "label survives" (Some 9)
       (Packet.outer_mpls_label pi'.Of_msg.Packet_in.packet)
   | _ -> Alcotest.fail "wrong payload type");
-  let po = Of_msg.Packet_out.make ~in_port:1 ~actions:[ Of_action.Pop_mpls ] pkt in
+  let po = { Of_msg.Packet_out.in_port = 1; actions = [ Of_action.Pop_mpls ]; packet = pkt } in
   let msg' = roundtrip (Of_msg.make ~xid:4 (Of_msg.Packet_out po)) in
   match msg'.Of_msg.payload with
   | Of_msg.Packet_out po' ->
@@ -310,7 +310,9 @@ let test_wire_malformed_fields () =
     b
   in
   let out p = Of_action.Output (Of_types.Port_no.Physical p) in
-  let packet_out actions = Of_msg.Packet_out (Of_msg.Packet_out.make ~actions (mk_packet ())) in
+  let packet_out actions =
+    Of_msg.Packet_out { Of_msg.Packet_out.in_port = 0; actions; packet = mk_packet () }
+  in
   let packet_in =
     Of_msg.Packet_in
       (Of_msg.Packet_in.make ~reason:Of_types.Packet_in_reason.No_match ~in_port:1 (mk_packet ()))
@@ -416,7 +418,7 @@ let prop_actions_wire_roundtrip =
   QCheck.Test.make ~name:"action list wire round-trip" ~count:500
     (QCheck.make QCheck.Gen.(list_size (int_bound 8) action_gen))
     (fun actions ->
-      let po = Of_msg.Packet_out.make ~in_port:1 ~actions (mk_packet ()) in
+      let po = { Of_msg.Packet_out.in_port = 1; actions; packet = mk_packet () } in
       match
         (Of_wire.decode (Of_wire.encode (Of_msg.make ~xid:0 (Of_msg.Packet_out po)))).Of_msg.payload
       with
@@ -497,7 +499,7 @@ let payload_gen =
        Of_msg.Packet_in
          (Of_msg.Packet_in.make ?tunnel_id ~reason:Of_types.Packet_in_reason.No_match ~in_port p));
       map2
-        (fun actions p -> Of_msg.Packet_out (Of_msg.Packet_out.make ~in_port:1 ~actions p))
+        (fun actions packet -> Of_msg.Packet_out { Of_msg.Packet_out.in_port = 1; actions; packet })
         actions packet_gen;
       map2
         (fun table_id match_ -> Of_msg.Flow_stats_request { table_id; match_ })

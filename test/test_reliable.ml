@@ -90,15 +90,6 @@ let test_xid_reply_cancels_expiry () =
   Alcotest.(check int) "nothing expired" 0 (C.counters ctrl).C.expired_requests;
   Alcotest.(check int) "pending table drained" 0 (C.pending_requests ctrl)
 
-let test_request_without_deadline_strands () =
-  let e, sw, ctrl, h = rig () in
-  Switch.set_failed sw true;
-  C.request ctrl h Of_msg.Group_stats_request (fun _ -> ());
-  Scotch_sim.Engine.run e;
-  (* legacy behaviour, kept deliberately: no deadline, no reclamation *)
-  Alcotest.(check int) "entry stranded" 1 (C.pending_requests ctrl);
-  Alcotest.(check int) "not counted as expired" 0 (C.counters ctrl).C.expired_requests
-
 (* ------------------------------------------------------------------ *)
 (* Reconciler vs pool churn: a vswitch ejected mid-reconcile.  Pool
    removal withdraws the member's intent records; its device rules
@@ -749,9 +740,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_intent_diff_reference ] );
       ( "xid expiry",
         [ Alcotest.test_case "deadline reclaims lost reply" `Quick test_xid_expiry;
-          Alcotest.test_case "reply cancels the expiry" `Quick test_xid_reply_cancels_expiry;
-          Alcotest.test_case "no deadline, legacy stranding" `Quick
-            test_request_without_deadline_strands ] );
+          Alcotest.test_case "reply cancels the expiry" `Quick test_xid_reply_cancels_expiry ] );
       ( "reconciler",
         [ Alcotest.test_case "storm converges to intent" `Quick test_storm_converges_to_intent;
           Alcotest.test_case "storm digest deterministic" `Quick test_storm_digest_deterministic;

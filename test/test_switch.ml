@@ -1353,9 +1353,9 @@ let test_switch_packet_out_via_ofa () =
   Ofa.deliver_message (Switch.ofa sw)
     (Of_msg.make ~xid:1
        (Of_msg.Packet_out
-          (Of_msg.Packet_out.make ~in_port:1
-             ~actions:[ Of_action.Output (Of_types.Port_no.Physical 2) ]
-             (mk_packet ()))));
+          { Of_msg.Packet_out.in_port = 1;
+            actions = [ Of_action.Output (Of_types.Port_no.Physical 2) ];
+            packet = mk_packet () }));
   Scotch_sim.Engine.run e;
   Alcotest.(check int) "packet out forwarded" 1 (List.length !delivered)
 
@@ -1479,11 +1479,11 @@ let test_switch_every_action () =
     Ofa.deliver_message (Switch.ofa sw)
       (Of_msg.make ~xid:1
          (Of_msg.Packet_out
-            (Of_msg.Packet_out.make ~in_port
-               ~actions:
-                 [ Of_action.Push_mpls 4; out 3; Of_action.Output Of_types.Port_no.In_port;
-                   Of_action.Group 1; Of_action.Output Of_types.Port_no.Controller; out 1 ]
-               pkt)))
+            { Of_msg.Packet_out.in_port;
+              actions =
+                [ Of_action.Push_mpls 4; out 3; Of_action.Output Of_types.Port_no.In_port;
+                  Of_action.Group 1; Of_action.Output Of_types.Port_no.Controller; out 1 ];
+              packet = pkt }))
   in
   step "packet-out" 116 packet_out
     ~out:[ with_encaps 1 "mpls{4}"; with_encaps 2 "mpls{4}"; with_encaps 3 "mpls{4}" ]

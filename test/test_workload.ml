@@ -58,14 +58,15 @@ let test_source_flow_completes_after_stop () =
 let test_source_spoofing_unique_sources () =
   let e, a, b = rig () in
   let src = Source.create e ~rng:(Rng.create 5) ~host:a ~dst:b ~rate:100.0 ~spoof_sources:true () in
-  Source.start src;
-  Scotch_sim.Engine.run ~until:1.0 e;
   let ips =
-    List.map (fun (l : Flow_gen.launched) -> l.Flow_gen.key.Scotch_packet.Flow_key.ip_src)
-      (Source.launched src)
+    List.init 100 (fun _ ->
+        (Source.launch_flow src).Flow_gen.key.Scotch_packet.Flow_key.ip_src)
   in
+  Alcotest.(check bool) "flows launched" true (ips <> []);
   Alcotest.(check int) "all source IPs distinct" (List.length ips)
-    (List.length (List.sort_uniq compare ips))
+    (List.length (List.sort_uniq compare ips));
+  Alcotest.(check int) "no per-flow records kept" 0 (List.length (Source.launched src));
+  Alcotest.(check int) "but every flow counted" 100 (Source.launched_count src)
 
 let test_source_keys_unique_across_sources () =
   (* regression: two sources on one host must not collide on 5-tuples *)
