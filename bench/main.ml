@@ -390,7 +390,8 @@ let bench_flow_info_db_find_match () =
   let db = Db.create () in
   for i = 0 to 59_999 do
     ignore
-      (Db.admit db ~key:(Packet.flow_key (mk_packet i)) ~first_hop:1 ~ingress_port:1 ~now:0.0 ())
+      (Db.admit db ~tenant:Scotch_core.Tenant.default_id ~key:(Packet.flow_key (mk_packet i))
+         ~first_hop:1 ~ingress_port:1 ~now:0.0)
   done;
   let matches =
     Array.init 1024 (fun i -> Of_match.exact_flow (Packet.flow_key (mk_packet (i * 58))))

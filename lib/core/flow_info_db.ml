@@ -115,10 +115,10 @@ let count_kind t kind delta =
   | Physical -> t.physical_count <- t.physical_count + delta
   | Pending | Dropped -> ()
 
-(** [admit t ~key ~first_hop ~ingress_port ~now] records a new flow in
-    [Pending] state; returns the entry (existing entry wins — Packet-In
-    duplicates are common while a flow awaits setup). *)
-let admit t ?(tenant = Tenant.default_id) ~key ~first_hop ~ingress_port ~now () =
+(** [admit t ~tenant ~key ~first_hop ~ingress_port ~now] records a new
+    flow in [Pending] state; returns the entry (existing entry wins —
+    Packet-In duplicates are common while a flow awaits setup). *)
+let admit t ~tenant ~key ~first_hop ~ingress_port ~now =
   match find t key with
   | Some e -> e
   | None ->

@@ -45,12 +45,11 @@ val find : t -> Flow_key.t -> entry option
     a hit nor a miss allocates. *)
 val find_match_exn : t -> Of_match.t -> entry
 
-(** Record a new flow in [Pending] state; an existing entry wins
-    (Packet-In duplicates are common while a flow awaits setup).
-    [tenant] defaults to {!Tenant.default_id}. *)
+(** Record a new flow of [tenant] ({!Tenant.default_id} when
+    untenanted) in [Pending] state; an existing entry wins (Packet-In
+    duplicates are common while a flow awaits setup). *)
 val admit :
-  t -> ?tenant:int -> key:Flow_key.t -> first_hop:int -> ingress_port:int -> now:float ->
-  unit -> entry
+  t -> tenant:int -> key:Flow_key.t -> first_hop:int -> ingress_port:int -> now:float -> entry
 
 (** Transition a flow's path kind, keeping the per-kind counts
     consistent. *)

@@ -113,30 +113,43 @@ let cover_host t ~vswitch_dpid host =
     map the tunnel id to the physical switch id"). *)
 let origin_of_tunnel t tid = Hashtbl.find_opt t.tunnel_origin tid
 
-(** Covering vswitch of a destination IP, preferring an alive one: if
-    the recorded cover died, fall back to any alive vswitch that has a
-    delivery tunnel to this host. *)
-let cover_of_ip t ip =
-  let ip = Scotch_packet.Ipv4_addr.to_int ip in
-  match Hashtbl.find_opt t.host_cover ip with
-  | Some vd when (match vswitch t vd with Some v -> v.alive | None -> false) -> Some vd
-  | Some _ | None ->
+(* Whether [vdpid] is a registered vswitch that is alive. *)
+let is_alive t vdpid =
+  match Hashtbl.find t.vswitches vdpid with v -> v.alive | exception Not_found -> false
+
+(* Any alive vswitch with a delivery tunnel to host [ip]; raises
+   [Not_found] when there is none. *)
+let alive_cover t ip =
+  let found =
     Hashtbl.fold
       (fun dpid v acc ->
         match acc with
         | Some _ -> acc
         | None -> if v.alive && Hashtbl.mem v.host_tunnels ip then Some dpid else None)
       t.vswitches None
+  in
+  match found with Some vd -> vd | None -> raise Not_found
 
-(** Delivery tunnel id from vswitch [vdpid] to host [ip]. *)
+(** Covering vswitch of a destination IP, preferring an alive one: if
+    the recorded cover died, fall back to any alive vswitch that has a
+    delivery tunnel to this host.  Raises [Not_found] when none does;
+    the recorded cover's lookup allocates nothing. *)
+let cover_of_ip t ip =
+  let ip = Scotch_packet.Ipv4_addr.to_int ip in
+  match Hashtbl.find t.host_cover ip with
+  | vd when is_alive t vd -> vd
+  | _ -> alive_cover t ip
+  | exception Not_found -> alive_cover t ip
+
+(** Delivery tunnel id from vswitch [vdpid] to host [ip]; raises
+    [Not_found] when there is none. *)
 let delivery_tunnel t ~vswitch_dpid ip =
-  match vswitch t vswitch_dpid with
-  | None -> None
-  | Some v -> Hashtbl.find_opt v.host_tunnels (Scotch_packet.Ipv4_addr.to_int ip)
+  Hashtbl.find (Hashtbl.find t.vswitches vswitch_dpid).host_tunnels
+    (Scotch_packet.Ipv4_addr.to_int ip)
 
-(** Mesh tunnel id from vswitch [src] to vswitch [dst]. *)
-let mesh_tunnel t ~src ~dst =
-  match vswitch t src with None -> None | Some v -> Hashtbl.find_opt v.mesh_out dst
+(** Mesh tunnel id from vswitch [src] to vswitch [dst]; raises
+    [Not_found] when there is none. *)
+let mesh_tunnel t ~src ~dst = Hashtbl.find (Hashtbl.find t.vswitches src).mesh_out dst
 
 (** Uplink tunnels of a physical switch: [(vswitch dpid, tunnel id)]. *)
 let uplinks_of t dpid =

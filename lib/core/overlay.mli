@@ -42,12 +42,21 @@ val cover_host : t -> vswitch_dpid:int -> Host.t -> unit
     tunnel id to the physical switch id"). *)
 val origin_of_tunnel : t -> int -> int option
 
-(** Covering vswitch of a destination, preferring an alive one and
-    falling back to any alive vswitch with a delivery tunnel. *)
-val cover_of_ip : t -> Scotch_packet.Ipv4_addr.t -> int option
+(** The per-flow lookups of overlay routing raise [Not_found] rather
+    than return an option, so a hit allocates nothing. *)
 
-val delivery_tunnel : t -> vswitch_dpid:int -> Scotch_packet.Ipv4_addr.t -> int option
-val mesh_tunnel : t -> src:int -> dst:int -> int option
+(** Covering vswitch of a destination, preferring an alive one and
+    falling back to any alive vswitch with a delivery tunnel; raises
+    [Not_found] when there is none. *)
+val cover_of_ip : t -> Scotch_packet.Ipv4_addr.t -> int
+
+(** Delivery tunnel id from a vswitch to a host; raises [Not_found]
+    when there is none. *)
+val delivery_tunnel : t -> vswitch_dpid:int -> Scotch_packet.Ipv4_addr.t -> int
+
+(** Mesh tunnel id from vswitch [src] to vswitch [dst]; raises
+    [Not_found] when there is none. *)
+val mesh_tunnel : t -> src:int -> dst:int -> int
 
 (** Uplink tunnels of a physical switch: [(vswitch dpid, tunnel id)]. *)
 val uplinks_of : t -> int -> (int * int) list

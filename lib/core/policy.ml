@@ -71,8 +71,9 @@ let add_segment t overlay ~name ~s_u ~s_u_mb_port ~s_d ~s_d_mb_in_port =
   t.segments <- seg :: t.segments;
   seg
 
-(** Tunnel id from vswitch [vdpid] into the segment's S_U. *)
-let entry_tunnel seg ~vswitch_dpid = Hashtbl.find_opt seg.in_tunnels vswitch_dpid
+(** Tunnel id from vswitch [vdpid] into the segment's S_U; raises
+    [Not_found] when there is none. *)
+let entry_tunnel seg ~vswitch_dpid = Hashtbl.find seg.in_tunnels vswitch_dpid
 
 (** Green (shared) rules for a segment:
     - at S_U: one rule per entry tunnel — packets arriving on that
@@ -100,40 +101,35 @@ let green_rules t overlay seg =
   let sd_rules = ref [] in
   Topology.iter_hosts t.topo (fun h ->
       let ip = Host.ip h in
-      match Overlay.cover_of_ip overlay ip with
-      | None -> ()
-      | Some cover ->
-        (match Hashtbl.find_opt seg.out_tunnels cover with
-        | None -> ()
-        | Some tid_out ->
-          let port = Topology.tunnel_port_of_id tid_out in
-          let fm =
-            Flow_mod.add ~table_id:0 ~priority:green_priority ~cookie:Config.cookie_green
-              ~match_:
-                (Of_match.wildcard
-                |> Of_match.with_in_port seg.s_d_mb_in_port
-                |> Of_match.with_ip_dst ip)
-              ~instructions:(Of_action.output (Of_types.Port_no.Physical port))
-              ()
-          in
-          sd_rules := (seg.s_d, fm) :: !sd_rules));
+      match Hashtbl.find seg.out_tunnels (Overlay.cover_of_ip overlay ip) with
+      | exception Not_found -> ()
+      | tid_out ->
+        let port = Topology.tunnel_port_of_id tid_out in
+        let fm =
+          Flow_mod.add ~table_id:0 ~priority:green_priority ~cookie:Config.cookie_green
+            ~match_:
+              (Of_match.wildcard
+              |> Of_match.with_in_port seg.s_d_mb_in_port
+              |> Of_match.with_ip_dst ip)
+            ~instructions:(Of_action.output (Of_types.Port_no.Physical port))
+            ()
+        in
+        sd_rules := (seg.s_d, fm) :: !sd_rules);
   su_rules @ !sd_rules
 
-(** Red (per-flow) rules taking [key] through the segment on the
-    physical network: at S_U output to the middlebox; at S_D continue
-    along [exit_port].  Higher priority than green. *)
-let red_rules seg ~key ~exit_port =
-  let open Of_msg in
-  [ ( seg.s_u,
-      Flow_mod.add ~table_id:0 ~priority:red_priority ~cookie:Config.cookie_red
-        ~match_:(Of_match.exact_flow key)
-        ~instructions:(Of_action.output (Of_types.Port_no.Physical seg.s_u_mb_port))
-        () );
-    ( seg.s_d,
-      Flow_mod.add ~table_id:0 ~priority:red_priority ~cookie:Config.cookie_red
-        ~match_:(Of_match.exact_flow key)
-        ~instructions:(Of_action.output (Of_types.Port_no.Physical exit_port))
-        () ) ]
+(** Red (per-flow) rules taking a flow through the segment on the
+    physical network, as [(dpid, output port, flow_mod)]: at S_U output
+    to the middlebox; at S_D continue along [exit_port].  Higher
+    priority than green.  [match_] is the flow's {!Of_match.exact_flow},
+    shared by both rules, and their instructions come from [ports]. *)
+let red_rules seg ports ~match_ ~exit_port =
+  let red dpid port =
+    ( dpid,
+      port,
+      Of_msg.Flow_mod.add ~table_id:0 ~priority:red_priority ~cookie:Config.cookie_red ~match_
+        ~instructions:(Port_actions.find ports port).Port_actions.out_instructions () )
+  in
+  [ red seg.s_u seg.s_u_mb_port; red seg.s_d exit_port ]
 
 (** Physical path for a policy flow: ingress switch → S_U, then the
     middlebox hop, then S_D → destination host.  Returns

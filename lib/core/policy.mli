@@ -45,8 +45,9 @@ val add_segment :
   t -> Overlay.t -> name:string -> s_u:int -> s_u_mb_port:int ->
   s_d:int -> s_d_mb_in_port:int -> segment
 
-(** Tunnel id from a vswitch into the segment's S_U. *)
-val entry_tunnel : segment -> vswitch_dpid:int -> int option
+(** Tunnel id from a vswitch into the segment's S_U; raises
+    [Not_found] when there is none. *)
+val entry_tunnel : segment -> vswitch_dpid:int -> int
 
 (** The shared green rules of a segment, as [(dpid, flow_mod)] pairs
     for the Scotch app to send: per entry tunnel at S_U (straight to
@@ -54,9 +55,13 @@ val entry_tunnel : segment -> vswitch_dpid:int -> int option
     delivery-bound tunnel). *)
 val green_rules : t -> Overlay.t -> segment -> (int * Of_msg.Flow_mod.t) list
 
-(** Per-flow red rules taking [key] through the segment on the physical
-    network. *)
-val red_rules : segment -> key:Flow_key.t -> exit_port:int -> (int * Of_msg.Flow_mod.t) list
+(** Per-flow red rules taking a flow through the segment on the
+    physical network, as [(dpid, output port, flow_mod)].  [match_] is
+    the flow's {!Of_match.exact_flow}, shared by both rules; their
+    instructions come from the run's {!Port_actions} table. *)
+val red_rules :
+  segment -> Port_actions.t -> match_:Of_match.t -> exit_port:int ->
+  (int * int * Of_msg.Flow_mod.t) list
 
 (** Physical path for a policy flow: [Some (plain_hops, exit_port)] —
     ordinary hops before S_U and after S_D, plus S_D's output toward

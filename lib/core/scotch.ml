@@ -51,6 +51,9 @@ type t = {
   db : Flow_info_db.t;
   managed : (int, managed) Hashtbl.t;
   vswitch_handles : (int, C.sw) Hashtbl.t;
+  ports : Port_actions.t;
+      (* the per-flow rules' instructions and Packet-Out actions, one
+         immutable value per output port and shape for the run *)
   counters : counters;
   mutable recovery_hooks : (unit -> unit) list;
       (* fired after every vswitch repair (§5.6), where
@@ -85,7 +88,7 @@ let create ?reliable ctrl overlay policy config =
   let db = Flow_info_db.create () in
   let t =
     { ctrl; overlay; policy; config; tenancy; detection = Detection.create ctrl overlay db config;
-      db; managed; vswitch_handles;
+      db; managed; vswitch_handles; ports = Port_actions.create ();
       counters =
         { flows_seen = 0; flows_overlay = 0; flows_physical = 0; flows_dropped = 0;
           flows_unroutable = 0; elephants_detected = 0; migrations_completed = 0;
@@ -168,6 +171,9 @@ let unroutable t (e : Flow_info_db.entry) =
 
 let tunnel_out tid =
   Of_action.Output (Of_types.Port_no.Physical (Scotch_topo.Topology.tunnel_port_of_id tid))
+
+(* The shared output shapes of tunnel [tid]'s port. *)
+let tunnel_shapes t tid = Port_actions.find t.ports (Scotch_topo.Topology.tunnel_port_of_id tid)
 
 let managed_of t dpid = Hashtbl.find_opt t.managed dpid
 
@@ -261,12 +267,12 @@ let manage_switch t dev ~channel_latency =
       Hashtbl.replace t.managed (Switch.dpid dev) m;
       m)
 
-let vswitch_handle_of t vdpid = Hashtbl.find_opt t.vswitch_handles vdpid
+let vswitch_handle_of t vdpid = Hashtbl.find t.vswitch_handles vdpid
 
 let handle_of t dpid =
   match vswitch_handle_of t dpid with
-  | Some sw -> Some sw
-  | None -> (
+  | sw -> Some sw
+  | exception Not_found -> (
     match managed_of t dpid with Some m -> Some m.msw | None -> C.switch t.ctrl dpid)
 
 let send_flow_mod t dpid fm =
@@ -413,14 +419,27 @@ let predicted_entry t m (e : Flow_info_db.entry) =
     let vdpid, _ = List.nth pool (Flow_key.hash e.Flow_info_db.key mod n) in
     Some vdpid
 
-(* The exact-match rule steering a flow at an overlay vswitch; [match_]
-   is the flow's {!Of_match.exact_flow}, immutable, so one value serves
-   the entry and the cover install. *)
-let install_vflow t sw match_ actions =
+(* The exact-match rule steering a flow at an overlay vswitch.  Both
+   values are immutable and shared: [match_] is the flow's
+   {!Of_match.exact_flow}, one value for the entry and the cover
+   install, and [instructions] a shape from [t.ports]. *)
+let install_vflow t sw match_ instructions =
   send_fm t sw
     { Of_msg.Flow_mod.command = Of_msg.Flow_mod.Add; table_id = 0; priority = flow_priority;
-      match_; instructions = [ Of_action.Apply_actions actions ];
-      idle_timeout = Config.vswitch_rule_idle; hard_timeout = 0.0; cookie = Config.cookie_vflow }
+      match_; instructions; idle_timeout = Config.vswitch_rule_idle; hard_timeout = 0.0;
+      cookie = Config.cookie_vflow }
+
+(* The tunnel a flow leaves its entry vswitch by: into its policy
+   segment [seg], where green rules at S_U/S_D carry it through the
+   middlebox and on to the cover vswitch; else into the mesh toward the
+   cover, or straight to the host when the entry is the cover.  Raises
+   [Not_found] when there is none. *)
+let entry_tunnel t seg ~entry ~cover dst_ip =
+  match seg with
+  | Some seg -> Policy.entry_tunnel seg ~vswitch_dpid:entry
+  | None ->
+    if entry = cover then Overlay.delivery_tunnel t.overlay ~vswitch_dpid:entry dst_ip
+    else Overlay.mesh_tunnel t.overlay ~src:entry ~dst:cover
 
 (** [route_overlay t e pkt ~entry] installs the overlay path for flow
     [e]: a rule at the entry vswitch (pop the ingress label, forward
@@ -431,30 +450,25 @@ let route_overlay t (e : Flow_info_db.entry) pkt ~entry =
   let key = e.Flow_info_db.key in
   let dst_ip = key.Flow_key.ip_dst in
   match Overlay.cover_of_ip t.overlay dst_ip with
-  | None -> unroutable t e
-  | Some cover -> (
-    let entry_tunnel =
-      match Policy.classify t.policy key with
-      | Some seg ->
-        (* policy flow: into the segment; green rules at S_U/S_D carry it
-           through the middlebox and on to the cover vswitch *)
-        Policy.entry_tunnel seg ~vswitch_dpid:entry
-      | None ->
-        if entry = cover then Overlay.delivery_tunnel t.overlay ~vswitch_dpid:entry dst_ip
-        else Overlay.mesh_tunnel t.overlay ~src:entry ~dst:cover
-    in
-    match (entry_tunnel, vswitch_handle_of t entry) with
-    | None, _ | _, None -> unroutable t e
-    | Some tid, Some entry_sw ->
-      let actions = [ Of_action.Pop_mpls; tunnel_out tid ] in
+  | exception Not_found -> unroutable t e
+  | cover -> (
+    let seg = Policy.classify t.policy key in
+    (* each lookup raises [Not_found] on a miss, so a hit allocates
+       nothing (nor does the tuple, which the match takes apart) *)
+    match (entry_tunnel t seg ~entry ~cover dst_ip, vswitch_handle_of t entry) with
+    | exception Not_found -> unroutable t e
+    | tid, entry_sw ->
+      let entry_out = tunnel_shapes t tid in
       let match_ = Of_match.exact_flow key in
-      install_vflow t entry_sw match_ actions;
+      install_vflow t entry_sw match_ entry_out.Port_actions.pop_instructions;
       (if cover <> entry then
-         match (Overlay.delivery_tunnel t.overlay ~vswitch_dpid:cover dst_ip,
-                vswitch_handle_of t cover) with
-         | Some tid, Some cover_sw -> install_vflow t cover_sw match_ [ tunnel_out tid ]
-         | _ -> ());
-      C.packet_out t.ctrl entry_sw ~actions pkt;
+         match
+           (Overlay.delivery_tunnel t.overlay ~vswitch_dpid:cover dst_ip, vswitch_handle_of t cover)
+         with
+         | exception Not_found -> ()
+         | tid, cover_sw ->
+           install_vflow t cover_sw match_ (tunnel_shapes t tid).Port_actions.out_instructions);
+      C.packet_out t.ctrl entry_sw ~actions:entry_out.Port_actions.pop pkt;
       (match e.Flow_info_db.kind with
       | Flow_info_db.Overlay _ -> () (* reinstall after expiry/failure *)
       | _ ->
@@ -470,18 +484,19 @@ let route_overlay t (e : Flow_info_db.entry) pkt ~entry =
     downstream rule has been sent, "so that packets are forwarded on the
     new path only after all switches on the path are ready".
     [first_packet] (if any) is Packet-Out at the first hop once its rule
-    is sent. *)
+    is sent.  Every hop's rule shares one {!Of_match.exact_flow} and
+    takes its instructions from [t.ports]. *)
 let install_physical t (e : Flow_info_db.entry) ~first_packet ~on_complete =
   let key = e.Flow_info_db.key in
   let dst_ip = key.Flow_key.ip_dst in
   let first_hop = e.Flow_info_db.first_hop in
+  let match_ = Of_match.exact_flow key in
   let mk_rule dpid out_port =
     ( dpid,
+      out_port,
       Of_msg.Flow_mod.add ~table_id:0 ~priority:Policy.red_priority
-        ~idle_timeout:Config.physical_rule_idle ~cookie:Config.cookie_red
-        ~match_:(Of_match.exact_flow key)
-        ~instructions:(Of_action.output (Of_types.Port_no.Physical out_port))
-        () )
+        ~idle_timeout:Config.physical_rule_idle ~cookie:Config.cookie_red ~match_
+        ~instructions:(Port_actions.find t.ports out_port).Port_actions.out_instructions () )
   in
   let rules =
     match Policy.classify t.policy key with
@@ -491,7 +506,7 @@ let install_physical t (e : Flow_info_db.entry) ~first_packet ~on_complete =
       | Some (plain_hops, exit_port) ->
         Some
           (List.map (fun (d, p) -> mk_rule d p) plain_hops
-          @ Policy.red_rules seg ~key ~exit_port))
+          @ Policy.red_rules seg t.ports ~match_ ~exit_port))
     | None -> (
       match Scotch_topo.Topology.route_to_host (C.topo t.ctrl) ~src:first_hop ~dst_ip with
       | None -> None
@@ -501,25 +516,16 @@ let install_physical t (e : Flow_info_db.entry) ~first_packet ~on_complete =
   | None -> unroutable t e
   | Some rules ->
     let first_hop_rules, downstream =
-      List.partition (fun (d, _) -> d = first_hop) rules
+      List.partition (fun (d, _, _) -> d = first_hop) rules
     in
     let finish () =
-      List.iter (fun (d, fm) -> send_flow_mod t d fm) first_hop_rules;
-      (match (first_packet, handle_of t first_hop) with
-      | Some pkt, Some sw ->
-        let out_action =
-          List.filter_map
-            (fun ((_ : int), (fm : Of_msg.Flow_mod.t)) ->
-              match Of_action.actions_of_instructions fm.Of_msg.Flow_mod.instructions with
-              | (Of_action.Output _ as a) :: _ -> Some a
-              | _ -> None)
-            first_hop_rules
-        in
+      List.iter (fun (d, _, fm) -> send_flow_mod t d fm) first_hop_rules;
+      (match (first_packet, first_hop_rules, handle_of t first_hop) with
+      | Some pkt, (_, out_port, _) :: _, Some sw ->
         (* the buffered packet may still carry the inner ingress label
            it picked up on its way to a vswitch: strip it before
            re-injecting on the physical path *)
-        if out_action <> [] then
-          C.packet_out t.ctrl sw ~actions:[ Of_action.Pop_mpls; List.hd out_action ] pkt
+        C.packet_out t.ctrl sw ~actions:(Port_actions.find t.ports out_port).Port_actions.pop pkt
       | _ -> ());
       Flow_info_db.set_kind t.db e Flow_info_db.Physical;
       t.counters.flows_physical <- t.counters.flows_physical + 1;
@@ -531,7 +537,7 @@ let install_physical t (e : Flow_info_db.entry) ~first_packet ~on_complete =
       (* destination-first: reverse order of the path *)
       let remaining = ref (List.length downstream) in
       List.iter
-        (fun (d, fm) ->
+        (fun (d, _, fm) ->
           let send () =
             send_flow_mod t d fm;
             decr remaining;
@@ -679,11 +685,11 @@ let repair_delivery t (sw : C.sw) (pi : Of_msg.Packet_in.t) pkt =
   if Hashtbl.mem t.vswitch_handles sw.C.dpid && pi.Of_msg.Packet_in.tunnel_id <> None then begin
     let key = Packet.flow_key pkt in
     match Overlay.delivery_tunnel t.overlay ~vswitch_dpid:sw.C.dpid key.Flow_key.ip_dst with
-    | None -> false
-    | Some tid ->
-      let actions = [ tunnel_out tid ] in
-      install_vflow t sw (Of_match.exact_flow key) actions;
-      C.packet_out t.ctrl sw ~actions pkt;
+    | exception Not_found -> false
+    | tid ->
+      let out = tunnel_shapes t tid in
+      install_vflow t sw (Of_match.exact_flow key) out.Port_actions.out_instructions;
+      C.packet_out t.ctrl sw ~actions:out.Port_actions.out pkt;
       true
   end
   else false
@@ -721,7 +727,7 @@ let origin_packet_in t pkt ~origin_dpid ~ingress_port ~entry_vswitch =
         t.counters.flows_seen <- t.counters.flows_seen + 1;
         let e =
           Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port
-            ~now:(now t) ()
+            ~now:(now t)
         in
         serve_new_flow t m e pkt ~entry_vswitch)
     | None ->
@@ -729,7 +735,6 @@ let origin_packet_in t pkt ~origin_dpid ~ingress_port ~entry_vswitch =
       let tenant = Tenancy.tenant_of_flow t.tenancy ~first_hop:origin_dpid ~ingress_port in
       let e =
         Flow_info_db.admit t.db ~tenant ~key ~first_hop:origin_dpid ~ingress_port ~now:(now t)
-          ()
       in
       serve_new_flow t m e pkt ~entry_vswitch);
     true
@@ -743,7 +748,9 @@ let handle_packet_in t (sw : C.sw) (pi : Of_msg.Packet_in.t) =
     | Some origin_dpid ->
       (* §5.2: physical switch id from the tunnel id, ingress port from
          the inner MPLS label *)
-      let ingress_port = Option.value (Packet.outer_mpls_label pkt) ~default:0 in
+      let ingress_port =
+        match Packet.outer_mpls_label pkt with label -> label | exception Not_found -> 0
+      in
       origin_packet_in t pkt ~origin_dpid ~ingress_port ~entry_vswitch:(Some sw.C.dpid)
     | None -> repair_delivery t sw pi pkt (* a mesh-tunnel arrival *))
   | None -> (
@@ -829,7 +836,9 @@ let start t =
     Scotch_sim.Engine.every (engine t) ~period:Config.monitor_interval (fun () ->
         monitor_tick t)
   in
-  Detection.start t.detection ~vswitch:(vswitch_handle_of t) ~on_large:(migrate_large t);
+  Detection.start t.detection
+    ~vswitch:(fun vdpid -> Hashtbl.find_opt t.vswitch_handles vdpid)
+    ~on_large:(migrate_large t);
   C.start_heartbeat t.ctrl ~period:Config.heartbeat_period
     ~timeout:Config.heartbeat_timeout;
   Option.iter Reliable.start t.reliable

@@ -118,8 +118,10 @@ val revive_vswitch : t -> int -> unit
     member.  Rebalances active groups either way. *)
 val bench_standbys : t -> bool -> unit
 
-(** The controller handle of a registered vswitch (pool management). *)
-val vswitch_handle_of : t -> int -> C.sw option
+(** The controller handle of a registered vswitch (pool management);
+    raises [Not_found] for any other dpid, so a hit allocates
+    nothing. *)
+val vswitch_handle_of : t -> int -> C.sw
 
 (** Is the overlay currently active (redirection installed) for this
     switch? *)

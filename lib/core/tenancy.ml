@@ -167,8 +167,11 @@ let classify_pool t ofa overlay =
         | Some tid -> (
           match Overlay.origin_of_tunnel overlay tid with
           | Some origin ->
-            tn.Config.tenant_of ~first_hop:origin
-              ~ingress_port:
-                (Option.value (Scotch_packet.Packet.outer_mpls_label j.Ofa.packet) ~default:0)
+            let ingress_port =
+              match Scotch_packet.Packet.outer_mpls_label j.Ofa.packet with
+              | label -> label
+              | exception Not_found -> 0
+            in
+            tn.Config.tenant_of ~first_hop:origin ~ingress_port
           | None -> Tenant.default_id)
         | None -> Tenant.default_id)

@@ -235,7 +235,7 @@ let probe_pool t =
   List.iter
     (fun dpid ->
       match Scotch.vswitch_handle_of t.app dpid with
-      | Some sw when sw.C.alive ->
+      | sw when sw.C.alive ->
         let sent = now t in
         t.counters.probes_sent <- t.counters.probes_sent + 1;
         C.request ~deadline:probe_timeout
@@ -245,7 +245,8 @@ let probe_pool t =
         (match t.config.data_probe with
         | None -> ()
         | Some f -> feed_data_probe t dpid (f dpid))
-      | Some _ | None -> ())
+      | _ -> ()
+      | exception Not_found -> ())
     (Scotch.vswitch_dpids t.app)
 
 (* Standby candidate for promotion: lowest-dpid alive, non-quarantined
@@ -332,8 +333,9 @@ let autoscale_tick t =
         List.fold_left
           (fun acc dpid ->
             match Scotch.vswitch_handle_of t.app dpid with
-            | Some sw when sw.C.alive -> acc +. C.pin_rate t.ctrl sw
-            | Some _ | None -> acc)
+            | sw when sw.C.alive -> acc +. C.pin_rate t.ctrl sw
+            | _ -> acc
+            | exception Not_found -> acc)
           0.0
           (Scotch.vswitch_dpids t.app)
       in

@@ -107,11 +107,12 @@ let cover_all_hosts (net : Testbed.scotch_net) v =
   let hosts = Array.concat [ net.Testbed.clients; [| net.Testbed.attacker |]; net.Testbed.servers ] in
   Array.iter
     (fun h ->
-      let prev = Overlay.cover_of_ip net.Testbed.overlay (Host.ip h) in
-      Overlay.cover_host net.Testbed.overlay ~vswitch_dpid:(Switch.dpid v) h;
-      match prev with
-      | Some p -> Overlay.cover_host net.Testbed.overlay ~vswitch_dpid:p h
-      | None -> ())
+      let ov = net.Testbed.overlay in
+      match Overlay.cover_of_ip ov (Host.ip h) with
+      | prev ->
+        Overlay.cover_host ov ~vswitch_dpid:(Switch.dpid v) h;
+        Overlay.cover_host ov ~vswitch_dpid:prev h
+      | exception Not_found -> Overlay.cover_host ov ~vswitch_dpid:(Switch.dpid v) h)
     hosts
 
 let arm_pin_admission v =

@@ -113,7 +113,10 @@ let matches (t : t) (ctx : context) =
   && check t.l4_dst ~actual:key.Flow_key.l4_dst ~equal:Int.equal
   && (match t.mpls_label with
      | None -> true
-     | Some l -> Packet.outer_mpls_label p = Some l)
+     | Some l -> (
+       match Packet.outer_mpls_label p with
+       | outer -> Int.equal outer l
+       | exception Not_found -> false))
   && match t.tunnel_id with None -> true | Some id -> ctx.tunnel_id = Some id
 
 (** Number of specified fields — a crude specificity measure used in

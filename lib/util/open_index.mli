@@ -1,6 +1,7 @@
 (** A dense store with an open-addressed hash index: the one probing
-    scheme in the tree, behind each subtable of the rule classifier and
-    behind the controller's Flow Info Database.
+    scheme in the tree, behind each subtable of the rule classifier,
+    the controller's Flow Info Database and Scotch's per-port
+    instruction values.
 
     Entries sit in an array in insertion order.  A removed entry becomes
     the store's [vacant] sentinel and stays until a repack, which keeps

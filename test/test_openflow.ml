@@ -193,7 +193,7 @@ let test_wire_packet_in_out () =
   | Of_msg.Packet_in pi' ->
     Alcotest.(check (option int)) "tunnel id" (Some 44) pi'.Of_msg.Packet_in.tunnel_id;
     Alcotest.(check int) "in_port" 3 pi'.Of_msg.Packet_in.in_port;
-    Alcotest.(check (option int)) "label survives" (Some 9)
+    Alcotest.(check int) "label survives" 9
       (Packet.outer_mpls_label pi'.Of_msg.Packet_in.packet)
   | _ -> Alcotest.fail "wrong payload type");
   let po = { Of_msg.Packet_out.in_port = 1; actions = [ Of_action.Pop_mpls ]; packet = pkt } in

@@ -129,13 +129,15 @@ let test_packet_size () =
 let test_packet_encap_stack () =
   let p = mk_packet () in
   Alcotest.(check bool) "not encapsulated" false (Packet.is_encapsulated p);
+  Alcotest.check_raises "no label to read" Not_found (fun () ->
+      ignore (Packet.outer_mpls_label p));
   let p = Packet.push_encap (Encap.mpls 7) p in
   let p = Packet.push_encap (Encap.mpls 42) p in
-  Alcotest.(check (option int)) "outer label" (Some 42) (Packet.outer_mpls_label p);
+  Alcotest.(check int) "outer label" 42 (Packet.outer_mpls_label p);
   match pop_encap p with
   | Some (Encap.Mpls { label }, p') ->
     Alcotest.(check int) "popped outer" 42 label;
-    Alcotest.(check (option int)) "inner now outer" (Some 7) (Packet.outer_mpls_label p')
+    Alcotest.(check int) "inner now outer" 7 (Packet.outer_mpls_label p')
   | _ -> Alcotest.fail "expected mpls pop"
 
 let test_packet_flow_key_ignores_encaps () =

@@ -1213,8 +1213,7 @@ let test_switch_goto_threads_packet () =
   Scotch_sim.Engine.run e;
   match !delivered with
   | [ pkt ] ->
-    Alcotest.(check (option int)) "label survived the goto" (Some 7)
-      (Packet.outer_mpls_label pkt)
+    Alcotest.(check int) "label survived the goto" 7 (Packet.outer_mpls_label pkt)
   | _ -> Alcotest.fail "expected one delivery"
 
 let test_switch_group_select_path () =
