@@ -298,7 +298,7 @@ let bench_event_heap () =
     (Bechamel.Staged.stage (fun () ->
          let e = Scotch_sim.Engine.create () in
          for k = 1 to 100 do
-           ignore (Scotch_sim.Engine.schedule e ~delay:(float_of_int (k mod 17)) (fun () -> ()))
+           Scotch_sim.Engine.schedule e ~delay:(float_of_int (k mod 17)) (fun () -> ())
          done;
          Scotch_sim.Engine.run e))
 
@@ -309,13 +309,13 @@ let bench_event_hold () =
   let delays = Array.init 4096 (fun _ -> Rng.float rng 1.0) in
   let e = Scotch_sim.Engine.create () in
   for i = 0 to 54 do
-    ignore (Scotch_sim.Engine.schedule e ~delay:delays.(i) ignore)
+    Scotch_sim.Engine.schedule e ~delay:delays.(i) ignore
   done;
   let k = ref 0 in
   Bechamel.Test.make ~name:"event queue hold (55 pending)"
     (Bechamel.Staged.stage (fun () ->
          incr k;
-         ignore (Scotch_sim.Engine.schedule e ~delay:delays.(!k land 4095) ignore);
+         Scotch_sim.Engine.schedule e ~delay:delays.(!k land 4095) ignore;
          ignore (Scotch_sim.Engine.step e)))
 
 (* The same hold, through the other schedule path: one registered

@@ -309,19 +309,19 @@ let verify_net_cmd =
     in
     let bad =
       List.fold_left
-        (fun acc (name, (w : Lint.watch_report)) ->
+        (fun acc (name, diags, (st : Scotch_verify.Incremental.stats)) ->
           let verdict =
-            if w.Lint.w_diagnostics = [] && w.Lint.w_equiv_mismatches = 0 then "clean"
+            if diags = [] && st.equiv_mismatches = 0 then "clean"
             else
-              Printf.sprintf "%d diagnostic(s), %d audit mismatch(es)"
-                (List.length w.Lint.w_diagnostics) w.Lint.w_equiv_mismatches
+              Printf.sprintf "%d diagnostic(s), %d audit mismatch(es)" (List.length diags)
+                st.equiv_mismatches
           in
           Printf.printf
             "%-22s %-12s updates=%d classes=%d/%d p50=%.0fus p99=%.0fus audits=%d\n" name
-            verdict w.Lint.w_updates w.Lint.w_classes_touched w.Lint.w_class_count
-            w.Lint.w_p50_us w.Lint.w_p99_us w.Lint.w_equiv_checks;
-          List.iter print_diag w.Lint.w_diagnostics;
-          acc + List.length w.Lint.w_diagnostics + w.Lint.w_equiv_mismatches)
+            verdict st.updates st.classes_touched st.class_count st.p50_us st.p99_us
+            st.equiv_checks;
+          List.iter print_diag diags;
+          acc + List.length diags + st.equiv_mismatches)
         0 results
     in
     if bad > 0 then begin

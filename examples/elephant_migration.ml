@@ -21,15 +21,14 @@ let () =
   let net = Testbed.scotch_net ~config () in
   let src = Testbed.client_source net ~i:0 ~rate:1.0 () in
   let elephant = ref None in
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:3.0 (fun () ->
-         let l =
-           Source.launch_flow src
-             ~spec:{ Flow_gen.packets = 40_000; payload = 1000; interval = 0.0005 }
-         in
-         Printf.printf "t=3.0s elephant %s launched (2000 pkt/s)\n"
-           (Scotch_packet.Flow_key.to_string l.Flow_gen.key);
-         elephant := Some l));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:3.0 (fun () ->
+      let l =
+        Source.launch_flow src
+          ~spec:{ Flow_gen.packets = 40_000; payload = 1000; interval = 0.0005 }
+      in
+      Printf.printf "t=3.0s elephant %s launched (2000 pkt/s)\n"
+        (Scotch_packet.Flow_key.to_string l.Flow_gen.key);
+      elephant := Some l);
   let (_ : unit -> unit) =
     Scotch_sim.Engine.every net.Testbed.engine ~period:1.0 (fun () ->
         match !elephant with

@@ -30,12 +30,11 @@ let () =
   Source.start flood;
   let src = Testbed.client_source net ~i:0 ~rate:1.0 () in
   let flow = ref None in
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:3.0 (fun () ->
-         flow :=
-           Some
-             (Source.launch_flow src
-                ~spec:{ Flow_gen.packets = 20_000; payload = 1000; interval = 0.0005 })));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:3.0 (fun () ->
+      flow :=
+        Some
+          (Source.launch_flow src
+             ~spec:{ Flow_gen.packets = 20_000; payload = 1000; interval = 0.0005 }));
   Testbed.run_until net ~until:12.0;
   let l = Option.get !flow in
   let db = Scotch_core.Scotch.db net.Testbed.app in

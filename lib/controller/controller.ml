@@ -48,13 +48,13 @@ type counters = {
   mutable deferred_msgs : int; (* arrivals re-queued past a pause window *)
 }
 
-(* A pending request: the reply continuation plus the expiry event that
-   reclaims the slot when the reply never arrives (dropped on an
-   impaired channel, or the switch died).  [sent_at]/[req_dpid] let the
-   reply path emit the xid round-trip span. *)
+(* A pending request: the reply continuation, kept under its xid until
+   the reply or the request's expiry event takes it out (the reply never
+   arrives when it is dropped on an impaired channel, or the switch
+   died).  [sent_at]/[req_dpid] let the reply path emit the xid
+   round-trip span. *)
 type pending_req = {
   k : Of_msg.payload -> unit;
-  expiry : Scotch_sim.Engine.handle;
   sent_at : float;
   req_dpid : int;
 }
@@ -136,7 +136,6 @@ let dispatch_pending t (msg : Of_msg.t) =
   match Hashtbl.find_opt t.pending msg.Of_msg.xid with
   | Some req ->
     Hashtbl.remove t.pending msg.Of_msg.xid;
-    Scotch_sim.Engine.cancel t.engine req.expiry;
     if Scotch_obs.Obs.is_enabled () then begin
       let rtt = Scotch_sim.Engine.now t.engine -. req.sent_at in
       Scotch_obs.Registry.observe t.rtt_h rtt;
@@ -159,9 +158,7 @@ let rec handle_message t (sw : sw) (msg : Of_msg.t) =
        buffer and is handled when the pause ends — same-time deferred
        events fire in scheduling order, so arrival order is kept *)
     t.counters.deferred_msgs <- t.counters.deferred_msgs + 1;
-    ignore
-      (Scotch_sim.Engine.schedule_at t.engine ~at:t.paused_until (fun () ->
-           handle_message t sw msg))
+    Scotch_sim.Engine.schedule_at t.engine ~at:t.paused_until (fun () -> handle_message t sw msg)
   end
   else
   match msg.Of_msg.payload with
@@ -222,7 +219,7 @@ let connect t device ~latency =
   in
   (* one delivery of [deliver], jittered and maybe held back *)
   let schedule_delivery sw deliver =
-    ignore (Scotch_sim.Engine.schedule t.engine ~delay:(jittered sw +. reorder_hold sw) deliver)
+    Scotch_sim.Engine.schedule t.engine ~delay:(jittered sw +. reorder_hold sw) deliver
   in
   let transmit sw deliver =
     if not (dropped sw) then begin
@@ -302,20 +299,19 @@ let send t (sw : sw) payload =
     on the matching reply.  The pending entry self-expires after
     [deadline] seconds: the continuation is dropped (never called),
     [on_timeout] fires instead, and [counters.expired_requests] is
-    bumped, so a lost reply or a dead switch strands nothing. *)
+    bumped, so a lost reply or a dead switch strands nothing.  An
+    answered request's expiry event still runs at the deadline, and
+    finds its xid gone. *)
 let request ~deadline ?on_timeout t (sw : sw) payload k =
   if deadline <= 0.0 then invalid_arg "Controller.request: deadline must be positive";
   let xid = fresh_xid t in
-  let expiry =
-    Scotch_sim.Engine.schedule t.engine ~delay:deadline (fun () ->
-        if Hashtbl.mem t.pending xid then begin
-          Hashtbl.remove t.pending xid;
-          t.counters.expired_requests <- t.counters.expired_requests + 1;
-          match on_timeout with Some f -> f () | None -> ()
-        end)
-  in
-  Hashtbl.replace t.pending xid
-    { k; expiry; sent_at = Scotch_sim.Engine.now t.engine; req_dpid = sw.dpid };
+  Scotch_sim.Engine.schedule t.engine ~delay:deadline (fun () ->
+      if Hashtbl.mem t.pending xid then begin
+        Hashtbl.remove t.pending xid;
+        t.counters.expired_requests <- t.counters.expired_requests + 1;
+        match on_timeout with Some f -> f () | None -> ()
+      end);
+  Hashtbl.replace t.pending xid { k; sent_at = Scotch_sim.Engine.now t.engine; req_dpid = sw.dpid };
   sw.send_raw (Of_msg.make ~xid payload)
 
 (** Number of in-flight requests still awaiting a reply. *)

@@ -174,7 +174,7 @@ let iter t f =
     One-packet probes (the bulk of a spoofed DDoS) need no pin: they
     will never send again, and a stray late packet simply becomes a new
     Packet-In.  Listed in admission order. *)
-let overlay_flows_of_switch t ?(horizon = infinity) ~now dpid =
+let overlay_flows_of_switch t ~horizon ~now dpid =
   let flows = t.flows in
   let acc = ref [] in
   for pos = flows.Ix.used - 1 downto 0 do

@@ -74,4 +74,4 @@ val iter : t -> (entry -> unit) -> unit
     during withdrawal (§5.5).  One-packet probes (the bulk of a spoofed
     DDoS) need no pin.  Listed in admission order. *)
 val overlay_flows_of_switch :
-  t -> ?horizon:float -> now:float -> int -> entry list
+  t -> horizon:float -> now:float -> int -> entry list

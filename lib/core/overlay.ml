@@ -110,8 +110,9 @@ let cover_host t ~vswitch_dpid host =
     Hashtbl.replace t.host_cover (Scotch_packet.Ipv4_addr.to_int (Host.ip host)) vswitch_dpid
 
 (** Origin physical switch of an uplink tunnel ("maintaining a table to
-    map the tunnel id to the physical switch id"). *)
-let origin_of_tunnel t tid = Hashtbl.find_opt t.tunnel_origin tid
+    map the tunnel id to the physical switch id"); raises [Not_found]
+    for a tunnel that is not an uplink. *)
+let origin_of_tunnel t tid = Hashtbl.find t.tunnel_origin tid
 
 (* Whether [vdpid] is a registered vswitch that is alive. *)
 let is_alive t vdpid =

@@ -38,12 +38,13 @@ val connect_switch : t -> Switch.t -> to_vswitches:int list -> unit
     last registration becomes the primary cover. *)
 val cover_host : t -> vswitch_dpid:int -> Host.t -> unit
 
-(** Origin physical switch of an uplink tunnel ("a table to map the
-    tunnel id to the physical switch id"). *)
-val origin_of_tunnel : t -> int -> int option
-
 (** The per-flow lookups of overlay routing raise [Not_found] rather
     than return an option, so a hit allocates nothing. *)
+
+(** Origin physical switch of an uplink tunnel ("a table to map the
+    tunnel id to the physical switch id"); raises [Not_found] for a
+    tunnel that is not an uplink (a mesh or delivery tunnel). *)
+val origin_of_tunnel : t -> int -> int
 
 (** Covering vswitch of a destination, preferring an alive one and
     falling back to any alive vswitch with a delivery tunnel; raises

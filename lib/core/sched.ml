@@ -75,10 +75,8 @@ type t = {
   counters : counters;
 }
 
-let untenanted = [ Tenant.default ]
-
-let create ?(shed_policy = Admission.Drop_new) ?(deadline = 0.0) ?(tenants = untenanted) engine
-    ~rate ~overlay_threshold ~drop_threshold ~differentiate =
+let create ~shed_policy ~deadline ~tenants engine ~rate ~overlay_threshold ~drop_threshold
+    ~differentiate =
   if rate <= 0.0 then invalid_arg "Sched.create: rate must be positive";
   if deadline < 0.0 then invalid_arg "Sched.create: deadline must be >= 0";
   Tenant.check_specs tenants;
@@ -211,12 +209,12 @@ let enqueue_ingress t ~port ~tenant ~shed run =
 
 (** Enqueue a rule install for an admitted (physical-path) flow in
     [tenant]'s own reserved queue. *)
-let submit_admitted t ?(tenant = Tenant.default_id) item =
+let submit_admitted t ~tenant item =
   Queue.push item (tenant_q t.admitted tenant)
 
 (** Enqueue a large-flow migration request (same tenant routing as
     {!submit_admitted}). *)
-let submit_large t ?(tenant = Tenant.default_id) item =
+let submit_large t ~tenant item =
   Queue.push item (tenant_q t.large tenant)
 
 (* Round-robin restricted to [tenant]'s own lanes, skipping empty

@@ -37,7 +37,7 @@ type t
 
 (** [shed_policy] says what an ingress submission past the dropping
     threshold does: refuse the newcomer ([Drop_new], the paper's
-    behaviour and the default), evict the oldest item of the same
+    behaviour), evict the oldest item of the same
     port's lane ([Drop_oldest]), or evict the oldest item of the
     submitter's {e longest} lane so a quiet port's newcomer never pays
     for a noisy port's backlog ([Priority_preserving]).
@@ -47,7 +47,7 @@ type t
     sheds queued ingress items at serve time once their decision would
     arrive more than [deadline] after enqueue.
 
-    [tenants] (default [[Tenant.default]]) reserves the whole service
+    [tenants] ([[Tenant.default]] when untenanted) reserves the whole service
     — admitted installs, migrations and ingress alike — per tenant:
     serve ticks walk a fixed frame with [share] consecutive slots per
     tenant in list order, each tick serves only the slot tenant's work
@@ -58,7 +58,7 @@ type t
     [sched_budget] caps the ingress slots it may hold at once.  Raises
     [Invalid_argument] where {!Tenant.check_specs} does. *)
 val create :
-  ?shed_policy:Scotch_util.Admission.policy -> ?deadline:float -> ?tenants:Tenant.spec list ->
+  shed_policy:Scotch_util.Admission.policy -> deadline:float -> tenants:Tenant.spec list ->
   Scotch_sim.Engine.t -> rate:float -> overlay_threshold:int -> drop_threshold:int ->
   differentiate:bool -> t
 
@@ -83,13 +83,12 @@ val enqueue_ingress : t -> port:int -> tenant:int -> shed:(unit -> unit) -> (uni
 val admission : t -> Scotch_util.Admission.t
 
 (** Enqueue a rule install for an admitted (physical-path) flow in
-    [tenant]'s reserved queue.  [tenant] defaults to
-    {!Tenant.default_id}. *)
-val submit_admitted : t -> ?tenant:int -> (unit -> unit) -> unit
+    [tenant]'s reserved queue. *)
+val submit_admitted : t -> tenant:int -> (unit -> unit) -> unit
 
 (** Enqueue a large-flow migration request (same tenant routing as
     {!submit_admitted}). *)
-val submit_large : t -> ?tenant:int -> (unit -> unit) -> unit
+val submit_large : t -> tenant:int -> (unit -> unit) -> unit
 
 (** Begin serving at rate R.  Idempotent. *)
 val start : t -> unit

@@ -39,6 +39,7 @@ type counters = {
   mutable readmissions : int;  (* circuit-breaker readmits *)
   mutable promotions : int;    (* standby -> active (autoscaler up) *)
   mutable demotions : int;     (* active -> standby/draining (autoscaler down) *)
+  mutable install_batches : int; (* batches sent through [send_batch] or [send_fm] *)
 }
 
 type t = {
@@ -58,10 +59,6 @@ type t = {
   mutable recovery_hooks : (unit -> unit) list;
       (* fired after every vswitch repair (§5.6), where
          {!Scotch_verify.Hooks} resyncs the continuous verifier *)
-  mutable install_hooks : (C.sw -> Of_msg.payload list -> unit) list;
-      (* fired at the send chokepoint, before dispatch — the verifier's
-         view of every install leaving the controller, on both the
-         reliable and the legacy direct path *)
   reliable : Reliable.t option;
       (* when present, every Flow/Group-mod goes through the intent
          store and barrier-acked transactions, and [start] launches the
@@ -93,8 +90,8 @@ let create ?reliable ctrl overlay policy config =
         { flows_seen = 0; flows_overlay = 0; flows_physical = 0; flows_dropped = 0;
           flows_unroutable = 0; elephants_detected = 0; migrations_completed = 0;
           activations = 0; withdrawals = 0; vswitch_failures = 0; quarantines = 0;
-          readmissions = 0; promotions = 0; demotions = 0 };
-      recovery_hooks = []; install_hooks = []; reliable;
+          readmissions = 0; promotions = 0; demotions = 0; install_batches = 0 };
+      recovery_hooks = []; reliable;
       rebalances_c =
         O.counter ~help:"Select-group rebalances after pool changes"
           "scotch_core_group_rebalances_total";
@@ -183,19 +180,14 @@ let notify_recovery t = List.iter (fun f -> f ()) t.recovery_hooks
 
 (** {1 The send path}
 
-    Every Flow/Group-mod leaves through {!send_batch}.  With no reliable
-    layer it collapses to the legacy direct sends (same messages, same
-    order — unimpaired runs stay bit-identical); with one, intents are
-    recorded and the batch ships as a barrier-acked transaction. *)
+    Every Flow/Group-mod leaves through {!send_batch}, or {!send_fm} for
+    one FlowMod, and each call counts one batch in
+    [counters.install_batches].  With no reliable layer a batch
+    collapses to the legacy direct sends (same messages, same order —
+    unimpaired runs stay bit-identical); with one, intents are recorded
+    and the batch ships as a barrier-acked transaction. *)
 
 let reliable t = t.reliable
-
-let on_install t f = t.install_hooks <- f :: t.install_hooks
-
-let notify_install t sw payloads =
-  match t.install_hooks with
-  | [] -> ()
-  | hooks -> List.iter (fun f -> f sw payloads) hooks
 
 (* A direct recursion rather than [List.iter (C.send ctrl sw)], whose
    partial application would allocate a closure on every install. *)
@@ -206,19 +198,21 @@ let rec send_each ctrl sw = function
     send_each ctrl sw rest
 
 let send_batch t (sw : C.sw) payloads =
-  notify_install t sw payloads;
+  t.counters.install_batches <- t.counters.install_batches + 1;
   match t.reliable with
   | None -> send_each t.ctrl sw payloads
   | Some r ->
     Reliable.register_switch r sw;
     Reliable.transaction r sw payloads
 
-(* [send_batch] of one FlowMod, without the list when nothing reads
-   it. *)
+(* [send_batch] of one FlowMod, without the list when no reliable
+   layer reads it. *)
 let send_fm t sw fm =
-  match (t.install_hooks, t.reliable) with
-  | [], None -> C.send t.ctrl sw (Of_msg.Flow_mod fm)
-  | _ -> send_batch t sw [ Of_msg.Flow_mod fm ]
+  match t.reliable with
+  | None ->
+    t.counters.install_batches <- t.counters.install_batches + 1;
+    C.send t.ctrl sw (Of_msg.Flow_mod fm)
+  | Some _ -> send_batch t sw [ Of_msg.Flow_mod fm ]
 
 let install t sw ?(table_id = 0) ?(priority = 1) ?(idle_timeout = 0.0)
     ?(cookie = Of_types.cookie_none) ~match_ ~instructions () =
@@ -632,9 +626,7 @@ let path_overloaded t ~first_hop ~dst_ip ~tenant =
 
 let route_via_overlay t m (e : Flow_info_db.entry) pkt ~entry_vswitch =
   let entry =
-    match entry_vswitch with
-    | Some v -> Some v
-    | None -> predicted_entry t m e
+    match entry_vswitch with Some _ -> entry_vswitch | None -> predicted_entry t m e
   in
   if not m.active then activate t m;
   match entry with
@@ -745,14 +737,14 @@ let handle_packet_in t (sw : C.sw) (pi : Of_msg.Packet_in.t) =
   match pi.Of_msg.Packet_in.tunnel_id with
   | Some tid -> (
     match Overlay.origin_of_tunnel t.overlay tid with
-    | Some origin_dpid ->
+    | origin_dpid ->
       (* §5.2: physical switch id from the tunnel id, ingress port from
          the inner MPLS label *)
       let ingress_port =
         match Packet.outer_mpls_label pkt with label -> label | exception Not_found -> 0
       in
       origin_packet_in t pkt ~origin_dpid ~ingress_port ~entry_vswitch:(Some sw.C.dpid)
-    | None -> repair_delivery t sw pi pkt (* a mesh-tunnel arrival *))
+    | exception Not_found -> repair_delivery t sw pi pkt (* a mesh-tunnel arrival *))
   | None -> (
     match managed_of t sw.C.dpid with
     | Some _ ->

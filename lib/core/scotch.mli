@@ -32,6 +32,8 @@ type counters = {
   mutable readmissions : int;  (** circuit-breaker readmits *)
   mutable promotions : int;    (** standby → active (autoscaler up) *)
   mutable demotions : int;     (** active → draining standby (autoscaler down) *)
+  mutable install_batches : int;
+      (** Flow/Group-mod batches sent, on the reliable or the direct path *)
 }
 
 type t
@@ -174,9 +176,3 @@ val on_recovery : t -> (unit -> unit) -> unit
     injector, which repairs vswitches behind this module's back, can
     announce the repair. *)
 val notify_recovery : t -> unit
-
-(** Register a callback to run at the send chokepoint with every
-    outgoing Flow/Group-mod batch, before dispatch — the verifier's
-    view of installs on both the reliable and the legacy direct path.
-    Cheap no-op when nothing is registered. *)
-val on_install : t -> (C.sw -> Scotch_openflow.Of_msg.payload list -> unit) -> unit

@@ -166,12 +166,12 @@ let classify_pool t ofa overlay =
         match j.Ofa.tunnel_id with
         | Some tid -> (
           match Overlay.origin_of_tunnel overlay tid with
-          | Some origin ->
+          | origin ->
             let ingress_port =
               match Scotch_packet.Packet.outer_mpls_label j.Ofa.packet with
               | label -> label
               | exception Not_found -> 0
             in
             tn.Config.tenant_of ~first_hop:origin ~ingress_port
-          | None -> Tenant.default_id)
+          | exception Not_found -> Tenant.default_id)
         | None -> Tenant.default_id)

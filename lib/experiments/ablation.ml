@@ -62,13 +62,12 @@ let run_dedicated_point ?(seed = 42) ~offered ~duration () =
      downstream switch keeps no miss rule (this design never uses the
      OFA Packet-In path at all).  Deferred past the testbed's own
      table-miss installs so the override wins deterministically. *)
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:0.1 (fun () ->
-         C.install net.Testbed.ctrl edge_handle ~table_id:0 ~priority:0
-           ~match_:Of_match.wildcard
-           ~instructions:(Of_action.output (Of_types.Port_no.Physical 60))
-           ();
-         C.uninstall net.Testbed.ctrl server_handle ~table_id:0 ~match_:Of_match.wildcard ()));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:0.1 (fun () ->
+      C.install net.Testbed.ctrl edge_handle ~table_id:0 ~priority:0
+        ~match_:Of_match.wildcard
+        ~instructions:(Of_action.output (Of_types.Port_no.Physical 60))
+        ();
+      C.uninstall net.Testbed.ctrl server_handle ~table_id:0 ~match_:Of_match.wildcard ());
   let queue = Queue.create () in
   let queue_cap = 500 in
   let sink pkt = if Queue.length queue < queue_cap then Queue.push pkt queue in
@@ -132,9 +131,7 @@ let run_withdrawal ?(seed = 42) ?(scale = 1.0) () : Report.figure =
   let attack = Testbed.attack_source net ~rate:1500.0 () in
   Source.start client;
   Source.start attack;
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:attack_stop (fun () ->
-         Source.stop attack));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:attack_stop (fun () -> Source.stop attack);
   let active_points = ref [] and failure_points = ref [] in
   let last_seen = ref 0 and last_launched = ref 0 in
   let (_ : unit -> unit) =

@@ -35,16 +35,15 @@ let scenario ?(seed = 42) ~config ~duration ~on_launch () =
   Source.start mice;
   (* the rate is unused: elephants are launched explicitly *)
   let elephant_src = Testbed.client_source net ~i:0 ~rate:1.0 () in
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:elephant_start (fun () ->
-         for _ = 1 to elephant_count do
-           on_launch
-             (Source.launch_flow elephant_src
-                ~spec:
-                  { Flow_gen.packets = int_of_float (elephant_pkt_rate *. duration);
-                    payload = 1000;
-                    interval = 1.0 /. elephant_pkt_rate })
-         done));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:elephant_start (fun () ->
+      for _ = 1 to elephant_count do
+        on_launch
+          (Source.launch_flow elephant_src
+             ~spec:
+               { Flow_gen.packets = int_of_float (elephant_pkt_rate *. duration);
+                 payload = 1000;
+                 interval = 1.0 /. elephant_pkt_rate })
+      done);
   net
 
 let run_variant ?seed ~migration ~duration () =

@@ -26,9 +26,9 @@ let jittered_rate engine rng ~rate f =
   let rec tick () =
     f ();
     let period = 1.0 /. rate *. (0.95 +. Scotch_util.Rng.float rng 0.1) in
-    ignore (Scotch_sim.Engine.schedule engine ~delay:period tick)
+    Scotch_sim.Engine.schedule engine ~delay:period tick
   in
-  ignore (Scotch_sim.Engine.schedule engine ~delay:(1.0 /. rate) tick)
+  Scotch_sim.Engine.schedule engine ~delay:(1.0 /. rate) tick
 
 let unique_match i =
   Of_match.wildcard

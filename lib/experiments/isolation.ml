@@ -231,9 +231,8 @@ let run_variant ~attack ~verify ~seed ~scale () =
   in
   Array.iter Source.start clients;
   let stop_clients_at = duration ~scale in
-  ignore
-    (Scotch_sim.Engine.schedule net.Testbed.engine ~delay:stop_clients_at (fun () ->
-         Array.iter Source.stop clients));
+  Scotch_sim.Engine.schedule net.Testbed.engine ~delay:stop_clients_at (fun () ->
+      Array.iter Source.stop clients);
   (* sample the per-function-breaker state: a member counts as
      drained-but-forwarding when its control axis has quarantined it
      out of flow-setup duty while it is still alive with a closed data

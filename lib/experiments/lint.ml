@@ -98,17 +98,6 @@ let select only =
 (* ------------------------------------------------------------------ *)
 (* Continuous verification *)
 
-type watch_report = {
-  w_diagnostics : V.Diagnostic.t list;
-  w_updates : int;
-  w_classes_touched : int;
-  w_class_count : int;
-  w_equiv_checks : int;
-  w_equiv_mismatches : int;
-  w_p50_us : float;
-  w_p99_us : float;
-}
-
 (** Run a scenario: the testbed installs the incremental verifier,
     every rule/group/liveness delta is re-checked as the workload runs,
     and the run-end phase check audits the maintained diagnostic set
@@ -126,14 +115,5 @@ let watch_all ?(seed = 42) ?only () =
              installs hooks whenever the knob is not [Off] *)
           invalid_arg (Printf.sprintf "scenario %S installed no continuous verifier" s.name)
       in
-      let st = V.Incremental.stats incr in
-      ( s.name,
-        { w_diagnostics = V.Incremental.diagnostics incr;
-          w_updates = st.V.Incremental.updates;
-          w_classes_touched = st.V.Incremental.classes_touched;
-          w_class_count = st.V.Incremental.class_count;
-          w_equiv_checks = st.V.Incremental.equiv_checks;
-          w_equiv_mismatches = st.V.Incremental.equiv_mismatches;
-          w_p50_us = st.V.Incremental.p50_us;
-          w_p99_us = st.V.Incremental.p99_us } ))
+      (s.name, V.Incremental.diagnostics incr, V.Incremental.stats incr))
     (select only)

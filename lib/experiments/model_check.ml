@@ -116,24 +116,23 @@ let run_point ~seed ~rho ~duration () =
       let ip_src = Ipv4_addr.of_host_id (i + 1) and ip_dst = Ipv4_addr.of_host_id 1000 in
       let rec arrive () =
         let delay = Rng.exponential rng ~rate:lambda in
-        ignore
-          (Engine.schedule engine ~delay (fun () ->
-               let now = Engine.now engine in
-               if now <= duration then begin
-                 let fid = !next_flow in
-                 incr next_flow;
-                 let packet =
-                   Packet.tcp_syn ~flow_id:fid ~created:now ~src_mac:src ~dst_mac:dst ~ip_src
-                     ~ip_dst ~src_port:(10_000 + (fid mod 50_000)) ~dst_port:80 ()
-                 in
-                 if now >= warmup then Hashtbl.replace submit_times fid now;
-                 Ofa.submit_packet_in ofa
-                   { Ofa.in_port = 1;
-                     tunnel_id = None;
-                     reason = Of_types.Packet_in_reason.No_match;
-                     packet };
-                 arrive ()
-               end))
+        Engine.schedule engine ~delay (fun () ->
+            let now = Engine.now engine in
+            if now <= duration then begin
+              let fid = !next_flow in
+              incr next_flow;
+              let packet =
+                Packet.tcp_syn ~flow_id:fid ~created:now ~src_mac:src ~dst_mac:dst ~ip_src
+                  ~ip_dst ~src_port:(10_000 + (fid mod 50_000)) ~dst_port:80 ()
+              in
+              if now >= warmup then Hashtbl.replace submit_times fid now;
+              Ofa.submit_packet_in ofa
+                { Ofa.in_port = 1;
+                  tunnel_id = None;
+                  reason = Of_types.Packet_in_reason.No_match;
+                  packet };
+              arrive ()
+            end)
       in
       arrive ())
     ofas;
@@ -149,14 +148,13 @@ let run_point ~seed ~rho ~duration () =
   in
   (* Counter snapshots at warmup bound the blocking measurement. *)
   let warm_submitted = ref 0 and warm_dropped = ref 0 in
-  ignore
-    (Engine.schedule_at engine ~at:warmup (fun () ->
-         List.iter
-           (fun ofa ->
-             let c = Ofa.counters ofa in
-             warm_submitted := !warm_submitted + c.Ofa.pin_submitted;
-             warm_dropped := !warm_dropped + c.Ofa.pin_dropped)
-           ofas));
+  Engine.schedule_at engine ~at:warmup (fun () ->
+      List.iter
+        (fun ofa ->
+          let c = Ofa.counters ofa in
+          warm_submitted := !warm_submitted + c.Ofa.pin_submitted;
+          warm_dropped := !warm_dropped + c.Ofa.pin_dropped)
+        ofas);
   (* +1 s drain so in-flight sojourns past [duration] still resolve. *)
   Engine.run ~until:(duration +. 1.0) engine;
   let submitted = ref 0 and dropped = ref 0 in

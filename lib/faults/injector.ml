@@ -146,9 +146,7 @@ let rec watch_rebalance t (p : pending_crash) =
       p.record.Ledger.flows_lost <- flows_lost_counter t ~dead:p.dead_dpid - p.flows_lost_at_inject
     end
     else
-      ignore
-        (Scotch_sim.Engine.schedule t.e.engine ~delay:probe_period (fun () ->
-             watch_rebalance t p))
+      Scotch_sim.Engine.schedule t.e.engine ~delay:probe_period (fun () -> watch_rebalance t p)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -280,9 +278,7 @@ let inject t (id, (f : Fault.t)) =
         (* reach the peak at 80% of the window, hold, then clear *)
         let at = f.Fault.at +. (frac *. f.Fault.duration *. 0.8) in
         let factor = 1.0 +. ((peak -. 1.0) *. frac) in
-        ignore
-          (Scotch_sim.Engine.schedule_at t.e.engine ~at (fun () ->
-               Ofa.set_slowdown ofa factor))
+        Scotch_sim.Engine.schedule_at t.e.engine ~at (fun () -> Ofa.set_slowdown ofa factor)
       done
     | Fault.Controller_pause -> C.pause t.e.ctrl ~until:(Fault.ends_at f)
     | Fault.Tenant_flood rate -> (
@@ -290,10 +286,9 @@ let inject t (id, (f : Fault.t)) =
       | Some drive -> drive ~tenant:f.Fault.target ~rate ~active:true
       | None -> ())
   in
-  ignore (Scotch_sim.Engine.schedule_at t.e.engine ~at:f.Fault.at fire);
+  Scotch_sim.Engine.schedule_at t.e.engine ~at:f.Fault.at fire;
   if Fault.ends_at f < infinity then
-    ignore
-      (Scotch_sim.Engine.schedule_at t.e.engine ~at:(Fault.ends_at f) (fun () -> clear t f r))
+    Scotch_sim.Engine.schedule_at t.e.engine ~at:(Fault.ends_at f) (fun () -> clear t f r)
 
 (* ------------------------------------------------------------------ *)
 

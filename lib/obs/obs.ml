@@ -7,11 +7,7 @@
     construction time, which is why {!reset} must run {e before} a
     network is built, not after. *)
 
-let enabled =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SCOTCH_OBS") with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
+let enabled = ref false
 
 let is_enabled () = !enabled
 let enable () = enabled := true

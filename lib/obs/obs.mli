@@ -2,12 +2,11 @@
     {!Trace} shared by every subsystem, plus the master switch.
 
     Counters are always on; histogram observations and trace events are
-    gated by call sites on {!is_enabled} (also settable via the
-    [SCOTCH_OBS=1] environment variable), so the disabled hot path adds
+    gated by call sites on {!is_enabled}, so the disabled hot path adds
     no allocations. *)
 
-(** True when tracing/histograms should record.  Initialised from
-    [SCOTCH_OBS] ([1]/[true]/[yes]/[on]). *)
+(** True when tracing/histograms should record: off until {!enable}
+    (which the CLI's [--metrics]/[--trace] call). *)
 val is_enabled : unit -> bool
 
 val enable : unit -> unit

@@ -282,9 +282,8 @@ and on_timeout t ss txn =
       log t ss Degraded_enter
     end;
     let delay = Backoff.delay t.backoff ~salt:txn.tid ~attempt:txn.attempts () in
-    ignore
-      (Engine.schedule (engine t) ~delay (fun () ->
-           if ss.handle.C.alive then fly t ss txn else park t ss))
+    Engine.schedule (engine t) ~delay (fun () ->
+        if ss.handle.C.alive then fly t ss txn else park t ss)
   end
 
 let enqueue t ss payloads =

@@ -13,14 +13,9 @@
     one-off closure table, written once by {!schedule} and cleared when
     the event pops; a key [k < 0] is the registered handler [lnot k],
     which {!fire} schedules without writing a pointer at all.  An event
-    has no record of its own: its handle is its sequence number, and
-    cancelling records that number in a set consulted at pop time, for
-    a pop whose number lies between the set's least and greatest. *)
+    has no record of its own, and every event that pops runs. *)
 
 open Scotch_util
-
-(** Handle returned by {!schedule}: the event's sequence number. *)
-type handle = int
 
 (** A registered handler: its index in the handler table. *)
 type handler = int
@@ -37,9 +32,6 @@ type t = {
   mutable n_free : int;
   mutable handlers : (unit -> unit) array;
   mutable n_handlers : int;
-  cancelled : (int, unit) Hashtbl.t;  (* seqs of cancelled events *)
-  mutable cancelled_lo : int;  (* the least and greatest seq in [cancelled] *)
-  mutable cancelled_hi : int;  (* (max_int, min_int when empty) *)
   rng : Rng.t;
   mutable processed : int;
   mutable next_user_id : int;
@@ -59,7 +51,6 @@ let create ?(seed = 42) () =
   { now = 0.0; next_seq = 0; at = Float.Array.make initial_capacity 0.0;
     seq = Array.make initial_capacity 0; key = Array.make initial_capacity 0; size = 0;
     closures = [||]; free = [||]; n_free = 0; handlers = [||]; n_handlers = 0;
-    cancelled = Hashtbl.create 8; cancelled_lo = max_int; cancelled_hi = min_int;
     rng = Rng.create seed; processed = 0; next_user_id = 0; next_flow_id = 0;
     run_end_hooks = [] }
 
@@ -128,8 +119,7 @@ let[@inline] push t at key =
     end
     else rising := false
   done;
-  place t !i at seq key;
-  seq
+  place t !i at seq key
 
 (* Remove the root: sift a hole down from it and drop the last event
    into it. *)
@@ -196,36 +186,14 @@ let handler t f =
 (** [fire t ~delay h] runs the handler [h] after [delay] seconds. *)
 let fire t ~delay (h : handler) =
   if not (delay >= 0.0) then invalid_arg "Engine.fire: negative or NaN delay";
-  ignore (push t (t.now +. delay) (lnot h))
+  push t (t.now +. delay) (lnot h)
 
 (** [fire_at t ~at h] runs the handler [h] at absolute time [at]. *)
 let fire_at t ~at (h : handler) =
   if not (at >= t.now) then
     invalid_arg
       (Printf.sprintf "Engine.fire_at: %.9f is not at or after current time %.9f" at t.now);
-  ignore (push t at (lnot h))
-
-(** [cancel t h] prevents a scheduled event from running: O(1), the
-    event is skipped when it reaches the root. *)
-let cancel t (h : handle) =
-  Hashtbl.replace t.cancelled h ();
-  if h < t.cancelled_lo then t.cancelled_lo <- h;
-  if h > t.cancelled_hi then t.cancelled_hi <- h
-
-(* Whether the event [seq] was cancelled, forgetting it if so.  Seqs
-   cancelled after their event fired stay until the queue drains here.
-   A pop whose seq lies outside [cancelled_lo, cancelled_hi] never gets
-   here: while an answered request's expiry waits cancelled, the events
-   that pop were mostly scheduled after it, and skip the lookup. *)
-let take_cancelled t seq =
-  let hit = Hashtbl.mem t.cancelled seq in
-  if hit then Hashtbl.remove t.cancelled seq;
-  if t.size = 0 then Hashtbl.reset t.cancelled;
-  if hit || t.size = 0 then begin
-    t.cancelled_lo <- Hashtbl.fold (fun s () lo -> Int.min s lo) t.cancelled max_int;
-    t.cancelled_hi <- Hashtbl.fold (fun s () hi -> Int.max s hi) t.cancelled min_int
-  end;
-  hit
+  push t at (lnot h)
 
 (* What the key [k] runs; a one-off closure's slot is cleared and
    freed. *)
@@ -244,14 +212,11 @@ let step t =
   if t.size = 0 then false
   else begin
     let at = Float.Array.unsafe_get t.at 0
-    and seq = Array.unsafe_get t.seq 0
     and run = take t (Array.unsafe_get t.key 0) in
     pop_root t;
     t.now <- at;
-    if seq < t.cancelled_lo || seq > t.cancelled_hi || not (take_cancelled t seq) then begin
-      t.processed <- t.processed + 1;
-      run ()
-    end;
+    t.processed <- t.processed + 1;
+    run ();
     true
   end
 
@@ -288,13 +253,13 @@ let every t ~period ?start f =
   let rec tick () =
     if not !stopped then begin
       f ();
-      ignore (schedule t ~delay:period tick)
+      schedule t ~delay:period tick
     end
   in
-  ignore (schedule t ~delay:first tick);
+  schedule t ~delay:first tick;
   fun () -> stopped := true
 
-(** Pending event count (cancelled events included until popped). *)
+(** Pending event count. *)
 let pending t = t.size
 
 (** Engine-scoped unique small integers, for allocations that must be

@@ -10,13 +10,13 @@
     to run, so scheduling an event allocates no event record and a sift
     never takes the write barrier.  A one-off closure from {!schedule}
     waits in a slot table until its event pops; a {!handler} registered
-    once is fired by {!fire} with no allocation at all. *)
+    once is fired by {!fire} with no allocation at all.
+
+    Every scheduled event runs: there is no cancelling.  A component
+    that may no longer want an event leaves a flag for the event to
+    read and return on, as {!every}'s stop function does. *)
 
 type t
-
-(** Handle for cancelling a scheduled event: its sequence number, an
-    immediate int. *)
-type handle [@@immediate]
 
 (** [create ~seed ()] makes an engine at time 0. *)
 val create : ?seed:int -> unit -> t
@@ -33,11 +33,11 @@ val processed : t -> int
 
 (** [schedule_at t ~at f] runs [f] at absolute time [at].  Raises
     [Invalid_argument] when [at] is in the past or NaN. *)
-val schedule_at : t -> at:float -> (unit -> unit) -> handle
+val schedule_at : t -> at:float -> (unit -> unit) -> unit
 
 (** [schedule t ~delay f] runs [f] after [delay] seconds.  Raises
     [Invalid_argument] on a negative or NaN delay. *)
-val schedule : t -> delay:float -> (unit -> unit) -> handle
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** A closure registered with the engine for its whole lifetime.
 
@@ -50,29 +50,17 @@ type handler [@@immediate]
 val handler : t -> (unit -> unit) -> handler
 
 (** [fire t ~delay h] runs the handler [h] after [delay] seconds, as an
-    event ordered like one from {!schedule}; it allocates nothing, and
-    the event cannot be cancelled.  Raises [Invalid_argument] on a
-    negative or NaN delay. *)
+    event ordered like one from {!schedule}; it allocates nothing.
+    Raises [Invalid_argument] on a negative or NaN delay. *)
 val fire : t -> delay:float -> handler -> unit
 
 (** [fire_at t ~at h] runs the handler [h] at absolute time [at], like
-    {!fire}: no allocation and no cancelling.  Raises
-    [Invalid_argument] when [at] is in the past or NaN. *)
+    {!fire}: no allocation.  Raises [Invalid_argument] when [at] is in
+    the past or NaN. *)
 val fire_at : t -> at:float -> handler -> unit
 
-(** [cancel t h] prevents the event [h] from running; O(1).  The event
-    stays queued, and is counted by {!pending}, until it reaches the
-    root.  Popping it advances {!now} to its time but neither runs it
-    nor counts it in {!processed}.  Cancelling it again, or cancelling
-    an event that already fired, changes nothing else.  The engine
-    remembers a cancelled handle until its event pops; one whose event
-    had already fired matches no later event, and may stay until the
-    queue drains. *)
-val cancel : t -> handle -> unit
-
-(** Execute the next event; [false] when the queue is empty.  A
-    cancelled event still counts as a step: [true], with {!now}
-    advanced to its time. *)
+(** Execute the next event, advancing {!now} to its time; [false]
+    when the queue is empty. *)
 val step : t -> bool
 
 (** [run ?until t] executes events in order until the queue drains or
@@ -93,7 +81,7 @@ val on_run_end : t -> (unit -> unit) -> unit
 val every :
   t -> period:float -> ?start:float -> (unit -> unit) -> unit -> unit
 
-(** Pending event count (cancelled events included until popped). *)
+(** Pending event count. *)
 val pending : t -> int
 
 (** Engine-scoped unique small integers, for allocations that must be

@@ -18,7 +18,6 @@ type t = {
   mutable checks : int;
   incr : Incremental.t;
   mutable applies : int;        (* updates pushed through [incr] *)
-  mutable installs_issued : int; (* batches seen at the send chokepoint *)
 }
 
 (** Control-channel sends are asynchronous, so device state lags
@@ -51,7 +50,7 @@ let install ~engine ~topo scotch =
       let n = now () in
       Incremental.create ~now:n (Snapshot.capture ~scotch ~now:n topo)
     in
-    let st = { reports = []; checks = 0; incr; applies = 0; installs_issued = 0 } in
+    let st = { reports = []; checks = 0; incr; applies = 0 } in
     let apply_u u =
       let t0 = Unix.gettimeofday () in
       ignore (Incremental.apply incr ~now:(now ()) u);
@@ -100,8 +99,6 @@ let install ~engine ~topo scotch =
                (fun store -> apply_u (Incremental.Intents { dpid; store }))
                (Reliable.intent_of r dpid)))
     | None -> ());
-    Scotch.on_install scotch (fun _sw _payloads ->
-        st.installs_issued <- st.installs_issued + 1);
     (* re-express the verifier ledger on the metrics registry *)
     let module O = Scotch_obs.Obs in
     let stat f () = f (Incremental.stats incr) in
@@ -115,14 +112,15 @@ let install ~engine ~topo scotch =
       (stat (fun v -> v.Incremental.equiv_checks));
     O.counter_fn ~help:"Equivalence audits that disagreed" "scotch_verify_equiv_mismatches_total"
       (stat (fun v -> v.Incremental.equiv_mismatches));
+    (* the batches Scotch sent since the hooks were installed *)
+    let sc = Scotch.counters scotch in
+    let installs_before = sc.Scotch.install_batches in
     O.counter_fn ~help:"Install batches seen at the send chokepoint"
-      "scotch_verify_installs_issued_total" (fun () -> st.installs_issued);
+      "scotch_verify_installs_issued_total" (fun () -> sc.Scotch.install_batches - installs_before);
     O.gauge_fn ~help:"Tracked header-space equivalence classes" "scotch_verify_class_count"
       (fun () -> float_of_int (Incremental.class_count incr));
     Scotch.on_recovery scotch (fun () ->
-        ignore
-          (Scotch_sim.Engine.schedule engine ~delay:settle_delay (fun () ->
-               check "post-recovery")));
+        Scotch_sim.Engine.schedule engine ~delay:settle_delay (fun () -> check "post-recovery"));
     Scotch_sim.Engine.on_run_end engine (fun () -> check "run-end");
     Some st
 

@@ -81,7 +81,7 @@ let send_flow_packets t ~(launched : Flow_gen.launched) ~src_mac ~ip_src ~src_po
            phase with the switch's service clock, and exact lockstep in
            a deterministic simulator creates correlation artifacts *)
         let delay = spec.Flow_gen.interval *. (0.99 +. Rng.float t.rng 0.02) in
-        ignore (Scotch_sim.Engine.schedule t.engine ~delay (fun () -> send (seq + 1)))
+        Scotch_sim.Engine.schedule t.engine ~delay (fun () -> send (seq + 1))
       end
     in
     send 0
@@ -121,7 +121,7 @@ let launch_flow ?spec t =
 let rec arrival_loop t =
   if t.running then begin
     ignore (launch_flow t);
-    ignore (Scotch_sim.Engine.schedule t.engine ~delay:(interarrival t) (fun () -> arrival_loop t))
+    Scotch_sim.Engine.schedule t.engine ~delay:(interarrival t) (fun () -> arrival_loop t)
   end
 
 (** [start t] begins launching flows; the first arrives after one
@@ -129,7 +129,7 @@ let rec arrival_loop t =
 let start t =
   if not t.running then begin
     t.running <- true;
-    ignore (Scotch_sim.Engine.schedule t.engine ~delay:(interarrival t) (fun () -> arrival_loop t))
+    Scotch_sim.Engine.schedule t.engine ~delay:(interarrival t) (fun () -> arrival_loop t)
   end
 
 let stop t = t.running <- false

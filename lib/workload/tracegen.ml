@@ -67,11 +67,10 @@ let replay engine trace ~(sources : Source.t array) ~(destinations : Scotch_topo
   let launched : Flow_gen.launched option array = Array.make (List.length trace) None in
   List.iteri
     (fun i ev ->
-      ignore
-        (Scotch_sim.Engine.schedule_at engine ~at:ev.at (fun () ->
-             let src = sources.(ev.src) in
-             let spec = ev.spec in
-             Source.set_destination src ~dst:destinations.(ev.dst);
-             launched.(i) <- Some (Source.launch_flow ~spec src))))
+      Scotch_sim.Engine.schedule_at engine ~at:ev.at (fun () ->
+          let src = sources.(ev.src) in
+          let spec = ev.spec in
+          Source.set_destination src ~dst:destinations.(ev.dst);
+          launched.(i) <- Some (Source.launch_flow ~spec src)))
     trace;
   launched

@@ -127,9 +127,8 @@ let test_pin_rate_meter () =
   Scotch_sim.Engine.run e;
   (* 50 distinct new flows in 0.5 s -> rate ~ 50/s over a 1 s window *)
   for i = 1 to 50 do
-    ignore
-      (Scotch_sim.Engine.schedule_at e ~at:(0.5 +. (0.01 *. float_of_int i)) (fun () ->
-           Switch.receive sw ~in_port:1 (mk_packet ~flow_id:i ~src_port:(1000 + i) ~src:a ~dst:b ())))
+    Scotch_sim.Engine.schedule_at e ~at:(0.5 +. (0.01 *. float_of_int i)) (fun () ->
+        Switch.receive sw ~in_port:1 (mk_packet ~flow_id:i ~src_port:(1000 + i) ~src:a ~dst:b ()))
   done;
   Scotch_sim.Engine.run ~until:1.1 e;
   let rate = C.pin_rate ctrl h in
@@ -142,7 +141,7 @@ let test_heartbeat_detects_death () =
   let _h = C.connect ctrl sw ~latency:0.001 in
   C.start_heartbeat ctrl ~period:0.5 ~timeout:1.5;
   (* healthy for 3 s, then the agent dies *)
-  ignore (Scotch_sim.Engine.schedule_at e ~at:3.0 (fun () -> Switch.set_failed sw true));
+  Scotch_sim.Engine.schedule_at e ~at:3.0 (fun () -> Switch.set_failed sw true);
   Scotch_sim.Engine.run ~until:3.0 e;
   Alcotest.(check (list int)) "alive so far" [] !died;
   Scotch_sim.Engine.run ~until:6.0 e;

@@ -274,9 +274,11 @@ let test_db_find_match_allocation () =
 (* ------------------------------------------------------------------ *)
 (* Sched *)
 
-let mk_sched ?(rate = 100.0) ?(overlay_threshold = 3) ?(drop_threshold = 6)
-    ?(differentiate = true) e =
-  Sched.create e ~rate ~overlay_threshold ~drop_threshold ~differentiate
+let mk_sched ?(shed_policy = Scotch_util.Admission.Drop_new) ?(deadline = 0.0)
+    ?(tenants = [ Tenant.default ]) ?(rate = 100.0) ?(overlay_threshold = 3)
+    ?(drop_threshold = 6) ?(differentiate = true) e =
+  Sched.create ~shed_policy ~deadline ~tenants e ~rate ~overlay_threshold ~drop_threshold
+    ~differentiate
 
 (* An ingress submission as [Scotch.serve_new_flow] makes it: the
    verdict first, then the item only if it is queued. *)
@@ -304,8 +306,8 @@ let test_sched_priorities () =
   let s = mk_sched ~rate:10.0 e in
   let log = ref [] in
   ignore (submit_ingress s ~port:1 (fun () -> log := "ingress" :: !log));
-  Sched.submit_large s (fun () -> log := "large" :: !log);
-  Sched.submit_admitted s (fun () -> log := "admitted" :: !log);
+  Sched.submit_large s ~tenant:Tenant.default_id (fun () -> log := "large" :: !log);
+  Sched.submit_admitted s ~tenant:Tenant.default_id (fun () -> log := "admitted" :: !log);
   Sched.start s;
   Scotch_sim.Engine.run ~until:1.0 e;
   Alcotest.(check (list string)) "admitted > large > ingress"
@@ -362,8 +364,8 @@ let queued = function `Queued -> true | `Overlay | `Drop -> false
 let test_sched_drop_oldest () =
   let e = Scotch_sim.Engine.create () in
   let s =
-    Sched.create ~shed_policy:Scotch_util.Admission.Drop_oldest e ~rate:10.0 ~overlay_threshold:10
-      ~drop_threshold:2 ~differentiate:true
+    mk_sched ~shed_policy:Scotch_util.Admission.Drop_oldest e ~rate:10.0 ~overlay_threshold:10
+      ~drop_threshold:2
   in
   let shed = ref [] and ran = ref [] in
   let submit port i =
@@ -385,8 +387,8 @@ let test_sched_drop_oldest () =
 let test_sched_priority_preserving () =
   let e = Scotch_sim.Engine.create () in
   let s =
-    Sched.create ~shed_policy:Scotch_util.Admission.Priority_preserving e ~rate:10.0
-      ~overlay_threshold:10 ~drop_threshold:2 ~differentiate:true
+    mk_sched ~shed_policy:Scotch_util.Admission.Priority_preserving e ~rate:10.0
+      ~overlay_threshold:10 ~drop_threshold:2
   in
   let shed = ref [] in
   let submit port i =
@@ -410,8 +412,7 @@ let test_sched_priority_preserving () =
 let test_sched_deadline_expiry () =
   let e = Scotch_sim.Engine.create () in
   let s =
-    Sched.create ~deadline:0.05 e ~rate:10.0 ~overlay_threshold:10 ~drop_threshold:20
-      ~differentiate:true
+    mk_sched ~deadline:0.05 e ~rate:10.0 ~overlay_threshold:10 ~drop_threshold:20
   in
   let shed = ref [] and ran = ref [] in
   let submit i =
@@ -421,7 +422,7 @@ let test_sched_deadline_expiry () =
          (fun () -> ran := i :: !ran))
   in
   submit 1;
-  ignore (Scotch_sim.Engine.schedule_at e ~at:0.08 (fun () -> submit 2));
+  Scotch_sim.Engine.schedule_at e ~at:0.08 (fun () -> submit 2);
   Sched.start s;
   (* one serve tick, at t = 0.1: item 1 is 0.1 s old, item 2 0.02 s *)
   Scotch_sim.Engine.run ~until:0.15 e;
@@ -435,8 +436,8 @@ let test_sched_deadline_expiry () =
 let test_sched_budget_refusal () =
   let e = Scotch_sim.Engine.create () in
   let s =
-    Sched.create ~tenants:[ Tenant.make ~sched_budget:1 ~id:7 "t" ] e ~rate:10.0
-      ~overlay_threshold:10 ~drop_threshold:20 ~differentiate:true
+    mk_sched ~tenants:[ Tenant.make ~sched_budget:1 ~id:7 "t" ] e ~rate:10.0
+      ~overlay_threshold:10 ~drop_threshold:20
   in
   Alcotest.(check bool) "within budget" true
     (queued (submit_ingress s ~port:1 ~tenant:7 ignore));
@@ -454,10 +455,7 @@ let prop_sched_rr_fairness =
     QCheck.(pair (int_range 2 6) (int_range 10 60))
     (fun (nports, serves) ->
       let e = Scotch_sim.Engine.create () in
-      let s =
-        Sched.create e ~rate:100.0 ~overlay_threshold:1000 ~drop_threshold:2000
-          ~differentiate:true
-      in
+      let s = mk_sched e ~rate:100.0 ~overlay_threshold:1000 ~drop_threshold:2000 in
       let served = Array.make nports 0 in
       for port = 0 to nports - 1 do
         for _ = 1 to serves do
@@ -515,8 +513,10 @@ let test_overlay_uplinks_and_origin () =
   Alcotest.(check int) "two uplinks" 2 (List.length ups);
   List.iter
     (fun (_, tid) ->
-      Alcotest.(check (option int)) "origin map" (Some 1) (Overlay.origin_of_tunnel ov tid))
-    ups
+      Alcotest.(check int) "origin map" 1 (Overlay.origin_of_tunnel ov tid))
+    ups;
+  Alcotest.check_raises "not an uplink" Not_found (fun () ->
+      ignore (Overlay.origin_of_tunnel ov (-1)))
 
 let test_overlay_cover_and_failover () =
   let e, topo, ov, _ = overlay_rig ~n:2 in

@@ -151,8 +151,8 @@ let prop_frame_shares_conserve =
       let shares = List.mapi (fun i w -> (i, w)) weights in
       let tenants = List.map (fun (i, w) -> Tenant.make ~share:w ~id:i (string_of_int i)) shares in
       let s =
-        Sched.create e ~tenants ~rate:100.0 ~overlay_threshold:10_000 ~drop_threshold:20_000
-          ~differentiate:true
+        Sched.create ~shed_policy:Scotch_util.Admission.Drop_new ~deadline:0.0 ~tenants e
+          ~rate:100.0 ~overlay_threshold:10_000 ~drop_threshold:20_000 ~differentiate:true
       in
       let n = List.length shares in
       let served = Array.make n 0 in

@@ -48,8 +48,7 @@ let test_activation_and_withdrawal () =
   let attack = Testbed.attack_source net ~rate:1500.0 () in
   Source.start client;
   Source.start attack;
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:8.0 (fun () -> Source.stop attack));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:8.0 (fun () -> Source.stop attack);
   Testbed.run_until net ~until:4.0;
   Alcotest.(check bool) "active during attack" true
     (Scotch.is_active net.Testbed.app Testbed.edge_dpid);
@@ -136,12 +135,11 @@ let test_policy_consistency () =
   Source.start flood;
   let src = Testbed.client_source net ~i:0 ~rate:1.0 () in
   let l = ref None in
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:3.0 (fun () ->
-         l :=
-           Some
-             (Source.launch_flow src
-                ~spec:{ Flow_gen.packets = 10_000; payload = 1000; interval = 0.0005 })));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:3.0 (fun () ->
+      l :=
+        Some
+          (Source.launch_flow src
+             ~spec:{ Flow_gen.packets = 10_000; payload = 1000; interval = 0.0005 }));
   Testbed.run_until net ~until:9.0;
   (* the long flow was delivered, entirely through the firewall *)
   let l = Option.get !l in
@@ -162,9 +160,8 @@ let test_vswitch_failure_masked () =
   Source.start client;
   Source.start attack;
   (* kill one active vswitch mid-attack *)
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:5.0 (fun () ->
-         Scotch_switch.Switch.set_failed net.Testbed.vswitches.(0) true));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:5.0 (fun () ->
+      Scotch_switch.Switch.set_failed net.Testbed.vswitches.(0) true);
   Testbed.run_until net ~until:20.0;
   let c = Scotch.counters net.Testbed.app in
   Alcotest.(check bool) "failure detected" true (c.Scotch.vswitch_failures >= 1);
@@ -180,9 +177,8 @@ let test_backup_promotion_end_to_end () =
   let net = Testbed.scotch_net ~num_vswitches:2 ~num_backups:1 () in
   let attack = Testbed.attack_source net ~rate:1500.0 () in
   Source.start attack;
-  ignore
-    (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:5.0 (fun () ->
-         Scotch_switch.Switch.set_failed net.Testbed.vswitches.(0) true));
+  Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:5.0 (fun () ->
+      Scotch_switch.Switch.set_failed net.Testbed.vswitches.(0) true);
   Testbed.run_until net ~until:15.0;
   (* the backup (dpid 102) was promoted into active duty *)
   match Overlay.vswitch net.Testbed.overlay (Testbed.vswitch_dpid 2) with
@@ -244,8 +240,8 @@ let test_repeated_activation_cycles () =
   Source.start client;
   let wave ~from ~till =
     let a = Testbed.attack_source net ~rate:1500.0 () in
-    ignore (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:from (fun () -> Source.start a));
-    ignore (Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:till (fun () -> Source.stop a))
+    Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:from (fun () -> Source.start a);
+    Scotch_sim.Engine.schedule_at net.Testbed.engine ~at:till (fun () -> Source.stop a)
   in
   wave ~from:1.0 ~till:6.0;
   wave ~from:20.0 ~till:25.0;

@@ -77,8 +77,11 @@ let test_xid_expiry () =
   Alcotest.(check int) "expiry counted" 1 (C.counters ctrl).C.expired_requests;
   Alcotest.(check int) "pending table drained" 0 (C.pending_requests ctrl)
 
-let test_xid_reply_cancels_expiry () =
+(* An answered request's expiry event still runs at its deadline, and
+   does nothing: the reply already took the xid out of the table. *)
+let test_xid_answered_never_expires () =
   let e, _, ctrl, h = rig () in
+  let sent_at = Scotch_sim.Engine.now e in
   let replied = ref false and timed_out = ref false in
   C.request ctrl h ~deadline:5.0
     ~on_timeout:(fun () -> timed_out := true)
@@ -86,7 +89,9 @@ let test_xid_reply_cancels_expiry () =
     (fun _ -> replied := true);
   Scotch_sim.Engine.run e;
   Alcotest.(check bool) "reply routed" true !replied;
-  Alcotest.(check bool) "timeout cancelled" false !timed_out;
+  Alcotest.(check bool) "no timeout" false !timed_out;
+  Alcotest.(check (float 1e-9)) "the expiry ran at its deadline" (sent_at +. 5.0)
+    (Scotch_sim.Engine.now e);
   Alcotest.(check int) "nothing expired" 0 (C.counters ctrl).C.expired_requests;
   Alcotest.(check int) "pending table drained" 0 (C.pending_requests ctrl)
 
@@ -740,7 +745,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_intent_diff_reference ] );
       ( "xid expiry",
         [ Alcotest.test_case "deadline reclaims lost reply" `Quick test_xid_expiry;
-          Alcotest.test_case "reply cancels the expiry" `Quick test_xid_reply_cancels_expiry ] );
+          Alcotest.test_case "answered request never expires" `Quick
+            test_xid_answered_never_expires ] );
       ( "reconciler",
         [ Alcotest.test_case "storm converges to intent" `Quick test_storm_converges_to_intent;
           Alcotest.test_case "storm digest deterministic" `Quick test_storm_digest_deterministic;

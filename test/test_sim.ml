@@ -9,9 +9,9 @@ open Scotch_packet
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~delay:2.0 (fun () -> log := "c" :: !log));
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> log := "a" :: !log));
-  ignore (Engine.schedule e ~delay:1.5 (fun () -> log := "b" :: !log));
+  Engine.schedule e ~delay:2.0 (fun () -> log := "c" :: !log);
+  Engine.schedule e ~delay:1.0 (fun () -> log := "a" :: !log);
+  Engine.schedule e ~delay:1.5 (fun () -> log := "b" :: !log);
   Engine.run e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log)
 
@@ -19,7 +19,7 @@ let test_engine_fifo_ties () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log))
+    Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log)
   done;
   Engine.run e;
   Alcotest.(check (list int)) "insertion order at equal time" [ 1; 2; 3; 4; 5 ]
@@ -28,22 +28,22 @@ let test_engine_fifo_ties () =
 let test_engine_now_advances () =
   let e = Engine.create () in
   let seen = ref 0.0 in
-  ignore (Engine.schedule e ~delay:3.25 (fun () -> seen := Engine.now e));
+  Engine.schedule e ~delay:3.25 (fun () -> seen := Engine.now e);
   Engine.run e;
   Alcotest.(check (float 1e-12)) "now at event" 3.25 !seen
 
 let test_engine_past_raises () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> ()));
+  Engine.schedule e ~delay:1.0 (fun () -> ());
   Engine.run e;
   Alcotest.(check bool) "scheduling in the past raises" true
     (try
-       ignore (Engine.schedule_at e ~at:0.5 (fun () -> ()));
+       Engine.schedule_at e ~at:0.5 (fun () -> ());
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative delay raises" true
     (try
-       ignore (Engine.schedule e ~delay:(-1.0) (fun () -> ()));
+       Engine.schedule e ~delay:(-1.0) (fun () -> ());
        false
      with Invalid_argument _ -> true)
 
@@ -55,79 +55,23 @@ let test_engine_nan_raises () =
     Alcotest.(check bool) name true
       (match f () with () -> false | exception Invalid_argument _ -> true)
   in
-  raises "NaN delay" (fun () -> ignore (Engine.schedule e ~delay:nan ignore));
-  raises "NaN time" (fun () -> ignore (Engine.schedule_at e ~at:nan ignore));
+  raises "NaN delay" (fun () -> Engine.schedule e ~delay:nan ignore);
+  raises "NaN time" (fun () -> Engine.schedule_at e ~at:nan ignore);
   (* [every] returns its stop function; calling it at once keeps the
      result a unit *)
   raises "NaN period" (fun () -> Engine.every e ~period:nan ignore ());
   raises "NaN start" (fun () -> Engine.every e ~period:1.0 ~start:nan ignore ());
   let fired = ref 0 in
-  ignore (Engine.schedule_at e ~at:1.0 (fun () -> incr fired));
-  ignore (Engine.schedule_at e ~at:2.0 (fun () -> incr fired));
+  Engine.schedule_at e ~at:1.0 (fun () -> incr fired);
+  Engine.schedule_at e ~at:2.0 (fun () -> incr fired);
   Engine.run ~until:10.0 e;
   Alcotest.(check int) "later events fire" 2 !fired
-
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel e h;
-  Engine.run e;
-  Alcotest.(check bool) "cancelled" false !fired
-
-let test_engine_cancel_twice () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let ev name delay = Engine.schedule e ~delay (fun () -> log := name :: !log) in
-  ignore (ev "a" 1.0);
-  let b = ev "b" 2.0 in
-  ignore (ev "c" 3.0);
-  Engine.cancel e b;
-  Engine.cancel e b;
-  Alcotest.(check int) "cancelled still pending" 3 (Engine.pending e);
-  Engine.run e;
-  Alcotest.(check (list string)) "others fire" [ "a"; "c" ] (List.rev !log);
-  Alcotest.(check int) "processed" 2 (Engine.processed e);
-  Alcotest.(check int) "drained" 0 (Engine.pending e);
-  Alcotest.(check (float 1e-12)) "now at the last event" 3.0 (Engine.now e)
-
-let test_engine_cancel_fired () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let ev name delay = Engine.schedule e ~delay (fun () -> log := name :: !log) in
-  let a = ev "a" 1.0 in
-  ignore (ev "b" 2.0);
-  Alcotest.(check bool) "a runs" true (Engine.step e);
-  Engine.cancel e a;
-  Engine.cancel e a;
-  Alcotest.(check int) "pending unchanged" 1 (Engine.pending e);
-  Alcotest.(check int) "processed unchanged" 1 (Engine.processed e);
-  Engine.run e;
-  ignore (ev "c" 0.0);
-  Engine.run e;
-  Alcotest.(check (list string)) "later events fire" [ "a"; "b"; "c" ] (List.rev !log);
-  Alcotest.(check int) "processed" 3 (Engine.processed e)
-
-let test_engine_step_cancelled_root () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  let a = Engine.schedule e ~delay:1.0 (fun () -> fired := "a" :: !fired) in
-  ignore (Engine.schedule e ~delay:2.0 (fun () -> fired := "b" :: !fired));
-  Engine.cancel e a;
-  Alcotest.(check bool) "step pops the cancelled root" true (Engine.step e);
-  Alcotest.(check (float 1e-12)) "now advanced to it" 1.0 (Engine.now e);
-  Alcotest.(check int) "not processed" 0 (Engine.processed e);
-  Alcotest.(check int) "one left" 1 (Engine.pending e);
-  Alcotest.(check (list string)) "nothing ran" [] !fired;
-  Alcotest.(check bool) "next step" true (Engine.step e);
-  Alcotest.(check (list string)) "b ran" [ "b" ] !fired;
-  Alcotest.(check bool) "empty" false (Engine.step e)
 
 let test_engine_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Engine.schedule e ~delay:(float_of_int i) (fun () -> incr count))
+    Engine.schedule e ~delay:(float_of_int i) (fun () -> incr count)
   done;
   Engine.run ~until:5.5 e;
   Alcotest.(check int) "five fired" 5 !count;
@@ -139,17 +83,16 @@ let test_engine_every () =
   let e = Engine.create () in
   let count = ref 0 in
   let stop = Engine.every e ~period:1.0 (fun () -> incr count) in
-  ignore (Engine.schedule e ~delay:5.5 (fun () -> stop ()));
+  Engine.schedule e ~delay:5.5 (fun () -> stop ());
   Engine.run e;
   Alcotest.(check int) "five ticks then stopped" 5 !count
 
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore
-    (Engine.schedule e ~delay:1.0 (fun () ->
-         log := "outer" :: !log;
-         ignore (Engine.schedule e ~delay:1.0 (fun () -> log := "inner" :: !log))));
+  Engine.schedule e ~delay:1.0 (fun () ->
+      log := "outer" :: !log;
+      Engine.schedule e ~delay:1.0 (fun () -> log := "inner" :: !log));
   Engine.run e;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   Alcotest.(check (float 1e-12)) "final time" 2.0 (Engine.now e)
@@ -157,7 +100,7 @@ let test_engine_nested_schedule () =
 let test_engine_processed () =
   let e = Engine.create () in
   for _ = 1 to 3 do
-    ignore (Engine.schedule e ~delay:1.0 (fun () -> ()))
+    Engine.schedule e ~delay:1.0 (fun () -> ())
   done;
   Engine.run e;
   Alcotest.(check int) "processed" 3 (Engine.processed e)
@@ -173,7 +116,7 @@ let test_engine_fresh_flow_ids () =
 let test_engine_step () =
   let e = Engine.create () in
   Alcotest.(check bool) "empty step" false (Engine.step e);
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> ()));
+  Engine.schedule e ~delay:1.0 (fun () -> ());
   Alcotest.(check bool) "step runs" true (Engine.step e);
   Alcotest.(check int) "pending drained" 0 (Engine.pending e)
 
@@ -183,7 +126,7 @@ let test_engine_fire () =
   let h = Engine.handler e (fun () -> log := Engine.now e :: !log) in
   Engine.fire e ~delay:2.0 h;
   Engine.fire e ~delay:1.0 h;
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> log := -1.0 :: !log));
+  Engine.schedule e ~delay:1.0 (fun () -> log := -1.0 :: !log);
   Alcotest.(check int) "pending" 3 (Engine.pending e);
   Engine.run e;
   Alcotest.(check (list (float 0.0))) "time order, FIFO at ties" [ 1.0; -1.0; 2.0 ]
@@ -197,7 +140,7 @@ let test_engine_fire () =
   (* [fire_at] takes an absolute time and orders like [schedule_at] *)
   log := [];
   Engine.fire_at e ~at:3.0 h;
-  ignore (Engine.schedule_at e ~at:3.0 (fun () -> log := -1.0 :: !log));
+  Engine.schedule_at e ~at:3.0 (fun () -> log := -1.0 :: !log);
   Engine.fire_at e ~at:2.5 h;
   Engine.run e;
   Alcotest.(check (list (float 0.0))) "fire_at: time order, FIFO at ties" [ 2.5; 3.0; -1.0 ]
@@ -229,7 +172,7 @@ let test_engine_fire_allocates_nothing () =
   Alcotest.(check int) "fired" 2024 !count
 
 (* The engine against a list model sorted by (at, seq).  Times come
-   from a small set so ties are common; events may cancel, schedule
+   from a small set so ties are common; events may schedule
    from inside a running event, fire one of three registered handlers
    (the third fires the first from inside itself), and the run is split
    by [~until].  After each operation the fired (id, now) log, [now],
@@ -240,7 +183,6 @@ let test_engine_fire_allocates_nothing () =
 type op =
   | Sched of float * float option  (* delay, and a child's delay *)
   | Sched_at of float
-  | Cancel of int  (* the k-th handle issued, modulo their number *)
   | Fire of int * float  (* handler, delay *)
   | Step
   | Run_until of float  (* now + this *)
@@ -251,7 +193,6 @@ let pp_op = function
     Printf.sprintf "Sched %g%s" d
       (match c with Some c -> Printf.sprintf " child %g" c | None -> "")
   | Sched_at a -> Printf.sprintf "Sched_at %g" a
-  | Cancel k -> Printf.sprintf "Cancel %d" k
   | Fire (h, d) -> Printf.sprintf "Fire %d %g" h d
   | Step -> "Step"
   | Run_until x -> Printf.sprintf "Run_until +%g" x
@@ -263,33 +204,31 @@ let gen_op =
   frequency
     [ (5, map2 (fun d c -> Sched (d, c)) time (opt time));
       (2, map (fun a -> Sched_at a) (oneofl [ 0.0; 1.0; 1.5; 2.0; 3.0; 4.0 ]));
-      (2, map (fun k -> Cancel k) (int_bound 20));
       (3, map2 (fun h d -> Fire (h, d)) (int_bound 2) time);
       (2, return Step);
       (2, map (fun x -> Run_until x) (oneofl [ 0.0; 0.5; 1.0; 1.5 ]));
       (1, return Run) ]
 
-type mev = { m_at : float; m_seq : int; m_id : int; m_child : float option;
-             mutable m_cancelled : bool }
+type mev = { m_at : float; m_seq : int; m_id : int; m_child : float option }
 
 type model = { mutable m_now : float; mutable m_seq : int; mutable m_q : mev list;
                mutable m_processed : int; mutable m_log : (int * float) list;
-               mutable m_handles : mev list (* newest first *) }
+               mutable m_closures : int (* one-off closures scheduled *) }
 
 let m_push m ~at ~id child =
-  let ev = { m_at = at; m_seq = m.m_seq; m_id = id; m_child = child; m_cancelled = false } in
+  let ev = { m_at = at; m_seq = m.m_seq; m_id = id; m_child = child } in
   m.m_seq <- m.m_seq + 1;
   let before x = x.m_at < at || (x.m_at = at && x.m_seq < ev.m_seq) in
   let rec ins = function x :: r when before x -> x :: ins r | l -> ev :: l in
-  m.m_q <- ins m.m_q;
-  ev
+  m.m_q <- ins m.m_q
 
 let m_insert m ~at child =
-  m.m_handles <- m_push m ~at ~id:(List.length m.m_handles) child :: m.m_handles
+  m_push m ~at ~id:m.m_closures child;
+  m.m_closures <- m.m_closures + 1
 
-(* A fired handler's event: no handle, so it cannot be cancelled.
-   Handler 2 fires handler 0 half a second after it runs. *)
-let m_fire m ~at h = ignore (m_push m ~at ~id:(-(h + 1)) (if h = 2 then Some 0.5 else None))
+(* A fired handler's event.  Handler 2 fires handler 0 half a second
+   after it runs. *)
+let m_fire m ~at h = m_push m ~at ~id:(-(h + 1)) (if h = 2 then Some 0.5 else None)
 
 let m_step m =
   match m.m_q with
@@ -297,15 +236,13 @@ let m_step m =
   | ev :: rest ->
     m.m_q <- rest;
     m.m_now <- ev.m_at;
-    if not ev.m_cancelled then begin
-      m.m_processed <- m.m_processed + 1;
-      m.m_log <- (ev.m_id, m.m_now) :: m.m_log;
-      Option.iter
-        (fun d ->
-          if ev.m_id >= 0 then m_insert m ~at:(m.m_now +. d) None
-          else m_fire m ~at:(m.m_now +. d) 0)
-        ev.m_child
-    end;
+    m.m_processed <- m.m_processed + 1;
+    m.m_log <- (ev.m_id, m.m_now) :: m.m_log;
+    Option.iter
+      (fun d ->
+        if ev.m_id >= 0 then m_insert m ~at:(m.m_now +. d) None
+        else m_fire m ~at:(m.m_now +. d) 0)
+      ev.m_child;
     true
 
 let m_run_until m limit =
@@ -316,9 +253,6 @@ let m_run_until m limit =
 
 let m_run m = while m_step m do () done
 
-let nth_handle handles k =
-  match handles with [] -> None | _ -> Some (List.nth handles (k mod List.length handles))
-
 let prop_engine_model =
   QCheck.Test.make ~name:"engine agrees with a sorted-list model" ~count:300
     (QCheck.make
@@ -327,8 +261,8 @@ let prop_engine_model =
     (fun ops ->
       let e = Engine.create () in
       let m = { m_now = 0.0; m_seq = 0; m_q = []; m_processed = 0; m_log = [];
-                m_handles = [] } in
-      let log = ref [] and handles = ref [] and tokens = ref [] in
+                m_closures = 0 } in
+      let log = ref [] and closures = ref 0 and tokens = ref [] in
       let logs h () = log := (-(h + 1), Engine.now e) :: !log in
       let h0 = Engine.handler e (logs 0) in
       let h1 = Engine.handler e (logs 1) in
@@ -339,7 +273,7 @@ let prop_engine_model =
       in
       (* Each closure holds the only reference to a fresh token. *)
       let rec add ~at child =
-        let id = List.length !handles in
+        let id = !closures in
         let tok = ref id in
         let w = Weak.create 1 in
         Weak.set w 0 (Some tok);
@@ -348,7 +282,8 @@ let prop_engine_model =
           log := (!tok, Engine.now e) :: !log;
           Option.iter (fun d -> add ~at:(Engine.now e +. d) None) child
         in
-        handles := Engine.schedule_at e ~at run :: !handles
+        Engine.schedule_at e ~at run;
+        incr closures
       in
       let agree () =
         !log = m.m_log && Engine.now e = m.m_now
@@ -366,9 +301,6 @@ let prop_engine_model =
         | Sched_at a ->
           add ~at:a None;
           m_insert m ~at:a None
-        | Cancel k ->
-          Option.iter (Engine.cancel e) (nth_handle !handles k);
-          Option.iter (fun ev -> ev.m_cancelled <- true) (nth_handle m.m_handles k)
         | Fire (h, d) ->
           Engine.fire e ~delay:d (match h with 0 -> h0 | 1 -> h1 | _ -> h2);
           m_fire m ~at:(m.m_now +. d) h
@@ -525,12 +457,11 @@ module Link_ref = struct
     | None -> t.busy <- false
     | Some pkt ->
       t.busy <- true;
-      ignore
-        (Engine.schedule t.engine ~delay:(transmission_time t pkt) (fun () ->
-             t.stats.delivered <- t.stats.delivered + 1;
-             t.stats.bytes <- t.stats.bytes + Packet.size pkt;
-             ignore (Engine.schedule t.engine ~delay:t.latency (fun () -> t.sink pkt));
-             start_transmission t))
+      Engine.schedule t.engine ~delay:(transmission_time t pkt) (fun () ->
+          t.stats.delivered <- t.stats.delivered + 1;
+          t.stats.bytes <- t.stats.bytes + Packet.size pkt;
+          Engine.schedule t.engine ~delay:t.latency (fun () -> t.sink pkt);
+          start_transmission t)
 
   let send t pkt =
     if not t.up then ()
@@ -705,10 +636,6 @@ let () =
           Alcotest.test_case "now advances" `Quick test_engine_now_advances;
           Alcotest.test_case "past scheduling raises" `Quick test_engine_past_raises;
           Alcotest.test_case "NaN time raises" `Quick test_engine_nan_raises;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
-          Alcotest.test_case "cancel twice" `Quick test_engine_cancel_twice;
-          Alcotest.test_case "cancel after firing" `Quick test_engine_cancel_fired;
-          Alcotest.test_case "step on a cancelled root" `Quick test_engine_step_cancelled_root;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
           Alcotest.test_case "every/stop" `Quick test_engine_every;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;

@@ -1018,13 +1018,12 @@ let test_ofa_housekeeping_stall () =
   let sw = Switch.create e ~dpid:0 ~name:"s" ~profile () in
   let ofa = Switch.ofa sw in
   (* a flow-mod arriving inside the stall window completes only after it *)
-  ignore
-    (Scotch_sim.Engine.schedule_at e ~at:1.02 (fun () ->
-         Ofa.deliver_message ofa
-           (Of_msg.make ~xid:1
-              (Of_msg.Flow_mod
-                 (Of_msg.Flow_mod.add ~match_:Of_match.wildcard
-                    ~instructions:(out_port 1) ())))));
+  Scotch_sim.Engine.schedule_at e ~at:1.02 (fun () ->
+      Ofa.deliver_message ofa
+        (Of_msg.make ~xid:1
+           (Of_msg.Flow_mod
+              (Of_msg.Flow_mod.add ~match_:Of_match.wildcard
+                 ~instructions:(out_port 1) ()))));
   Scotch_sim.Engine.run e;
   Alcotest.(check bool) "finished after stall" true (Scotch_sim.Engine.now e >= 1.1 +. 0.001)
 
@@ -1075,7 +1074,7 @@ let test_ofa_pin_deadline () =
   Ofa.stall ofa ~until:1.0;
   (* job 1 is taken into service at once; 2-4 wait out the stall *)
   List.iter (submit_pin ofa) [ 1; 2; 3; 4 ];
-  ignore (Scotch_sim.Engine.schedule_at e ~at:0.95 (fun () -> submit_pin ofa 5));
+  Scotch_sim.Engine.schedule_at e ~at:0.95 (fun () -> submit_pin ofa 5);
   Scotch_sim.Engine.run e;
   let c = Ofa.counters ofa in
   Alcotest.(check int) "expired" 3 c.Ofa.pin_expired;
@@ -1309,13 +1308,10 @@ let test_switch_tcam_write_stall () =
              ~match_:(Of_match.with_l4_dst 9999 Of_match.wildcard)
              ~instructions:(out_port 2) ())));
   (* packet arriving during the stall window is dropped *)
-  ignore
-    (Scotch_sim.Engine.schedule_at e ~at:0.1 (fun () ->
-         Switch.receive sw ~in_port:1 (mk_packet ())));
+  Scotch_sim.Engine.schedule_at e ~at:0.1 (fun () -> Switch.receive sw ~in_port:1 (mk_packet ()));
   (* packet after the stall goes through *)
-  ignore
-    (Scotch_sim.Engine.schedule_at e ~at:1.0 (fun () ->
-         Switch.receive sw ~in_port:1 (mk_packet ~flow_id:2 ()))) ;
+  Scotch_sim.Engine.schedule_at e ~at:1.0 (fun () ->
+      Switch.receive sw ~in_port:1 (mk_packet ~flow_id:2 ())) ;
   Scotch_sim.Engine.run e;
   Alcotest.(check int) "one dropped by stall" 1 (Switch.counters sw).Switch.dropped_blocked;
   Alcotest.(check int) "one delivered" 1 (List.length !delivered)

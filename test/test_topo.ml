@@ -56,7 +56,7 @@ let test_host_delay_tracking () =
   let e = Scotch_sim.Engine.create () in
   let a = Host.create e ~id:1 ~name:"a" in
   let b = Host.create e ~id:2 ~name:"b" in
-  ignore (Scotch_sim.Engine.schedule e ~delay:0.5 (fun () -> Host.deliver b (mk_packet ~src:a ~dst:b ())));
+  Scotch_sim.Engine.schedule e ~delay:0.5 (fun () -> Host.deliver b (mk_packet ~src:a ~dst:b ()));
   Scotch_sim.Engine.run e;
   match Host.flow_record b 1 with
   | Some r ->

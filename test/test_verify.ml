@@ -1279,12 +1279,43 @@ let test_loop_witness_through_tunnels () =
 
 let test_lint_scenarios_clean () =
   List.iter
-    (fun (name, (w : Scotch_experiments.Lint.watch_report)) ->
-      Alcotest.(check int) (Printf.sprintf "%s clean" name) 0 (List.length w.w_diagnostics);
-      Alcotest.(check int) (Printf.sprintf "%s audits agree" name) 0 w.w_equiv_mismatches)
+    (fun (name, diags, (st : V.Incremental.stats)) ->
+      Alcotest.(check int) (Printf.sprintf "%s clean" name) 0 (List.length diags);
+      Alcotest.(check int) (Printf.sprintf "%s audits agree" name) 0 st.equiv_mismatches)
     (Scotch_experiments.Lint.watch_all ~seed:7
        ~only:[ "scotch-net-idle"; "scotch-net-active" ]
        ())
+
+(* ------------------------------------------------------------------ *)
+(* The hooks' metrics *)
+
+(* [scotch_verify_installs_issued_total] counts the install batches
+   Scotch sends once the hooks are in, on the direct and on the
+   reliable path: one per [send_batch] or lone FlowMod.  A small seeded
+   flood that activates the overlay and installs physical paths, with
+   the counts pinned for the seed. *)
+let test_installs_issued () =
+  let installs_issued ~reconcile =
+    Scotch_obs.Obs.reset ();
+    let config =
+      { Scotch_core.Config.default with Scotch_core.Config.verify = Scotch_core.Config.Continuous }
+    in
+    let module Testbed = Scotch_experiments.Testbed in
+    let module Source = Scotch_workload.Source in
+    let net = Testbed.scotch_net ~seed:42 ~config ~reconcile () in
+    Alcotest.(check bool) "verifier installed" true (net.Testbed.verify <> None);
+    Source.start (Testbed.attack_source net ~rate:400.0 ());
+    Source.start (Testbed.client_source net ~i:0 ~rate:20.0 ());
+    Testbed.run_until net ~until:1.0;
+    let c = Scotch_core.Scotch.counters net.Testbed.app in
+    Alcotest.(check int) "overlay activated" 1 c.Scotch_core.Scotch.activations;
+    (List.find
+       (fun s -> s.Scotch_obs.Registry.s_name = "scotch_verify_installs_issued_total")
+       (Scotch_obs.Registry.samples (Scotch_obs.Obs.registry ())))
+      .Scotch_obs.Registry.s_value
+  in
+  Alcotest.(check (float 0.0)) "direct path" 687.0 (installs_issued ~reconcile:false);
+  Alcotest.(check (float 0.0)) "reliable path" 680.0 (installs_issued ~reconcile:true)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1331,4 +1362,5 @@ let () =
           Alcotest.test_case "orphan cap promotion" `Quick test_orphan_cap_promotion;
           Alcotest.test_case "duplicate host ip" `Quick test_duplicate_host_ip ] );
       ( "clean-topologies",
-        [ Alcotest.test_case "lint scenarios" `Quick test_lint_scenarios_clean ] ) ]
+        [ Alcotest.test_case "lint scenarios" `Quick test_lint_scenarios_clean ] );
+      ("hooks", [ Alcotest.test_case "installs issued metric" `Quick test_installs_issued ]) ]

@@ -38,7 +38,7 @@ let test_source_stop () =
   let e, a, b = rig () in
   let src = Source.create e ~rng:(Rng.create 3) ~host:a ~dst:b ~rate:100.0 () in
   Source.start src;
-  ignore (Scotch_sim.Engine.schedule_at e ~at:1.0 (fun () -> Source.stop src));
+  Scotch_sim.Engine.schedule_at e ~at:1.0 (fun () -> Source.stop src);
   Scotch_sim.Engine.run ~until:3.0 e;
   let n = Source.launched_count src in
   Alcotest.(check bool) "stopped early" true (n < 150)
@@ -89,7 +89,7 @@ let test_source_dst_snapshot () =
   let c = Host.create e ~id:3 ~name:"c" in
   let src = Source.create e ~rng:(Rng.create 8) ~host:a ~dst:b ~rate:1.0 () in
   let l = Source.launch_flow src ~spec:{ Flow_gen.packets = 20; payload = 10; interval = 0.05 } in
-  ignore (Scotch_sim.Engine.schedule_at e ~at:0.3 (fun () -> Source.set_destination src ~dst:c));
+  Scotch_sim.Engine.schedule_at e ~at:0.3 (fun () -> Source.set_destination src ~dst:c);
   Scotch_sim.Engine.run e;
   match Host.flow_record b l.Flow_gen.flow_id with
   | Some r -> Alcotest.(check int) "all 20 at original dst" 20 r.Host.packets
