@@ -13,7 +13,9 @@
     server) and the latency is constant, so they also arrive in that
     order, at the head.  Two engine handlers, registered on the link's
     first send, end a transmission and deliver the oldest propagating
-    packet. *)
+    packet.  The link keeps the last packet size it served with that
+    size's transmission time, so a run of equal-size packets hands the
+    engine one boxed float; only a change of size boxes a new one. *)
 
 open Scotch_packet
 
@@ -27,6 +29,8 @@ type t = {
   mutable up : bool; (* fault injection: a down link accepts nothing *)
   mutable sink : Packet.t -> unit;
   mutable handlers : (Engine.handler * Engine.handler) option; (* transmitted, arrive *)
+  mutable last_size : int;     (* bytes of the last packet served, -1 before any *)
+  mutable last_time : float;   (* its transmission time *)
   mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
@@ -38,8 +42,8 @@ let create engine ~bandwidth_bps ~latency ~queue_capacity =
   if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth must be positive";
   if latency < 0.0 then invalid_arg "Link.create: negative latency";
   { engine; bandwidth_bps; latency; queue_capacity; packets = Ring.create Packet.placeholder;
-    n_flight = 0; up = true; sink = (fun _ -> ()); handlers = None; delivered = 0;
-    dropped = 0; bytes = 0 }
+    n_flight = 0; up = true; sink = (fun _ -> ()); handlers = None; last_size = -1;
+    last_time = 0.0; delivered = 0; dropped = 0; bytes = 0 }
 
 (** [connect t sink] sets the function receiving delivered packets. *)
 let connect t sink = t.sink <- sink
@@ -48,8 +52,15 @@ let connect t sink = t.sink <- sink
    packet goes into service as soon as the server frees. *)
 let busy t = Ring.length t.packets > t.n_flight
 
+(* [size / bandwidth], boxed afresh only when the size differs from
+   the last packet's. *)
 let transmission_time t pkt =
-  float_of_int (Packet.size pkt * 8) /. t.bandwidth_bps
+  let size = Packet.size pkt in
+  if size <> t.last_size then begin
+    t.last_size <- size;
+    t.last_time <- float_of_int (size * 8) /. t.bandwidth_bps
+  end;
+  t.last_time
 
 (* Start transmitting the packet after the propagating ones. *)
 let rec serve t =

@@ -64,7 +64,7 @@ type t = {
 }
 
 (* A removed rule's entry, compared with [==]; also "no rule" in a
-   lookup's running best. *)
+   lookup's running best and what a miss returns. *)
 let vacant =
   { priority = min_int; match_ = Of_match.wildcard; instructions = []; idle_timeout = 0.0;
     hard_timeout = 0.0; cookie = 0L; installed_at = 0.0; last_used = 0.0; packet_count = 0;
@@ -223,25 +223,25 @@ let pos_of_match st (m : Of_match.t) =
     ~l4_dst:(value m.Of_match.l4_dst) ~mpls:(value m.Of_match.mpls_label)
     ~tunnel:(value m.Of_match.tunnel_id)
 
-(* The position of the rule matching the packet, or -1.  A pinned
-   encapsulation or tunnel the packet lacks misses, as
-   {!Of_match.matches} does. *)
-let pos_of_packet st (ctx : Of_match.context) =
-  let sh = st.Ix.tag and p = ctx.Of_match.packet in
+(* The position of the rule matching packet [p] arriving on [in_port]
+   (through tunnel [tunnel_id]), or -1.  A pinned encapsulation or
+   tunnel the packet lacks misses, as {!Of_match.matches} does. *)
+let pos_of_packet st ~in_port ~tunnel_id (p : Packet.t) =
+  let sh = st.Ix.tag in
   let outer = p.Packet.encaps in
   let lacks pinned present = Option.is_some pinned && not present in
   if
     lacks sh.Of_match.mpls_label (match outer with Headers.Encap.Mpls _ :: _ -> true | _ -> false)
-    || lacks sh.Of_match.tunnel_id (Option.is_some ctx.Of_match.tunnel_id)
+    || lacks sh.Of_match.tunnel_id (Option.is_some tunnel_id)
   then -1
   else
     let l4 = p.Packet.l4 in
-    find_pos st ~in_port:ctx.Of_match.in_port ~eth_type:p.Packet.eth.Headers.Ethernet.ethertype
+    find_pos st ~in_port ~eth_type:p.Packet.eth.Headers.Ethernet.ethertype
       ~ip_src:p.Packet.ip.Headers.Ipv4.src ~ip_dst:p.Packet.ip.Headers.Ipv4.dst
       ~proto:(Headers.L4.proto l4) ~l4_src:(Headers.L4.src_port l4)
       ~l4_dst:(Headers.L4.dst_port l4)
       ~mpls:(match outer with Headers.Encap.Mpls { label } :: _ -> label | _ -> 0)
-      ~tunnel:(value ctx.Of_match.tunnel_id)
+      ~tunnel:(value tunnel_id)
 
 (* ------------------------------------------------------------------ *)
 (* Subtable storage *)
@@ -393,29 +393,29 @@ let compact t =
         match b.subtables with [] -> None | _ -> Some b)
       t.buckets
 
-(* The bucket's pick for [ctx]: one probe per subtable, the first live
-   hit in {!precedence} order, [vacant] for none. *)
-let rec best_in ~now ctx best = function
+(* The bucket's pick for the packet: one probe per subtable, the first
+   live hit in {!precedence} order, [vacant] for none. *)
+let rec best_in ~now ~in_port ~tunnel_id p best = function
   | [] -> best
   | st :: rest ->
     let best =
       if st.Ix.live = 0 then best
       else
-        match pos_of_packet st ctx with
+        match pos_of_packet st ~in_port ~tunnel_id p with
         | -1 -> best
         | pos ->
           let r = rule_at st pos in
           if expired ~now r || (best != vacant && precedence best r < 0) then best else r
     in
-    best_in ~now ctx best rest
+    best_in ~now ~in_port ~tunnel_id p best rest
 
-let rec first_hit ~now ctx = function
-  | [] -> None
+let rec first_hit ~now ~in_port ~tunnel_id p = function
+  | [] -> vacant
   | b :: rest ->
-    let r = best_in ~now ctx vacant b.subtables in
-    if r != vacant then Some r else first_hit ~now ctx rest
+    let r = best_in ~now ~in_port ~tunnel_id p vacant b.subtables in
+    if r != vacant then r else first_hit ~now ~in_port ~tunnel_id p rest
 
-let lookup t ~now (ctx : Of_match.context) = first_hit ~now ctx t.buckets
+let lookup t ~now ~in_port ~tunnel_id p = first_hit ~now ~in_port ~tunnel_id p t.buckets
 
 (* A covering rule in a subtable is the one keyed by [m] seen through
    the subtable's shape: one probe, and none into a shape that is not

@@ -8,9 +8,9 @@
     array in install order and indexes them with an open-addressed
     table on its own hash of the pinned fields, so adding or removing a
     rule is one amortised O(1) operation and a lookup makes one probe
-    per subtable, building no key and allocating nothing but its
-    result.  Within a priority, a lookup picks the matching rule first
-    in {!precedence} order.
+    per subtable, building no key and allocating nothing: a miss
+    returns the {!vacant} sentinel.  Within a priority, a lookup picks
+    the matching rule first in {!precedence} order.
 
     {b Rule order}: descending priority, then subtable creation order,
     then install order; a rule that replaces or displaces another takes
@@ -81,10 +81,16 @@ val remove_where : t -> (rule -> bool) -> rule list
     others' arrays over the entries removals vacated. *)
 val compact : t -> unit
 
-(** The rule matching the context that comes first in {!precedence}
-    order among those not {!expired} at [now].  The verifier's walk
-    passes [neg_infinity] and so sees every rule. *)
-val lookup : t -> now:float -> Of_match.context -> rule option
+(** What {!lookup} returns on a miss: a rule held by no classifier,
+    compared with [==]. *)
+val vacant : rule
+
+(** The rule matching packet [p] arriving on [in_port] (through tunnel
+    [tunnel_id]) that comes first in {!precedence} order among those
+    not {!expired} at [now], or {!vacant}.  The verifier's walk passes
+    [neg_infinity] and so sees every rule. *)
+val lookup :
+  t -> now:float -> in_port:int -> tunnel_id:int option -> Scotch_packet.Packet.t -> rule
 
 (** [fold_covering f t r acc] folds [f] over the rules above [r]'s
     priority whose match {!Of_match.covers} [r]'s: one probe per subtable

@@ -109,19 +109,23 @@ let delete t ?priority ~match_ () =
   List.iter (remove t) doomed;
   List.length doomed
 
-(** Pure lookup: no counter updates (tests and stats). *)
-let peek t ~now ctx = Classifier.lookup t.rules ~now ctx
+let no_rule = Classifier.vacant
 
-(** [lookup t ~now ctx] finds the highest-priority live rule matching
-    [ctx], updating its counters and idle timer. *)
-let lookup t ~now (ctx : Of_match.context) =
-  match peek t ~now ctx with
-  | Some r as hit ->
+(** Pure lookup from a context: no counter updates (tests and stats). *)
+let peek t ~now (c : Of_match.context) =
+  Classifier.lookup t.rules ~now ~in_port:c.in_port ~tunnel_id:c.tunnel_id c.packet
+
+(** [lookup t ~now ~in_port ~tunnel_id pkt] finds the highest-priority
+    live rule matching the packet, updating its counters and idle
+    timer; {!no_rule} on a miss. *)
+let lookup t ~now ~in_port ~tunnel_id pkt =
+  let r = Classifier.lookup t.rules ~now ~in_port ~tunnel_id pkt in
+  if r != no_rule then begin
     r.last_used <- now;
     r.packet_count <- r.packet_count + 1;
-    r.byte_count <- r.byte_count + Packet.size ctx.Of_match.packet;
-    hit
-  | None -> None
+    r.byte_count <- r.byte_count + Packet.size pkt
+  end;
+  r
 
 (** One rule's flow statistics at [now], as table [table_id] reports it. *)
 let stat_of_rule ~table_id ~now r : Of_msg.Stats.flow_stat =

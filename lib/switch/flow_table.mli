@@ -61,12 +61,20 @@ val insert :
     removed. *)
 val delete : t -> ?priority:int -> match_:Of_match.t -> unit -> int
 
-(** The live rule matching the context that comes first in
-    {!precedence} order, updating its counters and idle timer. *)
-val lookup : t -> now:float -> Of_match.context -> rule option
+(** What a lookup returns on a miss: a rule no table holds, compared
+    with [==]. *)
+val no_rule : rule
 
-(** Pure lookup: no counter updates. *)
-val peek : t -> now:float -> Of_match.context -> rule option
+(** The live rule matching packet [pkt] arriving on [in_port] (through
+    tunnel [tunnel_id]) that comes first in {!precedence} order,
+    updating its counters and idle timer; {!no_rule} on a miss.  A hit
+    allocates nothing. *)
+val lookup :
+  t -> now:float -> in_port:int -> tunnel_id:int option -> Scotch_packet.Packet.t -> rule
+
+(** Pure lookup from a context: no counter updates; {!no_rule} on a
+    miss. *)
+val peek : t -> now:float -> Of_match.context -> rule
 
 (** Flow statistics for all live rules, in the classifier's rule order:
     descending priority, then mask-shape creation order, then install

@@ -98,9 +98,9 @@ let transmit t (port : port) pkt =
 module P = Pipeline.Make (struct
   type nonrec t = t
 
-  let lookup t ~table_id ctx =
-    if table_id >= Array.length t.tables then None
-    else Flow_table.lookup t.tables.(table_id) ~now:(now t) ctx
+  let lookup t ~table_id ~in_port ~tunnel_id pkt =
+    if table_id >= Array.length t.tables then Flow_table.no_rule
+    else Flow_table.lookup t.tables.(table_id) ~now:(now t) ~in_port ~tunnel_id pkt
 
   let emit t pid pkt =
     match Hashtbl.find t.ports pid with
@@ -115,7 +115,7 @@ module P = Pipeline.Make (struct
   (* the start of the packet-in lifecycle: a data-plane miss (or
      explicit punt) hands the packet to the slow path.  These fire per
      missed packet, so the trace row is decimated per site. *)
-  let to_controller t ({ in_port; tunnel_id; _ } : Of_match.context) reason pkt =
+  let to_controller t ~in_port ~tunnel_id reason pkt =
     if Scotch_obs.Obs.is_enabled () then begin
       let name, site =
         match reason with
@@ -163,8 +163,7 @@ let receive t ~in_port pkt =
          port sampling that never touches the OFA (§4.1 spirit) *)
       Scotch_telemetry.Sampler.offer s ~tunnel_id (fun () -> Packet.flow_key pkt)
     | None -> ());
-    let ctx = Of_match.context ?tunnel_id ~in_port pkt in
-    P.run_table t ~table_id:0 ~ctx pkt
+    P.run_table t ~table_id:0 ~in_port ~tunnel_id pkt
   end
 
 (* ------------------------------------------------------------------ *)
@@ -223,10 +222,9 @@ let handler_of t : Ofa.handler =
         result);
     execute_packet_out =
       (fun po ->
-        let ctx = Of_match.context ~in_port:po.Of_msg.Packet_out.in_port po.Of_msg.Packet_out.packet in
         ignore
-          (P.apply_actions t ~ctx ~via_miss:false po.Of_msg.Packet_out.packet
-             po.Of_msg.Packet_out.actions));
+          (P.apply_actions t ~in_port:po.Of_msg.Packet_out.in_port ~tunnel_id:None
+             ~via_miss:false po.Of_msg.Packet_out.packet po.Of_msg.Packet_out.actions));
     flow_stats = flow_stats t;
     group_stats = (fun () -> Group_table.groups t.groups);
     telemetry =

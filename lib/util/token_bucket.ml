@@ -15,9 +15,12 @@ let create ~rate ~burst =
   if burst <= 0.0 then invalid_arg "Token_bucket.create: burst must be positive";
   { rate; burst; tokens = burst; last = 0.0 }
 
+(* The comparison is on floats, not the polymorphic [min], so a refill
+   boxes nothing. *)
 let refill t ~now =
   if now > t.last then begin
-    t.tokens <- Stdlib.min t.burst (t.tokens +. ((now -. t.last) *. t.rate));
+    let tokens = t.tokens +. ((now -. t.last) *. t.rate) in
+    t.tokens <- (if t.burst <= tokens then t.burst else tokens);
     t.last <- now
   end
 

@@ -19,8 +19,8 @@
     so its selection of classes is the one {!seeds} makes.
 
     A clean walk allocates only what the datapath's interpreter needs:
-    the class's forged packet, each hop's lookup context, and the copies
-    a header push or pop makes.  Its path is a stack in the reused
+    the class's forged packet and the copies a header push, pop or
+    tunnel makes.  Its path is a stack in the reused
     {!env}, and a finding's witness is built from it only on report. *)
 
 open Scotch_openflow
@@ -164,12 +164,12 @@ end = struct
   type t = step
 
   (* expiry-blind: the model holds what the tables hold, expired or not *)
-  let lookup s ~table_id ctx =
-    if table_id >= s.node.S.num_tables then None
+  let lookup s ~table_id ~in_port ~tunnel_id pkt =
+    if table_id >= s.node.S.num_tables then Flow_table.no_rule
     else
       match S.table s.node table_id with
-      | Some c -> Classifier.lookup c ~now:neg_infinity ctx
-      | None -> None
+      | Some c -> Classifier.lookup c ~now:neg_infinity ~in_port ~tunnel_id pkt
+      | None -> Flow_table.no_rule
 
   (* Every dpid the packet arrives at (failed, unknown or not) is
      recorded in [env.touched], so the incremental verifier knows which
@@ -201,7 +201,7 @@ end = struct
           if depth >= env.deepest then env.deepest <- depth + 1;
           let s = env.steps.(depth) in
           s.node <- n;
-          Walk.run_table s ~table_id:0 ~ctx:{ Of_match.in_port; tunnel_id; packet = pkt } pkt
+          Walk.run_table s ~table_id:0 ~in_port ~tunnel_id pkt
         end
       end
     end
@@ -229,7 +229,7 @@ end = struct
 
   let flood s ~in_port pkt = if not s.env.looped then flood_on s ~in_port pkt s.node.S.ports
 
-  let to_controller _ _ _ _ = ()
+  let to_controller _ ~in_port:_ ~tunnel_id:_ _ _ = ()
 
   (* an empty group, which only a forged snapshot holds (group sanity
      reports it), executes nothing, as a missing one does *)
@@ -243,7 +243,8 @@ end = struct
 end
 
 and Walk : sig
-  val run_table : step -> table_id:int -> ctx:Of_match.context -> Packet.t -> unit
+  val run_table :
+    step -> table_id:int -> in_port:int -> tunnel_id:int option -> Packet.t -> unit
 end =
   Pipeline.Make (Step)
 

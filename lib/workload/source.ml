@@ -54,6 +54,12 @@ let interarrival t =
   | Constant -> 1.0 /. t.rate
   | Poisson -> Rng.exponential t.rng ~rate:t.rate
 
+(* The wait before a flow's next packet, with ±1 % clock jitter:
+   independent oscillators never stay in phase with the switch's
+   service clock, and exact lockstep in a deterministic simulator
+   creates correlation artifacts. *)
+let gap t (spec : Flow_gen.flow_spec) = spec.Flow_gen.interval *. (0.99 +. Rng.float t.rng 0.02)
+
 let send_flow_packets t ~(launched : Flow_gen.launched) ~src_mac ~ip_src ~src_port =
   let spec = launched.Flow_gen.spec in
   (* snapshot the destination: a retargeted source must not corrupt
@@ -69,22 +75,25 @@ let send_flow_packets t ~(launched : Flow_gen.launched) ~src_mac ~ip_src ~src_po
         ~created:(Scotch_sim.Engine.now t.engine) ~src_mac ~dst_mac ~ip_src ~ip_dst:dst_ip
         ~src_port ~dst_port:80 ~spec ()
     in
-    let rec send seq =
-      let pkt =
-        if seq = 0 then first
-        else Packet.with_meta first ~created:(Scotch_sim.Engine.now t.engine) ~seq_in_flow:seq
+    t.packets_sent <- t.packets_sent + 1;
+    Host.send t.host first;
+    if spec.Flow_gen.packets > 1 then begin
+      (* one closure and one counter per flow, rescheduled for each
+         later packet *)
+      let seq = ref 1 in
+      let rec later () =
+        let n = !seq in
+        let pkt =
+          Packet.with_meta first ~created:(Scotch_sim.Engine.now t.engine) ~seq_in_flow:n
+        in
+        t.packets_sent <- t.packets_sent + 1;
+        Host.send t.host pkt;
+        seq := n + 1;
+        if n + 1 < spec.Flow_gen.packets then
+          Scotch_sim.Engine.schedule t.engine ~delay:(gap t spec) later
       in
-      t.packets_sent <- t.packets_sent + 1;
-      Host.send t.host pkt;
-      if seq + 1 < spec.Flow_gen.packets then begin
-        (* ±1 % clock jitter: independent oscillators never stay in
-           phase with the switch's service clock, and exact lockstep in
-           a deterministic simulator creates correlation artifacts *)
-        let delay = spec.Flow_gen.interval *. (0.99 +. Rng.float t.rng 0.02) in
-        Scotch_sim.Engine.schedule t.engine ~delay (fun () -> send (seq + 1))
-      end
-    in
-    send 0
+      Scotch_sim.Engine.schedule t.engine ~delay:(gap t spec) later
+    end
   end
 
 (** Launch one flow immediately (also used by the trace replayer).
@@ -103,14 +112,13 @@ let launch_flow ?spec t =
     else (Host.ip t.host, Host.mac t.host)
   in
   let src_port = fresh_port t in
-  let key =
-    Flow_key.make ~ip_src ~ip_dst:t.dst_ip ~proto:Headers.Ipv4.proto_tcp ~l4_src:src_port
-      ~l4_dst:80 ()
+  (* a flow's first packet is a TCP SYN exactly when it is its only,
+     empty packet ({!Flow_gen.packet}) *)
+  let proto =
+    if spec.Flow_gen.packets = 1 && spec.Flow_gen.payload = 0 then Headers.Ipv4.proto_tcp
+    else Headers.Ipv4.proto_udp
   in
-  let key =
-    if spec.Flow_gen.packets = 1 && spec.Flow_gen.payload = 0 then key
-    else { key with Flow_key.proto = Headers.Ipv4.proto_udp }
-  in
+  let key = Flow_key.make ~ip_src ~ip_dst:t.dst_ip ~proto ~l4_src:src_port ~l4_dst:80 () in
   let launched = { Flow_gen.flow_id; key; started = now; spec } in
   (* an attacker's flows are counted, never looked up again *)
   if not t.spoof_sources then t.launched <- launched :: t.launched;

@@ -252,13 +252,10 @@ let test_db_find_match_allocation () =
          ~ingress_port:1 ~now:0.0)
   done;
   let per_lookup m =
-    let before = Gc.minor_words () in
-    for _ = 1 to 10_000 do
-      match Flow_info_db.find_match_exn db m with
-      | e -> ignore (Sys.opaque_identity e)
-      | exception Not_found -> ()
-    done;
-    (Gc.minor_words () -. before) /. 10_000.0
+    Minor.per_call 10_000 (fun () ->
+        match Flow_info_db.find_match_exn db m with
+        | e -> ignore (Sys.opaque_identity e)
+        | exception Not_found -> ())
   in
   let hit = Of_match.exact_flow db_keys.(500) in
   let misses = Of_match.exact_flow (key 1) :: db_misses db_keys.(500) in
@@ -941,9 +938,10 @@ let test_overlay_packet_in_words () =
   route_overlay_flows net ~from:0 ~n:100;
   let app = Scotch.app net.Tb.app in
   let pins = Array.init 200 (fun i -> overlay_packet_in net (100 + i)) in
-  let before = Gc.minor_words () in
-  Array.iter (fun (sw, pi) -> ignore (app.C.packet_in sw pi)) pins;
-  let words = (Gc.minor_words () -. before) /. 200.0 in
+  let words =
+    Minor.words (fun () -> Array.iter (fun (sw, pi) -> ignore (app.C.packet_in sw pi)) pins)
+    /. 200.0
+  in
   Alcotest.(check int) "all routed over the overlay" 300
     (Scotch.counters net.Tb.app).Scotch.flows_overlay;
   Alcotest.(check bool) (Printf.sprintf "%.1f words a flow <= 156.5" words) true (words <= 156.5)

@@ -79,11 +79,7 @@ let prop_exact_flow_literal =
 
 let test_exact_flow_allocation () =
   let k = Packet.flow_key (mk_packet ()) in
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Of_match.exact_flow k))
-  done;
-  let per_call = (Gc.minor_words () -. before) /. 1000.0 in
+  let per_call = Minor.per_call 1000 (fun () -> Of_match.exact_flow k) in
   Alcotest.(check bool) (Printf.sprintf "%.3f words per call <= 26" per_call) true
     (per_call <= 26.0)
 

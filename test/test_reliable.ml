@@ -133,7 +133,7 @@ let test_churn_no_resurrection () =
   let on_device i =
     Flow_table.peek (Switch.table vsw 0) ~now:(Scotch_sim.Engine.now e)
       (Of_match.context ~in_port:1 (mk_packet i))
-    <> None
+    != Flow_table.no_rule
   in
   Alcotest.(check bool) "both rules installed and quiet" true (on_device 1 && on_device 2);
   Alcotest.(check int) "no repairs while healthy" 0

@@ -152,22 +152,15 @@ let test_engine_fire () =
   Alcotest.(check bool) "fire_at NaN raises" true (raises_at nan)
 
 (* Firing a registered handler allocates nothing once the queue has
-   grown: the minor words it takes equal those of an empty call, which
-   are Gc.minor_words' own boxed result. *)
+   grown. *)
 let test_engine_fire_allocates_nothing () =
   let e = Engine.create () in
   let count = ref 0 in
   let h = Engine.handler e (fun () -> incr count) in
   for _ = 1 to 1024 do Engine.fire e ~delay:1.0 h done;
   Engine.run e;
-  let words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
-  let empty = words ignore in
-  let fired = words (fun () -> for _ = 1 to 1000 do Engine.fire e ~delay:1.0 h done) in
-  Alcotest.(check (float 0.0)) "minor words" empty fired;
+  let fired = Minor.words (fun () -> for _ = 1 to 1000 do Engine.fire e ~delay:1.0 h done) in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 fired;
   Engine.run e;
   Alcotest.(check int) "fired" 2024 !count
 
@@ -607,6 +600,28 @@ let test_link_releases_packets () =
   (* the link, and so its ring, stayed reachable through the check *)
   Alcotest.(check int) "delivered" 3 (Link.delivered link)
 
+(* A send of a packet the size of the last one served allocates
+   nothing, into an idle link (the packet goes into service with the
+   kept transmission time) or a busy one (it joins the queue). *)
+let test_link_send_allocates_nothing () =
+  let e = Engine.create () in
+  let link = Link.create e ~bandwidth_bps:1e6 ~latency:0.01 ~queue_capacity:100 in
+  Link.connect link ignore;
+  let pkt = mk_pkt () in
+  (* grow the ring and the engine's heap *)
+  for _ = 1 to 100 do Link.send link pkt done;
+  Engine.run e;
+  let idle = ref 0.0 in
+  for _ = 1 to 100 do
+    idle := !idle +. Minor.words (fun () -> Link.send link pkt);
+    Engine.run e
+  done;
+  Alcotest.(check (float 0.0)) "idle: minor words" 0.0 !idle;
+  let busy = Minor.words (fun () -> for _ = 1 to 100 do Link.send link pkt done) in
+  Alcotest.(check (float 0.0)) "busy: minor words" 0.0 busy;
+  Engine.run e;
+  Alcotest.(check int) "delivered" 300 (Link.delivered link)
+
 (* Each send reaches its own link after the stage's delay, in order. *)
 let test_egress () =
   let e = Engine.create () in
@@ -653,5 +668,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_link_validation;
           Alcotest.test_case "down mid-transmission" `Quick test_link_down_mid_transmission;
           Alcotest.test_case "releases packets" `Quick test_link_releases_packets;
+          Alcotest.test_case "send allocates nothing" `Quick test_link_send_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_link_matches_reference ] );
       ("egress", [ Alcotest.test_case "in order after the delay" `Quick test_egress ]) ]

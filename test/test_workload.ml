@@ -106,6 +106,36 @@ let test_failure_fraction () =
   let c = Host.create e ~id:4 ~name:"c" in
   Alcotest.(check (float 1e-9)) "wrong dst" 1.0 (Source.failure_fraction src ~dst:c ())
 
+(* After the first, each packet of a 5-packet flow costs the step that
+   sends it 17 minor words: its [Packet.with_meta] copy (a 7-word
+   packet and a 4-word meta), the delay to the next packet (4: the
+   jitter draw's boxed result and the boxed delay) and the engine's
+   boxed clock for the step (2).  The last packet schedules nothing:
+   13.  The flow's one closure and counter are made at launch, and the
+   link takes each packet into its ring. *)
+let test_source_later_packet_words () =
+  let e = Scotch_sim.Engine.create () in
+  let a = Host.create e ~id:1 ~name:"a" and b = Host.create e ~id:2 ~name:"b" in
+  let link = Scotch_sim.Link.create e ~bandwidth_bps:1e9 ~latency:1e-6 ~queue_capacity:16 in
+  Scotch_sim.Link.connect link ignore;
+  Host.set_uplink a link;
+  let src = Source.create e ~rng:(Rng.create 5) ~host:a ~dst:b ~rate:1.0 () in
+  let spec = { Flow_gen.packets = 5; payload = 1000; interval = 0.01 } in
+  let flow () = ignore (Source.launch_flow src ~spec) in
+  (* grow the engine's tables and the link's ring *)
+  flow ();
+  Scotch_sim.Engine.run e;
+  flow ();
+  (* the words of each step that sent a packet, in order *)
+  let rec sends acc =
+    let sent = Source.packets_sent src and more = ref false in
+    let words = Minor.words (fun () -> more := Scotch_sim.Engine.step e) in
+    let acc = if Source.packets_sent src > sent then words :: acc else acc in
+    if !more then sends acc else List.rev acc
+  in
+  Alcotest.(check (list (float 0.0))) "words of each later packet's step"
+    [ 17.0; 17.0; 17.0; 13.0 ] (sends [])
+
 let test_completion_fraction () =
   let e, a, b = rig () in
   let src = Source.create e ~rng:(Rng.create 10) ~host:a ~dst:b ~rate:1.0 () in
@@ -214,7 +244,8 @@ let () =
             test_source_keys_unique_across_sources;
           Alcotest.test_case "dst snapshot (regression)" `Quick test_source_dst_snapshot;
           Alcotest.test_case "failure fraction" `Quick test_failure_fraction;
-          Alcotest.test_case "completion fraction" `Quick test_completion_fraction ] );
+          Alcotest.test_case "completion fraction" `Quick test_completion_fraction;
+          Alcotest.test_case "later packet words" `Quick test_source_later_packet_words ] );
       ( "sizes",
         [ Alcotest.test_case "pareto bounds" `Quick test_sizes_pareto ] );
       ( "tracegen",
