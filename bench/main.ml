@@ -1,509 +1,55 @@
-(* The benchmark harness.
+(* The timing gates: the wall-clock budgets a seeded smoke cannot hold,
+   because they are wall-clock measurements (every seeded gate lives in
+   test/smoke.ml).  `main.exe [--seed N]` measures them, prints one
+   verdict line per gate and exits 1 if any failed.
 
-   Two modes:
-
-   1. MICRO-BENCHMARKS (Bechamel): throughput of the hot data
-      structures the simulator's credibility rests on — flow-table
-      lookup hit and miss, insert and removal, select-group hashing,
-      one switch receive through the overlay miss pipeline, the
-      verifier's clean-rule grading and one class walk,
-      the reconciler's intent store, event-queue churn and hold, the
-      packet and OpenFlow wire codecs,
-      and both halves of an exact-polling round.
-      Run with `-- micro`; prints to stdout.
-
-   2. TIMING GATES: the wall-clock budgets a seeded smoke cannot hold,
-      as pass/fail verdicts in BENCH_core.json.  Run with `-- smoke`.
+   Each gate runs its two variants as alternating pairs, so load drift
+   on the machine hits both alike, and reads the median over the pairs.
 
    Paper figures come from `scotch_sim all` (or one of its figure
    subcommands); bench/perf is the machine-readable benchmark. *)
 
 open Scotch_experiments
 
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks *)
-
-open Scotch_packet
-open Scotch_openflow
-open Scotch_switch
-open Scotch_util
-
-let mk_packet i =
-  Packet.tcp_syn ~flow_id:i ~created:0.0 ~src_mac:(Mac.of_host_id 1)
-    ~dst_mac:(Mac.of_host_id 2)
-    ~ip_src:(Ipv4_addr.of_int (0x0A000000 + i))
-    ~ip_dst:(Ipv4_addr.make 10 0 0 200) ~src_port:(1024 + (i land 0xFFF)) ~dst_port:80 ()
-
-let bench_flow_table_lookup () =
-  (* 1000 exact rules + miss rule; lookup hits the exact probe *)
-  let table = Flow_table.create ~table_id:0 () in
-  for i = 0 to 999 do
-    ignore
-      (Flow_table.insert table ~now:0.0 ~priority:10
-         ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet i)))
-         ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
-         ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)
-  done;
-  let probe = mk_packet 500 in
-  let ctx = Of_match.context ~in_port:1 probe in
-  Bechamel.Test.make ~name:"flow_table lookup (1k exact rules)"
-    (Bechamel.Staged.stage (fun () -> ignore (Flow_table.peek table ~now:0.0 ctx)))
-
-(* 1000 exact rules that differ only in ip_dst.  The stdlib's generic
-   hash reads only a key's first ten meaningful words, which a
-   (priority, exact match) key uses up before ip_dst, so a table keyed
-   that way chains them all; the classifier's hash mixes every field. *)
-let dst_only_packet i =
-  Packet.tcp_syn ~flow_id:i ~created:0.0 ~src_mac:(Mac.of_host_id 1) ~dst_mac:(Mac.of_host_id 2)
-    ~ip_src:(Ipv4_addr.make 10 0 0 1) ~ip_dst:(Ipv4_addr.of_int (0x0A010000 + i))
-    ~src_port:5000 ~dst_port:80 ()
-
-let bench_flow_table_lookup_dst () =
-  let pkt = dst_only_packet in
-  let table = Flow_table.create ~table_id:0 () in
-  for i = 0 to 999 do
-    ignore
-      (Flow_table.insert table ~now:0.0 ~priority:10
-         ~match_:(Of_match.exact_flow (Packet.flow_key (pkt i)))
-         ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
-         ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)
-  done;
-  let ctx = Of_match.context ~in_port:1 (pkt 500) in
-  Bechamel.Test.make ~name:"flow_table lookup (1k exact rules, ip_dst only)"
-    (Bechamel.Staged.stage (fun () -> ignore (Flow_table.peek table ~now:0.0 ctx)))
-
-(* 10k rules of one wildcard mask (ip_dst /32 + protocol, the
-   rule-churn and Fig. 9 shape): one subtable, so a miss is one probe
-   and a removal one hash operation. *)
-let one_mask_table () =
-  let table = Flow_table.create ~table_id:0 () in
-  for i = 0 to 9_999 do
-    ignore
-      (Flow_table.insert table ~now:0.0 ~priority:10 ~match_:(Fig9.unique_match i)
-         ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
-         ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)
-  done;
-  table
-
-let bench_flow_table_miss () =
-  let table = one_mask_table () in
-  (* a TCP packet: no UDP rule of the table matches it *)
-  let ctx = Of_match.context ~in_port:1 (mk_packet 1) in
-  Bechamel.Test.make ~name:"flow_table lookup miss (10k one-mask rules)"
-    (Bechamel.Staged.stage (fun () -> ignore (Flow_table.peek table ~now:0.0 ctx)))
-
-let bench_flow_table_remove () =
-  (* delete one rule and put it back, so the table stays at 10k *)
-  let table = one_mask_table () in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"flow_table delete+reinsert (10k one-mask rules)"
-    (Bechamel.Staged.stage (fun () ->
-         i := (!i + 1) mod 10_000;
-         let match_ = Fig9.unique_match !i in
-         ignore (Flow_table.delete table ~priority:10 ~match_ ());
-         ignore
-           (Flow_table.insert table ~now:0.0 ~priority:10 ~match_
-              ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
-              ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)))
-
-let bench_flow_table_insert () =
-  let table = Flow_table.create ~table_id:0 () in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"flow_table insert+replace"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         ignore
-           (Flow_table.insert table ~now:0.0 ~priority:10
-              ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet (!i land 0x3FF))))
-              ~instructions:(Of_action.output (Of_types.Port_no.Physical 1))
-              ~idle_timeout:0.0 ~hard_timeout:0.0 ~cookie:0L)))
-
-let bench_group_select () =
-  let gt = Group_table.create () in
-  ignore
-    (Group_table.apply gt
-       (Of_msg.Group_mod.add_select ~group_id:1
-          ~buckets:
-            (List.init 8 (fun i ->
-                 Of_msg.Group_mod.bucket
-                   [ Of_action.Output (Of_types.Port_no.Physical (10000 + i)) ]))));
-  let g = Option.get (Group_table.find gt 1) in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"select-group bucket choice (8 buckets)"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         ignore (Group_table.select g ~flow_hash:(Packet.flow_hash (mk_packet !i)))))
-
-(* One [Switch.receive] through the Section 5.2 two-table miss pipeline
-   of a physical switch: table 0 pushes the in-port label and goes to
-   table 1, whose miss rule sends to a select group of 4 tunnel ports.
-   The tunnel links are down, and the engine runs every 64 receives, so
-   each receive also pays one egress event that hands its packet to a
-   down link and drops it.  Left to pile up in the egress stage, every
-   packet would survive to the major heap and promotion would dominate
-   the figure. *)
-let bench_switch_receive_overlay () =
-  let engine = Scotch_sim.Engine.create () in
-  let profile = { Profile.pica8 with Profile.datapath_pps = 1e9 } in
-  let sw = Switch.create engine ~dpid:1 ~name:"bench" ~profile () in
-  Switch.add_input_port sw ~port_id:1 ();
-  let tunnels = List.init 4 (fun i -> 100 + i) in
-  List.iter
-    (fun port_id ->
-      let link =
-        Scotch_sim.Link.create engine ~bandwidth_bps:1e10 ~latency:1e-6 ~queue_capacity:16
-      in
-      Scotch_sim.Link.set_up link false;
-      Switch.add_port sw ~port_id ~kind:(Switch.Tunnel port_id) link)
-    tunnels;
-  ignore
-    (Group_table.apply (Switch.group_table sw)
-       (Of_msg.Group_mod.add_select ~group_id:1
-          ~buckets:
-            (List.map
-               (fun p -> Of_msg.Group_mod.bucket [ Of_action.Output (Of_types.Port_no.Physical p) ])
-               tunnels)));
-  ignore
-    (Switch.install_direct sw ~table_id:0 ~priority:0
-       ~match_:(Of_match.with_in_port 1 Of_match.wildcard)
-       ~instructions:[ Of_action.Apply_actions [ Of_action.Push_mpls 1 ]; Of_action.Goto_table 1 ]
-       ());
-  ignore
-    (Switch.install_direct sw ~table_id:1 ~priority:0 ~match_:Of_match.wildcard
-       ~instructions:[ Of_action.Apply_actions [ Of_action.Group 1 ] ]
-       ());
-  let packets = Array.init 256 mk_packet and i = ref 0 in
-  Bechamel.Test.make ~name:"switch receive, overlay miss (push, goto, select group, tunnel out)"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         Switch.receive sw ~in_port:1 packets.(!i land 255);
-         if !i land 63 = 0 then Scotch_sim.Engine.run engine))
-
-(* The verifier's two per-update kernels on forged snapshots: grading
-   one clean rule (an output to a host port, a select group and a goto
-   into a filled table), and walking one flow class from host a's
-   switch out tunnel 7 to the switch that strips it and delivers. *)
-module Vs = Scotch_verify.Snapshot
-
-let verify_port ?tunnel ~endpoint port_id =
-  { Vs.port_id; tunnel; link_up = Some true; endpoint }
-
-let verify_rule ~instructions =
-  { Flow_table.priority = 10;
-    match_ = Of_match.exact_flow (Packet.flow_key (mk_packet 1));
-    instructions; idle_timeout = 0.0; hard_timeout = 0.0; cookie = Of_types.cookie_none;
-    installed_at = 0.0; last_used = 0.0; packet_count = 0; byte_count = 0 }
-
-let verify_node ~dpid ~rules ~groups ~ports =
-  { Vs.dpid; failed = false; num_tables = 2;
-    tables = List.map (fun (id, rs) -> (id, Classifier.of_list rs)) rules; groups; ports }
-
-let verify_snapshot nodes =
-  { Vs.now = 0.0;
-    nodes;
-    hosts =
-      [ { Vs.host_ip = Ipv4_addr.to_int (Packet.flow_key (mk_packet 1)).Flow_key.ip_src;
-          attach_dpid = 1; attach_port = 1 } ];
-    managed = [ 1 ]; vswitch_dpids = []; overlay = None; intents = None }
-
-let bench_blackhole_grade () =
-  let out p = Of_action.Output (Of_types.Port_no.Physical p) in
-  let r =
-    verify_rule
-      ~instructions:[ Of_action.Apply_actions [ out 1; Of_action.Group 1 ]; Of_action.Goto_table 1 ]
-  in
-  let n =
-    verify_node ~dpid:1
-      ~rules:[ (0, [ r ]); (1, [ verify_rule ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ]) ]
-      ~groups:[ { Group_table.group_id = 1; buckets = [ Of_msg.Group_mod.bucket [ out 1 ] ] } ]
-      ~ports:[ verify_port ~endpoint:(Vs.To_host 1) 1 ]
-  in
-  let snap = verify_snapshot [ n ] in
-  Bechamel.Test.make ~name:"blackhole grade, clean rule"
-    (Bechamel.Staged.stage (fun () -> ignore (Scotch_verify.Inv_blackhole.rule snap n ~table_id:0 r)))
-
-let bench_loop_walk () =
-  let out p = Of_action.output (Of_types.Port_no.Physical p) in
-  let snap =
-    verify_snapshot
-      [ verify_node ~dpid:1 ~rules:[ (0, [ verify_rule ~instructions:(out 10007) ]) ] ~groups:[]
-          ~ports:
-            [ verify_port ~endpoint:(Vs.To_host 1) 1;
-              verify_port ~tunnel:7 ~endpoint:(Vs.To_switch { peer = 2; peer_in_port = 10007 }) 10007 ];
-        verify_node ~dpid:2 ~rules:[ (0, [ verify_rule ~instructions:(out 3) ]) ] ~groups:[]
-          ~ports:
-            [ { (verify_port ~tunnel:7 ~endpoint:Vs.Disconnected 10007) with Vs.link_up = None };
-              verify_port ~endpoint:(Vs.To_host 2) 3 ] ]
-  in
-  let env = Scotch_verify.Inv_loop.make_env snap in
-  let key = Packet.flow_key (mk_packet 1) in
-  let prev = snd (Scotch_verify.Inv_loop.walk_class env ~key ~prev:[] [ (1, 1) ]) in
-  Bechamel.Test.make ~name:"loop walk, one class across a tunnel"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Scotch_verify.Inv_loop.walk_class env ~key ~prev [ (1, 1) ])))
-
-(* One switch's intent store holding 10k exact rules that differ only
-   in ip_dst, the shape that defeats a generic hash (see above). *)
-module Intent = Scotch_reliable.Intent
-
-let intent_rules = 10_000
-
-let intent_matches =
-  lazy
-    (Array.init intent_rules (fun i ->
-         Of_match.exact_flow (Packet.flow_key (dst_only_packet i))))
-
-let intent_add i =
-  Of_msg.Flow_mod.add ~priority:10 ~cookie:1L ~match_:(Lazy.force intent_matches).(i)
-    ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ()
-
-let intent_store () =
-  let t = Intent.create () in
-  for i = 0 to intent_rules - 1 do
-    Intent.record_flow_mod t ~now:0.0 (intent_add i)
-  done;
-  t
-
-(* A Delete of one rule, then its Add back, so the store keeps its size. *)
-let bench_intent_delete () =
-  let t = intent_store () in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"intent record_flow_mod Delete (10k rules, ip_dst only)"
-    (Bechamel.Staged.stage (fun () ->
-         i := (!i + 1) mod intent_rules;
-         Intent.record_flow_mod t ~now:0.0
-           (Of_msg.Flow_mod.delete ~match_:(Lazy.force intent_matches).(!i) ());
-         Intent.record_flow_mod t ~now:0.0 (intent_add !i)))
-
-(* A reconcile round's diff against a device that holds every intended
-   rule: each intent and each owned device rule asks its membership
-   question. *)
-let bench_intent_diff () =
-  let t = intent_store () in
-  let flow_stats =
-    Array.to_list
-      (Array.map
-         (fun match_ ->
-           { Of_msg.Stats.table_id = 0; priority = 10; match_; packet_count = 0; byte_count = 0;
-             duration = 10.0; cookie = 1L })
-         (Lazy.force intent_matches))
-  in
-  Bechamel.Test.make ~name:"intent diff (10k rules, ip_dst only)"
-    (Bechamel.Staged.stage (fun () ->
-         ignore
-           (Intent.diff t ~flow_stats ~group_descs:[] ~now:10.0 ~grace:0.75 ~owned:[ 1L ])))
-
-let bench_event_heap () =
-  Bechamel.Test.make ~name:"event heap push+pop x100"
-    (Bechamel.Staged.stage (fun () ->
-         let e = Scotch_sim.Engine.create () in
-         for k = 1 to 100 do
-           Scotch_sim.Engine.schedule e ~delay:(float_of_int (k mod 17)) (fun () -> ())
-         done;
-         Scotch_sim.Engine.run e))
-
-(* The hold model: a queue held at [elephants]' pending peak of 55,
-   one schedule of a no-op at a random delay and one step per op. *)
-let bench_event_hold () =
-  let rng = Rng.create 7 in
-  let delays = Array.init 4096 (fun _ -> Rng.float rng 1.0) in
-  let e = Scotch_sim.Engine.create () in
-  for i = 0 to 54 do
-    Scotch_sim.Engine.schedule e ~delay:delays.(i) ignore
-  done;
-  let k = ref 0 in
-  Bechamel.Test.make ~name:"event queue hold (55 pending)"
-    (Bechamel.Staged.stage (fun () ->
-         incr k;
-         Scotch_sim.Engine.schedule e ~delay:delays.(!k land 4095) ignore;
-         ignore (Scotch_sim.Engine.step e)))
-
-(* The same hold, through the other schedule path: one registered
-   handler fired instead of a closure scheduled. *)
-let bench_event_hold_handler () =
-  let rng = Rng.create 7 in
-  let delays = Array.init 4096 (fun _ -> Rng.float rng 1.0) in
-  let e = Scotch_sim.Engine.create () in
-  let h = Scotch_sim.Engine.handler e ignore in
-  for i = 0 to 54 do
-    Scotch_sim.Engine.fire e ~delay:delays.(i) h
-  done;
-  let k = ref 0 in
-  Bechamel.Test.make ~name:"event queue hold (55 pending), registered handler"
-    (Bechamel.Staged.stage (fun () ->
-         incr k;
-         Scotch_sim.Engine.fire e ~delay:delays.(!k land 4095) h;
-         ignore (Scotch_sim.Engine.step e)))
-
-let bench_packet_codec () =
-  let pkt =
-    Packet.push_encap (Headers.Encap.mpls 7)
-      (Packet.push_encap (Headers.Encap.mpls 42) (mk_packet 1))
-  in
-  Bechamel.Test.make ~name:"packet serialize+parse (2 MPLS labels)"
-    (Bechamel.Staged.stage (fun () -> ignore (Codec.parse (Codec.serialize pkt))))
-
-let bench_of_wire () =
-  let fm =
-    Of_msg.Flow_mod.add ~priority:10 ~idle_timeout:10.0
-      ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet 1)))
-      ~instructions:(Of_action.output (Of_types.Port_no.Physical 2))
-      ()
-  in
-  let msg = Of_msg.make ~xid:1 (Of_msg.Flow_mod fm) in
-  Bechamel.Test.make ~name:"OpenFlow wire encode+decode (flow_mod)"
-    (Bechamel.Staged.stage (fun () -> ignore (Of_wire.decode (Of_wire.encode msg))))
-
-(* The detection loop's per-poll cost: charging a large exact-stats
-   reply by [size] versus rendering it. *)
-let bench_of_wire_stats_reply () =
-  let stat i =
-    { Of_msg.Stats.table_id = 0; priority = 10;
-      match_ = Of_match.exact_flow (Packet.flow_key (mk_packet i));
-      packet_count = i; byte_count = 1500 * i; duration = 1.0; cookie = 0L }
-  in
-  let msg = Of_msg.make ~xid:1 (Of_msg.Flow_stats_reply (List.init 1024 stat)) in
-  [ Bechamel.Test.make ~name:"OpenFlow size (1024-record stats reply)"
-      (Bechamel.Staged.stage (fun () -> ignore (Of_wire.size msg)));
-    Bechamel.Test.make ~name:"OpenFlow encode (1024-record stats reply)"
-      (Bechamel.Staged.stage (fun () -> ignore (Of_wire.encode msg))) ]
-
-(* The two halves of one exact-polling round (§5.3): the vswitch's
-   reply, every live rule reported, and the controller's lookup of the
-   flow each record's exact match names. *)
-let bench_switch_flow_stats () =
-  let sw =
-    Switch.create (Scotch_sim.Engine.create ()) ~dpid:1 ~name:"v" ~profile:Profile.open_vswitch ()
-  in
-  for i = 0 to 9_999 do
-    ignore
-      (Switch.install_direct sw ~table_id:0 ~priority:10
-         ~match_:(Of_match.exact_flow (Packet.flow_key (mk_packet i)))
-         ~instructions:(Of_action.output (Of_types.Port_no.Physical 1)) ())
-  done;
-  let req = { Of_msg.Stats.table_id = Of_msg.Stats.all_tables; match_ = Of_match.wildcard } in
-  Bechamel.Test.make ~name:"switch flow_stats (10k exact rules)"
-    (Bechamel.Staged.stage (fun () -> ignore (Switch.flow_stats sw req)))
-
-let bench_flow_info_db_find_match () =
-  let module Db = Scotch_core.Flow_info_db in
-  let db = Db.create () in
-  for i = 0 to 59_999 do
-    ignore
-      (Db.admit db ~tenant:Scotch_core.Tenant.default_id ~key:(Packet.flow_key (mk_packet i))
-         ~first_hop:1 ~ingress_port:1 ~now:0.0)
-  done;
-  let matches =
-    Array.init 1024 (fun i -> Of_match.exact_flow (Packet.flow_key (mk_packet (i * 58))))
-  in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"flow_info_db find_match (60k entries)"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         match Db.find_match_exn db matches.(!i land 1023) with
-         | e -> ignore (Sys.opaque_identity e)
-         | exception Not_found -> ()))
-
-let bench_flow_key_hash () =
-  let keys = Array.init 256 (fun i -> Packet.flow_key (mk_packet i)) in
-  let i = ref 0 in
-  Bechamel.Test.make ~name:"flow-key FNV hash"
-    (Bechamel.Staged.stage (fun () ->
-         incr i;
-         ignore (Flow_key.hash keys.(!i land 255))))
-
-let bench_rng () =
-  let rng = Rng.create 1 in
-  Bechamel.Test.make ~name:"splitmix64 exponential draw"
-    (Bechamel.Staged.stage (fun () -> ignore (Rng.exponential rng ~rate:100.0)))
-
-let bench_simulation_throughput () =
-  (* end-to-end: events/second of a loaded Scotch simulation *)
-  Bechamel.Test.make ~name:"1 simulated second of scotch under 500 fl/s"
-    (Bechamel.Staged.stage (fun () ->
-         let net = Testbed.scotch_net () in
-         let attack = Testbed.attack_source net ~rate:500.0 () in
-         Scotch_workload.Source.start attack;
-         Testbed.run_until net ~until:1.0))
-
-let run_micro () =
-  let open Bechamel in
-  let benchmarks =
-    Test.make_grouped ~name:"scotch"
-      ([ bench_flow_table_lookup (); bench_flow_table_lookup_dst (); bench_flow_table_miss ();
-         bench_flow_table_remove ();
-         bench_flow_table_insert (); bench_group_select (); bench_switch_receive_overlay ();
-         bench_blackhole_grade (); bench_loop_walk ();
-         bench_intent_delete ();
-         bench_intent_diff ();
-         bench_event_heap (); bench_event_hold (); bench_event_hold_handler ();
-         bench_packet_codec (); bench_of_wire () ]
-      @ bench_of_wire_stats_reply ()
-      @ [ bench_switch_flow_stats (); bench_flow_info_db_find_match (); bench_flow_key_hash ();
-          bench_rng (); bench_simulation_throughput () ])
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances benchmarks in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let results2 = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _instance tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-48s %12.1f ns/op\n" name est
-          | _ -> Printf.printf "  %-48s (no estimate)\n" name)
-        tbl)
-    results2
-
-(* ------------------------------------------------------------------ *)
-(* Timing gates: BENCH_core.json.
-
-   The budgets a deterministic smoke cannot hold, because they are
-   wall-clock measurements (every seeded gate lives in test/smoke.ml).
-   `-- smoke` measures them, prints one verdict per gate, writes the
-   verdicts as the "gates" list of BENCH_core.json in the current
-   directory and exits 1 if any failed.  Wall-clock timings at the
-   10 ms scale are noisy (GC, scheduler, other load), so each gate
-   compares the fastest of several repetitions of both variants. *)
-
 type verdict = { name : string; value : float; bound : float; ok : bool }
 
 let at_most name value bound = { name; value; bound; ok = value <= bound }
 
-(* Alternate the two variants so load drift on the machine hits both
-   alike, and keep each one's fastest run. *)
-let fastest_pair ~reps a b =
+let pairs = 11
+
+(* [pairs] alternating runs of [a] then [b], each timed from the same
+   compacted heap: the list of ((wall_a, result_a), (wall_b, result_b)). *)
+let paired a b =
   let run f =
-    (* each run starts from the same compacted heap *)
     Gc.compact ();
-    f ()
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (Unix.gettimeofday () -. t0, r)
   in
-  let keep best ((w, _) as r) = if w < fst best then r else best in
-  let best_a = ref (run a) and best_b = ref (run b) in
-  for _ = 1 to reps do
-    best_a := keep !best_a (run a);
-    best_b := keep !best_b (run b)
-  done;
-  (!best_a, !best_b)
+  List.init pairs (fun _ ->
+      let ra = run a in
+      (ra, run b))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
 (* The observability overhead: the same loaded flash crowd with
-   recording off, then on.  Budget <= 10 % with everything enabled. *)
+   recording off, then on.  Budget <= 10 % with everything enabled.
+   20 simulated seconds are about 0.1 s of wall, long enough that the
+   pair's difference is recording and not a count of minor collections. *)
 let obs_run ~seed ~enabled () =
   let module O = Scotch_obs.Obs in
   O.reset ();
   if enabled then O.enable () else O.disable ();
-  let t0 = Unix.gettimeofday () in
   let net = Testbed.scotch_net ~seed () in
   let attack = Testbed.attack_source net ~rate:500.0 () in
   let client = Testbed.client_source net ~i:0 ~rate:20.0 () in
   Scotch_workload.Source.start attack;
   Scotch_workload.Source.start client;
-  Testbed.run_until net ~until:2.0;
-  let wall = Unix.gettimeofday () -. t0 in
-  (wall, Scotch_sim.Engine.processed net.Testbed.engine)
+  Testbed.run_until net ~until:20.0;
+  Scotch_sim.Engine.processed net.Testbed.engine
 
 (* Continuous verification on the resilience smoke workload, against
    the same run with verification off.  The budget is [realtime_frac]:
@@ -518,87 +64,68 @@ let verify_run ~seed ~mode () =
   O.reset ();
   O.disable ();
   let config = { Scotch_core.Config.default with Scotch_core.Config.verify = mode } in
-  let t0 = Unix.gettimeofday () in
   let o = Resilience.run_outcome ~config ~seed ~scale:0.25 ~kills:2 ~multiplier:5.0 () in
-  (Unix.gettimeofday () -. t0, o)
+  let engine = o.Resilience.net.Testbed.engine in
+  ( Scotch_sim.Engine.processed engine,
+    Scotch_sim.Engine.now engine,
+    Option.map Scotch_verify.Incremental.stats
+      (Option.bind o.Resilience.verify Scotch_verify.Hooks.incremental) )
 
 let timing_gates ~seed =
-  let (off_wall, off_events), (on_wall, on_events) =
-    fastest_pair ~reps:30 (obs_run ~seed ~enabled:false) (obs_run ~seed ~enabled:true)
-  in
   let rate n wall = float_of_int n /. wall in
-  Printf.printf "obs: %.0f -> %.0f events/s with recording on\n%!" (rate off_events off_wall)
-    (rate on_events on_wall);
+  let obs = paired (obs_run ~seed ~enabled:false) (obs_run ~seed ~enabled:true) in
+  List.iter
+    (fun ((_, off), (_, on)) ->
+      if off <> on then
+        failwith (Printf.sprintf "bench: obs pair did unequal work: %d vs %d events" off on))
+    obs;
+  let (off_wall, events), (on_wall, _) = List.hd obs in
+  Printf.printf "obs: %.0f -> %.0f events/s with recording on (first pair, %d events)\n%!"
+    (rate events off_wall) (rate events on_wall) events;
   let module C = Scotch_core.Config in
-  let (vo_wall, vo), (vc_wall, vc) =
-    fastest_pair ~reps:3 (verify_run ~seed ~mode:C.Off) (verify_run ~seed ~mode:C.Continuous)
+  let verify = paired (verify_run ~seed ~mode:C.Off) (verify_run ~seed ~mode:C.Continuous) in
+  let stats = function
+    | _, _, Some st -> st
+    | _ -> failwith "bench: Continuous run installed no incremental verifier"
   in
-  let engine (o : Resilience.outcome) = o.Resilience.net.Testbed.engine in
-  let events o = Scotch_sim.Engine.processed (engine o) in
-  let sim_s = Scotch_sim.Engine.now (engine vc) in
-  let incr =
-    match Option.bind vc.Resilience.verify Scotch_verify.Hooks.incremental with
-    | Some incr -> incr
-    | None -> failwith "bench smoke: Continuous run installed no incremental verifier"
+  let (vo_wall, (vo_events, _, _)), (vc_wall, ((vc_events, sim_s, _) as vc)) = List.hd verify in
+  Printf.printf "verify: %.0f -> %.0f events/s, %d updates over %.1f simulated s (first pair)\n%!"
+    (rate vo_events vo_wall) (rate vc_events vc_wall)
+    (stats vc).Scotch_verify.Incremental.updates sim_s;
+  let realtime ((vo_wall, _), (vc_wall, (_, sim_s, _))) =
+    if sim_s > 0.0 then (vc_wall -. vo_wall) /. sim_s else 0.0
   in
-  let st = Scotch_verify.Incremental.stats incr in
-  Printf.printf "verify: %.0f -> %.0f events/s, %d updates over %.1f simulated s\n%!"
-    (rate (events vo) vo_wall) (rate (events vc) vc_wall) st.Scotch_verify.Incremental.updates
-    sim_s;
-  let realtime = if sim_s > 0.0 then (vc_wall -. vo_wall) /. sim_s else 0.0 in
-  [ at_most "obs.overhead_frac" ((on_wall /. off_wall) -. 1.0) 0.10;
-    at_most "verify.realtime_frac" realtime 0.15;
-    at_most "verify.p99_update_us" st.Scotch_verify.Incremental.p99_us 2000.0 ]
+  [ at_most "obs.overhead_frac"
+      (median (List.map (fun ((off, _), (on, _)) -> (on /. off) -. 1.0) obs))
+      0.10;
+    at_most "verify.realtime_frac" (median (List.map realtime verify)) 0.15;
+    at_most "verify.p99_update_us"
+      (median (List.map (fun (_, (_, vc)) -> (stats vc).Scotch_verify.Incremental.p99_us) verify))
+      2000.0 ]
 
-let write_gates ~seed verdicts =
-  let file = "BENCH_core.json" in
-  let gate v =
-    Printf.sprintf "    {\"name\":\"%s\",\"value\":%.6g,\"bound\":%.6g,\"ok\":%b}"
-      (Scotch_obs.Registry.json_escape v.name) v.value v.bound v.ok
-  in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"scotch-core\",\n  \"seed\": %d,\n  \"gates\": [\n%s\n  ]\n}\n" seed
-    (String.concat ",\n" (List.map gate verdicts));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" file
+let usage_error fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf "bench: %s\nusage: main.exe [--seed N]\n" s;
+      exit 2)
+    fmt
 
-let run_smoke ~seed =
+let () =
+  let rec parse seed = function
+    | [] -> seed
+    | "--seed" :: v :: rest -> (
+      match int_of_string_opt v with
+      | Some s -> parse s rest
+      | None -> usage_error "--seed must be an integer, got %S" v)
+    | [ "--seed" ] -> usage_error "--seed needs a value"
+    | arg :: _ -> usage_error "unexpected argument %s" arg
+  in
+  let seed = parse 42 (List.tl (Array.to_list Sys.argv)) in
+  print_endline "== timing gates ==";
   let verdicts = timing_gates ~seed in
   List.iter
     (fun v ->
       Printf.printf "gate %-22s %10.4g <= %-8g %s\n" v.name v.value v.bound
         (if v.ok then "ok" else "FAILED"))
     verdicts;
-  write_gates ~seed verdicts;
   if not (List.for_all (fun v -> v.ok) verdicts) then exit 1
-
-let usage_error fmt =
-  Printf.ksprintf
-    (fun s ->
-      Printf.eprintf "bench: %s\nusage: main.exe [--seed N] (micro|smoke)\n" s;
-      exit 2)
-    fmt
-
-type mode = Micro | Smoke
-
-let () =
-  let rec parse seed mode = function
-    | [] -> (seed, mode)
-    | "--seed" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some s -> parse s mode rest
-      | None -> usage_error "--seed must be an integer, got %S" v)
-    | [ "--seed" ] -> usage_error "--seed needs a value"
-    | "micro" :: rest when mode = None -> parse seed (Some Micro) rest
-    | "smoke" :: rest when mode = None -> parse seed (Some Smoke) rest
-    | arg :: _ -> usage_error "unexpected argument %s" arg
-  in
-  match parse 42 None (List.tl (Array.to_list Sys.argv)) with
-  | _, None -> usage_error "missing mode"
-  | _, Some Micro ->
-    print_endline "== micro-benchmarks (Bechamel) ==";
-    run_micro ()
-  | seed, Some Smoke ->
-    print_endline "== bench smoke: timing gates ==";
-    run_smoke ~seed

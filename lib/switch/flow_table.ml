@@ -96,16 +96,10 @@ let insert t ~now ~priority ~match_ ~instructions ~idle_timeout ~hard_timeout ~c
       Ok ()
     end
 
-(** [delete t ?priority ~match_ ()] removes rules whose match equals
-    [match_] (all priorities unless [priority] given); returns the
-    number removed. *)
-let delete t ?priority ~match_ () =
-  let match_ = Of_match.canonical match_ in
-  let doomed =
-    match priority with
-    | Some priority -> Option.to_list (Classifier.find t.rules ~priority match_)
-    | None -> Classifier.find_all t.rules match_
-  in
+(** [delete t ~match_] removes the rules of every priority whose match
+    equals [match_]; returns the number removed. *)
+let delete t ~match_ =
+  let doomed = Classifier.find_all t.rules (Of_match.canonical match_) in
   List.iter (remove t) doomed;
   List.length doomed
 

@@ -56,10 +56,9 @@ val insert :
   instructions:Of_action.instructions -> idle_timeout:float -> hard_timeout:float ->
   cookie:Of_types.cookie -> (unit, [ `Table_full ]) result
 
-(** Remove rules whose match equals [match_], compared as {!insert}
-    compares them (all priorities unless given); returns the number
-    removed. *)
-val delete : t -> ?priority:int -> match_:Of_match.t -> unit -> int
+(** Remove the rules of every priority whose match equals [match_],
+    compared as {!insert} compares them; returns the number removed. *)
+val delete : t -> match_:Of_match.t -> int
 
 (** What a lookup returns on a miss: a rule no table holds, compared
     with [==]. *)

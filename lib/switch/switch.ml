@@ -189,7 +189,7 @@ let handler_of t : Ofa.handler =
           Array.iter
             (fun table ->
               if Flow_table.table_id table = fm.Of_msg.Flow_mod.table_id then
-                ignore (Flow_table.delete table ~match_:fm.Of_msg.Flow_mod.match_ ()))
+                ignore (Flow_table.delete table ~match_:fm.Of_msg.Flow_mod.match_))
             t.tables;
           Ok ()
         | Of_msg.Flow_mod.Add ->

@@ -11,7 +11,8 @@
 
    Verification and obs observe a run without steering it: each
    determinism rerun flips the verify mode (or, in fig12, obs) of the
-   run it repeats and must reproduce its digests.
+   run it repeats and must reproduce its digests (fig12 also reruns
+   fig11 with obs on and must reproduce its table).
 
    - resilience: the §5.6 failover story at its smallest configuration
      (2 kills), under continuous verification;
@@ -27,7 +28,8 @@
    - isolation: the multi-tenant blast-radius contract;
    - model: the analytic OFA model vs the discrete-event OFA, and the
      autoscaler under a moderate flash crowd;
-   - fig12: the §5.3 large-flow migration figure. *)
+   - fig12: the §5.3 large-flow migration figure, and fig11 with obs
+     on and off. *)
 
 open Scotch_experiments
 module Config = Scotch_core.Config
@@ -625,19 +627,21 @@ let model () =
 
 (* ------------------------------------------------------------------ *)
 (* fig12: with migration on, the elephants' final delay falls below
-   the migration-off run's, and the table is the same with obs on.
-   The rendered table is the digest: it pins the large-flow migration
-   queue, which no other smoke's digest reaches. *)
+   the migration-off run's, and the table is the same with obs on, as
+   is fig11's.  The rendered fig12 table is the digest: it pins the
+   large-flow migration queue, which no other smoke's digest reaches. *)
 
 let fig12 () =
   let scale = 0.25 in
   let render fig = Scotch_util.Table_printer.render (Report.to_table fig) in
   let fig = Fig12.run ~seed ~scale () in
   let table = render fig in
-  (* obs observes without steering: the same table with it on *)
+  let fig11 = render (Fig11.run ~seed ~scale ()) in
+  (* obs observes without steering: the same tables with it on *)
   Scotch_obs.Obs.reset ();
   Scotch_obs.Obs.enable ();
   if render (Fig12.run ~seed ~scale ()) <> table then fail "table differs with obs on";
+  if render (Fig11.run ~seed ~scale ()) <> fig11 then fail "fig11 table differs with obs on";
   print_string fig.Report.title;
   print_newline ();
   print_string table;

@@ -195,7 +195,7 @@ let test_every_divergence_kind () =
      idle-timeout rule expires on its own at 0.5 s *)
   let table = Switch.table vsw 0 and groups = Switch.group_table vsw in
   Alcotest.(check int) "durable rule deleted" 1
-    (Flow_table.delete table ~priority:20 ~match_:durable ());
+    (Flow_table.delete table ~match_:durable);
   let direct ~cookie i =
     Result.get_ok
       (Flow_table.insert table ~now:(Scotch_sim.Engine.now e) ~priority:10 ~match_:(match_of i)

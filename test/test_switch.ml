@@ -160,9 +160,9 @@ let test_ft_delete () =
   let m = Of_match.exact_flow (Packet.flow_key (mk_packet ())) in
   insert_ok table ~now:0.0 ~priority:5 ~match_:m ~instructions:(out_port 1);
   insert_ok table ~now:0.0 ~priority:7 ~match_:m ~instructions:(out_port 2);
-  Alcotest.(check int) "delete at priority" 1 (Flow_table.delete table ~priority:5 ~match_:m ());
-  Alcotest.(check int) "delete remaining" 1 (Flow_table.delete table ~match_:m ());
-  Alcotest.(check int) "empty" 0 (Flow_table.size table ~now:0.0)
+  Alcotest.(check int) "delete every priority" 2 (Flow_table.delete table ~match_:m);
+  Alcotest.(check int) "empty" 0 (Flow_table.size table ~now:0.0);
+  Alcotest.(check int) "delete again" 0 (Flow_table.delete table ~match_:m)
 
 let test_ft_stats () =
   let table = Flow_table.create ~table_id:3 () in
@@ -204,7 +204,7 @@ let test_ft_masked_bits_irrelevant () =
   (match peek table ~now:0.0 (ctx (mk_packet ~dst:(Ipv4_addr.make 10 0 1 9) ())) with
   | Some r -> Alcotest.(check bool) "replaced" true (r.Flow_table.instructions = out_port 2)
   | None -> Alcotest.fail "prefix rule missed");
-  Alcotest.(check int) "delete finds it" 1 (Flow_table.delete table ~match_:(built 200) ());
+  Alcotest.(check int) "delete finds it" 1 (Flow_table.delete table ~match_:(built 200));
   Alcotest.(check int) "empty" 0 (Flow_table.size table ~now:0.0)
 
 (* qcheck: the tuple-space table against a list model, the reference
@@ -214,14 +214,13 @@ let test_ft_masked_bits_irrelevant () =
    pinned, then structural match order. *)
 type ft_op =
   | Ins of { prio : int; m : int; cookie : int; hard : float }
-  | Del of { prio : int option; m : int }
+  | Del of int (* a match index *)
   | Advance (* one second passes *)
   | Sweep
 
 let ft_pp_op = function
   | Ins { prio; m; cookie; hard } -> Printf.sprintf "ins p%d m%d c%d h%g" prio m cookie hard
-  | Del { prio; m } ->
-    Printf.sprintf "del %s m%d" (Option.fold ~none:"*" ~some:string_of_int prio) m
+  | Del m -> Printf.sprintf "del m%d" m
   | Advance -> "advance"
   | Sweep -> "sweep"
 
@@ -297,9 +296,7 @@ let prop_ft_reference =
               (quad (int_bound 2) (int_bound (Array.length ft_matches - 1)) (int_bound 1)
                  (oneofl [ 0.0; 0.0; 1.0; 2.5 ])) );
           ( 2,
-            map
-              (fun (prio, m) -> Del { prio; m })
-              (pair (opt (int_bound 2)) (int_bound (Array.length ft_matches - 1))) );
+            map (fun m -> Del m) (int_bound (Array.length ft_matches - 1)) );
           (1, return Advance);
           (1, return Sweep) ])
   in
@@ -382,12 +379,10 @@ let prop_ft_reference =
             ~instructions:(out_port i) ~idle_timeout:0.0 ~hard_timeout:hard
             ~cookie:(Int64.of_int cookie)
           = Ok ()
-        | Del { prio; m } ->
+        | Del m ->
           let mm = canon ft_matches.(m) in
-          let want =
-            removing (fun r -> r.mmatch = mm && Option.fold ~none:true ~some:(( = ) r.mprio) prio)
-          in
-          Flow_table.delete table ?priority:prio ~match_:ft_matches.(m) () = want
+          let want = removing (fun r -> r.mmatch = mm) in
+          Flow_table.delete table ~match_:ft_matches.(m) = want
         | Advance ->
           now := !now +. 1.0;
           true
